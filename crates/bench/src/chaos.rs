@@ -42,7 +42,7 @@ use gsr_server::{QueryServer, ServerConfig};
 use gsr_store::SnapshotIndex;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -160,6 +160,17 @@ fn primed_holder(
     Ok(stream)
 }
 
+/// Lets go of a held connection and waits until the server has closed its
+/// side too. The server closes a connection as it frees the admission slot,
+/// so once this returns the slot is free: what follows is never refused on
+/// account of `holder`.
+fn release(mut holder: TcpStream) -> Result<(), String> {
+    let _ = holder.shutdown(Shutdown::Write);
+    let mut rest = Vec::new();
+    holder.read_to_end(&mut rest).map_err(|e| format!("release: read: {e}"))?;
+    Ok(())
+}
+
 /// How a no-data knock (connect, immediate write-half close, read) ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum KnockOutcome {
@@ -192,7 +203,7 @@ fn knock(addr: SocketAddr) -> Result<KnockOutcome, String> {
 
 /// Polls `STATS` on a fresh control connection, retrying while the server
 /// still sheds (flood scenarios read counters right after dropping their
-/// holders, and the freed slots take a poll tick to come back).
+/// holders, whose slots free only once their workers have seen the close).
 fn stats_when_admitted(addr: SocketAddr) -> Result<String, String> {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
@@ -396,7 +407,9 @@ fn connection_flood(
                 busy += 1;
             }
         }
-        drop(holders);
+        for holder in holders {
+            release(holder)?;
+        }
         let stats = stats_when_admitted(addr)?;
         let refused = stat_u64(&stats, "shed")? + stat_u64(&stats, "rejected")?;
         let live = stat_u64(&stats, "live")?;
@@ -663,6 +676,29 @@ fn snapshot_corruption(snap: &SnapshotIndex, dir: &Path) -> Result<ScenarioResul
     })
 }
 
+/// The directory one drill stages its snapshots in: its own per call
+/// (process id plus a process-wide counter), so concurrent drills — two
+/// tests of one binary, two `repro chaos` runs — never share or delete each
+/// other's files; removed on drop, whichever way the drill ends.
+struct StagingDir(PathBuf);
+
+impl StagingDir {
+    fn create() -> Result<StagingDir, String> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let name =
+            format!("gsr_chaos_{}_{}", std::process::id(), NEXT.fetch_add(1, Ordering::Relaxed));
+        let dir = std::env::temp_dir().join(name);
+        std::fs::create_dir_all(&dir).map_err(|e| format!("chaos: mkdir: {e}"))?;
+        Ok(StagingDir(dir))
+    }
+}
+
+impl Drop for StagingDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Runs the whole drill: builds the dataset, oracle, and serving index
 /// once, then mounts every scenario (each on its own server instance) and
 /// returns the table plus per-scenario ledgers. Infrastructure failures
@@ -687,8 +723,8 @@ pub fn run_experiment(
     let snap = SnapshotIndex::ThreeDReach(built.clone());
     let index: std::sync::Arc<dyn RangeReachIndex> = std::sync::Arc::new(built);
 
-    let dir = std::env::temp_dir().join("gsr_chaos");
-    std::fs::create_dir_all(&dir).map_err(|e| format!("chaos: mkdir: {e}"))?;
+    let staging = StagingDir::create()?;
+    let dir = staging.0.as_path();
     let snap_path = dir.join("reload.snap");
     gsr_store::save_to_path(&snap_path, &snap).map_err(|e| format!("chaos: save: {e}"))?;
 
@@ -700,10 +736,9 @@ pub fn run_experiment(
         connection_flood(index.clone(), &plan, opts)?,
         queue_shed(index.clone(), &plan, opts)?,
         reload_storm(index.clone(), &plan, &snap_path, opts)?,
-        kill_during_save(&snap, &dir, opts)?,
-        snapshot_corruption(&snap, &dir)?,
+        kill_during_save(&snap, dir, opts)?,
+        snapshot_corruption(&snap, dir)?,
     ];
-    std::fs::remove_dir_all(&dir).ok();
 
     let mut table = TextTable::new(["scenario", "attempts", "handled", "verdict", "detail"]);
     for s in &scenarios {

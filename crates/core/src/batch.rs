@@ -86,7 +86,7 @@ impl BatchOptions {
 
 /// The result of a bounded batch run: per-query answers where available,
 /// plus what stopped the run early (if anything).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BatchOutcome {
     /// One slot per input query, in input order. `Some(answer)` for
     /// queries that completed, `None` for queries skipped due to
@@ -121,6 +121,54 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "query panicked".to_string()
+    }
+}
+
+/// The early-stop conditions of one bounded run, checked before every
+/// query by whichever worker is about to evaluate it.
+struct Limits<'a> {
+    deadline: Option<Instant>,
+    cancel: Option<&'a CancelToken>,
+    timed_out: AtomicBool,
+    cancelled: AtomicBool,
+}
+
+impl Limits<'_> {
+    /// Whether the batch must stop before its next query, recording why.
+    fn reached(&self) -> bool {
+        if self.cancel.is_some_and(CancelToken::is_cancelled) {
+            self.cancelled.store(true, Ordering::Relaxed);
+            return true;
+        }
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.timed_out.store(true, Ordering::Relaxed);
+            return true;
+        }
+        false
+    }
+}
+
+/// One query of a bounded run: validated, then evaluated behind a panic
+/// fence, its work counters added to `cost`.
+fn evaluate_isolated<I>(
+    index: &I,
+    num_vertices: usize,
+    v: VertexId,
+    region: &Rect,
+    cost: &mut QueryCost,
+) -> Result<bool, GsrError>
+where
+    I: RangeReachIndex + ?Sized,
+{
+    validate_query(num_vertices, v, region)?;
+    // Index structures are immutable and queries take &self, so a caught
+    // panic cannot leave observable broken state behind.
+    match std::panic::catch_unwind(AssertUnwindSafe(|| index.query_with_cost_unchecked(v, region))) {
+        Ok((hit, query_cost)) => {
+            cost.accumulate(&query_cost);
+            Ok(hit)
+        }
+        Err(payload) => Err(GsrError::Internal(panic_message(payload))),
     }
 }
 
@@ -336,78 +384,87 @@ impl BatchExecutor {
     where
         I: RangeReachIndex + ?Sized,
     {
-        let deadline = options.budget.map(|b| Instant::now() + b);
-        let timed_out = AtomicBool::new(false);
-        let cancelled = AtomicBool::new(false);
+        let mut outcome = BatchOutcome::default();
+        self.run_bounded_into(index, queries, options, &mut outcome);
+        outcome
+    }
+
+    /// [`BatchExecutor::run_bounded`] into a caller-owned outcome: `out` is
+    /// overwritten, and its `answers` and `errors` buffers are reused, so a
+    /// caller that runs one batch after another (the query server, once per
+    /// flush) allocates nothing per batch. With one worker the queries are
+    /// evaluated inline, straight into `out`.
+    pub fn run_bounded_into<I>(
+        &self,
+        index: &I,
+        queries: &[BatchQuery],
+        options: &BatchOptions,
+        out: &mut BatchOutcome,
+    ) where
+        I: RangeReachIndex + ?Sized,
+    {
+        let limits = Limits {
+            deadline: options.budget.map(|b| Instant::now() + b),
+            cancel: options.cancel.as_ref(),
+            timed_out: AtomicBool::new(false),
+            cancelled: AtomicBool::new(false),
+        };
         let num_vertices = index.num_vertices();
+        out.answers.clear();
+        out.errors.clear();
+        out.cost = QueryCost::default();
 
         let threads = self.threads().min(queries.len().max(1));
-        let chunk_len = queries.len().div_ceil(threads.max(1)).max(1);
-        let chunks: Vec<&[BatchQuery]> = queries.chunks(chunk_len).collect();
-        let per_chunk = gsr_graph::par::map_indexed(threads, chunks.len(), |ci| {
-            let base = ci * chunk_len;
-            let mut local_cost = QueryCost::default();
-            let mut rows: Vec<(usize, Result<bool, GsrError>)> =
-                Vec::with_capacity(chunks[ci].len());
-            for (offset, (v, region)) in chunks[ci].iter().enumerate() {
-                if let Some(token) = &options.cancel {
-                    if token.is_cancelled() {
-                        cancelled.store(true, Ordering::Relaxed);
-                        break;
+        if threads == 1 {
+            for (i, (v, region)) in queries.iter().enumerate() {
+                if limits.reached() {
+                    break;
+                }
+                match evaluate_isolated(index, num_vertices, *v, region, &mut out.cost) {
+                    Ok(hit) => out.answers.push(Some(hit)),
+                    Err(e) => {
+                        out.answers.push(None);
+                        out.errors.push((i, e));
                     }
                 }
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        timed_out.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-                let result = match validate_query(num_vertices, *v, region) {
-                    Err(e) => Err(e),
-                    Ok(()) => {
-                        // Index structures are immutable and queries take
-                        // &self, so a caught panic cannot leave observable
-                        // broken state behind.
-                        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            index.query_with_cost_unchecked(*v, region)
-                        }));
-                        match caught {
-                            Ok((hit, cost)) => {
-                                local_cost.accumulate(&cost);
-                                Ok(hit)
-                            }
-                            Err(payload) => Err(GsrError::Internal(panic_message(payload))),
-                        }
-                    }
-                };
-                rows.push((base + offset, result));
             }
-            (rows, local_cost)
-        });
+            out.completed = out.answers.len();
+            out.answers.resize(queries.len(), None);
+        } else {
+            let chunk_len = queries.len().div_ceil(threads);
+            let chunks: Vec<&[BatchQuery]> = queries.chunks(chunk_len).collect();
+            let per_chunk = gsr_graph::par::map_indexed(threads, chunks.len(), |ci| {
+                let base = ci * chunk_len;
+                let mut local_cost = QueryCost::default();
+                let mut rows: Vec<(usize, Result<bool, GsrError>)> =
+                    Vec::with_capacity(chunks[ci].len());
+                for (offset, (v, region)) in chunks[ci].iter().enumerate() {
+                    if limits.reached() {
+                        break;
+                    }
+                    let result =
+                        evaluate_isolated(index, num_vertices, *v, region, &mut local_cost);
+                    rows.push((base + offset, result));
+                }
+                (rows, local_cost)
+            });
 
-        let mut answers = vec![None; queries.len()];
-        let mut errors = Vec::new();
-        let mut completed = 0usize;
-        let mut cost = QueryCost::default();
-        for (rows, chunk_cost) in per_chunk {
-            cost.accumulate(&chunk_cost);
-            for (i, result) in rows {
-                completed += 1;
-                match result {
-                    Ok(hit) => answers[i] = Some(hit),
-                    Err(e) => errors.push((i, e)),
+            out.answers.resize(queries.len(), None);
+            out.completed = 0;
+            for (rows, chunk_cost) in per_chunk {
+                out.cost.accumulate(&chunk_cost);
+                for (i, result) in rows {
+                    out.completed += 1;
+                    match result {
+                        Ok(hit) => out.answers[i] = Some(hit),
+                        Err(e) => out.errors.push((i, e)),
+                    }
                 }
             }
+            out.errors.sort_by_key(|(i, _)| *i);
         }
-        errors.sort_by_key(|(i, _)| *i);
-        BatchOutcome {
-            answers,
-            completed,
-            timed_out: timed_out.load(Ordering::Relaxed),
-            cancelled: cancelled.load(Ordering::Relaxed),
-            errors,
-            cost,
-        }
+        out.timed_out = limits.timed_out.into_inner();
+        out.cancelled = limits.cancelled.into_inner();
     }
 
     /// Shared driver: applies the schedule, chunks the (possibly permuted)
@@ -571,6 +628,28 @@ mod tests {
             assert_eq!(outcome.completed, queries.len());
             let answers: Vec<bool> = outcome.answers.iter().map(|a| a.unwrap()).collect();
             assert_eq!(answers, expected, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn bounded_into_overwrites_a_reused_outcome() {
+        let prep = paper_example::prepared();
+        let index = ThreeDReach::build(&prep, SccSpatialPolicy::Replicate);
+        let good = paper_example::query_region();
+        let first = vec![(9999, good), (paper_example::A, good), (9999, good)];
+        let second = vec![(paper_example::C, good), (paper_example::A, good)];
+        for threads in [1, 2] {
+            let exec = BatchExecutor::new(threads);
+            let mut out = BatchOutcome::default();
+            exec.run_bounded_into(&index, &first, &BatchOptions::unlimited(), &mut out);
+            assert_eq!(out.answers, vec![None, Some(true), None], "threads = {threads}");
+            assert_eq!(out.errors.iter().map(|(i, _)| *i).collect::<Vec<_>>(), vec![0, 2]);
+            // The second run must leave nothing of the first behind.
+            exec.run_bounded_into(&index, &second, &BatchOptions::unlimited(), &mut out);
+            let fresh = exec.run_bounded(&index, &second, &BatchOptions::unlimited());
+            assert_eq!(out.answers, vec![Some(false), Some(true)], "threads = {threads}");
+            assert!(out.is_complete() && out.completed == 2);
+            assert_eq!((out.answers, out.cost), (fresh.answers, fresh.cost));
         }
     }
 

@@ -61,7 +61,14 @@ impl LatencyHistogram {
 
     /// Records one sample, in microseconds.
     pub fn record_us(&self, us: u64) {
-        self.buckets[Self::bucket_index(us)].fetch_add(1, Ordering::Relaxed);
+        self.record_n_us(us, 1);
+    }
+
+    /// Records `n` samples of the same latency with one atomic add — what
+    /// a server does for a pipelined batch whose queries all share the
+    /// batch's wall-clock time.
+    pub fn record_n_us(&self, us: u64, n: u64) {
+        self.buckets[Self::bucket_index(us)].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Total number of recorded samples.
@@ -138,6 +145,19 @@ mod tests {
         assert_eq!(LatencyHistogram::bucket_index(u64::MAX), BUCKETS - 1);
         assert_eq!(LatencyHistogram::bucket_bounds(0), (0, 1));
         assert_eq!(LatencyHistogram::bucket_bounds(3), (8, 15));
+    }
+
+    #[test]
+    fn counted_record_equals_repeated_records() {
+        let (counted, repeated) = (LatencyHistogram::default(), LatencyHistogram::default());
+        for (us, n) in [(0, 3), (100, 1), (5_000, 4096), (7, 0)] {
+            counted.record_n_us(us, n);
+            for _ in 0..n {
+                repeated.record_us(us);
+            }
+        }
+        assert_eq!(counted.bucket_counts(), repeated.bucket_counts());
+        assert_eq!(counted.count(), 4100);
     }
 
     #[test]

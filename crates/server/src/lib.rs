@@ -7,21 +7,28 @@
 //!
 //! ## Architecture
 //!
-//! * One non-blocking **accept loop** plus a **fixed worker pool** of `N`
-//!   connection handlers, all running as blocking tasks on
-//!   `gsr_graph::par`'s scoped-thread pool — the same primitive the index
-//!   builders parallelize with, so the service adds no new threading
-//!   machinery. Accepted connections are handed to workers through a
-//!   `Mutex<VecDeque>` + `Condvar` queue.
+//! * One **accept loop** asleep in a blocking `accept()` plus a **fixed
+//!   worker pool** of `N` connection handlers, all running as blocking
+//!   tasks on `gsr_graph::par`'s scoped-thread pool — the same primitive
+//!   the index builders parallelize with, so the service adds no new
+//!   threading machinery. Accepted connections are handed to workers
+//!   through a `Mutex<VecDeque>` + `Condvar` queue. Nothing in the
+//!   connection path wakes on a timer: an idle worker sleeps on the
+//!   `Condvar`, a serving worker sleeps in `read()`, and every wake-up is
+//!   an event (a connection, request bytes, the idle deadline, shutdown).
 //! * Each connection is **pipelined**: every flush of consecutive `REACH`
 //!   lines is evaluated as one batch through
-//!   [`gsr_core::BatchExecutor::run_bounded`], under the server's
-//!   per-request time budget and its [`CancelToken`]. Replies come back in
-//!   request order, one line each.
-//! * **Graceful shutdown**: cancelling the server's token (via
-//!   [`QueryServer::cancel_token`], or a client's `SHUTDOWN` line) stops
-//!   the accept loop, wakes idle workers, and lets in-flight connections
-//!   close at their next poll tick. [`QueryServer::run`] then returns.
+//!   [`gsr_core::BatchExecutor::run_bounded_into`], under the server's
+//!   per-request time budget and its cancellation flag. Replies come back
+//!   in request order, one line each. Request lines are parsed in place
+//!   from one per-connection read buffer, and the batch, answer and reply
+//!   buffers are reused from flush to flush.
+//! * **Graceful shutdown**: a [`StopHandle`] (from
+//!   [`QueryServer::cancel_token`]) or a client's `SHUTDOWN` line sets the
+//!   cancellation flag, wakes `accept()` with a connection from the server
+//!   to itself, notifies every idle worker, and shuts down the socket of
+//!   every open connection so its `read()` returns.
+//!   [`QueryServer::run`] then returns, within milliseconds.
 //! * An optional **sharded result cache** ([`ResultCache`], enabled via
 //!   [`ServerConfig::cache_entries`]) memoizes `(vertex, rectangle)`
 //!   answers across connections; batches probe it first and only the
@@ -56,7 +63,8 @@
 //!   [`ServerConfig::max_line`] bytes (oversize → `ERR 2 line too long` +
 //!   close, which also defeats slow-loris writers), pipelined batches are
 //!   split at [`ServerConfig::max_batch`] queries, silent connections are
-//!   reaped after [`ServerConfig::idle_timeout`], and replies carry a
+//!   reaped after [`ServerConfig::idle_timeout`] (the socket's read
+//!   timeout — the only one a connection ever has), and replies carry a
 //!   write deadline ([`ServerConfig::write_timeout`]) so one stalled
 //!   reader cannot wedge a worker. Every limit surfaces as a typed
 //!   protocol error; none panics or hangs.
@@ -85,18 +93,22 @@ mod stats;
 pub use cache::{CacheStats, ResultCache};
 pub use stats::{LatencyHistogram, ServerStats, StatsSnapshot};
 
-use gsr_core::{BatchExecutor, BatchOptions, BatchQuery, CancelToken, GsrError, RangeReachIndex};
+use gsr_core::{
+    BatchExecutor, BatchOptions, BatchOutcome, BatchQuery, CancelToken, GsrError, RangeReachIndex,
+};
 use proto::{busy_reply, error_reply, parse_line, Request, BUSY_ERR, PROTOCOL_ERR};
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::collections::{HashMap, VecDeque};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-/// How often blocked workers and connection reads wake up to poll the
-/// cancellation token. Bounds shutdown latency, not correctness.
-const POLL_TICK: Duration = Duration::from_millis(25);
+/// First sleep of the accept loop's exponential backoff on `accept()`
+/// failures.
+const ACCEPT_BACKOFF_START: Duration = Duration::from_millis(25);
 
 /// Ceiling of the accept loop's exponential backoff on repeated
 /// `accept()` failures. Also bounds shutdown latency during such a storm.
@@ -105,6 +117,20 @@ const ACCEPT_BACKOFF_CAP: Duration = Duration::from_secs(1);
 /// The `retry_ms` hint sent with `ERR 7 busy` shed replies. A courtesy
 /// backoff suggestion, not a promise of capacity.
 const BUSY_RETRY_MS: u64 = 100;
+
+/// Write deadline of the one `ERR 7 busy` line a shed connection gets.
+/// The accept loop writes it, so it must be short: a refused peer that
+/// does not take twelve bytes at once forfeits the courtesy.
+const SHED_WRITE_TIMEOUT: Duration = Duration::from_millis(25);
+
+/// How long a stop waits for the connection that wakes `accept()`.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Size of a connection's read buffer — and so of the largest flush that
+/// is parsed, evaluated and answered as one piece. It grows past this only
+/// while a single request line longer than it is being assembled (which
+/// [`ServerConfig::max_line`] bounds), and shrinks back afterwards.
+const READ_BUF: usize = 64 * 1024;
 
 /// Configuration of a [`QueryServer`].
 #[derive(Debug, Clone)]
@@ -179,6 +205,14 @@ fn line_too_long(max: usize) -> String {
     format!("ERR {PROTOCOL_ERR} line too long (max {max} bytes)\n")
 }
 
+/// Locks a mutex whose data every update leaves whole (a queue push or
+/// pop, a map insert or remove), so a holder's panic cannot have left it
+/// half-written: the poison flag is ignored and shutdown can still reach
+/// every connection.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// What a connection should do after serving a flush of request lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LineAction {
@@ -201,13 +235,87 @@ struct DatasetSlot {
     index: RwLock<(Arc<dyn RangeReachIndex>, u64)>,
 }
 
-/// Per-connection protocol state: which registered dataset this
-/// connection's `REACH`/`STATS`/`RELOAD` lines address (selected with
-/// `USE <dataset>`; every connection starts on the first registered
-/// dataset).
-#[derive(Debug, Clone, Copy, Default)]
+/// Per-connection state: the protocol state proper — which registered
+/// dataset this connection's `REACH`/`STATS`/`RELOAD` lines address
+/// (selected with `USE <dataset>`; every connection starts on the first
+/// registered dataset) — and the buffers its flushes reuse.
+#[derive(Debug, Default)]
 struct ConnState {
     dataset: usize,
+    /// The reply lines of the flush being served, in request order.
+    replies: String,
+    /// The consecutive `REACH` lines gathered so far.
+    batch: Vec<BatchQuery>,
+    /// Where `batch` (without a cache) or its cache misses are evaluated.
+    outcome: BatchOutcome,
+    /// With a cache: the batch's answers, cache hits first, then the
+    /// misses' answers scattered in.
+    probed: Vec<Option<bool>>,
+    /// With a cache: the batch positions that missed, ascending.
+    misses: Vec<usize>,
+    /// With a cache: the queries at those positions.
+    missed: Vec<BatchQuery>,
+}
+
+/// What stopping the server must reach, shared between the
+/// [`QueryServer`] and every [`StopHandle`] it handed out.
+struct Shared {
+    cancel: CancelToken,
+    /// Where a stop connects to wake `accept()`: the listener's own
+    /// address (loopback when it listens on every interface).
+    wake_addr: SocketAddr,
+    /// The accept→worker hand-off queue: admitted connections with their
+    /// ids, waiting for a worker.
+    pending: Mutex<VecDeque<(u64, TcpStream)>>,
+    /// Signalled per queued connection, and to all on stop.
+    ready: Condvar,
+    /// A second handle on the socket of every admitted connection (queued
+    /// or being served), by connection id: what a stop shuts down to get
+    /// workers out of `read()`, and what `max_conns` and `live=` count.
+    /// Entered at admission, removed by [`LiveGuard`].
+    live: Mutex<HashMap<u64, TcpStream>>,
+}
+
+impl Shared {
+    /// Stops the server: sets the flag, then wakes every place a thread
+    /// can be asleep — `accept()`, the queue's `Condvar`, a connection's
+    /// `read()` or `write()`. Idempotent.
+    ///
+    /// The flag is set first and every sleeper re-checks it before going
+    /// back to sleep, so none can miss the stop: a worker checks it under
+    /// the queue lock (taken here before notifying) and before every
+    /// `read()` of a connection that was registered before its first.
+    fn stop(&self) {
+        self.cancel.cancel();
+        // Best-effort: when it fails the listener's backlog is full (so
+        // `accept()` is about to return anyway) or the server is gone.
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_CONNECT_TIMEOUT);
+        drop(lock(&self.pending));
+        self.ready.notify_all();
+        for stream in lock(&self.live).values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// Stops a running [`QueryServer`] from outside it. Clones (and the
+/// handles of one server) are interchangeable.
+#[derive(Clone)]
+pub struct StopHandle(Arc<Shared>);
+
+impl StopHandle {
+    /// Stops the server: the accept loop exits, idle workers wake and
+    /// drain, every open connection is shut down (its client sees EOF),
+    /// and [`QueryServer::run`] returns. Idempotent.
+    pub fn cancel(&self) {
+        self.0.stop();
+    }
+
+    /// Whether the server has been told to stop (by any handle or by a
+    /// client's `SHUTDOWN`).
+    pub fn is_cancelled(&self) -> bool {
+        self.0.cancel.is_cancelled()
+    }
 }
 
 /// A bound TCP query service. Construct with [`QueryServer::bind`] (one
@@ -225,30 +333,27 @@ pub struct QueryServer {
     /// collide in the shared [`ResultCache`].
     epoch_alloc: AtomicU64,
     config: ServerConfig,
-    cancel: CancelToken,
+    /// The limits of every batch: the configured budget and the server's
+    /// cancellation flag.
+    batch_options: BatchOptions,
+    shared: Arc<Shared>,
     stats: Arc<ServerStats>,
     cache: Option<ResultCache>,
-    /// Admitted connections: incremented at admission, decremented after
-    /// the connection's stream has been dropped (FIN before the slot
-    /// frees, so `max_conns` never over-admits).
-    live_conns: AtomicUsize,
 }
 
-/// The connection hand-off queue between the accept loop and the workers.
-#[derive(Default)]
-struct ConnQueue {
-    queue: Mutex<VecDeque<TcpStream>>,
-    ready: Condvar,
+/// Ends a connection's admission on drop: takes its second socket handle
+/// out of the live registry and closes it. Declared before the handler is
+/// given the stream, so it drops *after* the handler's handle — only then
+/// is the socket's last handle gone and the FIN sent, as the admission
+/// slot frees, even if a handler returns early.
+struct LiveGuard<'a> {
+    live: &'a Mutex<HashMap<u64, TcpStream>>,
+    id: u64,
 }
-
-/// Frees one `live_conns` slot on drop — declared so it drops *after* the
-/// connection's stream, keeping the admission count honest even if a
-/// handler returns early.
-struct LiveGuard<'a>(&'a AtomicUsize);
 
 impl Drop for LiveGuard<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
+        lock(self.live).remove(&self.id);
     }
 }
 
@@ -306,16 +411,31 @@ impl QueryServer {
                 index: RwLock::new((index, i as u64)),
             })
             .collect();
+        let mut wake_addr = local_addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        let cancel = CancelToken::new();
+        let batch_options = BatchOptions { budget: config.budget, cancel: Some(cancel.clone()) };
         Ok(QueryServer {
             listener,
             local_addr,
             datasets,
             epoch_alloc,
             config,
-            cancel: CancelToken::new(),
+            batch_options,
+            shared: Arc::new(Shared {
+                cancel,
+                wake_addr,
+                pending: Mutex::default(),
+                ready: Condvar::new(),
+                live: Mutex::default(),
+            }),
             stats: Arc::new(ServerStats::default()),
             cache,
-            live_conns: AtomicUsize::new(0),
         })
     }
 
@@ -346,10 +466,10 @@ impl QueryServer {
     }
 
     /// A handle that stops the server when cancelled: the accept loop
-    /// exits, idle workers wake and drain, open connections close at their
-    /// next poll tick, and [`QueryServer::run`] returns.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
+    /// exits, idle workers wake and drain, open connections are shut down,
+    /// and [`QueryServer::run`] returns.
+    pub fn cancel_token(&self) -> StopHandle {
+        StopHandle(Arc::clone(&self.shared))
     }
 
     /// The live service counters (shared with the workers).
@@ -357,14 +477,11 @@ impl QueryServer {
         Arc::clone(&self.stats)
     }
 
-    /// Serves until the cancellation token fires (externally or via a
-    /// client's `SHUTDOWN`), then returns after a graceful drain.
+    /// Serves until stopped (by a [`StopHandle`] or a client's
+    /// `SHUTDOWN`), then returns once every worker has let go of its
+    /// connection.
     pub fn run(self) -> Result<(), GsrError> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| GsrError::Internal(format!("server set_nonblocking: {e}")))?;
         let workers = gsr_graph::par::effective_threads(self.config.threads);
-        let conns = ConnQueue::default();
 
         // Task 0 is the accept loop; tasks 1..=workers are the fixed
         // connection-handler pool. All are blocking tasks on the same
@@ -372,25 +489,29 @@ impl QueryServer {
         // `workers + 1` threads gives every task its own OS thread.
         gsr_graph::par::map_indexed(workers + 1, workers + 1, |i| {
             if i == 0 {
-                self.accept_loop(&conns);
+                self.accept_loop();
             } else {
-                self.worker_loop(&conns);
+                self.worker_loop();
             }
         });
         Ok(())
     }
 
-    fn accept_loop(&self, conns: &ConnQueue) {
-        let mut backoff = POLL_TICK;
-        while !self.cancel.is_cancelled() {
-            match self.listener.accept() {
+    fn accept_loop(&self) {
+        let mut backoff = ACCEPT_BACKOFF_START;
+        let mut next_id = 0u64;
+        loop {
+            let accepted = self.listener.accept();
+            if self.shared.cancel.is_cancelled() {
+                // Whatever woke the loop — the stop's own connection or a
+                // late client — is closed unanswered.
+                return;
+            }
+            match accepted {
                 Ok((stream, _peer)) => {
-                    backoff = POLL_TICK;
-                    self.admit(stream, conns);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    backoff = POLL_TICK;
-                    std::thread::sleep(POLL_TICK);
+                    backoff = ACCEPT_BACKOFF_START;
+                    self.admit(stream, next_id);
+                    next_id += 1;
                 }
                 Err(_) => {
                     // Transient accept failure (EMFILE storms, aborted
@@ -403,76 +524,83 @@ impl QueryServer {
                 }
             }
         }
-        // Wake every idle worker so the pool can drain and exit.
-        conns.ready.notify_all();
     }
 
     /// Admission control: queue the connection for a worker, or shed it
     /// with one `ERR 7 busy` line and a close. Shedding at the door keeps
     /// both the hand-off queue and total connection state bounded no
     /// matter how fast clients arrive.
-    fn admit(&self, stream: TcpStream, conns: &ConnQueue) {
-        let max_conns = self.config.max_conns;
-        if max_conns != 0 && self.live_conns.load(Ordering::Acquire) >= max_conns {
+    fn admit(&self, stream: TcpStream, id: u64) {
+        let shared = &self.shared;
+        if lock(&shared.live).len() >= cap_or_max(self.config.max_conns) {
             self.stats.record_rejected();
             Self::shed(stream);
             return;
         }
-        let Ok(mut q) = conns.queue.lock() else { return };
-        if self.config.max_pending != 0 && q.len() >= self.config.max_pending {
-            drop(q);
+        let mut pending = lock(&shared.pending);
+        if shared.cancel.is_cancelled() {
+            // Checked under the queue lock, under which the workers decide
+            // to exit: nothing is queued once they may all be gone.
+            return;
+        }
+        if pending.len() >= cap_or_max(self.config.max_pending) {
+            drop(pending);
             self.stats.record_shed();
             Self::shed(stream);
             return;
         }
-        self.live_conns.fetch_add(1, Ordering::AcqRel);
-        q.push_back(stream);
-        conns.ready.notify_one();
+        let Ok(twin) = stream.try_clone() else {
+            // Out of descriptors: the same storm `accept()` fails in.
+            self.stats.record_accept_error();
+            return;
+        };
+        // Registered before any worker can read from it, so a stop that
+        // comes after a worker's cancellation check finds it here.
+        lock(&shared.live).insert(id, twin);
+        pending.push_back((id, stream));
+        drop(pending);
+        shared.ready.notify_one();
     }
 
     /// Refuses a connection: one busy line under a short write deadline,
     /// then close (on drop). Best-effort — the close is the mechanism,
     /// the hint is a courtesy.
     fn shed(mut stream: TcpStream) {
-        let _ = stream.set_write_timeout(Some(POLL_TICK));
+        let _ = stream.set_write_timeout(Some(SHED_WRITE_TIMEOUT));
         let _ = stream.write_all(busy_reply(BUSY_RETRY_MS).as_bytes());
     }
 
-    fn worker_loop(&self, conns: &ConnQueue) {
+    fn worker_loop(&self) {
+        let shared = &self.shared;
         loop {
-            let next = {
-                let Ok(mut q) = conns.queue.lock() else { return };
+            let (id, stream) = {
+                let mut pending = lock(&shared.pending);
                 loop {
-                    if let Some(stream) = q.pop_front() {
-                        break Some(stream);
+                    if let Some(next) = pending.pop_front() {
+                        break next;
                     }
-                    if self.cancel.is_cancelled() {
-                        break None;
+                    if shared.cancel.is_cancelled() {
+                        return;
                     }
-                    match conns.ready.wait_timeout(q, POLL_TICK) {
-                        Ok((guard, _)) => q = guard,
-                        Err(_) => return,
-                    }
+                    pending = shared.ready.wait(pending).unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            match next {
-                Some(stream) => {
-                    // Guard first, stream into the handler second: the
-                    // stream (and its FIN) drops before the slot frees.
-                    let _live = LiveGuard(&self.live_conns);
-                    self.handle_connection(stream);
-                }
-                None => return,
-            }
+            // Guard first, stream into the handler second: the handler's
+            // handle drops before the registry's.
+            let _live = LiveGuard { live: &shared.live, id };
+            self.handle_connection(stream);
         }
     }
 
     /// Serves one connection until EOF, a fatal socket error, a lifecycle
     /// limit (oversize line, idle timeout), or shutdown.
     fn handle_connection(&self, mut stream: TcpStream) {
-        // A finite read timeout turns the blocking read into a poll loop,
-        // so shutdown is noticed within one tick even on idle connections.
-        let _ = stream.set_read_timeout(Some(POLL_TICK));
+        // The only read timeout a connection has is its idle deadline: the
+        // worker sleeps in `read()` until request bytes, EOF, that
+        // deadline, or a stop shutting the socket down. (The OS rejects a
+        // zero timeout, hence the floor.)
+        let idle = self.config.idle_timeout.map(|idle| idle.max(Duration::from_millis(1)));
+        let _ = stream.set_read_timeout(idle);
         // A write deadline keeps one stalled reader from wedging this
         // worker: a reply flush that cannot make progress errors out and
         // the connection closes.
@@ -480,213 +608,219 @@ impl QueryServer {
         let _ = stream.set_nodelay(true);
 
         let line_cap = cap_or_max(self.config.max_line);
-        let mut last_activity = Instant::now();
-        let mut pending: Vec<u8> = Vec::new();
-        let mut chunk = [0u8; 4096];
+        // `buf[..filled]` is what has been read and not yet served: at the
+        // top of the loop, the start of one unterminated line.
+        let mut buf = vec![0u8; READ_BUF];
+        let mut filled = 0;
         let mut conn = ConnState::default();
         loop {
-            if self.cancel.is_cancelled() {
+            if self.shared.cancel.is_cancelled() {
                 return;
             }
-            match stream.read(&mut chunk) {
+            if filled == buf.len() {
+                // A single line has outgrown the buffer and is still under
+                // the cap; make room for the rest of it.
+                buf.resize(buf.len() * 2, 0);
+            }
+            let n = match stream.read(&mut buf[filled..]) {
                 Ok(0) => {
                     // EOF. A trailing unterminated line is still served (the
                     // peer may have half-closed and be waiting for replies).
-                    if !pending.is_empty() {
-                        let tail = std::mem::take(&mut pending);
-                        if tail.len() > line_cap {
-                            self.stats.record_protocol_error();
-                            let _ = stream
-                                .write_all(line_too_long(self.config.max_line).as_bytes());
-                            return;
-                        }
-                        let (replies, _) = self.serve_lines_conn(&tail, &mut conn);
-                        let _ = stream.write_all(replies.as_bytes());
+                    if filled > 0 {
+                        self.serve_flush(&mut stream, &buf[..filled], &mut conn);
                     }
                     return;
                 }
-                Ok(n) => {
-                    last_activity = Instant::now();
-                    pending.extend_from_slice(&chunk[..n]);
-                    if let Some(last_nl) = pending.iter().rposition(|&b| b == b'\n') {
-                        let complete: Vec<u8> = pending.drain(..=last_nl).collect();
-                        let (replies, action) = self.serve_lines_conn(&complete, &mut conn);
-                        if stream.write_all(replies.as_bytes()).is_err()
-                            || action != LineAction::Continue
-                        {
-                            return;
-                        }
-                    }
-                    if pending.len() > line_cap {
-                        // The line still being assembled is already over
-                        // the cap — a slow-loris writer never gets to
-                        // finish it, and buffered bytes stay bounded.
-                        self.stats.record_protocol_error();
-                        let _ =
-                            stream.write_all(line_too_long(self.config.max_line).as_bytes());
-                        return;
-                    }
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     if let Some(idle) = self.config.idle_timeout {
-                        if last_activity.elapsed() >= idle {
-                            // Reap the silent connection; the reply names
-                            // the reason so a live-but-lazy client can tell
-                            // this from a crash.
-                            self.stats.record_protocol_error();
-                            let reply = format!(
-                                "ERR {BUSY_ERR} idle timeout after {} ms\n",
-                                idle.as_millis()
-                            );
-                            let _ = stream.write_all(reply.as_bytes());
-                            return;
-                        }
+                        // Reap the silent connection; the reply names the
+                        // reason so a live-but-lazy client can tell this
+                        // from a crash.
+                        self.stats.record_protocol_error();
+                        let reply =
+                            format!("ERR {BUSY_ERR} idle timeout after {} ms\n", idle.as_millis());
+                        let _ = stream.write_all(reply.as_bytes());
                     }
-                    continue;
+                    return;
                 }
                 Err(_) => return,
+            };
+            // Only the new bytes can hold a newline: the rest was searched
+            // when it arrived.
+            let searched = filled;
+            filled += n;
+            if let Some(nl) = buf[searched..filled].iter().rposition(|&b| b == b'\n') {
+                let complete = searched + nl + 1;
+                if !self.serve_flush(&mut stream, &buf[..complete], &mut conn) {
+                    return;
+                }
+                buf.copy_within(complete..filled, 0);
+                filled -= complete;
+                if buf.len() > READ_BUF && filled < READ_BUF {
+                    buf.truncate(READ_BUF);
+                    buf.shrink_to_fit();
+                }
+            }
+            if filled > line_cap {
+                // The line still being assembled is already over the cap —
+                // a slow-loris writer never gets to finish it, and buffered
+                // bytes stay bounded.
+                self.stats.record_protocol_error();
+                let _ = stream.write_all(line_too_long(self.config.max_line).as_bytes());
+                return;
             }
         }
     }
 
-    /// Serves a flush of complete request lines, returning the reply text
-    /// (one line per request, in order) and what the connection should do
-    /// next.
-    ///
-    /// Consecutive `REACH` lines form one batch through
-    /// [`BatchExecutor::run_bounded`] — that is what makes pipelining pay:
-    /// a client that writes 1000 queries before reading gets them evaluated
-    /// as one bounded batch, not 1000 round trips. Batches are split at
-    /// [`ServerConfig::max_batch`] queries so a pathological pipeline
-    /// cannot grow one batch without bound.
-    /// Test-only convenience: serve one flush with fresh connection state.
-    #[cfg(test)]
-    fn serve_lines(&self, bytes: &[u8]) -> (String, LineAction) {
-        self.serve_lines_conn(bytes, &mut ConnState::default())
+    /// Serves one flush of request lines and writes its replies with one
+    /// `write_all`; a `SHUTDOWN` among them stops the server once its
+    /// `OK shutdown` is on the wire. Returns whether the connection goes on.
+    fn serve_flush(&self, stream: &mut TcpStream, lines: &[u8], conn: &mut ConnState) -> bool {
+        let action = self.serve_lines_conn(lines, conn);
+        let written = stream.write_all(conn.replies.as_bytes());
+        // A flush of many short malformed lines is answered with far more
+        // bytes than it had; do not keep that for the connection's life.
+        conn.replies.clear();
+        conn.replies.shrink_to(READ_BUF);
+        if action == LineAction::Shutdown {
+            self.shared.stop();
+        }
+        written.is_ok() && action == LineAction::Continue
     }
 
-    /// [`QueryServer::serve_lines`] with explicit per-connection state:
-    /// `USE` switches `conn.dataset`, and every other verb addresses the
-    /// dataset the connection currently has selected.
-    fn serve_lines_conn(&self, bytes: &[u8], conn: &mut ConnState) -> (String, LineAction) {
-        let text = String::from_utf8_lossy(bytes);
-        let mut replies = String::new();
-        let mut batch: Vec<BatchQuery> = Vec::new();
-        let mut action = LineAction::Continue;
+    /// Serves a flush of request lines with explicit per-connection state
+    /// — `USE` switches `conn.dataset`, and every other verb addresses the
+    /// dataset the connection currently has selected — leaving the reply
+    /// text (one line per request, in order) in `conn.replies` and
+    /// returning what the connection should do next.
+    ///
+    /// Consecutive `REACH` lines form one batch through
+    /// [`BatchExecutor::run_bounded_into`] — that is what makes pipelining
+    /// pay: a client that writes 1000 queries before reading gets them
+    /// evaluated as one bounded batch, not 1000 round trips. Batches are
+    /// split at [`ServerConfig::max_batch`] queries so a pathological
+    /// pipeline cannot grow one batch without bound.
+    ///
+    /// Lines are parsed where they lie in `bytes`; only a line that is not
+    /// UTF-8 is copied, into its lossy decoding, so that the `ERR 2` it
+    /// earns can quote it.
+    fn serve_lines_conn(&self, bytes: &[u8], conn: &mut ConnState) -> LineAction {
+        conn.replies.clear();
         let line_cap = cap_or_max(self.config.max_line);
         let batch_cap = cap_or_max(self.config.max_batch);
 
-        for line in text.split('\n') {
-            if action != LineAction::Continue {
-                break;
-            }
-            if line.len() > line_cap {
+        for raw in bytes.split(|&b| b == b'\n') {
+            if raw.len() > line_cap {
                 // Flush first so replies stay in request order, then
                 // answer the oversize line and drop the connection.
-                self.flush_batch(conn.dataset, &mut batch, &mut replies);
+                self.flush_batch(conn);
                 self.stats.record_protocol_error();
-                replies.push_str(&line_too_long(self.config.max_line));
-                action = LineAction::Close;
-                break;
+                conn.replies.push_str(&line_too_long(self.config.max_line));
+                return LineAction::Close;
             }
-            match parse_line(line) {
-                Ok(None) => {}
-                Ok(Some(Request::Reach(v, r))) => {
-                    batch.push((v, r));
-                    if batch.len() >= batch_cap {
-                        self.flush_batch(conn.dataset, &mut batch, &mut replies);
-                    }
+            let parsed = match std::str::from_utf8(raw) {
+                Ok(line) => parse_line(line),
+                Err(_) => parse_line(&String::from_utf8_lossy(raw)),
+            };
+            let Some(request) = parsed.transpose() else {
+                continue; // a blank line
+            };
+            if let Ok(Request::Reach(v, r)) = &request {
+                conn.batch.push((*v, *r));
+                if conn.batch.len() >= batch_cap {
+                    self.flush_batch(conn);
                 }
-                other => {
-                    // Every non-REACH verb flushes first, so a pipelined
-                    // batch always runs against the dataset that was
-                    // selected when its queries arrived.
-                    self.flush_batch(conn.dataset, &mut batch, &mut replies);
-                    match other {
-                        Ok(Some(Request::Use(name))) => {
-                            match self.datasets.iter().position(|d| d.name == name) {
-                                Some(i) => {
-                                    conn.dataset = i;
-                                    replies.push_str(&format!("OK use {name}\n"));
-                                }
-                                None => {
-                                    self.stats.record_protocol_error();
-                                    let known: Vec<&str> =
-                                        self.datasets.iter().map(|d| d.name.as_str()).collect();
-                                    replies.push_str(&format!(
-                                        "ERR {PROTOCOL_ERR} unknown dataset {name:?} (have: {})\n",
-                                        known.join(", ")
-                                    ));
-                                }
-                            }
+                continue;
+            }
+            // Every non-REACH verb flushes first, so a pipelined batch
+            // always runs against the dataset that was selected when its
+            // queries arrived.
+            self.flush_batch(conn);
+            let replies = &mut conn.replies;
+            match request {
+                Ok(Request::Use(name)) => {
+                    match self.datasets.iter().position(|d| d.name == name) {
+                        Some(i) => {
+                            conn.dataset = i;
+                            replies.push_str(&format!("OK use {name}\n"));
                         }
-                        Ok(Some(Request::Stats)) => {
-                            let index = self.current_index(conn.dataset);
-                            let mut snap = self.stats.snapshot();
-                            snap.index_bytes = index.index_bytes() as u64;
-                            snap.live = self.live_conns.load(Ordering::Acquire) as u64;
-                            if let Some(cache) = &self.cache {
-                                snap.cache = cache.stats();
-                            }
-                            // Routing counters of a sharded router, plus a
-                            // per-shard probe-latency tail appended after
-                            // the fixed fields (absent for plain indexes).
-                            let mut extra = String::new();
-                            if let Some(s) = index.shard_stats() {
-                                snap.shards = s.shards;
-                                snap.probes = s.probes;
-                                snap.pruned = s.pruned;
-                                let p99: Vec<String> =
-                                    s.probe_p99_us.iter().map(u64::to_string).collect();
-                                extra = format!(" probe_p99_us={}", p99.join(","));
-                            }
-                            replies.push_str(&format!("STATS {snap}{extra}\n"));
-                        }
-                        Ok(Some(Request::Reset)) => {
-                            self.stats.reset();
-                            if let Some(cache) = &self.cache {
-                                cache.reset_stats();
-                            }
-                            for i in 0..self.datasets.len() {
-                                self.current_index(i).reset_shard_stats();
-                            }
-                            replies.push_str("OK reset\n");
-                        }
-                        Ok(Some(Request::Reload(path))) => {
-                            match self.reload(conn.dataset, &path) {
-                                Ok((index_bytes, load_ms)) => {
-                                    replies.push_str(&format!(
-                                        "OK reload index_bytes={index_bytes} load_ms={load_ms}\n"
-                                    ));
-                                }
-                                Err(e) => {
-                                    // The old index keeps serving; the client
-                                    // learns why the swap did not happen.
-                                    self.stats.record_protocol_error();
-                                    replies.push_str(&error_reply(&e));
-                                    replies.push('\n');
-                                }
-                            }
-                        }
-                        Ok(Some(Request::Shutdown)) => {
-                            replies.push_str("OK shutdown\n");
-                            self.cancel.cancel();
-                            action = LineAction::Shutdown;
-                        }
-                        Err(msg) => {
+                        None => {
                             self.stats.record_protocol_error();
-                            replies.push_str(&format!("ERR {PROTOCOL_ERR} {msg}\n"));
+                            let known: Vec<&str> =
+                                self.datasets.iter().map(|d| d.name.as_str()).collect();
+                            replies.push_str(&format!(
+                                "ERR {PROTOCOL_ERR} unknown dataset {name:?} (have: {})\n",
+                                known.join(", ")
+                            ));
                         }
-                        Ok(Some(Request::Reach(..))) | Ok(None) => {}
                     }
                 }
+                Ok(Request::Stats) => {
+                    let index = self.current_index(conn.dataset);
+                    let mut snap = self.stats.snapshot();
+                    snap.index_bytes = index.index_bytes() as u64;
+                    snap.live = lock(&self.shared.live).len() as u64;
+                    if let Some(cache) = &self.cache {
+                        snap.cache = cache.stats();
+                    }
+                    // Routing counters of a sharded router, plus a
+                    // per-shard probe-latency tail appended after the
+                    // fixed fields (absent for plain indexes).
+                    let mut extra = String::new();
+                    if let Some(s) = index.shard_stats() {
+                        snap.shards = s.shards;
+                        snap.probes = s.probes;
+                        snap.pruned = s.pruned;
+                        let p99: Vec<String> =
+                            s.probe_p99_us.iter().map(u64::to_string).collect();
+                        extra = format!(" probe_p99_us={}", p99.join(","));
+                    }
+                    replies.push_str(&format!("STATS {snap}{extra}\n"));
+                }
+                Ok(Request::Reset) => {
+                    self.stats.reset();
+                    if let Some(cache) = &self.cache {
+                        cache.reset_stats();
+                    }
+                    for i in 0..self.datasets.len() {
+                        self.current_index(i).reset_shard_stats();
+                    }
+                    replies.push_str("OK reset\n");
+                }
+                Ok(Request::Reload(path)) => match self.reload(conn.dataset, &path) {
+                    Ok((index_bytes, load_ms)) => {
+                        replies.push_str(&format!(
+                            "OK reload index_bytes={index_bytes} load_ms={load_ms}\n"
+                        ));
+                    }
+                    Err(e) => {
+                        // The old index keeps serving; the client learns
+                        // why the swap did not happen.
+                        self.stats.record_protocol_error();
+                        replies.push_str(&error_reply(&e));
+                        replies.push('\n');
+                    }
+                },
+                Ok(Request::Shutdown) => {
+                    // Only the flag here, so nothing after this line is
+                    // served; the caller wakes the sleepers once this
+                    // reply has been written.
+                    replies.push_str("OK shutdown\n");
+                    self.shared.cancel.cancel();
+                    return LineAction::Shutdown;
+                }
+                Err(msg) => {
+                    self.stats.record_protocol_error();
+                    replies.push_str(&format!("ERR {PROTOCOL_ERR} {msg}\n"));
+                }
+                // Gathered into the batch above.
+                Ok(Request::Reach(..)) => {}
             }
         }
-        self.flush_batch(conn.dataset, &mut batch, &mut replies);
-        (replies, action)
+        self.flush_batch(conn);
+        LineAction::Continue
     }
 
     /// Handles `RELOAD <path>` for the connection's selected dataset:
@@ -743,79 +877,83 @@ impl QueryServer {
     /// the misses are evaluated; successful answers are inserted back.
     /// Errors, timeouts and cancellations are never cached, so degraded
     /// replies cannot be replayed once the condition clears.
-    fn flush_batch(&self, dataset: usize, batch: &mut Vec<BatchQuery>, replies: &mut String) {
+    fn flush_batch(&self, conn: &mut ConnState) {
+        let ConnState { dataset, replies, batch, outcome, probed, misses, missed } = conn;
         if batch.is_empty() {
             return;
         }
-        let queries = std::mem::take(batch);
         // Pin the dataset's index and cache epoch as one pair for the
         // whole batch: a concurrent RELOAD redirects *new* batches while
         // this one finishes on the index it started with, and its cache
         // inserts stay keyed to that index's epoch (unreachable after a
         // swap). Epochs are globally unique across datasets, so a batch
         // for one dataset can never hit another's cached answers.
-        let (index, epoch) = self.pinned(dataset);
-        let mut options = BatchOptions::unlimited().with_cancel(self.cancel.clone());
-        if let Some(budget) = self.config.budget {
-            options = options.with_budget(budget);
-        }
+        let (index, epoch) = self.pinned(*dataset);
+        let executor = BatchExecutor::new(1);
         let started = Instant::now();
-        let (answers, errors, timed_out, cancelled) = match &self.cache {
+        let answers: &[Option<bool>] = match &self.cache {
             None => {
-                let o = BatchExecutor::new(1).run_bounded(index.as_ref(), &queries, &options);
-                (o.answers, o.errors, o.timed_out, o.cancelled)
+                executor.run_bounded_into(index.as_ref(), batch, &self.batch_options, outcome);
+                &outcome.answers
             }
             Some(cache) => {
-                let mut answers: Vec<Option<bool>> =
-                    queries.iter().map(|(v, r)| cache.get_at(epoch, *v, r)).collect();
-                let misses: Vec<usize> =
-                    (0..queries.len()).filter(|&i| answers[i].is_none()).collect();
-                let mut errors = Vec::new();
-                let mut timed_out = false;
-                let mut cancelled = false;
-                if !misses.is_empty() {
-                    let sub: Vec<BatchQuery> = misses.iter().map(|&i| queries[i]).collect();
-                    let o = BatchExecutor::new(1).run_bounded(index.as_ref(), &sub, &options);
-                    timed_out = o.timed_out;
-                    cancelled = o.cancelled;
-                    for (j, answer) in o.answers.into_iter().enumerate() {
-                        let i = misses[j];
-                        if let Some(hit) = answer {
-                            let (v, r) = &queries[i];
-                            cache.insert_at(epoch, *v, r, hit);
-                        }
-                        answers[i] = answer;
+                probed.clear();
+                probed.extend(batch.iter().map(|(v, r)| cache.get_at(epoch, *v, r)));
+                misses.clear();
+                misses.extend((0..batch.len()).filter(|&i| probed[i].is_none()));
+                missed.clear();
+                missed.extend(misses.iter().map(|&i| batch[i]));
+                executor.run_bounded_into(index.as_ref(), missed, &self.batch_options, outcome);
+                for (&i, answer) in misses.iter().zip(&outcome.answers) {
+                    if let Some(hit) = *answer {
+                        let (v, r) = &batch[i];
+                        cache.insert_at(epoch, *v, r, hit);
                     }
-                    // Sub-batch error indexes map back through `misses`;
-                    // `misses` is ascending, so order is preserved.
-                    errors = o.errors.into_iter().map(|(j, e)| (misses[j], e)).collect();
+                    probed[i] = *answer;
                 }
-                (answers, errors, timed_out, cancelled)
+                // Sub-batch error indexes map back through `misses`;
+                // `misses` is ascending, so order is preserved.
+                for (j, _) in &mut outcome.errors {
+                    *j = misses[*j];
+                }
+                probed
             }
         };
         let elapsed_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
 
-        let budget_ms = self.config.budget.map_or(0, |b| b.as_millis().min(u64::MAX as u128) as u64);
+        // `errors` is sorted by query index and every entry belongs to an
+        // unanswered query, so one cursor walks it alongside the answers.
+        let mut errors = outcome.errors.iter().peekable();
+        // The reply of queries a budget or a stop kept from running.
+        let mut not_run: Option<String> = None;
+        let mut error_replies = 0u64;
         for (i, answer) in answers.iter().enumerate() {
-            let reply = match answer {
-                Some(true) => "TRUE".to_string(),
-                Some(false) => "FALSE".to_string(),
+            match answer {
+                Some(true) => replies.push_str("TRUE\n"),
+                Some(false) => replies.push_str("FALSE\n"),
                 None => {
-                    if let Some((_, e)) = errors.iter().find(|(j, _)| *j == i) {
-                        error_reply(e)
-                    } else if timed_out {
-                        error_reply(&GsrError::Timeout { budget_ms })
-                    } else if cancelled {
-                        error_reply(&GsrError::Cancelled)
-                    } else {
-                        error_reply(&GsrError::Internal("query produced no answer".into()))
+                    error_replies += 1;
+                    match errors.next_if(|(j, _)| *j == i) {
+                        Some((_, e)) => replies.push_str(&error_reply(e)),
+                        None => replies.push_str(not_run.get_or_insert_with(|| {
+                            error_reply(&if outcome.timed_out {
+                                let budget = self.config.budget.unwrap_or_default();
+                                GsrError::Timeout {
+                                    budget_ms: budget.as_millis().min(u64::MAX as u128) as u64,
+                                }
+                            } else if outcome.cancelled {
+                                GsrError::Cancelled
+                            } else {
+                                GsrError::Internal("query produced no answer".into())
+                            })
+                        })),
                     }
+                    replies.push('\n');
                 }
-            };
-            self.stats.record_query(elapsed_us, reply.starts_with("ERR"));
-            replies.push_str(&reply);
-            replies.push('\n');
+            }
         }
+        self.stats.record_batch(answers.len() as u64, error_replies, elapsed_us);
+        batch.clear();
     }
 }
 
@@ -832,6 +970,21 @@ mod tests {
         QueryServer::bind(("127.0.0.1", 0), index, config).unwrap()
     }
 
+    /// Serves one flush on `conn` and returns its replies.
+    fn serve_lines_conn(
+        server: &QueryServer,
+        bytes: &[u8],
+        conn: &mut ConnState,
+    ) -> (String, LineAction) {
+        let action = server.serve_lines_conn(bytes, conn);
+        (conn.replies.clone(), action)
+    }
+
+    /// Serves one flush with fresh connection state.
+    fn serve_lines(server: &QueryServer, bytes: &[u8]) -> (String, LineAction) {
+        serve_lines_conn(server, bytes, &mut ConnState::default())
+    }
+
     #[test]
     fn serve_lines_answers_in_request_order() {
         let server = test_server(ServerConfig::default());
@@ -841,7 +994,7 @@ mod tests {
             paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
             paper_example::C, r.min_x, r.min_y, r.max_x, r.max_y,
         );
-        let (replies, action) = server.serve_lines(input.as_bytes());
+        let (replies, action) = serve_lines(&server, input.as_bytes());
         let lines: Vec<&str> = replies.lines().collect();
         assert_eq!(lines[0], "TRUE");
         assert_eq!(lines[1], "FALSE");
@@ -858,7 +1011,7 @@ mod tests {
     fn serve_lines_maps_all_error_shapes() {
         let server = test_server(ServerConfig::default());
         let input = "REACH 9999 0 0 1 1\nREACH 0 5 5 1 1\nREACH nope\nFETCH\n";
-        let (replies, _) = server.serve_lines(input.as_bytes());
+        let (replies, _) = serve_lines(&server, input.as_bytes());
         let lines: Vec<&str> = replies.lines().collect();
         assert!(lines[0].starts_with("ERR 4 invalid query vertex"), "{}", lines[0]);
         assert!(lines[1].starts_with("ERR 4 invalid query rectangle"), "{}", lines[1]);
@@ -873,7 +1026,7 @@ mod tests {
             budget: Some(Duration::ZERO),
             ..ServerConfig::default()
         });
-        let (replies, _) = server.serve_lines(b"REACH 0 0 0 1 1\n");
+        let (replies, _) = serve_lines(&server, b"REACH 0 0 0 1 1\n");
         assert!(replies.starts_with("ERR 5 time budget of 0 ms exceeded"), "{replies}");
     }
 
@@ -886,11 +1039,11 @@ mod tests {
             "REACH {} {} {} {} {}\n",
             paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
         );
-        let (first, _) = server.serve_lines(line.as_bytes());
+        let (first, _) = serve_lines(&server, line.as_bytes());
         assert_eq!(first, "TRUE\n");
-        let (second, _) = server.serve_lines(line.as_bytes());
+        let (second, _) = serve_lines(&server, line.as_bytes());
         assert_eq!(second, first, "cached reply must match the computed one");
-        let (stats, _) = server.serve_lines(b"STATS\n");
+        let (stats, _) = serve_lines(&server, b"STATS\n");
         assert!(stats.contains("cache_hits=1"), "{stats}");
         assert!(stats.contains("cache_misses=1"), "{stats}");
         assert!(stats.contains("cache_evictions=0"), "{stats}");
@@ -904,16 +1057,16 @@ mod tests {
         let reach = |v: u32| format!("REACH {v} {} {} {} {}\n", r.min_x, r.min_y, r.max_x, r.max_y);
         // A mixed pipelined batch: good, invalid, good.
         let input = format!("{}REACH 9999 0 0 1 1\n{}", reach(paper_example::A), reach(paper_example::C));
-        let (replies, _) = server.serve_lines(input.as_bytes());
+        let (replies, _) = serve_lines(&server, input.as_bytes());
         let lines: Vec<&str> = replies.lines().collect();
         assert_eq!(lines[0], "TRUE");
         assert!(lines[1].starts_with("ERR 4 invalid query vertex"), "{}", lines[1]);
         assert_eq!(lines[2], "FALSE");
         // Replaying the invalid query still fails (errors are not cached)
         // and the good queries now hit.
-        let (again, _) = server.serve_lines(input.as_bytes());
+        let (again, _) = serve_lines(&server, input.as_bytes());
         assert_eq!(again, replies);
-        let (stats, _) = server.serve_lines(b"STATS\n");
+        let (stats, _) = serve_lines(&server, b"STATS\n");
         assert!(stats.contains("cache_hits=2"), "{stats}");
         assert!(stats.contains("cache_misses=4"), "{stats}");
     }
@@ -927,16 +1080,16 @@ mod tests {
             "REACH {} {} {} {} {}\n",
             paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
         );
-        let (_, _) = server.serve_lines(line.as_bytes());
-        let (reply, action) = server.serve_lines(b"RESET\n");
+        let (_, _) = serve_lines(&server, line.as_bytes());
+        let (reply, action) = serve_lines(&server, b"RESET\n");
         assert_eq!(reply, "OK reset\n");
         assert_eq!(action, LineAction::Continue);
-        let (stats, _) = server.serve_lines(b"STATS\n");
+        let (stats, _) = serve_lines(&server, b"STATS\n");
         assert!(stats.contains("queries=0 errors=0 p50_us=0 p99_us=0 p999_us=0"), "{stats}");
         // Cached entries survive the reset: replaying the query is a hit.
-        let (again, _) = server.serve_lines(line.as_bytes());
+        let (again, _) = serve_lines(&server, line.as_bytes());
         assert_eq!(again, "TRUE\n");
-        let (stats, _) = server.serve_lines(b"STATS\n");
+        let (stats, _) = serve_lines(&server, b"STATS\n");
         assert!(stats.contains("cache_hits=1"), "{stats}");
         assert!(stats.contains("cache_misses=0"), "{stats}");
     }
@@ -945,7 +1098,7 @@ mod tests {
     fn shutdown_line_cancels_the_server() {
         let server = test_server(ServerConfig::default());
         let token = server.cancel_token();
-        let (replies, action) = server.serve_lines(b"SHUTDOWN\nREACH 0 0 0 1 1\n");
+        let (replies, action) = serve_lines(&server, b"SHUTDOWN\nREACH 0 0 0 1 1\n");
         assert_eq!(replies, "OK shutdown\n", "requests after SHUTDOWN are not served");
         assert_eq!(action, LineAction::Shutdown);
         assert!(token.is_cancelled());
@@ -962,7 +1115,7 @@ mod tests {
         assert!(good.len() <= 24, "test setup: the good line must fit the cap");
         let long = format!("REACH 0 0 0 1 1{}", " ".repeat(64));
         let input = format!("{good}\n{long}\n{good}\n");
-        let (replies, action) = server.serve_lines(input.as_bytes());
+        let (replies, action) = serve_lines(&server, input.as_bytes());
         let lines: Vec<&str> = replies.lines().collect();
         assert_eq!(lines[0], "TRUE", "queries before the oversize line are served in order");
         assert_eq!(lines[1], "ERR 2 line too long (max 24 bytes)");
@@ -984,11 +1137,66 @@ mod tests {
             reach(paper_example::C),
             reach(paper_example::A),
         );
-        let (replies, action) = server.serve_lines(input.as_bytes());
+        let (replies, action) = serve_lines(&server, input.as_bytes());
         assert_eq!(replies, "TRUE\nFALSE\nTRUE\nFALSE\nTRUE\n");
         assert_eq!(action, LineAction::Continue);
-        let (stats, _) = server.serve_lines(b"STATS\n");
+        let (stats, _) = serve_lines(&server, b"STATS\n");
         assert!(stats.contains("queries=5"), "splitting must not drop queries: {stats}");
+    }
+
+    /// A whole batch of invalid-vertex lines: every reply comes from the
+    /// error list, which the reply loop must walk once, not once per query.
+    #[test]
+    fn a_full_batch_of_invalid_vertices_answers_err_4_per_line() {
+        let server = test_server(ServerConfig::default());
+        let max_batch = server.config.max_batch;
+        // One line past the cap, so the split batch is covered too.
+        let input = "REACH 9999 0 0 1 1\n".repeat(max_batch + 1);
+        let (replies, action) = serve_lines(&server, input.as_bytes());
+        assert_eq!(action, LineAction::Continue);
+        assert_eq!(replies.lines().count(), max_batch + 1);
+        let want = error_reply(&GsrError::InvalidVertex {
+            vertex: 9999,
+            num_vertices: paper_example::network().num_vertices(),
+        });
+        assert!(want.starts_with("ERR 4 "), "{want}");
+        assert!(replies.lines().all(|l| l == want), "{}", replies.lines().next().unwrap());
+        let snap = server.stats.snapshot();
+        assert_eq!((snap.queries, snap.errors), (max_batch as u64 + 1, max_batch as u64 + 1));
+    }
+
+    #[test]
+    fn unanswered_queries_mix_their_own_errors_with_the_batch_verdict() {
+        // A zero budget stops the batch before its first query: lines with
+        // errors of their own never got as far as validation either.
+        let server = test_server(ServerConfig {
+            budget: Some(Duration::ZERO),
+            cache_entries: 16,
+            ..ServerConfig::default()
+        });
+        let (replies, _) = serve_lines(&server, b"REACH 0 0 0 1 1\nREACH 9999 0 0 1 1\n");
+        let lines: Vec<&str> = replies.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert!(lines.iter().all(|l| l.starts_with("ERR 5 time budget of 0 ms exceeded")));
+    }
+
+    #[test]
+    fn lines_that_are_not_utf8_are_quoted_lossily_and_neighbours_are_untouched() {
+        let server = test_server(ServerConfig::default());
+        let r = paper_example::query_region();
+        let good = format!(
+            "REACH {} {} {} {} {}\n",
+            paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
+        );
+        let mut input = good.clone().into_bytes();
+        input.extend_from_slice(b"F\xffTCH 1\r\n");
+        input.extend_from_slice(good.as_bytes());
+        let (replies, action) = serve_lines(&server, &input);
+        let lines: Vec<&str> = replies.lines().collect();
+        assert_eq!(lines[0], "TRUE");
+        assert!(lines[1].starts_with("ERR 2 unknown command \"F\u{fffd}TCH\""), "{}", lines[1]);
+        assert_eq!(lines[2], "TRUE");
+        assert_eq!(action, LineAction::Continue);
     }
 
     #[test]
@@ -999,7 +1207,7 @@ mod tests {
             "RELOAD /definitely/not/a/snapshot.gsr\nREACH {} {} {} {} {}\nSTATS\n",
             paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
         );
-        let (replies, action) = server.serve_lines(input.as_bytes());
+        let (replies, action) = serve_lines(&server, input.as_bytes());
         let lines: Vec<&str> = replies.lines().collect();
         assert!(lines[0].starts_with("ERR 3 "), "load failures are typed: {}", lines[0]);
         assert_eq!(lines[1], "TRUE", "the old index answers as before");
@@ -1041,7 +1249,7 @@ mod tests {
         );
         let mut conn = ConnState::default();
         let input = format!("{reach}USE void\n{reach}USE default\n{reach}USE nope\n");
-        let (replies, action) = server.serve_lines_conn(input.as_bytes(), &mut conn);
+        let (replies, action) = serve_lines_conn(&server, input.as_bytes(), &mut conn);
         let lines: Vec<&str> = replies.lines().collect();
         assert_eq!(lines[0], "TRUE");
         assert_eq!(lines[1], "OK use void");
@@ -1068,23 +1276,23 @@ mod tests {
         );
         let mut conn = ConnState::default();
         // Miss + insert under dataset "default"'s epoch.
-        let (first, _) = server.serve_lines_conn(reach.as_bytes(), &mut conn);
+        let (first, _) = serve_lines_conn(&server, reach.as_bytes(), &mut conn);
         assert_eq!(first, "TRUE\n");
         // The identical (vertex, rect) under "void" must be a fresh miss
         // answering FALSE — a shared-key cache would replay TRUE here.
         let input = format!("USE void\n{reach}");
-        let (second, _) = server.serve_lines_conn(input.as_bytes(), &mut conn);
+        let (second, _) = serve_lines_conn(&server, input.as_bytes(), &mut conn);
         assert_eq!(second, "OK use void\nFALSE\n");
-        let (stats, _) = server.serve_lines_conn(b"STATS\n", &mut conn);
+        let (stats, _) = serve_lines_conn(&server, b"STATS\n", &mut conn);
         assert!(stats.contains("cache_hits=0"), "{stats}");
         assert!(stats.contains("cache_misses=2"), "{stats}");
         // Each dataset replays its own answer from its own entry.
-        let (again, _) = server.serve_lines_conn(reach.as_bytes(), &mut conn);
+        let (again, _) = serve_lines_conn(&server, reach.as_bytes(), &mut conn);
         assert_eq!(again, "FALSE\n");
         let mut fresh = ConnState::default();
-        let (original, _) = server.serve_lines_conn(reach.as_bytes(), &mut fresh);
+        let (original, _) = serve_lines_conn(&server, reach.as_bytes(), &mut fresh);
         assert_eq!(original, "TRUE\n");
-        let (stats, _) = server.serve_lines_conn(b"STATS\n", &mut conn);
+        let (stats, _) = serve_lines_conn(&server, b"STATS\n", &mut conn);
         assert!(stats.contains("cache_hits=2"), "{stats}");
     }
 
@@ -1112,13 +1320,13 @@ mod tests {
             "REACH {} {} {} {} {}\nSTATS\n",
             paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
         );
-        let (replies, _) = server.serve_lines(input.as_bytes());
+        let (replies, _) = serve_lines(&server, input.as_bytes());
         let lines: Vec<&str> = replies.lines().collect();
         assert_eq!(lines[0], "TRUE");
         assert!(lines[1].contains("shards=2"), "{}", lines[1]);
         assert!(!lines[1].contains("probes=0 "), "a served query must probe: {}", lines[1]);
         assert!(lines[1].contains("probe_p99_us="), "{}", lines[1]);
-        let (after_reset, _) = server.serve_lines(b"RESET\nSTATS\n");
+        let (after_reset, _) = serve_lines(&server, b"RESET\nSTATS\n");
         assert!(
             after_reset.contains("shards=2 probes=0 pruned=0"),
             "RESET must zero the routing counters: {after_reset}"
@@ -1143,18 +1351,18 @@ mod tests {
             "REACH {} {} {} {} {}\n",
             paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
         );
-        let (first, _) = server.serve_lines(line.as_bytes());
+        let (first, _) = serve_lines(&server, line.as_bytes());
         assert_eq!(first, "TRUE\n");
 
-        let (reply, action) = server.serve_lines(format!("RELOAD {}\n", path.display()).as_bytes());
+        let (reply, action) = serve_lines(&server, format!("RELOAD {}\n", path.display()).as_bytes());
         assert!(reply.starts_with("OK reload index_bytes="), "{reply}");
         assert_eq!(action, LineAction::Continue);
 
         // Same answer from the swapped-in index, but recomputed: the
         // cache was cleared, so this is a second miss, not a hit.
-        let (again, _) = server.serve_lines(line.as_bytes());
+        let (again, _) = serve_lines(&server, line.as_bytes());
         assert_eq!(again, "TRUE\n");
-        let (stats, _) = server.serve_lines(b"STATS\n");
+        let (stats, _) = serve_lines(&server, b"STATS\n");
         assert!(stats.contains("cache_hits=0"), "{stats}");
         assert!(stats.contains("cache_misses=2"), "{stats}");
         assert!(stats.contains("reloads=1"), "{stats}");

@@ -24,14 +24,16 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Records one answered `REACH` request and its latency. `is_error`
-    /// marks replies that carried an `ERR` line instead of an answer.
-    pub fn record_query(&self, latency_us: u64, is_error: bool) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        if is_error {
-            self.errors.fetch_add(1, Ordering::Relaxed);
+    /// Records one evaluated batch of `queries` answered `REACH` requests,
+    /// `errors` of which were answered with an `ERR` line, each with the
+    /// batch's wall-clock time as its latency — one update per batch, not
+    /// per query.
+    pub fn record_batch(&self, queries: u64, errors: u64, latency_us: u64) {
+        self.queries.fetch_add(queries, Ordering::Relaxed);
+        if errors > 0 {
+            self.errors.fetch_add(errors, Ordering::Relaxed);
         }
-        self.hist.record_us(latency_us);
+        self.hist.record_n_us(latency_us, queries);
     }
 
     /// Records a protocol-level error (malformed or unknown line) that
@@ -54,8 +56,8 @@ impl ServerStats {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a non-`WouldBlock` `accept()` failure (EMFILE storms and
-    /// kin); the accept loop backs off exponentially while these persist.
+    /// Records an `accept()` failure (EMFILE storms and kin); the accept
+    /// loop backs off exponentially while these persist.
     pub fn record_accept_error(&self) {
         self.accept_errors.fetch_add(1, Ordering::Relaxed);
     }
@@ -140,7 +142,7 @@ pub struct StatsSnapshot {
     pub shed: u64,
     /// Connections rejected because `--max-conns` were already live.
     pub rejected: u64,
-    /// Non-`WouldBlock` `accept()` failures absorbed with backoff.
+    /// `accept()` failures absorbed with backoff.
     pub accept_errors: u64,
     /// Successful `RELOAD` index swaps.
     pub reloads: u64,
@@ -228,8 +230,7 @@ mod tests {
     #[test]
     fn stats_snapshot_formats_one_line() {
         let s = ServerStats::default();
-        s.record_query(10, false);
-        s.record_query(10, true);
+        s.record_batch(2, 1, 10);
         s.record_protocol_error();
         s.record_shed();
         s.record_shed();
@@ -252,8 +253,8 @@ mod tests {
     #[test]
     fn reset_zeroes_counters_and_histogram() {
         let s = ServerStats::default();
-        s.record_query(10, false);
-        s.record_query(1000, true);
+        s.record_batch(1, 0, 10);
+        s.record_batch(1, 1, 1000);
         s.record_protocol_error();
         s.record_shed();
         s.record_rejected();

@@ -6,8 +6,11 @@
 use gsr_cli::{exit_code, parse_args, run};
 use gsr_core::methods::ThreeDReach;
 use gsr_core::{RangeReachIndex, SccSpatialPolicy};
-use gsr_server::{QueryServer, ServerConfig};
-use std::io::{BufRead, BufReader, Write};
+use gsr_server::{QueryServer, ServerConfig, StopHandle};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -364,21 +367,300 @@ fn serve_with_a_corrupt_snapshot_is_a_load_error_exit() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A [`QueryServer`] over the paper example, run on a thread of this
+/// process on an OS-assigned port. Dataset `default` is the example itself;
+/// `void` is the same graph with every point stripped (all queries FALSE).
+struct InProcess {
+    addr: SocketAddr,
+    stop: StopHandle,
+    thread: std::thread::JoinHandle<()>,
+}
+
+fn start_in_process(config: ServerConfig) -> InProcess {
+    let prep = gsr_core::paper_example::prepared();
+    let net = gsr_core::paper_example::network();
+    let stripped =
+        gsr_core::GeosocialNetwork::new(net.graph().clone(), vec![None; net.num_vertices()])
+            .unwrap();
+    let void_prep = gsr_core::PreparedNetwork::new(stripped);
+    let indexes: Vec<(String, Arc<dyn RangeReachIndex>)> = vec![
+        ("default".into(), Arc::new(ThreeDReach::build(&prep, SccSpatialPolicy::Replicate))),
+        ("void".into(), Arc::new(ThreeDReach::build(&void_prep, SccSpatialPolicy::Replicate))),
+    ];
+    let server = QueryServer::bind_many(("127.0.0.1", 0), indexes, config).unwrap();
+    let addr = server.local_addr();
+    let stop = server.cancel_token();
+    let thread = std::thread::spawn(move || server.run().unwrap());
+    InProcess { addr, stop, thread }
+}
+
+impl InProcess {
+    /// Waits for `run()` to return — which something must already have
+    /// asked for — and returns how long that took.
+    fn join(self) -> Duration {
+        let started = Instant::now();
+        while !self.thread.is_finished() {
+            assert!(started.elapsed() < Duration::from_secs(10), "run() never returned");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let waited = started.elapsed();
+        self.thread.join().expect("run() must return cleanly");
+        waited
+    }
+
+    fn stop_and_join(self) -> Duration {
+        self.stop.cancel();
+        self.join()
+    }
+}
+
 /// In-process variant pinning the graceful-shutdown contract of
-/// [`QueryServer`] directly: cancelling the token (not a client SHUTDOWN)
-/// must also stop `run()`.
+/// [`QueryServer`] directly: cancelling the handle (not a client SHUTDOWN)
+/// must also stop `run()`, with nobody connected and every thread of the
+/// server asleep in `accept()` or on the queue.
 #[test]
 fn cancel_token_stops_the_server_without_a_client() {
-    let prep = gsr_core::paper_example::prepared();
-    let index: Arc<dyn RangeReachIndex> =
-        Arc::new(ThreeDReach::build(&prep, SccSpatialPolicy::Replicate));
-    let server =
-        QueryServer::bind(("127.0.0.1", 0), index, ServerConfig::default()).unwrap();
-    let token = server.cancel_token();
-    let thread = std::thread::spawn(move || server.run().unwrap());
+    let server = start_in_process(ServerConfig::default());
     std::thread::sleep(Duration::from_millis(50));
-    token.cancel();
-    thread.join().expect("run() must return after cancel");
+    let waited = server.stop_and_join();
+    assert!(waited < Duration::from_millis(250), "run() returned only after {waited:?}");
+}
+
+const QUERY_A: &[u8] = b"REACH 0 4 8 8 12\n";
+
+/// `n` connections that have each been answered once — so each is in the
+/// hands of a worker — and are now silent.
+fn idle_connections(addr: SocketAddr, n: usize) -> Vec<(BufReader<TcpStream>, TcpStream)> {
+    (0..n)
+        .map(|_| {
+            let (mut reader, mut stream) = connect(addr);
+            stream.write_all(QUERY_A).unwrap();
+            assert_eq!(read_line(&mut reader), "TRUE");
+            (reader, stream)
+        })
+        .collect()
+}
+
+/// A new connection is answered when it arrives, not at the next tick of
+/// anything: accept, hand-off and first read are all woken by the event.
+#[test]
+fn a_fresh_connection_is_answered_within_milliseconds() {
+    let server = start_in_process(ServerConfig { threads: 2, ..ServerConfig::default() });
+    let mut cycles: Vec<Duration> = (0..40)
+        .map(|_| {
+            let started = Instant::now();
+            let (mut reader, mut stream) = connect(server.addr);
+            stream.write_all(QUERY_A).unwrap();
+            assert_eq!(read_line(&mut reader), "TRUE");
+            drop((reader, stream));
+            started.elapsed()
+        })
+        .collect();
+    cycles.sort_unstable();
+    let median = cycles[cycles.len() / 2];
+    assert!(median < Duration::from_millis(5), "median connect→reply→close cycle {median:?}");
+    server.stop_and_join();
+}
+
+/// With every worker asleep in `read()` on an idle connection, a stop —
+/// through the handle, or through a client's `SHUTDOWN` — wakes them all:
+/// `run()` returns at once and every client sees its connection closed.
+#[test]
+fn a_stop_wakes_workers_blocked_on_idle_connections() {
+    for by_client in [false, true] {
+        let server = start_in_process(ServerConfig { threads: 8, ..ServerConfig::default() });
+        let mut clients = idle_connections(server.addr, 8);
+        let waited = if by_client {
+            let (reader, stream) = &mut clients[3];
+            stream.write_all(b"SHUTDOWN\n").unwrap();
+            assert_eq!(read_line(reader), "OK shutdown");
+            server.join()
+        } else {
+            server.stop_and_join()
+        };
+        assert!(
+            waited < Duration::from_millis(250),
+            "by_client={by_client}: run() returned only after {waited:?}"
+        );
+        for (i, (reader, _stream)) in clients.iter_mut().enumerate() {
+            let mut rest = String::new();
+            let n = reader.read_line(&mut rest).unwrap_or_else(|e| panic!("client {i}: {e}"));
+            assert_eq!(n, 0, "client {i} must see EOF, got {rest:?}");
+        }
+    }
+}
+
+/// The idle deadline is the connection's read timeout: a silent connection
+/// is reaped when it expires, not a poll later, and a slow-loris writer —
+/// never silent for long — still runs into the line cap.
+#[test]
+fn idle_timeout_reaps_the_silent_and_max_line_stops_the_dribbler() {
+    let server = start_in_process(ServerConfig {
+        threads: 2,
+        max_line: 32,
+        idle_timeout: Some(Duration::from_millis(100)),
+        ..ServerConfig::default()
+    });
+
+    let (mut reader, _stream) = connect(server.addr);
+    let started = Instant::now();
+    assert_eq!(read_line(&mut reader), "ERR 7 idle timeout after 100 ms");
+    let waited = started.elapsed();
+    assert!(
+        waited >= Duration::from_millis(100) && waited < Duration::from_millis(200),
+        "reaped after {waited:?}"
+    );
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "the reaped connection is closed");
+
+    let (mut reader, mut stream) = connect(server.addr);
+    stream.set_nodelay(true).unwrap();
+    for _ in 0..40 {
+        // Past the cap the server has hung up; those writes may fail.
+        let _ = stream.write_all(b"a");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(read_line(&mut reader), "ERR 2 line too long (max 32 bytes)");
+
+    server.stop_and_join();
+}
+
+/// One request line of the fragmentation property's corpus, rendered from
+/// its kind and its position in the pipeline.
+fn corpus_line(kind: u8, i: usize) -> Vec<u8> {
+    let v = i % 12;
+    let (x, y) = ((i % 13) as f64 * 0.75, (i % 11) as f64 * 1.25);
+    let reach = format!("REACH {v} {x} {y} {} {}", x + 4.5, y + 4.25);
+    match kind {
+        // Most lines are queries, so flushes are mostly batches.
+        0..=7 => format!("{reach}\n").into_bytes(),
+        8 => format!("{reach}\r\n").into_bytes(),
+        9 => format!("  reach {v} 0 0 16 16  \n").into_bytes(),
+        10 => b"REACH 9999 0 0 1 1\n".to_vec(),
+        11 => b"REACH 0 5 5 1 1\n".to_vec(),
+        12 => b"REACH 0 NaN 0 1 1\r\n".to_vec(),
+        13 => b"REACH nope\n".to_vec(),
+        14 => b"REACH 1 2\n".to_vec(),
+        15 => b"FETCH 1\n".to_vec(),
+        16 => b"F\xffTCH \xc3\x28\n".to_vec(),
+        17 => b"REACH 0 0 0 \xf0\x9f 1\r\n".to_vec(),
+        18 => b"USE void\n".to_vec(),
+        19 => b"USE default\r\n".to_vec(),
+        20 => b"USE nope\n".to_vec(),
+        21 => b"STATS\n".to_vec(),
+        22 => b"STATS now\n".to_vec(),
+        23 => b"\n".to_vec(),
+        _ => b"  \r\n".to_vec(),
+    }
+}
+
+const CORPUS_KINDS: u8 = 25;
+
+/// Whether a corpus line is answered at all (blank lines are not).
+fn is_answered(line: &[u8]) -> bool {
+    !line.iter().all(u8::is_ascii_whitespace)
+}
+
+/// Sends `lines` cut into the fragments that end at `cuts` (ascending byte
+/// offsets into the concatenated pipeline), reading after each fragment the
+/// reply of every line completed so far — so the server has served one
+/// fragment before it gets the next — then half-closes and returns every
+/// reply byte up to EOF.
+fn replies_to_fragments(addr: SocketAddr, lines: &[Vec<u8>], cuts: &[usize]) -> Vec<u8> {
+    let pipeline: Vec<u8> = lines.concat();
+    // For every line, the offset just past its newline, if it is answered.
+    let mut end = 0;
+    let answered_ends: Vec<usize> = lines
+        .iter()
+        .filter_map(|line| {
+            end += line.len();
+            is_answered(line).then_some(end)
+        })
+        .collect();
+
+    let (mut reader, mut stream) = connect(addr);
+    stream.set_nodelay(true).unwrap();
+    let mut replies = Vec::new();
+    let (mut sent, mut read) = (0, 0);
+    for &cut in cuts.iter().chain([&pipeline.len()]) {
+        let cut = cut.min(pipeline.len());
+        if cut <= sent {
+            continue;
+        }
+        stream.write_all(&pipeline[sent..cut]).unwrap();
+        sent = cut;
+        while read < answered_ends.len() && answered_ends[read] <= sent {
+            let n = reader.read_until(b'\n', &mut replies).unwrap();
+            assert!(n > 0, "connection closed with {} replies still owed", answered_ends.len() - read);
+            read += 1;
+        }
+    }
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    reader.read_to_end(&mut replies).unwrap();
+    replies
+}
+
+/// Blanks the three `STATS` fields that are timings; everything else in a
+/// reply stream is a function of the request lines alone.
+fn without_latencies(replies: &[u8]) -> String {
+    String::from_utf8_lossy(replies)
+        .split_inclusive('\n')
+        .map(|line| {
+            if !line.starts_with("STATS ") {
+                return line.to_string();
+            }
+            let kept: Vec<&str> = line
+                .split_whitespace()
+                .filter(|kv| !["p50_us=", "p99_us=", "p999_us="].iter().any(|p| kv.starts_with(p)))
+                .collect();
+            kept.join(" ") + "\n"
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// However a pipeline is cut into writes — single bytes, cuts one
+    /// either side of the old 4 KiB read size and of the 64 KiB read buffer
+    /// — its replies are those of the same lines sent one at a time: the
+    /// read buffer's compaction, its growth for nothing here, the in-place
+    /// line split, the per-line UTF-8 fallback and the batch boundaries are
+    /// all invisible in the bytes a client reads.
+    #[test]
+    fn replies_do_not_depend_on_how_a_pipeline_is_fragmented(
+        corpus_seed in any::<u64>(),
+        random_cuts in prop::collection::vec(1usize..70_000, 0..24),
+        single_bytes_from in 0usize..66_000,
+    ) {
+        // `RESET` first: the counters `STATS` lines report then start from
+        // zero in both runs. Then lines of random kinds until the pipeline
+        // is past the last cut.
+        let mut rng = StdRng::seed_from_u64(corpus_seed);
+        let mut lines = vec![b"RESET\n".to_vec()];
+        let mut total = 0;
+        while total <= 70_000 {
+            let line = corpus_line(rng.gen_range(0..CORPUS_KINDS), lines.len());
+            total += line.len();
+            lines.push(line);
+        }
+
+        let mut cuts = random_cuts.clone();
+        cuts.extend([4_095, 4_096, 4_097, 65_535, 65_536, 65_537]);
+        cuts.extend(single_bytes_from..single_bytes_from + 24);
+        cuts.sort_unstable();
+
+        let server = start_in_process(ServerConfig { threads: 1, ..ServerConfig::default() });
+        let fragmented = replies_to_fragments(server.addr, &lines, &cuts);
+        let mut end = 0;
+        let line_ends: Vec<usize> = lines.iter().map(|l| { end += l.len(); end }).collect();
+        let one_at_a_time = replies_to_fragments(server.addr, &lines, &line_ends);
+        server.stop_and_join();
+
+        let answered = lines.iter().filter(|l| is_answered(l)).count();
+        prop_assert_eq!(one_at_a_time.iter().filter(|&&b| b == b'\n').count(), answered);
+        prop_assert_eq!(without_latencies(&fragmented), without_latencies(&one_at_a_time));
+    }
 }
 
 /// `STATS` on its own connection, retrying while admission control still
@@ -490,7 +772,13 @@ fn connections_past_max_conns_are_rejected_with_busy() {
         let mut rest = String::new();
         assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "busy closes the connection");
     }
-    drop(holders);
+    // The server closes a connection as it frees its slot: once a holder has
+    // read EOF its slot is back, and the STATS below is not refused for it.
+    for (mut reader, stream) in holders {
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "{rest}");
+    }
 
     let stats = stats_with_retry(fx.addr);
     assert_eq!(stat_field(&stats, "rejected"), 3, "{stats}");
