@@ -245,7 +245,7 @@ fn main() {
     }
     if wanted("memory") {
         let (table, points) = experiments::memory(&datasets, &cfg);
-        emit("Extension: memory footprint, compact vs pre-compaction layouts", &table);
+        emit("Extension: memory footprint of the compact index layouts", &table);
         let json = experiments::memory_json(&cfg, &points);
         match std::fs::write("BENCH_memory.json", &json) {
             Ok(()) => eprintln!("wrote BENCH_memory.json ({} results)", points.len()),

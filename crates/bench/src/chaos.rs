@@ -35,6 +35,7 @@ use crate::loadtest::{classify, control_roundtrip, stat_u64, ReplayPlan, ReplyOu
 use crate::table::TextTable;
 use gsr_core::methods::ThreeDReach;
 use gsr_core::{RangeReachIndex, SccSpatialPolicy};
+use gsr_datagen::faults::ScratchDir;
 use gsr_datagen::workload::WorkloadGen;
 use gsr_datagen::NetworkSpec;
 use gsr_graph::stats::DegreeBucket;
@@ -42,7 +43,7 @@ use gsr_server::{QueryServer, ServerConfig};
 use gsr_store::SnapshotIndex;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -676,29 +677,6 @@ fn snapshot_corruption(snap: &SnapshotIndex, dir: &Path) -> Result<ScenarioResul
     })
 }
 
-/// The directory one drill stages its snapshots in: its own per call
-/// (process id plus a process-wide counter), so concurrent drills — two
-/// tests of one binary, two `repro chaos` runs — never share or delete each
-/// other's files; removed on drop, whichever way the drill ends.
-struct StagingDir(PathBuf);
-
-impl StagingDir {
-    fn create() -> Result<StagingDir, String> {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let name =
-            format!("gsr_chaos_{}_{}", std::process::id(), NEXT.fetch_add(1, Ordering::Relaxed));
-        let dir = std::env::temp_dir().join(name);
-        std::fs::create_dir_all(&dir).map_err(|e| format!("chaos: mkdir: {e}"))?;
-        Ok(StagingDir(dir))
-    }
-}
-
-impl Drop for StagingDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 /// Runs the whole drill: builds the dataset, oracle, and serving index
 /// once, then mounts every scenario (each on its own server instance) and
 /// returns the table plus per-scenario ledgers. Infrastructure failures
@@ -723,8 +701,9 @@ pub fn run_experiment(
     let snap = SnapshotIndex::ThreeDReach(built.clone());
     let index: std::sync::Arc<dyn RangeReachIndex> = std::sync::Arc::new(built);
 
-    let staging = StagingDir::create()?;
-    let dir = staging.0.as_path();
+    // Its own directory per call, so concurrent drills never share files.
+    let staging = ScratchDir::new("gsr_chaos").map_err(|e| format!("chaos: mkdir: {e}"))?;
+    let dir = staging.path();
     let snap_path = dir.join("reload.snap");
     gsr_store::save_to_path(&snap_path, &snap).map_err(|e| format!("chaos: save: {e}"))?;
 

@@ -66,7 +66,7 @@ enum SpaInfo {
 }
 
 /// Public mirror of the per-component SPA-graph information, for snapshot
-/// encoding; see [`GeoReach::to_parts`] / [`GeoReach::from_parts`].
+/// encoding; see [`GeoReach::spa_info`] / [`GeoReach::from_cols`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpaInfoParts {
     /// `GeoB(v)`: whether any spatial vertex is reachable.
@@ -75,25 +75,6 @@ pub enum SpaInfoParts {
     R(Rect),
     /// `ReachGrid(v)`, merged and deduplicated.
     G(Vec<CellId>),
-}
-
-/// Owned decomposition of a [`GeoReach`] index for snapshot encoding.
-#[derive(Debug, Clone)]
-pub struct GeoReachParts {
-    /// Component of every original vertex.
-    pub comp_of: Vec<CompId>,
-    /// The condensation DAG the traversal runs on.
-    pub dag: gsr_graph::DiGraph,
-    /// The space covered by the hierarchical grid.
-    pub space: Rect,
-    /// The finest-level exponent of the hierarchical grid.
-    pub finest_exp: u8,
-    /// Per-component SPA-graph information.
-    pub info: Vec<SpaInfoParts>,
-    /// CSR offsets into `member_points`, one range per component.
-    pub member_offsets: Vec<u32>,
-    /// Flattened per-component spatial member points.
-    pub member_points: Vec<gsr_geo::Point>,
 }
 
 /// The GeoReach evaluator: SPA-graph over the condensation DAG.
@@ -232,22 +213,8 @@ impl GeoReach {
         })
     }
 
-    /// Decomposes the index for snapshot encoding.
-    pub fn to_parts(&self) -> GeoReachParts {
-        GeoReachParts {
-            comp_of: self.comp_of.to_vec(),
-            dag: self.dag.clone(),
-            space: *self.grid.space(),
-            finest_exp: self.grid.finest_exp(),
-            info: self.spa_info().collect(),
-            member_offsets: self.member_offsets.to_vec(),
-            member_points: self.member_points.to_vec(),
-        }
-    }
-
     /// Streams the per-component SPA-graph information as public
-    /// [`SpaInfoParts`] (for snapshot encoding without materializing a
-    /// full [`GeoReachParts`]).
+    /// [`SpaInfoParts`] for snapshot encoding.
     pub fn spa_info(&self) -> impl Iterator<Item = SpaInfoParts> + '_ {
         self.info.iter().map(|i| match i {
             SpaInfo::B(b) => SpaInfoParts::B(*b),
@@ -270,35 +237,13 @@ impl GeoReach {
         )
     }
 
-    /// Reassembles an index from untrusted [`GeoReachParts`].
+    /// Reassembles an index from untrusted columns — the inverse of
+    /// [`GeoReach::cols`] and [`GeoReach::spa_info`] (the DAG arrives via
+    /// [`gsr_graph::DiGraph::from_csr_cols`]).
     ///
     /// Every per-component table must match the DAG's vertex count and
     /// `comp_of` must reference DAG components, so that no traversal can
     /// index out of bounds. Violations are `Err(String)`, never panics.
-    pub fn from_parts(parts: GeoReachParts) -> Result<Self, String> {
-        let GeoReachParts {
-            comp_of,
-            dag,
-            space,
-            finest_exp,
-            info,
-            member_offsets,
-            member_points,
-        } = parts;
-        Self::from_cols(
-            comp_of.into(),
-            dag,
-            space,
-            finest_exp,
-            info,
-            member_offsets.into(),
-            member_points.into(),
-        )
-    }
-
-    /// [`GeoReach::from_parts`] over already-assembled columns — the v3
-    /// zero-copy load path (the DAG arrives via
-    /// [`gsr_graph::DiGraph::from_csr_cols`]). Identical validation.
     #[allow(clippy::too_many_arguments)]
     pub fn from_cols(
         comp_of: Col<CompId>,

@@ -9,12 +9,12 @@ mod spareach;
 mod threed;
 
 pub use dynamic3d::{CycleError, DynamicThreeDReach};
-pub use georeach::{GeoReach, GeoReachParams, GeoReachParts, SpaInfoParts};
+pub use georeach::{GeoReach, GeoReachParams, SpaInfoParts};
 pub use nearest::NearestReach;
 pub use report::{report_bfs, ThreeDReporter};
 pub use socreach::{ScanMode, SocReach};
 pub use spareach::{
     CandidateMode, SpaReach, SpaReachBfl, SpaReachFeline, SpaReachFilterParts, SpaReachGrail,
-    SpaReachInt, SpaReachParts, SpaReachPll, SpatialBackend,
+    SpaReachInt, SpaReachPll, SpatialBackend,
 };
-pub use threed::{ThreeDParts, ThreeDReach, ThreeDReachRev, ThreeDRevParts};
+pub use threed::{ThreeDReach, ThreeDReachRev};

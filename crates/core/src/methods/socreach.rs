@@ -121,74 +121,21 @@ impl SocReach {
         self.labels.num_descendants(self.comp_of[v as usize])
     }
 
-    /// Decomposes the evaluator for snapshot encoding:
-    /// `(comp_of, labels, post_offsets, points, mode)`.
-    /// [`SocReach::from_parts`] inverts it.
-    pub fn parts(&self) -> (&[CompId], &CompactLabels, &DeltaArray, &[Point], ScanMode) {
+    /// Borrowed view of the evaluator's columns for zero-copy snapshot
+    /// encoding: `(comp_of, labels, post_offsets, points, mode)`.
+    /// [`SocReach::from_cols`] inverts it.
+    pub fn cols(&self) -> (&[CompId], &CompactLabels, &DeltaArray, &[Point], ScanMode) {
         (&self.comp_of, &self.labels, &self.post_offsets, &self.points, self.mode)
     }
 
-    /// Reassembles an evaluator from the pieces of [`SocReach::parts`]
-    /// (the post offsets as the plain sorted values of
-    /// [`DeltaArray::to_vec`]).
+    /// Reassembles an evaluator from the pieces of [`SocReach::cols`]
+    /// (`post_offsets` rebuilt via [`DeltaArray::from_cols`], which
+    /// validates the delta stream itself).
     ///
     /// Untrusted input: the post-aligned point CSR must have exactly one
     /// range per post-order number and `comp_of` must reference labeled
     /// components, so that no per-label scan can index out of bounds.
     /// Violations are `Err(String)`, never panics.
-    pub fn from_parts(
-        comp_of: Vec<CompId>,
-        labels: CompactLabels,
-        post_offsets: Vec<u32>,
-        points: Vec<Point>,
-        mode: ScanMode,
-    ) -> Result<Self, String> {
-        let ncomp = labels.num_vertices();
-        if post_offsets.len() != ncomp + 1 {
-            return Err(format!(
-                "socreach: {} post offsets for {ncomp} components",
-                post_offsets.len()
-            ));
-        }
-        if labels.max_post() as usize > ncomp {
-            return Err(format!(
-                "socreach: labels cover post {} but only {ncomp} components exist",
-                labels.max_post()
-            ));
-        }
-        if post_offsets[0] != 0 {
-            return Err("socreach: post offsets not monotone from 0".into());
-        }
-        if post_offsets[ncomp] as usize != points.len() {
-            return Err(format!(
-                "socreach: post offsets claim {} points but {} present",
-                post_offsets[ncomp],
-                points.len()
-            ));
-        }
-        // from_sorted rejects decreasing runs, completing the CSR check.
-        let post_offsets = DeltaArray::from_sorted(&post_offsets)
-            .map_err(|e| format!("socreach: {e}"))?;
-        if let Some(&c) = comp_of.iter().find(|&&c| (c as usize) >= ncomp) {
-            return Err(format!("socreach: comp_of references component {c} >= {ncomp}"));
-        }
-        Ok(SocReach {
-            comp_of: comp_of.into(),
-            labels,
-            post_offsets,
-            points: points.into(),
-            mode,
-        })
-    }
-
-    /// Reassembles an evaluator from already-validated columns — the v3
-    /// zero-copy load path, where `post_offsets` arrives as a
-    /// [`DeltaArray`] rebuilt via [`DeltaArray::from_cols`] instead of
-    /// being re-derived from plain offsets.
-    ///
-    /// The same structural invariants as [`SocReach::from_parts`] are
-    /// checked (the delta stream itself was validated by
-    /// `DeltaArray::from_cols`); violations are `Err(String)`.
     pub fn from_cols(
         comp_of: impl Into<Col<CompId>>,
         labels: CompactLabels,

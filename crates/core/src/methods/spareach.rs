@@ -73,7 +73,7 @@ enum SpatialFilter {
     Quad(QuadTree<CompId>),
 }
 
-/// The spatial-filter half of a [`SpaReachParts`] decomposition. Only the
+/// The spatial filter handed to [`SpaReach::from_cols`]. Only the
 /// paper's R-tree backend is persisted — the space-oriented-partitioning
 /// backends are ablation-only and are rebuilt from scratch when needed.
 #[derive(Debug, Clone)]
@@ -82,22 +82,6 @@ pub enum SpaReachFilterParts {
     Points(RTree<2, CompId>),
     /// One rectangle entry per spatial component (the MBR policy).
     CompBoxes(RTree<2, CompId>),
-}
-
-/// Owned decomposition of a [`SpaReach`] index for snapshot encoding;
-/// produced by [`SpaReach::to_parts`], inverted by [`SpaReach::from_parts`].
-#[derive(Debug, Clone)]
-pub struct SpaReachParts<R> {
-    /// Component of every original vertex.
-    pub comp_of: Vec<CompId>,
-    /// The spatial filter structure.
-    pub filter: SpaReachFilterParts,
-    /// The reachability back-end over the condensation.
-    pub reach: R,
-    /// CSR offsets into `member_points`, one range per component.
-    pub member_offsets: Vec<u32>,
-    /// Flattened per-component spatial member points.
-    pub member_points: Vec<gsr_geo::Point>,
 }
 
 /// Generic spatial-first evaluator over any [`Reachability`] back-end.
@@ -341,35 +325,11 @@ impl<R: Reachability> SpaReach<R> {
         &self.reach
     }
 
-    /// Decomposes the index for snapshot encoding. Returns `None` when the
-    /// spatial filter uses an ablation-only space-oriented-partitioning
-    /// backend (those are never persisted) or the streaming candidate mode.
-    pub fn to_parts(&self) -> Option<SpaReachParts<R>>
-    where
-        R: Clone,
-    {
-        if self.mode != CandidateMode::Materialize {
-            return None;
-        }
-        let filter = match &self.filter {
-            SpatialFilter::Points(t) => SpaReachFilterParts::Points(t.clone()),
-            SpatialFilter::CompBoxes(t) => SpaReachFilterParts::CompBoxes(t.clone()),
-            _ => return None,
-        };
-        Some(SpaReachParts {
-            comp_of: self.comp_of.to_vec(),
-            filter,
-            reach: self.reach.clone(),
-            member_offsets: self.member_offsets.to_vec(),
-            member_points: self.member_points.to_vec(),
-        })
-    }
-
     /// Borrowed view of the persisted columns for zero-copy snapshot
     /// encoding: `(comp_of, filter_tree, filter_is_mbr, reach,
-    /// member_offsets, member_points)`. `None` for ablation-only
-    /// backends or the streaming candidate mode (mirrors
-    /// [`SpaReach::to_parts`]).
+    /// member_offsets, member_points)`. `None` when the spatial filter uses
+    /// an ablation-only space-oriented-partitioning backend (those are
+    /// never persisted) or the streaming candidate mode.
     #[allow(clippy::type_complexity)]
     pub fn cols(&self) -> Option<(&[CompId], &RTree<2, CompId>, bool, &R, &[u32], &[Point])> {
         if self.mode != CandidateMode::Materialize {
@@ -390,22 +350,15 @@ impl<R: Reachability> SpaReach<R> {
         ))
     }
 
-    /// Reassembles an index from a [`SpaReachParts`] decomposition.
+    /// Reassembles an index from its columns — the inverse of
+    /// [`SpaReach::cols`] (the filter tree arrives via [`RTree::from_cols`]).
     ///
-    /// The parts are untrusted (they come from disk): the member CSR must be
+    /// The columns are untrusted (they come from disk): the member CSR must be
     /// well-formed and every component id — in `comp_of` and in the filter
     /// tree's payloads — must index a member range, so that no query can
     /// panic. The caller additionally checks that the reachability back-end
     /// covers the same number of components (the [`Reachability`] trait does
     /// not expose a vertex count). Violations are `Err(String)`.
-    pub fn from_parts(parts: SpaReachParts<R>, name: &'static str) -> Result<Self, String> {
-        let SpaReachParts { comp_of, filter, reach, member_offsets, member_points } = parts;
-        Self::from_cols(comp_of, filter, reach, member_offsets, member_points, name)
-    }
-
-    /// [`SpaReach::from_parts`] over already-assembled columns — the v3
-    /// zero-copy load path (the filter tree arrives via
-    /// [`RTree::from_cols`]). Identical validation, no copies.
     pub fn from_cols(
         comp_of: impl Into<Col<CompId>>,
         filter: SpaReachFilterParts,

@@ -111,70 +111,12 @@ impl ThreeDCommon {
     }
 }
 
-/// Owned decomposition of [`ThreeDReach`] for snapshot encoding; produced
-/// by [`ThreeDReach::to_parts`], inverted by [`ThreeDReach::from_parts`].
-#[derive(Debug, Clone)]
-pub struct ThreeDParts {
-    /// Component of every original vertex.
-    pub comp_of: Vec<CompId>,
-    /// Delta-compressed forward interval labels over the condensation.
-    pub labels: CompactLabels,
-    /// The 3-D R-tree of points.
-    pub tree: RTree<3, CompId>,
-    /// Which SCC spatial policy the entries were generated under.
-    pub policy: SccSpatialPolicy,
-    /// CSR offsets into `member_points`, one range per component.
-    pub member_offsets: Vec<u32>,
-    /// Flattened per-component spatial member points.
-    pub member_points: Vec<Point>,
-}
-
-/// Owned decomposition of [`ThreeDReachRev`] for snapshot encoding.
-///
-/// REV's query only ever reads the per-component plane height
-/// `post_rev(v)` — the full reversed labeling is construction scaffolding
-/// (its labels are baked into the segment R-tree) and is not persisted.
-#[derive(Debug, Clone)]
-pub struct ThreeDRevParts {
-    /// Component of every original vertex.
-    pub comp_of: Vec<CompId>,
-    /// Reversed post-order number (plane height) of every component.
-    pub rev_post: Vec<u32>,
-    /// The 3-D R-tree of vertical segments.
-    pub tree: RTree<3, CompId>,
-    /// Which SCC spatial policy the entries were generated under.
-    pub policy: SccSpatialPolicy,
-    /// CSR offsets into `member_points`, one range per component.
-    pub member_offsets: Vec<u32>,
-    /// Flattened per-component spatial member points.
-    pub member_points: Vec<Point>,
-}
-
-type CommonParts = (Vec<CompId>, RTree<3, CompId>, SccSpatialPolicy, Vec<u32>, Vec<Point>);
-
 impl ThreeDCommon {
-    fn to_parts(&self) -> CommonParts {
-        (
-            self.comp_of.to_vec(),
-            (*self.tree).clone(),
-            self.policy,
-            self.member_offsets.to_vec(),
-            self.member_points.to_vec(),
-        )
-    }
-
-    /// Validates untrusted parts and reassembles the shared state. Every
+    /// Validates untrusted columns and reassembles the shared state. Every
     /// index a query dereferences — component ids in `comp_of` and in tree
     /// payloads, the member CSR — is bounds-checked against `ncomp` (the
     /// component count of the accompanying label structure) so queries
     /// cannot panic.
-    fn from_parts(ncomp: usize, parts: CommonParts) -> Result<Self, String> {
-        let (comp_of, tree, policy, member_offsets, member_points) = parts;
-        Self::from_cols(ncomp, comp_of.into(), tree, policy, member_offsets.into(), member_points.into())
-    }
-
-    /// [`ThreeDCommon::from_parts`] over already-assembled columns — the v3
-    /// zero-copy load path. Identical validation, no copies.
     fn from_cols(
         ncomp: usize,
         comp_of: Col<CompId>,
@@ -306,33 +248,9 @@ impl ThreeDReach {
         &self.labels
     }
 
-    /// Decomposes the index for snapshot encoding.
-    pub fn to_parts(&self) -> ThreeDParts {
-        let (comp_of, tree, policy, member_offsets, member_points) = self.common.to_parts();
-        ThreeDParts {
-            comp_of,
-            labels: (*self.labels).clone(),
-            tree,
-            policy,
-            member_offsets,
-            member_points,
-        }
-    }
-
-    /// Reassembles an index from untrusted [`ThreeDParts`]; violations of
-    /// the structural invariants are `Err(String)`, never panics.
-    pub fn from_parts(parts: ThreeDParts) -> Result<Self, String> {
-        let ThreeDParts { comp_of, labels, tree, policy, member_offsets, member_points } = parts;
-        let common = ThreeDCommon::from_parts(
-            labels.num_vertices(),
-            (comp_of, tree, policy, member_offsets, member_points),
-        )?;
-        Ok(ThreeDReach { common, labels: Arc::new(labels) })
-    }
-
-    /// Reassembles an index from already-validated columns — the v3
-    /// zero-copy load path. Same structural checks as
-    /// [`ThreeDReach::from_parts`], no copies.
+    /// Reassembles an index from untrusted columns — the inverse of
+    /// [`ThreeDReach::cols`]; violations of the structural invariants are
+    /// `Err(String)`, never panics.
     pub fn from_cols(
         comp_of: Col<CompId>,
         labels: CompactLabels,
@@ -493,34 +411,9 @@ impl ThreeDReachRev {
         &self.rev_post
     }
 
-    /// Decomposes the index for snapshot encoding.
-    pub fn to_parts(&self) -> ThreeDRevParts {
-        let (comp_of, tree, policy, member_offsets, member_points) = self.common.to_parts();
-        ThreeDRevParts {
-            comp_of,
-            rev_post: self.rev_post.to_vec(),
-            tree,
-            policy,
-            member_offsets,
-            member_points,
-        }
-    }
-
-    /// Reassembles an index from untrusted [`ThreeDRevParts`]. Violations
-    /// of the structural invariants are `Err(String)`, never panics.
-    pub fn from_parts(parts: ThreeDRevParts) -> Result<Self, String> {
-        let ThreeDRevParts { comp_of, rev_post, tree, policy, member_offsets, member_points } =
-            parts;
-        let common = ThreeDCommon::from_parts(
-            rev_post.len(),
-            (comp_of, tree, policy, member_offsets, member_points),
-        )?;
-        Ok(ThreeDReachRev { common, rev_post: rev_post.into() })
-    }
-
-    /// Reassembles an index from already-validated columns — the v3
-    /// zero-copy load path. Same structural checks as
-    /// [`ThreeDReachRev::from_parts`], no copies.
+    /// Reassembles an index from untrusted columns — the inverse of
+    /// [`ThreeDReachRev::cols`]. Violations of the structural invariants
+    /// are `Err(String)`, never panics.
     pub fn from_cols(
         comp_of: Col<CompId>,
         rev_post: Col<u32>,
@@ -542,6 +435,11 @@ impl ThreeDReachRev {
 
     /// Borrowed view of the index columns for zero-copy snapshot encoding:
     /// `(comp_of, rev_post, tree, policy, member_offsets, member_points)`.
+    ///
+    /// REV's query only ever reads the per-component plane height
+    /// `post_rev(v)` — the full reversed labeling is construction
+    /// scaffolding (its labels are baked into the segment R-tree) and is
+    /// not persisted.
     pub fn cols(&self) -> ThreeDReachRevCols<'_> {
         (
             &self.common.comp_of,

@@ -1,5 +1,6 @@
 //! Fault injection for the loader: a reader that fails mid-stream, a
-//! writer that fails mid-save, and a corpus of malformed network files.
+//! writer that fails mid-save, a corpus of malformed network files, and
+//! the hermetic [`ScratchDir`] those drills stage their files in.
 //!
 //! Robust loading is a testable property: every entry in
 //! [`malformed_corpus`] must come back from [`crate::io::read_network`] as a
@@ -12,6 +13,8 @@
 //! integration suite and by the CI fault job.
 
 use std::io::{self, Read, Write};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Wraps a reader and injects an [`io::Error`] once `budget` bytes have
 /// been served — simulating a connection dropped or a file truncated
@@ -78,6 +81,38 @@ impl<W: Write> Write for FailingWriter<W> {
 
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
+    }
+}
+
+/// A scratch directory under the system temp dir that is this caller's
+/// alone: its name carries the process id plus a process-wide counter, so
+/// concurrent users — two tests of one binary, two `cargo test` runs, two
+/// `repro` processes — never share or delete each other's files. Removed
+/// on drop, whichever way the caller ends.
+#[derive(Debug)]
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// Creates `<temp>/<prefix>_<pid>_<n>`; `prefix` only names the site
+    /// for whoever inspects the temp dir.
+    pub fn new(prefix: &str) -> io::Result<ScratchDir> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let name =
+            format!("{prefix}_{}_{}", std::process::id(), NEXT.fetch_add(1, Ordering::Relaxed));
+        let dir = std::env::temp_dir().join(name);
+        std::fs::create_dir_all(&dir)?;
+        Ok(ScratchDir(dir))
+    }
+
+    /// The directory's path.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 

@@ -129,65 +129,27 @@ impl DiGraph {
     /// Forward-CSR view of the graph, `(out_offsets, out_targets)`, for
     /// snapshot encoding. Together with the vertex count implied by
     /// `out_offsets.len() - 1` this fully determines the graph; the reverse
-    /// adjacency is derived and is rebuilt by [`DiGraph::from_out_csr`].
+    /// adjacency ([`DiGraph::in_csr`]) is derived from it.
     pub fn out_csr(&self) -> (&[u32], &[VertexId]) {
         (&self.out_offsets, &self.out_targets)
     }
 
     /// Reverse-CSR view, `(in_offsets, in_sources)`. Derivable from the
-    /// forward CSR, but v3 snapshots persist it anyway so a load is a pure
+    /// forward CSR, but snapshots persist it anyway so a load is a pure
     /// map with no O(V + E) rebuild allocations.
     pub fn in_csr(&self) -> (&[u32], &[VertexId]) {
         (&self.in_offsets, &self.in_sources)
     }
 
-    /// Rebuilds a graph from a forward CSR previously obtained via
-    /// [`DiGraph::out_csr`]. The reverse adjacency is reconstructed with the
-    /// same counting sort as the original build, so the result is
-    /// bit-identical to the graph that was snapshotted.
+    /// Assembles a graph from all four CSR columns at once (the inverse of
+    /// [`DiGraph::out_csr`] and [`DiGraph::in_csr`]) — the zero-copy load
+    /// path, where the columns borrow from a mapped snapshot and must not
+    /// be rebuilt or copied.
     ///
     /// The input is untrusted (it typically comes from disk): shape, bounds
-    /// and per-vertex ordering are validated, and the first defect is
-    /// reported as an `Err(String)` for the caller to wrap in its own typed
-    /// error.
-    pub fn from_out_csr(out_offsets: Vec<u32>, out_targets: Vec<VertexId>) -> Result<Self, String> {
-        Self::validate_forward_csr(&out_offsets, &out_targets)?;
-        let n = out_offsets.len() - 1;
-
-        // Reverse adjacency via counting sort, iterating edges in forward-CSR
-        // order — the same order `from_sorted_edges` uses.
-        let mut in_offsets = vec![0u32; n + 1];
-        for &v in &out_targets {
-            in_offsets[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor = in_offsets.clone();
-        let mut in_sources = vec![0 as VertexId; out_targets.len()];
-        for u in 0..n {
-            let lo = out_offsets[u] as usize;
-            let hi = out_offsets[u + 1] as usize;
-            for &v in &out_targets[lo..hi] {
-                let slot = cursor[v as usize];
-                in_sources[slot as usize] = u as VertexId;
-                cursor[v as usize] += 1;
-            }
-        }
-
-        Ok(DiGraph {
-            out_offsets: out_offsets.into(),
-            out_targets: out_targets.into(),
-            in_offsets: in_offsets.into(),
-            in_sources: in_sources.into(),
-        })
-    }
-
-    /// Assembles a graph from all four CSR columns at once — the v3
-    /// zero-copy load path, where the columns borrow from a mapped snapshot
-    /// and must not be rebuilt or copied.
-    ///
-    /// The forward CSR is validated exactly as in [`DiGraph::from_out_csr`].
+    /// and per-vertex ordering of the forward CSR are validated, and the
+    /// first defect is reported as an `Err(String)` for the caller to wrap
+    /// in its own typed error.
     /// The reverse CSR is untrusted too; instead of rebuilding it (which
     /// would allocate `O(V + E)` and defeat the zero-copy load), the
     /// counting sort that *would* build it is replayed against the provided
@@ -245,8 +207,8 @@ impl DiGraph {
         Ok(DiGraph { out_offsets, out_targets, in_offsets, in_sources })
     }
 
-    /// Shape, bounds and per-vertex ordering checks shared by the two
-    /// untrusted constructors.
+    /// Shape, bounds and per-vertex ordering checks on an untrusted
+    /// forward CSR.
     fn validate_forward_csr(out_offsets: &[u32], out_targets: &[VertexId]) -> Result<(), String> {
         if out_offsets.is_empty() {
             return Err("csr: empty offset array".into());
@@ -348,34 +310,48 @@ mod tests {
         assert_eq!(r.out_neighbors(3), &[1, 2]);
     }
 
+    fn cols(src: &[u32]) -> crate::Col<u32> {
+        crate::Col::from(src.to_vec())
+    }
+
     #[test]
     fn csr_parts_round_trip() {
         let g = diamond();
-        let (offsets, targets) = g.out_csr();
-        let h = crate::DiGraph::from_out_csr(offsets.to_vec(), targets.to_vec())
+        let (oo, ot) = g.out_csr();
+        let (io, is_) = g.in_csr();
+        let h = crate::DiGraph::from_csr_cols(cols(oo), cols(ot), cols(io), cols(is_))
             .expect("valid csr must round-trip");
-        assert_eq!(g.num_vertices(), h.num_vertices());
-        for v in g.vertices() {
-            assert_eq!(g.out_neighbors(v), h.out_neighbors(v));
-            assert_eq!(g.in_neighbors(v), h.in_neighbors(v));
-        }
+        assert_eq!(h.out_csr(), g.out_csr());
+        assert_eq!(h.in_csr(), g.in_csr());
     }
 
     #[test]
     fn from_out_csr_rejects_malformed() {
+        // A forward-CSR defect is reported before the reverse columns are
+        // even looked at.
+        let rejects = |out_offsets: &[u32], out_targets: &[u32]| {
+            let err = crate::DiGraph::from_csr_cols(
+                cols(out_offsets),
+                cols(out_targets),
+                cols(&[0]),
+                cols(&[]),
+            )
+            .expect_err("malformed forward csr must be rejected");
+            !err.contains("reverse")
+        };
         // Offsets must start at zero.
-        assert!(crate::DiGraph::from_out_csr(vec![1, 1], vec![]).is_err());
+        assert!(rejects(&[1, 1], &[]));
         // Offsets must be monotone.
-        assert!(crate::DiGraph::from_out_csr(vec![0, 2, 1], vec![0, 0]).is_err());
+        assert!(rejects(&[0, 2, 1], &[0, 0]));
         // Edge count must match target length.
-        assert!(crate::DiGraph::from_out_csr(vec![0, 2], vec![0]).is_err());
+        assert!(rejects(&[0, 2], &[0]));
         // Targets must be in range.
-        assert!(crate::DiGraph::from_out_csr(vec![0, 1], vec![7]).is_err());
+        assert!(rejects(&[0, 1], &[7]));
         // Adjacency lists must be sorted and deduplicated.
-        assert!(crate::DiGraph::from_out_csr(vec![0, 2], vec![1, 0]).is_err());
-        assert!(crate::DiGraph::from_out_csr(vec![0, 2], vec![1, 1]).is_err());
+        assert!(rejects(&[0, 2], &[1, 0]));
+        assert!(rejects(&[0, 2], &[1, 1]));
         // Empty offsets are rejected outright.
-        assert!(crate::DiGraph::from_out_csr(vec![], vec![]).is_err());
+        assert!(rejects(&[], &[]));
     }
 
     #[test]
@@ -383,7 +359,6 @@ mod tests {
         let g = diamond();
         let (oo, ot) = g.out_csr();
         let (io, is_) = g.in_csr();
-        let cols = |src: &[u32]| crate::Col::from(src.to_vec());
         let h = crate::DiGraph::from_csr_cols(cols(oo), cols(ot), cols(io), cols(is_))
             .expect("faithful columns must assemble");
         for v in g.vertices() {

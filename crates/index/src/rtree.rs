@@ -123,35 +123,9 @@ impl<const N: usize> EntryStore<N> {
     }
 }
 
-/// The flat arena of an [`RTree`] with public fields, for snapshot
-/// encoding. [`RTree::to_snapshot`] produces it and
-/// [`RTree::from_snapshot`] re-validates and rebuilds the tree.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RTreeSnapshot<const N: usize, T> {
-    /// Fan-out parameters.
-    pub params: RTreeParams,
-    /// Per-node MBRs in breadth-first id order (inner nodes first).
-    pub mbrs: Vec<Aabb<N>>,
-    /// CSR offsets into `children` for inner node `i` (`len = num_inner + 1`).
-    pub child_start: Vec<u32>,
-    /// Concatenated child id lists of the inner nodes.
-    pub children: Vec<u32>,
-    /// CSR offsets into the entry columns for leaf `l` = node
-    /// `num_inner + l` (`len = num_leaves + 1`).
-    pub entry_start: Vec<u32>,
-    /// Per-dimension entry lower bounds.
-    pub entry_lo: [Vec<f64>; N],
-    /// Per-dimension entry upper bounds; `None` marks a degenerate
-    /// dimension whose upper bounds equal `entry_lo` bit-exactly.
-    pub entry_hi: [Option<Vec<f64>>; N],
-    /// Entry payloads, parallel to the coordinate columns.
-    pub values: Vec<T>,
-}
-
 /// Borrowed view of an [`RTree`]'s arena columns, for zero-copy snapshot
-/// encoding. Unlike [`RTreeSnapshot`] nothing is cloned; the slices alias
-/// the live tree. Produced by [`RTree::cols`], inverted by
-/// [`RTree::from_cols`].
+/// encoding. Nothing is cloned; the slices alias the live tree. Produced
+/// by [`RTree::cols`], inverted by [`RTree::from_cols`].
 #[derive(Debug)]
 pub struct RTreeCols<'a, const N: usize, T> {
     /// Fan-out parameters.
@@ -576,29 +550,10 @@ impl<const N: usize, T> RTree<N, T> {
         self.params
     }
 
-    /// Clones the arena into an [`RTreeSnapshot`] for encoding.
-    /// [`RTree::from_snapshot`] inverts it exactly, so a saved tree reloads
+    /// Borrowed view of the arena columns for zero-copy snapshot encoding.
+    /// [`RTree::from_cols`] inverts it exactly, so a saved tree reloads
     /// bit-identical (same arena layout, same traversal order, same query
     /// costs).
-    pub fn to_snapshot(&self) -> RTreeSnapshot<N, T>
-    where
-        T: Clone,
-    {
-        RTreeSnapshot {
-            params: self.params,
-            mbrs: self.mbrs.to_vec(),
-            child_start: self.child_start.to_vec(),
-            children: self.children.to_vec(),
-            entry_start: self.entry_start.to_vec(),
-            entry_lo: std::array::from_fn(|d| self.entries.lo[d].to_vec()),
-            entry_hi: std::array::from_fn(|d| self.entries.hi[d].as_ref().map(|c| c.to_vec())),
-            values: self.values.to_vec(),
-        }
-    }
-
-    /// Borrowed view of the arena columns for zero-copy (v3) snapshot
-    /// encoding — no clone, unlike [`RTree::to_snapshot`].
-    /// [`RTree::from_cols`] inverts it.
     pub fn cols(&self) -> RTreeCols<'_, N, T> {
         RTreeCols {
             params: self.params,
@@ -612,10 +567,16 @@ impl<const N: usize, T> RTree<N, T> {
         }
     }
 
-    /// Assembles a tree directly from arena columns — the v3 zero-copy load
-    /// path, where the columns borrow from a mapped snapshot. Runs exactly
-    /// the structural validation of [`RTree::from_snapshot`] (which
-    /// delegates here); the columns themselves are never copied.
+    /// Assembles a tree directly from arena columns — the zero-copy load
+    /// path, where the columns borrow from a mapped snapshot and are never
+    /// copied.
+    ///
+    /// The input is untrusted: the arrays must describe a proper
+    /// breadth-first tree — monotone CSR offsets, child ids strictly
+    /// greater than their parent's (which rules out cycles), every
+    /// non-root node referenced exactly once, coordinate columns parallel
+    /// to the payloads — so that no traversal can panic or loop.
+    /// Violations are reported as `Err(String)`.
     #[allow(clippy::too_many_arguments)]
     pub fn from_cols(
         params: RTreeParams,
@@ -715,37 +676,6 @@ impl<const N: usize, T> RTree<N, T> {
             entries: EntryStore { lo: entry_lo, hi: entry_hi },
             values,
         })
-    }
-
-    /// Rebuilds a tree from an [`RTreeSnapshot`].
-    ///
-    /// The input is untrusted: the arrays must describe a proper
-    /// breadth-first tree — monotone CSR offsets, child ids strictly
-    /// greater than their parent's (which rules out cycles), every
-    /// non-root node referenced exactly once, coordinate columns parallel
-    /// to the payloads — so that no traversal can panic or loop.
-    /// Violations are reported as `Err(String)`.
-    pub fn from_snapshot(snap: RTreeSnapshot<N, T>) -> Result<Self, String> {
-        let RTreeSnapshot {
-            params,
-            mbrs,
-            child_start,
-            children,
-            entry_start,
-            entry_lo,
-            entry_hi,
-            values,
-        } = snap;
-        Self::from_cols(
-            params,
-            mbrs.into(),
-            child_start.into(),
-            children.into(),
-            entry_start.into(),
-            entry_lo.map(Col::from),
-            entry_hi.map(|c| c.map(Col::from)),
-            values.into(),
-        )
     }
 
     /// Checks structural invariants (entry count, MBR containment, fan-out
@@ -1253,11 +1183,53 @@ mod tests {
         assert_eq!(seq, par);
     }
 
+    /// Owned, corruptible copy of a tree's [`RTreeCols`], rebuilt through
+    /// the validating [`RTree::from_cols`].
+    struct OwnedCols<const N: usize, T> {
+        params: RTreeParams,
+        mbrs: Vec<Aabb<N>>,
+        child_start: Vec<u32>,
+        children: Vec<u32>,
+        entry_start: Vec<u32>,
+        entry_lo: [Vec<f64>; N],
+        entry_hi: [Option<Vec<f64>>; N],
+        values: Vec<T>,
+    }
+
+    impl<const N: usize, T: Clone> OwnedCols<N, T> {
+        fn of(t: &RTree<N, T>) -> Self {
+            let c = t.cols();
+            OwnedCols {
+                params: c.params,
+                mbrs: c.mbrs.to_vec(),
+                child_start: c.child_start.to_vec(),
+                children: c.children.to_vec(),
+                entry_start: c.entry_start.to_vec(),
+                entry_lo: c.entry_lo.map(<[f64]>::to_vec),
+                entry_hi: c.entry_hi.map(|hi| hi.map(<[f64]>::to_vec)),
+                values: c.values.to_vec(),
+            }
+        }
+
+        fn build(self) -> Result<RTree<N, T>, String> {
+            RTree::from_cols(
+                self.params,
+                self.mbrs.into(),
+                self.child_start.into(),
+                self.children.into(),
+                self.entry_start.into(),
+                self.entry_lo.map(Col::from),
+                self.entry_hi.map(|hi| hi.map(Col::from)),
+                self.values.into(),
+            )
+        }
+    }
+
     #[test]
     fn snapshot_round_trip_exactly() {
         for n in [0usize, 1, 50, 2000] {
             let t = RTree::bulk_load(grid_points(n));
-            let back = RTree::from_snapshot(t.to_snapshot()).expect("valid snapshot rebuilds");
+            let back = OwnedCols::of(&t).build().expect("valid columns rebuild");
             assert_eq!(t, back, "n = {n}");
             back.check_invariants();
         }
@@ -1266,48 +1238,49 @@ mod tests {
             .map(|i| (Aabb::new([i as f64, 0.0, 0.0], [i as f64, 0.0, i as f64]), i))
             .collect();
         let t = RTree::bulk_load(segs);
-        let back = RTree::from_snapshot(t.to_snapshot()).expect("valid snapshot rebuilds");
+        let back = OwnedCols::of(&t).build().expect("valid columns rebuild");
         assert_eq!(t, back);
     }
 
     #[test]
     fn from_snapshot_rejects_malformed_arenas() {
-        let good = RTree::bulk_load(grid_points(100)).to_snapshot();
-        assert!(RTree::from_snapshot(good.clone()).is_ok());
+        let t = RTree::bulk_load(grid_points(100));
+        let good = || OwnedCols::of(&t);
+        assert!(good().build().is_ok());
 
         // Child id out of range.
-        let mut bad = good.clone();
+        let mut bad = good();
         bad.children[0] = 10_000;
-        assert!(RTree::from_snapshot(bad).is_err());
+        assert!(bad.build().is_err());
         // Child id not greater than its parent (cycle-shaped).
-        let mut bad = good.clone();
+        let mut bad = good();
         bad.children[0] = 0;
-        assert!(RTree::from_snapshot(bad).is_err());
+        assert!(bad.build().is_err());
         // A node referenced twice.
-        let mut bad = good.clone();
+        let mut bad = good();
         bad.children[1] = bad.children[0];
-        assert!(RTree::from_snapshot(bad).is_err());
+        assert!(bad.build().is_err());
         // Non-monotone child offsets.
-        let mut bad = good.clone();
+        let mut bad = good();
         bad.child_start[1] = u32::MAX;
-        assert!(RTree::from_snapshot(bad).is_err());
+        assert!(bad.build().is_err());
         // Entry offsets disagreeing with the payload count.
-        let mut bad = good.clone();
+        let mut bad = good();
         bad.values.pop();
-        assert!(RTree::from_snapshot(bad).is_err());
+        assert!(bad.build().is_err());
         // A coordinate column of the wrong length.
-        let mut bad = good.clone();
+        let mut bad = good();
         bad.entry_lo[0].pop();
-        assert!(RTree::from_snapshot(bad).is_err());
+        assert!(bad.build().is_err());
         // Wrong mbr count.
-        let mut bad = good.clone();
+        let mut bad = good();
         bad.mbrs.pop();
-        assert!(RTree::from_snapshot(bad).is_err());
+        assert!(bad.build().is_err());
         // Multiple leaves without an inner root.
-        let mut bad = good;
+        let mut bad = good();
         bad.child_start = vec![0];
         bad.children = Vec::new();
-        assert!(RTree::from_snapshot(bad).is_err());
+        assert!(bad.build().is_err());
     }
 
     #[test]

@@ -213,6 +213,7 @@ unsafe impl StableBytes for ArenaBytes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsr_datagen::faults::ScratchDir;
     use std::sync::Arc;
 
     #[test]
@@ -230,28 +231,24 @@ mod tests {
 
     #[test]
     fn mapped_file_matches_its_contents() {
-        let dir = std::env::temp_dir().join("gsr_store_arena_mmap");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("arena.bin");
+        let dir = ScratchDir::new("gsr_store_arena_mmap").unwrap();
+        let path = dir.path().join("arena.bin");
         let src: Vec<u8> = (0..100_000u32).flat_map(|x| x.to_le_bytes()).collect();
         std::fs::write(&path, &src).unwrap();
         let arena = ArenaBytes::from_file(&std::fs::File::open(&path).unwrap()).unwrap();
         assert_eq!(arena.bytes(), &src[..]);
         #[cfg(unix)]
         assert!(arena.is_mapped());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn empty_file_maps_to_empty_owned_region() {
-        let dir = std::env::temp_dir().join("gsr_store_arena_empty");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("empty.bin");
+        let dir = ScratchDir::new("gsr_store_arena_empty").unwrap();
+        let path = dir.path().join("empty.bin");
         std::fs::write(&path, b"").unwrap();
         let arena = ArenaBytes::from_file(&std::fs::File::open(&path).unwrap()).unwrap();
         assert!(arena.bytes().is_empty());
         assert!(!arena.is_mapped());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,43 +1,17 @@
-//! Encoders/decoders for the structures the six methods are made of.
+//! Field-by-field encoders/decoders for the two small heterogeneous
+//! sections of a snapshot: the GeoReach grid rectangle carried in `META`
+//! and the `SPA_INFO` table.
 //!
-//! Encoding walks the public `parts()` decompositions; decoding rebuilds
-//! through the matching validated `from_parts` constructors, so a decoded
-//! value is structurally identical to the saved one (bit-identical query
-//! answers and [`gsr_core::QueryCost`] counters) and a corrupt one is an
-//! `Err(String)`, never a panic. Geometry is decoded through struct
-//! literals — not the `new` constructors, whose `debug_assert`s would turn
-//! adversarial (checksum-forged) coordinates into debug-build panics.
+//! Everything else in a snapshot is a raw arena column (see `v3`). A
+//! corrupt payload is an `Err(String)`, never a panic. Geometry is decoded
+//! through struct literals — not the `new` constructors, whose
+//! `debug_assert`s would turn adversarial (checksum-forged) coordinates
+//! into debug-build panics.
 
 use crate::wire::{Dec, Enc};
 use gsr_core::methods::SpaInfoParts;
-use gsr_geo::{Aabb, Point, Rect};
-use gsr_graph::DiGraph;
+use gsr_geo::Rect;
 use gsr_index::grid::CellId;
-use gsr_index::{RTree, RTreeParams, RTreeSnapshot};
-use gsr_reach::bfl::BflIndex;
-use gsr_reach::compact::CompactLabels;
-use gsr_reach::interval::{Interval, IntervalLabeling};
-
-/// Encodes a point list (count + x/y pairs).
-pub fn enc_points(e: &mut Enc, pts: &[Point]) {
-    e.u64(pts.len() as u64);
-    for p in pts {
-        e.f64(p.x);
-        e.f64(p.y);
-    }
-}
-
-/// Decodes a point list.
-pub fn dec_points(d: &mut Dec, what: &str) -> Result<Vec<Point>, String> {
-    let n = d.count(16, what)?;
-    let mut pts = Vec::with_capacity(n);
-    for _ in 0..n {
-        let x = d.f64(what)?;
-        let y = d.f64(what)?;
-        pts.push(Point { x, y });
-    }
-    Ok(pts)
-}
 
 /// Encodes a rectangle as four `f64` extrema.
 pub fn enc_rect(e: &mut Enc, r: &Rect) {
@@ -56,9 +30,7 @@ pub fn dec_rect(d: &mut Dec, what: &str) -> Result<Rect, String> {
     Ok(Rect { min_x, min_y, max_x, max_y })
 }
 
-/// Encodes a GeoReach SPA-info table (count + tagged entries). Shared by
-/// the v2 section payload and the v3 `SPA_INFO` section, which carry the
-/// identical byte layout.
+/// Encodes a GeoReach SPA-info table (count + tagged entries).
 pub fn enc_spa_info(e: &mut Enc, info: &[SpaInfoParts]) {
     e.u64(info.len() as u64);
     for i in info {
@@ -104,195 +76,15 @@ pub fn dec_spa_info(d: &mut Dec, what: &str) -> Result<Vec<SpaInfoParts>, String
     Ok(info)
 }
 
-fn enc_aabb<const N: usize>(e: &mut Enc, b: &Aabb<N>) {
-    for d in 0..N {
-        e.f64(b.min[d]);
-    }
-    for d in 0..N {
-        e.f64(b.max[d]);
-    }
-}
-
-fn dec_aabb<const N: usize>(d: &mut Dec, what: &str) -> Result<Aabb<N>, String> {
-    let mut min = [0.0; N];
-    let mut max = [0.0; N];
-    for m in min.iter_mut() {
-        *m = d.f64(what)?;
-    }
-    for m in max.iter_mut() {
-        *m = d.f64(what)?;
-    }
-    Ok(Aabb { min, max })
-}
-
-/// Encodes a graph as its forward CSR (offsets + targets); the reverse
-/// adjacency is rebuilt deterministically on load.
-pub fn enc_digraph(e: &mut Enc, g: &DiGraph) {
-    let (offsets, targets) = g.out_csr();
-    e.vec_u32(offsets);
-    e.vec_u32(targets);
-}
-
-/// Decodes and revalidates a graph.
-pub fn dec_digraph(d: &mut Dec, what: &str) -> Result<DiGraph, String> {
-    let offsets = d.vec_u32(what)?;
-    let targets = d.vec_u32(what)?;
-    DiGraph::from_out_csr(offsets, targets)
-}
-
-/// Encodes an interval labeling (post permutation, its inverse, label CSR).
-pub fn enc_labeling(e: &mut Enc, l: &IntervalLabeling) {
-    let (post, post_to_vertex, offsets, labels) = l.parts();
-    e.vec_u32(post);
-    e.vec_u32(post_to_vertex);
-    e.vec_u32(offsets);
-    e.u64(labels.len() as u64);
-    for iv in labels {
-        e.u32(iv.lo);
-        e.u32(iv.hi);
-    }
-}
-
-/// Decodes and revalidates an interval labeling.
-pub fn dec_labeling(d: &mut Dec, what: &str) -> Result<IntervalLabeling, String> {
-    let post = d.vec_u32(what)?;
-    let post_to_vertex = d.vec_u32(what)?;
-    let offsets = d.vec_u32(what)?;
-    let n = d.count(8, what)?;
-    let mut labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        let lo = d.u32(what)?;
-        let hi = d.u32(what)?;
-        labels.push(Interval { lo, hi });
-    }
-    IntervalLabeling::from_parts(post, post_to_vertex, offsets, labels)
-}
-
-/// Encodes a BFL index (condensation graph, post/tree-min arrays, filter
-/// words).
-pub fn enc_bfl(e: &mut Enc, b: &BflIndex) {
-    let (g, post, tree_min, out_filters, in_filters, words) = b.parts();
-    enc_digraph(e, g);
-    e.vec_u32(post);
-    e.vec_u32(tree_min);
-    e.vec_u64(out_filters);
-    e.vec_u64(in_filters);
-    e.u64(words as u64);
-}
-
-/// Decodes and revalidates a BFL index.
-pub fn dec_bfl(d: &mut Dec, what: &str) -> Result<BflIndex, String> {
-    let g = dec_digraph(d, what)?;
-    let post = d.vec_u32(what)?;
-    let tree_min = d.vec_u32(what)?;
-    let out_filters = d.vec_u64(what)?;
-    let in_filters = d.vec_u64(what)?;
-    let words = d.u64(what)?;
-    let words = usize::try_from(words).map_err(|_| format!("{what}: filter width overflows"))?;
-    BflIndex::from_parts(g, post, tree_min, out_filters, in_filters, words)
-}
-
-/// Encodes an R-tree arena verbatim — parameters, breadth-first node MBRs,
-/// the child CSR and the columnar entry store (with degenerate dimensions
-/// marked absent, not re-materialized) — so a reload reproduces the exact
-/// traversal order and query costs of the saved tree.
-pub fn enc_rtree<const N: usize>(e: &mut Enc, t: &RTree<N, u32>) {
-    let snap = t.to_snapshot();
-    e.u64(snap.params.max_entries as u64);
-    e.u64(snap.params.min_entries as u64);
-    e.u64(snap.mbrs.len() as u64);
-    for b in &snap.mbrs {
-        enc_aabb(e, b);
-    }
-    e.vec_u32(&snap.child_start);
-    e.vec_u32(&snap.children);
-    e.vec_u32(&snap.entry_start);
-    for col in &snap.entry_lo {
-        e.vec_f64(col);
-    }
-    for col in &snap.entry_hi {
-        match col {
-            None => e.u8(0),
-            Some(hi) => {
-                e.u8(1);
-                e.vec_f64(hi);
-            }
-        }
-    }
-    e.vec_u32(&snap.values);
-}
-
-/// Decodes and revalidates an R-tree arena.
-pub fn dec_rtree<const N: usize>(d: &mut Dec, what: &str) -> Result<RTree<N, u32>, String> {
-    let max_entries = d.u64(what)?;
-    let min_entries = d.u64(what)?;
-    let params = RTreeParams {
-        max_entries: usize::try_from(max_entries)
-            .map_err(|_| format!("{what}: max_entries overflows"))?,
-        min_entries: usize::try_from(min_entries)
-            .map_err(|_| format!("{what}: min_entries overflows"))?,
-    };
-    let node_count = d.count(N * 16, what)?;
-    let mut mbrs = Vec::with_capacity(node_count);
-    for _ in 0..node_count {
-        mbrs.push(dec_aabb::<N>(d, what)?);
-    }
-    let child_start = d.vec_u32(what)?;
-    let children = d.vec_u32(what)?;
-    let entry_start = d.vec_u32(what)?;
-    let mut entry_lo: [Vec<f64>; N] = std::array::from_fn(|_| Vec::new());
-    for col in entry_lo.iter_mut() {
-        *col = d.vec_f64(what)?;
-    }
-    let mut entry_hi: [Option<Vec<f64>>; N] = std::array::from_fn(|_| None);
-    for col in entry_hi.iter_mut() {
-        match d.u8(what)? {
-            0 => {}
-            1 => *col = Some(d.vec_f64(what)?),
-            k => return Err(format!("{what}: unknown hi-column flag {k}")),
-        }
-    }
-    let values = d.vec_u32(what)?;
-    RTree::from_snapshot(RTreeSnapshot {
-        params,
-        mbrs,
-        child_start,
-        children,
-        entry_start,
-        entry_lo,
-        entry_hi,
-        values,
-    })
-}
-
-/// Encodes delta-compressed interval labels (post bound, stream CSR, raw
-/// varint streams).
-pub fn enc_compact_labels(e: &mut Enc, l: &CompactLabels) {
-    let (max_post, offsets, bytes) = l.parts();
-    e.u32(max_post);
-    e.vec_u32(offsets);
-    e.vec_u8(bytes);
-}
-
-/// Decodes and revalidates delta-compressed interval labels: every
-/// per-vertex varint stream must decode to sorted, disjoint intervals
-/// inside the declared post range.
-pub fn dec_compact_labels(d: &mut Dec, what: &str) -> Result<CompactLabels, String> {
-    let max_post = d.u32(what)?;
-    let offsets = d.vec_u32(what)?;
-    let bytes = d.vec_u8(what)?;
-    CompactLabels::from_parts(max_post, offsets, bytes).map_err(|e| format!("{what}: {e}"))
-}
-
 /// Encodes a grid cell id.
-pub fn enc_cell(e: &mut Enc, c: &CellId) {
+fn enc_cell(e: &mut Enc, c: &CellId) {
     e.u8(c.level);
     e.u32(c.ix);
     e.u32(c.iy);
 }
 
 /// Decodes a grid cell id.
-pub fn dec_cell(d: &mut Dec, what: &str) -> Result<CellId, String> {
+fn dec_cell(d: &mut Dec, what: &str) -> Result<CellId, String> {
     let level = d.u8(what)?;
     let ix = d.u32(what)?;
     let iy = d.u32(what)?;
@@ -302,91 +94,23 @@ pub fn dec_cell(d: &mut Dec, what: &str) -> Result<CellId, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsr_graph::GraphBuilder;
-
-    fn sample_graph() -> DiGraph {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1);
-        b.add_edge(0, 2);
-        b.add_edge(2, 3);
-        b.build()
-    }
-
-    #[test]
-    fn digraph_round_trip() {
-        let g = sample_graph();
-        let mut e = Enc::new();
-        enc_digraph(&mut e, &g);
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        let back = dec_digraph(&mut d, "g").unwrap();
-        d.finish("g").unwrap();
-        assert_eq!(back.out_csr(), g.out_csr());
-        for v in g.vertices() {
-            assert_eq!(back.in_neighbors(v), g.in_neighbors(v));
-        }
-    }
-
-    #[test]
-    fn rtree_round_trip_bit_identical() {
-        let entries: Vec<(Aabb<2>, u32)> = (0..500)
-            .map(|i| (Aabb::from_point([i as f64, (i * 7 % 100) as f64]), i))
-            .collect();
-        let t = RTree::bulk_load(entries);
-        let mut e = Enc::new();
-        enc_rtree(&mut e, &t);
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        let back: RTree<2, u32> = dec_rtree(&mut d, "t").unwrap();
-        d.finish("t").unwrap();
-        assert_eq!(back, t, "arena layout must survive the round trip exactly");
-    }
-
-    #[test]
-    fn rtree_3d_with_degenerate_columns_round_trips() {
-        // Point entries: every dimension is degenerate, so all three hi
-        // columns are absent on the wire and must come back absent.
-        let entries: Vec<(Aabb<3>, u32)> = (0..300)
-            .map(|i| (Aabb::from_point([i as f64, (i % 13) as f64, (i % 7) as f64]), i))
-            .collect();
-        let t = RTree::bulk_load(entries);
-        let mut e = Enc::new();
-        enc_rtree(&mut e, &t);
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        let back: RTree<3, u32> = dec_rtree(&mut d, "t").unwrap();
-        d.finish("t").unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn compact_labels_round_trip_and_reject_corruption() {
-        let g = sample_graph();
-        let c = CompactLabels::from_labeling(&IntervalLabeling::build(&g));
-        let mut e = Enc::new();
-        enc_compact_labels(&mut e, &c);
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        let back = dec_compact_labels(&mut d, "labels").unwrap();
-        d.finish("labels").unwrap();
-        assert_eq!(back, c);
-        // Flipping a stream byte must fail validation, not panic.
-        let mut bad = bytes.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x80;
-        let mut d = Dec::new(&bad);
-        assert!(dec_compact_labels(&mut d, "labels").is_err());
-    }
 
     #[test]
     fn truncated_payload_is_an_error() {
-        let g = sample_graph();
+        let info = vec![
+            SpaInfoParts::B(true),
+            SpaInfoParts::R(Rect { min_x: 0.0, min_y: 1.0, max_x: 2.0, max_y: 3.0 }),
+            SpaInfoParts::G(vec![CellId { level: 2, ix: 1, iy: 3 }]),
+        ];
         let mut e = Enc::new();
-        enc_digraph(&mut e, &g);
+        enc_spa_info(&mut e, &info);
         let bytes = e.into_bytes();
+        let mut d = Dec::new(&bytes);
+        assert_eq!(dec_spa_info(&mut d, "spa-info").unwrap(), info);
+        d.finish("spa-info").unwrap();
         for cut in [0, 1, 8, bytes.len() - 1] {
             let mut d = Dec::new(&bytes[..cut]);
-            assert!(dec_digraph(&mut d, "g").is_err(), "cut at {cut} must fail");
+            assert!(dec_spa_info(&mut d, "spa-info").is_err(), "cut at {cut} must fail");
         }
     }
 }

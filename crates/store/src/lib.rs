@@ -18,16 +18,15 @@
 //! `v3` and the layout tables in `DESIGN.md`). Loading memory-maps the
 //! file (or copies it once into an aligned buffer) and serves queries
 //! from typed views into the mapped region — no per-element decode.
-//! [`save_v2`] still writes, and [`load`] still reads, the v2 streaming
-//! format (framed `tag | len | payload | crc` sections) for
-//! interoperability with older snapshots.
+//! Version 3 is the only format this crate writes or reads; the retired
+//! versions 1 and 2 are rejected with a typed version error.
 //!
 //! ## Trust model
 //!
 //! A snapshot is *untrusted input*: loading revalidates every structural
 //! invariant a query dereferences (CSR monotonicity, permutations,
 //! component-id bounds, R-tree arena reachability) through the owning
-//! crates' `from_parts`/`from_cols` constructors. Corruption, truncation,
+//! crates' validated `from_cols` constructors. Corruption, truncation,
 //! version mismatches and impossible structures all surface as
 //! [`GsrError::Load`] — never a panic, never an unbounded allocation.
 //! [`LoadOptions::trust`] skips only the CRC pass over the section
@@ -60,19 +59,13 @@ mod wire;
 
 pub use arena::ArenaBytes;
 
-use gsr_core::methods::{
-    GeoReach, GeoReachParts, ScanMode, SocReach, SpaReachBfl, SpaReachFilterParts,
-    SpaReachInt, SpaReachParts, ThreeDParts, ThreeDReach, ThreeDReachRev, ThreeDRevParts,
-};
-use gsr_core::{GsrError, QueryCost, RangeReachIndex, SccSpatialPolicy};
+use gsr_core::methods::{GeoReach, SocReach, SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev};
+use gsr_core::{GsrError, QueryCost, RangeReachIndex};
 use gsr_geo::Rect;
 use gsr_graph::VertexId;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
-
-use codec::*;
-use wire::{read_section, write_section, Dec, Enc};
 
 /// First eight bytes of every snapshot.
 pub const MAGIC: [u8; 8] = *b"GSRSNAP\0";
@@ -82,47 +75,12 @@ pub const MAGIC: [u8; 8] = *b"GSRSNAP\0";
 /// misinterpreting bytes.
 ///
 /// Version history:
-/// * **1** — pointer-node R-tree arenas, interval labels as plain arrays
-///   everywhere.
-/// * **2** — columnar breadth-first R-tree arenas (degenerate dimensions
-///   elided), delta-compressed labels for SocReach/3DReach, and raw
-///   reversed post-order heights for 3DReach-REV. Still readable by
-///   [`load`] and writable via [`save_v2`].
+/// * **1**, **2** — retired streaming formats; rejected with a typed
+///   version error.
 /// * **3** — zero-copy section layout: a checksummed directory followed by
 ///   the raw arena columns at 64-byte-aligned offsets, loadable by
 ///   memory-mapping the file with no deserialization.
 pub const FORMAT_VERSION: u32 = 3;
-
-/// The previous streaming format version, retained as a decode fallback
-/// (and for writers that must interoperate with older readers).
-pub const FORMAT_VERSION_V2: u32 = 2;
-
-/// Section tags (see `DESIGN.md` for the per-method section sequences).
-mod section {
-    pub const META: u8 = 0x01;
-    pub const COMP_OF: u8 = 0x02;
-    pub const MEMBERS: u8 = 0x03;
-    pub const LABELING: u8 = 0x04;
-    pub const COMPACT_LABELS: u8 = 0x05;
-    pub const FILTER2D: u8 = 0x10;
-    pub const BFL: u8 = 0x11;
-    pub const DAG: u8 = 0x20;
-    pub const GRID: u8 = 0x21;
-    pub const SPA_INFO: u8 = 0x22;
-    pub const POST_TABLE: u8 = 0x30;
-    pub const REV_POST: u8 = 0x31;
-    pub const TREE3D: u8 = 0x40;
-}
-
-/// Method tags stored in the META section.
-mod method_tag {
-    pub const SPAREACH_BFL: u8 = 1;
-    pub const SPAREACH_INT: u8 = 2;
-    pub const GEOREACH: u8 = 3;
-    pub const SOCREACH: u8 = 4;
-    pub const THREED: u8 = 5;
-    pub const THREED_REV: u8 = 6;
-}
 
 /// A built index of any of the six methods, as saved to / loaded from a
 /// snapshot. Implements [`RangeReachIndex`] by delegation, so a loaded
@@ -200,61 +158,6 @@ fn load_err(msg: String) -> GsrError {
 }
 
 // ---------------------------------------------------------------------------
-// Section payload builders (shared shapes).
-
-fn members_payload(offsets: &[u32], points: &[gsr_geo::Point]) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.vec_u32(offsets);
-    enc_points(&mut e, points);
-    e.into_bytes()
-}
-
-fn read_members(r: &mut impl Read) -> Result<(Vec<u32>, Vec<gsr_geo::Point>), GsrError> {
-    let payload = read_section(r, section::MEMBERS, "members").map_err(load_err)?;
-    let mut d = Dec::new(&payload);
-    let offsets = d.vec_u32("members").map_err(load_err)?;
-    let points = dec_points(&mut d, "members").map_err(load_err)?;
-    d.finish("members").map_err(load_err)?;
-    Ok((offsets, points))
-}
-
-fn comp_of_payload(comp_of: &[u32]) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.vec_u32(comp_of);
-    e.into_bytes()
-}
-
-fn read_comp_of(r: &mut impl Read) -> Result<Vec<u32>, GsrError> {
-    let payload = read_section(r, section::COMP_OF, "comp-of").map_err(load_err)?;
-    let mut d = Dec::new(&payload);
-    let comp_of = d.vec_u32("comp-of").map_err(load_err)?;
-    d.finish("comp-of").map_err(load_err)?;
-    Ok(comp_of)
-}
-
-fn read_labeling(r: &mut impl Read) -> Result<gsr_reach::interval::IntervalLabeling, GsrError> {
-    let payload = read_section(r, section::LABELING, "labeling").map_err(load_err)?;
-    let mut d = Dec::new(&payload);
-    let l = dec_labeling(&mut d, "labeling").map_err(load_err)?;
-    d.finish("labeling").map_err(load_err)?;
-    Ok(l)
-}
-
-fn compact_labels_payload(l: &gsr_reach::compact::CompactLabels) -> Vec<u8> {
-    let mut e = Enc::new();
-    enc_compact_labels(&mut e, l);
-    e.into_bytes()
-}
-
-fn read_compact_labels(r: &mut impl Read) -> Result<gsr_reach::compact::CompactLabels, GsrError> {
-    let payload = read_section(r, section::COMPACT_LABELS, "compact-labels").map_err(load_err)?;
-    let mut d = Dec::new(&payload);
-    let l = dec_compact_labels(&mut d, "compact-labels").map_err(load_err)?;
-    d.finish("compact-labels").map_err(load_err)?;
-    Ok(l)
-}
-
-// ---------------------------------------------------------------------------
 // Save.
 
 /// Serializes a built index to `w` in the current (v3, zero-copy)
@@ -268,143 +171,15 @@ pub fn save(w: &mut impl Write, index: &SnapshotIndex) -> Result<(), GsrError> {
     v3::save_v3(w, index)
 }
 
-/// Serializes a built index in the legacy v2 streaming format. Kept for
-/// interoperability (older readers) and for benchmarking the two formats
-/// against each other; [`load`] reads both.
-pub fn save_v2(w: &mut impl Write, index: &SnapshotIndex) -> Result<(), GsrError> {
-    w.write_all(&MAGIC).map_err(io_save)?;
-    w.write_all(&FORMAT_VERSION_V2.to_le_bytes()).map_err(io_save)?;
-
-    let (tag, sections): (u8, Vec<(u8, Vec<u8>)>) = match index {
-        SnapshotIndex::SpaReachBfl(i) => {
-            (method_tag::SPAREACH_BFL, spareach_sections(i.to_parts(), enc_bfl, section::BFL)?)
-        }
-        SnapshotIndex::SpaReachInt(i) => (
-            method_tag::SPAREACH_INT,
-            spareach_sections(i.to_parts(), enc_labeling, section::LABELING)?,
-        ),
-        SnapshotIndex::GeoReach(i) => (method_tag::GEOREACH, georeach_sections(i.to_parts())),
-        SnapshotIndex::SocReach(i) => (method_tag::SOCREACH, socreach_sections(i)),
-        SnapshotIndex::ThreeDReach(i) => (method_tag::THREED, threed_sections(i.to_parts())),
-        SnapshotIndex::ThreeDReachRev(i) => {
-            (method_tag::THREED_REV, threed_rev_sections(i.to_parts()))
-        }
-    };
-
-    write_section(w, section::META, &[tag]).map_err(io_save)?;
-    for (stag, payload) in &sections {
-        write_section(w, *stag, payload).map_err(io_save)?;
-    }
-    w.flush().map_err(io_save)
-}
-
-fn spareach_sections<R>(
-    parts: Option<SpaReachParts<R>>,
-    enc_reach: impl Fn(&mut Enc, &R),
-    reach_tag: u8,
-) -> Result<Vec<(u8, Vec<u8>)>, GsrError> {
-    let parts = parts.ok_or_else(|| {
-        GsrError::Internal(
-            "this SpaReach configuration (ablation backend or streaming mode) cannot be snapshotted"
-                .into(),
-        )
-    })?;
-    let mut filter = Enc::new();
-    match &parts.filter {
-        SpaReachFilterParts::Points(t) => {
-            filter.u8(0);
-            enc_rtree(&mut filter, t);
-        }
-        SpaReachFilterParts::CompBoxes(t) => {
-            filter.u8(1);
-            enc_rtree(&mut filter, t);
-        }
-    }
-    let mut reach = Enc::new();
-    enc_reach(&mut reach, &parts.reach);
-    Ok(vec![
-        (section::COMP_OF, comp_of_payload(&parts.comp_of)),
-        (section::FILTER2D, filter.into_bytes()),
-        (section::MEMBERS, members_payload(&parts.member_offsets, &parts.member_points)),
-        (reach_tag, reach.into_bytes()),
-    ])
-}
-
-fn georeach_sections(parts: GeoReachParts) -> Vec<(u8, Vec<u8>)> {
-    let mut dag = Enc::new();
-    enc_digraph(&mut dag, &parts.dag);
-    let mut grid = Enc::new();
-    enc_rect(&mut grid, &parts.space);
-    grid.u8(parts.finest_exp);
-    let mut info = Enc::new();
-    enc_spa_info(&mut info, &parts.info);
-    vec![
-        (section::COMP_OF, comp_of_payload(&parts.comp_of)),
-        (section::DAG, dag.into_bytes()),
-        (section::GRID, grid.into_bytes()),
-        (section::SPA_INFO, info.into_bytes()),
-        (section::MEMBERS, members_payload(&parts.member_offsets, &parts.member_points)),
-    ]
-}
-
-fn socreach_sections(i: &SocReach) -> Vec<(u8, Vec<u8>)> {
-    let (comp_of, labels, post_offsets, points, mode) = i.parts();
-    let mut table = Enc::new();
-    // The post offsets travel as the plain sorted values; the loader
-    // re-derives (and thereby revalidates) the delta compression.
-    table.vec_u32(&post_offsets.to_vec());
-    enc_points(&mut table, points);
-    table.u8(match mode {
-        ScanMode::PerPost => 0,
-        ScanMode::Compacted => 1,
-    });
-    vec![
-        (section::COMP_OF, comp_of_payload(comp_of)),
-        (section::COMPACT_LABELS, compact_labels_payload(labels)),
-        (section::POST_TABLE, table.into_bytes()),
-    ]
-}
-
-fn tree3d_payload(policy: SccSpatialPolicy, tree: &gsr_index::RTree<3, u32>) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u8(match policy {
-        SccSpatialPolicy::Replicate => 0,
-        SccSpatialPolicy::Mbr => 1,
-    });
-    enc_rtree(&mut e, tree);
-    e.into_bytes()
-}
-
-fn threed_sections(parts: ThreeDParts) -> Vec<(u8, Vec<u8>)> {
-    vec![
-        (section::COMP_OF, comp_of_payload(&parts.comp_of)),
-        (section::COMPACT_LABELS, compact_labels_payload(&parts.labels)),
-        (section::TREE3D, tree3d_payload(parts.policy, &parts.tree)),
-        (section::MEMBERS, members_payload(&parts.member_offsets, &parts.member_points)),
-    ]
-}
-
-fn threed_rev_sections(parts: ThreeDRevParts) -> Vec<(u8, Vec<u8>)> {
-    let mut rev = Enc::new();
-    rev.vec_u32(&parts.rev_post);
-    vec![
-        (section::COMP_OF, comp_of_payload(&parts.comp_of)),
-        (section::REV_POST, rev.into_bytes()),
-        (section::TREE3D, tree3d_payload(parts.policy, &parts.tree)),
-        (section::MEMBERS, members_payload(&parts.member_offsets, &parts.member_points)),
-    ]
-}
-
 // ---------------------------------------------------------------------------
 // Load.
 
 /// Options for loading a snapshot.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LoadOptions {
-    /// Skip the CRC-32 verification pass over v3 section payloads. Only
+    /// Skip the CRC-32 verification pass over the section payloads. Only
     /// for snapshots on trusted local storage; structural validation (and
-    /// therefore memory safety on garbage input) is unaffected. v2 loads
-    /// ignore this — their framing verifies CRCs inline.
+    /// therefore memory safety on garbage input) is unaffected.
     pub trust: bool,
 }
 
@@ -412,18 +187,19 @@ pub struct LoadOptions {
 /// restart cost truthfully.
 #[derive(Clone, Copy, Debug)]
 pub struct LoadInfo {
-    /// Wire-format version of the file (2 or 3).
+    /// Wire-format version of the file (always [`FORMAT_VERSION`] today;
+    /// reported so a future format can be told apart).
     pub format: u32,
-    /// Whether the snapshot is served from a memory-mapped file (v3 on
-    /// unix) rather than a decoded or copied heap buffer.
+    /// Whether the snapshot is served from a memory-mapped file (unix)
+    /// rather than a copied heap buffer.
     pub mapped: bool,
     /// On-disk size of the snapshot file, in bytes.
     pub file_bytes: u64,
 }
 
-/// Reads and checks the 12-byte magic + version prefix, returning the
-/// version for dispatch (without judging whether it is supported).
-fn read_prefix(r: &mut impl Read) -> Result<u32, GsrError> {
+/// Reads and checks the 12-byte magic + version prefix: anything but the
+/// magic followed by [`FORMAT_VERSION`] is a typed error.
+fn read_prefix(r: &mut impl Read) -> Result<(), GsrError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)
         .map_err(|e| load_err(format!("missing magic ({e})")))?;
@@ -433,17 +209,19 @@ fn read_prefix(r: &mut impl Read) -> Result<u32, GsrError> {
     let mut version = [0u8; 4];
     r.read_exact(&mut version)
         .map_err(|e| load_err(format!("missing format version ({e})")))?;
-    Ok(u32::from_le_bytes(version))
+    match u32::from_le_bytes(version) {
+        FORMAT_VERSION => Ok(()),
+        v => Err(unsupported_version(v)),
+    }
 }
 
 fn unsupported_version(version: u32) -> GsrError {
     load_err(format!(
-        "unsupported format version {version} (this build reads versions {FORMAT_VERSION_V2} and {FORMAT_VERSION})"
+        "unsupported format version {version} (this build reads and writes version {FORMAT_VERSION} only)"
     ))
 }
 
-/// Deserializes a snapshot (v3 or v2, sniffed from the version field),
-/// revalidating every structural invariant.
+/// Deserializes a snapshot, revalidating every structural invariant.
 ///
 /// All failure modes — bad magic, unsupported version, truncation, CRC
 /// mismatch, structurally impossible data, trailing bytes — are
@@ -454,192 +232,18 @@ pub fn load(r: &mut impl Read) -> Result<SnapshotIndex, GsrError> {
 
 /// [`load`] with explicit [`LoadOptions`].
 ///
-/// A v3 stream is read into a fresh 64-byte-aligned buffer in one pass
+/// The stream is read into a fresh 64-byte-aligned buffer in one pass
 /// and served from typed views into it — callers with a file path should
 /// prefer [`load_from_path`], which memory-maps instead of reading.
 pub fn load_with(r: &mut impl Read, opts: LoadOptions) -> Result<SnapshotIndex, GsrError> {
-    match read_prefix(r)? {
-        FORMAT_VERSION_V2 => load_v2_body(r),
-        FORMAT_VERSION => {
-            let mut full = Vec::new();
-            full.extend_from_slice(&MAGIC);
-            full.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-            r.read_to_end(&mut full)
-                .map_err(|e| load_err(format!("i/o error reading snapshot: {e}")))?;
-            let arena = Arc::new(ArenaBytes::copy_from_slice(&full));
-            v3::load_v3(&arena, opts.trust)
-        }
-        v => Err(unsupported_version(v)),
-    }
-}
-
-/// The v2 streaming decode: the reader is positioned just past the
-/// magic + version prefix.
-fn load_v2_body(r: &mut impl Read) -> Result<SnapshotIndex, GsrError> {
-    let meta = read_section(r, section::META, "meta").map_err(load_err)?;
-    let mut d = Dec::new(&meta);
-    let tag = d.u8("meta").map_err(load_err)?;
-    d.finish("meta").map_err(load_err)?;
-
-    let index = match tag {
-        method_tag::SPAREACH_BFL => load_spareach_bfl(r)?,
-        method_tag::SPAREACH_INT => load_spareach_int(r)?,
-        method_tag::GEOREACH => load_georeach(r)?,
-        method_tag::SOCREACH => load_socreach(r)?,
-        method_tag::THREED => SnapshotIndex::ThreeDReach(
-            ThreeDReach::from_parts(load_threed_parts(r)?).map_err(load_err)?,
-        ),
-        method_tag::THREED_REV => SnapshotIndex::ThreeDReachRev(
-            ThreeDReachRev::from_parts(load_threed_rev_parts(r)?).map_err(load_err)?,
-        ),
-        t => return Err(load_err(format!("unknown method tag {t}"))),
-    };
-
-    // The format has no trailer: anything after the last section is
-    // corruption (e.g. a concatenation accident).
-    let mut probe = [0u8; 1];
-    match r.read(&mut probe) {
-        Ok(0) => Ok(index),
-        Ok(_) => Err(load_err("trailing bytes after the final section".into())),
-        Err(e) => Err(load_err(format!("i/o error at end of snapshot: {e}"))),
-    }
-}
-
-fn read_filter2d(r: &mut impl Read) -> Result<SpaReachFilterParts, GsrError> {
-    let payload = read_section(r, section::FILTER2D, "spatial-filter").map_err(load_err)?;
-    let mut d = Dec::new(&payload);
-    let kind = d.u8("spatial-filter").map_err(load_err)?;
-    let tree = dec_rtree::<2>(&mut d, "spatial-filter").map_err(load_err)?;
-    d.finish("spatial-filter").map_err(load_err)?;
-    match kind {
-        0 => Ok(SpaReachFilterParts::Points(tree)),
-        1 => Ok(SpaReachFilterParts::CompBoxes(tree)),
-        k => Err(load_err(format!("unknown spatial-filter kind {k}"))),
-    }
-}
-
-fn check_backend_coverage(ncomp: usize, backend_n: usize, what: &str) -> Result<(), GsrError> {
-    if backend_n != ncomp {
-        return Err(load_err(format!(
-            "{what} covers {backend_n} components but the spatial side has {ncomp}"
-        )));
-    }
-    Ok(())
-}
-
-fn load_spareach_bfl(r: &mut impl Read) -> Result<SnapshotIndex, GsrError> {
-    let comp_of = read_comp_of(r)?;
-    let filter = read_filter2d(r)?;
-    let (member_offsets, member_points) = read_members(r)?;
-    let payload = read_section(r, section::BFL, "bfl").map_err(load_err)?;
-    let mut d = Dec::new(&payload);
-    let reach = dec_bfl(&mut d, "bfl").map_err(load_err)?;
-    d.finish("bfl").map_err(load_err)?;
-
-    // `SpaReach::from_parts` bounds-checks component ids against the member
-    // CSR; the reachability back-end's own vertex count is our job, because
-    // the `Reachability` trait does not expose one.
-    let ncomp = member_offsets.len().saturating_sub(1);
-    check_backend_coverage(ncomp, reach.parts().0.num_vertices(), "bfl")?;
-    let parts = SpaReachParts { comp_of, filter, reach, member_offsets, member_points };
-    Ok(SnapshotIndex::SpaReachBfl(
-        SpaReachBfl::from_parts(parts, "SpaReach-BFL").map_err(load_err)?,
-    ))
-}
-
-fn load_spareach_int(r: &mut impl Read) -> Result<SnapshotIndex, GsrError> {
-    let comp_of = read_comp_of(r)?;
-    let filter = read_filter2d(r)?;
-    let (member_offsets, member_points) = read_members(r)?;
-    let reach = read_labeling(r)?;
-
-    let ncomp = member_offsets.len().saturating_sub(1);
-    check_backend_coverage(ncomp, reach.num_vertices(), "labeling")?;
-    let parts = SpaReachParts { comp_of, filter, reach, member_offsets, member_points };
-    Ok(SnapshotIndex::SpaReachInt(
-        SpaReachInt::from_parts(parts, "SpaReach-INT").map_err(load_err)?,
-    ))
-}
-
-fn load_georeach(r: &mut impl Read) -> Result<SnapshotIndex, GsrError> {
-    let comp_of = read_comp_of(r)?;
-
-    let payload = read_section(r, section::DAG, "dag").map_err(load_err)?;
-    let mut d = Dec::new(&payload);
-    let dag = dec_digraph(&mut d, "dag").map_err(load_err)?;
-    d.finish("dag").map_err(load_err)?;
-
-    let payload = read_section(r, section::GRID, "grid").map_err(load_err)?;
-    let mut d = Dec::new(&payload);
-    let space = dec_rect(&mut d, "grid").map_err(load_err)?;
-    let finest_exp = d.u8("grid").map_err(load_err)?;
-    d.finish("grid").map_err(load_err)?;
-
-    let payload = read_section(r, section::SPA_INFO, "spa-info").map_err(load_err)?;
-    let mut d = Dec::new(&payload);
-    let info = dec_spa_info(&mut d, "spa-info").map_err(load_err)?;
-    d.finish("spa-info").map_err(load_err)?;
-
-    let (member_offsets, member_points) = read_members(r)?;
-    let parts =
-        GeoReachParts { comp_of, dag, space, finest_exp, info, member_offsets, member_points };
-    Ok(SnapshotIndex::GeoReach(GeoReach::from_parts(parts).map_err(load_err)?))
-}
-
-fn load_socreach(r: &mut impl Read) -> Result<SnapshotIndex, GsrError> {
-    let comp_of = read_comp_of(r)?;
-    let labels = read_compact_labels(r)?;
-
-    let payload = read_section(r, section::POST_TABLE, "post-table").map_err(load_err)?;
-    let mut d = Dec::new(&payload);
-    let post_offsets = d.vec_u32("post-table").map_err(load_err)?;
-    let points = dec_points(&mut d, "post-table").map_err(load_err)?;
-    let mode = match d.u8("post-table").map_err(load_err)? {
-        0 => ScanMode::PerPost,
-        1 => ScanMode::Compacted,
-        k => return Err(load_err(format!("unknown scan mode {k}"))),
-    };
-    d.finish("post-table").map_err(load_err)?;
-
-    Ok(SnapshotIndex::SocReach(
-        SocReach::from_parts(comp_of, labels, post_offsets, points, mode).map_err(load_err)?,
-    ))
-}
-
-fn read_tree3d(
-    r: &mut impl Read,
-) -> Result<(SccSpatialPolicy, gsr_index::RTree<3, u32>), GsrError> {
-    let payload = read_section(r, section::TREE3D, "tree-3d").map_err(load_err)?;
-    let mut d = Dec::new(&payload);
-    let policy = match d.u8("tree-3d").map_err(load_err)? {
-        0 => SccSpatialPolicy::Replicate,
-        1 => SccSpatialPolicy::Mbr,
-        k => return Err(load_err(format!("unknown scc policy {k}"))),
-    };
-    let tree = dec_rtree::<3>(&mut d, "tree-3d").map_err(load_err)?;
-    d.finish("tree-3d").map_err(load_err)?;
-    Ok((policy, tree))
-}
-
-fn load_threed_parts(r: &mut impl Read) -> Result<ThreeDParts, GsrError> {
-    let comp_of = read_comp_of(r)?;
-    let labels = read_compact_labels(r)?;
-    let (policy, tree) = read_tree3d(r)?;
-    let (member_offsets, member_points) = read_members(r)?;
-    Ok(ThreeDParts { comp_of, labels, tree, policy, member_offsets, member_points })
-}
-
-fn load_threed_rev_parts(r: &mut impl Read) -> Result<ThreeDRevParts, GsrError> {
-    let comp_of = read_comp_of(r)?;
-
-    let payload = read_section(r, section::REV_POST, "rev-post").map_err(load_err)?;
-    let mut d = Dec::new(&payload);
-    let rev_post = d.vec_u32("rev-post").map_err(load_err)?;
-    d.finish("rev-post").map_err(load_err)?;
-
-    let (policy, tree) = read_tree3d(r)?;
-    let (member_offsets, member_points) = read_members(r)?;
-    Ok(ThreeDRevParts { comp_of, rev_post, tree, policy, member_offsets, member_points })
+    read_prefix(r)?;
+    let mut full = Vec::new();
+    full.extend_from_slice(&MAGIC);
+    full.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    r.read_to_end(&mut full)
+        .map_err(|e| load_err(format!("i/o error reading snapshot: {e}")))?;
+    let arena = Arc::new(ArenaBytes::copy_from_slice(&full));
+    v3::load_v3(&arena, opts.trust)
 }
 
 // ---------------------------------------------------------------------------
@@ -684,8 +288,8 @@ pub fn save_to_path(path: impl AsRef<Path>, index: &SnapshotIndex) -> Result<(),
     result
 }
 
-/// Loads a snapshot from a file path. v3 files are memory-mapped and
-/// served zero-copy; v2 files take the streaming decode.
+/// Loads a snapshot from a file path: the file is memory-mapped and
+/// served zero-copy.
 pub fn load_from_path(path: impl AsRef<Path>) -> Result<SnapshotIndex, GsrError> {
     load_from_path_with(path, LoadOptions::default()).map(|(index, _)| index)
 }
@@ -696,7 +300,6 @@ pub fn load_from_path_with(
     path: impl AsRef<Path>,
     opts: LoadOptions,
 ) -> Result<(SnapshotIndex, LoadInfo), GsrError> {
-    use std::io::Seek;
     let path = path.as_ref();
     let mut file = std::fs::File::open(path)
         .map_err(|e| GsrError::Load(format!("snapshot {}: {e}", path.display())))?;
@@ -704,23 +307,12 @@ pub fn load_from_path_with(
         file.metadata().map(|m| m.len()).map_err(|e| {
             GsrError::Load(format!("snapshot {}: {e}", path.display()))
         })?;
-    match read_prefix(&mut file)? {
-        FORMAT_VERSION_V2 => {
-            file.rewind()
-                .map_err(|e| load_err(format!("i/o error rewinding snapshot: {e}")))?;
-            let mut r = std::io::BufReader::new(file);
-            let index = load_with(&mut r, opts)?;
-            Ok((index, LoadInfo { format: FORMAT_VERSION_V2, mapped: false, file_bytes }))
-        }
-        FORMAT_VERSION => {
-            let arena = ArenaBytes::from_file(&file)
-                .map_err(|e| load_err(format!("i/o error mapping snapshot: {e}")))?;
-            let mapped = arena.is_mapped();
-            let index = v3::load_v3(&Arc::new(arena), opts.trust)?;
-            Ok((index, LoadInfo { format: FORMAT_VERSION, mapped, file_bytes }))
-        }
-        v => Err(unsupported_version(v)),
-    }
+    read_prefix(&mut file)?;
+    let arena = ArenaBytes::from_file(&file)
+        .map_err(|e| load_err(format!("i/o error mapping snapshot: {e}")))?;
+    let mapped = arena.is_mapped();
+    let index = v3::load_v3(&Arc::new(arena), opts.trust)?;
+    Ok((index, LoadInfo { format: FORMAT_VERSION, mapped, file_bytes }))
 }
 
 /// Loads a snapshot into an immutable, reference-counted index that can be
@@ -752,7 +344,8 @@ pub fn load_served_index(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsr_core::paper_example;
+    use gsr_core::{paper_example, SccSpatialPolicy};
+    use gsr_datagen::faults::{FailingWriter, ScratchDir};
 
     fn built_all() -> Vec<SnapshotIndex> {
         let prep = paper_example::prepared();
@@ -838,31 +431,6 @@ mod tests {
         }
     }
 
-    /// The v2 streaming format stays fully readable: save through the
-    /// legacy writer, load through the sniffing entry point, and get the
-    /// same answers and cost counters as the v3 round trip.
-    #[test]
-    fn v2_snapshots_still_load_bit_identically() {
-        let prep = paper_example::prepared();
-        for index in built_all() {
-            let mut v2 = Vec::new();
-            save_v2(&mut v2, &index).unwrap();
-            assert_eq!(&v2[8..12], &FORMAT_VERSION_V2.to_le_bytes());
-            let loaded = load(&mut v2.as_slice()).unwrap();
-            assert_eq!(loaded.method_key(), index.method_key());
-            for v in prep.network().graph().vertices() {
-                for r in paper_example::probe_regions() {
-                    assert_eq!(
-                        loaded.query_with_cost_unchecked(v, &r),
-                        index.query_with_cost_unchecked(v, &r),
-                        "{} v={v} r={r}",
-                        index.name()
-                    );
-                }
-            }
-        }
-    }
-
     /// `trust` skips only the CRC pass; a trusted load of a pristine v3
     /// snapshot is identical to an untrusted one.
     #[test]
@@ -878,31 +446,18 @@ mod tests {
         }
     }
 
-    /// The path loader memory-maps v3 files (on unix) and reports the
-    /// format and mapping mode truthfully for both formats.
+    /// The path loader memory-maps snapshot files (on unix) and reports
+    /// the format and mapping mode truthfully.
     #[test]
     fn path_load_reports_format_and_mapping() {
-        let dir = std::env::temp_dir().join("gsr_store_load_info");
-        std::fs::create_dir_all(&dir).unwrap();
-        let indexes = built_all();
-
-        let v3_path = dir.join("v3.snap");
-        save_to_path(&v3_path, &indexes[3]).unwrap();
-        let (idx, info) = load_from_path_with(&v3_path, LoadOptions::default()).unwrap();
+        let dir = ScratchDir::new("gsr_store_load_info").unwrap();
+        let path = dir.path().join("v3.snap");
+        save_to_path(&path, &built_all()[3]).unwrap();
+        let (idx, info) = load_from_path_with(&path, LoadOptions::default()).unwrap();
         assert_eq!(idx.method_key(), "socreach");
         assert_eq!(info.format, FORMAT_VERSION);
-        assert_eq!(info.file_bytes, std::fs::metadata(&v3_path).unwrap().len());
+        assert_eq!(info.file_bytes, std::fs::metadata(&path).unwrap().len());
         assert_eq!(info.mapped, cfg!(unix));
-
-        let v2_path = dir.join("v2.snap");
-        let mut w = std::io::BufWriter::new(std::fs::File::create(&v2_path).unwrap());
-        save_v2(&mut w, &indexes[3]).unwrap();
-        drop(w);
-        let (idx, info) = load_from_path_with(&v2_path, LoadOptions::default()).unwrap();
-        assert_eq!(idx.method_key(), "socreach");
-        assert_eq!(info.format, FORMAT_VERSION_V2);
-        assert!(!info.mapped);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Every v3 section payload starts at a 64-byte-aligned file offset
@@ -936,9 +491,8 @@ mod tests {
 
     #[test]
     fn save_to_path_replaces_atomically_and_cleans_staging() {
-        let dir = std::env::temp_dir().join("gsr_store_atomic_save");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("idx.snap");
+        let dir = ScratchDir::new("gsr_store_atomic_save").unwrap();
+        let path = dir.path().join("idx.snap");
         let indexes = built_all();
 
         super::save_to_path(&path, &indexes[4]).unwrap();
@@ -949,7 +503,6 @@ mod tests {
         super::save_to_path(&path, &indexes[2]).unwrap();
         assert_eq!(load_from_path(&path).unwrap().method_key(), "georeach");
         assert!(!staging_path(&path).exists());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The crash-safety contract: a save killed at *any* byte leaves the
@@ -959,9 +512,8 @@ mod tests {
     /// rename of a fully synced file.
     #[test]
     fn partial_staging_write_never_corrupts_the_previous_snapshot() {
-        let dir = std::env::temp_dir().join("gsr_store_crash_save");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("idx.snap");
+        let dir = ScratchDir::new("gsr_store_crash_save").unwrap();
+        let path = dir.path().join("idx.snap");
         let indexes = built_all();
         let old = &indexes[4];
         super::save_to_path(&path, old).unwrap();
@@ -988,14 +540,12 @@ mod tests {
         super::save_to_path(&path, &indexes[5]).unwrap();
         assert_eq!(load_from_path(&path).unwrap().method_key(), "3dreach-rev");
         assert!(!staging_path(&path).exists());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// I/O faults while encoding surface as typed errors (never a panic),
     /// mirroring the `FailingReader` contract on the load side.
     #[test]
     fn failing_writer_faults_are_typed_errors() {
-        use gsr_datagen::faults::FailingWriter;
         let index = &built_all()[4];
         let mut full = Vec::new();
         save(&mut full, index).unwrap();
@@ -1016,9 +566,8 @@ mod tests {
     /// existing snapshot byte-identical.
     #[test]
     fn unwritable_staging_path_leaves_the_target_untouched() {
-        let dir = std::env::temp_dir().join("gsr_store_unwritable_staging");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("idx.snap");
+        let dir = ScratchDir::new("gsr_store_unwritable_staging").unwrap();
+        let path = dir.path().join("idx.snap");
         let indexes = built_all();
         super::save_to_path(&path, &indexes[4]).unwrap();
         let before = std::fs::read(&path).unwrap();
@@ -1029,6 +578,5 @@ mod tests {
             other => panic!("expected Internal error, got {other:?}"),
         }
         assert_eq!(std::fs::read(&path).unwrap(), before, "target must be untouched");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -249,6 +249,7 @@ pub fn manifest_staging_path(dir: impl AsRef<Path>) -> PathBuf {
 mod tests {
     use super::*;
     use gsr_core::methods::ThreeDReach;
+    use gsr_datagen::faults::ScratchDir;
     use gsr_core::{
         partition_tiles, tile_network, paper_example, PreparedNetwork, RangeReachIndex,
         SccSpatialPolicy,
@@ -268,12 +269,12 @@ mod tests {
 
     #[test]
     fn sharded_set_round_trips_and_routes_like_the_oracle() {
-        let dir = std::env::temp_dir().join(format!("gsr-shard-rt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        save_sharded_to_path(&dir, &build_set(3)).unwrap();
-        assert!(is_sharded_path(&dir));
+        let scratch = ScratchDir::new("gsr-shard-rt").unwrap();
+        let dir = scratch.path();
+        save_sharded_to_path(dir, &build_set(3)).unwrap();
+        assert!(is_sharded_path(dir));
 
-        let (sharded, info) = load_sharded_from_path_with(&dir, LoadOptions::default()).unwrap();
+        let (sharded, info) = load_sharded_from_path_with(dir, LoadOptions::default()).unwrap();
         assert_eq!(info.format, FORMAT_VERSION);
         assert!(info.file_bytes > 0);
         assert_eq!(sharded.num_shards(), 3);
@@ -284,40 +285,38 @@ mod tests {
         for v in 0..oracle.num_vertices() as u32 {
             assert_eq!(sharded.query(v, &region), oracle.query(v, &region), "v={v}");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn manifest_corruption_is_a_typed_load_error() {
-        let dir = std::env::temp_dir().join(format!("gsr-shard-corrupt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        save_sharded_to_path(&dir, &build_set(2)).unwrap();
+        let scratch = ScratchDir::new("gsr-shard-corrupt").unwrap();
+        let dir = scratch.path();
+        save_sharded_to_path(dir, &build_set(2)).unwrap();
 
         let path = dir.join(SHARD_MANIFEST);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        match load_sharded_from_path_with(&dir, LoadOptions::default()) {
+        match load_sharded_from_path_with(dir, LoadOptions::default()) {
             Err(GsrError::Load(msg)) => assert!(msg.contains("checksum"), "{msg}"),
             other => panic!("expected typed Load error, got {other:?}"),
         }
 
         // A missing manifest must be a typed error too, not a panic.
         std::fs::remove_file(&path).unwrap();
-        assert!(!is_sharded_path(&dir));
+        assert!(!is_sharded_path(dir));
         assert!(matches!(
-            load_sharded_from_path_with(&dir, LoadOptions::default()),
+            load_sharded_from_path_with(dir, LoadOptions::default()),
             Err(GsrError::Load(_))
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn mismatched_vertex_counts_are_rejected() {
-        let dir = std::env::temp_dir().join(format!("gsr-shard-mismatch-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        save_sharded_to_path(&dir, &build_set(2)).unwrap();
+        let scratch = ScratchDir::new("gsr-shard-mismatch").unwrap();
+        let dir = scratch.path();
+        save_sharded_to_path(dir, &build_set(2)).unwrap();
 
         // Overwrite shard 1 with a snapshot of a different network.
         let tiny = gsr_core::GeosocialNetwork::new(
@@ -329,10 +328,9 @@ mod tests {
         let built = ThreeDReach::build(&prep, SccSpatialPolicy::Replicate);
         crate::save_to_path(dir.join("shard-001.gsr"), &SnapshotIndex::ThreeDReach(built))
             .unwrap();
-        match load_sharded_from_path_with(&dir, LoadOptions::default()) {
+        match load_sharded_from_path_with(dir, LoadOptions::default()) {
             Err(GsrError::Load(msg)) => assert!(msg.contains("vertices"), "{msg}"),
             other => panic!("expected typed Load error, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -7,7 +7,7 @@
 //! therefore needs **zero deserialization**: the file is mapped (or read
 //! once into an aligned buffer) and every column becomes a
 //! [`gsr_graph::Col`] view into it. Only two small sections — `META` and
-//! GeoReach's `SPA_INFO` — keep the v2-style `Enc` encoding, because their
+//! GeoReach's `SPA_INFO` — are `Enc`-encoded field by field, because their
 //! contents are heterogeneous and tiny.
 //!
 //! ```text
@@ -45,13 +45,23 @@ use crate::arena::{ArenaBytes, ARENA_ALIGN};
 use crate::codec::{dec_rect, dec_spa_info, enc_rect, enc_spa_info};
 use crate::wire::{crc32, Dec, Enc};
 use crate::{
-    check_backend_coverage, io_save, load_err, method_tag, SnapshotIndex, FORMAT_VERSION, MAGIC,
+    io_save, load_err, unsupported_version, SnapshotIndex, FORMAT_VERSION, MAGIC,
 };
 
 /// Header length: magic + version + section count + file length.
 pub const HEADER_LEN: usize = 24;
 /// Directory entry length.
 pub const DIR_ENTRY_LEN: usize = 24;
+
+/// Method tags stored in the META section.
+mod method_tag {
+    pub const SPAREACH_BFL: u8 = 1;
+    pub const SPAREACH_INT: u8 = 2;
+    pub const GEOREACH: u8 = 3;
+    pub const SOCREACH: u8 = 4;
+    pub const THREED: u8 = 5;
+    pub const THREED_REV: u8 = 6;
+}
 
 /// Section tags. Multi-section structures reserve a contiguous tag block;
 /// the per-dimension R-tree entry bounds add the dimension index to the
@@ -217,7 +227,7 @@ fn sections_for(index: &SnapshotIndex) -> Result<Vec<Section<'_>>, GsrError> {
             push_members(&mut out, member_offsets, member_points);
         }
         SnapshotIndex::SocReach(i) => {
-            let (comp_of, labels, post_offsets, points, mode) = i.parts();
+            let (comp_of, labels, post_offsets, points, mode) = i.cols();
             let (max_post, cl_offsets, cl_bytes) = labels.parts();
             let (da_len, da_anchors, da_starts, da_bytes) = post_offsets.cols();
             let mut meta = Enc::new();
@@ -465,6 +475,18 @@ fn filter_of(kind: u8, tree: RTree<2, u32>) -> Result<SpaReachFilterParts, GsrEr
     }
 }
 
+/// `SpaReach::from_cols` bounds-checks component ids against the member
+/// CSR; the reachability back-end's own vertex count is checked here,
+/// because the `Reachability` trait does not expose one.
+fn check_backend_coverage(ncomp: usize, backend_n: usize, what: &str) -> Result<(), GsrError> {
+    if backend_n != ncomp {
+        return Err(load_err(format!(
+            "{what} covers {backend_n} components but the spatial side has {ncomp}"
+        )));
+    }
+    Ok(())
+}
+
 fn load_spareach_bfl(
     arena: &Arc<ArenaBytes>,
     map: &mut SectionMap,
@@ -665,9 +687,7 @@ pub(crate) fn load_v3(arena: &Arc<ArenaBytes>, trust: bool) -> Result<SnapshotIn
     }
     let version = le_u32(&bytes[8..12]);
     if version != FORMAT_VERSION {
-        return Err(load_err(format!(
-            "unsupported format version {version} (this build reads version {FORMAT_VERSION})"
-        )));
+        return Err(unsupported_version(version));
     }
     let n = le_u32(&bytes[12..16]) as usize;
     let file_len = le_u64(&bytes[16..24]);

@@ -1,23 +1,14 @@
-//! Byte-level wire primitives of the snapshot format.
-//!
-//! A snapshot is a fixed file header followed by a sequence of *sections*.
-//! Every section is independently framed and checksummed:
-//!
-//! ```text
-//! tag      u8       section kind (see `crate::section` tags)
-//! len      u64 LE   payload length in bytes
-//! payload  len bytes
-//! crc      u32 LE   CRC-32 (IEEE) of the payload
-//! ```
+//! Byte-level primitives of the snapshot format: the CRC-32 every section
+//! and the shard manifest are checksummed with, and the little-endian
+//! [`Enc`]/[`Dec`] pair behind the few field-by-field payloads (`META`,
+//! `SPA_INFO`, the shard manifest).
 //!
 //! All multi-byte integers anywhere in the format are little-endian and
 //! fixed-width; floating-point values are IEEE-754 `f64` bit patterns.
-//! Decoding treats every byte as untrusted: truncation, checksum
-//! mismatches, impossible counts and trailing garbage all surface as
-//! `Err(String)` (wrapped into `gsr_core::GsrError::Load` at the crate
-//! boundary) — never as a panic or an unbounded allocation.
-
-use std::io::{Read, Write};
+//! Decoding treats every byte as untrusted: truncation, impossible counts
+//! and trailing garbage all surface as `Err(String)` (wrapped into
+//! `gsr_core::GsrError::Load` at the crate boundary) — never as a panic
+//! or an unbounded allocation.
 
 /// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), bit-reflected,
 /// table-driven. This is the same checksum zlib/PNG use, computed here from
@@ -121,34 +112,10 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a length-prefixed `u32` slice.
-    pub fn vec_u32(&mut self, v: &[u32]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.u32(x);
-        }
-    }
-
-    /// Appends a length-prefixed `u64` slice.
-    pub fn vec_u64(&mut self, v: &[u64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.u64(x);
-        }
-    }
-
     /// Appends a length-prefixed raw byte string.
     pub fn vec_u8(&mut self, v: &[u8]) {
         self.u64(v.len() as u64);
         self.buf.extend_from_slice(v);
-    }
-
-    /// Appends a length-prefixed `f64` slice.
-    pub fn vec_f64(&mut self, v: &[f64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.f64(x);
-        }
     }
 }
 
@@ -222,40 +189,10 @@ impl<'a> Dec<'a> {
         }
     }
 
-    /// Reads a length-prefixed `u32` vector.
-    pub fn vec_u32(&mut self, what: &str) -> Result<Vec<u32>, String> {
-        let n = self.count(4, what)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.u32(what)?);
-        }
-        Ok(v)
-    }
-
-    /// Reads a length-prefixed `u64` vector.
-    pub fn vec_u64(&mut self, what: &str) -> Result<Vec<u64>, String> {
-        let n = self.count(8, what)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.u64(what)?);
-        }
-        Ok(v)
-    }
-
     /// Reads a length-prefixed raw byte string.
     pub fn vec_u8(&mut self, what: &str) -> Result<Vec<u8>, String> {
         let n = self.count(1, what)?;
         Ok(self.take(n, what)?.to_vec())
-    }
-
-    /// Reads a length-prefixed `f64` vector.
-    pub fn vec_f64(&mut self, what: &str) -> Result<Vec<f64>, String> {
-        let n = self.count(8, what)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.f64(what)?);
-        }
-        Ok(v)
     }
 
     /// Asserts the payload was consumed exactly.
@@ -265,55 +202,6 @@ impl<'a> Dec<'a> {
         }
         Ok(())
     }
-}
-
-/// Writes one framed, checksummed section.
-pub fn write_section(w: &mut impl Write, tag: u8, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&[tag])?;
-    w.write_all(&(payload.len() as u64).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    Ok(())
-}
-
-/// Reads one framed section, verifying its tag and checksum. `name` is the
-/// human-readable section name used in diagnostics.
-pub fn read_section(r: &mut impl Read, expect_tag: u8, name: &str) -> Result<Vec<u8>, String> {
-    let mut head = [0u8; 9];
-    r.read_exact(&mut head)
-        .map_err(|e| format!("truncated snapshot: missing {name} section header ({e})"))?;
-    let tag = head[0];
-    if tag != expect_tag {
-        return Err(format!(
-            "unexpected section tag {tag:#04x} where {expect_tag:#04x} ({name}) was expected"
-        ));
-    }
-    let len = u64::from_le_bytes([
-        head[1], head[2], head[3], head[4], head[5], head[6], head[7], head[8],
-    ]);
-    // Pull the payload through `take`, so a lying length on a truncated
-    // stream yields a short read (and a clean error) instead of a huge
-    // up-front allocation.
-    let mut payload = Vec::new();
-    let got = r
-        .by_ref()
-        .take(len)
-        .read_to_end(&mut payload)
-        .map_err(|e| format!("i/o error reading {name} section: {e}"))?;
-    if (got as u64) != len {
-        return Err(format!("truncated snapshot: {name} section claims {len} bytes, {got} present"));
-    }
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)
-        .map_err(|e| format!("truncated snapshot: missing {name} section checksum ({e})"))?;
-    let stored = u32::from_le_bytes(crc_bytes);
-    let actual = crc32(&payload);
-    if stored != actual {
-        return Err(format!(
-            "checksum mismatch in {name} section: stored {stored:#010x}, computed {actual:#010x}"
-        ));
-    }
-    Ok(payload)
 }
 
 #[cfg(test)]
@@ -326,33 +214,6 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
-    }
-
-    #[test]
-    fn section_round_trip() {
-        let mut buf = Vec::new();
-        write_section(&mut buf, 0x42, b"hello world").unwrap();
-        let mut r = &buf[..];
-        let payload = read_section(&mut r, 0x42, "test").unwrap();
-        assert_eq!(payload, b"hello world");
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn section_detects_corruption() {
-        let mut buf = Vec::new();
-        write_section(&mut buf, 0x42, b"hello world").unwrap();
-        // Flip one payload byte: the checksum must catch it.
-        let mut bad = buf.clone();
-        bad[10] ^= 0x01;
-        let err = read_section(&mut &bad[..], 0x42, "test").unwrap_err();
-        assert!(err.contains("checksum mismatch"), "{err}");
-        // Truncate mid-payload.
-        let err = read_section(&mut &buf[..12], 0x42, "test").unwrap_err();
-        assert!(err.contains("truncated"), "{err}");
-        // Wrong tag.
-        let err = read_section(&mut &buf[..], 0x43, "test").unwrap_err();
-        assert!(err.contains("unexpected section tag"), "{err}");
     }
 
     #[test]

@@ -718,6 +718,19 @@ fn reset_keeps_the_cache_where_reload_clears_it() {
     assert!(read_line(&mut reader).starts_with("ERR 3 "), "missing snapshot is a load error");
     assert_eq!(read_line(&mut reader), first, "old index keeps serving after a failed RELOAD");
 
+    // So is a file in a retired format: a version-2 header is refused at
+    // the prefix, by number.
+    let retired_path = fx.dir.join("retired.v2.snap");
+    let mut retired = std::fs::read(&snap_path).unwrap();
+    retired[8..12].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&retired_path, &retired).unwrap();
+    stream
+        .write_all(format!("RELOAD {}\nREACH 0 0 0 1 1\n", retired_path.display()).as_bytes())
+        .unwrap();
+    let refused = read_line(&mut reader);
+    assert!(refused.starts_with("ERR 3 ") && refused.contains("version 2 "), "{refused}");
+    assert_eq!(read_line(&mut reader), first, "old index keeps serving after a refused RELOAD");
+
     // A real RELOAD swaps the index and clears the cache: the reload
     // counter advances, and the same query must re-miss afterwards.
     stream.write_all(format!("RELOAD {snap_path}\nSTATS\n").as_bytes()).unwrap();

@@ -9,7 +9,7 @@ use gsr_core::methods::{
     GeoReach, SocReach, SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev,
 };
 use gsr_core::{GsrError, PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
-use gsr_datagen::faults::FailingReader;
+use gsr_datagen::faults::{FailingReader, ScratchDir};
 use gsr_datagen::NetworkSpec;
 use gsr_store::SnapshotIndex;
 use gsr_tests::random_regions;
@@ -64,13 +64,12 @@ fn every_method_replays_a_workload_bit_identically() {
 
 #[test]
 fn snapshot_files_round_trip_through_disk() {
-    let dir = std::env::temp_dir().join("gsr_snapshot_roundtrip_test");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("gsr_snapshot_roundtrip_test").unwrap();
     let prep = generated_prep();
     let regions = random_regions(8, 42);
 
     for original in snapshots(&prep) {
-        let path = dir.join(format!("{}.snap", original.method_key()));
+        let path = dir.path().join(format!("{}.snap", original.method_key()));
         gsr_store::save_to_path(&path, &original).expect("save_to_path");
         let shared = gsr_store::load_shared(&path).expect("load_shared");
 
@@ -90,7 +89,6 @@ fn snapshot_files_round_trip_through_disk() {
             }
         });
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Every single-bit flip anywhere in the snapshot must be caught — by the
@@ -182,36 +180,6 @@ fn resaving_a_loaded_snapshot_is_byte_identical() {
     }
 }
 
-/// A v2 snapshot (framed streaming sections) must still load, and saving
-/// what it loads migrates it to v3 with bit-identical answers and work
-/// counters — the upgrade path for snapshots on disk.
-#[test]
-fn v2_snapshots_migrate_to_v3_bit_identically() {
-    let prep = PreparedNetwork::new(NetworkSpec::yelp(0.02).generate());
-    let n = prep.network().num_vertices() as u32;
-    let regions = random_regions(8, 0xBEEF);
-    for original in snapshots(&prep) {
-        let mut v2 = Vec::new();
-        gsr_store::save_v2(&mut v2, &original).expect("save_v2");
-        assert_eq!(&v2[8..12], &2u32.to_le_bytes(), "save_v2 must write version 2");
-        let from_v2 = gsr_store::load(&mut v2.as_slice()).expect("v2 load");
-
-        let mut v3 = Vec::new();
-        gsr_store::save(&mut v3, &from_v2).expect("migrating save");
-        assert_eq!(&v3[8..12], &3u32.to_le_bytes(), "save must write version 3");
-        let migrated = gsr_store::load(&mut v3.as_slice()).expect("v3 load");
-
-        for v in (0..n).step_by(11) {
-            for r in &regions {
-                let (a0, c0) = original.query_with_cost(v, r);
-                let (a1, c1) = migrated.query_with_cost(v, r);
-                assert_eq!(a0, a1, "{}: answer diverged at v={v} r={r}", original.name());
-                assert_eq!(c0, c1, "{}: QueryCost diverged at v={v} r={r}", original.name());
-            }
-        }
-    }
-}
-
 /// The in-memory load path must not care where the caller's bytes live:
 /// a v3 stream read from a misaligned source buffer is realigned into the
 /// owned arena and loads identically.
@@ -273,32 +241,42 @@ fn trusted_loads_of_corrupt_bytes_never_panic() {
     }
 }
 
-/// A v1 snapshot (pointer-node R-trees, uncompressed labels) carries
-/// format version 1 in its header; the loader must reject it with a
-/// typed version error, not misparse the payload or panic.
+/// The retired formats — v1 (pointer-node R-trees, uncompressed labels)
+/// and v2 (framed streaming sections) — carry their version in the header;
+/// both load entry points must reject them with a typed version error
+/// naming it, not misparse the payload or panic.
 #[test]
 fn v1_snapshots_are_rejected_with_a_typed_version_error() {
     let prep = PreparedNetwork::new(NetworkSpec::yelp(0.02).generate());
+    let dir = ScratchDir::new("gsr_snapshot_retired_versions").unwrap();
     for original in snapshots(&prep) {
         let mut bytes = Vec::new();
         gsr_store::save(&mut bytes, &original).expect("save");
         assert_eq!(&bytes[8..12], &3u32.to_le_bytes(), "header must carry version 3");
 
-        // Craft a v1-tagged stream: same magic, version field = 1. The
-        // loader must stop at the header — v1 payloads are not parseable
-        // as v2 sections, so anything past the version check would be
-        // garbage-in.
-        let mut v1 = bytes.clone();
-        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        match gsr_store::load(&mut v1.as_slice()) {
-            Err(GsrError::Load(msg)) => {
-                assert!(
-                    msg.contains("version") && msg.contains('1'),
-                    "{}: diagnostic must name the unsupported version: {msg}",
-                    original.name()
-                );
+        for retired in [1u32, 2] {
+            // Same magic, retired version field. The loader must stop at
+            // the header: the retired payloads are not parseable as v3
+            // sections, so anything past the version check would be
+            // garbage-in.
+            let mut old = bytes.clone();
+            old[8..12].copy_from_slice(&retired.to_le_bytes());
+            let path = dir.path().join(format!("{}.v{retired}.snap", original.method_key()));
+            std::fs::write(&path, &old).unwrap();
+            let from_stream = gsr_store::load(&mut old.as_slice()).map(|_| ());
+            let from_path =
+                gsr_store::load_from_path_with(&path, gsr_store::LoadOptions::default())
+                    .map(|_| ());
+            for outcome in [from_stream, from_path] {
+                match outcome {
+                    Err(GsrError::Load(msg)) => assert!(
+                        msg.contains(&format!("unsupported format version {retired} ")),
+                        "{}: diagnostic must name the unsupported version: {msg}",
+                        original.name()
+                    ),
+                    other => panic!("{}: v{retired} snapshot gave {other:?}", original.name()),
+                }
             }
-            other => panic!("{}: v1 snapshot gave {other:?}", original.name()),
         }
     }
 }
