@@ -41,10 +41,7 @@ use crate::harness::{Config, Dataset, MethodKind};
 use crate::table::TextTable;
 use gsr_core::hist::LatencyHistogram;
 use gsr_core::methods::ThreeDReach;
-use gsr_core::{
-    partition_tiles, tile_network, BatchExecutor, PreparedNetwork, RangeReachIndex,
-    SccSpatialPolicy, ShardMember, ShardedIndex,
-};
+use gsr_core::{BatchExecutor, RangeReachIndex, SccSpatialPolicy};
 use gsr_datagen::workload::{Workload, WorkloadGen};
 use gsr_datagen::NetworkSpec;
 use gsr_graph::stats::DegreeBucket;
@@ -908,31 +905,6 @@ pub struct ShardComparison {
     pub steps: Vec<StepResult>,
 }
 
-/// Partitions the dataset into `shards` spatial tiles and builds one
-/// 3DReach index per tile, assembled into a scatter-gather router.
-fn build_sharded_index(
-    prep: &PreparedNetwork,
-    shards: usize,
-    threads: usize,
-) -> Result<ShardedIndex, String> {
-    let tiles = partition_tiles(prep.network(), shards);
-    let mut members = Vec::with_capacity(tiles.len());
-    for tile in &tiles {
-        let net = tile_network(prep.network(), tile)
-            .map_err(|e| format!("loadtest: shard build: {e}"))?;
-        let tile_prep = PreparedNetwork::new(net);
-        members.push(ShardMember {
-            index: Arc::new(ThreeDReach::build_threaded(
-                &tile_prep,
-                SccSpatialPolicy::Replicate,
-                threads,
-            )),
-            mbr: tile.mbr,
-        });
-    }
-    ShardedIndex::new(members).map_err(|e| format!("loadtest: shard build: {e}"))
-}
-
 /// Binds a fresh loopback server over `index`, drives the sweep (and the
 /// overload step when asked), and tears the server down.
 fn serve_and_sweep(
@@ -1025,7 +997,7 @@ pub fn run_experiment(
     let overload = overload.ok_or_else(|| "loadtest: overload step missing".to_string())?;
 
     let sharded = if opts.shards > 1 {
-        let index = build_sharded_index(&ds.prep, opts.shards, cfg.threads)?;
+        let index = crate::shard::build_sharded(&ds.prep, opts.shards, cfg.threads)?;
         let (sharded_steps, _) =
             serve_and_sweep(Arc::new(index), &plan, opts, &sweep_opts, false)?;
         Some(ShardComparison { shards: opts.shards, steps: sharded_steps })

@@ -6,8 +6,9 @@
 //! probe that answers `TRUE` ends the query without touching the remaining
 //! shards. This experiment proves both effects on the Yelp-analog dataset:
 //! for each shard count it partitions the check-ins with
-//! [`gsr_core::partition_tiles`], builds one independent 3DReach index per
-//! tile, replays the Section 6.1-style workload through the
+//! [`gsr_core::prepared_tiles`], builds one 3DReach index per tile view
+//! (the tiles share the network's condensation and labels), replays the
+//! Section 6.1-style workload through the
 //! [`ShardedIndex`] scatter path, and cross-checks **every** answer
 //! against a single-index oracle. The emitted `BENCH_shard.json` records,
 //! per shard count, the probes executed, the probes pruned by MBR
@@ -19,8 +20,8 @@ use crate::harness::{Config, Dataset};
 use crate::table::TextTable;
 use gsr_core::methods::ThreeDReach;
 use gsr_core::{
-    partition_tiles, tile_network, BatchExecutor, PreparedNetwork, RangeReachIndex,
-    SccSpatialPolicy, ShardMember, ShardedIndex,
+    prepared_tiles, BatchExecutor, PreparedNetwork, RangeReachIndex, SccSpatialPolicy,
+    ShardMember, ShardedIndex,
 };
 use gsr_datagen::workload::WorkloadGen;
 use gsr_datagen::NetworkSpec;
@@ -56,31 +57,27 @@ pub struct ShardPoint {
     pub qps: f64,
     /// Per-shard p99 of sub-batch probe wall time, microseconds.
     pub probe_p99_us: Vec<u64>,
-    /// Sum of the per-tile index heap footprints, bytes.
+    /// The router's heap footprint, bytes: every tile's own structures plus
+    /// one copy of what the tiles share.
     pub index_bytes: u64,
 }
 
 /// Builds the N-shard router over `prep` (one 3DReach per spatial tile).
-fn build_sharded(
+pub(crate) fn build_sharded(
     prep: &PreparedNetwork,
     shards: usize,
     threads: usize,
 ) -> Result<ShardedIndex, String> {
-    let tiles = partition_tiles(prep.network(), shards);
-    let mut members = Vec::with_capacity(tiles.len());
-    for tile in &tiles {
-        let net =
-            tile_network(prep.network(), tile).map_err(|e| format!("shard: tile: {e}"))?;
-        let tile_prep = PreparedNetwork::new(net);
-        members.push(ShardMember {
+    let members = prepared_tiles(prep.network(), shards)
+        .map(|(tile_prep, mbr)| ShardMember {
             index: Arc::new(ThreeDReach::build_threaded(
                 &tile_prep,
                 SccSpatialPolicy::Replicate,
                 threads,
             )),
-            mbr: tile.mbr,
-        });
-    }
+            mbr,
+        })
+        .collect();
     ShardedIndex::new(members).map_err(|e| format!("shard: assemble: {e}"))
 }
 

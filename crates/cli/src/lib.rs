@@ -663,38 +663,46 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
                 )?;
             } else {
                 // Sharded build: partition the check-in points into spatial
-                // tiles, build one independent index per tile over the full
-                // social graph, and persist the set as a directory.
+                // tiles and build one index per tile view — a private
+                // spatial structure over the network's one social index —
+                // and persist the set as a directory.
                 let start = std::time::Instant::now();
-                let tiles = gsr_core::partition_tiles(prep.network(), shards);
                 let mut built: Vec<(gsr_store::SnapshotIndex, Option<gsr_geo::Rect>)> =
-                    Vec::with_capacity(tiles.len());
-                for tile in &tiles {
-                    let tile_net = gsr_core::tile_network(prep.network(), tile)
-                        .map_err(|e| GsrError::Internal(format!("shard build: {e}")))?;
-                    let tile_prep = PreparedNetwork::new(tile_net);
-                    built.push((build_snapshot(&method, &tile_prep, threads)?, tile.mbr));
+                    Vec::with_capacity(shards);
+                let mut lines = Vec::with_capacity(shards);
+                for (i, (tile_prep, mbr)) in
+                    gsr_core::prepared_tiles(prep.network(), shards).enumerate()
+                {
+                    built.push((build_snapshot(&method, &tile_prep, threads)?, mbr));
+                    lines.push(match mbr {
+                        Some(m) => format!(
+                            "  shard {i}: {} spatial vertices, mbr {m}",
+                            tile_prep.network().num_spatial()
+                        ),
+                        None => format!("  shard {i}: empty (no spatial vertices)"),
+                    });
                 }
                 let build_time = start.elapsed();
                 gsr_store::shard::save_sharded_to_path(&save, &built)?;
-                let heap: usize = built.iter().map(|(s, _)| s.index_bytes()).sum();
+                // The router's count: a buffer the shards share is counted
+                // once, not once per shard.
+                let members = built
+                    .into_iter()
+                    .map(|(index, mbr)| gsr_core::ShardMember {
+                        index: std::sync::Arc::new(index),
+                        mbr,
+                    })
+                    .collect();
+                let heap = gsr_core::ShardedIndex::new(members)?.index_bytes();
                 writeln!(
                     out,
-                    "built {} x{} shards in {build_time:?}; index heap {heap} bytes; \
+                    "built {} x{shards} shards in {build_time:?}; index heap {heap} bytes; \
                      wrote sharded snapshot set to {}",
                     method.to_ascii_lowercase(),
-                    built.len(),
                     save.display()
                 )?;
-                for (i, (tile, (_, mbr))) in tiles.iter().zip(&built).enumerate() {
-                    match mbr {
-                        Some(m) => writeln!(
-                            out,
-                            "  shard {i}: {} spatial vertices, mbr {m}",
-                            tile.vertices.len()
-                        )?,
-                        None => writeln!(out, "  shard {i}: empty (no spatial vertices)")?,
-                    }
+                for line in lines {
+                    writeln!(out, "{line}")?;
                 }
             }
         }

@@ -20,7 +20,7 @@
 //! spatial-policy knob here; the SPA-graph is built on the condensation and
 //! member points are consulted exactly.
 
-use crate::{PreparedNetwork, QueryCost, RangeReachIndex};
+use crate::{buffer_id, BufferId, PreparedNetwork, QueryCost, RangeReachIndex};
 use gsr_geo::Rect;
 use gsr_graph::scc::CompId;
 use gsr_graph::{topo, Col, VertexId};
@@ -182,20 +182,11 @@ impl GeoReach {
             };
         }
 
-        // Flatten member points for the exact traversal checks.
-        let mut member_offsets = Vec::with_capacity(ncomp + 1);
-        let mut member_points = Vec::new();
-        member_offsets.push(0u32);
-        for c in 0..ncomp as CompId {
-            member_points.extend(prep.spatial_member_points(c));
-            member_offsets.push(member_points.len() as u32);
-        }
+        // Member points for the exact traversal checks.
+        let (member_offsets, member_points) = prep.member_csr();
 
         GeoReach {
-            comp_of: (0..prep.network().num_vertices() as VertexId)
-                .map(|v| prep.comp(v))
-                .collect::<Vec<CompId>>()
-                .into(),
+            comp_of: prep.comp_of(),
             dag,
             grid,
             info,
@@ -404,6 +395,10 @@ impl RangeReachIndex for GeoReach {
             .sum();
         // The SPA-graph also stores the (condensed) adjacency it traverses.
         info_bytes + self.dag.heap_bytes() + self.comp_of.len() * 4
+    }
+
+    fn shared_buffers(&self) -> Vec<BufferId> {
+        vec![buffer_id(&self.comp_of)]
     }
 
     fn name(&self) -> &'static str {

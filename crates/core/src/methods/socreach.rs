@@ -12,7 +12,7 @@
 //! what makes it uncompetitive for high-out-degree query vertices — the
 //! second takeaway of Section 6.4.
 
-use crate::{PreparedNetwork, QueryCost, RangeReachIndex};
+use crate::{buffer_id, BufferId, PreparedNetwork, QueryCost, RangeReachIndex};
 use gsr_geo::{Point, Rect};
 use gsr_graph::scc::CompId;
 use gsr_graph::{Col, VertexId};
@@ -86,12 +86,8 @@ impl SocReach {
             post_offsets.push(points.len() as u32);
         }
 
-        let comp_of: Vec<CompId> = (0..prep.network().num_vertices() as VertexId)
-            .map(|v| prep.comp(v))
-            .collect();
-
         SocReach {
-            comp_of: comp_of.into(),
+            comp_of: prep.comp_of(),
             labels: CompactLabels::from_labeling(&labeling),
             // The freshly built CSR is monotone by construction, so the
             // fallback is unreachable; it keeps the build panic-free.
@@ -244,6 +240,10 @@ impl RangeReachIndex for SocReach {
             + self.post_offsets.heap_bytes()
             + self.points.len() * std::mem::size_of::<Point>()
             + self.comp_of.len() * 4
+    }
+
+    fn shared_buffers(&self) -> Vec<BufferId> {
+        vec![buffer_id(&self.comp_of)]
     }
 
     fn name(&self) -> &'static str {

@@ -11,7 +11,7 @@
 //! [`SpaReachBfl`] (Bloom-filter labeling, the overall best `GReach` scheme)
 //! and [`SpaReachInt`] (interval-based labeling).
 
-use crate::{PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy};
+use crate::{buffer_id, BufferId, PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy};
 use gsr_geo::{Aabb, Rect};
 use gsr_graph::par;
 use gsr_graph::scc::CompId;
@@ -291,26 +291,10 @@ impl<R: Reachability> SpaReach<R> {
             }
         };
 
-        // Flatten per-component member points for MBR refinement. The
-        // per-component gathers run concurrently; the flatten walks them in
-        // component order, so offsets and points match the sequential pass.
-        let ncomp = prep.num_components();
-        let per_comp: Vec<Vec<Point>> = par::map_indexed(threads, ncomp, |c| {
-            prep.spatial_member_points(c as CompId).collect::<Vec<Point>>()
-        });
-        let mut member_offsets = Vec::with_capacity(ncomp + 1);
-        let mut member_points = Vec::new();
-        member_offsets.push(0u32);
-        for points in per_comp {
-            member_points.extend(points);
-            member_offsets.push(member_points.len() as u32);
-        }
-
-        let n = prep.network().num_vertices();
-        let comp_of = par::map_indexed(threads, n, |v| prep.comp(v as VertexId));
+        let (member_offsets, member_points) = prep.member_csr();
 
         SpaReach {
-            comp_of: comp_of.into(),
+            comp_of: prep.comp_of(),
             filter,
             reach: build_reach(prep.dag()),
             name,
@@ -526,6 +510,10 @@ impl<R: Reachability> RangeReachIndex for SpaReach<R> {
             SpatialFilter::Quad(t) => t.heap_bytes(),
         };
         tree + self.reach.heap_bytes()
+    }
+
+    fn shared_buffers(&self) -> Vec<BufferId> {
+        vec![buffer_id(&self.comp_of)]
     }
 
     fn name(&self) -> &'static str {

@@ -15,7 +15,7 @@
 //! plane at `post_rev(v)`. One range query per query instead of `|L(v)|`,
 //! at the cost of indexing segments instead of points.
 
-use crate::{PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy};
+use crate::{buffer_id, BufferId, PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy};
 use gsr_geo::{cuboid_from_rect, Aabb, Cuboid, Point, Rect};
 use gsr_graph::par;
 use gsr_graph::scc::CompId;
@@ -46,27 +46,27 @@ struct ThreeDCommon {
 }
 
 impl ThreeDCommon {
-    /// Per-component member gathers run across `threads` workers; the
-    /// flatten walks them in component order, so the CSR is identical to
-    /// the sequential pass at any thread count.
-    fn collect_members(prep: &PreparedNetwork, threads: usize) -> (Vec<u32>, Vec<Point>) {
-        let ncomp = prep.num_components();
-        let per_comp: Vec<Vec<Point>> = par::map_indexed(threads, ncomp, |c| {
-            prep.spatial_member_points(c as CompId).collect()
-        });
-        let mut offsets = Vec::with_capacity(ncomp + 1);
-        let mut points = Vec::new();
-        offsets.push(0u32);
-        for comp_points in per_comp {
-            points.extend(comp_points);
-            offsets.push(points.len() as u32);
+    /// The part of the index that does not depend on the tree entries.
+    /// Only the `Mbr` policy refines candidates against member points, so
+    /// only it keeps the member CSR; under `Replicate` the columns stay
+    /// empty.
+    fn build(
+        prep: &PreparedNetwork,
+        policy: SccSpatialPolicy,
+        entries: Vec<(Cuboid, Entry)>,
+        threads: usize,
+    ) -> Self {
+        let (member_offsets, member_points) = match policy {
+            SccSpatialPolicy::Replicate => Default::default(),
+            SccSpatialPolicy::Mbr => prep.member_csr(),
+        };
+        ThreeDCommon {
+            comp_of: prep.comp_of(),
+            tree: Arc::new(RTree::bulk_load_parallel(entries, RTreeParams::default(), threads)),
+            policy,
+            member_offsets: member_offsets.into(),
+            member_points: member_points.into(),
         }
-        (offsets, points)
-    }
-
-    fn comp_of(prep: &PreparedNetwork, threads: usize) -> Vec<CompId> {
-        let n = prep.network().num_vertices();
-        par::map_indexed(threads, n, |v| prep.comp(v as VertexId))
     }
 
     fn member_points(&self, c: CompId) -> &[Point] {
@@ -116,7 +116,9 @@ impl ThreeDCommon {
     /// index a query dereferences — component ids in `comp_of` and in tree
     /// payloads, the member CSR — is bounds-checked against `ncomp` (the
     /// component count of the accompanying label structure) so queries
-    /// cannot panic.
+    /// cannot panic. `Replicate` never reads the member CSR, so there it
+    /// may also be empty (what this build writes; older snapshots carry
+    /// it); `Mbr` requires it.
     fn from_cols(
         ncomp: usize,
         comp_of: Col<CompId>,
@@ -125,6 +127,28 @@ impl ThreeDCommon {
         member_offsets: Col<u32>,
         member_points: Col<Point>,
     ) -> Result<Self, String> {
+        let unused = policy == SccSpatialPolicy::Replicate
+            && member_offsets.is_empty()
+            && member_points.is_empty();
+        if !unused {
+            Self::check_member_csr(ncomp, &member_offsets, &member_points)?;
+        }
+        if let Some(&c) = comp_of.iter().find(|&&c| (c as usize) >= ncomp) {
+            return Err(format!("3dreach: comp_of references component {c} >= {ncomp}"));
+        }
+        if let Some((_, &c)) = tree.iter().find(|(_, &c)| (c as usize) >= ncomp) {
+            return Err(format!("3dreach: tree references component {c} >= {ncomp}"));
+        }
+        Ok(ThreeDCommon {
+            comp_of,
+            tree: Arc::new(tree),
+            policy,
+            member_offsets,
+            member_points,
+        })
+    }
+
+    fn check_member_csr(ncomp: usize, member_offsets: &[u32], member_points: &[Point]) -> Result<(), String> {
         if member_offsets.len() != ncomp + 1 {
             return Err(format!(
                 "3dreach: {} member offsets for {ncomp} components",
@@ -141,19 +165,7 @@ impl ThreeDCommon {
                 member_points.len()
             ));
         }
-        if let Some(&c) = comp_of.iter().find(|&&c| (c as usize) >= ncomp) {
-            return Err(format!("3dreach: comp_of references component {c} >= {ncomp}"));
-        }
-        if let Some((_, &c)) = tree.iter().find(|(_, &c)| (c as usize) >= ncomp) {
-            return Err(format!("3dreach: tree references component {c} >= {ncomp}"));
-        }
-        Ok(ThreeDCommon {
-            comp_of,
-            tree: Arc::new(tree),
-            policy,
-            member_offsets,
-            member_points,
-        })
+        Ok(())
     }
 }
 
@@ -200,10 +212,10 @@ impl ThreeDReach {
     /// `threads` workers (`0` = machine parallelism). The built index is
     /// identical to the sequential one at any thread count.
     pub fn build_threaded(prep: &PreparedNetwork, policy: SccSpatialPolicy, threads: usize) -> Self {
-        let labeling = IntervalLabeling::build_with(
-            prep.dag(),
-            BuildOptions { threads, ..BuildOptions::default() },
-        );
+        // The labeling is a function of the DAG alone: the tiles of a
+        // shard set take the one their social side already holds.
+        let forward = prep.forward_labels(threads);
+        let post = &forward.post;
 
         let entries: Vec<(Cuboid, Entry)> = match policy {
             SccSpatialPolicy::Replicate => {
@@ -212,7 +224,7 @@ impl ThreeDReach {
                 par::map_indexed(threads, spatial.len(), |i| {
                     let (v, p) = spatial[i];
                     let comp = prep.comp(v);
-                    let z = labeling.post(comp) as f64;
+                    let z = post[comp as usize] as f64;
                     (gsr_geo::point3(p, z), comp)
                 })
             }
@@ -220,7 +232,7 @@ impl ThreeDReach {
                 par::map_indexed(threads, prep.num_components(), |c| {
                     let c = c as CompId;
                     prep.comp_mbr(c).map(|m| {
-                        let z = labeling.post(c) as f64;
+                        let z = post[c as usize] as f64;
                         (Aabb::new([m.min_x, m.min_y, z], [m.max_x, m.max_y, z]), c)
                     })
                 })
@@ -229,17 +241,10 @@ impl ThreeDReach {
                 .collect()
             }
         };
-        let (member_offsets, member_points) = ThreeDCommon::collect_members(prep, threads);
 
         ThreeDReach {
-            common: ThreeDCommon {
-                comp_of: ThreeDCommon::comp_of(prep, threads).into(),
-                tree: Arc::new(RTree::bulk_load_parallel(entries, RTreeParams::default(), threads)),
-                policy,
-                member_offsets: member_offsets.into(),
-                member_points: member_points.into(),
-            },
-            labels: Arc::new(CompactLabels::from_labeling(&labeling)),
+            common: ThreeDCommon::build(prep, policy, entries, threads),
+            labels: Arc::clone(&forward.labels),
         }
     }
 
@@ -313,6 +318,11 @@ impl RangeReachIndex for ThreeDReach {
 
     fn index_bytes(&self) -> usize {
         self.common.bytes() + self.labels.heap_bytes()
+    }
+
+    fn shared_buffers(&self) -> Vec<BufferId> {
+        let (_, offsets, bytes) = self.labels.parts();
+        vec![buffer_id(&self.common.comp_of), buffer_id(offsets), buffer_id(bytes)]
     }
 
     fn name(&self) -> &'static str {
@@ -392,16 +402,9 @@ impl ThreeDReachRev {
             }),
         };
         let entries: Vec<(Cuboid, Entry)> = groups.into_iter().flatten().collect();
-        let (member_offsets, member_points) = ThreeDCommon::collect_members(prep, threads);
 
         ThreeDReachRev {
-            common: ThreeDCommon {
-                comp_of: ThreeDCommon::comp_of(prep, threads).into(),
-                tree: Arc::new(RTree::bulk_load_parallel(entries, RTreeParams::default(), threads)),
-                policy,
-                member_offsets: member_offsets.into(),
-                member_points: member_points.into(),
-            },
+            common: ThreeDCommon::build(prep, policy, entries, threads),
             rev_post: rev_post.into(),
         }
     }
@@ -480,6 +483,10 @@ impl RangeReachIndex for ThreeDReachRev {
         self.common.bytes() + self.rev_post.len() * 4
     }
 
+    fn shared_buffers(&self) -> Vec<BufferId> {
+        vec![buffer_id(&self.common.comp_of)]
+    }
+
     fn name(&self) -> &'static str {
         "3DReach-REV"
     }
@@ -542,6 +549,8 @@ mod tests {
                 let fwd_seq = ThreeDReach::build(&prep, policy);
                 let rev_seq = ThreeDReachRev::build(&prep, policy);
                 for threads in [2, 4, 8] {
+                    // A clone has its own social side: labeled again, here.
+                    let prep = PreparedNetwork::new(prep.network().clone());
                     let fwd = ThreeDReach::build_threaded(&prep, policy, threads);
                     let rev = ThreeDReachRev::build_threaded(&prep, policy, threads);
                     assert_eq!(fwd.labels, fwd_seq.labels);
@@ -573,6 +582,43 @@ mod tests {
             for r in paper_example::probe_regions() {
                 assert_eq!(fwd.query(v, &r), fc.query(v, &r));
             }
+        }
+    }
+
+    /// `Replicate` never refines against member points, so it keeps no
+    /// member CSR — and loads columns with one (what earlier builds wrote)
+    /// or without; `Mbr` needs it.
+    #[test]
+    fn member_csr_is_kept_and_required_only_under_mbr() {
+        let prep = paper_example::cyclic_prepared();
+        let (offsets, points) = prep.member_csr();
+        for policy in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
+            let built = ThreeDReach::build(&prep, policy);
+            let rev = ThreeDReachRev::build(&prep, policy);
+            let (comp_of, labels, tree, _, kept_offsets, kept_points) = built.cols();
+            let replicate = policy == SccSpatialPolicy::Replicate;
+            assert_eq!(kept_offsets.is_empty() && kept_points.is_empty(), replicate);
+            assert_eq!(rev.cols().4.is_empty() && rev.cols().5.is_empty(), replicate);
+            let reload = |offsets: &[u32], points: &[Point]| {
+                ThreeDReach::from_cols(
+                    comp_of.to_vec().into(),
+                    labels.clone(),
+                    tree.clone(),
+                    policy,
+                    offsets.to_vec().into(),
+                    points.to_vec().into(),
+                )
+            };
+            let with_csr = reload(&offsets, &points).expect("a consistent CSR always loads");
+            assert_eq!(with_csr.index_bytes(), built.index_bytes());
+            for v in prep.network().graph().vertices() {
+                for r in paper_example::probe_regions() {
+                    assert_eq!(with_csr.query_with_cost(v, &r), built.query_with_cost(v, &r));
+                }
+            }
+            assert_eq!(reload(&[], &[]).is_ok(), replicate, "{policy:?}: empty CSR");
+            assert!(reload(&offsets[1..], &points).is_err(), "{policy:?}: short offsets");
+            assert!(reload(&offsets, &points[1..]).is_err(), "{policy:?}: missing point");
         }
     }
 

@@ -3,7 +3,10 @@
 use crate::QueryCost;
 use gsr_geo::{Point, Rect};
 use gsr_graph::scc::{CompId, Condensation};
-use gsr_graph::{DiGraph, VertexId};
+use gsr_graph::{Col, DiGraph, VertexId};
+use gsr_reach::compact::CompactLabels;
+use gsr_reach::interval::{BuildOptions, IntervalLabeling};
+use std::sync::{Arc, OnceLock};
 
 /// Errors raised when constructing a [`GeosocialNetwork`].
 #[derive(Debug, Clone, PartialEq)]
@@ -37,14 +40,52 @@ impl std::fmt::Display for NetworkError {
 
 impl std::error::Error for NetworkError {}
 
+/// The social side of a network: the graph and everything derived from it
+/// alone. The condensation and the forward interval labeling do not depend
+/// on the points, so they are computed at most once per `Social` and every
+/// network pointing at it (a network and its [`GeosocialNetwork::tile_view`]s)
+/// reads the same value. Sound because nothing here reads a point.
+#[derive(Debug)]
+struct Social {
+    graph: DiGraph,
+    cond: OnceLock<Arc<Condensation>>,
+    forward: OnceLock<ForwardLabels>,
+}
+
+impl Social {
+    fn new(graph: DiGraph) -> Arc<Self> {
+        Arc::new(Social { graph, cond: OnceLock::new(), forward: OnceLock::new() })
+    }
+}
+
+/// The forward interval labeling of a condensation DAG in the form 3DReach
+/// keeps: post-order number per component and the compressed label sets.
+#[derive(Debug)]
+pub(crate) struct ForwardLabels {
+    pub(crate) post: Vec<u32>,
+    pub(crate) labels: Arc<CompactLabels>,
+}
+
 /// A geosocial network `G = (V, E, P)` (Section 2.1 of the paper): a
 /// directed graph whose vertices optionally carry a point in the plane.
 /// Vertices with a point are *spatial vertices* (venues); vertices without
 /// are social vertices (users).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GeosocialNetwork {
-    graph: DiGraph,
+    social: Arc<Social>,
     points: Vec<Option<Point>>,
+}
+
+impl Clone for GeosocialNetwork {
+    /// An independent network: the clone shares nothing derived with the
+    /// original, so building over it pays the condensation and the labeling
+    /// again (only [`crate::tile_network`] shares them).
+    fn clone(&self) -> Self {
+        GeosocialNetwork {
+            social: Social::new(self.social.graph.clone()),
+            points: self.points.clone(),
+        }
+    }
 }
 
 impl GeosocialNetwork {
@@ -63,19 +104,31 @@ impl GeosocialNetwork {
                 }
             }
         }
-        Ok(GeosocialNetwork { graph, points })
+        Ok(GeosocialNetwork { social: Social::new(graph), points })
+    }
+
+    /// The same graph with only the points of `vertices` attached: the
+    /// network of one spatial tile. The view points at this network's
+    /// social side, so the condensation and the labeling are computed once
+    /// for the network and all its views, whichever asks first.
+    pub(crate) fn tile_view(&self, vertices: &[VertexId]) -> GeosocialNetwork {
+        let mut points = vec![None; self.points.len()];
+        for &v in vertices {
+            points[v as usize] = self.points[v as usize];
+        }
+        GeosocialNetwork { social: Arc::clone(&self.social), points }
     }
 
     /// The underlying directed graph.
     #[inline]
     pub fn graph(&self) -> &DiGraph {
-        &self.graph
+        &self.social.graph
     }
 
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
+        self.social.graph.num_vertices()
     }
 
     /// The point of vertex `v`, if it is spatial.
@@ -136,7 +189,8 @@ pub struct NetworkStats {
 #[derive(Debug, Clone)]
 pub struct PreparedNetwork {
     net: GeosocialNetwork,
-    cond: Condensation,
+    /// Shared with every other network over the same social side.
+    cond: Arc<Condensation>,
     /// Per component: flattened spatial members (vertex ids), CSR layout.
     spatial_offsets: Vec<u32>,
     spatial_members: Vec<VertexId>,
@@ -147,8 +201,13 @@ pub struct PreparedNetwork {
 
 impl PreparedNetwork {
     /// Condenses `net` and precomputes the spatial side of each component.
+    /// The condensation is taken from `net`'s social side when a network
+    /// sharing it was prepared before (tile views), so a shard set runs
+    /// Tarjan once; the per-component spatial CSR and MBRs are per network.
     pub fn new(net: GeosocialNetwork) -> Self {
-        let cond = Condensation::of(net.graph());
+        let cond = Arc::clone(
+            net.social.cond.get_or_init(|| Arc::new(Condensation::of(net.graph()))),
+        );
         let ncomp = cond.num_components();
 
         let mut spatial_offsets = vec![0u32; ncomp + 1];
@@ -205,6 +264,42 @@ impl PreparedNetwork {
     #[inline]
     pub fn comp(&self, v: VertexId) -> CompId {
         self.cond.comp(v)
+    }
+
+    /// A handle to the condensation's vertex → component column: what every
+    /// index keeps as its `comp_of`, without copying it.
+    pub(crate) fn comp_of(&self) -> Col<CompId> {
+        self.cond.comp_of.clone()
+    }
+
+    /// The forward interval labeling of the DAG, built on first use by
+    /// whichever network over this social side asks first. `threads` only
+    /// speeds that first build up: the labeling is bit-identical at any
+    /// thread count.
+    pub(crate) fn forward_labels(&self, threads: usize) -> &ForwardLabels {
+        self.net.social.forward.get_or_init(|| {
+            let labeling = IntervalLabeling::build_with(
+                self.dag(),
+                BuildOptions { threads, ..BuildOptions::default() },
+            );
+            ForwardLabels {
+                post: labeling.parts().0.to_vec(),
+                labels: Arc::new(CompactLabels::from_labeling(&labeling)),
+            }
+        })
+    }
+
+    /// The member points of every component, flattened in component order:
+    /// `points[offsets[c] .. offsets[c + 1]]` are component `c`'s.
+    pub(crate) fn member_csr(&self) -> (Vec<u32>, Vec<Point>) {
+        let mut offsets = Vec::with_capacity(self.num_components() + 1);
+        let mut points = Vec::with_capacity(self.spatial_members.len());
+        offsets.push(0u32);
+        for c in 0..self.num_components() as CompId {
+            points.extend(self.spatial_member_points(c));
+            offsets.push(points.len() as u32);
+        }
+        (offsets, points)
     }
 
     /// All original members of component `c`.
@@ -389,6 +484,54 @@ mod tests {
         let near_three = Rect::new(-1.0, -1.0, 1.0, 1.0);
         assert!(!prep.range_reach_bfs(0, &near_three), "3 is not reachable from 0");
         assert!(prep.range_reach_bfs(3, &near_three));
+    }
+
+    /// A tile view takes the condensation from its parent's social side;
+    /// the result is what an independent network with the same graph and
+    /// points computes for itself.
+    #[test]
+    fn tile_view_prepares_like_an_independent_network() {
+        let g = graph_from_edges(5, &[(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4)]);
+        let points = vec![p(0.0, 0.0), p(1.0, 1.0), None, p(3.0, 3.0), p(4.0, 4.0)];
+        let net = GeosocialNetwork::new(g.clone(), points.clone()).unwrap();
+        let parent = PreparedNetwork::new(net);
+        let tile = [1, 4];
+        let view = PreparedNetwork::new(parent.network().tile_view(&tile));
+        assert!(Arc::ptr_eq(&view.cond, &parent.cond), "one condensation per social side");
+
+        let kept = (0..5).map(|v| points[v].filter(|_| tile.contains(&(v as VertexId)))).collect();
+        let own = PreparedNetwork::new(GeosocialNetwork::new(g, kept).unwrap());
+        assert!(!Arc::ptr_eq(&own.cond, &parent.cond));
+        assert_eq!(view.num_components(), own.num_components());
+        assert_eq!(view.dag().out_csr(), own.dag().out_csr());
+        assert_eq!(view.space(), own.space());
+        for v in 0..5 {
+            assert_eq!(view.comp(v), own.comp(v));
+            assert_eq!(view.network().point(v), own.network().point(v));
+        }
+        for c in 0..own.num_components() as CompId {
+            assert_eq!(view.members(c), own.members(c));
+            assert_eq!(view.spatial_members(c), own.spatial_members(c));
+            assert_eq!(view.comp_mbr(c), own.comp_mbr(c));
+        }
+        assert_eq!(view.member_csr(), own.member_csr());
+        // The labels too are the parent's, whichever of the two asks first.
+        assert!(std::ptr::eq(view.forward_labels(1), parent.forward_labels(1)));
+    }
+
+    /// `clone()` is an independent network: a rebuild from a clone pays for
+    /// its own condensation and labeling.
+    #[test]
+    fn clone_does_not_share_the_social_side() {
+        let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
+        let net = GeosocialNetwork::new(g, vec![None, p(1.0, 2.0), p(3.0, 4.0)]).unwrap();
+        let prep = PreparedNetwork::new(net);
+        let copy = prep.network().clone();
+        assert!(!Arc::ptr_eq(&copy.social, &prep.network().social));
+        assert!(copy.social.cond.get().is_none() && copy.social.forward.get().is_none());
+        let again = PreparedNetwork::new(copy);
+        assert!(!Arc::ptr_eq(&again.cond, &prep.cond));
+        assert_eq!(again.cond.comp_of, prep.cond.comp_of);
     }
 
     #[test]

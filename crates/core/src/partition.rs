@@ -3,11 +3,13 @@
 //! A [`GeosocialNetwork`] is split into `N` tiles by STR-style recursive
 //! cuts: at every level the current point set's bounding rectangle is cut
 //! across its *longest* dimension at the point-count median, so tiles are
-//! balanced by check-in count rather than by area. Every tile keeps the
-//! **full graph topology** but only its own tile's points, and an
-//! independent [`RangeReachIndex`] (any of the six methods) is built per
-//! tile. [`ShardedIndex`] then routes `RangeReach(G, v, R)` to the shards
-//! whose MBR intersects `R` and short-circuits on the first `TRUE`.
+//! balanced by check-in count rather than by area. Every tile is a *view*
+//! of the network — the same graph, condensation and interval labels, only
+//! its own tile's points ([`tile_network`]) — and one [`RangeReachIndex`]
+//! (any of the six methods) is built per tile: a private spatial structure
+//! over handles to the shared social columns. [`ShardedIndex`] then routes
+//! `RangeReach(G, v, R)` to the shards whose MBR intersects `R` and
+//! short-circuits on the first `TRUE`.
 //!
 //! ## Soundness of MBR pruning
 //!
@@ -24,6 +26,7 @@
 //! because `OR` is commutative, stopping at the first `true` (cooperative
 //! cancellation of the remaining siblings) cannot change the answer.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,8 +36,8 @@ use gsr_graph::VertexId;
 
 use crate::error::GsrError;
 use crate::hist::LatencyHistogram;
-use crate::network::{GeosocialNetwork, NetworkError};
-use crate::traits::{QueryCost, RangeReachIndex, ShardStats};
+use crate::network::{GeosocialNetwork, NetworkError, PreparedNetwork};
+use crate::traits::{BufferId, QueryCost, RangeReachIndex, ShardStats};
 use crate::{BatchExecutor, BatchQuery};
 
 /// One spatial tile of a partitioned network: the spatial vertices assigned
@@ -88,19 +91,30 @@ fn split(items: &mut [(VertexId, Point)], k: usize, out: &mut Vec<Tile>) {
     split(right, k - k_left, out);
 }
 
-/// Builds the shard network for one tile: the **full** graph topology of
-/// `net` with only the tile's points attached. Reachability over the whole
-/// graph is preserved; only the spatial targets are restricted to the tile.
+/// The shard network for one tile: a view of `net` with only the tile's
+/// points attached. Reachability over the whole graph is preserved; only the
+/// spatial targets are restricted to the tile. The view shares `net`'s
+/// social side — graph, condensation, forward labels, each computed once by
+/// whichever of them needs it first — which is sound because none of the
+/// three reads a point. Always `Ok`: the points were validated with `net`.
 pub fn tile_network(net: &GeosocialNetwork, tile: &Tile) -> Result<GeosocialNetwork, NetworkError> {
-    let mut points: Vec<Option<Point>> = vec![None; net.num_vertices()];
-    for &v in &tile.vertices {
-        points[v as usize] = net.point(v);
-    }
-    GeosocialNetwork::new(net.graph().clone(), points)
+    Ok(net.tile_view(&tile.vertices))
 }
 
-/// One member of a [`ShardedIndex`]: an independently built index over one
-/// tile plus the tile's MBR used for routing.
+/// Partitions `net` into `shards` tiles and prepares each tile's view:
+/// `(tile network, tile MBR)` in shard order, one at a time. What every
+/// sharded build iterates over.
+pub fn prepared_tiles(
+    net: &GeosocialNetwork,
+    shards: usize,
+) -> impl Iterator<Item = (PreparedNetwork, Option<Rect>)> + '_ {
+    partition_tiles(net, shards)
+        .into_iter()
+        .map(move |tile| (PreparedNetwork::new(net.tile_view(&tile.vertices)), tile.mbr))
+}
+
+/// One member of a [`ShardedIndex`]: the index over one tile plus the
+/// tile's MBR used for routing.
 #[derive(Clone)]
 pub struct ShardMember {
     /// The per-tile index (any of the six methods).
@@ -118,6 +132,11 @@ pub struct ShardMember {
 /// (short-circuit). The router keeps lock-free routing counters —
 /// probes issued, shards pruned — and a per-shard probe-latency
 /// histogram, surfaced through [`RangeReachIndex::shard_stats`].
+///
+/// Its `index_bytes` counts every distinct buffer once, by identity: what
+/// the members share ([`RangeReachIndex::shared_buffers`]) is not
+/// multiplied by the shard count, and members that share nothing add up
+/// to the plain sum.
 pub struct ShardedIndex {
     shards: Vec<ShardMember>,
     num_vertices: usize,
@@ -247,10 +266,14 @@ impl ShardedIndex {
                 self.pruned.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            self.probes.fetch_add(1, Ordering::Relaxed);
-            let start = Instant::now();
+            // One probe in `PROBE_SAMPLE` is clocked: two clock reads cost
+            // about as much as the probe they bracket.
+            let sampled = self.probes.fetch_add(1, Ordering::Relaxed).is_multiple_of(PROBE_SAMPLE);
+            let start = sampled.then(Instant::now);
             let hit = probe(i, shard);
-            self.probe_hists[i].record_us(elapsed_us(start));
+            if let Some(start) = start {
+                self.probe_hists[i].record_us(elapsed_us(start));
+            }
             if hit {
                 return true;
             }
@@ -258,6 +281,10 @@ impl ShardedIndex {
         false
     }
 }
+
+/// Single-query probes between two timed ones (the first after a reset is
+/// timed).
+const PROBE_SAMPLE: u64 = 64;
 
 fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
@@ -283,7 +310,14 @@ impl RangeReachIndex for ShardedIndex {
     }
 
     fn index_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.index.index_bytes()).sum()
+        // Each member's bytes, less the buffers an earlier member already
+        // brought in.
+        let mut seen: HashSet<BufferId> = HashSet::new();
+        let own_bytes = |shard: &ShardMember| {
+            let repeats = shard.index.shared_buffers().into_iter().filter(|&id| !seen.insert(id));
+            shard.index.index_bytes().saturating_sub(repeats.map(|id| id.1).sum())
+        };
+        self.shards.iter().map(own_bytes).sum()
     }
 
     fn name(&self) -> &'static str {
@@ -312,7 +346,7 @@ impl RangeReachIndex for ShardedIndex {
 mod tests {
     use super::*;
     use crate::methods::ThreeDReach;
-    use crate::{PreparedNetwork, SccSpatialPolicy};
+    use crate::SccSpatialPolicy;
     use gsr_graph::GraphBuilder;
 
     fn grid_network(n: usize) -> GeosocialNetwork {
@@ -329,15 +363,10 @@ mod tests {
     }
 
     fn build_sharded(net: &GeosocialNetwork, shards: usize) -> ShardedIndex {
-        let members = partition_tiles(net, shards)
-            .iter()
-            .map(|tile| {
-                let sub = tile_network(net, tile).expect("tile network is valid");
-                let prep = PreparedNetwork::new(sub);
-                ShardMember {
-                    index: Arc::new(ThreeDReach::build(&prep, SccSpatialPolicy::Replicate)),
-                    mbr: tile.mbr,
-                }
+        let members = prepared_tiles(net, shards)
+            .map(|(prep, mbr)| ShardMember {
+                index: Arc::new(ThreeDReach::build(&prep, SccSpatialPolicy::Replicate)),
+                mbr,
             })
             .collect();
         ShardedIndex::new(members).expect("shard set is valid")

@@ -82,6 +82,15 @@ pub struct ShardStats {
     pub probe_p99_us: Vec<u64>,
 }
 
+/// Identity of one heap buffer: its address and its length in bytes. Two
+/// live buffers with the same identity are the same memory.
+pub type BufferId = (usize, usize);
+
+/// The [`BufferId`] of the buffer behind `column`.
+pub fn buffer_id<T>(column: &[T]) -> BufferId {
+    (column.as_ptr() as usize, std::mem::size_of_val(column))
+}
+
 /// An evaluation method for `RangeReach(G, v, R)` queries (Problem 1).
 ///
 /// Implementations are built once from a [`crate::PreparedNetwork`] and then
@@ -156,8 +165,18 @@ pub trait RangeReachIndex: Send + Sync {
     }
 
     /// Approximate heap footprint of the index structures in bytes —
-    /// the "index size" column of Table 4.
+    /// the "index size" column of Table 4. Everything the index keeps
+    /// alive, whether or not another index holds the same buffer.
     fn index_bytes(&self) -> usize;
+
+    /// The buffers counted in [`RangeReachIndex::index_bytes`] that another
+    /// index may hold too: indexes built over tile views of one network
+    /// keep handles to one `comp_of` and one set of labels. A
+    /// [`crate::ShardedIndex`] counts a repeated identity once. The default
+    /// (none) is right for an index whose buffers are all its own.
+    fn shared_buffers(&self) -> Vec<BufferId> {
+        Vec::new()
+    }
 
     /// Display name, e.g. `"3DReach"` or `"SpaReach-BFL"`.
     fn name(&self) -> &'static str;

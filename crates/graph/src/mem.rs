@@ -31,9 +31,11 @@ impl<T: HeapBytes + ?Sized> HeapBytes for &T {
 
 impl<T: HeapBytes + ?Sized> HeapBytes for std::sync::Arc<T> {
     /// An `Arc` shares its payload; for index accounting we attribute the
-    /// full payload to each handle (indexes never share sections with other
-    /// indexes except via explicit `clone()`, where double-counting is the
-    /// honest answer to "what does this index keep alive?").
+    /// full payload to each handle: the honest answer to "what does this
+    /// index keep alive?". Indexes do share sections — clones, and the
+    /// tiles of a shard set, which hold one `comp_of` and one set of labels
+    /// — and whoever sums over such indexes counts a buffer once by its
+    /// identity (`gsr_core::ShardedIndex::index_bytes`).
     fn heap_bytes(&self) -> usize {
         (**self).heap_bytes()
     }

@@ -6,7 +6,7 @@
 //! SCC reaches each other by definition, so reachability on the original
 //! graph reduces to reachability between components on the condensation DAG.
 
-use crate::{DiGraph, GraphBuilder, VertexId};
+use crate::{Col, DiGraph, GraphBuilder, VertexId};
 
 /// Identifier of a strongly connected component (dense index).
 pub type CompId = u32;
@@ -109,8 +109,10 @@ pub fn tarjan_scc(g: &DiGraph) -> SccResult {
 pub struct Condensation {
     /// The condensation DAG over component ids.
     pub dag: DiGraph,
-    /// `comp_of[v]` is the component of original vertex `v`.
-    pub comp_of: Vec<CompId>,
+    /// `comp_of[v]` is the component of original vertex `v`. A [`Col`], so
+    /// every index built over this condensation keeps a handle to this one
+    /// buffer instead of a copy.
+    pub comp_of: Col<CompId>,
     /// CSR member lists: members of component `c` are
     /// `member_data[member_offsets[c] .. member_offsets[c + 1]]`.
     member_offsets: Vec<u32>,
@@ -147,7 +149,7 @@ impl Condensation {
         }
         let dag = b.build();
 
-        Condensation { dag, comp_of, member_offsets, member_data }
+        Condensation { dag, comp_of: comp_of.into(), member_offsets, member_data }
     }
 
     /// Number of components.

@@ -1299,16 +1299,10 @@ mod tests {
     #[test]
     fn stats_reports_shard_routing_counters_and_reset_zeroes_them() {
         let net = paper_example::network();
-        let members: Vec<gsr_core::ShardMember> = gsr_core::partition_tiles(&net, 2)
-            .iter()
-            .map(|tile| {
-                let prep = gsr_core::PreparedNetwork::new(
-                    gsr_core::tile_network(&net, tile).unwrap(),
-                );
-                gsr_core::ShardMember {
-                    index: Arc::new(ThreeDReach::build(&prep, SccSpatialPolicy::Replicate)),
-                    mbr: tile.mbr,
-                }
+        let members: Vec<gsr_core::ShardMember> = gsr_core::prepared_tiles(&net, 2)
+            .map(|(prep, mbr)| gsr_core::ShardMember {
+                index: Arc::new(ThreeDReach::build(&prep, SccSpatialPolicy::Replicate)),
+                mbr,
             })
             .collect();
         let sharded: Arc<dyn RangeReachIndex> =

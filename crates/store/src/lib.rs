@@ -144,6 +144,10 @@ impl RangeReachIndex for SnapshotIndex {
         self.as_index().index_bytes()
     }
 
+    fn shared_buffers(&self) -> Vec<gsr_core::BufferId> {
+        self.as_index().shared_buffers()
+    }
+
     fn name(&self) -> &'static str {
         self.as_index().name()
     }
@@ -242,8 +246,8 @@ pub fn load_with(r: &mut impl Read, opts: LoadOptions) -> Result<SnapshotIndex, 
     full.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     r.read_to_end(&mut full)
         .map_err(|e| load_err(format!("i/o error reading snapshot: {e}")))?;
-    let arena = Arc::new(ArenaBytes::copy_from_slice(&full));
-    v3::load_v3(&arena, opts.trust)
+    let frame = v3::Frame::parse(Arc::new(ArenaBytes::copy_from_slice(&full)), opts.trust)?;
+    v3::load_index(&frame, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -266,14 +270,23 @@ pub fn staging_path(path: &Path) -> std::path::PathBuf {
 /// intact (plus, at worst, a stale `.tmp` the next successful save
 /// replaces) — the target is never truncated in place.
 pub fn save_to_path(path: impl AsRef<Path>, index: &SnapshotIndex) -> Result<(), GsrError> {
-    let path = path.as_ref();
+    write_atomically(path.as_ref(), |w| save(w, index))
+}
+
+/// The crash-safe file write behind [`save_to_path`] and every file of a
+/// shard set: `write` fills the staging file, which is synced and renamed
+/// over `path`.
+fn write_atomically(
+    path: &Path,
+    write: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> Result<(), GsrError>,
+) -> Result<(), GsrError> {
     let tmp = staging_path(path);
     let save_err =
         |stage: &str, e: std::io::Error| GsrError::Internal(format!("snapshot save {}: {stage}: {e}", path.display()));
     let result = (|| {
         let file = std::fs::File::create(&tmp).map_err(|e| save_err("create staging", e))?;
         let mut w = std::io::BufWriter::new(file);
-        save(&mut w, index)?;
+        write(&mut w)?;
         let file = w
             .into_inner()
             .map_err(|e| save_err("flush staging", e.into_error()))?;
@@ -300,7 +313,12 @@ pub fn load_from_path_with(
     path: impl AsRef<Path>,
     opts: LoadOptions,
 ) -> Result<(SnapshotIndex, LoadInfo), GsrError> {
-    let path = path.as_ref();
+    let (frame, info) = open_frame(path.as_ref(), opts)?;
+    Ok((v3::load_index(&frame, None)?, info))
+}
+
+/// Maps the v3 file at `path` and validates its framing.
+fn open_frame(path: &Path, opts: LoadOptions) -> Result<(v3::Frame, LoadInfo), GsrError> {
     let mut file = std::fs::File::open(path)
         .map_err(|e| GsrError::Load(format!("snapshot {}: {e}", path.display())))?;
     let file_bytes =
@@ -311,8 +329,8 @@ pub fn load_from_path_with(
     let arena = ArenaBytes::from_file(&file)
         .map_err(|e| load_err(format!("i/o error mapping snapshot: {e}")))?;
     let mapped = arena.is_mapped();
-    let index = v3::load_v3(&Arc::new(arena), opts.trust)?;
-    Ok((index, LoadInfo { format: FORMAT_VERSION, mapped, file_bytes }))
+    let frame = v3::Frame::parse(Arc::new(arena), opts.trust)?;
+    Ok((frame, LoadInfo { format: FORMAT_VERSION, mapped, file_bytes }))
 }
 
 /// Loads a snapshot into an immutable, reference-counted index that can be

@@ -24,10 +24,15 @@
 //! the index through the owning crates' validated `from_cols`
 //! constructors — so a corrupt snapshot is a typed [`GsrError::Load`],
 //! never a panic, even with CRC verification skipped.
+//!
+//! The framing (header, directory, sections) is a [`Frame`]; an index is
+//! read from one frame, or — in a shard set — from the shard's own frame
+//! plus the set's shared frame, which holds the columns every shard keeps
+//! a handle to (`crate::shard`).
 
 use std::borrow::Cow;
 use std::io::Write;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use gsr_core::methods::{
     ScanMode, SocReach, SpaInfoParts, SpaReachBfl, SpaReachFilterParts, SpaReachInt, ThreeDReach,
@@ -107,10 +112,24 @@ fn align_up(x: usize) -> usize {
 // ---------------------------------------------------------------------------
 // Save.
 
-struct Section<'a> {
-    tag: u16,
+#[derive(Clone)]
+pub(crate) struct Section<'a> {
+    pub(crate) tag: u16,
     elem: u8,
     bytes: Cow<'a, [u8]>,
+}
+
+impl Section<'_> {
+    /// Whether both sections are the same column over the same (non-empty)
+    /// buffer: two indexes holding one arena by handle.
+    pub(crate) fn same_buffer(&self, other: &Section<'_>) -> bool {
+        match (&self.bytes, &other.bytes) {
+            (Cow::Borrowed(a), Cow::Borrowed(b)) => {
+                self.tag == other.tag && !a.is_empty() && std::ptr::eq(*a, *b)
+            }
+            _ => false,
+        }
+    }
 }
 
 /// A section borrowing an arena column directly — the zero-copy save path.
@@ -170,7 +189,7 @@ fn unsnapshottable() -> GsrError {
     )
 }
 
-fn sections_for(index: &SnapshotIndex) -> Result<Vec<Section<'_>>, GsrError> {
+pub(crate) fn sections_for(index: &SnapshotIndex) -> Result<Vec<Section<'_>>, GsrError> {
     let mut out = Vec::new();
     match index {
         SnapshotIndex::SpaReachBfl(i) => {
@@ -280,47 +299,66 @@ fn sections_for(index: &SnapshotIndex) -> Result<Vec<Section<'_>>, GsrError> {
     Ok(out)
 }
 
-/// Writes a v3 snapshot: header, CRC'd directory, then the section
-/// payloads — each one a single `write_all` of the borrowed arena bytes,
-/// so the save performs no per-element encoding work at all.
+/// A frame ready to be written: its sections with the header and the
+/// CRC'd directory already encoded.
+pub(crate) struct FrameImage<'a> {
+    head: Vec<u8>,
+    offsets: Vec<usize>,
+    sections: Vec<Section<'a>>,
+}
+
+impl<'a> FrameImage<'a> {
+    pub(crate) fn new(sections: Vec<Section<'a>>) -> Self {
+        let n = sections.len();
+        let dir_end = HEADER_LEN + n * DIR_ENTRY_LEN;
+        let mut offsets = Vec::with_capacity(n);
+        let mut cur = dir_end;
+        for s in &sections {
+            let off = align_up(cur);
+            offsets.push(off);
+            cur = off + s.bytes.len();
+        }
+        let mut head = Vec::with_capacity(dir_end);
+        head.extend_from_slice(&MAGIC);
+        head.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        head.extend_from_slice(&(n as u32).to_le_bytes());
+        head.extend_from_slice(&(cur as u64).to_le_bytes());
+        for (s, &off) in sections.iter().zip(&offsets) {
+            head.extend_from_slice(&s.tag.to_le_bytes());
+            head.push(s.elem);
+            head.push(0); // flags: reserved
+            head.extend_from_slice(&crc32(&s.bytes).to_le_bytes());
+            head.extend_from_slice(&(off as u64).to_le_bytes());
+            head.extend_from_slice(&(s.bytes.len() as u64).to_le_bytes());
+        }
+        FrameImage { head, offsets, sections }
+    }
+
+    /// CRC-32 of the header and directory, which hold every section's tag,
+    /// length and CRC: a fingerprint of the whole file.
+    pub(crate) fn fingerprint(&self) -> u32 {
+        crc32(&self.head)
+    }
+
+    /// Writes the frame: header, directory, then the section payloads —
+    /// each one a single `write_all` of the borrowed arena bytes, so the
+    /// save performs no per-element encoding work at all.
+    pub(crate) fn write(&self, w: &mut impl Write) -> Result<(), GsrError> {
+        w.write_all(&self.head).map_err(io_save)?;
+        let zeros = [0u8; ARENA_ALIGN];
+        let mut cur = self.head.len();
+        for (s, &off) in self.sections.iter().zip(&self.offsets) {
+            w.write_all(&zeros[..off - cur]).map_err(io_save)?;
+            w.write_all(&s.bytes).map_err(io_save)?;
+            cur = off + s.bytes.len();
+        }
+        w.flush().map_err(io_save)
+    }
+}
+
+/// Writes `index` as a v3 snapshot.
 pub(crate) fn save_v3(w: &mut impl Write, index: &SnapshotIndex) -> Result<(), GsrError> {
-    let sections = sections_for(index)?;
-    let n = sections.len();
-    let dir_end = HEADER_LEN + n * DIR_ENTRY_LEN;
-
-    let mut offsets = Vec::with_capacity(n);
-    let mut cur = dir_end;
-    for s in &sections {
-        let off = align_up(cur);
-        offsets.push(off);
-        cur = off + s.bytes.len();
-    }
-    let file_len = cur as u64;
-
-    w.write_all(&MAGIC).map_err(io_save)?;
-    w.write_all(&FORMAT_VERSION.to_le_bytes()).map_err(io_save)?;
-    w.write_all(&(n as u32).to_le_bytes()).map_err(io_save)?;
-    w.write_all(&file_len.to_le_bytes()).map_err(io_save)?;
-
-    for (s, &off) in sections.iter().zip(&offsets) {
-        let mut e = [0u8; DIR_ENTRY_LEN];
-        e[0..2].copy_from_slice(&s.tag.to_le_bytes());
-        e[2] = s.elem;
-        // e[3] (flags) stays 0: reserved.
-        e[4..8].copy_from_slice(&crc32(&s.bytes).to_le_bytes());
-        e[8..16].copy_from_slice(&(off as u64).to_le_bytes());
-        e[16..24].copy_from_slice(&(s.bytes.len() as u64).to_le_bytes());
-        w.write_all(&e).map_err(io_save)?;
-    }
-
-    let zeros = [0u8; ARENA_ALIGN];
-    let mut cur = dir_end;
-    for (s, &off) in sections.iter().zip(&offsets) {
-        w.write_all(&zeros[..off - cur]).map_err(io_save)?;
-        w.write_all(&s.bytes).map_err(io_save)?;
-        cur = off + s.bytes.len();
-    }
-    w.flush().map_err(io_save)
+    FrameImage::new(sections_for(index)?).write(w)
 }
 
 // ---------------------------------------------------------------------------
@@ -332,27 +370,47 @@ struct DirEntry {
     len: usize,
 }
 
-/// The parsed directory, with consumption tracking: every section must be
-/// claimed by the method loader exactly once, so a snapshot smuggling
-/// extra (or missing) sections is rejected even when its CRCs are intact.
-struct SectionMap {
+/// A file (or buffer) whose v3 framing has been validated: header,
+/// directory structure and — unless trusted — every section's CRC.
+pub(crate) struct Frame {
+    arena: Arc<ArenaBytes>,
     entries: Vec<DirEntry>,
-    used: Vec<bool>,
+    /// The compact labels last validated out of this frame
+    /// ([`compact_labels`]).
+    labels: OnceLock<CompactLabels>,
 }
 
-impl SectionMap {
-    fn take(&mut self, tag: u16) -> Option<(usize, usize)> {
-        let i = self.entries.iter().position(|e| e.tag == tag)?;
-        if self.used[i] {
-            return None;
+/// The sections an index is read from — the file's own frame and, for a
+/// shard, the set's shared frame — with consumption tracking: every
+/// section must be claimed by the method loader exactly once, so a
+/// snapshot smuggling extra (or missing) sections is rejected even when
+/// its CRCs are intact.
+struct SectionMap<'a> {
+    frames: Vec<(&'a Frame, Vec<bool>)>,
+}
+
+impl<'a> SectionMap<'a> {
+    fn new(own: &'a Frame, shared: Option<&'a Frame>) -> Self {
+        let frames =
+            [Some(own), shared].into_iter().flatten().map(|f| (f, vec![false; f.entries.len()]));
+        SectionMap { frames: frames.collect() }
+    }
+
+    fn take(&mut self, tag: u16) -> Option<(&'a Frame, usize, usize)> {
+        for (frame, used) in &mut self.frames {
+            if let Some(i) = frame.entries.iter().position(|e| e.tag == tag) {
+                if std::mem::replace(&mut used[i], true) {
+                    return None;
+                }
+                return Some((*frame, frame.entries[i].start, frame.entries[i].len));
+            }
         }
-        self.used[i] = true;
-        Some((self.entries[i].start, self.entries[i].len))
+        None
     }
 
     fn finish(&self) -> Result<(), GsrError> {
-        for (e, used) in self.entries.iter().zip(&self.used) {
-            if !used {
+        for (frame, used) in &self.frames {
+            if let Some((e, _)) = frame.entries.iter().zip(used).find(|(_, used)| !**used) {
                 return Err(load_err(format!(
                     "unexpected section 0x{:02x} for this method",
                     e.tag
@@ -363,53 +421,62 @@ impl SectionMap {
     }
 }
 
-/// Claims a section and views it as a typed column borrowing the arena.
-fn col<T: Pod>(
-    arena: &Arc<ArenaBytes>,
-    map: &mut SectionMap,
-    tag: u16,
-    what: &str,
-) -> Result<Col<T>, GsrError> {
-    let (start, len) =
-        map.take(tag).ok_or_else(|| load_err(format!("missing section {what}")))?;
-    let elem = std::mem::size_of::<T>();
-    if len % elem != 0 {
-        return Err(load_err(format!(
-            "section {what}: {len} bytes is not a whole number of {elem}-byte elements"
-        )));
-    }
-    Col::view(arena, start, len / elem).map_err(|e| load_err(format!("section {what}: {e}")))
+/// Claims a section and views it as a typed column borrowing its arena.
+fn col<T: Pod>(map: &mut SectionMap, tag: u16, what: &str) -> Result<Col<T>, GsrError> {
+    col_opt(map, tag, what)?.ok_or_else(|| load_err(format!("missing section {what}")))
 }
 
 /// Like [`col`], but `None` when the section is absent (degenerate R-tree
 /// dimensions elide their upper-bound column).
 fn col_opt<T: Pod>(
-    arena: &Arc<ArenaBytes>,
     map: &mut SectionMap,
     tag: u16,
     what: &str,
 ) -> Result<Option<Col<T>>, GsrError> {
-    let Some((start, len)) = map.take(tag) else { return Ok(None) };
+    let Some((frame, start, len)) = map.take(tag) else { return Ok(None) };
     let elem = std::mem::size_of::<T>();
     if len % elem != 0 {
         return Err(load_err(format!(
             "section {what}: {len} bytes is not a whole number of {elem}-byte elements"
         )));
     }
-    Col::view(arena, start, len / elem)
+    Col::view(&frame.arena, start, len / elem)
         .map(Some)
         .map_err(|e| load_err(format!("section {what}: {e}")))
 }
 
 fn take_payload<'a>(
-    bytes: &'a [u8],
-    map: &mut SectionMap,
+    map: &mut SectionMap<'a>,
     tag: u16,
     what: &str,
 ) -> Result<&'a [u8], GsrError> {
-    let (start, len) =
+    let (frame, start, len) =
         map.take(tag).ok_or_else(|| load_err(format!("missing section {what}")))?;
-    Ok(&bytes[start..start + len])
+    Ok(&frame.arena.bytes()[start..start + len])
+}
+
+/// Claims and validates the compact-label sections. Validation decodes
+/// every label, so the frame consulted last — the shared one, for a shard —
+/// remembers its result: the shards of a set all read the same two shared
+/// sections, and the same views of them need checking once.
+fn compact_labels(map: &mut SectionMap, max_post: u32) -> Result<CompactLabels, GsrError> {
+    let offsets: Col<u32> = col(map, tag::CL_OFFSETS, "compact-labels-offsets")?;
+    let bytes: Col<u8> = col(map, tag::CL_BYTES, "compact-labels-bytes")?;
+    let cache = map.frames.last().map(|(frame, _)| &frame.labels);
+    if let Some(seen) = cache.and_then(OnceLock::get) {
+        let (seen_max, seen_offsets, seen_bytes) = seen.parts();
+        if seen_max == max_post
+            && std::ptr::eq(seen_offsets, &*offsets)
+            && std::ptr::eq(seen_bytes, &*bytes)
+        {
+            return Ok(seen.clone());
+        }
+    }
+    let labels = CompactLabels::from_parts(max_post, offsets, bytes).map_err(load_err)?;
+    if let Some(cache) = cache {
+        let _ = cache.set(labels.clone());
+    }
+    Ok(labels)
 }
 
 fn meta_u8(d: &mut Dec) -> Result<u8, GsrError> {
@@ -436,20 +503,19 @@ fn meta_scc_policy(d: &mut Dec) -> Result<SccSpatialPolicy, GsrError> {
 }
 
 fn load_rtree<const N: usize>(
-    arena: &Arc<ArenaBytes>,
     map: &mut SectionMap,
     params: RTreeParams,
 ) -> Result<RTree<N, u32>, GsrError> {
-    let mbrs = col::<Aabb<N>>(arena, map, tag::RT_MBRS, "rtree-mbrs")?;
-    let child_start = col(arena, map, tag::RT_CHILD_START, "rtree-child-start")?;
-    let children = col(arena, map, tag::RT_CHILDREN, "rtree-children")?;
-    let entry_start = col(arena, map, tag::RT_ENTRY_START, "rtree-entry-start")?;
-    let values = col(arena, map, tag::RT_VALUES, "rtree-values")?;
+    let mbrs = col::<Aabb<N>>(map, tag::RT_MBRS, "rtree-mbrs")?;
+    let child_start = col(map, tag::RT_CHILD_START, "rtree-child-start")?;
+    let children = col(map, tag::RT_CHILDREN, "rtree-children")?;
+    let entry_start = col(map, tag::RT_ENTRY_START, "rtree-entry-start")?;
+    let values = col(map, tag::RT_VALUES, "rtree-values")?;
     let mut lo = Vec::with_capacity(N);
     let mut hi = Vec::with_capacity(N);
     for d in 0..N {
-        lo.push(col::<f64>(arena, map, tag::RT_ENTRY_LO + d as u16, "rtree-entry-lo")?);
-        hi.push(col_opt::<f64>(arena, map, tag::RT_ENTRY_HI + d as u16, "rtree-entry-hi")?);
+        lo.push(col::<f64>(map, tag::RT_ENTRY_LO + d as u16, "rtree-entry-lo")?);
+        hi.push(col_opt::<f64>(map, tag::RT_ENTRY_HI + d as u16, "rtree-entry-hi")?);
     }
     let entry_lo: [Col<f64>; N] =
         lo.try_into().unwrap_or_else(|_| unreachable!("lo has exactly N columns"));
@@ -459,11 +525,11 @@ fn load_rtree<const N: usize>(
         .map_err(load_err)
 }
 
-fn load_digraph(arena: &Arc<ArenaBytes>, map: &mut SectionMap) -> Result<DiGraph, GsrError> {
-    let out_offsets = col(arena, map, tag::DAG_OUT_OFFSETS, "dag-out-offsets")?;
-    let out_targets = col(arena, map, tag::DAG_OUT_TARGETS, "dag-out-targets")?;
-    let in_offsets = col(arena, map, tag::DAG_IN_OFFSETS, "dag-in-offsets")?;
-    let in_sources = col(arena, map, tag::DAG_IN_SOURCES, "dag-in-sources")?;
+fn load_digraph(map: &mut SectionMap) -> Result<DiGraph, GsrError> {
+    let out_offsets = col(map, tag::DAG_OUT_OFFSETS, "dag-out-offsets")?;
+    let out_targets = col(map, tag::DAG_OUT_TARGETS, "dag-out-targets")?;
+    let in_offsets = col(map, tag::DAG_IN_OFFSETS, "dag-in-offsets")?;
+    let in_sources = col(map, tag::DAG_IN_SOURCES, "dag-in-sources")?;
     DiGraph::from_csr_cols(out_offsets, out_targets, in_offsets, in_sources).map_err(load_err)
 }
 
@@ -488,7 +554,6 @@ fn check_backend_coverage(ncomp: usize, backend_n: usize, what: &str) -> Result<
 }
 
 fn load_spareach_bfl(
-    arena: &Arc<ArenaBytes>,
     map: &mut SectionMap,
     d: &mut Dec,
 ) -> Result<SnapshotIndex, GsrError> {
@@ -496,15 +561,15 @@ fn load_spareach_bfl(
     let params = meta_rt_params(d)?;
     let words = meta_usize(d)?;
     d.finish("meta").map_err(load_err)?;
-    let comp_of: Col<u32> = col(arena, map, tag::COMP_OF, "comp-of")?;
-    let member_offsets: Col<u32> = col(arena, map, tag::MEMBER_OFFSETS, "member-offsets")?;
-    let member_points: Col<Point> = col(arena, map, tag::MEMBER_POINTS, "member-points")?;
-    let tree = load_rtree::<2>(arena, map, params)?;
-    let g = load_digraph(arena, map)?;
-    let post: Col<u32> = col(arena, map, tag::BFL_POST, "bfl-post")?;
-    let tree_min: Col<u32> = col(arena, map, tag::BFL_TREE_MIN, "bfl-tree-min")?;
-    let out_filters: Col<u64> = col(arena, map, tag::BFL_OUT_FILTERS, "bfl-out-filters")?;
-    let in_filters: Col<u64> = col(arena, map, tag::BFL_IN_FILTERS, "bfl-in-filters")?;
+    let comp_of: Col<u32> = col(map, tag::COMP_OF, "comp-of")?;
+    let member_offsets: Col<u32> = col(map, tag::MEMBER_OFFSETS, "member-offsets")?;
+    let member_points: Col<Point> = col(map, tag::MEMBER_POINTS, "member-points")?;
+    let tree = load_rtree::<2>(map, params)?;
+    let g = load_digraph(map)?;
+    let post: Col<u32> = col(map, tag::BFL_POST, "bfl-post")?;
+    let tree_min: Col<u32> = col(map, tag::BFL_TREE_MIN, "bfl-tree-min")?;
+    let out_filters: Col<u64> = col(map, tag::BFL_OUT_FILTERS, "bfl-out-filters")?;
+    let in_filters: Col<u64> = col(map, tag::BFL_IN_FILTERS, "bfl-in-filters")?;
     let reach =
         BflIndex::from_parts(g, post, tree_min, out_filters, in_filters, words).map_err(load_err)?;
     let ncomp = member_offsets.len().saturating_sub(1);
@@ -517,21 +582,20 @@ fn load_spareach_bfl(
 }
 
 fn load_spareach_int(
-    arena: &Arc<ArenaBytes>,
     map: &mut SectionMap,
     d: &mut Dec,
 ) -> Result<SnapshotIndex, GsrError> {
     let kind = meta_u8(d)?;
     let params = meta_rt_params(d)?;
     d.finish("meta").map_err(load_err)?;
-    let comp_of: Col<u32> = col(arena, map, tag::COMP_OF, "comp-of")?;
-    let member_offsets: Col<u32> = col(arena, map, tag::MEMBER_OFFSETS, "member-offsets")?;
-    let member_points: Col<Point> = col(arena, map, tag::MEMBER_POINTS, "member-points")?;
-    let tree = load_rtree::<2>(arena, map, params)?;
-    let post: Col<u32> = col(arena, map, tag::LAB_POST, "labeling-post")?;
-    let post_to_vertex: Col<u32> = col(arena, map, tag::LAB_POST_TO_VERTEX, "labeling-inverse")?;
-    let offsets: Col<u32> = col(arena, map, tag::LAB_OFFSETS, "labeling-offsets")?;
-    let intervals: Col<Interval> = col(arena, map, tag::LAB_INTERVALS, "labeling-intervals")?;
+    let comp_of: Col<u32> = col(map, tag::COMP_OF, "comp-of")?;
+    let member_offsets: Col<u32> = col(map, tag::MEMBER_OFFSETS, "member-offsets")?;
+    let member_points: Col<Point> = col(map, tag::MEMBER_POINTS, "member-points")?;
+    let tree = load_rtree::<2>(map, params)?;
+    let post: Col<u32> = col(map, tag::LAB_POST, "labeling-post")?;
+    let post_to_vertex: Col<u32> = col(map, tag::LAB_POST_TO_VERTEX, "labeling-inverse")?;
+    let offsets: Col<u32> = col(map, tag::LAB_OFFSETS, "labeling-offsets")?;
+    let intervals: Col<Interval> = col(map, tag::LAB_INTERVALS, "labeling-intervals")?;
     let reach =
         IntervalLabeling::from_parts(post, post_to_vertex, offsets, intervals).map_err(load_err)?;
     let ncomp = member_offsets.len().saturating_sub(1);
@@ -544,22 +608,20 @@ fn load_spareach_int(
 }
 
 fn load_georeach(
-    arena: &Arc<ArenaBytes>,
-    bytes: &[u8],
     map: &mut SectionMap,
     d: &mut Dec,
 ) -> Result<SnapshotIndex, GsrError> {
     let finest_exp = meta_u8(d)?;
     let space = dec_rect(d, "meta").map_err(load_err)?;
     d.finish("meta").map_err(load_err)?;
-    let comp_of: Col<u32> = col(arena, map, tag::COMP_OF, "comp-of")?;
-    let dag = load_digraph(arena, map)?;
-    let payload = take_payload(bytes, map, tag::SPA_INFO, "spa-info")?;
+    let comp_of: Col<u32> = col(map, tag::COMP_OF, "comp-of")?;
+    let dag = load_digraph(map)?;
+    let payload = take_payload(map, tag::SPA_INFO, "spa-info")?;
     let mut sd = Dec::new(payload);
     let info = dec_spa_info(&mut sd, "spa-info").map_err(load_err)?;
     sd.finish("spa-info").map_err(load_err)?;
-    let member_offsets: Col<u32> = col(arena, map, tag::MEMBER_OFFSETS, "member-offsets")?;
-    let member_points: Col<Point> = col(arena, map, tag::MEMBER_POINTS, "member-points")?;
+    let member_offsets: Col<u32> = col(map, tag::MEMBER_OFFSETS, "member-offsets")?;
+    let member_points: Col<Point> = col(map, tag::MEMBER_POINTS, "member-points")?;
     Ok(SnapshotIndex::GeoReach(
         gsr_core::methods::GeoReach::from_cols(
             comp_of,
@@ -575,7 +637,6 @@ fn load_georeach(
 }
 
 fn load_socreach(
-    arena: &Arc<ArenaBytes>,
     map: &mut SectionMap,
     d: &mut Dec,
 ) -> Result<SnapshotIndex, GsrError> {
@@ -587,23 +648,20 @@ fn load_socreach(
     let max_post = d.u32("meta").map_err(load_err)?;
     let da_len = meta_usize(d)?;
     d.finish("meta").map_err(load_err)?;
-    let comp_of: Col<u32> = col(arena, map, tag::COMP_OF, "comp-of")?;
-    let cl_offsets: Col<u32> = col(arena, map, tag::CL_OFFSETS, "compact-labels-offsets")?;
-    let cl_bytes: Col<u8> = col(arena, map, tag::CL_BYTES, "compact-labels-bytes")?;
-    let labels = CompactLabels::from_parts(max_post, cl_offsets, cl_bytes).map_err(load_err)?;
-    let da_anchors: Col<u32> = col(arena, map, tag::DA_ANCHORS, "delta-anchors")?;
-    let da_starts: Col<u32> = col(arena, map, tag::DA_STARTS, "delta-starts")?;
-    let da_bytes: Col<u8> = col(arena, map, tag::DA_BYTES, "delta-bytes")?;
+    let comp_of: Col<u32> = col(map, tag::COMP_OF, "comp-of")?;
+    let labels = compact_labels(map, max_post)?;
+    let da_anchors: Col<u32> = col(map, tag::DA_ANCHORS, "delta-anchors")?;
+    let da_starts: Col<u32> = col(map, tag::DA_STARTS, "delta-starts")?;
+    let da_bytes: Col<u8> = col(map, tag::DA_BYTES, "delta-bytes")?;
     let post_offsets =
         DeltaArray::from_cols(da_len, da_anchors, da_starts, da_bytes).map_err(load_err)?;
-    let points: Col<Point> = col(arena, map, tag::SOC_POINTS, "post-points")?;
+    let points: Col<Point> = col(map, tag::SOC_POINTS, "post-points")?;
     Ok(SnapshotIndex::SocReach(
         SocReach::from_cols(comp_of, labels, post_offsets, points, mode).map_err(load_err)?,
     ))
 }
 
 fn load_threed(
-    arena: &Arc<ArenaBytes>,
     map: &mut SectionMap,
     d: &mut Dec,
 ) -> Result<SnapshotIndex, GsrError> {
@@ -611,13 +669,11 @@ fn load_threed(
     let params = meta_rt_params(d)?;
     let max_post = d.u32("meta").map_err(load_err)?;
     d.finish("meta").map_err(load_err)?;
-    let comp_of: Col<u32> = col(arena, map, tag::COMP_OF, "comp-of")?;
-    let cl_offsets: Col<u32> = col(arena, map, tag::CL_OFFSETS, "compact-labels-offsets")?;
-    let cl_bytes: Col<u8> = col(arena, map, tag::CL_BYTES, "compact-labels-bytes")?;
-    let labels = CompactLabels::from_parts(max_post, cl_offsets, cl_bytes).map_err(load_err)?;
-    let tree = load_rtree::<3>(arena, map, params)?;
-    let member_offsets: Col<u32> = col(arena, map, tag::MEMBER_OFFSETS, "member-offsets")?;
-    let member_points: Col<Point> = col(arena, map, tag::MEMBER_POINTS, "member-points")?;
+    let comp_of: Col<u32> = col(map, tag::COMP_OF, "comp-of")?;
+    let labels = compact_labels(map, max_post)?;
+    let tree = load_rtree::<3>(map, params)?;
+    let member_offsets: Col<u32> = col(map, tag::MEMBER_OFFSETS, "member-offsets")?;
+    let member_points: Col<Point> = col(map, tag::MEMBER_POINTS, "member-points")?;
     Ok(SnapshotIndex::ThreeDReach(
         ThreeDReach::from_cols(comp_of, labels, tree, policy, member_offsets, member_points)
             .map_err(load_err)?,
@@ -625,29 +681,23 @@ fn load_threed(
 }
 
 fn load_threed_rev(
-    arena: &Arc<ArenaBytes>,
     map: &mut SectionMap,
     d: &mut Dec,
 ) -> Result<SnapshotIndex, GsrError> {
     let policy = meta_scc_policy(d)?;
     let params = meta_rt_params(d)?;
     d.finish("meta").map_err(load_err)?;
-    let comp_of: Col<u32> = col(arena, map, tag::COMP_OF, "comp-of")?;
-    let rev_post: Col<u32> = col(arena, map, tag::REV_POST, "rev-post")?;
-    let tree = load_rtree::<3>(arena, map, params)?;
-    let member_offsets: Col<u32> = col(arena, map, tag::MEMBER_OFFSETS, "member-offsets")?;
-    let member_points: Col<Point> = col(arena, map, tag::MEMBER_POINTS, "member-points")?;
+    let comp_of: Col<u32> = col(map, tag::COMP_OF, "comp-of")?;
+    let rev_post: Col<u32> = col(map, tag::REV_POST, "rev-post")?;
+    let tree = load_rtree::<3>(map, params)?;
+    let member_offsets: Col<u32> = col(map, tag::MEMBER_OFFSETS, "member-offsets")?;
+    let member_points: Col<Point> = col(map, tag::MEMBER_POINTS, "member-points")?;
     Ok(SnapshotIndex::ThreeDReachRev(
         ThreeDReachRev::from_cols(comp_of, rev_post, tree, policy, member_offsets, member_points)
             .map_err(load_err)?,
     ))
 }
 
-/// Loads a v3 snapshot from a complete mapped (or aligned in-memory) file.
-///
-/// `trust` skips only the per-section CRC pass — the structural directory
-/// checks and every `from_cols` invariant still run, so even a trusted
-/// load of garbage is a typed error, not undefined behavior.
 // Little-endian reads over slices the caller has already length-checked;
 // the re-slice makes the width explicit so `copy_from_slice` cannot
 // mismatch.
@@ -669,13 +719,25 @@ fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes(a)
 }
 
-pub(crate) fn load_v3(arena: &Arc<ArenaBytes>, trust: bool) -> Result<SnapshotIndex, GsrError> {
+impl Frame {
+    /// Validates the framing of a complete mapped (or aligned in-memory)
+    /// file.
+    ///
+    /// `trust` skips only the per-section CRC pass — the structural
+    /// directory checks and every `from_cols` invariant still run, so even
+    /// a trusted load of garbage is a typed error, not undefined behavior.
+    pub(crate) fn parse(arena: Arc<ArenaBytes>, trust: bool) -> Result<Frame, GsrError> {
+        let entries = parse_directory(arena.bytes(), trust)?;
+        Ok(Frame { arena, entries, labels: OnceLock::new() })
+    }
+}
+
+fn parse_directory(bytes: &[u8], trust: bool) -> Result<Vec<DirEntry>, GsrError> {
     if !cfg!(target_endian = "little") {
         return Err(load_err(
             "v3 snapshots are little-endian column images; this host is big-endian".into(),
         ));
     }
-    let bytes = arena.bytes();
     if bytes.len() < HEADER_LEN {
         return Err(load_err(format!(
             "truncated header: {} bytes, need {HEADER_LEN}",
@@ -752,17 +814,23 @@ pub(crate) fn load_v3(arena: &Arc<ArenaBytes>, trust: bool) -> Result<SnapshotIn
     if cur != bytes.len() {
         return Err(load_err("trailing bytes after the final section".into()));
     }
+    Ok(entries)
+}
 
-    let mut map = SectionMap { used: vec![false; entries.len()], entries };
-    let meta = take_payload(bytes, &mut map, tag::META, "meta")?;
+/// Rebuilds the index whose sections are `own`'s plus, for a member of a
+/// shard set, the set's `shared` frame's. Every section of both must be
+/// claimed: a shard file alone, or the shared file alone, is not an index.
+pub(crate) fn load_index(own: &Frame, shared: Option<&Frame>) -> Result<SnapshotIndex, GsrError> {
+    let mut map = SectionMap::new(own, shared);
+    let meta = take_payload(&mut map, tag::META, "meta")?;
     let mut d = Dec::new(meta);
     let index = match meta_u8(&mut d)? {
-        method_tag::SPAREACH_BFL => load_spareach_bfl(arena, &mut map, &mut d)?,
-        method_tag::SPAREACH_INT => load_spareach_int(arena, &mut map, &mut d)?,
-        method_tag::GEOREACH => load_georeach(arena, bytes, &mut map, &mut d)?,
-        method_tag::SOCREACH => load_socreach(arena, &mut map, &mut d)?,
-        method_tag::THREED => load_threed(arena, &mut map, &mut d)?,
-        method_tag::THREED_REV => load_threed_rev(arena, &mut map, &mut d)?,
+        method_tag::SPAREACH_BFL => load_spareach_bfl(&mut map, &mut d)?,
+        method_tag::SPAREACH_INT => load_spareach_int(&mut map, &mut d)?,
+        method_tag::GEOREACH => load_georeach(&mut map, &mut d)?,
+        method_tag::SOCREACH => load_socreach(&mut map, &mut d)?,
+        method_tag::THREED => load_threed(&mut map, &mut d)?,
+        method_tag::THREED_REV => load_threed_rev(&mut map, &mut d)?,
         t => return Err(load_err(format!("unknown method tag {t}"))),
     };
     map.finish()?;

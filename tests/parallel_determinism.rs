@@ -112,6 +112,9 @@ fn method_builds_are_thread_count_invariant() {
             ("3DReach-REV", Box::new(ThreeDReachRev::build(&prep, policy))),
         ];
         for threads in THREAD_COUNTS {
+            // A clone starts with nothing derived, so 3DReach labels it
+            // again — at this thread count — instead of reusing `prep`'s.
+            let prep = PreparedNetwork::new(prep.network().clone());
             let parallel: Vec<(&str, Box<dyn RangeReachIndex>)> = vec![
                 ("SpaReach-BFL", Box::new(SpaReachBfl::build_threaded(&prep, policy, threads))),
                 ("SpaReach-INT", Box::new(SpaReachInt::build_threaded(&prep, policy, threads))),

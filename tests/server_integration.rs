@@ -731,6 +731,24 @@ fn reset_keeps_the_cache_where_reload_clears_it() {
     assert!(refused.starts_with("ERR 3 ") && refused.contains("version 2 "), "{refused}");
     assert_eq!(read_line(&mut reader), first, "old index keeps serving after a refused RELOAD");
 
+    // And a shard-set directory in the retired layout (manifest version 1,
+    // no shared file).
+    let retired_set = fx.dir.join("retired.v1.shards");
+    std::fs::create_dir_all(&retired_set).unwrap();
+    let mut manifest = gsr_store::shard::SHARD_MAGIC.to_vec();
+    manifest.extend_from_slice(&1u32.to_le_bytes());
+    manifest.extend_from_slice(&[0u8; 16]);
+    std::fs::write(retired_set.join(gsr_store::shard::SHARD_MANIFEST), &manifest).unwrap();
+    stream
+        .write_all(format!("RELOAD {}\nREACH 0 0 0 1 1\n", retired_set.display()).as_bytes())
+        .unwrap();
+    let refused = read_line(&mut reader);
+    assert!(
+        refused.starts_with("ERR 3 ") && refused.contains("shard manifest version 1 "),
+        "{refused}"
+    );
+    assert_eq!(read_line(&mut reader), first, "old index keeps serving after a refused RELOAD");
+
     // A real RELOAD swaps the index and clears the cache: the reload
     // counter advances, and the same query must re-miss afterwards.
     stream.write_all(format!("RELOAD {snap_path}\nSTATS\n").as_bytes()).unwrap();

@@ -7,21 +7,44 @@
 //! under both SCC spatial policies, with query rectangles deliberately
 //! chosen to straddle tile boundaries — plus the pruning contract that a
 //! rectangle disjoint from every shard MBR answers FALSE with **zero**
-//! probes executed.
+//! probes executed, and the sharing contract: the tiles of one network
+//! hold one `comp_of` and one set of labels, built, saved and loaded, and
+//! the router counts them once.
 
 use gsr_core::methods::ThreeDReach;
 use gsr_core::{
-    partition_tiles, tile_network, BatchExecutor, BatchQuery, PreparedNetwork, RangeReachIndex,
-    SccSpatialPolicy, ShardMember, ShardedIndex,
+    buffer_id, partition_tiles, prepared_tiles, tile_network, BatchExecutor, BatchQuery,
+    GeosocialNetwork, PreparedNetwork, RangeReachIndex, SccSpatialPolicy, ShardMember,
+    ShardedIndex,
 };
+use gsr_datagen::faults::ScratchDir;
 use gsr_datagen::NetworkSpec;
 use gsr_geo::Rect;
+use gsr_store::SnapshotIndex;
 use std::sync::Arc;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const POLICIES: [SccSpatialPolicy; 2] = [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr];
 
 fn dataset() -> PreparedNetwork {
     PreparedNetwork::new(NetworkSpec::yelp(0.05).generate())
+}
+
+/// One 3DReach per tile view of `prep`'s network, with the tile's MBR.
+fn build_tiles(
+    prep: &PreparedNetwork,
+    shards: usize,
+    policy: SccSpatialPolicy,
+) -> Vec<(ThreeDReach, Option<Rect>)> {
+    prepared_tiles(prep.network(), shards)
+        .map(|(tile_prep, mbr)| (ThreeDReach::build(&tile_prep, policy), mbr))
+        .collect()
+}
+
+fn router_over(tiles: Vec<(ThreeDReach, Option<Rect>)>) -> ShardedIndex {
+    let members =
+        tiles.into_iter().map(|(index, mbr)| ShardMember { index: Arc::new(index), mbr }).collect();
+    ShardedIndex::new(members).expect("assemble sharded index")
 }
 
 /// Partitions `prep`'s network into `shards` tiles and assembles the
@@ -31,19 +54,23 @@ fn build_sharded(
     shards: usize,
     policy: SccSpatialPolicy,
 ) -> ShardedIndex {
-    let net = prep.network();
-    let members: Vec<ShardMember> = partition_tiles(net, shards)
-        .iter()
-        .map(|tile| {
-            let tile_net = tile_network(net, tile).expect("tile network");
-            let tile_prep = PreparedNetwork::new(tile_net);
-            ShardMember {
-                index: Arc::new(ThreeDReach::build(&tile_prep, policy)),
-                mbr: tile.mbr,
-            }
-        })
-        .collect();
-    ShardedIndex::new(members).expect("assemble sharded index")
+    router_over(build_tiles(prep, shards, policy))
+}
+
+/// The sharing contract on a router: every member reports the same three
+/// buffers (`comp_of`, label offsets, label bytes), and the router's byte
+/// count is those once plus each member's private rest.
+fn assert_members_share(router: &ShardedIndex, context: &str) {
+    let members = router.members();
+    let shared = members[0].index.shared_buffers();
+    assert_eq!(shared.len(), 3, "{context}");
+    assert!(shared.iter().all(|id| id.1 > 0), "{context}");
+    for m in members {
+        assert_eq!(m.index.shared_buffers(), shared, "{context}: a tile holds its own copy");
+    }
+    let shared_bytes: usize = shared.iter().map(|id| id.1).sum();
+    let private: usize = members.iter().map(|m| m.index.index_bytes() - shared_bytes).sum();
+    assert_eq!(router.index_bytes(), shared_bytes + private, "{context}");
 }
 
 /// The query rectangles: per-tile MBRs (fully inside one tile), bands
@@ -109,13 +136,29 @@ fn queries_for(prep: &PreparedNetwork, rects: &[Rect]) -> Vec<BatchQuery> {
 fn sharded_answers_match_the_single_index_oracle() {
     let prep = dataset();
     let exec = BatchExecutor::new(1);
-    for policy in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
+    for policy in POLICIES {
         let oracle = ThreeDReach::build(&prep, policy);
         for shards in SHARD_COUNTS {
-            let sharded = build_sharded(&prep, shards, policy);
+            let tiles = build_tiles(&prep, shards, policy);
+            // Same buffer, not equal contents: the tiles (and the unsharded
+            // index over the same network) hold handles to one `comp_of`
+            // and one set of labels.
+            let (comp_of, labels, ..) = oracle.cols();
+            for (tile, _) in &tiles {
+                let (tile_comp_of, tile_labels, ..) = tile.cols();
+                assert!(std::ptr::eq(tile_comp_of, comp_of), "{policy:?} x{shards}: comp_of");
+                assert!(std::ptr::eq(tile_labels.parts().1, labels.parts().1), "label offsets");
+                assert!(std::ptr::eq(tile_labels.parts().2, labels.parts().2), "label bytes");
+                assert_eq!(tile.shared_buffers()[0], buffer_id(comp_of));
+            }
+            let sharded = router_over(tiles);
             assert_eq!(sharded.num_shards(), shards);
+            assert_members_share(&sharded, &format!("{policy:?} x{shards}"));
             let queries = queries_for(&prep, &boundary_rects(&prep, shards));
             let want = exec.run(&oracle, &queries);
+            for (i, (v, r)) in queries.iter().enumerate().step_by(13) {
+                assert_eq!(want[i], prep.range_reach_bfs(*v, r), "oracle vs BFS ({v}, {r})");
+            }
             // Scatter path (the server's batch route) ...
             let got = sharded.scatter(&exec, &queries);
             assert_eq!(
@@ -129,8 +172,42 @@ fn sharded_answers_match_the_single_index_oracle() {
                     want[i],
                     "{policy:?} x{shards}: route({v}, {r}) disagrees"
                 );
+                // One tile is the whole network: same work, counter for
+                // counter, as the unsharded index.
+                if shards == 1 {
+                    assert_eq!(sharded.query_with_cost(*v, r), oracle.query_with_cost(*v, r));
+                }
             }
         }
+    }
+}
+
+/// Accounting is by identity, not by shard count: tiles built from
+/// independent networks share nothing, and their router reports the sum.
+#[test]
+fn a_router_over_independent_tiles_reports_the_full_sum() {
+    let prep = dataset();
+    let net = prep.network();
+    let members: Vec<ShardMember> = partition_tiles(net, 4)
+        .iter()
+        .map(|tile| {
+            let view = tile_network(net, tile).expect("tile network");
+            let points = net.graph().vertices().map(|v| view.point(v)).collect();
+            let own = GeosocialNetwork::new(net.graph().clone(), points).expect("tile network");
+            let index = ThreeDReach::build(&PreparedNetwork::new(own), SccSpatialPolicy::Replicate);
+            ShardMember { index: Arc::new(index), mbr: tile.mbr }
+        })
+        .collect();
+    let sum: usize = members.iter().map(|m| m.index.index_bytes()).sum();
+    let independent = ShardedIndex::new(members).expect("assemble sharded index");
+    assert_eq!(independent.index_bytes(), sum);
+
+    // The same tiles as views of one network answer the same and cost a
+    // fraction of that.
+    let shared = build_sharded(&prep, 4, SccSpatialPolicy::Replicate);
+    assert!(shared.index_bytes() < sum / 2, "{} vs {sum}", shared.index_bytes());
+    for (v, r) in queries_for(&prep, &boundary_rects(&prep, 4)).iter().step_by(17) {
+        assert_eq!(shared.query_with_cost(*v, r), independent.query_with_cost(*v, r));
     }
 }
 
@@ -177,35 +254,53 @@ fn rectangles_outside_every_mbr_answer_false_with_zero_probes() {
 fn sharded_snapshot_round_trips_through_the_store() {
     let prep = dataset();
     let exec = BatchExecutor::new(1);
-    let net = prep.network();
-    let tiles = partition_tiles(net, 4);
-    let built: Vec<(gsr_store::SnapshotIndex, Option<Rect>)> = tiles
-        .iter()
-        .map(|tile| {
-            let tile_net = tile_network(net, tile).expect("tile network");
-            let tile_prep = PreparedNetwork::new(tile_net);
-            (
-                gsr_store::SnapshotIndex::ThreeDReach(ThreeDReach::build(
-                    &tile_prep,
-                    SccSpatialPolicy::Replicate,
-                )),
-                tile.mbr,
-            )
-        })
-        .collect();
+    let scratch = ScratchDir::new("gsr_shard_agreement_roundtrip").expect("scratch dir");
+    for policy in POLICIES {
+        let oracle = ThreeDReach::build(&prep, policy);
+        for shards in SHARD_COUNTS {
+            let built: Vec<(SnapshotIndex, Option<Rect>)> = build_tiles(&prep, shards, policy)
+                .into_iter()
+                .map(|(index, mbr)| (SnapshotIndex::ThreeDReach(index), mbr))
+                .collect();
+            let dir = scratch.path().join(format!("{policy:?}-{shards}"));
+            gsr_store::shard::save_sharded_to_path(&dir, &built).expect("save sharded");
+            let (loaded, info) =
+                gsr_store::shard::load_sharded_from_path_with(&dir, gsr_store::LoadOptions::default())
+                    .expect("load sharded");
+            assert_eq!(info.format, 3);
+            assert_eq!(loaded.num_shards(), shards);
+            // Shared again after the load: one mapping, N views.
+            assert_members_share(&loaded, &format!("loaded {policy:?} x{shards}"));
 
-    let dir = std::env::temp_dir().join("gsr_shard_agreement_roundtrip");
-    std::fs::remove_dir_all(&dir).ok();
-    gsr_store::shard::save_sharded_to_path(&dir, &built).expect("save sharded");
-    let (loaded, info) =
+            let built = router_over(
+                built
+                    .into_iter()
+                    .map(|(index, mbr)| match index {
+                        SnapshotIndex::ThreeDReach(index) => (index, mbr),
+                        other => unreachable!("built 3DReach, got {}", other.name()),
+                    })
+                    .collect(),
+            );
+            assert_eq!(loaded.index_bytes(), built.index_bytes(), "{policy:?} x{shards}");
+            let queries = queries_for(&prep, &boundary_rects(&prep, shards));
+            let want = exec.run(&oracle, &queries);
+            let got = exec.run(&loaded, &queries);
+            assert_eq!(got, want, "{policy:?} x{shards}: loaded set disagrees with the oracle");
+            for (v, r) in queries.iter().step_by(11) {
+                assert_eq!(
+                    loaded.query_with_cost(*v, r),
+                    built.query_with_cost(*v, r),
+                    "{policy:?} x{shards}: loaded set does different work at ({v}, {r})"
+                );
+            }
+        }
+    }
+
+    // `load_served_index` takes the directory like any snapshot path.
+    let dir = scratch.path().join("Replicate-4");
+    let (served, info) =
         gsr_store::load_served_index(&dir, gsr_store::LoadOptions { trust: false })
             .expect("load sharded");
     assert_eq!(info.format, 3);
-
-    let oracle = ThreeDReach::build(&prep, SccSpatialPolicy::Replicate);
-    let queries = queries_for(&prep, &boundary_rects(&prep, 4));
-    let want = exec.run(&oracle, &queries);
-    let got = exec.run(loaded.as_ref(), &queries);
-    assert_eq!(got, want, "loaded sharded set disagrees with the oracle");
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(served.shard_stats().expect("a router").shards, 4);
 }
