@@ -92,13 +92,13 @@ impl VolumetricReach {
     /// All reachable vertices with points inside `query`, ascending.
     pub fn report(&self, v: VertexId, query: &Box3d) -> Vec<VertexId> {
         let from = self.comp_of[v as usize];
-        let mut out = Vec::new();
+        let (mut out, mut stack) = (Vec::new(), Vec::new());
         for iv in self.labeling.intervals(from) {
             let hyper = Aabb::new(
                 [query.min[0], query.min[1], query.min[2], iv.lo as f64],
                 [query.max[0], query.max[1], query.max[2], iv.hi as f64],
             );
-            out.extend(self.tree.query(&hyper).map(|(_, &u)| u));
+            self.tree.collect_values(&hyper, &mut stack, &mut out);
         }
         out.sort_unstable();
         out

@@ -70,10 +70,10 @@ impl ThreeDReporter {
     /// ascending vertex-id order.
     pub fn report(&self, v: VertexId, region: &Rect) -> Vec<VertexId> {
         let from = self.comp_of[v as usize];
-        let mut out = Vec::new();
+        let (mut out, mut stack) = (Vec::new(), Vec::new());
         for iv in self.labeling.intervals(from) {
             let cuboid = cuboid_from_rect(region, iv.lo as f64, iv.hi as f64);
-            out.extend(self.tree.query(&cuboid).map(|(_, &u)| u));
+            self.tree.collect_values(&cuboid, &mut stack, &mut out);
         }
         out.sort_unstable();
         out

@@ -450,7 +450,7 @@ impl<R: Reachability> RangeReachIndex for SpaReach<R> {
                         // Step 1 (Example 2.4): evaluate SRange(P, R) in full,
                         // materializing into the reusable candidate buffer.
                         comps.clear();
-                        comps.extend(tree.query_with(&window, stack).map(|(_, &comp)| comp));
+                        tree.collect_values(&window, stack, comps);
                         cost.spatial_candidates = comps.len();
                         // Step 2: one GReach per candidate until a positive.
                         comps.iter().any(|&comp| {
@@ -487,7 +487,9 @@ impl<R: Reachability> RangeReachIndex for SpaReach<R> {
                 match self.mode {
                     CandidateMode::Materialize => {
                         boxes.clear();
-                        boxes.extend(tree.query_with(&window, stack).map(|(b, &c)| (b, c)));
+                        for run in tree.runs(&window, stack) {
+                            boxes.extend(run.map(|i| (tree.entry_box(i), tree.values()[i])));
+                        }
                         cost.spatial_candidates = boxes.len();
                         boxes.iter().any(|&(b, c)| test(&b, c, &mut cost))
                     }

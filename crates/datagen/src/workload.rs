@@ -183,7 +183,7 @@ impl<'a> WorkloadGen<'a> {
         let mut attempts = 0usize;
         while queries.len() < count {
             let region = self.random_region(&mut rng, extent);
-            if self.points.count_in(&region.into()) == 0 {
+            if !self.points.query_exists(&region.into()) {
                 let v = pool[rng.gen_range(0..pool.len())];
                 queries.push((v, region));
             }

@@ -10,13 +10,15 @@
 //! # Memory layout
 //!
 //! Nodes are numbered breadth-first from the root (id 0): all inner nodes
-//! come before all leaves, parents before children, and the children of any
-//! node are consecutive ids. Instead of per-node allocations the tree keeps
-//! six flat arrays:
+//! come before all leaves, parents before children, the children of any
+//! node are consecutive ids and all leaves sit at one depth. Instead of
+//! per-node allocations the tree keeps six flat arrays:
 //!
 //! * `mbrs[id]` — every node's MBR, contiguous so a traversal that filters
 //!   children scans coordinates cache-linearly;
-//! * `child_start` / `children` — CSR adjacency of the inner nodes;
+//! * `child_start` / `children` — CSR adjacency of the inner nodes; under
+//!   the breadth-first numbering `children[k] == k + 1`, so node `i`'s
+//!   children are the ids `child_start[i] + 1 ..= child_start[i + 1]`;
 //! * `entry_start` — CSR offsets of the leaves into the entry columns;
 //! * entry coordinates in column-major order (one column per dimension and
 //!   bound), with per-dimension *degenerate compression*: when every entry
@@ -26,16 +28,34 @@
 //!   `f64` bits;
 //! * `values` — the payloads, parallel to the entry columns.
 //!
-//! Traversal order (children pushed in list order, leaf entries scanned
-//! forward) is a function of the per-node child lists only, not of the id
-//! values, so queries visit candidates in exactly the order of the previous
-//! pointer-style arena and `QueryCost` accounting is unchanged.
+//! A consequence of the numbering: **the entries below any node are one
+//! contiguous index range** of the entry columns — the leaves of a subtree
+//! are consecutive ids, found by walking its first- and last-child chains,
+//! and consecutive leaves hold consecutive entries.
+//!
+//! # Traversal order
+//!
+//! A range scan ([`RTree::runs`]) pops nodes off a stack, pushes the
+//! intersecting children of an inner node in list order and reports a
+//! leaf's hits in forward order — unless the popped inner node's MBR lies
+//! *inside* the window: then every entry below it qualifies, and the scan
+//! emits the subtree's leaves from the last to the first, each as one run
+//! of entry indices, without reading a coordinate. That is the order a
+//! per-entry traversal visits them in, so candidates arrive exactly as
+//! they did before the scan went run-at-a-time and `QueryCost` accounting
+//! is unchanged. A popped leaf is tested a coordinate column at a time, and
+//! only against the window bounds its MBR sticks out of (none, for a leaf
+//! inside the window). Entry boxes must be proper (`lo <= hi`, no NaN) for
+//! "inside the MBR" to imply "intersects the window";
+//! [`RTree::from_cols`] checks it on untrusted columns.
 //!
 //! The tree is immutable once built; for incremental workloads (the
 //! dynamic-insertion extension) see [`crate::DynRTree`].
 
 use gsr_geo::Aabb;
 use gsr_graph::{Col, HeapBytes};
+use std::borrow::BorrowMut;
+use std::ops::Range;
 
 /// Fan-out parameters of an [`RTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,11 +105,6 @@ impl<const N: usize> EntryStore<N> {
         EntryStore { lo, hi }
     }
 
-    #[inline]
-    fn len(&self) -> usize {
-        self.lo[0].len()
-    }
-
     /// Reconstructs entry `i`'s box, bit-identical to the one stored.
     #[inline]
     fn get(&self, i: usize) -> Aabb<N> {
@@ -101,18 +116,29 @@ impl<const N: usize> EntryStore<N> {
         Aabb { min, max }
     }
 
-    /// Whether entry `i` intersects `region` — the same closed-interval
-    /// test as [`Aabb::intersects`], evaluated straight off the columns.
+    /// Which of `entries` (at most 64, all inside `mbr`) intersect `region`,
+    /// as a bit per entry — the closed-interval test of
+    /// [`Aabb::intersects`], evaluated a column at a time and only against
+    /// the bounds of `region` that `mbr` sticks out of: a proper box inside
+    /// `mbr` cannot fail the others. (`region` has no NaN bound here: a scan
+    /// over such a window does not get past the root's `intersects`.)
     #[inline]
-    fn intersects(&self, i: usize, region: &Aabb<N>) -> bool {
-        (0..N).all(|d| {
-            let lo = self.lo[d][i];
-            let hi = match &self.hi[d] {
-                Some(col) => col[i],
-                None => lo,
-            };
-            lo <= region.max[d] && region.min[d] <= hi
-        })
+    fn hits(&self, entries: Range<usize>, region: &Aabb<N>, mbr: &Aabb<N>) -> u64 {
+        fn mask(col: &[f64], test: impl Fn(f64) -> bool) -> u64 {
+            col.iter().rev().fold(0, |m, &x| m << 1 | test(x) as u64)
+        }
+        let mut hits = u64::MAX >> (64 - entries.len());
+        for d in 0..N {
+            let lo = &self.lo[d][entries.clone()];
+            if mbr.max[d] > region.max[d] {
+                hits &= mask(lo, |x| x <= region.max[d]);
+            }
+            if mbr.min[d] < region.min[d] {
+                let hi = self.hi[d].as_ref().map_or(lo, |col| &col[entries.clone()]);
+                hits &= mask(hi, |x| region.min[d] <= x);
+            }
+        }
+        hits
     }
 
     fn heap_bytes(&self) -> usize {
@@ -204,7 +230,8 @@ impl<const N: usize, T> RTree<N, T> {
 
     /// Bulk-loads the tree with Sort-Tile-Recursive packing, which produces
     /// nearly fully packed nodes with little overlap — the standard loading
-    /// strategy for static datasets such as the paper's networks.
+    /// strategy for static datasets such as the paper's networks. Entry
+    /// boxes must be proper (`min <= max`, no NaN): range scans rely on it.
     pub fn bulk_load(entries: Vec<(Aabb<N>, T)>) -> Self {
         Self::bulk_load_with_params(entries, RTreeParams::default())
     }
@@ -387,17 +414,28 @@ impl<const N: usize, T> RTree<N, T> {
         self.num_inner
     }
 
-    /// Child ids of inner node `id`.
+    /// Child ids of inner node `id` (`children[k] == k + 1`).
     #[inline]
-    fn node_children(&self, id: usize) -> &[u32] {
-        &self.children[self.child_start[id] as usize..self.child_start[id + 1] as usize]
+    fn child_ids(&self, id: usize) -> Range<usize> {
+        self.child_start[id] as usize + 1..self.child_start[id + 1] as usize + 1
     }
 
-    /// Entry index range of leaf node `id` (`id >= num_inner`).
+    /// Entry index range of leaf number `l` (node id `num_inner + l`).
     #[inline]
-    fn leaf_range(&self, id: usize) -> (usize, usize) {
-        let l = id - self.num_inner;
-        (self.entry_start[l] as usize, self.entry_start[l + 1] as usize)
+    fn leaf_entries(&self, l: usize) -> Range<usize> {
+        self.entry_start[l] as usize..self.entry_start[l + 1] as usize
+    }
+
+    /// Leaf numbers of the subtree below node `id`: both ends of the level
+    /// move down one child chain each until they reach the leaf level.
+    #[inline]
+    fn leaf_span(&self, id: usize) -> Range<usize> {
+        let (mut first, mut end) = (id, id + 1);
+        while first < self.num_inner {
+            first = self.child_start[first] as usize + 1;
+            end = self.child_start[end] as usize + 1;
+        }
+        first - self.num_inner..end - self.num_inner
     }
 
     /// The entry nearest to `point` (minimum Euclidean distance from the
@@ -445,15 +483,11 @@ impl<const N: usize, T> RTree<N, T> {
             }
             let id = id as usize;
             if id < self.num_inner {
-                for &c in self.node_children(id) {
-                    heap.push((
-                        Reverse(OrderedF64(min_dist_sq(&self.mbrs[c as usize], point))),
-                        c,
-                    ));
+                for c in self.child_ids(id) {
+                    heap.push((Reverse(OrderedF64(min_dist_sq(&self.mbrs[c], point))), c as u32));
                 }
             } else {
-                let (start, end) = self.leaf_range(id);
-                for i in start..end {
+                for i in self.leaf_entries(id - self.num_inner) {
                     let b = self.entries.get(i);
                     let t = &self.values[i];
                     let d = min_dist_sq(&b, point);
@@ -470,48 +504,86 @@ impl<const N: usize, T> RTree<N, T> {
         best.into_iter().map(|(_, entry)| entry).collect()
     }
 
-    /// Iterator over all entries whose box intersects `region`.
-    pub fn query<'a>(&'a self, region: &Aabb<N>) -> Query<'a, N, T> {
-        let mut stack = Vec::new();
+    /// The range scan every other query is built on: the entries whose box
+    /// intersects `region`, as **runs** of entry indices (into
+    /// [`RTree::values`] / [`RTree::entry_box`]) in traversal order. A
+    /// subtree inside the window is emitted leaf by leaf without testing an
+    /// entry (see *Traversal order* in the module docs); runs are never
+    /// empty.
+    ///
+    /// `stack` is the traversal stack, owned (`Vec::new()`) or borrowed: it
+    /// is cleared on entry and keeps its capacity, so a caller lending the
+    /// same buffer every time (a per-thread `QueryScratch`) allocates
+    /// nothing per query in steady state.
+    pub fn runs<S: BorrowMut<Vec<u32>>>(
+        &self,
+        region: &Aabb<N>,
+        mut stack: S,
+    ) -> Runs<'_, N, T, S> {
+        stack.borrow_mut().clear();
         if self.mbrs[0].intersects(region) {
-            stack.push(0u32);
+            stack.borrow_mut().push(0);
         }
-        Query { tree: self, region: *region, stack, leaf: None }
+        Runs { tree: self, region: *region, stack, span: 0..0, leaf: (0, 0..0), base: 0, hits: 0 }
+    }
+
+    /// Iterator over all entries whose box intersects `region`.
+    pub fn query(&self, region: &Aabb<N>) -> Query<'_, N, T> {
+        self.query_with(region, Vec::new())
+    }
+
+    /// [`RTree::query`] with the traversal stack of [`RTree::runs`]
+    /// (usually a borrowed, reused `&mut Vec<u32>`); same results.
+    pub fn query_with<S: BorrowMut<Vec<u32>>>(
+        &self,
+        region: &Aabb<N>,
+        stack: S,
+    ) -> Query<'_, N, T, S> {
+        Query { runs: self.runs(region, stack), run: 0..0 }
     }
 
     /// Whether any entry intersects `region` (early-exit traversal). This is
     /// the access pattern of 3DReach: a `RangeReach` answer needs only the
     /// *existence* of a point inside the query cuboid, not the result set.
     pub fn query_exists(&self, region: &Aabb<N>) -> bool {
-        self.query(region).next().is_some()
-    }
-
-    /// Like [`RTree::query`], but traversing with a caller-provided stack
-    /// buffer instead of allocating one per query. The stack is cleared on
-    /// entry and retains its capacity afterwards, so a caller that reuses
-    /// the same buffer (e.g. a per-thread `QueryScratch`) performs zero
-    /// heap allocations per query in steady state. Results are identical
-    /// to [`RTree::query`].
-    pub fn query_with<'t, 's>(
-        &'t self,
-        region: &Aabb<N>,
-        stack: &'s mut Vec<u32>,
-    ) -> QueryWith<'t, 's, N, T> {
-        stack.clear();
-        if self.mbrs[0].intersects(region) {
-            stack.push(0u32);
-        }
-        QueryWith { tree: self, region: *region, stack, leaf: None }
+        self.runs(region, Vec::new()).next().is_some()
     }
 
     /// [`RTree::query_exists`] with a caller-provided stack buffer.
     pub fn query_exists_with(&self, region: &Aabb<N>, stack: &mut Vec<u32>) -> bool {
-        self.query_with(region, stack).next().is_some()
+        self.runs(region, stack).next().is_some()
     }
 
     /// Number of entries intersecting `region`.
     pub fn count_in(&self, region: &Aabb<N>) -> usize {
-        self.query(region).count()
+        self.runs(region, Vec::new()).total()
+    }
+
+    /// Appends the payload of every entry intersecting `region` to `out`, in
+    /// traversal order — one slice copy per run of [`RTree::runs`].
+    pub fn collect_values<S: BorrowMut<Vec<u32>>>(
+        &self,
+        region: &Aabb<N>,
+        stack: S,
+        out: &mut Vec<T>,
+    ) where
+        T: Copy,
+    {
+        for run in self.runs(region, stack) {
+            out.extend_from_slice(&self.values[run]);
+        }
+    }
+
+    /// The payloads in storage order, indexed by the runs of [`RTree::runs`].
+    #[inline]
+    pub fn values(&self) -> &[T] {
+        &self.values
+    }
+
+    /// Entry `i`'s box, bit-identical to the one loaded.
+    #[inline]
+    pub fn entry_box(&self, i: usize) -> Aabb<N> {
+        self.entries.get(i)
     }
 
     /// Iterator over all entries in storage (breadth-first leaf) order.
@@ -527,7 +599,7 @@ impl<const N: usize, T> RTree<N, T> {
         let mut id = 0usize;
         while id < self.num_inner {
             h += 1;
-            id = self.node_children(id)[0] as usize;
+            id = self.child_ids(id).start;
         }
         h
     }
@@ -572,11 +644,15 @@ impl<const N: usize, T> RTree<N, T> {
     /// copied.
     ///
     /// The input is untrusted: the arrays must describe a proper
-    /// breadth-first tree — monotone CSR offsets, child ids strictly
-    /// greater than their parent's (which rules out cycles), every
-    /// non-root node referenced exactly once, coordinate columns parallel
-    /// to the payloads — so that no traversal can panic or loop.
-    /// Violations are reported as `Err(String)`.
+    /// breadth-first tree — monotone CSR offsets, no childless inner node,
+    /// `children[k] == k + 1` (every non-root node referenced exactly once,
+    /// by a smaller id: no cycles), all leaves at one depth, coordinate
+    /// columns parallel to the payloads, proper entry boxes (`lo <= hi`, no
+    /// NaN) and every node's MBR covering its children or entries — so that
+    /// no traversal can panic or loop, no MBR prunes an entry it should
+    /// reach, and every run the scan derives for a subtree inside the
+    /// window is in bounds and holds only intersecting entries. Violations
+    /// are reported as `Err(String)`; the checks are `O(nodes + entries)`.
     #[allow(clippy::too_many_arguments)]
     pub fn from_cols(
         params: RTreeParams,
@@ -588,14 +664,29 @@ impl<const N: usize, T> RTree<N, T> {
         entry_hi: [Option<Col<f64>>; N],
         values: Col<T>,
     ) -> Result<Self, String> {
-        if child_start.is_empty() || entry_start.is_empty() {
-            return Err("rtree: empty CSR offset array".into());
+        if child_start.is_empty() || entry_start.len() < 2 {
+            return Err("rtree: empty CSR offset array, or no leaf nodes".into());
         }
-        let num_inner = child_start.len() - 1;
-        let num_leaves = entry_start.len() - 1;
-        if num_leaves == 0 {
-            return Err("rtree: no leaf nodes".into());
-        }
+        let tree = RTree {
+            params,
+            len: values.len(),
+            num_inner: child_start.len() - 1,
+            mbrs,
+            child_start,
+            children,
+            entry_start,
+            entries: EntryStore { lo: entry_lo, hi: entry_hi },
+            values,
+        };
+        tree.validate()?;
+        Ok(tree)
+    }
+
+    /// The conditions [`RTree::from_cols`] documents, on a tree whose offset
+    /// arrays are non-empty.
+    fn validate(&self) -> Result<(), String> {
+        let RTree { num_inner, mbrs, child_start, children, entry_start, entries, .. } = self;
+        let (num_inner, num_leaves) = (*num_inner, entry_start.len() - 1);
         let num_nodes = num_inner + num_leaves;
         if mbrs.len() != num_nodes {
             return Err(format!(
@@ -605,7 +696,7 @@ impl<const N: usize, T> RTree<N, T> {
         }
         for (name, offsets, total) in [
             ("child", &child_start[..], children.len()),
-            ("entry", &entry_start[..], values.len()),
+            ("entry", &entry_start[..], self.len),
         ] {
             if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
                 return Err(format!("rtree: {name} offsets not monotone from 0"));
@@ -617,119 +708,78 @@ impl<const N: usize, T> RTree<N, T> {
                 ));
             }
         }
-        if num_inner == 0 && num_leaves != 1 {
-            return Err(format!("rtree: {num_leaves} leaves but no inner root"));
+        if child_start.windows(2).any(|w| w[0] == w[1]) {
+            return Err("rtree: an inner node has no children".into());
         }
-        let mut referenced = vec![false; num_nodes];
-        for i in 0..num_inner {
-            let list = &children[child_start[i] as usize..child_start[i + 1] as usize];
-            if list.is_empty() {
-                return Err(format!("rtree: inner node {i} has no children"));
+        if children.len() != num_nodes - 1
+            || children.iter().enumerate().any(|(k, &c)| c as usize != k + 1)
+        {
+            return Err(format!(
+                "rtree: {} child ids for {num_nodes} nodes, or not breadth-first \
+                 (children[k] must be k + 1)",
+                children.len()
+            ));
+        }
+        // Level by level from the root: a level holding both inner nodes
+        // and leaves would put leaves at two depths.
+        let (mut first, mut end) = (0, 1);
+        while first < num_inner {
+            if end > num_inner {
+                return Err("rtree: leaves at different depths".into());
             }
-            for &c in list {
-                let c = c as usize;
-                if c >= num_nodes {
-                    return Err(format!("rtree: node {i} references child {c} out of range"));
-                }
-                if c <= i {
-                    return Err(format!(
-                        "rtree: node {i} references child {c}; ids must be breadth-first \
-                         (child > parent)"
-                    ));
-                }
-                if referenced[c] {
-                    return Err(format!("rtree: node {c} referenced twice (not a tree)"));
-                }
-                referenced[c] = true;
+            (first, end) = (child_start[first] as usize + 1, child_start[end] as usize + 1);
+        }
+        for id in 0..num_inner {
+            if let Some(c) = self.child_ids(id).find(|&c| !mbrs[id].contains(&mbrs[c])) {
+                return Err(format!("rtree: node {id} mbr does not cover child {c}"));
             }
         }
-        if let Some(orphan) = (1..num_nodes).find(|&i| !referenced[i]) {
-            return Err(format!("rtree: node {orphan} unreachable from the root"));
+        let mut columns = entries.lo.iter().chain(entries.hi.iter().flatten());
+        if let Some(col) = columns.find(|col| col.len() != self.len) {
+            return Err(format!(
+                "rtree: a coordinate column has {} coords for {} entries",
+                col.len(),
+                self.len
+            ));
         }
-        let n_entries = values.len();
-        for (d, col) in entry_lo.iter().enumerate() {
-            if col.len() != n_entries {
+        let lo: [&[f64]; N] = std::array::from_fn(|d| &entries.lo[d][..]);
+        let hi: [&[f64]; N] = std::array::from_fn(|d| entries.hi[d].as_deref().unwrap_or(lo[d]));
+        for (l, mbr) in mbrs[num_inner..].iter().enumerate() {
+            let run = self.leaf_entries(l);
+            let proper_and_covered = (0..N).all(|d| {
+                let bounds = lo[d][run.clone()].iter().zip(&hi[d][run.clone()]);
+                bounds.fold(true, |ok, (lo, hi)| {
+                    ok & (mbr.min[d] <= *lo) & (lo <= hi) & (*hi <= mbr.max[d])
+                })
+            });
+            if !proper_and_covered {
                 return Err(format!(
-                    "rtree: lo column {d} has {} coords for {n_entries} entries",
-                    col.len()
+                    "rtree: leaf {l} holds an entry that is inverted, NaN or outside its mbr"
                 ));
             }
         }
-        for (d, col) in entry_hi.iter().enumerate() {
-            if let Some(col) = col {
-                if col.len() != n_entries {
-                    return Err(format!(
-                        "rtree: hi column {d} has {} coords for {n_entries} entries",
-                        col.len()
-                    ));
-                }
-            }
-        }
-        Ok(RTree {
-            params,
-            len: n_entries,
-            num_inner,
-            mbrs,
-            child_start,
-            children,
-            entry_start,
-            entries: EntryStore { lo: entry_lo, hi: entry_hi },
-            values,
-        })
+        Ok(())
     }
 
-    /// Checks structural invariants (entry count, MBR containment, fan-out
-    /// bounds). Intended for tests; panics with a description on violation.
+    /// Checks structural invariants: everything [`RTree::from_cols`] demands
+    /// of loaded columns, plus fan-out bounds and tight inner MBRs. Intended
+    /// for tests; panics with a description on violation.
     pub fn check_invariants(&self) {
-        assert_eq!(self.values.len(), self.len, "value count mismatch");
-        assert_eq!(self.entries.len(), self.len, "entry column length mismatch");
-        let num_nodes = self.mbrs.len();
-        for id in 0..num_nodes {
-            let count = if id < self.num_inner {
-                self.node_children(id).len()
-            } else {
-                let (s, e) = self.leaf_range(id);
-                e - s
-            };
-            assert!(
-                count <= self.params.max_entries,
-                "node {id} overflows: {count} > {}",
-                self.params.max_entries
-            );
-            if id > 0 {
-                assert!(count >= 1, "empty non-root node {id}");
-            }
-            if id < self.num_inner {
-                let mut acc = Aabb::empty();
-                for &c in self.node_children(id) {
-                    assert!(
-                        (c as usize) > id,
-                        "node {id} has child {c} with a smaller id (not breadth-first)"
-                    );
-                    assert!(
-                        self.mbrs[id].contains(&self.mbrs[c as usize]),
-                        "node {id} mbr misses child {c}"
-                    );
-                    acc.expand(&self.mbrs[c as usize]);
-                }
-                assert_eq!(acc, self.mbrs[id], "node {id} mbr is not tight");
-            } else {
-                let (s, e) = self.leaf_range(id);
-                for i in s..e {
-                    assert!(
-                        self.mbrs[id].contains(&self.entries.get(i)),
-                        "leaf {id} mbr misses entry {i}"
-                    );
-                }
-            }
+        if let Err(violation) = self.validate() {
+            panic!("{violation}");
         }
-        let total: usize = (self.num_inner..num_nodes)
-            .map(|id| {
-                let (s, e) = self.leaf_range(id);
-                e - s
-            })
-            .sum();
-        assert_eq!(total, self.len, "entry count mismatch");
+        for id in 0..self.mbrs.len() {
+            let count = if id < self.num_inner {
+                let tight = Aabb::mbr_of(self.child_ids(id).map(|c| self.mbrs[c]));
+                assert_eq!(tight, Some(self.mbrs[id]), "node {id} mbr is not tight");
+                self.child_ids(id).len()
+            } else {
+                self.leaf_entries(id - self.num_inner).len()
+            };
+            let max = self.params.max_entries;
+            assert!(count <= max, "node {id} overflows: {count} > {max}");
+            assert!(id == 0 || count >= 1, "empty non-root node {id}");
+        }
     }
 }
 
@@ -849,77 +899,100 @@ fn str_tile_threaded<const N: usize, E: Send>(
     out
 }
 
-/// Range-query iterator over an [`RTree`]; see [`RTree::query`].
-pub struct Query<'a, const N: usize, T> {
-    tree: &'a RTree<N, T>,
+/// Run-at-a-time range scan over an [`RTree`]; see [`RTree::runs`].
+pub struct Runs<'t, const N: usize, T, S> {
+    tree: &'t RTree<N, T>,
     region: Aabb<N>,
-    stack: Vec<u32>,
-    leaf: Option<(usize, usize)>,
+    stack: S,
+    /// Leaves of a subtree inside the window still to emit, last first.
+    span: Range<usize>,
+    /// A leaf straddling the window's edge and its entries still to test.
+    leaf: (usize, Range<usize>),
+    /// The tested entries `base + k` of that leaf: bit `k` is set for a hit
+    /// not yet emitted.
+    base: usize,
+    hits: u64,
 }
 
-impl<'a, const N: usize, T> Iterator for Query<'a, N, T> {
-    type Item = (Aabb<N>, &'a T);
+impl<const N: usize, T, S: BorrowMut<Vec<u32>>> Iterator for Runs<'_, N, T, S> {
+    type Item = Range<usize>;
 
-    fn next(&mut self) -> Option<Self::Item> {
+    #[inline]
+    fn next(&mut self) -> Option<Range<usize>> {
+        let tree = self.tree;
         loop {
-            if let Some((pos, end)) = &mut self.leaf {
-                while *pos < *end {
-                    let i = *pos;
-                    *pos += 1;
-                    if self.tree.entries.intersects(i, &self.region) {
-                        return Some((self.tree.entries.get(i), &self.tree.values[i]));
-                    }
-                }
-                self.leaf = None;
+            if self.hits != 0 {
+                let skip = self.hits.trailing_zeros() as usize;
+                let len = (self.hits >> skip).trailing_ones() as usize;
+                self.hits &= !(u64::MAX >> (64 - len) << skip);
+                return Some(self.base + skip..self.base + skip + len);
             }
-            let id = self.stack.pop()? as usize;
-            if id < self.tree.num_inner {
-                for &c in self.tree.node_children(id) {
-                    if self.tree.mbrs[c as usize].intersects(&self.region) {
-                        self.stack.push(c);
+            let (node, rest) = &mut self.leaf;
+            if rest.start < rest.end {
+                let chunk = rest.start..rest.end.min(rest.start + 64);
+                rest.start = chunk.end;
+                self.base = chunk.start;
+                self.hits = tree.entries.hits(chunk, &self.region, &tree.mbrs[*node]);
+                continue;
+            }
+            if let Some(l) = self.span.next_back() {
+                let run = tree.leaf_entries(l);
+                if run.is_empty() {
+                    continue; // the empty root, or an empty leaf of a loaded tree
+                }
+                return Some(run);
+            }
+            let id = self.stack.borrow_mut().pop()? as usize;
+            if id >= tree.num_inner {
+                self.leaf = (id, tree.leaf_entries(id - tree.num_inner));
+            } else if self.region.contains(&tree.mbrs[id]) {
+                self.span = tree.leaf_span(id);
+            } else {
+                let stack = self.stack.borrow_mut();
+                let kids = tree.child_ids(id);
+                for (c, mbr) in kids.clone().zip(&tree.mbrs[kids]) {
+                    if mbr.intersects(&self.region) {
+                        stack.push(c as u32);
                     }
                 }
-            } else {
-                self.leaf = Some(self.tree.leaf_range(id));
             }
         }
     }
 }
 
-/// Range-query iterator borrowing its traversal stack from the caller;
-/// see [`RTree::query_with`].
-pub struct QueryWith<'t, 's, const N: usize, T> {
-    tree: &'t RTree<N, T>,
-    region: Aabb<N>,
-    stack: &'s mut Vec<u32>,
-    leaf: Option<(usize, usize)>,
+impl<const N: usize, T, S: BorrowMut<Vec<u32>>> Runs<'_, N, T, S> {
+    /// Number of entries in the runs still to come. A subtree inside the
+    /// window is counted from its entry offsets after its first run, without
+    /// visiting the rest of its leaves.
+    fn total(mut self) -> usize {
+        let mut n = 0;
+        while let Some(run) = self.next() {
+            let rest = std::mem::take(&mut self.span);
+            let offsets = &self.tree.entry_start;
+            n += run.len() + (offsets[rest.end] - offsets[rest.start]) as usize;
+        }
+        n
+    }
 }
 
-impl<'t, const N: usize, T> Iterator for QueryWith<'t, '_, N, T> {
+/// Range-query iterator over an [`RTree`] — [`Runs`] flattened into
+/// `(box, payload)` pairs; see [`RTree::query`] and [`RTree::query_with`].
+pub struct Query<'t, const N: usize, T, S = Vec<u32>> {
+    runs: Runs<'t, N, T, S>,
+    run: Range<usize>,
+}
+
+impl<'t, const N: usize, T, S: BorrowMut<Vec<u32>>> Iterator for Query<'t, N, T, S> {
     type Item = (Aabb<N>, &'t T);
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if let Some((pos, end)) = &mut self.leaf {
-                while *pos < *end {
-                    let i = *pos;
-                    *pos += 1;
-                    if self.tree.entries.intersects(i, &self.region) {
-                        return Some((self.tree.entries.get(i), &self.tree.values[i]));
-                    }
-                }
-                self.leaf = None;
+            if let Some(i) = self.run.next() {
+                let tree = self.runs.tree;
+                return Some((tree.entries.get(i), &tree.values[i]));
             }
-            let id = self.stack.pop()? as usize;
-            if id < self.tree.num_inner {
-                for &c in self.tree.node_children(id) {
-                    if self.tree.mbrs[c as usize].intersects(&self.region) {
-                        self.stack.push(c);
-                    }
-                }
-            } else {
-                self.leaf = Some(self.tree.leaf_range(id));
-            }
+            self.run = self.runs.next()?;
         }
     }
 }
@@ -965,8 +1038,8 @@ mod tests {
         // Root is node 0; every child id exceeds its parent's; leaves
         // occupy the id range after the inner nodes.
         for id in 0..t.num_inner_nodes() {
-            for &c in t.node_children(id) {
-                assert!(c as usize > id);
+            for c in t.child_ids(id) {
+                assert!(c > id);
             }
         }
         assert_eq!(t.num_nodes() - t.num_inner_nodes(), t.entry_start.len() - 1);
@@ -1281,6 +1354,52 @@ mod tests {
         bad.child_start = vec![0];
         bad.children = Vec::new();
         assert!(bad.build().is_err());
+
+        // The checks the run derivation of `runs` rests on. A children
+        // column that is a permutation (each node still referenced once, by
+        // a smaller id) but not the breadth-first identity:
+        let mut bad = good();
+        bad.children.swap(0, 1);
+        assert!(bad.build().unwrap_err().contains("breadth-first"));
+        // Leaves at two depths: node 2 is a leaf below the root, nodes 3
+        // and 4 are leaves below inner node 1.
+        let two_depths = OwnedCols {
+            params: RTreeParams::default(),
+            mbrs: vec![
+                Aabb::new([0.0, 0.0], [2.0, 2.0]),
+                Aabb::new([0.0, 0.0], [1.0, 1.0]),
+                pt(2.0, 2.0),
+                pt(0.0, 0.0),
+                pt(1.0, 1.0),
+            ],
+            child_start: vec![0, 2, 4],
+            children: vec![1, 2, 3, 4],
+            entry_start: vec![0, 1, 2, 3],
+            entry_lo: [vec![2.0, 0.0, 1.0], vec![2.0, 0.0, 1.0]],
+            entry_hi: [None, None],
+            values: vec![0usize, 1, 2],
+        };
+        assert!(two_depths.build().unwrap_err().contains("different depths"));
+        // An inner MBR that does not cover a child's.
+        let mut bad = good();
+        bad.mbrs[0].max[0] -= 1.0;
+        assert!(bad.build().unwrap_err().contains("does not cover child"));
+        // A leaf MBR that does not cover one of its entries (it would prune,
+        // or wave through, an entry it should have tested).
+        let mut bad = good();
+        let last = bad.mbrs.len() - 1;
+        bad.mbrs[last].min[1] += 0.5;
+        assert!(bad.build().unwrap_err().contains("outside its mbr"));
+        // An entry that is no proper box: NaN, or inverted in a live `hi`
+        // column.
+        let mut bad = good();
+        bad.entry_lo[0][0] = f64::NAN;
+        assert!(bad.build().unwrap_err().contains("NaN"));
+        let boxes = RTree::bulk_load(vec![(Aabb::new([0.0, 0.0], [2.0, 2.0]), 0usize)]);
+        let mut bad = OwnedCols::of(&boxes);
+        bad.entry_lo[0][0] = 1.5;
+        bad.entry_hi[0].as_mut().expect("live hi column")[0] = 0.5;
+        assert!(bad.build().unwrap_err().contains("inverted"));
     }
 
     #[test]

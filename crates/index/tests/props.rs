@@ -24,8 +24,197 @@ fn linear_scan<const N: usize>(entries: &[(Aabb<N>, usize)], region: &Aabb<N>) -
     hits
 }
 
+/// The per-entry stack traversal that [`RTree::runs`] replaced, kept here as
+/// the oracle: children pushed in list order, every leaf entry tested with
+/// the closed-interval rule. Returns entry indices in visiting order.
+fn per_entry_scan<const N: usize, T>(tree: &RTree<N, T>, region: &Aabb<N>) -> Vec<usize> {
+    let c = tree.cols();
+    let num_inner = c.child_start.len() - 1;
+    let mut out = Vec::new();
+    let mut stack = Vec::new();
+    if c.mbrs[0].intersects(region) {
+        stack.push(0u32);
+    }
+    while let Some(id) = stack.pop() {
+        let id = id as usize;
+        if id < num_inner {
+            let list = c.child_start[id] as usize..c.child_start[id + 1] as usize;
+            for &child in &c.children[list] {
+                if c.mbrs[child as usize].intersects(region) {
+                    stack.push(child);
+                }
+            }
+        } else {
+            let l = id - num_inner;
+            for i in c.entry_start[l] as usize..c.entry_start[l + 1] as usize {
+                let hit = (0..N).all(|d| {
+                    let lo = c.entry_lo[d][i];
+                    let hi = c.entry_hi[d].map_or(lo, |col| col[i]);
+                    lo <= region.max[d] && region.min[d] <= hi
+                });
+                if hit {
+                    out.push(i);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Tree sizes around the leaf capacity, then multi-level.
+fn tree_size(kind: usize, n: usize) -> usize {
+    [0, 1, 16, 17].get(kind).copied().unwrap_or(n)
+}
+
+/// Default fan-out, a deep narrow tree, and leaves wider than the 64-entry
+/// chunks the scan tests a straddling leaf in.
+fn fan_out(kind: usize) -> RTreeParams {
+    [RTreeParams::default(), RTreeParams::new(4, 2), RTreeParams::new(100, 40)][kind]
+}
+
+/// A coordinate on a `grid`-step integer lattice around zero (small grids
+/// force duplicates); zero comes out as `-0.0` for odd `raw`.
+fn lattice(raw: u32, grid: u32) -> f64 {
+    let c = (raw % grid) as f64 - (grid / 2) as f64;
+    if c == 0.0 && raw % 2 == 1 {
+        -0.0
+    } else {
+        c
+    }
+}
+
+type Corners<const N: usize> = ([f64; N], [f64; N]);
+
+fn arb_corners<const N: usize>() -> impl Strategy<Value = Vec<Corners<N>>> {
+    prop::collection::vec(([(); N].map(|_| -35.0..35.0f64), [(); N].map(|_| -35.0..35.0f64)), 6)
+}
+
+/// The windows every generated tree is probed with: the random ones plus the
+/// edge cases — zero-area, disjoint, covering the whole MBR, an edge bit-equal
+/// to an entry coordinate, `-0.0`/`0.0` mixes, infinite bounds and NaN bounds
+/// (which match nothing).
+fn windows<const N: usize>(entries: &[(Aabb<N>, usize)], random: &[Corners<N>]) -> Vec<Aabb<N>> {
+    let inf = f64::INFINITY;
+    let mut out: Vec<Aabb<N>> = random
+        .iter()
+        .map(|(a, b)| {
+            let min = std::array::from_fn(|d| a[d].min(b[d]));
+            Aabb::new(min, std::array::from_fn(|d| a[d].max(b[d])))
+        })
+        .collect();
+    out.push(Aabb::new([1e6; N], [2e6; N]));
+    out.push(Aabb::new([-inf; N], [inf; N]));
+    out.push(Aabb::new([-inf; N], [-0.0; N]));
+    out.push(Aabb::new([0.0; N], [inf; N]));
+    out.push(Aabb::new([-0.0; N], [0.0; N]));
+    out.push(Aabb::from_point([0.0; N]));
+    out.push(Aabb::from_point([-0.0; N]));
+    out.push(Aabb { min: [f64::NAN; N], max: [f64::NAN; N] });
+    out.push(Aabb { min: [-inf; N], max: std::array::from_fn(|d| [f64::NAN, inf][d.min(1)]) });
+    if let Some(all) = Aabb::mbr_of(entries.iter().map(|(b, _)| *b)) {
+        out.push(all);
+        out.push(Aabb::new(all.min.map(|c| c - 1.0), all.max.map(|c| c + 1.0)));
+        out.push(Aabb::new(all.min, all.min.map(|c| c + 3.0)));
+    }
+    for (b, _) in entries.iter().step_by(entries.len() / 6 + 1) {
+        out.push(Aabb::from_point(b.min));
+        out.push(Aabb::new(b.max, b.max.map(|c| c + 2.5))); // min edge == the entry's hi
+        out.push(Aabb::new(b.min.map(|c| c - 2.5), b.min)); // max edge == the entry's lo
+    }
+    out
+}
+
+/// Runs ≡ per-entry scan, element for element, on every window; and the
+/// entry iterators, `collect_values`, `count_in` and `query_exists*` agree
+/// with the runs.
+fn check_runs<const N: usize>(
+    entries: Vec<(Aabb<N>, usize)>,
+    params: RTreeParams,
+    random: &[Corners<N>],
+) -> Result<(), TestCaseError> {
+    let windows = windows(&entries, random);
+    let tree = RTree::bulk_load_with_params(entries, params);
+    tree.check_invariants();
+    let mut stack = Vec::new();
+    for w in &windows {
+        let expected = per_entry_scan(&tree, w);
+        let runs: Vec<_> = tree.runs(w, Vec::new()).collect();
+        prop_assert!(runs.iter().all(|r| !r.is_empty()), "empty run on {:?}", w);
+        let got: Vec<usize> = runs.into_iter().flatten().collect();
+        prop_assert_eq!(&got, &expected, "window {:?}", w);
+        let pairs: Vec<(Aabb<N>, usize)> = tree.query(w).map(|(b, &v)| (b, v)).collect();
+        let from_runs: Vec<(Aabb<N>, usize)> =
+            expected.iter().map(|&i| (tree.entry_box(i), tree.values()[i])).collect();
+        prop_assert_eq!(&pairs, &from_runs, "query on {:?}", w);
+        let lent: Vec<(Aabb<N>, usize)> =
+            tree.query_with(w, &mut stack).map(|(b, &v)| (b, v)).collect();
+        prop_assert_eq!(&lent, &from_runs, "query_with on {:?}", w);
+        let mut values = Vec::new();
+        tree.collect_values(w, &mut stack, &mut values);
+        let payloads: Vec<usize> = from_runs.iter().map(|&(_, v)| v).collect();
+        prop_assert_eq!(&values, &payloads, "collect_values on {:?}", w);
+        prop_assert_eq!(tree.count_in(w), expected.len(), "count_in on {:?}", w);
+        prop_assert_eq!(tree.query_exists(w), !expected.is_empty(), "query_exists on {:?}", w);
+        prop_assert_eq!(tree.query_exists_with(w, &mut stack), !expected.is_empty());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn runs_match_per_entry_scan_on_point_trees(
+        raw in prop::collection::vec((0u32..4000, 0u32..4000), 700),
+        shape in (0usize..7, 18usize..700, 1u32..60, 0usize..3),
+        random in arb_corners::<2>(),
+    ) {
+        let (size, n, grid, fan) = shape;
+        let entries = raw[..tree_size(size, n)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y))| (Aabb::from_point([lattice(x, grid), lattice(y, grid)]), i))
+            .collect();
+        check_runs(entries, fan_out(fan), &random)?;
+    }
+
+    #[test]
+    fn runs_match_per_entry_scan_on_box_trees(
+        raw in prop::collection::vec((0u32..4000, 0u32..4000, 0u32..7, 0u32..7), 700),
+        shape in (0usize..7, 18usize..700, 1u32..60, 0usize..3),
+        random in arb_corners::<2>(),
+    ) {
+        let (size, n, grid, fan) = shape;
+        let entries = raw[..tree_size(size, n)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y, w, h))| {
+                let (x, y) = (lattice(x, grid), lattice(y, grid));
+                (Aabb::new([x, y], [x + w as f64, y + h as f64]), i)
+            })
+            .collect();
+        check_runs(entries, fan_out(fan), &random)?;
+    }
+
+    #[test]
+    fn runs_match_per_entry_scan_on_3d_segment_trees(
+        raw in prop::collection::vec((0u32..4000, 0u32..4000, 0u32..4000, 0u32..9), 700),
+        shape in (0usize..7, 18usize..700, 1u32..60, 0usize..3),
+        random in arb_corners::<3>(),
+    ) {
+        // 3DReach-REV's shape: flat in x and y (no `hi` columns there),
+        // extended in z.
+        let (size, n, grid, fan) = shape;
+        let entries = raw[..tree_size(size, n)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y, z, len))| {
+                let (x, y, z) = (lattice(x, grid), lattice(y, grid), lattice(z, grid));
+                (Aabb::new([x, y, z], [x, y, z + len as f64]), i)
+            })
+            .collect();
+        check_runs(entries, fan_out(fan), &random)?;
+    }
 
     #[test]
     fn inserted_tree_matches_linear_scan(

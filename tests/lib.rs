@@ -81,3 +81,29 @@ pub fn random_regions(count: usize, seed: u64) -> Vec<gsr_geo::Rect> {
     }
     out
 }
+
+/// Shrinks the MBR of the last leaf of the R-tree stored in a v3 snapshot
+/// (`max` falls below `min` in the last dimension, so the leaf no longer
+/// covers its entries) and recomputes the section's CRC: the file frames and
+/// checksums correctly, only `RTree::from_cols` can tell it is wrong.
+pub fn shrink_last_leaf_mbr(snapshot: &mut [u8]) {
+    const HEADER_LEN: usize = 24;
+    const DIR_ENTRY_LEN: usize = 24;
+    const RT_MBRS: u16 = 0x20;
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let sections = u32::from_le_bytes(snapshot[12..16].try_into().unwrap()) as usize;
+    let entry = (0..sections)
+        .map(|i| HEADER_LEN + i * DIR_ENTRY_LEN)
+        .find(|&e| u16::from_le_bytes([snapshot[e], snapshot[e + 1]]) == RT_MBRS)
+        .expect("snapshot holds an R-tree");
+    let dims = snapshot[entry + 2] as usize / 16; // element = min[N] + max[N] f64s
+    let (off, len) = (u64_at(snapshot, entry + 8) as usize, u64_at(snapshot, entry + 16) as usize);
+    let (last_max, last_min) = (off + len - 8, off + len - 8 - dims * 8);
+    let min = f64::from_le_bytes(snapshot[last_min..last_min + 8].try_into().unwrap());
+    snapshot[last_max..last_max + 8].copy_from_slice(&(min - 1.0).to_le_bytes());
+    // CRC-32 (IEEE, reflected), bit at a time.
+    let crc = !snapshot[off..off + len].iter().fold(!0u32, |crc, &b| {
+        (0..8).fold(crc ^ b as u32, |c, _| if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 })
+    });
+    snapshot[entry + 4..entry + 8].copy_from_slice(&crc.to_le_bytes());
+}

@@ -731,6 +731,19 @@ fn reset_keeps_the_cache_where_reload_clears_it() {
     assert!(refused.starts_with("ERR 3 ") && refused.contains("version 2 "), "{refused}");
     assert_eq!(read_line(&mut reader), first, "old index keeps serving after a refused RELOAD");
 
+    // So is a well-framed snapshot (valid CRCs) whose R-tree has a leaf MBR
+    // that no longer covers its entries: the arena checks refuse it.
+    let shrunk_path = fx.dir.join("shrunk-mbr.snap");
+    let mut shrunk = std::fs::read(&snap_path).unwrap();
+    gsr_tests::shrink_last_leaf_mbr(&mut shrunk);
+    std::fs::write(&shrunk_path, &shrunk).unwrap();
+    stream
+        .write_all(format!("RELOAD {}\nREACH 0 0 0 1 1\n", shrunk_path.display()).as_bytes())
+        .unwrap();
+    let refused = read_line(&mut reader);
+    assert!(refused.starts_with("ERR 3 ") && refused.contains("outside its mbr"), "{refused}");
+    assert_eq!(read_line(&mut reader), first, "old index keeps serving after a refused RELOAD");
+
     // And a shard-set directory in the retired layout (manifest version 1,
     // no shared file).
     let retired_set = fx.dir.join("retired.v1.shards");

@@ -241,6 +241,38 @@ fn trusted_loads_of_corrupt_bytes_never_panic() {
     }
 }
 
+/// A snapshot that frames and checksums correctly but whose R-tree has a
+/// leaf MBR that no longer covers the leaf's entries. Queries on such a tree
+/// would prune — or, with run-at-a-time scans, wave through — entries the
+/// MBR misdescribes, so `RTree::from_cols` must refuse it: with the CRC pass
+/// and, since the CRC is valid anyway, without it.
+#[test]
+fn a_shrunk_leaf_mbr_is_a_typed_load_error_even_when_trusted() {
+    let prep = PreparedNetwork::new(NetworkSpec::yelp(0.02).generate());
+    for original in snapshots(&prep) {
+        if matches!(original, SnapshotIndex::GeoReach(_) | SnapshotIndex::SocReach(_)) {
+            continue; // no R-tree in these two
+        }
+        let mut bytes = Vec::new();
+        gsr_store::save(&mut bytes, &original).expect("save");
+        gsr_tests::shrink_last_leaf_mbr(&mut bytes);
+        for trust in [false, true] {
+            match gsr_store::load_with(&mut bytes.as_slice(), gsr_store::LoadOptions { trust }) {
+                Err(GsrError::Load(msg)) => assert!(
+                    msg.contains("outside its mbr"),
+                    "{} (trust {trust}): {msg}",
+                    original.name()
+                ),
+                other => panic!(
+                    "{} (trust {trust}): shrunk leaf mbr gave {:?}",
+                    original.name(),
+                    other.map(|_| "a loaded index")
+                ),
+            }
+        }
+    }
+}
+
 /// The retired formats — v1 (pointer-node R-trees, uncompressed labels)
 /// and v2 (framed streaming sections) — carry their version in the header;
 /// both load entry points must reject them with a typed version error
