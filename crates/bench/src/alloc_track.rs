@@ -3,12 +3,16 @@
 //! Every binary that links `gsr-bench` (the `repro` driver and the
 //! integration suites that depend on it) routes heap traffic through
 //! [`CountingAllocator`], which delegates to the system allocator and
-//! bumps one relaxed atomic per allocation. The counter is what lets the
-//! `hotpath` experiment and the zero-allocation tests assert that the
-//! steady-state query kernels never touch the heap.
+//! keeps three relaxed atomics: the number of allocations, the bytes
+//! currently live, and the high-water mark of the live bytes since the last
+//! [`reset_peak_live_bytes`]. The count is what lets the `hotpath`
+//! experiment and the zero-allocation tests assert that the steady-state
+//! query kernels never touch the heap; the peak is what lets
+//! `tests/build_memory.rs` bound an index build's scaffolding by the size of
+//! what it builds.
 //!
-//! The counter is process-global: concurrent threads all feed the same
-//! number. Callers that want a per-workload delta must measure on an
+//! The counters are process-global: concurrent threads all feed the same
+//! numbers. Callers that want a per-workload delta must measure on an
 //! otherwise-quiet process (the `repro` driver runs the allocation pass
 //! single-threaded for exactly this reason).
 //!
@@ -24,35 +28,58 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `realloc` calls; `dealloc` is not counted).
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator plus a relaxed allocation counter.
+/// Bytes allocated and not yet freed, by requested size.
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Largest value of [`LIVE_BYTES`] since the last reset.
+static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Accounts one successful allocation of `size` bytes.
+#[inline]
+fn grew(ptr: *mut u8, size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if !ptr.is_null() {
+        let live = LIVE_BYTES.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
+        PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+/// The system allocator plus relaxed allocation and live-byte counters.
 pub struct CountingAllocator;
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 // SAFETY: every method forwards verbatim to `System`, which upholds the
-// `GlobalAlloc` contract; the counter update has no effect on the
+// `GlobalAlloc` contract; the counter updates have no effect on the
 // returned memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: forwarded under the caller's `GlobalAlloc` contract.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        grew(ptr, layout.size());
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: forwarded under the caller's `GlobalAlloc` contract.
-        unsafe { System.alloc_zeroed(layout) }
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        grew(ptr, layout.size());
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: forwarded under the caller's `GlobalAlloc` contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        }
+        grew(new, new_size);
+        new
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: forwarded under the caller's `GlobalAlloc` contract.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -67,6 +94,25 @@ pub fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Heap bytes currently live (requested sizes; allocator overhead and
+/// memory that never went through the global allocator are not seen).
+pub fn live_bytes() -> u64 {
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// The largest [`live_bytes`] reading since the last
+/// [`reset_peak_live_bytes`] (or process start).
+pub fn peak_live_bytes() -> u64 {
+    PEAK_LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// Restarts the high-water mark at the current live bytes, so the next
+/// [`peak_live_bytes`] reading covers only what follows. Exact on a quiet
+/// process, like [`allocation_count`].
+pub fn reset_peak_live_bytes() {
+    PEAK_LIVE_BYTES.store(live_bytes(), Ordering::Relaxed);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,6 +123,21 @@ mod tests {
         let v: Vec<u64> = std::hint::black_box((0..64).collect());
         assert!(allocation_count() > before, "a fresh Vec must be counted");
         drop(v);
+    }
+
+    #[test]
+    fn peak_follows_growth_and_survives_the_free() {
+        // Other test threads allocate concurrently, so only bounds that
+        // their traffic cannot break are asserted.
+        const SIZE: usize = 64 << 20;
+        reset_peak_live_bytes();
+        let mut v: Vec<u8> = Vec::with_capacity(SIZE);
+        std::hint::black_box(&mut v);
+        assert!(live_bytes() >= SIZE as u64, "a live 64 MiB buffer must be counted");
+        v.shrink_to(1 << 20); // a realloc
+        drop(v);
+        assert!(peak_live_bytes() >= SIZE as u64, "the peak must outlive the free");
+        assert!(live_bytes() < peak_live_bytes(), "realloc and dealloc must give bytes back");
     }
 
     #[test]

@@ -508,6 +508,17 @@ fn load_prepared(file: &Path) -> Result<PreparedNetwork, GsrError> {
     Ok(PreparedNetwork::new(net))
 }
 
+/// `; peak rss <N> MiB` — the process's resident-set high-water mark
+/// (`VmHWM` of `/proc/self/status`), which for `gsr build` is what the
+/// build cost in memory. Empty where that file does not exist or parse.
+fn peak_rss_clause() -> String {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kib = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:")?.split_whitespace().next()?.parse::<u64>().ok());
+    kib.map_or(String::new(), |kib| format!("; peak rss {} MiB", kib.div_ceil(1024)))
+}
+
 /// Maps an error from [`run`] to a process exit code:
 ///
 /// | code | condition |
@@ -656,10 +667,11 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
                 writeln!(
                     out,
                     "built {} in {build_time:?}; index heap {heap} bytes ({:.1} bytes/vertex); \
-                     wrote {bytes} byte snapshot to {}",
+                     wrote {bytes} byte snapshot to {}{}",
                     snapshot.method_key(),
                     heap as f64 / nv as f64,
-                    save.display()
+                    save.display(),
+                    peak_rss_clause()
                 )?;
             } else {
                 // Sharded build: partition the check-in points into spatial
@@ -697,9 +709,10 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
                 writeln!(
                     out,
                     "built {} x{shards} shards in {build_time:?}; index heap {heap} bytes; \
-                     wrote sharded snapshot set to {}",
+                     wrote sharded snapshot set to {}{}",
                     method.to_ascii_lowercase(),
-                    save.display()
+                    save.display(),
+                    peak_rss_clause()
                 )?;
                 for line in lines {
                     writeln!(out, "{line}")?;
@@ -780,6 +793,20 @@ mod tests {
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
+    }
+
+    /// The `built …` line of `gsr build` ends in `; peak rss <N> MiB` with a
+    /// positive `N` wherever `/proc/self/status` exists, and has no such
+    /// field elsewhere.
+    fn assert_peak_rss_field(text: &str) {
+        let built = text.lines().find(|l| l.starts_with("built ")).expect("a `built` line");
+        let field = built.rsplit_once("; peak rss ").map(|(_, rest)| rest);
+        if std::path::Path::new("/proc/self/status").exists() {
+            let mib = field.and_then(|rest| rest.strip_suffix(" MiB")).expect("peak rss field");
+            assert!(mib.parse::<u64>().expect("a whole number of MiB") >= 1, "{built}");
+        } else {
+            assert_eq!(field, None, "{built}");
+        }
     }
 
     #[test]
@@ -1018,6 +1045,7 @@ mod tests {
         .unwrap();
         let text = String::from_utf8_lossy(&out).to_string();
         assert!(text.contains("built 3dreach"), "{text}");
+        assert_peak_rss_field(&text);
 
         // The saved snapshot answers exactly like a fresh build.
         let loaded = gsr_store::load_from_path(&snap).unwrap();
@@ -1081,6 +1109,7 @@ mod tests {
         .unwrap();
         let text = String::from_utf8_lossy(&out).to_string();
         assert!(text.contains("built 3dreach x3 shards"), "{text}");
+        assert_peak_rss_field(&text);
         assert!(shards.join("MANIFEST.gsrshard").is_file());
 
         // The directory loads through the serve-path loader and answers

@@ -352,9 +352,9 @@ impl ThreeDReachRev {
     /// Like [`ThreeDReachRev::build`], running the reversed labeling, the
     /// per-vertex segment replication pass and the R-tree packing across
     /// `threads` workers (`0` = machine parallelism). The built index is
-    /// identical to the sequential one at any thread count: the per-vertex
-    /// (or per-component) segment groups are produced independently and
-    /// flattened in the sequential scan order.
+    /// identical to the sequential one at any thread count: contiguous runs
+    /// of vertices (or components) produce their segments independently and
+    /// the runs are concatenated in the sequential scan order.
     pub fn build_threaded(prep: &PreparedNetwork, policy: SccSpatialPolicy, threads: usize) -> Self {
         let reversed_dag = prep.dag().reversed();
         let labeling = IntervalLabeling::build_with(
@@ -366,42 +366,34 @@ impl ThreeDReachRev {
 
         // Every spatial vertex u contributes one vertical segment per label
         // of L_rev(comp(u)): the segment covers exactly the plane heights of
-        // the vertices that can reach u.
-        let groups: Vec<Vec<(Cuboid, Entry)>> = match policy {
-            SccSpatialPolicy::Replicate => {
-                let spatial: Vec<(VertexId, Point)> =
-                    prep.network().spatial_vertices().collect();
-                par::map_indexed(threads, spatial.len(), |i| {
-                    let (v, p) = spatial[i];
-                    let comp = prep.comp(v);
-                    labeling
-                        .intervals(comp)
-                        .iter()
-                        .map(|iv| (gsr_geo::segment_at(p, iv.lo as f64, iv.hi as f64), comp))
-                        .collect()
-                })
-            }
-            SccSpatialPolicy::Mbr => par::map_indexed(threads, prep.num_components(), |c| {
-                let c = c as CompId;
-                // A component without spatial members (no MBR) contributes
-                // an empty iterator — no sentinel early-return.
-                prep.comp_mbr(c)
-                    .into_iter()
-                    .flat_map(|m| {
-                        labeling.intervals(c).iter().map(move |iv| {
-                            (
-                                Aabb::new(
-                                    [m.min_x, m.min_y, iv.lo as f64],
-                                    [m.max_x, m.max_y, iv.hi as f64],
-                                ),
-                                c,
-                            )
-                        })
-                    })
-                    .collect()
-            }),
+        // the vertices that can reach u. Under `Mbr` a spatial component
+        // contributes one box per label over its MBR instead.
+        let bases: Vec<(Rect, CompId)> = match policy {
+            SccSpatialPolicy::Replicate => prep
+                .network()
+                .spatial_vertices()
+                .map(|(v, p)| (Rect::from_point(p), prep.comp(v)))
+                .collect(),
+            SccSpatialPolicy::Mbr => (0..prep.num_components() as CompId)
+                .filter_map(|c| Some((prep.comp_mbr(c)?, c)))
+                .collect(),
         };
-        let entries: Vec<(Cuboid, Entry)> = groups.into_iter().flatten().collect();
+        // One pre-sized buffer per contiguous run of bases (almost every
+        // base has a single label: no `Vec` per vertex), concatenated in
+        // scan order.
+        let per_run = bases.len().div_ceil(par::effective_threads(threads)).max(1);
+        let runs: Vec<&[(Rect, CompId)]> = bases.chunks(per_run).collect();
+        let mut parts = par::map_indexed(threads, runs.len(), |k| {
+            let bases = runs[k];
+            let count = bases.iter().map(|&(_, c)| labeling.intervals(c).len()).sum();
+            let mut segments: Vec<(Cuboid, Entry)> = Vec::with_capacity(count);
+            for (base, c) in bases {
+                let labels = labeling.intervals(*c).iter();
+                segments.extend(labels.map(|iv| (cuboid_from_rect(base, iv.lo as f64, iv.hi as f64), *c)));
+            }
+            segments
+        });
+        let entries = if parts.len() == 1 { parts.swap_remove(0) } else { parts.concat() };
 
         ThreeDReachRev {
             common: ThreeDCommon::build(prep, policy, entries, threads),

@@ -33,6 +33,28 @@
 //! are consecutive ids, found by walking its first- and last-child chains,
 //! and consecutive leaves hold consecutive entries.
 //!
+//! # Packing
+//!
+//! A bulk load works on **one buffer**: the caller's `Vec` of entries. STR
+//! stably sorts it by the box centre in dimension 0, cuts it into slabs
+//! (`chunks_mut`), sorts each slab — a disjoint sub-slice — by the next
+//! dimension, and so on; at the last dimension it records only where each
+//! group of `max_entries` *ends*. A level is thus a sorted buffer plus CSR
+//! cut offsets, the shape `entry_start` has at rest, and the levels above
+//! the leaves are tiled the same way over `(group MBR, position)` pairs.
+//! Because the sorts are stable and the slabs disjoint, the top-level slabs
+//! can go to scoped threads and the cuts come out the same at any thread
+//! count. One top-down pass over the levels then numbers the nodes
+//! breadth-first, the entries are swapped into breadth-first leaf order in
+//! place, and the columns are written from the buffer. Peak memory is the
+//! input, the sort's scratch (at most another input) and the result.
+//!
+//! Slabs must be borrowed sub-slices, not owned `Vec`s split off the
+//! buffer: splitting copies the whole remaining tail at every cut, and each
+//! truncated head keeps the capacity it was cut from — `slabs × n / 2` live
+//! entries per level, O(n^1.5) bytes in 2-D, every one written once and
+//! page-faulted, which dwarfs the sorting itself from ~10^5 entries up.
+//!
 //! # Traversal order
 //!
 //! A range scan ([`RTree::runs`]) pops nodes off a stack, pushes the
@@ -92,14 +114,15 @@ struct EntryStore<const N: usize> {
 }
 
 impl<const N: usize> EntryStore<N> {
-    fn from_boxes(boxes: &[Aabb<N>]) -> Self {
+    fn from_entries<T>(entries: &[(Aabb<N>, T)]) -> Self {
+        let boxes = || entries.iter().map(|(b, _)| b);
         let lo: [Col<f64>; N] =
-            std::array::from_fn(|d| boxes.iter().map(|b| b.min[d]).collect::<Vec<_>>().into());
+            std::array::from_fn(|d| boxes().map(|b| b.min[d]).collect::<Vec<_>>().into());
         let hi: [Option<Col<f64>>; N] = std::array::from_fn(|d| {
-            if boxes.iter().all(|b| b.min[d].to_bits() == b.max[d].to_bits()) {
+            if boxes().all(|b| b.min[d].to_bits() == b.max[d].to_bits()) {
                 None
             } else {
-                Some(boxes.iter().map(|b| b.max[d]).collect::<Vec<_>>().into())
+                Some(boxes().map(|b| b.max[d]).collect::<Vec<_>>().into())
             }
         });
         EntryStore { lo, hi }
@@ -223,7 +246,7 @@ impl<const N: usize, T> RTree<N, T> {
             child_start: vec![0].into(),
             entry_start: vec![0, 0].into(),
             children: Col::default(),
-            entries: EntryStore::from_boxes(&[]),
+            entries: EntryStore::from_entries::<T>(&[]),
             values: Col::default(),
         }
     }
@@ -232,143 +255,105 @@ impl<const N: usize, T> RTree<N, T> {
     /// nearly fully packed nodes with little overlap — the standard loading
     /// strategy for static datasets such as the paper's networks. Entry
     /// boxes must be proper (`min <= max`, no NaN): range scans rely on it.
-    pub fn bulk_load(entries: Vec<(Aabb<N>, T)>) -> Self {
+    pub fn bulk_load(entries: Vec<(Aabb<N>, T)>) -> Self
+    where
+        T: Send,
+    {
         Self::bulk_load_with_params(entries, RTreeParams::default())
     }
 
     /// [`RTree::bulk_load`] with explicit parameters.
-    pub fn bulk_load_with_params(entries: Vec<(Aabb<N>, T)>, params: RTreeParams) -> Self {
-        if entries.is_empty() {
-            return Self::with_params(params);
-        }
-        let mut leaf_groups: Vec<Vec<(Aabb<N>, T)>> = Vec::new();
-        str_tile(entries, params.max_entries, 0, &mut leaf_groups);
-        Self::assemble(params, leaf_groups, |level| {
-            let mut groups = Vec::new();
-            str_tile(level, params.max_entries, 0, &mut groups);
-            groups
-        })
+    pub fn bulk_load_with_params(entries: Vec<(Aabb<N>, T)>, params: RTreeParams) -> Self
+    where
+        T: Send,
+    {
+        Self::bulk_load_parallel(entries, params, 1)
     }
 
     /// [`RTree::bulk_load`] with explicit parameters and a thread count:
-    /// the top-level STR slabs are tiled concurrently and their groups
-    /// concatenated in slab order, so the resulting tree is **identical**
-    /// to the sequential bulk load at any thread count (`0` = machine
-    /// parallelism, `1` = sequential).
+    /// the top-level STR slabs — disjoint sub-slices of the one entry
+    /// buffer — are tiled concurrently and their group cuts concatenated in
+    /// slab order, so the resulting tree is **identical** to the sequential
+    /// bulk load at any thread count (`0` = machine parallelism, `1` =
+    /// sequential). See *Packing* in the module docs.
     pub fn bulk_load_parallel(
-        entries: Vec<(Aabb<N>, T)>,
+        mut entries: Vec<(Aabb<N>, T)>,
         params: RTreeParams,
         threads: usize,
     ) -> Self
     where
         T: Send,
     {
-        let threads = gsr_graph::par::effective_threads(threads);
-        if threads <= 1 {
-            return Self::bulk_load_with_params(entries, params);
-        }
         if entries.is_empty() {
             return Self::with_params(params);
         }
-        let leaf_groups = str_tile_threaded(entries, params.max_entries, threads);
-        Self::assemble(params, leaf_groups, |level| {
-            str_tile_threaded(level, params.max_entries, threads)
-        })
-    }
+        let threads = gsr_graph::par::effective_threads(threads);
+        let cap = params.max_entries;
 
-    /// Builds the breadth-first arena from the STR leaf groups, tiling the
-    /// upper levels with `tile` (sequential or threaded — both emit the
-    /// same group lists, so both produce the same arena).
-    fn assemble(
-        params: RTreeParams,
-        mut leaf_groups: Vec<Vec<(Aabb<N>, T)>>,
-        mut tile: impl FnMut(Vec<(Aabb<N>, u32)>) -> Vec<Vec<(Aabb<N>, u32)>>,
-    ) -> Self {
-        // Tile upward until one root group remains. Positions in
-        // `upper_children[k]` index the groups of the level below.
-        let mut level_mbrs: Vec<Vec<Aabb<N>>> = vec![leaf_groups
-            .iter()
-            .map(|g| Aabb::mbr_of(g.iter().map(|(b, _)| *b)).expect("non-empty group"))
-            .collect()];
-        let mut upper_children: Vec<Vec<Vec<u32>>> = Vec::new();
-        while level_mbrs.last().expect("at least the leaf level").len() > 1 {
-            let below = level_mbrs.last().expect("non-empty");
-            let with_pos: Vec<(Aabb<N>, u32)> =
-                below.iter().enumerate().map(|(i, &m)| (m, i as u32)).collect();
-            let groups = tile(with_pos);
-            level_mbrs.push(
-                groups
-                    .iter()
-                    .map(|g| Aabb::mbr_of(g.iter().map(|(b, _)| *b)).expect("non-empty group"))
-                    .collect(),
-            );
-            upper_children
-                .push(groups.into_iter().map(|g| g.into_iter().map(|(_, p)| p).collect()).collect());
+        // Tile upward until one root group remains. Level `l`'s groups are
+        // the runs `cuts[l][g]..cuts[l][g + 1]` of its tiled buffer — the
+        // entries for the leaves, `kids[l - 1]` (positions of the groups of
+        // the level below) above them — and `level_mbrs[l][g]` bounds one.
+        let mut cuts = vec![str_cuts(&mut entries, cap, threads)];
+        let mut level_mbrs = vec![group_mbrs(&entries, &cuts[0])];
+        let mut kids: Vec<Vec<u32>> = Vec::new();
+        while level_mbrs[kids.len()].len() > 1 {
+            let mut level: Vec<(Aabb<N>, u32)> =
+                level_mbrs[kids.len()].iter().copied().zip(0..).collect();
+            cuts.push(str_cuts(&mut level, cap, threads));
+            level_mbrs.push(group_mbrs(&level, &cuts[cuts.len() - 1]));
+            kids.push(level.into_iter().map(|(_, pos)| pos).collect());
         }
 
-        // Breadth-first numbering, root (the single top group) first. The
-        // BFS order of each level is the concatenation of the child lists
-        // of the level above in its own BFS order.
-        let top = upper_children.len();
-        let mut orders: Vec<Vec<u32>> = vec![Vec::new(); top + 1];
-        orders[top] = vec![0];
-        for lvl in (1..=top).rev() {
-            let mut next = Vec::new();
-            for &pos in &orders[lvl] {
-                next.extend_from_slice(&upper_children[lvl - 1][pos as usize]);
-            }
-            orders[lvl - 1] = next;
-        }
-        let ranks: Vec<Vec<u32>> = orders
-            .iter()
-            .map(|order| {
-                let mut rank = vec![0u32; order.len()];
-                for (i, &pos) in order.iter().enumerate() {
-                    rank[pos as usize] = i as u32;
-                }
-                rank
-            })
-            .collect();
-        let mut base = vec![0u32; top + 1];
-        let mut next_id = 0u32;
-        for lvl in (0..=top).rev() {
-            base[lvl] = next_id;
-            next_id += orders[lvl].len() as u32;
-        }
-        let num_nodes = next_id as usize;
-        let num_inner = num_nodes - orders[0].len();
-
-        // Fill the arrays in id order: MBRs over every level, child CSR
-        // over the inner levels, entry columns over the leaves.
+        // Breadth-first numbering, root (the single top group) first: the
+        // BFS order of each level is the concatenation of the child runs of
+        // the level above in its own BFS order, so node ids, MBRs and the
+        // child CSR (`children[k] == k + 1`) fall out of one top-down pass.
+        let num_nodes: usize = level_mbrs.iter().map(Vec::len).sum();
+        let num_inner = num_nodes - level_mbrs[0].len();
         let mut mbrs = Vec::with_capacity(num_nodes);
-        for lvl in (0..=top).rev() {
-            for &pos in &orders[lvl] {
-                mbrs.push(level_mbrs[lvl][pos as usize]);
-            }
-        }
         let mut child_start = Vec::with_capacity(num_inner + 1);
-        let mut children = Vec::new();
         child_start.push(0u32);
-        for lvl in (1..=top).rev() {
-            for &pos in &orders[lvl] {
-                for &cpos in &upper_children[lvl - 1][pos as usize] {
-                    children.push(base[lvl - 1] + ranks[lvl - 1][cpos as usize]);
-                }
-                child_start.push(children.len() as u32);
+        let mut order = vec![0u32];
+        for lvl in (1..=kids.len()).rev() {
+            let mut below = Vec::with_capacity(kids[lvl - 1].len());
+            let first_below = mbrs.len() + order.len(); // id of this level's first child
+            for &g in &order {
+                mbrs.push(level_mbrs[lvl][g as usize]);
+                below.extend_from_slice(&kids[lvl - 1][group(&cuts[lvl], g)]);
+                child_start.push((first_below - 1 + below.len()) as u32);
             }
+            order = below;
         }
-        let mut entry_start = Vec::with_capacity(orders[0].len() + 1);
-        let mut boxes = Vec::new();
-        let mut values = Vec::new();
+
+        // `order` is now the BFS leaf order. Move every entry to its place
+        // in it — `dest[i]` is where the entry in buffer slot `i` belongs,
+        // and each swap settles one slot — then split the buffer into
+        // columns.
+        let mut entry_start = Vec::with_capacity(order.len() + 1);
         entry_start.push(0u32);
-        for &pos in &orders[0] {
-            for (b, t) in std::mem::take(&mut leaf_groups[pos as usize]) {
-                boxes.push(b);
-                values.push(t);
+        let mut dest = vec![0u32; entries.len()];
+        let mut at = 0u32;
+        for &g in &order {
+            mbrs.push(level_mbrs[0][g as usize]);
+            for slot in &mut dest[group(&cuts[0], g)] {
+                *slot = at;
+                at += 1;
             }
-            entry_start.push(boxes.len() as u32);
+            entry_start.push(at);
         }
-        let entries = EntryStore::from_boxes(&boxes);
+        for i in 0..dest.len() {
+            while dest[i] as usize != i {
+                let j = dest[i] as usize;
+                entries.swap(i, j);
+                dest.swap(i, j);
+            }
+        }
+        drop(dest);
+        let columns = EntryStore::from_entries(&entries);
+        // Not `collect`, which would keep the buffer's allocation for them.
+        let mut values = Vec::with_capacity(entries.len());
+        values.extend(entries.into_iter().map(|(_, t)| t));
 
         RTree {
             params,
@@ -376,9 +361,9 @@ impl<const N: usize, T> RTree<N, T> {
             num_inner,
             mbrs: mbrs.into(),
             child_start: child_start.into(),
-            children: children.into(),
+            children: (1..num_nodes as u32).collect::<Vec<_>>().into(),
             entry_start: entry_start.into(),
-            entries,
+            entries: columns,
             values: values.into(),
         }
     }
@@ -824,79 +809,77 @@ impl Ord for OrderedF64 {
     }
 }
 
-/// Recursive Sort-Tile-Recursive partitioning: sorts by the centre of
-/// dimension `dim`, cuts into vertical slabs, and recurses on the remaining
-/// dimensions; at the last dimension it emits groups of up to `cap` entries.
-pub(crate) fn str_tile<const N: usize, E>(
-    mut entries: Vec<(Aabb<N>, E)>,
+/// Sort-Tile-Recursive partitioning of one buffer, in place (see *Packing*
+/// in the module docs): tiles `entries` into groups of at most `cap` and
+/// returns the group boundaries as CSR offsets — group `g` is the run
+/// `cuts[g]..cuts[g + 1]` of the now-sorted buffer. `threads > 1` tiles the
+/// top-level slabs concurrently; the cuts are the same at any count.
+fn str_cuts<const N: usize, E: Send>(
+    entries: &mut [(Aabb<N>, E)],
+    cap: usize,
+    threads: usize,
+) -> Vec<u32> {
+    let mut cuts = Vec::with_capacity(entries.len() / cap + 2);
+    cuts.push(0);
+    str_tile(entries, cap, 0, 0, threads, &mut cuts);
+    cuts
+}
+
+/// One level of the STR recursion over the sub-slice of the buffer that
+/// starts at offset `base`: stably sorts it by the centre of dimension
+/// `dim`, cuts it into slabs and recurses on them with the next dimension.
+/// At the last dimension the slabs are `cap` long — the groups themselves —
+/// and the recursion only records where each ends.
+fn str_tile<const N: usize, E: Send>(
+    entries: &mut [(Aabb<N>, E)],
     cap: usize,
     dim: usize,
-    out: &mut Vec<Vec<(Aabb<N>, E)>>,
+    base: usize,
+    threads: usize,
+    cuts: &mut Vec<u32>,
 ) {
     if entries.len() <= cap {
         if !entries.is_empty() {
-            out.push(entries);
+            cuts.push((base + entries.len()) as u32);
         }
         return;
     }
     entries.sort_by(|a, b| {
         a.0.center()[dim].partial_cmp(&b.0.center()[dim]).unwrap_or(std::cmp::Ordering::Equal)
     });
-    if dim + 1 == N {
-        // Final dimension: emit runs of `cap`.
-        while !entries.is_empty() {
-            let rest = entries.split_off(entries.len().min(cap));
-            out.push(std::mem::replace(&mut entries, rest));
+    let per_slab = if dim + 1 == N {
+        cap
+    } else {
+        // Number of slabs: ceil((P)^(1/(N-dim))) where P = pages needed.
+        let pages = entries.len().div_ceil(cap);
+        let slabs = (pages as f64).powf(1.0 / (N - dim) as f64).ceil() as usize;
+        entries.len().div_ceil(slabs.max(1))
+    };
+    let slabs = entries.chunks_mut(per_slab).enumerate();
+    if threads <= 1 || dim + 1 == N {
+        for (i, slab) in slabs {
+            str_tile(slab, cap, dim + 1, base + i * per_slab, 1, cuts);
         }
-        return;
-    }
-    // Number of slabs: ceil((P)^(1/(N-dim))) where P = pages needed.
-    let pages = entries.len().div_ceil(cap);
-    let slabs = (pages as f64).powf(1.0 / (N - dim) as f64).ceil() as usize;
-    let per_slab = entries.len().div_ceil(slabs.max(1));
-    while !entries.is_empty() {
-        let rest = entries.split_off(entries.len().min(per_slab));
-        let slab = std::mem::replace(&mut entries, rest);
-        str_tile(slab, cap, dim + 1, out);
+    } else {
+        let tiled = gsr_graph::par::map_consume(threads, slabs.collect(), |(i, slab)| {
+            let mut cuts = Vec::new();
+            str_tile(slab, cap, dim + 1, base + i * per_slab, 1, &mut cuts);
+            cuts
+        });
+        cuts.extend(tiled.into_iter().flatten());
     }
 }
 
-/// Parallel top level of [`str_tile`]: performs the first-dimension sort
-/// and slab cut exactly as the sequential recursion would, then tiles the
-/// slabs concurrently and concatenates their emitted groups in slab order.
-/// Slab boundaries, per-slab sorts (stable `sort_by` with the identical
-/// comparator) and emission order are all unchanged, so the group list —
-/// and hence the packed tree — matches the sequential result exactly.
-fn str_tile_threaded<const N: usize, E: Send>(
-    mut entries: Vec<(Aabb<N>, E)>,
-    cap: usize,
-    threads: usize,
-) -> Vec<Vec<(Aabb<N>, E)>> {
-    let mut out = Vec::new();
-    if entries.len() <= cap || N == 1 {
-        str_tile(entries, cap, 0, &mut out);
-        return out;
-    }
-    entries.sort_by(|a, b| {
-        a.0.center()[0].partial_cmp(&b.0.center()[0]).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let pages = entries.len().div_ceil(cap);
-    let slabs = (pages as f64).powf(1.0 / N as f64).ceil() as usize;
-    let per_slab = entries.len().div_ceil(slabs.max(1));
-    let mut slab_vec: Vec<Vec<(Aabb<N>, E)>> = Vec::new();
-    while !entries.is_empty() {
-        let rest = entries.split_off(entries.len().min(per_slab));
-        slab_vec.push(std::mem::replace(&mut entries, rest));
-    }
-    let per_slab_groups = gsr_graph::par::map_consume(threads, slab_vec, |slab| {
-        let mut groups = Vec::new();
-        str_tile(slab, cap, 1, &mut groups);
-        groups
-    });
-    for groups in per_slab_groups {
-        out.extend(groups);
-    }
-    out
+/// The index run of group `g` under the CSR offsets `cuts`.
+#[inline]
+fn group(cuts: &[u32], g: u32) -> Range<usize> {
+    cuts[g as usize] as usize..cuts[g as usize + 1] as usize
+}
+
+/// The MBR of every group of a tiled buffer, in group order.
+fn group_mbrs<const N: usize, E>(entries: &[(Aabb<N>, E)], cuts: &[u32]) -> Vec<Aabb<N>> {
+    let mbr = |w: &[u32]| Aabb::mbr_of(entries[w[0] as usize..w[1] as usize].iter().map(|e| e.0));
+    cuts.windows(2).map(|w| mbr(w).expect("non-empty group")).collect()
 }
 
 /// Run-at-a-time range scan over an [`RTree`]; see [`RTree::runs`].

@@ -160,6 +160,152 @@ fn check_runs<const N: usize>(
     Ok(())
 }
 
+/// The owned-slab STR recursion the in-place packer replaced, kept here as
+/// the oracle: every slab and every group is a `Vec` split off the front of
+/// the (stably sorted) buffer.
+fn split_off_tile<const N: usize, E>(
+    mut entries: Vec<(Aabb<N>, E)>,
+    cap: usize,
+    dim: usize,
+    out: &mut Vec<Vec<(Aabb<N>, E)>>,
+) {
+    if entries.len() <= cap {
+        if !entries.is_empty() {
+            out.push(entries);
+        }
+        return;
+    }
+    entries.sort_by(|a, b| {
+        a.0.center()[dim].partial_cmp(&b.0.center()[dim]).unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let per_slab = if dim + 1 == N {
+        cap
+    } else {
+        let pages = entries.len().div_ceil(cap);
+        let slabs = (pages as f64).powf(1.0 / (N - dim) as f64).ceil() as usize;
+        entries.len().div_ceil(slabs.max(1))
+    };
+    while !entries.is_empty() {
+        let rest = entries.split_off(entries.len().min(per_slab));
+        let slab = std::mem::replace(&mut entries, rest);
+        if dim + 1 == N {
+            out.push(slab);
+        } else {
+            split_off_tile(slab, cap, dim + 1, out);
+        }
+    }
+}
+
+/// A tree's arena as raw words, `f64`s by bit pattern — `==` on it is
+/// byte-equality of the columns a snapshot writes.
+fn arena_words<const N: usize>(tree: &RTree<N, usize>) -> Vec<u64> {
+    let c = tree.cols();
+    let mut words = vec![c.mbrs.len() as u64, c.values.len() as u64];
+    words.extend(c.mbrs.iter().flat_map(|m| m.min.iter().chain(&m.max)).map(|x| x.to_bits()));
+    for col in [c.child_start, c.children, c.entry_start] {
+        words.push(col.len() as u64);
+        words.extend(col.iter().map(|&x| x as u64));
+    }
+    for d in 0..N {
+        words.extend(c.entry_lo[d].iter().map(|x| x.to_bits()));
+        words.push(c.entry_hi[d].is_some() as u64);
+        words.extend(c.entry_hi[d].unwrap_or(&[]).iter().map(|x| x.to_bits()));
+    }
+    words.extend(c.values.iter().map(|&v| v as u64));
+    words
+}
+
+/// The tree the oracle's groups describe: leaves from `split_off_tile`,
+/// upper levels from tiling `(group MBR, position)` pairs the same way, node
+/// ids breadth-first from the single top group.
+fn oracle_tree<const N: usize>(
+    entries: Vec<(Aabb<N>, usize)>,
+    params: RTreeParams,
+) -> RTree<N, usize> {
+    fn mbrs_of<const N: usize, E>(groups: &[Vec<(Aabb<N>, E)>]) -> Vec<Aabb<N>> {
+        groups.iter().map(|g| Aabb::mbr_of(g.iter().map(|e| e.0)).expect("non-empty")).collect()
+    }
+    let cap = params.max_entries;
+    let mut leaves = Vec::new();
+    split_off_tile(entries, cap, 0, &mut leaves);
+    // levels[l]: (MBR, positions of its children in level l - 1) per group.
+    let mut levels: Vec<Vec<(Aabb<N>, Vec<u32>)>> = Vec::new();
+    let mut below = mbrs_of(&leaves);
+    while below.len() > 1 {
+        let mut groups = Vec::new();
+        split_off_tile(below.iter().copied().zip(0u32..).collect(), cap, 0, &mut groups);
+        below = mbrs_of(&groups);
+        let kids = groups.into_iter().map(|g| g.into_iter().map(|(_, pos)| pos).collect());
+        levels.push(below.iter().copied().zip(kids).collect());
+    }
+    let (mut mbrs, mut child_start, mut order) = (Vec::new(), vec![0u32], vec![0u32]);
+    for level in levels.iter().rev() {
+        let mut next = Vec::new();
+        for &g in &order {
+            let (mbr, kids) = &level[g as usize];
+            mbrs.push(*mbr);
+            next.extend_from_slice(kids);
+            child_start.push(child_start[child_start.len() - 1] + kids.len() as u32);
+        }
+        order = next;
+    }
+    let leaf_mbrs = mbrs_of(&leaves);
+    let ordered: Vec<&(Aabb<N>, usize)> = order.iter().flat_map(|&g| &leaves[g as usize]).collect();
+    let mut entry_start = vec![0u32];
+    for &g in &order {
+        mbrs.push(leaf_mbrs[g as usize]);
+        entry_start.push(entry_start[entry_start.len() - 1] + leaves[g as usize].len() as u32);
+    }
+    let flat = |d: usize| ordered.iter().all(|(b, _)| b.min[d].to_bits() == b.max[d].to_bits());
+    let children: Vec<u32> = (1..mbrs.len() as u32).collect();
+    RTree::from_cols(
+        params,
+        mbrs.into(),
+        child_start.into(),
+        children.into(),
+        entry_start.into(),
+        std::array::from_fn(|d| ordered.iter().map(|(b, _)| b.min[d]).collect::<Vec<_>>().into()),
+        std::array::from_fn(|d| {
+            (!flat(d)).then(|| ordered.iter().map(|(b, _)| b.max[d]).collect::<Vec<_>>().into())
+        }),
+        ordered.iter().map(|&&(_, v)| v).collect::<Vec<_>>().into(),
+    )
+    .expect("the oracle's arena is a valid tree")
+}
+
+/// Tree sizes around one leaf, one slab and one level, then multi-level.
+fn packed_size(kind: usize, n: usize) -> usize {
+    [0, 1, 16, 17, 257, 4097].get(kind).copied().unwrap_or(n)
+}
+
+/// In-place packer ≡ split-off packer: the same groups in the same order at
+/// every level — so the same arena, byte for byte — at every thread count.
+fn check_packing<const N: usize>(
+    entries: Vec<(Aabb<N>, usize)>,
+    max_entries: usize,
+) -> Result<(), TestCaseError> {
+    let params = RTreeParams::new(max_entries, max_entries * 2 / 5);
+    let oracle = if entries.is_empty() {
+        RTree::with_params(params)
+    } else {
+        oracle_tree(entries.clone(), params)
+    };
+    let expected = arena_words(&oracle);
+    for threads in [1, 2, 4, 8] {
+        let tree = RTree::bulk_load_parallel(entries.clone(), params, threads);
+        tree.check_invariants();
+        let words = arena_words(&tree);
+        let differs = words.iter().zip(&expected).position(|(a, b)| a != b);
+        prop_assert!(
+            words.len() == expected.len() && differs.is_none(),
+            "M = {}, threads = {}: {} arena words for {}, first difference at {:?}",
+            max_entries, threads, words.len(), expected.len(), differs
+        );
+        prop_assert!(tree == oracle, "threads = {}", threads);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -214,6 +360,55 @@ proptest! {
             })
             .collect();
         check_runs(entries, fan_out(fan), &random)?;
+    }
+
+    #[test]
+    fn in_place_packer_matches_split_off_packer_on_points(
+        raw in prop::collection::vec((0u32..4000, 0u32..4000), 4097),
+        shape in (0usize..9, 18usize..4097, 1u32..60, 0usize..3),
+    ) {
+        let (size, n, grid, fan) = shape;
+        let entries = raw[..packed_size(size, n)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y))| (Aabb::from_point([lattice(x, grid), lattice(y, grid)]), i))
+            .collect();
+        check_packing(entries, [4, 16, 64][fan])?;
+    }
+
+    #[test]
+    fn in_place_packer_matches_split_off_packer_on_boxes(
+        raw in prop::collection::vec((0u32..4000, 0u32..4000, 0u32..7, 0u32..7), 4097),
+        shape in (0usize..9, 18usize..4097, 1u32..60, 0usize..3),
+    ) {
+        // Equal centres from unequal boxes: [x - w, x + w] for every w.
+        let (size, n, grid, fan) = shape;
+        let entries = raw[..packed_size(size, n)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y, w, h))| {
+                let (x, y, w, h) = (lattice(x, grid), lattice(y, grid), w as f64, h as f64);
+                (Aabb::new([x - w, y - h], [x + w, y + h]), i)
+            })
+            .collect();
+        check_packing(entries, [4, 16, 64][fan])?;
+    }
+
+    #[test]
+    fn in_place_packer_matches_split_off_packer_on_3d_segments(
+        raw in prop::collection::vec((0u32..4000, 0u32..4000, 0u32..4000, 0u32..9), 4097),
+        shape in (0usize..9, 18usize..4097, 1u32..60, 0usize..3),
+    ) {
+        let (size, n, grid, fan) = shape;
+        let entries = raw[..packed_size(size, n)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y, z, len))| {
+                let (x, y, z) = (lattice(x, grid), lattice(y, grid), lattice(z, grid));
+                (Aabb::new([x, y, z], [x, y, z + len as f64]), i)
+            })
+            .collect();
+        check_packing(entries, [4, 16, 64][fan])?;
     }
 
     #[test]
