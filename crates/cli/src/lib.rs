@@ -112,7 +112,7 @@ pub enum Command {
         budget_ms: Option<u64>,
         /// Result-cache capacity in entries (`0` = caching disabled).
         cache_entries: usize,
-        /// Skip the eager CRC pass on v3 snapshot loads (startup and
+        /// Skip the eager CRC pass on snapshot loads (startup and
         /// `RELOAD`); structural validation still runs.
         trust: bool,
         /// Overload and connection-lifecycle limits.
@@ -188,7 +188,7 @@ usage:
                  (--load repeats: each registers one dataset — snapshot file
                   or sharded directory — switched per connection with USE <name>;
                   a lone unnamed --load is the dataset \"default\")
-                 [--trust-snapshot]                 (skip the eager CRC pass on v3
+                 [--trust-snapshot]                 (skip the eager CRC pass on
                                                      loads; structural checks remain)
                  [--max-pending N] [--max-conns N]  (admission control; over-limit
                                                      connections get ERR 7 busy)
@@ -1117,7 +1117,7 @@ mod tests {
         let (loaded, info) =
             gsr_store::load_served_index(&shards, gsr_store::LoadOptions { trust: false })
                 .unwrap();
-        assert_eq!(info.format, 3);
+        assert_eq!(info.format, gsr_store::FORMAT_VERSION);
         let prep = load_prepared(&net).unwrap();
         let fresh = ThreeDReach::build(&prep, SccSpatialPolicy::Replicate);
         let r = Rect::new(-1000.0, -1000.0, 2000.0, 2000.0);

@@ -72,4 +72,4 @@ pub use error::GsrError;
 pub use fallback::{DegradedReason, FallbackIndex, FallbackOptions, OnlineReach};
 pub use network::{GeosocialNetwork, NetworkError, NetworkStats, PreparedNetwork};
 pub use partition::{partition_tiles, prepared_tiles, tile_network, ShardMember, ShardedIndex, Tile};
-pub use traits::{buffer_id, BufferId, QueryCost, RangeReachIndex, SccSpatialPolicy, ShardStats};
+pub use traits::{QueryCost, RangeReachIndex, SccSpatialPolicy, ShardStats};

@@ -20,10 +20,12 @@
 //! spatial-policy knob here; the SPA-graph is built on the condensation and
 //! member points are consulted exactly.
 
-use crate::{buffer_id, BufferId, PreparedNetwork, QueryCost, RangeReachIndex};
+use super::{check_comp_ids, check_member_csr, tag};
+use crate::{PreparedNetwork, QueryCost, RangeReachIndex};
 use gsr_geo::Rect;
+use gsr_graph::columns::{Dec, Enc};
 use gsr_graph::scc::CompId;
-use gsr_graph::{topo, Col, VertexId};
+use gsr_graph::{topo, Col, ColumnList, Columns, DiGraph, Source, VertexId};
 use gsr_index::grid::{CellId, HierarchicalGrid};
 
 /// Construction parameters of the SPA-graph (Section 2.2.2).
@@ -55,20 +57,8 @@ impl Default for GeoReachParams {
 }
 
 /// Per-component spatial reachability information of the SPA-graph.
-#[derive(Debug, Clone)]
-enum SpaInfo {
-    /// `GeoB(v)`: whether any spatial vertex is reachable.
-    B(bool),
-    /// `RMBR(v)`.
-    R(Rect),
-    /// `ReachGrid(v)`, merged and deduplicated.
-    G(Vec<CellId>),
-}
-
-/// Public mirror of the per-component SPA-graph information, for snapshot
-/// encoding; see [`GeoReach::spa_info`] / [`GeoReach::from_cols`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum SpaInfoParts {
+enum SpaInfo {
     /// `GeoB(v)`: whether any spatial vertex is reachable.
     B(bool),
     /// `RMBR(v)`.
@@ -81,7 +71,7 @@ pub enum SpaInfoParts {
 #[derive(Debug, Clone)]
 pub struct GeoReach {
     comp_of: Col<CompId>,
-    dag: gsr_graph::DiGraph,
+    dag: DiGraph,
     grid: HierarchicalGrid,
     info: Vec<SpaInfo>,
     /// Member points per component (CSR) for the exact checks during the
@@ -204,93 +194,6 @@ impl GeoReach {
         })
     }
 
-    /// Streams the per-component SPA-graph information as public
-    /// [`SpaInfoParts`] for snapshot encoding.
-    pub fn spa_info(&self) -> impl Iterator<Item = SpaInfoParts> + '_ {
-        self.info.iter().map(|i| match i {
-            SpaInfo::B(b) => SpaInfoParts::B(*b),
-            SpaInfo::R(r) => SpaInfoParts::R(*r),
-            SpaInfo::G(cells) => SpaInfoParts::G(cells.clone()),
-        })
-    }
-
-    /// Borrowed view of the flat columns for zero-copy snapshot encoding:
-    /// `(comp_of, dag, space, finest_exp, member_offsets, member_points)`.
-    /// The SPA-graph info itself is streamed via [`GeoReach::spa_info`].
-    pub fn cols(&self) -> (&[CompId], &gsr_graph::DiGraph, Rect, u8, &[u32], &[gsr_geo::Point]) {
-        (
-            &self.comp_of,
-            &self.dag,
-            *self.grid.space(),
-            self.grid.finest_exp(),
-            &self.member_offsets,
-            &self.member_points,
-        )
-    }
-
-    /// Reassembles an index from untrusted columns — the inverse of
-    /// [`GeoReach::cols`] and [`GeoReach::spa_info`] (the DAG arrives via
-    /// [`gsr_graph::DiGraph::from_csr_cols`]).
-    ///
-    /// Every per-component table must match the DAG's vertex count and
-    /// `comp_of` must reference DAG components, so that no traversal can
-    /// index out of bounds. Violations are `Err(String)`, never panics.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_cols(
-        comp_of: Col<CompId>,
-        dag: gsr_graph::DiGraph,
-        space: Rect,
-        finest_exp: u8,
-        info: Vec<SpaInfoParts>,
-        member_offsets: Col<u32>,
-        member_points: Col<gsr_geo::Point>,
-    ) -> Result<Self, String> {
-        let ncomp = dag.num_vertices();
-        if info.len() != ncomp {
-            return Err(format!(
-                "georeach: {} info entries for {ncomp} components",
-                info.len()
-            ));
-        }
-        if member_offsets.len() != ncomp + 1 {
-            return Err(format!(
-                "georeach: {} member offsets for {ncomp} components",
-                member_offsets.len()
-            ));
-        }
-        if member_offsets[0] != 0 || member_offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("georeach: member offsets not monotone from 0".into());
-        }
-        if member_offsets[ncomp] as usize != member_points.len() {
-            return Err(format!(
-                "georeach: member offsets claim {} points but {} present",
-                member_offsets[ncomp],
-                member_points.len()
-            ));
-        }
-        if let Some(&c) = comp_of.iter().find(|&&c| (c as usize) >= ncomp) {
-            return Err(format!(
-                "georeach: comp_of references component {c} >= {ncomp}"
-            ));
-        }
-        let info = info
-            .into_iter()
-            .map(|i| match i {
-                SpaInfoParts::B(b) => SpaInfo::B(b),
-                SpaInfoParts::R(r) => SpaInfo::R(r),
-                SpaInfoParts::G(cells) => SpaInfo::G(cells),
-            })
-            .collect();
-        Ok(GeoReach {
-            comp_of,
-            dag,
-            grid: HierarchicalGrid::new(space, finest_exp),
-            info,
-            member_offsets,
-            member_points,
-        })
-    }
-
     /// Classification counts `(b, r, g)` — useful for inspecting how the
     /// construction parameters shape the SPA-graph.
     pub fn class_counts(&self) -> (usize, usize, usize) {
@@ -303,6 +206,138 @@ impl GeoReach {
             }
         }
         counts
+    }
+}
+
+/// Section tag of the encoded SPA-info table.
+const SPA_INFO: u16 = 0x80;
+
+fn enc_rect(e: &mut Enc, r: &Rect) {
+    for x in [r.min_x, r.min_y, r.max_x, r.max_y] {
+        e.f64(x);
+    }
+}
+
+/// Decodes a rectangle — through a struct literal, not [`Rect::new`], whose
+/// `debug_assert` would turn adversarial (checksum-forged) coordinates into
+/// a debug-build panic.
+fn dec_rect(mut next: impl FnMut() -> Result<f64, String>) -> Result<Rect, String> {
+    Ok(Rect { min_x: next()?, min_y: next()?, max_x: next()?, max_y: next()? })
+}
+
+/// Encodes the SPA-info table: a count, then one tagged entry per component.
+fn enc_spa_info(info: &[SpaInfo]) -> Vec<u8> {
+    let mut e = Enc::default();
+    e.u64(info.len() as u64);
+    for i in info {
+        match i {
+            SpaInfo::B(b) => e.u8(*b as u8),
+            SpaInfo::R(r) => {
+                e.u8(2);
+                enc_rect(&mut e, r);
+            }
+            SpaInfo::G(cells) => {
+                e.u8(3);
+                e.u64(cells.len() as u64);
+                for c in cells {
+                    e.u8(c.level);
+                    e.u32(c.ix);
+                    e.u32(c.iy);
+                }
+            }
+        }
+    }
+    e.into_bytes()
+}
+
+/// Decodes an SPA-info table for `grid`. Untrusted: every count is bounded
+/// by the bytes that remain, and every cell must be one of `grid`'s, so
+/// that [`HierarchicalGrid::cell_rect`] is defined for it.
+fn dec_spa_info(bytes: &[u8], grid: &HierarchicalGrid) -> Result<Vec<SpaInfo>, String> {
+    let what = "spa-info";
+    let mut d = Dec::new(bytes);
+    let n = d.count(1, what)?;
+    let mut info = Vec::with_capacity(n);
+    for _ in 0..n {
+        info.push(match d.u8(what)? {
+            0 => SpaInfo::B(false),
+            1 => SpaInfo::B(true),
+            2 => SpaInfo::R(dec_rect(|| d.f64(what))?),
+            3 => {
+                let c = d.count(9, what)?;
+                let mut cells = Vec::with_capacity(c);
+                for _ in 0..c {
+                    let cell = CellId { level: d.u8(what)?, ix: d.u32(what)?, iy: d.u32(what)? };
+                    let side = grid.finest_exp().checked_sub(cell.level).map(|e| 1u32 << e);
+                    if !side.is_some_and(|side| cell.ix < side && cell.iy < side) {
+                        return Err(format!("{what}: {cell:?} is not a cell of the grid"));
+                    }
+                    cells.push(cell);
+                }
+                SpaInfo::G(cells)
+            }
+            k => return Err(format!("unknown {what} kind {k}")),
+        });
+    }
+    d.finish(what)?;
+    Ok(info)
+}
+
+impl GeoReach {
+    /// The declaration behind [`Columns::store`], which passes the table's
+    /// encoding as `spa_info`, and `index_bytes`, which has no use for it.
+    /// The SPA-info table is not a flat arena: it travels as one encoded
+    /// section and counts by what it occupies in memory
+    /// ([`ColumnList::extra`]). The member CSR is derived from the network,
+    /// not built by the method, and is left out of its size.
+    fn declare<'a>(&'a self, out: &mut ColumnList<'a>, spa_info: Vec<u8>) {
+        out.meta.u8(self.grid.finest_exp());
+        enc_rect(&mut out.meta, self.grid.space());
+        out.col(tag::COMP_OF, &self.comp_of, true);
+        self.dag.store(out);
+        out.encoded(SPA_INFO, spa_info);
+        let in_memory = |info: &SpaInfo| match info {
+            SpaInfo::B(_) => 1,
+            SpaInfo::R(_) => std::mem::size_of::<Rect>(),
+            SpaInfo::G(cells) => cells.len() * std::mem::size_of::<CellId>(),
+        };
+        out.extra += self.info.iter().map(in_memory).sum::<usize>();
+        out.col(tag::MEMBER_OFFSETS, &self.member_offsets, false);
+        out.col(tag::MEMBER_POINTS, &self.member_points, false);
+    }
+}
+
+impl Columns for GeoReach {
+    fn store<'a>(&'a self, out: &mut ColumnList<'a>) {
+        self.declare(out, enc_spa_info(&self.info));
+    }
+
+    /// Every per-component table must match the DAG's vertex count and
+    /// `comp_of` must reference DAG components, so that no traversal can
+    /// index out of bounds.
+    fn load<S: Source>(src: &mut S) -> Result<Self, String> {
+        let finest_exp = src.u8()?;
+        let space = dec_rect(|| src.u64().map(f64::from_bits))?;
+        let corners = [space.min_x, space.min_y, space.max_x, space.max_y];
+        if !corners.iter().all(|x| x.is_finite())
+            || space.min_x > space.max_x
+            || space.min_y > space.max_y
+        {
+            return Err(format!("georeach: malformed space {space:?}"));
+        }
+        let grid = HierarchicalGrid::new(space, finest_exp);
+        let comp_of: Col<CompId> = src.col(tag::COMP_OF, "comp-of")?;
+        let dag = DiGraph::load(src)?;
+        let info = dec_spa_info(&src.col::<u8>(SPA_INFO, "spa-info")?, &grid)?;
+        let member_offsets: Col<u32> = src.col(tag::MEMBER_OFFSETS, "member-offsets")?;
+        let member_points = src.col(tag::MEMBER_POINTS, "member-points")?;
+        let ncomp = dag.num_vertices();
+        if info.len() != ncomp {
+            return Err(format!("georeach: {} info entries for {ncomp} components", info.len()));
+        }
+        check_member_csr("georeach", ncomp, &member_offsets, &member_points)?;
+        check_comp_ids("georeach", "comp_of", comp_of.iter().copied(), ncomp)?;
+        Ok(GeoReach { comp_of, dag, grid, info, member_offsets, member_points })
     }
 }
 
@@ -384,21 +419,13 @@ impl RangeReachIndex for GeoReach {
     }
 
     fn index_bytes(&self) -> usize {
-        let info_bytes: usize = self
-            .info
-            .iter()
-            .map(|i| match i {
-                SpaInfo::B(_) => 1,
-                SpaInfo::R(_) => std::mem::size_of::<Rect>(),
-                SpaInfo::G(cells) => cells.len() * std::mem::size_of::<CellId>(),
-            })
-            .sum();
-        // The SPA-graph also stores the (condensed) adjacency it traverses.
-        info_bytes + self.dag.heap_bytes() + self.comp_of.len() * 4
+        let mut list = ColumnList::default();
+        self.declare(&mut list, Vec::new());
+        list.counted_bytes()
     }
 
-    fn shared_buffers(&self) -> Vec<BufferId> {
-        vec![buffer_id(&self.comp_of)]
+    fn columns(&self) -> Option<ColumnList<'_>> {
+        Some(ColumnList::of(self))
     }
 
     fn name(&self) -> &'static str {
@@ -504,6 +531,27 @@ mod tests {
         for r in paper_example::probe_regions() {
             assert!(!idx.query(paper_example::D, &r));
             assert!(!idx.query(paper_example::K, &r));
+        }
+    }
+
+    #[test]
+    fn truncated_payload_is_an_error() {
+        let grid = HierarchicalGrid::new(Rect::new(0.0, 0.0, 8.0, 8.0), 3);
+        let info = vec![
+            SpaInfo::B(true),
+            SpaInfo::R(Rect { min_x: 0.0, min_y: 1.0, max_x: 2.0, max_y: 3.0 }),
+            SpaInfo::G(vec![CellId { level: 2, ix: 1, iy: 1 }]),
+        ];
+        let bytes = enc_spa_info(&info);
+        assert_eq!(dec_spa_info(&bytes, &grid).unwrap(), info);
+        for cut in [0, 1, 8, bytes.len() - 1] {
+            assert!(dec_spa_info(&bytes[..cut], &grid).is_err(), "cut at {cut} must fail");
+        }
+        // A cell the grid does not have: a level above the root, or an index
+        // past the level's side.
+        for cell in [CellId { level: 4, ix: 0, iy: 0 }, CellId { level: 2, ix: 2, iy: 0 }] {
+            let bytes = enc_spa_info(&[SpaInfo::G(vec![cell])]);
+            assert!(dec_spa_info(&bytes, &grid).unwrap_err().contains("not a cell"));
         }
     }
 }

@@ -12,10 +12,11 @@
 //! what makes it uncompetitive for high-out-degree query vertices — the
 //! second takeaway of Section 6.4.
 
-use crate::{buffer_id, BufferId, PreparedNetwork, QueryCost, RangeReachIndex};
+use super::{check_comp_ids, tag};
+use crate::{PreparedNetwork, QueryCost, RangeReachIndex};
 use gsr_geo::{Point, Rect};
 use gsr_graph::scc::CompId;
-use gsr_graph::{Col, VertexId};
+use gsr_graph::{Col, ColumnList, Columns, Source, VertexId};
 use gsr_reach::compact::{CompactLabels, DeltaArray};
 use gsr_reach::interval::IntervalLabeling;
 
@@ -116,31 +117,37 @@ impl SocReach {
     pub fn descendant_count(&self, v: VertexId) -> usize {
         self.labels.num_descendants(self.comp_of[v as usize])
     }
+}
 
-    /// Borrowed view of the evaluator's columns for zero-copy snapshot
-    /// encoding: `(comp_of, labels, post_offsets, points, mode)`.
-    /// [`SocReach::from_cols`] inverts it.
-    pub fn cols(&self) -> (&[CompId], &CompactLabels, &DeltaArray, &[Point], ScanMode) {
-        (&self.comp_of, &self.labels, &self.post_offsets, &self.points, self.mode)
+/// Section tag of the post-order-aligned point table.
+const POINTS: u16 = 0xB0;
+
+impl Columns for SocReach {
+    fn store<'a>(&'a self, out: &mut ColumnList<'a>) {
+        out.meta.u8(match self.mode {
+            ScanMode::PerPost => 0,
+            ScanMode::Compacted => 1,
+        });
+        out.col(tag::COMP_OF, &self.comp_of, true);
+        self.labels.store(out);
+        self.post_offsets.store(out);
+        out.col(POINTS, &self.points, true);
     }
 
-    /// Reassembles an evaluator from the pieces of [`SocReach::cols`]
-    /// (`post_offsets` rebuilt via [`DeltaArray::from_cols`], which
-    /// validates the delta stream itself).
-    ///
-    /// Untrusted input: the post-aligned point CSR must have exactly one
-    /// range per post-order number and `comp_of` must reference labeled
-    /// components, so that no per-label scan can index out of bounds.
-    /// Violations are `Err(String)`, never panics.
-    pub fn from_cols(
-        comp_of: impl Into<Col<CompId>>,
-        labels: CompactLabels,
-        post_offsets: DeltaArray,
-        points: impl Into<Col<Point>>,
-        mode: ScanMode,
-    ) -> Result<Self, String> {
-        let comp_of = comp_of.into();
-        let points = points.into();
+    /// The labels and the delta stream check themselves; here, the
+    /// post-aligned point CSR must have exactly one range per post-order
+    /// number and `comp_of` must reference labeled components, so that no
+    /// per-label scan can index out of bounds.
+    fn load<S: Source>(src: &mut S) -> Result<Self, String> {
+        let mode = match src.u8()? {
+            0 => ScanMode::PerPost,
+            1 => ScanMode::Compacted,
+            k => return Err(format!("unknown scan mode {k}")),
+        };
+        let comp_of: Col<CompId> = src.col(tag::COMP_OF, "comp-of")?;
+        let labels = CompactLabels::load(src)?;
+        let post_offsets = DeltaArray::load(src)?;
+        let points: Col<Point> = src.col(POINTS, "post-points")?;
         let ncomp = labels.num_vertices();
         if post_offsets.len() != ncomp + 1 {
             return Err(format!(
@@ -164,9 +171,7 @@ impl SocReach {
                 points.len()
             ));
         }
-        if let Some(&c) = comp_of.iter().find(|&&c| (c as usize) >= ncomp) {
-            return Err(format!("socreach: comp_of references component {c} >= {ncomp}"));
-        }
+        check_comp_ids("socreach", "comp_of", comp_of.iter().copied(), ncomp)?;
         Ok(SocReach { comp_of, labels, post_offsets, points, mode })
     }
 }
@@ -235,15 +240,11 @@ impl RangeReachIndex for SocReach {
     }
 
     fn index_bytes(&self) -> usize {
-        use gsr_graph::HeapBytes;
-        self.labels.heap_bytes()
-            + self.post_offsets.heap_bytes()
-            + self.points.len() * std::mem::size_of::<Point>()
-            + self.comp_of.len() * 4
+        ColumnList::of(self).counted_bytes()
     }
 
-    fn shared_buffers(&self) -> Vec<BufferId> {
-        vec![buffer_id(&self.comp_of)]
+    fn columns(&self) -> Option<ColumnList<'_>> {
+        Some(ColumnList::of(self))
     }
 
     fn name(&self) -> &'static str {

@@ -11,11 +11,12 @@
 //! [`SpaReachBfl`] (Bloom-filter labeling, the overall best `GReach` scheme)
 //! and [`SpaReachInt`] (interval-based labeling).
 
-use crate::{buffer_id, BufferId, PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy};
+use super::{check_comp_ids, check_member_csr, tag};
+use crate::{PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy};
 use gsr_geo::{Aabb, Rect};
 use gsr_graph::par;
 use gsr_graph::scc::CompId;
-use gsr_graph::{Col, DiGraph, VertexId};
+use gsr_graph::{Col, ColumnList, Columns, DiGraph, Source, VertexId};
 use gsr_geo::Point;
 use gsr_index::{KdTree, QuadTree, RTree, RTreeParams, UniformGrid};
 use gsr_reach::bfl::{BflIndex, BflParams};
@@ -71,17 +72,6 @@ enum SpatialFilter {
     Kd(KdTree<CompId>),
     /// Quadtree over points.
     Quad(QuadTree<CompId>),
-}
-
-/// The spatial filter handed to [`SpaReach::from_cols`]. Only the
-/// paper's R-tree backend is persisted — the space-oriented-partitioning
-/// backends are ablation-only and are rebuilt from scratch when needed.
-#[derive(Debug, Clone)]
-pub enum SpaReachFilterParts {
-    /// One point entry per spatial vertex (the replicate policy).
-    Points(RTree<2, CompId>),
-    /// One rectangle entry per spatial component (the MBR policy).
-    CompBoxes(RTree<2, CompId>),
 }
 
 /// Generic spatial-first evaluator over any [`Reachability`] back-end.
@@ -309,81 +299,43 @@ impl<R: Reachability> SpaReach<R> {
         &self.reach
     }
 
-    /// Borrowed view of the persisted columns for zero-copy snapshot
-    /// encoding: `(comp_of, filter_tree, filter_is_mbr, reach,
-    /// member_offsets, member_points)`. `None` when the spatial filter uses
-    /// an ablation-only space-oriented-partitioning backend (those are
-    /// never persisted) or the streaming candidate mode.
-    #[allow(clippy::type_complexity)]
-    pub fn cols(&self) -> Option<(&[CompId], &RTree<2, CompId>, bool, &R, &[u32], &[Point])> {
-        if self.mode != CandidateMode::Materialize {
-            return None;
-        }
-        let (tree, is_mbr) = match &self.filter {
-            SpatialFilter::Points(t) => (t, false),
-            SpatialFilter::CompBoxes(t) => (t, true),
-            _ => return None,
-        };
-        Some((
-            &self.comp_of,
-            tree,
-            is_mbr,
-            &self.reach,
-            &self.member_offsets,
-            &self.member_points,
-        ))
+    fn member_points(&self, c: CompId) -> &[gsr_geo::Point] {
+        let lo = self.member_offsets[c as usize] as usize;
+        let hi = self.member_offsets[c as usize + 1] as usize;
+        &self.member_points[lo..hi]
     }
+}
 
-    /// Reassembles an index from its columns — the inverse of
-    /// [`SpaReach::cols`] (the filter tree arrives via [`RTree::from_cols`]).
+impl<R: Reachability + Columns> SpaReach<R> {
+    /// [`Columns::load`] for the back-end `R`, which covers `covers(&R)`
+    /// components (the [`Reachability`] trait does not expose a count).
     ///
-    /// The columns are untrusted (they come from disk): the member CSR must be
-    /// well-formed and every component id — in `comp_of` and in the filter
-    /// tree's payloads — must index a member range, so that no query can
-    /// panic. The caller additionally checks that the reachability back-end
-    /// covers the same number of components (the [`Reachability`] trait does
-    /// not expose a vertex count). Violations are `Err(String)`.
-    pub fn from_cols(
-        comp_of: impl Into<Col<CompId>>,
-        filter: SpaReachFilterParts,
-        reach: R,
-        member_offsets: impl Into<Col<u32>>,
-        member_points: impl Into<Col<Point>>,
+    /// The columns are untrusted: the member CSR must have a range for each
+    /// of the back-end's components and every component id — in `comp_of`
+    /// and in the filter tree's payloads — must index one, so that no query
+    /// can panic.
+    fn load_cols<S: Source>(
+        src: &mut S,
         name: &'static str,
+        covers: fn(&R) -> usize,
     ) -> Result<Self, String> {
-        let comp_of = comp_of.into();
-        let member_offsets = member_offsets.into();
-        let member_points = member_points.into();
-        if member_offsets.is_empty() {
-            return Err("spareach: empty member offsets".into());
-        }
-        if member_offsets[0] != 0 || member_offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("spareach: member offsets not monotone from 0".into());
-        }
-        let ncomp = member_offsets.len() - 1;
-        if member_offsets[ncomp] as usize != member_points.len() {
-            return Err(format!(
-                "spareach: member offsets claim {} points but {} present",
-                member_offsets[ncomp],
-                member_points.len()
-            ));
-        }
-        if let Some(&c) = comp_of.iter().find(|&&c| (c as usize) >= ncomp) {
-            return Err(format!("spareach: comp_of references component {c} >= {ncomp}"));
-        }
-        let tree = match &filter {
-            SpaReachFilterParts::Points(t) | SpaReachFilterParts::CompBoxes(t) => t,
+        let filter: fn(RTree<2, CompId>) -> SpatialFilter = match src.u8()? {
+            0 => SpatialFilter::Points,
+            1 => SpatialFilter::CompBoxes,
+            k => return Err(format!("unknown spatial-filter kind {k}")),
         };
-        if let Some((_, &c)) = tree.iter().find(|(_, &c)| (c as usize) >= ncomp) {
-            return Err(format!("spareach: filter references component {c} >= {ncomp}"));
-        }
-        let filter = match filter {
-            SpaReachFilterParts::Points(t) => SpatialFilter::Points(t),
-            SpaReachFilterParts::CompBoxes(t) => SpatialFilter::CompBoxes(t),
-        };
+        let comp_of: Col<CompId> = src.col(tag::COMP_OF, "comp-of")?;
+        let member_offsets: Col<u32> = src.col(tag::MEMBER_OFFSETS, "member-offsets")?;
+        let member_points: Col<Point> = src.col(tag::MEMBER_POINTS, "member-points")?;
+        let tree: RTree<2, CompId> = RTree::load(src)?;
+        let reach = R::load(src)?;
+        let ncomp = covers(&reach);
+        check_member_csr("spareach", ncomp, &member_offsets, &member_points)?;
+        check_comp_ids("spareach", "comp_of", comp_of.iter().copied(), ncomp)?;
+        check_comp_ids("spareach", "filter", tree.values().iter().copied(), ncomp)?;
         Ok(SpaReach {
             comp_of,
-            filter,
+            filter: filter(tree),
             reach,
             name,
             mode: CandidateMode::Materialize,
@@ -391,11 +343,28 @@ impl<R: Reachability> SpaReach<R> {
             member_points,
         })
     }
+}
 
-    fn member_points(&self, c: CompId) -> &[gsr_geo::Point] {
-        let lo = self.member_offsets[c as usize] as usize;
-        let hi = self.member_offsets[c as usize + 1] as usize;
-        &self.member_points[lo..hi]
+/// The declaration itself is [`RangeReachIndex::columns`], which also tells
+/// a saver whether the configuration is persistent at all (one that is not
+/// declares nothing).
+impl Columns for SpaReachBfl {
+    fn store<'a>(&'a self, out: &mut ColumnList<'a>) {
+        out.append(self.columns().unwrap_or_default());
+    }
+
+    fn load<S: Source>(src: &mut S) -> Result<Self, String> {
+        Self::load_cols(src, "SpaReach-BFL", BflIndex::num_vertices)
+    }
+}
+
+impl Columns for SpaReachInt {
+    fn store<'a>(&'a self, out: &mut ColumnList<'a>) {
+        out.append(self.columns().unwrap_or_default());
+    }
+
+    fn load<S: Source>(src: &mut S) -> Result<Self, String> {
+        Self::load_cols(src, "SpaReach-INT", IntervalLabeling::num_vertices)
     }
 }
 
@@ -504,18 +473,40 @@ impl<R: Reachability> RangeReachIndex for SpaReach<R> {
     }
 
     fn index_bytes(&self) -> usize {
-        let tree = match &self.filter {
+        if let Some(list) = self.columns() {
+            return list.counted_bytes();
+        }
+        // An ablation filter or back-end has no persistent columns: a hand
+        // sum.
+        let filter = match &self.filter {
             SpatialFilter::Points(t) => t.heap_bytes(),
             SpatialFilter::CompBoxes(t) => t.heap_bytes(),
             SpatialFilter::Grid(g) => g.heap_bytes(),
             SpatialFilter::Kd(t) => t.heap_bytes(),
             SpatialFilter::Quad(t) => t.heap_bytes(),
         };
-        tree + self.reach.heap_bytes()
+        filter + self.reach.heap_bytes()
     }
 
-    fn shared_buffers(&self) -> Vec<BufferId> {
-        vec![buffer_id(&self.comp_of)]
+    /// Only the paper's configuration is persistent: an R-tree filter (the
+    /// space-oriented-partitioning backends are ablation-only and rebuilt
+    /// from scratch when needed) in the faithful candidate mode. `comp_of`
+    /// and the member CSR are derived from the network, not built by the
+    /// method, and are left out of its size.
+    fn columns(&self) -> Option<ColumnList<'_>> {
+        let (tree, is_mbr) = match (&self.filter, self.mode) {
+            (SpatialFilter::Points(t), CandidateMode::Materialize) => (t, false),
+            (SpatialFilter::CompBoxes(t), CandidateMode::Materialize) => (t, true),
+            _ => return None,
+        };
+        let mut out = ColumnList::default();
+        out.meta.u8(is_mbr as u8);
+        out.col(tag::COMP_OF, &self.comp_of, false);
+        out.col(tag::MEMBER_OFFSETS, &self.member_offsets, false);
+        out.col(tag::MEMBER_POINTS, &self.member_points, false);
+        tree.store(&mut out);
+        out.append(self.reach.columns()?);
+        Some(out)
     }
 
     fn name(&self) -> &'static str {

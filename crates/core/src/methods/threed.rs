@@ -15,11 +15,12 @@
 //! plane at `post_rev(v)`. One range query per query instead of `|L(v)|`,
 //! at the cost of indexing segments instead of points.
 
-use crate::{buffer_id, BufferId, PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy};
+use super::{check_comp_ids, check_member_csr, tag};
+use crate::{PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy};
 use gsr_geo::{cuboid_from_rect, Aabb, Cuboid, Point, Rect};
 use gsr_graph::par;
 use gsr_graph::scc::CompId;
-use gsr_graph::{Col, HeapBytes, VertexId};
+use gsr_graph::{Col, ColumnList, Columns, Source, VertexId};
 use gsr_index::{RTree, RTreeParams};
 use gsr_reach::compact::CompactLabels;
 use gsr_reach::interval::{BuildOptions, IntervalLabeling};
@@ -98,98 +99,59 @@ impl ThreeDCommon {
         }
     }
 
-    fn bytes(&self) -> usize {
-        self.tree.heap_bytes()
-            + self.comp_of.len() * 4
-            + match self.policy {
-                SccSpatialPolicy::Replicate => 0,
-                SccSpatialPolicy::Mbr => {
-                    self.member_offsets.len() * 4
-                        + self.member_points.len() * std::mem::size_of::<Point>()
-                }
-            }
+    /// Declares the policy scalar and `comp_of`: the head of both methods'
+    /// files.
+    fn store_head<'a>(&'a self, out: &mut ColumnList<'a>) {
+        out.meta.u8(match self.policy {
+            SccSpatialPolicy::Replicate => 0,
+            SccSpatialPolicy::Mbr => 1,
+        });
+        out.col(tag::COMP_OF, &self.comp_of, true);
     }
-}
 
-impl ThreeDCommon {
-    /// Validates untrusted columns and reassembles the shared state. Every
-    /// index a query dereferences — component ids in `comp_of` and in tree
-    /// payloads, the member CSR — is bounds-checked against `ncomp` (the
-    /// component count of the accompanying label structure) so queries
-    /// cannot panic. `Replicate` never reads the member CSR, so there it
-    /// may also be empty (what this build writes; older snapshots carry
-    /// it); `Mbr` requires it.
-    fn from_cols(
-        ncomp: usize,
-        comp_of: Col<CompId>,
-        tree: RTree<3, Entry>,
-        policy: SccSpatialPolicy,
-        member_offsets: Col<u32>,
-        member_points: Col<Point>,
-    ) -> Result<Self, String> {
-        let unused = policy == SccSpatialPolicy::Replicate
-            && member_offsets.is_empty()
-            && member_points.is_empty();
-        if !unused {
-            Self::check_member_csr(ncomp, &member_offsets, &member_points)?;
-        }
-        if let Some(&c) = comp_of.iter().find(|&&c| (c as usize) >= ncomp) {
-            return Err(format!("3dreach: comp_of references component {c} >= {ncomp}"));
-        }
-        if let Some((_, &c)) = tree.iter().find(|(_, &c)| (c as usize) >= ncomp) {
-            return Err(format!("3dreach: tree references component {c} >= {ncomp}"));
-        }
+    /// Declares the tree and the member CSR: the tail of both methods'
+    /// files.
+    fn store_tail<'a>(&'a self, out: &mut ColumnList<'a>) {
+        self.tree.store(out);
+        out.col(tag::MEMBER_OFFSETS, &self.member_offsets, true);
+        out.col(tag::MEMBER_POINTS, &self.member_points, true);
+    }
+
+    /// Reads back what [`ThreeDCommon::store_head`] and
+    /// [`ThreeDCommon::store_tail`] declared, for [`ThreeDCommon::validate`]
+    /// to check once the method knows its component count.
+    fn load<S: Source>(src: &mut S) -> Result<Self, String> {
+        let policy = match src.u8()? {
+            0 => SccSpatialPolicy::Replicate,
+            1 => SccSpatialPolicy::Mbr,
+            k => return Err(format!("unknown scc policy {k}")),
+        };
         Ok(ThreeDCommon {
-            comp_of,
-            tree: Arc::new(tree),
+            comp_of: src.col(tag::COMP_OF, "comp-of")?,
+            tree: Arc::new(RTree::load(src)?),
             policy,
-            member_offsets,
-            member_points,
+            member_offsets: src.col(tag::MEMBER_OFFSETS, "member-offsets")?,
+            member_points: src.col(tag::MEMBER_POINTS, "member-points")?,
         })
     }
 
-    fn check_member_csr(ncomp: usize, member_offsets: &[u32], member_points: &[Point]) -> Result<(), String> {
-        if member_offsets.len() != ncomp + 1 {
-            return Err(format!(
-                "3dreach: {} member offsets for {ncomp} components",
-                member_offsets.len()
-            ));
+    /// Checks loaded columns: every index a query dereferences — component
+    /// ids in `comp_of` and in tree payloads, the member CSR — is
+    /// bounds-checked against `ncomp` (the component count of the
+    /// accompanying label structure) so queries cannot panic. `Replicate`
+    /// never reads the member CSR, so there it may also be empty (what a
+    /// build keeps); `Mbr` requires it.
+    fn validate(&self, ncomp: usize) -> Result<(), String> {
+        let unused = self.policy == SccSpatialPolicy::Replicate
+            && self.member_offsets.is_empty()
+            && self.member_points.is_empty();
+        if !unused {
+            check_member_csr("3dreach", ncomp, &self.member_offsets, &self.member_points)?;
         }
-        if member_offsets[0] != 0 || member_offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("3dreach: member offsets not monotone from 0".into());
-        }
-        if member_offsets[ncomp] as usize != member_points.len() {
-            return Err(format!(
-                "3dreach: member offsets claim {} points but {} present",
-                member_offsets[ncomp],
-                member_points.len()
-            ));
-        }
-        Ok(())
+        check_comp_ids("3dreach", "comp_of", self.comp_of.iter().copied(), ncomp)?;
+        check_comp_ids("3dreach", "tree", self.tree.values().iter().copied(), ncomp)
     }
 }
-
-/// Borrowed column view returned by [`ThreeDReach::cols`]:
-/// `(comp_of, labels, tree, policy, member_offsets, member_points)`.
-pub type ThreeDReachCols<'a> = (
-    &'a [CompId],
-    &'a CompactLabels,
-    &'a RTree<3, CompId>,
-    SccSpatialPolicy,
-    &'a [u32],
-    &'a [Point],
-);
-
-/// Borrowed column view returned by [`ThreeDReachRev::cols`]:
-/// `(comp_of, rev_post, tree, policy, member_offsets, member_points)`.
-pub type ThreeDReachRevCols<'a> = (
-    &'a [CompId],
-    &'a [u32],
-    &'a RTree<3, CompId>,
-    SccSpatialPolicy,
-    &'a [u32],
-    &'a [Point],
-);
 
 /// The forward 3DReach method: 3-D points, one cuboid query per label.
 #[derive(Debug, Clone)]
@@ -252,40 +214,24 @@ impl ThreeDReach {
     pub fn labels(&self) -> &CompactLabels {
         &self.labels
     }
+}
 
-    /// Reassembles an index from untrusted columns — the inverse of
-    /// [`ThreeDReach::cols`]; violations of the structural invariants are
-    /// `Err(String)`, never panics.
-    pub fn from_cols(
-        comp_of: Col<CompId>,
-        labels: CompactLabels,
-        tree: RTree<3, CompId>,
-        policy: SccSpatialPolicy,
-        member_offsets: Col<u32>,
-        member_points: Col<Point>,
-    ) -> Result<Self, String> {
-        let common = ThreeDCommon::from_cols(
-            labels.num_vertices(),
-            comp_of,
-            tree,
-            policy,
-            member_offsets,
-            member_points,
-        )?;
-        Ok(ThreeDReach { common, labels: Arc::new(labels) })
+impl Columns for ThreeDReach {
+    fn store<'a>(&'a self, out: &mut ColumnList<'a>) {
+        self.common.store_head(out);
+        // The scalars list the tree's parameters before the labels'
+        // `max_post`; the file holds the label sections before the tree's.
+        let mut labels = ColumnList::of(&*self.labels);
+        out.cols.append(&mut labels.cols);
+        self.common.store_tail(out);
+        out.meta.append(labels.meta);
     }
 
-    /// Borrowed view of the index columns for zero-copy snapshot encoding:
-    /// `(comp_of, labels, tree, policy, member_offsets, member_points)`.
-    pub fn cols(&self) -> ThreeDReachCols<'_> {
-        (
-            &self.common.comp_of,
-            &self.labels,
-            &self.common.tree,
-            self.common.policy,
-            &self.common.member_offsets,
-            &self.common.member_points,
-        )
+    fn load<S: Source>(src: &mut S) -> Result<Self, String> {
+        let common = ThreeDCommon::load(src)?;
+        let labels = CompactLabels::load(src)?;
+        common.validate(labels.num_vertices())?;
+        Ok(ThreeDReach { common, labels: Arc::new(labels) })
     }
 }
 
@@ -317,12 +263,11 @@ impl RangeReachIndex for ThreeDReach {
     }
 
     fn index_bytes(&self) -> usize {
-        self.common.bytes() + self.labels.heap_bytes()
+        ColumnList::of(self).counted_bytes()
     }
 
-    fn shared_buffers(&self) -> Vec<BufferId> {
-        let (_, offsets, bytes) = self.labels.parts();
-        vec![buffer_id(&self.common.comp_of), buffer_id(offsets), buffer_id(bytes)]
+    fn columns(&self) -> Option<ColumnList<'_>> {
+        Some(ColumnList::of(self))
     }
 
     fn name(&self) -> &'static str {
@@ -400,50 +345,26 @@ impl ThreeDReachRev {
             rev_post: rev_post.into(),
         }
     }
+}
 
-    /// The per-component plane heights (for stats).
-    pub fn rev_post(&self) -> &[u32] {
-        &self.rev_post
+/// Section tag of the per-component plane heights.
+const REV_POST: u16 = 0xA0;
+
+/// REV's query only ever reads the plane height `post_rev(v)` of a
+/// component — the full reversed labeling is construction scaffolding (its
+/// labels are baked into the segment R-tree) and is not a column.
+impl Columns for ThreeDReachRev {
+    fn store<'a>(&'a self, out: &mut ColumnList<'a>) {
+        self.common.store_head(out);
+        out.col(REV_POST, &self.rev_post, true);
+        self.common.store_tail(out);
     }
 
-    /// Reassembles an index from untrusted columns — the inverse of
-    /// [`ThreeDReachRev::cols`]. Violations of the structural invariants
-    /// are `Err(String)`, never panics.
-    pub fn from_cols(
-        comp_of: Col<CompId>,
-        rev_post: Col<u32>,
-        tree: RTree<3, CompId>,
-        policy: SccSpatialPolicy,
-        member_offsets: Col<u32>,
-        member_points: Col<Point>,
-    ) -> Result<Self, String> {
-        let common = ThreeDCommon::from_cols(
-            rev_post.len(),
-            comp_of,
-            tree,
-            policy,
-            member_offsets,
-            member_points,
-        )?;
+    fn load<S: Source>(src: &mut S) -> Result<Self, String> {
+        let common = ThreeDCommon::load(src)?;
+        let rev_post: Col<u32> = src.col(REV_POST, "rev-post")?;
+        common.validate(rev_post.len())?;
         Ok(ThreeDReachRev { common, rev_post })
-    }
-
-    /// Borrowed view of the index columns for zero-copy snapshot encoding:
-    /// `(comp_of, rev_post, tree, policy, member_offsets, member_points)`.
-    ///
-    /// REV's query only ever reads the per-component plane height
-    /// `post_rev(v)` — the full reversed labeling is construction
-    /// scaffolding (its labels are baked into the segment R-tree) and is
-    /// not persisted.
-    pub fn cols(&self) -> ThreeDReachRevCols<'_> {
-        (
-            &self.common.comp_of,
-            &self.rev_post,
-            &self.common.tree,
-            self.common.policy,
-            &self.common.member_offsets,
-            &self.common.member_points,
-        )
     }
 }
 
@@ -472,11 +393,11 @@ impl RangeReachIndex for ThreeDReachRev {
     }
 
     fn index_bytes(&self) -> usize {
-        self.common.bytes() + self.rev_post.len() * 4
+        ColumnList::of(self).counted_bytes()
     }
 
-    fn shared_buffers(&self) -> Vec<BufferId> {
-        vec![buffer_id(&self.common.comp_of)]
+    fn columns(&self) -> Option<ColumnList<'_>> {
+        Some(ColumnList::of(self))
     }
 
     fn name(&self) -> &'static str {
@@ -578,31 +499,31 @@ mod tests {
     }
 
     /// `Replicate` never refines against member points, so it keeps no
-    /// member CSR — and loads columns with one (what earlier builds wrote)
-    /// or without; `Mbr` needs it.
+    /// member CSR — and loads columns with one or without; `Mbr` needs it.
     #[test]
     fn member_csr_is_kept_and_required_only_under_mbr() {
+        use gsr_graph::columns::MemSource;
         let prep = paper_example::cyclic_prepared();
         let (offsets, points) = prep.member_csr();
         for policy in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
             let built = ThreeDReach::build(&prep, policy);
             let rev = ThreeDReachRev::build(&prep, policy);
-            let (comp_of, labels, tree, _, kept_offsets, kept_points) = built.cols();
             let replicate = policy == SccSpatialPolicy::Replicate;
-            assert_eq!(kept_offsets.is_empty() && kept_points.is_empty(), replicate);
-            assert_eq!(rev.cols().4.is_empty() && rev.cols().5.is_empty(), replicate);
-            let reload = |offsets: &[u32], points: &[Point]| {
-                ThreeDReach::from_cols(
-                    comp_of.to_vec().into(),
-                    labels.clone(),
-                    tree.clone(),
-                    policy,
-                    offsets.to_vec().into(),
-                    points.to_vec().into(),
-                )
+            for common in [&built.common, &rev.common] {
+                let kept = (common.member_offsets.is_empty(), common.member_points.is_empty());
+                assert_eq!(kept, (replicate, replicate));
+            }
+            let reload = |offsets: &[u32], points: &[Point]| -> Result<ThreeDReach, String> {
+                let mut list = ColumnList::of(&built);
+                list.cols.retain(|c| ![tag::MEMBER_OFFSETS, tag::MEMBER_POINTS].contains(&c.tag));
+                list.col(tag::MEMBER_OFFSETS, offsets, true);
+                list.col(tag::MEMBER_POINTS, points, true);
+                MemSource::new(list).load()
             };
             let with_csr = reload(&offsets, &points).expect("a consistent CSR always loads");
-            assert_eq!(with_csr.index_bytes(), built.index_bytes());
+            let csr_bytes = offsets.len() * 4 + points.len() * 16;
+            let unbuilt = if replicate { csr_bytes } else { 0 };
+            assert_eq!(with_csr.index_bytes(), built.index_bytes() + unbuilt);
             for v in prep.network().graph().vertices() {
                 for r in paper_example::probe_regions() {
                     assert_eq!(with_csr.query_with_cost(v, &r), built.query_with_cost(v, &r));

@@ -37,7 +37,7 @@ use gsr_graph::VertexId;
 use crate::error::GsrError;
 use crate::hist::LatencyHistogram;
 use crate::network::{GeosocialNetwork, NetworkError, PreparedNetwork};
-use crate::traits::{BufferId, QueryCost, RangeReachIndex, ShardStats};
+use crate::traits::{QueryCost, RangeReachIndex, ShardStats};
 use crate::{BatchExecutor, BatchQuery};
 
 /// One spatial tile of a partitioned network: the spatial vertices assigned
@@ -133,13 +133,15 @@ pub struct ShardMember {
 /// probes issued, shards pruned — and a per-shard probe-latency
 /// histogram, surfaced through [`RangeReachIndex::shard_stats`].
 ///
-/// Its `index_bytes` counts every distinct buffer once, by identity: what
-/// the members share ([`RangeReachIndex::shared_buffers`]) is not
-/// multiplied by the shard count, and members that share nothing add up
-/// to the plain sum.
+/// Its `index_bytes` counts every distinct buffer once, by identity: a
+/// counted column ([`RangeReachIndex::columns`]) that several members hold
+/// is not multiplied by the shard count, and members that share nothing
+/// add up to the plain sum.
 pub struct ShardedIndex {
     shards: Vec<ShardMember>,
     num_vertices: usize,
+    /// The members never change, so neither does this.
+    index_bytes: usize,
     probes: AtomicU64,
     pruned: AtomicU64,
     probe_hists: Vec<LatencyHistogram>,
@@ -181,10 +183,19 @@ impl ShardedIndex {
                 )));
             }
         }
+        // A member's counted columns, where an earlier member has not
+        // brought the same buffer in already.
+        let mut seen = HashSet::new();
+        let own_bytes = |shard: &ShardMember| match shard.index.columns() {
+            Some(list) => list.counted_unseen(&mut seen),
+            None => shard.index.index_bytes(),
+        };
+        let index_bytes = shards.iter().map(own_bytes).sum();
         let probe_hists = shards.iter().map(|_| LatencyHistogram::default()).collect();
         Ok(ShardedIndex {
             shards,
             num_vertices,
+            index_bytes,
             probes: AtomicU64::new(0),
             pruned: AtomicU64::new(0),
             probe_hists,
@@ -310,14 +321,7 @@ impl RangeReachIndex for ShardedIndex {
     }
 
     fn index_bytes(&self) -> usize {
-        // Each member's bytes, less the buffers an earlier member already
-        // brought in.
-        let mut seen: HashSet<BufferId> = HashSet::new();
-        let own_bytes = |shard: &ShardMember| {
-            let repeats = shard.index.shared_buffers().into_iter().filter(|&id| !seen.insert(id));
-            shard.index.index_bytes().saturating_sub(repeats.map(|id| id.1).sum())
-        };
-        self.shards.iter().map(own_bytes).sum()
+        self.index_bytes
     }
 
     fn name(&self) -> &'static str {

@@ -2,7 +2,7 @@
 
 use crate::error::{validate_query, GsrError};
 use gsr_geo::Rect;
-use gsr_graph::VertexId;
+use gsr_graph::{ColumnList, VertexId};
 
 /// How the spatial information of a strongly connected component with
 /// spatial members is modeled (Section 5 of the paper).
@@ -80,15 +80,6 @@ pub struct ShardStats {
     /// Per-shard 99th-percentile probe latency in microseconds, in shard
     /// order.
     pub probe_p99_us: Vec<u64>,
-}
-
-/// Identity of one heap buffer: its address and its length in bytes. Two
-/// live buffers with the same identity are the same memory.
-pub type BufferId = (usize, usize);
-
-/// The [`BufferId`] of the buffer behind `column`.
-pub fn buffer_id<T>(column: &[T]) -> BufferId {
-    (column.as_ptr() as usize, std::mem::size_of_val(column))
 }
 
 /// An evaluation method for `RangeReach(G, v, R)` queries (Problem 1).
@@ -169,13 +160,14 @@ pub trait RangeReachIndex: Send + Sync {
     /// alive, whether or not another index holds the same buffer.
     fn index_bytes(&self) -> usize;
 
-    /// The buffers counted in [`RangeReachIndex::index_bytes`] that another
-    /// index may hold too: indexes built over tile views of one network
-    /// keep handles to one `comp_of` and one set of labels. A
-    /// [`crate::ShardedIndex`] counts a repeated identity once. The default
-    /// (none) is right for an index whose buffers are all its own.
-    fn shared_buffers(&self) -> Vec<BufferId> {
-        Vec::new()
+    /// The index's persistent columns (`gsr_graph::Columns::store`); `None`
+    /// — the default — for an index that has none, or whose configuration
+    /// is not persistent. The list is what a snapshot of the index holds,
+    /// what [`RangeReachIndex::index_bytes`] of a column-backed index adds
+    /// up, and how a [`crate::ShardedIndex`] tells which buffers its
+    /// members — tile views of one network — hold in common.
+    fn columns(&self) -> Option<ColumnList<'_>> {
+        None
     }
 
     /// Display name, e.g. `"3DReach"` or `"SpaReach-BFL"`.

@@ -5,7 +5,7 @@
 /// This is the geometry shared by the 2-D and 3-D R-trees of `gsr-index`.
 /// Points are degenerate boxes (`min == max`); the vertical line segments of
 /// 3DReach-REV are boxes degenerate in the first two dimensions.
-/// `#[repr(C)]` is part of the snapshot contract: v3 sections store box
+/// `#[repr(C)]` is part of the snapshot contract: sections store box
 /// columns as raw `2N`-tuples of `f64` and remap them zero-copy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C)]

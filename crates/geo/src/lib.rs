@@ -43,13 +43,6 @@ pub fn cuboid_from_rect(r: &Rect, lo: f64, hi: f64) -> Cuboid {
     Aabb::new([r.min_x, r.min_y, lo], [r.max_x, r.max_y, hi])
 }
 
-/// Builds the vertical line segment that models a spatial vertex under the
-/// reversed labeling of 3DReach-REV: the segment sits at the vertex's point
-/// `(x, y)` and spans one label `[lo, hi]` of the reversed scheme.
-pub fn segment_at(p: Point, lo: f64, hi: f64) -> Cuboid {
-    Aabb::new([p.x, p.y, lo], [p.x, p.y, hi])
-}
-
 /// Builds the degenerate cuboid for a 3-D point `(p.x, p.y, z)`, the
 /// representation of a spatial vertex under the forward 3DReach scheme.
 pub fn point3(p: Point, z: f64) -> Cuboid {
@@ -66,14 +59,6 @@ mod tests {
         let c = cuboid_from_rect(&r, 5.0, 9.0);
         assert_eq!(c.min, [1.0, 2.0, 5.0]);
         assert_eq!(c.max, [3.0, 4.0, 9.0]);
-    }
-
-    #[test]
-    fn segment_is_degenerate_in_xy() {
-        let s = segment_at(Point::new(1.0, 2.0), 3.0, 7.0);
-        assert_eq!(s.extent(0), 0.0);
-        assert_eq!(s.extent(1), 0.0);
-        assert_eq!(s.extent(2), 4.0);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::fmt;
 /// In the paper's model (Section 2.1) every *spatial vertex* `v` of a
 /// geosocial network carries a `v.point` of this type; the set of all such
 /// points is the collection `P` of the network `G = (V, E, P)`.
-/// `#[repr(C)]` is part of the snapshot contract: v3 sections store point
+/// `#[repr(C)]` is part of the snapshot contract: sections store point
 /// columns as raw `x, y` f64 pairs and remap them zero-copy.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[repr(C)]

@@ -3,13 +3,13 @@
 //! A [`Col<T>`] is an immutable, shared column of `T`s that is either
 //! *owned* (an `Arc<Vec<T>>`, the result of an in-process build) or
 //! *mapped* (a typed view into a byte region kept alive by an erased
-//! [`StableBytes`] owner — typically a memory-mapped v3 snapshot). Both
+//! [`StableBytes`] owner — typically a memory-mapped snapshot). Both
 //! variants deref to `&[T]`, so query kernels index columns exactly as
 //! they indexed the `Vec`s they replace, and both clone in O(1), which
 //! preserves the cheap `Arc`-style index clones the server relies on when
 //! fanning a snapshot out to worker threads.
 //!
-//! The mapped variant is the heart of the v3 snapshot format: a load
+//! The mapped variant is the heart of the snapshot format: a load
 //! validates bounds and alignment once, then every column of the index
 //! *is* the file — no per-element decode, no allocation proportional to
 //! the index.
@@ -61,6 +61,16 @@ unsafe impl Pod for f64 {}
 pub unsafe trait StableBytes: Send + Sync + 'static {
     /// The owned byte region.
     fn stable_bytes(&self) -> &[u8];
+}
+
+// SAFETY: a `Vec` behind the `Arc` that `Col::view` takes cannot be reached
+// mutably while a view (which holds a clone of the `Arc`) is alive, so its
+// buffer stays where it is. Words, not bytes, so that the region is aligned
+// for every element type.
+unsafe impl StableBytes for Vec<u64> {
+    fn stable_bytes(&self) -> &[u8] {
+        bytes_of(self)
+    }
 }
 
 /// Keep-alive handle for a column's storage; never read through, only
@@ -141,7 +151,7 @@ impl<T: Pod> Col<T> {
 }
 
 /// Reinterprets a slice of [`Pod`] elements as its underlying bytes (in
-/// native byte order — the v3 snapshot writer is little-endian-host only
+/// native byte order — the snapshot writer is little-endian-host only
 /// and checks before calling).
 pub fn bytes_of<T: Pod>(slice: &[T]) -> &[u8] {
     // SAFETY: T: Pod has no padding, so every byte of the slice is
@@ -216,20 +226,9 @@ impl<T: std::hash::Hash> std::hash::Hash for Col<T> {
     }
 }
 
-impl<T> crate::HeapBytes for Col<T> {
-    /// Mapped columns are attributed like owned ones: the bytes a query
-    /// walks are resident either way (page cache for mapped regions), and
-    /// symmetric accounting keeps `index_bytes` comparable across load
-    /// paths.
-    fn heap_bytes(&self) -> usize {
-        self.len() * std::mem::size_of::<T>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::HeapBytes;
 
     struct FixedRegion(Vec<u8>);
 
@@ -249,7 +248,6 @@ mod tests {
         assert!(Col::ptr_eq(&c, &d), "clone must share storage");
         assert_eq!(c, d);
         assert!(!c.is_mapped());
-        assert_eq!(c.heap_bytes(), 12);
     }
 
     #[test]

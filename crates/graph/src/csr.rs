@@ -1,6 +1,7 @@
 //! Compressed-sparse-row storage for directed graphs.
 
 use crate::col::Col;
+use crate::columns::{ColumnList, Columns, Source};
 use crate::VertexId;
 
 /// A directed graph stored in CSR form, with both forward (out-neighbour)
@@ -12,7 +13,7 @@ use crate::VertexId;
 /// the reversed interval labeling of 3DReach-REV and by in-degree priorities
 /// in the labeling construction (Algorithm 1 of the paper).
 /// All four arrays are [`Col`]s: owned after an in-process build, borrowed
-/// zero-copy from the mapped file after a v3 snapshot load. Clones are O(1)
+/// zero-copy from the mapped file after a snapshot load. Clones are O(1)
 /// either way.
 #[derive(Debug, Clone)]
 pub struct DiGraph {
@@ -126,43 +127,19 @@ impl DiGraph {
         DiGraph::from_sorted_edges(self.num_vertices(), &rev)
     }
 
-    /// Forward-CSR view of the graph, `(out_offsets, out_targets)`, for
-    /// snapshot encoding. Together with the vertex count implied by
-    /// `out_offsets.len() - 1` this fully determines the graph; the reverse
-    /// adjacency ([`DiGraph::in_csr`]) is derived from it.
-    pub fn out_csr(&self) -> (&[u32], &[VertexId]) {
-        (&self.out_offsets, &self.out_targets)
-    }
-
-    /// Reverse-CSR view, `(in_offsets, in_sources)`. Derivable from the
-    /// forward CSR, but snapshots persist it anyway so a load is a pure
-    /// map with no O(V + E) rebuild allocations.
-    pub fn in_csr(&self) -> (&[u32], &[VertexId]) {
-        (&self.in_offsets, &self.in_sources)
-    }
-
-    /// Assembles a graph from all four CSR columns at once (the inverse of
-    /// [`DiGraph::out_csr`] and [`DiGraph::in_csr`]) — the zero-copy load
-    /// path, where the columns borrow from a mapped snapshot and must not
-    /// be rebuilt or copied.
+    /// Checks columns that came from disk: shape, bounds and per-vertex
+    /// ordering of the forward CSR, and that the reverse CSR is the one the
+    /// forward CSR implies. The first defect is an `Err(String)`.
     ///
-    /// The input is untrusted (it typically comes from disk): shape, bounds
-    /// and per-vertex ordering of the forward CSR are validated, and the
-    /// first defect is reported as an `Err(String)` for the caller to wrap
-    /// in its own typed error.
-    /// The reverse CSR is untrusted too; instead of rebuilding it (which
-    /// would allocate `O(V + E)` and defeat the zero-copy load), the
-    /// counting sort that *would* build it is replayed against the provided
-    /// columns: every edge `(u, v)` must land on a slot whose stored source
-    /// is `u`. A single pass with one `O(V)` cursor array proves the
-    /// provided reverse adjacency is bit-identical to the rebuilt one.
-    pub fn from_csr_cols(
-        out_offsets: Col<u32>,
-        out_targets: Col<VertexId>,
-        in_offsets: Col<u32>,
-        in_sources: Col<VertexId>,
-    ) -> Result<Self, String> {
-        Self::validate_forward_csr(&out_offsets, &out_targets)?;
+    /// The reverse CSR is not rebuilt for the comparison (that would
+    /// allocate `O(V + E)` and defeat the zero-copy load): the counting
+    /// sort that *would* build it is replayed against the provided columns —
+    /// every edge `(u, v)` must land on a slot whose stored source is `u`.
+    /// A single pass with one `O(V)` cursor array proves the provided
+    /// reverse adjacency bit-identical to the rebuilt one.
+    fn validate(&self) -> Result<(), String> {
+        let DiGraph { out_offsets, out_targets, in_offsets, in_sources } = self;
+        Self::validate_forward_csr(out_offsets, out_targets)?;
         let n = out_offsets.len() - 1;
         let m = out_targets.len();
         if in_offsets.len() != n + 1 {
@@ -204,7 +181,7 @@ impl DiGraph {
         // Totals already match (both CSRs claim m edges and every replayed
         // slot stayed within its vertex's range), so cursor == in_offsets[1..]
         // here by construction.
-        Ok(DiGraph { out_offsets, out_targets, in_offsets, in_sources })
+        Ok(())
     }
 
     /// Shape, bounds and per-vertex ordering checks on an untrusted
@@ -246,13 +223,40 @@ impl DiGraph {
         Ok(())
     }
 
-    /// Approximate heap footprint in bytes, for the index-size accounting of
-    /// Table 4 in the paper.
+    /// Heap footprint in bytes, for the index-size accounting of Table 4 in
+    /// the paper.
     pub fn heap_bytes(&self) -> usize {
-        self.out_offsets.len() * 4
-            + self.out_targets.len() * 4
-            + self.in_offsets.len() * 4
-            + self.in_sources.len() * 4
+        ColumnList::of(self).counted_bytes()
+    }
+}
+
+/// Section tags of the four CSR columns.
+mod tag {
+    pub const OUT_OFFSETS: u16 = 0x60;
+    pub const OUT_TARGETS: u16 = 0x61;
+    pub const IN_OFFSETS: u16 = 0x62;
+    pub const IN_SOURCES: u16 = 0x63;
+}
+
+/// The reverse CSR is derivable from the forward one, but is a column all
+/// the same, so that a load is a pure map with no `O(V + E)` rebuild.
+impl Columns for DiGraph {
+    fn store<'a>(&'a self, out: &mut ColumnList<'a>) {
+        out.col(tag::OUT_OFFSETS, &self.out_offsets, true);
+        out.col(tag::OUT_TARGETS, &self.out_targets, true);
+        out.col(tag::IN_OFFSETS, &self.in_offsets, true);
+        out.col(tag::IN_SOURCES, &self.in_sources, true);
+    }
+
+    fn load<S: Source>(src: &mut S) -> Result<Self, String> {
+        let graph = DiGraph {
+            out_offsets: src.col(tag::OUT_OFFSETS, "dag-out-offsets")?,
+            out_targets: src.col(tag::OUT_TARGETS, "dag-out-targets")?,
+            in_offsets: src.col(tag::IN_OFFSETS, "dag-in-offsets")?,
+            in_sources: src.col(tag::IN_SOURCES, "dag-in-sources")?,
+        };
+        graph.validate()?;
+        Ok(graph)
     }
 }
 
@@ -310,19 +314,27 @@ mod tests {
         assert_eq!(r.out_neighbors(3), &[1, 2]);
     }
 
-    fn cols(src: &[u32]) -> crate::Col<u32> {
-        crate::Col::from(src.to_vec())
+    /// A graph over copies of the given columns, unvalidated.
+    fn raw(oo: &[u32], ot: &[u32], io: &[u32], is_: &[u32]) -> crate::DiGraph {
+        let col = |xs: &[u32]| crate::Col::from(xs.to_vec());
+        crate::DiGraph {
+            out_offsets: col(oo),
+            out_targets: col(ot),
+            in_offsets: col(io),
+            in_sources: col(is_),
+        }
     }
 
     #[test]
     fn csr_parts_round_trip() {
+        use crate::columns::{ColumnList, MemSource};
         let g = diamond();
-        let (oo, ot) = g.out_csr();
-        let (io, is_) = g.in_csr();
-        let h = crate::DiGraph::from_csr_cols(cols(oo), cols(ot), cols(io), cols(is_))
-            .expect("valid csr must round-trip");
-        assert_eq!(h.out_csr(), g.out_csr());
-        assert_eq!(h.in_csr(), g.in_csr());
+        let h: crate::DiGraph =
+            MemSource::new(ColumnList::of(&g)).load().expect("valid csr must round-trip");
+        assert_eq!((&h.out_offsets, &h.out_targets), (&g.out_offsets, &g.out_targets));
+        assert_eq!((&h.in_offsets, &h.in_sources), (&g.in_offsets, &g.in_sources));
+        assert_eq!(h.heap_bytes(), g.heap_bytes());
+        assert_eq!(g.heap_bytes(), (5 + 4 + 5 + 4) * 4);
     }
 
     #[test]
@@ -330,13 +342,9 @@ mod tests {
         // A forward-CSR defect is reported before the reverse columns are
         // even looked at.
         let rejects = |out_offsets: &[u32], out_targets: &[u32]| {
-            let err = crate::DiGraph::from_csr_cols(
-                cols(out_offsets),
-                cols(out_targets),
-                cols(&[0]),
-                cols(&[]),
-            )
-            .expect_err("malformed forward csr must be rejected");
+            let err = raw(out_offsets, out_targets, &[0], &[])
+                .validate()
+                .expect_err("malformed forward csr must be rejected");
             !err.contains("reverse")
         };
         // Offsets must start at zero.
@@ -357,10 +365,9 @@ mod tests {
     #[test]
     fn from_csr_cols_round_trips_and_rejects_tampering() {
         let g = diamond();
-        let (oo, ot) = g.out_csr();
-        let (io, is_) = g.in_csr();
-        let h = crate::DiGraph::from_csr_cols(cols(oo), cols(ot), cols(io), cols(is_))
-            .expect("faithful columns must assemble");
+        let (oo, ot, io, is_) = (&g.out_offsets, &g.out_targets, &g.in_offsets, &g.in_sources);
+        let h = raw(oo, ot, io, is_);
+        h.validate().expect("faithful columns must assemble");
         for v in g.vertices() {
             assert_eq!(g.out_neighbors(v), h.out_neighbors(v));
             assert_eq!(g.in_neighbors(v), h.in_neighbors(v));
@@ -370,18 +377,12 @@ mod tests {
         // correspondence even though the multiset of edges is unchanged.
         let mut shuffled = is_.to_vec();
         shuffled.swap(2, 3);
-        assert!(
-            crate::DiGraph::from_csr_cols(cols(oo), cols(ot), cols(io), cols(&shuffled)).is_err()
-        );
+        assert!(raw(oo, ot, io, &shuffled).validate().is_err());
         // Reverse shape defects are typed errors, not panics.
-        assert!(crate::DiGraph::from_csr_cols(cols(oo), cols(ot), cols(&io[..3]), cols(is_))
-            .is_err());
+        assert!(raw(oo, ot, &io[..3], is_).validate().is_err());
         let mut bad_counts = io.to_vec();
         bad_counts[4] = 3;
-        assert!(
-            crate::DiGraph::from_csr_cols(cols(oo), cols(ot), cols(&bad_counts), cols(is_))
-                .is_err()
-        );
+        assert!(raw(oo, ot, &bad_counts, is_).validate().is_err());
     }
 
     #[test]

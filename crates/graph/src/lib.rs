@@ -17,8 +17,11 @@
 //! * [`par`] — a scoped-thread work pool used by the parallel (but
 //!   deterministic) index constructions across the workspace;
 //! * [`col`] — the zero-copy [`Col`] column type every flat index arena is
-//!   stored in, so v3 snapshots can be memory-mapped and served without
-//!   deserialization.
+//!   stored in, so snapshots can be memory-mapped and served without
+//!   deserialization;
+//! * [`columns`] — the [`Columns`] declaration through which a structure
+//!   lists its persistent columns once, for the snapshot writer, the loader
+//!   and the size accounting alike.
 //!
 //! `unsafe` is denied crate-wide and allowed only inside [`col`], which
 //! contains the two reinterpretation casts the zero-copy snapshot path
@@ -30,6 +33,7 @@
 pub mod bitset;
 mod builder;
 pub mod col;
+pub mod columns;
 mod csr;
 pub mod dfs;
 pub mod mem;
@@ -41,6 +45,7 @@ pub mod topo;
 
 pub use builder::{graph_from_edges, GraphBuilder};
 pub use col::{bytes_of, Col, Pod, StableBytes};
+pub use columns::{Column, ColumnList, Columns, Source};
 pub use csr::DiGraph;
 pub use mem::HeapBytes;
 

@@ -31,5 +31,5 @@ mod uniform;
 pub use dyn_rtree::DynRTree;
 pub use kdtree::KdTree;
 pub use quadtree::QuadTree;
-pub use rtree::{RTree, RTreeCols, RTreeParams};
+pub use rtree::{RTree, RTreeParams};
 pub use uniform::UniformGrid;

@@ -68,14 +68,14 @@
 //! is unchanged. A popped leaf is tested a coordinate column at a time, and
 //! only against the window bounds its MBR sticks out of (none, for a leaf
 //! inside the window). Entry boxes must be proper (`lo <= hi`, no NaN) for
-//! "inside the MBR" to imply "intersects the window";
-//! [`RTree::from_cols`] checks it on untrusted columns.
+//! "inside the MBR" to imply "intersects the window"; [`Columns::load`]
+//! checks it on untrusted columns.
 //!
 //! The tree is immutable once built; for incremental workloads (the
 //! dynamic-insertion extension) see [`crate::DynRTree`].
 
 use gsr_geo::Aabb;
-use gsr_graph::{Col, HeapBytes};
+use gsr_graph::{Col, ColumnList, Columns, HeapBytes, Pod, Source};
 use std::borrow::BorrowMut;
 use std::ops::Range;
 
@@ -163,37 +163,6 @@ impl<const N: usize> EntryStore<N> {
         }
         hits
     }
-
-    fn heap_bytes(&self) -> usize {
-        let lo: usize = self.lo.iter().map(HeapBytes::heap_bytes).sum();
-        let hi: usize =
-            self.hi.iter().map(|c| c.as_ref().map_or(0, HeapBytes::heap_bytes)).sum();
-        lo + hi
-    }
-}
-
-/// Borrowed view of an [`RTree`]'s arena columns, for zero-copy snapshot
-/// encoding. Nothing is cloned; the slices alias the live tree. Produced
-/// by [`RTree::cols`], inverted by [`RTree::from_cols`].
-#[derive(Debug)]
-pub struct RTreeCols<'a, const N: usize, T> {
-    /// Fan-out parameters.
-    pub params: RTreeParams,
-    /// Per-node MBRs in breadth-first id order (inner nodes first).
-    pub mbrs: &'a [Aabb<N>],
-    /// CSR offsets into `children` for inner node `i`.
-    pub child_start: &'a [u32],
-    /// Concatenated child id lists of the inner nodes.
-    pub children: &'a [u32],
-    /// CSR offsets into the entry columns for leaf nodes.
-    pub entry_start: &'a [u32],
-    /// Per-dimension entry lower bounds.
-    pub entry_lo: [&'a [f64]; N],
-    /// Per-dimension entry upper bounds; `None` marks a degenerate
-    /// dimension whose upper bounds equal `entry_lo` bit-exactly.
-    pub entry_hi: [Option<&'a [f64]>; N],
-    /// Entry payloads, parallel to the coordinate columns.
-    pub values: &'a [T],
 }
 
 /// An R-tree over `N`-dimensional boxes with payloads of type `T`.
@@ -589,16 +558,37 @@ impl<const N: usize, T> RTree<N, T> {
         h
     }
 
-    /// Approximate heap footprint in bytes: MBR, adjacency and entry-column
-    /// arrays plus payload storage. Used for the index-size accounting of
-    /// Table 4 and the `repro memory` experiment.
+    /// The declaration behind [`Columns::store`] and [`RTree::heap_bytes`]:
+    /// the fan-out parameters, then the arena columns in file order.
+    /// `values` declares the payloads, which are a column only where `T` has
+    /// a byte image.
+    fn declare<'a>(
+        &'a self,
+        out: &mut ColumnList<'a>,
+        values: impl FnOnce(&mut ColumnList<'a>, &'a [T]),
+    ) {
+        out.meta.u64(self.params.max_entries as u64);
+        out.meta.u64(self.params.min_entries as u64);
+        out.col(tag::MBRS, &self.mbrs, true);
+        out.col(tag::CHILD_START, &self.child_start, true);
+        out.col(tag::CHILDREN, &self.children, true);
+        out.col(tag::ENTRY_START, &self.entry_start, true);
+        values(out, &self.values);
+        for d in 0..N {
+            out.col(tag::ENTRY_LO + d as u16, &self.entries.lo[d], true);
+            if let Some(hi) = &self.entries.hi[d] {
+                out.col(tag::ENTRY_HI + d as u16, hi, true);
+            }
+        }
+    }
+
+    /// Heap footprint in bytes: MBR, adjacency and entry-column arrays plus
+    /// payload storage. Used for the index-size accounting of Table 4 and
+    /// the `repro memory` experiment.
     pub fn heap_bytes(&self) -> usize {
-        self.mbrs.heap_bytes()
-            + self.child_start.heap_bytes()
-            + self.children.heap_bytes()
-            + self.entry_start.heap_bytes()
-            + self.entries.heap_bytes()
-            + self.values.heap_bytes()
+        let mut list = ColumnList::default();
+        self.declare(&mut list, |list, values| list.extra += std::mem::size_of_val(values));
+        list.counted_bytes()
     }
 
     /// The fan-out parameters the tree was built with.
@@ -607,68 +597,20 @@ impl<const N: usize, T> RTree<N, T> {
         self.params
     }
 
-    /// Borrowed view of the arena columns for zero-copy snapshot encoding.
-    /// [`RTree::from_cols`] inverts it exactly, so a saved tree reloads
-    /// bit-identical (same arena layout, same traversal order, same query
-    /// costs).
-    pub fn cols(&self) -> RTreeCols<'_, N, T> {
-        RTreeCols {
-            params: self.params,
-            mbrs: &self.mbrs,
-            child_start: &self.child_start,
-            children: &self.children,
-            entry_start: &self.entry_start,
-            entry_lo: std::array::from_fn(|d| &self.entries.lo[d][..]),
-            entry_hi: std::array::from_fn(|d| self.entries.hi[d].as_deref()),
-            values: &self.values,
-        }
-    }
-
-    /// Assembles a tree directly from arena columns — the zero-copy load
-    /// path, where the columns borrow from a mapped snapshot and are never
-    /// copied.
-    ///
-    /// The input is untrusted: the arrays must describe a proper
+    /// What [`Columns::load`] demands of untrusted columns, on a tree whose
+    /// offset arrays are non-empty: the arrays must describe a proper
     /// breadth-first tree — monotone CSR offsets, no childless inner node,
     /// `children[k] == k + 1` (every non-root node referenced exactly once,
     /// by a smaller id: no cycles), all leaves at one depth, coordinate
     /// columns parallel to the payloads, proper entry boxes (`lo <= hi`, no
-    /// NaN) and every node's MBR covering its children or entries — so that
-    /// no traversal can panic or loop, no MBR prunes an entry it should
-    /// reach, and every run the scan derives for a subtree inside the
-    /// window is in bounds and holds only intersecting entries. Violations
-    /// are reported as `Err(String)`; the checks are `O(nodes + entries)`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_cols(
-        params: RTreeParams,
-        mbrs: Col<Aabb<N>>,
-        child_start: Col<u32>,
-        children: Col<u32>,
-        entry_start: Col<u32>,
-        entry_lo: [Col<f64>; N],
-        entry_hi: [Option<Col<f64>>; N],
-        values: Col<T>,
-    ) -> Result<Self, String> {
-        if child_start.is_empty() || entry_start.len() < 2 {
-            return Err("rtree: empty CSR offset array, or no leaf nodes".into());
-        }
-        let tree = RTree {
-            params,
-            len: values.len(),
-            num_inner: child_start.len() - 1,
-            mbrs,
-            child_start,
-            children,
-            entry_start,
-            entries: EntryStore { lo: entry_lo, hi: entry_hi },
-            values,
-        };
-        tree.validate()?;
-        Ok(tree)
-    }
-
-    /// The conditions [`RTree::from_cols`] documents, on a tree whose offset
-    /// arrays are non-empty.
+    /// NaN), every inner node's MBR covering its children's and every
+    /// leaf's MBR being exactly its entries' — so that no traversal can
+    /// panic or loop, no MBR prunes an entry it should reach, every run the
+    /// scan derives for a subtree inside the window is in bounds and holds
+    /// only intersecting entries, and a file that lost an upper-bound
+    /// column (which reads as "degenerate dimension") does not pass for a
+    /// tree of points. Violations are reported as `Err(String)`; the checks
+    /// are `O(nodes + entries)`.
     fn validate(&self) -> Result<(), String> {
         let RTree { num_inner, mbrs, child_start, children, entry_start, entries, .. } = self;
         let (num_inner, num_leaves) = (*num_inner, entry_start.len() - 1);
@@ -731,23 +673,26 @@ impl<const N: usize, T> RTree<N, T> {
         let hi: [&[f64]; N] = std::array::from_fn(|d| entries.hi[d].as_deref().unwrap_or(lo[d]));
         for (l, mbr) in mbrs[num_inner..].iter().enumerate() {
             let run = self.leaf_entries(l);
-            let proper_and_covered = (0..N).all(|d| {
+            let proper_and_tight = (0..N).all(|d| {
                 let bounds = lo[d][run.clone()].iter().zip(&hi[d][run.clone()]);
-                bounds.fold(true, |ok, (lo, hi)| {
-                    ok & (mbr.min[d] <= *lo) & (lo <= hi) & (*hi <= mbr.max[d])
-                })
+                let (ok, min, max) = bounds.fold(
+                    (true, f64::INFINITY, f64::NEG_INFINITY),
+                    |(ok, min, max), (lo, hi)| (ok & (lo <= hi), min.min(*lo), max.max(*hi)),
+                );
+                ok & (min == mbr.min[d]) & (max == mbr.max[d])
             });
-            if !proper_and_covered {
+            if !proper_and_tight {
                 return Err(format!(
-                    "rtree: leaf {l} holds an entry that is inverted, NaN or outside its mbr"
+                    "rtree: leaf {l} holds an entry that is inverted, NaN or outside its mbr, \
+                     or the mbr is not the entries' (a coordinate column is missing)"
                 ));
             }
         }
         Ok(())
     }
 
-    /// Checks structural invariants: everything [`RTree::from_cols`] demands
-    /// of loaded columns, plus fan-out bounds and tight inner MBRs. Intended
+    /// Checks structural invariants: everything [`Columns::load`] demands of
+    /// loaded columns, plus fan-out bounds and tight inner MBRs. Intended
     /// for tests; panics with a description on violation.
     pub fn check_invariants(&self) {
         if let Err(violation) = self.validate() {
@@ -771,6 +716,61 @@ impl<const N: usize, T> RTree<N, T> {
 impl<const N: usize, T> HeapBytes for RTree<N, T> {
     fn heap_bytes(&self) -> usize {
         RTree::heap_bytes(self)
+    }
+}
+
+/// Section tags. The per-dimension entry bounds add the dimension index to
+/// the base tag; an absent `ENTRY_HI + d` marks dimension `d` degenerate.
+mod tag {
+    pub const MBRS: u16 = 0x20;
+    pub const CHILD_START: u16 = 0x21;
+    pub const CHILDREN: u16 = 0x22;
+    pub const ENTRY_START: u16 = 0x23;
+    pub const VALUES: u16 = 0x24;
+    pub const ENTRY_LO: u16 = 0x30;
+    pub const ENTRY_HI: u16 = 0x38;
+}
+
+/// A saved tree reloads bit-identical: same arena layout, same traversal
+/// order, same query costs. The columns of a loaded tree borrow from the
+/// snapshot and are never copied.
+impl<const N: usize, T: Pod> Columns for RTree<N, T> {
+    fn store<'a>(&'a self, out: &mut ColumnList<'a>) {
+        self.declare(out, |out, values| out.col(tag::VALUES, values, true));
+    }
+
+    fn load<S: Source>(src: &mut S) -> Result<Self, String> {
+        let params = RTreeParams { max_entries: src.usize()?, min_entries: src.usize()? };
+        let mbrs = src.col(tag::MBRS, "rtree-mbrs")?;
+        let child_start: Col<u32> = src.col(tag::CHILD_START, "rtree-child-start")?;
+        let children = src.col(tag::CHILDREN, "rtree-children")?;
+        let entry_start: Col<u32> = src.col(tag::ENTRY_START, "rtree-entry-start")?;
+        let values: Col<T> = src.col(tag::VALUES, "rtree-values")?;
+        let mut lo = Vec::with_capacity(N);
+        let mut hi = Vec::with_capacity(N);
+        for d in 0..N as u16 {
+            lo.push(src.col(tag::ENTRY_LO + d, "rtree-entry-lo")?);
+            hi.push(src.col_opt(tag::ENTRY_HI + d, "rtree-entry-hi")?);
+        }
+        if child_start.is_empty() || entry_start.len() < 2 {
+            return Err("rtree: empty CSR offset array, or no leaf nodes".into());
+        }
+        let tree = RTree {
+            params,
+            len: values.len(),
+            num_inner: child_start.len() - 1,
+            mbrs,
+            child_start,
+            children,
+            entry_start,
+            entries: EntryStore {
+                lo: lo.try_into().unwrap_or_else(|_| unreachable!("lo has exactly N columns")),
+                hi: hi.try_into().unwrap_or_else(|_| unreachable!("hi has exactly N columns")),
+            },
+            values,
+        };
+        tree.validate()?;
+        Ok(tree)
     }
 }
 
@@ -1239,54 +1239,23 @@ mod tests {
         assert_eq!(seq, par);
     }
 
-    /// Owned, corruptible copy of a tree's [`RTreeCols`], rebuilt through
-    /// the validating [`RTree::from_cols`].
-    struct OwnedCols<const N: usize, T> {
-        params: RTreeParams,
-        mbrs: Vec<Aabb<N>>,
-        child_start: Vec<u32>,
-        children: Vec<u32>,
-        entry_start: Vec<u32>,
-        entry_lo: [Vec<f64>; N],
-        entry_hi: [Option<Vec<f64>>; N],
-        values: Vec<T>,
-    }
-
-    impl<const N: usize, T: Clone> OwnedCols<N, T> {
-        fn of(t: &RTree<N, T>) -> Self {
-            let c = t.cols();
-            OwnedCols {
-                params: c.params,
-                mbrs: c.mbrs.to_vec(),
-                child_start: c.child_start.to_vec(),
-                children: c.children.to_vec(),
-                entry_start: c.entry_start.to_vec(),
-                entry_lo: c.entry_lo.map(<[f64]>::to_vec),
-                entry_hi: c.entry_hi.map(|hi| hi.map(<[f64]>::to_vec)),
-                values: c.values.to_vec(),
-            }
-        }
-
-        fn build(self) -> Result<RTree<N, T>, String> {
-            RTree::from_cols(
-                self.params,
-                self.mbrs.into(),
-                self.child_start.into(),
-                self.children.into(),
-                self.entry_start.into(),
-                self.entry_lo.map(Col::from),
-                self.entry_hi.map(|hi| hi.map(Col::from)),
-                self.values.into(),
-            )
-        }
+    /// `col` with `edit` applied to a copy of its elements.
+    fn edited<T: Clone>(col: &Col<T>, edit: impl FnOnce(&mut Vec<T>)) -> Col<T> {
+        let mut elements = col.to_vec();
+        edit(&mut elements);
+        elements.into()
     }
 
     #[test]
     fn snapshot_round_trip_exactly() {
+        use gsr_graph::columns::MemSource;
         for n in [0usize, 1, 50, 2000] {
-            let t = RTree::bulk_load(grid_points(n));
-            let back = OwnedCols::of(&t).build().expect("valid columns rebuild");
+            let entries = grid_points(n).into_iter().map(|(b, i)| (b, i as u32)).collect();
+            let t: RTree<2, u32> = RTree::bulk_load(entries);
+            let back: RTree<2, u32> =
+                MemSource::new(ColumnList::of(&t)).load().expect("valid columns rebuild");
             assert_eq!(t, back, "n = {n}");
+            assert_eq!(t.heap_bytes(), back.heap_bytes());
             back.check_invariants();
         }
         // Segment trees (with live hi columns) round-trip too.
@@ -1294,95 +1263,102 @@ mod tests {
             .map(|i| (Aabb::new([i as f64, 0.0, 0.0], [i as f64, 0.0, i as f64]), i))
             .collect();
         let t = RTree::bulk_load(segs);
-        let back = OwnedCols::of(&t).build().expect("valid columns rebuild");
+        let back: RTree<3, u32> =
+            MemSource::new(ColumnList::of(&t)).load().expect("valid columns rebuild");
         assert_eq!(t, back);
     }
 
     #[test]
     fn from_snapshot_rejects_malformed_arenas() {
         let t = RTree::bulk_load(grid_points(100));
-        let good = || OwnedCols::of(&t);
-        assert!(good().build().is_ok());
+        let good = || t.clone();
+        assert!(good().validate().is_ok());
 
         // Child id out of range.
         let mut bad = good();
-        bad.children[0] = 10_000;
-        assert!(bad.build().is_err());
+        bad.children = edited(&bad.children, |c| c[0] = 10_000);
+        assert!(bad.validate().is_err());
         // Child id not greater than its parent (cycle-shaped).
         let mut bad = good();
-        bad.children[0] = 0;
-        assert!(bad.build().is_err());
+        bad.children = edited(&bad.children, |c| c[0] = 0);
+        assert!(bad.validate().is_err());
         // A node referenced twice.
         let mut bad = good();
-        bad.children[1] = bad.children[0];
-        assert!(bad.build().is_err());
+        bad.children = edited(&bad.children, |c| c[1] = c[0]);
+        assert!(bad.validate().is_err());
         // Non-monotone child offsets.
         let mut bad = good();
-        bad.child_start[1] = u32::MAX;
-        assert!(bad.build().is_err());
+        bad.child_start = edited(&bad.child_start, |c| c[1] = u32::MAX);
+        assert!(bad.validate().is_err());
         // Entry offsets disagreeing with the payload count.
         let mut bad = good();
-        bad.values.pop();
-        assert!(bad.build().is_err());
+        bad.values = edited(&bad.values, |v| v.truncate(v.len() - 1));
+        bad.len -= 1;
+        assert!(bad.validate().is_err());
         // A coordinate column of the wrong length.
         let mut bad = good();
-        bad.entry_lo[0].pop();
-        assert!(bad.build().is_err());
+        bad.entries.lo[0] = edited(&bad.entries.lo[0], |c| c.truncate(c.len() - 1));
+        assert!(bad.validate().is_err());
         // Wrong mbr count.
         let mut bad = good();
-        bad.mbrs.pop();
-        assert!(bad.build().is_err());
+        bad.mbrs = edited(&bad.mbrs, |m| m.truncate(m.len() - 1));
+        assert!(bad.validate().is_err());
         // Multiple leaves without an inner root.
         let mut bad = good();
-        bad.child_start = vec![0];
-        bad.children = Vec::new();
-        assert!(bad.build().is_err());
+        (bad.child_start, bad.children, bad.num_inner) = (vec![0].into(), Col::default(), 0);
+        assert!(bad.validate().is_err());
 
         // The checks the run derivation of `runs` rests on. A children
         // column that is a permutation (each node still referenced once, by
         // a smaller id) but not the breadth-first identity:
         let mut bad = good();
-        bad.children.swap(0, 1);
-        assert!(bad.build().unwrap_err().contains("breadth-first"));
+        bad.children = edited(&bad.children, |c| c.swap(0, 1));
+        assert!(bad.validate().unwrap_err().contains("breadth-first"));
         // Leaves at two depths: node 2 is a leaf below the root, nodes 3
         // and 4 are leaves below inner node 1.
-        let two_depths = OwnedCols {
+        let coords = || Col::from(vec![2.0, 0.0, 1.0]);
+        let two_depths = RTree {
             params: RTreeParams::default(),
+            len: 3,
+            num_inner: 2,
             mbrs: vec![
                 Aabb::new([0.0, 0.0], [2.0, 2.0]),
                 Aabb::new([0.0, 0.0], [1.0, 1.0]),
                 pt(2.0, 2.0),
                 pt(0.0, 0.0),
                 pt(1.0, 1.0),
-            ],
-            child_start: vec![0, 2, 4],
-            children: vec![1, 2, 3, 4],
-            entry_start: vec![0, 1, 2, 3],
-            entry_lo: [vec![2.0, 0.0, 1.0], vec![2.0, 0.0, 1.0]],
-            entry_hi: [None, None],
-            values: vec![0usize, 1, 2],
+            ]
+            .into(),
+            child_start: vec![0, 2, 4].into(),
+            children: vec![1, 2, 3, 4].into(),
+            entry_start: vec![0, 1, 2, 3].into(),
+            entries: EntryStore { lo: [coords(), coords()], hi: [None, None] },
+            values: vec![0usize, 1, 2].into(),
         };
-        assert!(two_depths.build().unwrap_err().contains("different depths"));
+        assert!(two_depths.validate().unwrap_err().contains("different depths"));
         // An inner MBR that does not cover a child's.
         let mut bad = good();
-        bad.mbrs[0].max[0] -= 1.0;
-        assert!(bad.build().unwrap_err().contains("does not cover child"));
+        bad.mbrs = edited(&bad.mbrs, |m| m[0].max[0] -= 1.0);
+        assert!(bad.validate().unwrap_err().contains("does not cover child"));
         // A leaf MBR that does not cover one of its entries (it would prune,
         // or wave through, an entry it should have tested).
         let mut bad = good();
-        let last = bad.mbrs.len() - 1;
-        bad.mbrs[last].min[1] += 0.5;
-        assert!(bad.build().unwrap_err().contains("outside its mbr"));
+        bad.mbrs = edited(&bad.mbrs, |m| m.last_mut().unwrap().min[1] += 0.5);
+        assert!(bad.validate().unwrap_err().contains("outside its mbr"));
         // An entry that is no proper box: NaN, or inverted in a live `hi`
         // column.
         let mut bad = good();
-        bad.entry_lo[0][0] = f64::NAN;
-        assert!(bad.build().unwrap_err().contains("NaN"));
-        let boxes = RTree::bulk_load(vec![(Aabb::new([0.0, 0.0], [2.0, 2.0]), 0usize)]);
-        let mut bad = OwnedCols::of(&boxes);
-        bad.entry_lo[0][0] = 1.5;
-        bad.entry_hi[0].as_mut().expect("live hi column")[0] = 0.5;
-        assert!(bad.build().unwrap_err().contains("inverted"));
+        bad.entries.lo[0] = edited(&bad.entries.lo[0], |c| c[0] = f64::NAN);
+        assert!(bad.validate().unwrap_err().contains("NaN"));
+        let mut bad = RTree::bulk_load(vec![(Aabb::new([0.0, 0.0], [2.0, 2.0]), 0usize)]);
+        bad.entries.lo[0] = vec![1.5].into();
+        bad.entries.hi[0] = Some(vec![0.5].into());
+        assert!(bad.validate().unwrap_err().contains("inverted"));
+        // A live `hi` column gone missing: the box would read as its lower
+        // corner, a point its leaf's MBR is too large for.
+        let mut bad = RTree::bulk_load(vec![(Aabb::new([0.0, 0.0], [2.0, 2.0]), 0usize)]);
+        bad.entries.hi[0] = None;
+        assert!(bad.validate().unwrap_err().contains("column is missing"));
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! grid must behave like a partition.
 
 use gsr_geo::{Aabb, Point, Rect};
+use gsr_graph::columns::MemSource;
+use gsr_graph::{Col, ColumnList, Source};
 use gsr_index::grid::HierarchicalGrid;
 use gsr_index::{DynRTree, KdTree, QuadTree, RTree, RTreeParams, UniformGrid};
 use proptest::prelude::*;
@@ -24,32 +26,51 @@ fn linear_scan<const N: usize>(entries: &[(Aabb<N>, usize)], region: &Aabb<N>) -
     hits
 }
 
+/// The R-tree's section tags (DESIGN.md, "Snapshot layout").
+mod tag {
+    pub const MBRS: u16 = 0x20;
+    pub const CHILD_START: u16 = 0x21;
+    pub const CHILDREN: u16 = 0x22;
+    pub const ENTRY_START: u16 = 0x23;
+    pub const VALUES: u16 = 0x24;
+    pub const ENTRY_LO: u16 = 0x30;
+    pub const ENTRY_HI: u16 = 0x38;
+}
+
 /// The per-entry stack traversal that [`RTree::runs`] replaced, kept here as
 /// the oracle: children pushed in list order, every leaf entry tested with
 /// the closed-interval rule. Returns entry indices in visiting order.
-fn per_entry_scan<const N: usize, T>(tree: &RTree<N, T>, region: &Aabb<N>) -> Vec<usize> {
-    let c = tree.cols();
-    let num_inner = c.child_start.len() - 1;
+fn per_entry_scan<const N: usize>(tree: &RTree<N, u32>, region: &Aabb<N>) -> Vec<usize> {
+    let mut cols = MemSource::new(ColumnList::of(tree));
+    let mbrs: Col<Aabb<N>> = cols.col(tag::MBRS, "mbrs").unwrap();
+    let child_start: Col<u32> = cols.col(tag::CHILD_START, "child-start").unwrap();
+    let children: Col<u32> = cols.col(tag::CHILDREN, "children").unwrap();
+    let entry_start: Col<u32> = cols.col(tag::ENTRY_START, "entry-start").unwrap();
+    let entry_lo: [Col<f64>; N] =
+        std::array::from_fn(|d| cols.col(tag::ENTRY_LO + d as u16, "entry-lo").unwrap());
+    let entry_hi: [Option<Col<f64>>; N] =
+        std::array::from_fn(|d| cols.col_opt(tag::ENTRY_HI + d as u16, "entry-hi").unwrap());
+    let num_inner = child_start.len() - 1;
     let mut out = Vec::new();
     let mut stack = Vec::new();
-    if c.mbrs[0].intersects(region) {
+    if mbrs[0].intersects(region) {
         stack.push(0u32);
     }
     while let Some(id) = stack.pop() {
         let id = id as usize;
         if id < num_inner {
-            let list = c.child_start[id] as usize..c.child_start[id + 1] as usize;
-            for &child in &c.children[list] {
-                if c.mbrs[child as usize].intersects(region) {
+            let list = child_start[id] as usize..child_start[id + 1] as usize;
+            for &child in &children[list] {
+                if mbrs[child as usize].intersects(region) {
                     stack.push(child);
                 }
             }
         } else {
             let l = id - num_inner;
-            for i in c.entry_start[l] as usize..c.entry_start[l + 1] as usize {
+            for i in entry_start[l] as usize..entry_start[l + 1] as usize {
                 let hit = (0..N).all(|d| {
-                    let lo = c.entry_lo[d][i];
-                    let hi = c.entry_hi[d].map_or(lo, |col| col[i]);
+                    let lo = entry_lo[d][i];
+                    let hi = entry_hi[d].as_ref().map_or(lo, |col| col[i]);
                     lo <= region.max[d] && region.min[d] <= hi
                 });
                 if hit {
@@ -93,7 +114,7 @@ fn arb_corners<const N: usize>() -> impl Strategy<Value = Vec<Corners<N>>> {
 /// edge cases — zero-area, disjoint, covering the whole MBR, an edge bit-equal
 /// to an entry coordinate, `-0.0`/`0.0` mixes, infinite bounds and NaN bounds
 /// (which match nothing).
-fn windows<const N: usize>(entries: &[(Aabb<N>, usize)], random: &[Corners<N>]) -> Vec<Aabb<N>> {
+fn windows<const N: usize>(entries: &[(Aabb<N>, u32)], random: &[Corners<N>]) -> Vec<Aabb<N>> {
     let inf = f64::INFINITY;
     let mut out: Vec<Aabb<N>> = random
         .iter()
@@ -128,7 +149,7 @@ fn windows<const N: usize>(entries: &[(Aabb<N>, usize)], random: &[Corners<N>]) 
 /// entry iterators, `collect_values`, `count_in` and `query_exists*` agree
 /// with the runs.
 fn check_runs<const N: usize>(
-    entries: Vec<(Aabb<N>, usize)>,
+    entries: Vec<(Aabb<N>, u32)>,
     params: RTreeParams,
     random: &[Corners<N>],
 ) -> Result<(), TestCaseError> {
@@ -142,16 +163,16 @@ fn check_runs<const N: usize>(
         prop_assert!(runs.iter().all(|r| !r.is_empty()), "empty run on {:?}", w);
         let got: Vec<usize> = runs.into_iter().flatten().collect();
         prop_assert_eq!(&got, &expected, "window {:?}", w);
-        let pairs: Vec<(Aabb<N>, usize)> = tree.query(w).map(|(b, &v)| (b, v)).collect();
-        let from_runs: Vec<(Aabb<N>, usize)> =
+        let pairs: Vec<(Aabb<N>, u32)> = tree.query(w).map(|(b, &v)| (b, v)).collect();
+        let from_runs: Vec<(Aabb<N>, u32)> =
             expected.iter().map(|&i| (tree.entry_box(i), tree.values()[i])).collect();
         prop_assert_eq!(&pairs, &from_runs, "query on {:?}", w);
-        let lent: Vec<(Aabb<N>, usize)> =
+        let lent: Vec<(Aabb<N>, u32)> =
             tree.query_with(w, &mut stack).map(|(b, &v)| (b, v)).collect();
         prop_assert_eq!(&lent, &from_runs, "query_with on {:?}", w);
         let mut values = Vec::new();
         tree.collect_values(w, &mut stack, &mut values);
-        let payloads: Vec<usize> = from_runs.iter().map(|&(_, v)| v).collect();
+        let payloads: Vec<u32> = from_runs.iter().map(|&(_, v)| v).collect();
         prop_assert_eq!(&values, &payloads, "collect_values on {:?}", w);
         prop_assert_eq!(tree.count_in(w), expected.len(), "count_in on {:?}", w);
         prop_assert_eq!(tree.query_exists(w), !expected.is_empty(), "query_exists on {:?}", w);
@@ -196,32 +217,21 @@ fn split_off_tile<const N: usize, E>(
     }
 }
 
-/// A tree's arena as raw words, `f64`s by bit pattern — `==` on it is
-/// byte-equality of the columns a snapshot writes.
-fn arena_words<const N: usize>(tree: &RTree<N, usize>) -> Vec<u64> {
-    let c = tree.cols();
-    let mut words = vec![c.mbrs.len() as u64, c.values.len() as u64];
-    words.extend(c.mbrs.iter().flat_map(|m| m.min.iter().chain(&m.max)).map(|x| x.to_bits()));
-    for col in [c.child_start, c.children, c.entry_start] {
-        words.push(col.len() as u64);
-        words.extend(col.iter().map(|&x| x as u64));
-    }
-    for d in 0..N {
-        words.extend(c.entry_lo[d].iter().map(|x| x.to_bits()));
-        words.push(c.entry_hi[d].is_some() as u64);
-        words.extend(c.entry_hi[d].unwrap_or(&[]).iter().map(|x| x.to_bits()));
-    }
-    words.extend(c.values.iter().map(|&v| v as u64));
-    words
+/// A tree's declared scalars and columns, tag by tag — `==` on it is
+/// byte-equality of what a snapshot writes.
+fn arena_words<const N: usize>(tree: &RTree<N, u32>) -> Vec<(u16, Vec<u8>)> {
+    let list = ColumnList::of(tree);
+    let cols = list.cols.iter().map(|c| (c.tag, c.bytes.to_vec())).collect::<Vec<_>>();
+    std::iter::once((0, list.meta.into_bytes())).chain(cols).collect()
 }
 
 /// The tree the oracle's groups describe: leaves from `split_off_tile`,
 /// upper levels from tiling `(group MBR, position)` pairs the same way, node
 /// ids breadth-first from the single top group.
 fn oracle_tree<const N: usize>(
-    entries: Vec<(Aabb<N>, usize)>,
+    entries: Vec<(Aabb<N>, u32)>,
     params: RTreeParams,
-) -> RTree<N, usize> {
+) -> RTree<N, u32> {
     fn mbrs_of<const N: usize, E>(groups: &[Vec<(Aabb<N>, E)>]) -> Vec<Aabb<N>> {
         groups.iter().map(|g| Aabb::mbr_of(g.iter().map(|e| e.0)).expect("non-empty")).collect()
     }
@@ -250,7 +260,7 @@ fn oracle_tree<const N: usize>(
         order = next;
     }
     let leaf_mbrs = mbrs_of(&leaves);
-    let ordered: Vec<&(Aabb<N>, usize)> = order.iter().flat_map(|&g| &leaves[g as usize]).collect();
+    let ordered: Vec<&(Aabb<N>, u32)> = order.iter().flat_map(|&g| &leaves[g as usize]).collect();
     let mut entry_start = vec![0u32];
     for &g in &order {
         mbrs.push(leaf_mbrs[g as usize]);
@@ -258,19 +268,24 @@ fn oracle_tree<const N: usize>(
     }
     let flat = |d: usize| ordered.iter().all(|(b, _)| b.min[d].to_bits() == b.max[d].to_bits());
     let children: Vec<u32> = (1..mbrs.len() as u32).collect();
-    RTree::from_cols(
-        params,
-        mbrs.into(),
-        child_start.into(),
-        children.into(),
-        entry_start.into(),
-        std::array::from_fn(|d| ordered.iter().map(|(b, _)| b.min[d]).collect::<Vec<_>>().into()),
-        std::array::from_fn(|d| {
-            (!flat(d)).then(|| ordered.iter().map(|(b, _)| b.max[d]).collect::<Vec<_>>().into())
-        }),
-        ordered.iter().map(|&&(_, v)| v).collect::<Vec<_>>().into(),
-    )
-    .expect("the oracle's arena is a valid tree")
+    let values: Vec<u32> = ordered.iter().map(|&&(_, v)| v).collect();
+    let lo: [Vec<f64>; N] = std::array::from_fn(|d| ordered.iter().map(|(b, _)| b.min[d]).collect());
+    let hi: [Vec<f64>; N] = std::array::from_fn(|d| ordered.iter().map(|(b, _)| b.max[d]).collect());
+    let mut list = ColumnList::default();
+    list.meta.u64(params.max_entries as u64);
+    list.meta.u64(params.min_entries as u64);
+    list.col(tag::MBRS, &mbrs, true);
+    list.col(tag::CHILD_START, &child_start, true);
+    list.col(tag::CHILDREN, &children, true);
+    list.col(tag::ENTRY_START, &entry_start, true);
+    list.col(tag::VALUES, &values, true);
+    for d in 0..N {
+        list.col(tag::ENTRY_LO + d as u16, &lo[d], true);
+        if !flat(d) {
+            list.col(tag::ENTRY_HI + d as u16, &hi[d], true);
+        }
+    }
+    MemSource::new(list).load().expect("the oracle's arena is a valid tree")
 }
 
 /// Tree sizes around one leaf, one slab and one level, then multi-level.
@@ -281,7 +296,7 @@ fn packed_size(kind: usize, n: usize) -> usize {
 /// In-place packer ≡ split-off packer: the same groups in the same order at
 /// every level — so the same arena, byte for byte — at every thread count.
 fn check_packing<const N: usize>(
-    entries: Vec<(Aabb<N>, usize)>,
+    entries: Vec<(Aabb<N>, u32)>,
     max_entries: usize,
 ) -> Result<(), TestCaseError> {
     let params = RTreeParams::new(max_entries, max_entries * 2 / 5);
@@ -319,7 +334,7 @@ proptest! {
         let entries = raw[..tree_size(size, n)]
             .iter()
             .enumerate()
-            .map(|(i, &(x, y))| (Aabb::from_point([lattice(x, grid), lattice(y, grid)]), i))
+            .map(|(i, &(x, y))| (Aabb::from_point([lattice(x, grid), lattice(y, grid)]), i as u32))
             .collect();
         check_runs(entries, fan_out(fan), &random)?;
     }
@@ -336,7 +351,7 @@ proptest! {
             .enumerate()
             .map(|(i, &(x, y, w, h))| {
                 let (x, y) = (lattice(x, grid), lattice(y, grid));
-                (Aabb::new([x, y], [x + w as f64, y + h as f64]), i)
+                (Aabb::new([x, y], [x + w as f64, y + h as f64]), i as u32)
             })
             .collect();
         check_runs(entries, fan_out(fan), &random)?;
@@ -356,7 +371,7 @@ proptest! {
             .enumerate()
             .map(|(i, &(x, y, z, len))| {
                 let (x, y, z) = (lattice(x, grid), lattice(y, grid), lattice(z, grid));
-                (Aabb::new([x, y, z], [x, y, z + len as f64]), i)
+                (Aabb::new([x, y, z], [x, y, z + len as f64]), i as u32)
             })
             .collect();
         check_runs(entries, fan_out(fan), &random)?;
@@ -371,7 +386,7 @@ proptest! {
         let entries = raw[..packed_size(size, n)]
             .iter()
             .enumerate()
-            .map(|(i, &(x, y))| (Aabb::from_point([lattice(x, grid), lattice(y, grid)]), i))
+            .map(|(i, &(x, y))| (Aabb::from_point([lattice(x, grid), lattice(y, grid)]), i as u32))
             .collect();
         check_packing(entries, [4, 16, 64][fan])?;
     }
@@ -388,7 +403,7 @@ proptest! {
             .enumerate()
             .map(|(i, &(x, y, w, h))| {
                 let (x, y, w, h) = (lattice(x, grid), lattice(y, grid), w as f64, h as f64);
-                (Aabb::new([x - w, y - h], [x + w, y + h]), i)
+                (Aabb::new([x - w, y - h], [x + w, y + h]), i as u32)
             })
             .collect();
         check_packing(entries, [4, 16, 64][fan])?;
@@ -405,7 +420,7 @@ proptest! {
             .enumerate()
             .map(|(i, &(x, y, z, len))| {
                 let (x, y, z) = (lattice(x, grid), lattice(y, grid), lattice(z, grid));
-                (Aabb::new([x, y, z], [x, y, z + len as f64]), i)
+                (Aabb::new([x, y, z], [x, y, z + len as f64]), i as u32)
             })
             .collect();
         check_packing(entries, [4, 16, 64][fan])?;

@@ -22,7 +22,7 @@
 
 use crate::Reachability;
 use gsr_graph::dfs::{SpanningForest, NO_PARENT};
-use gsr_graph::{Col, DiGraph, VertexId};
+use gsr_graph::{Col, ColumnList, Columns, DiGraph, Source, VertexId};
 
 /// Construction parameters for [`BflIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,10 +71,6 @@ pub struct BflIndex {
     in_filters: Col<u64>,
     words: usize,
 }
-
-/// The borrowed decomposition returned by [`BflIndex::parts`]:
-/// `(graph, post, tree_min, out_filters, in_filters, words)`.
-pub type BflParts<'a> = (&'a DiGraph, &'a [u32], &'a [u32], &'a [u64], &'a [u64], usize);
 
 impl BflIndex {
     /// Builds the index over a DAG with default parameters.
@@ -173,32 +169,21 @@ impl BflIndex {
         (&self.out_filters, &self.in_filters)
     }
 
-    /// Borrowed decomposition for snapshot encoding:
-    /// `(graph, post, tree_min, out_filters, in_filters, words)`.
-    /// [`BflIndex::from_parts`] inverts it.
-    pub fn parts(&self) -> BflParts<'_> {
-        (&self.g, &self.post, &self.tree_min, &self.out_filters, &self.in_filters, self.words)
+    /// Number of vertices of the indexed DAG.
+    pub fn num_vertices(&self) -> usize {
+        self.g.num_vertices()
     }
 
-    /// Reassembles an index from the pieces of [`BflIndex::parts`].
-    ///
-    /// Untrusted input: vector lengths must be mutually consistent with the
-    /// graph's vertex count and filter width, posts must be a 1-based
-    /// permutation, and `tree_min(v) <= post(v)` must hold so the positive
-    /// cut can never admit a nonsense range. Violations come back as
-    /// `Err(String)` — never panics.
-    pub fn from_parts(
-        g: DiGraph,
-        post: impl Into<Col<u32>>,
-        tree_min: impl Into<Col<u32>>,
-        out_filters: impl Into<Col<u64>>,
-        in_filters: impl Into<Col<u64>>,
-        words: usize,
-    ) -> Result<Self, String> {
-        let (post, tree_min) = (post.into(), tree_min.into());
-        let (out_filters, in_filters) = (out_filters.into(), in_filters.into());
+    /// Checks columns that came from disk (the graph has checked itself):
+    /// column lengths must be mutually consistent with the graph's vertex
+    /// count and filter width, posts must be a 1-based permutation, and
+    /// `tree_min(v) <= post(v)` must hold so the positive cut can never
+    /// admit a nonsense range. Violations come back as `Err(String)` —
+    /// never panics.
+    fn validate(&self) -> Result<(), String> {
+        let BflIndex { g, post, tree_min, out_filters, in_filters, words } = self;
         let n = g.num_vertices();
-        if words == 0 {
+        if *words == 0 {
             return Err("bfl: zero filter words".into());
         }
         if post.len() != n || tree_min.len() != n {
@@ -208,7 +193,7 @@ impl BflIndex {
                 tree_min.len()
             ));
         }
-        let expected = n.checked_mul(words).ok_or("bfl: filter table size overflows")?;
+        let expected = n.checked_mul(*words).ok_or("bfl: filter table size overflows")?;
         if out_filters.len() != expected || in_filters.len() != expected {
             return Err(format!(
                 "bfl: expected {expected} filter words per direction, got {} out / {} in",
@@ -229,7 +214,39 @@ impl BflIndex {
                 ));
             }
         }
-        Ok(BflIndex { g, post, tree_min, out_filters, in_filters, words })
+        Ok(())
+    }
+}
+
+/// Section tags of the index's own columns; the DAG's are the graph's.
+mod tag {
+    pub const POST: u16 = 0x70;
+    pub const TREE_MIN: u16 = 0x71;
+    pub const OUT_FILTERS: u16 = 0x72;
+    pub const IN_FILTERS: u16 = 0x73;
+}
+
+impl Columns for BflIndex {
+    fn store<'a>(&'a self, out: &mut ColumnList<'a>) {
+        self.g.store(out);
+        out.meta.u64(self.words as u64);
+        out.col(tag::POST, &self.post, true);
+        out.col(tag::TREE_MIN, &self.tree_min, true);
+        out.col(tag::OUT_FILTERS, &self.out_filters, true);
+        out.col(tag::IN_FILTERS, &self.in_filters, true);
+    }
+
+    fn load<S: Source>(src: &mut S) -> Result<Self, String> {
+        let index = BflIndex {
+            g: DiGraph::load(src)?,
+            words: src.usize()?,
+            post: src.col(tag::POST, "bfl-post")?,
+            tree_min: src.col(tag::TREE_MIN, "bfl-tree-min")?,
+            out_filters: src.col(tag::OUT_FILTERS, "bfl-out-filters")?,
+            in_filters: src.col(tag::IN_FILTERS, "bfl-in-filters")?,
+        };
+        index.validate()?;
+        Ok(index)
     }
 }
 
@@ -390,11 +407,11 @@ impl Reachability for BflIndex {
     }
 
     fn heap_bytes(&self) -> usize {
-        self.g.heap_bytes()
-            + self.post.len() * 4
-            + self.tree_min.len() * 4
-            + self.out_filters.len() * 8
-            + self.in_filters.len() * 8
+        ColumnList::of(self).counted_bytes()
+    }
+
+    fn columns(&self) -> Option<ColumnList<'_>> {
+        Some(ColumnList::of(self))
     }
 
     fn name(&self) -> &'static str {

@@ -15,11 +15,11 @@
 //!   deltas (one absolute anchor every [`DeltaArray::BLOCK`] entries), with
 //!   `O(BLOCK)` random access and an amortized-`O(1)` sequential cursor.
 //!
-//! Both validate untrusted input in their `from_parts`/`from_sorted`
-//! constructors and never panic on malformed bytes.
+//! Both validate untrusted input — loaded columns, and the values handed to
+//! `from_sorted` — and never panic on malformed bytes.
 
 use crate::interval::{Interval, IntervalLabeling};
-use gsr_graph::{Col, HeapBytes, VertexId};
+use gsr_graph::{Col, ColumnList, Columns, HeapBytes, Source, VertexId};
 
 /// Appends `v` to `out` as an LEB128 varint (7 payload bits per byte,
 /// high bit = continuation). At most 5 bytes for a `u32`.
@@ -156,22 +156,11 @@ impl CompactLabels {
         (0..self.num_vertices() as VertexId).map(|v| self.num_intervals(v)).sum()
     }
 
-    /// Borrowed decomposition `(max_post, offsets, bytes)` for snapshot
-    /// encoding; [`CompactLabels::from_parts`] inverts it.
-    pub fn parts(&self) -> (u32, &[u32], &[u8]) {
-        (self.max_post, &self.offsets, &self.bytes)
-    }
-
-    /// Reassembles from the pieces of [`CompactLabels::parts`]. The input
-    /// is untrusted: the offsets must form a CSR over `bytes` and every
-    /// per-vertex stream must decode to a sorted, disjoint interval set
-    /// inside `1..=max_post`, consuming its byte range exactly.
-    pub fn from_parts(
-        max_post: u32,
-        offsets: impl Into<Col<u32>>,
-        bytes: impl Into<Col<u8>>,
-    ) -> Result<Self, String> {
-        let (offsets, bytes) = (offsets.into(), bytes.into());
+    /// Checks columns that came from disk: the offsets must form a CSR over
+    /// `bytes` and every per-vertex stream must decode to a sorted, disjoint
+    /// interval set inside `1..=max_post`, consuming its byte range exactly.
+    fn validate(&self) -> Result<(), String> {
+        let CompactLabels { max_post, offsets, bytes } = self;
         if offsets.is_empty() {
             return Err("compact labels: empty offset array".into());
         }
@@ -201,7 +190,7 @@ impl CompactLabels {
                 }
                 let lo = prev_hi + gap as u64;
                 let hi = lo + span as u64;
-                if hi > max_post as u64 {
+                if hi > *max_post as u64 {
                     return Err(format!(
                         "compact labels: vertex {v} interval ends at {hi} > max post {max_post}"
                     ));
@@ -209,13 +198,41 @@ impl CompactLabels {
                 prev_hi = hi;
             }
         }
-        Ok(CompactLabels { max_post, offsets, bytes })
+        Ok(())
+    }
+}
+
+/// Section tags of [`CompactLabels`].
+mod labels_tag {
+    pub const OFFSETS: u16 = 0x50;
+    pub const BYTES: u16 = 0x51;
+}
+
+impl Columns for CompactLabels {
+    fn store<'a>(&'a self, out: &mut ColumnList<'a>) {
+        out.meta.u32(self.max_post);
+        out.col(labels_tag::OFFSETS, &self.offsets, true);
+        out.col(labels_tag::BYTES, &self.bytes, true);
+    }
+
+    /// Validation decodes every label, and the shards of a set all read the
+    /// same two shared sections: a source that has seen them pass lets them
+    /// pass ([`Source::check_once`]).
+    fn load<S: Source>(src: &mut S) -> Result<Self, String> {
+        let labels = CompactLabels {
+            max_post: src.u32()?,
+            offsets: src.col(labels_tag::OFFSETS, "compact-labels-offsets")?,
+            bytes: src.col(labels_tag::BYTES, "compact-labels-bytes")?,
+        };
+        let sections = [labels_tag::OFFSETS, labels_tag::BYTES];
+        src.check_once(&sections, labels.max_post as u64, || labels.validate())?;
+        Ok(labels)
     }
 }
 
 impl HeapBytes for CompactLabels {
     fn heap_bytes(&self) -> usize {
-        self.offsets.heap_bytes() + self.bytes.heap_bytes()
+        ColumnList::of(self).counted_bytes()
     }
 }
 
@@ -306,32 +323,15 @@ impl DeltaArray {
         })
     }
 
-    /// The raw columns `(len, anchors, starts, bytes)` for snapshot
-    /// encoding; [`DeltaArray::from_cols`] inverts it. `len` must be
-    /// persisted explicitly — it is not derivable from the columns (the last
-    /// block may be partial).
-    pub fn cols(&self) -> (usize, &[u32], &[u32], &[u8]) {
-        (self.len, &self.anchors, &self.starts, &self.bytes)
-    }
-
-    /// Reassembles a compressed array directly from its columns — the v3
-    /// zero-copy load path, which must not decompress-and-recompress the
-    /// way `to_vec()` + [`DeltaArray::from_sorted`] would.
-    ///
-    /// The input is untrusted. Validation decodes every block's stream once
-    /// (allocation-free): block counts must match `len`, `starts` must
+    /// Checks columns that came from disk, decoding every block's stream
+    /// once (allocation-free): block counts must match `len`, `starts` must
     /// partition `bytes` exactly, every varint must be well-formed, running
     /// values must stay monotone within `u32`, and each block's anchor must
     /// not decrease relative to the previous block's last value — exactly
     /// the invariants [`DeltaArray::from_sorted`] establishes.
-    pub fn from_cols(
-        len: usize,
-        anchors: impl Into<Col<u32>>,
-        starts: impl Into<Col<u32>>,
-        bytes: impl Into<Col<u8>>,
-    ) -> Result<Self, String> {
-        let (anchors, starts) = (anchors.into(), starts.into());
-        let bytes: Col<u8> = bytes.into();
+    fn validate(&self) -> Result<(), String> {
+        let DeltaArray { len, anchors, starts, bytes } = self;
+        let len = *len;
         let blocks = len.div_ceil(Self::BLOCK);
         if anchors.len() != blocks || starts.len() != blocks {
             return Err(format!(
@@ -344,7 +344,7 @@ impl DeltaArray {
             if !bytes.is_empty() {
                 return Err(format!("delta array: empty array with {} stream bytes", bytes.len()));
             }
-            return Ok(DeltaArray { len, anchors, starts, bytes });
+            return Ok(());
         }
         if starts[0] != 0 {
             return Err(format!("delta array: starts[0] = {}, expected 0", starts[0]));
@@ -381,7 +381,7 @@ impl DeltaArray {
             }
             prev_last = value;
         }
-        Ok(DeltaArray { len, anchors, starts, bytes })
+        Ok(())
     }
 
     /// Number of entries.
@@ -437,9 +437,33 @@ impl DeltaArray {
     }
 }
 
-impl HeapBytes for DeltaArray {
-    fn heap_bytes(&self) -> usize {
-        self.anchors.heap_bytes() + self.starts.heap_bytes() + self.bytes.heap_bytes()
+/// Section tags of [`DeltaArray`].
+mod delta_tag {
+    pub const ANCHORS: u16 = 0x90;
+    pub const STARTS: u16 = 0x91;
+    pub const BYTES: u16 = 0x92;
+}
+
+/// `len` is a scalar of its own: it is not derivable from the columns (the
+/// last block may be partial). The compressed columns load as they are —
+/// never decompressed and recompressed.
+impl Columns for DeltaArray {
+    fn store<'a>(&'a self, out: &mut ColumnList<'a>) {
+        out.meta.u64(self.len as u64);
+        out.col(delta_tag::ANCHORS, &self.anchors, true);
+        out.col(delta_tag::STARTS, &self.starts, true);
+        out.col(delta_tag::BYTES, &self.bytes, true);
+    }
+
+    fn load<S: Source>(src: &mut S) -> Result<Self, String> {
+        let array = DeltaArray {
+            len: src.usize()?,
+            anchors: src.col(delta_tag::ANCHORS, "delta-anchors")?,
+            starts: src.col(delta_tag::STARTS, "delta-starts")?,
+            bytes: src.col(delta_tag::BYTES, "delta-bytes")?,
+        };
+        array.validate()?;
+        Ok(array)
     }
 }
 
@@ -478,6 +502,7 @@ impl Iterator for DeltaIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsr_graph::columns::MemSource;
     use gsr_graph::graph_from_edges;
 
     #[test]
@@ -537,25 +562,28 @@ mod tests {
     #[test]
     fn compact_labels_parts_round_trip_and_reject_corruption() {
         let c = CompactLabels::from_labeling(&labeling());
-        let (max_post, offsets, bytes) = c.parts();
-        let back = CompactLabels::from_parts(max_post, offsets.to_vec(), bytes.to_vec())
-            .expect("valid parts reassemble");
+        let back: CompactLabels =
+            MemSource::new(ColumnList::of(&c)).load().expect("valid columns reassemble");
         assert_eq!(back, c);
+        assert_eq!(back.heap_bytes(), c.offsets.len() * 4 + c.bytes.len());
 
+        let parts = |max_post, offsets: &[u32], bytes: &[u8]| CompactLabels {
+            max_post,
+            offsets: offsets.to_vec().into(),
+            bytes: bytes.to_vec().into(),
+        };
+        assert!(parts(c.max_post, &c.offsets, &c.bytes).validate().is_ok());
         // Truncated stream.
-        let mut short = bytes.to_vec();
-        short.pop();
-        assert!(CompactLabels::from_parts(max_post, offsets.to_vec(), short).is_err());
+        assert!(parts(c.max_post, &c.offsets, &c.bytes[..c.bytes.len() - 1]).validate().is_err());
         // Offsets that disagree with the byte count.
-        assert!(CompactLabels::from_parts(max_post, vec![0, 1], bytes.to_vec()).is_err());
+        assert!(parts(c.max_post, &[0, 1], &c.bytes).validate().is_err());
         // An interval escaping the post range.
-        assert!(CompactLabels::from_parts(0, offsets.to_vec(), bytes.to_vec()).is_err());
+        assert!(parts(0, &c.offsets, &c.bytes).validate().is_err());
         // Zero gap (overlap).
         let mut zero_gap = Vec::new();
         write_varint(&mut zero_gap, 0);
         write_varint(&mut zero_gap, 1);
-        let end = zero_gap.len() as u32;
-        assert!(CompactLabels::from_parts(5, vec![0, end], zero_gap).is_err());
+        assert!(parts(5, &[0, zero_gap.len() as u32], &zero_gap).validate().is_err());
     }
 
     #[test]
@@ -572,7 +600,8 @@ mod tests {
             assert_eq!(tail.as_slice(), &values[start..], "iter_from({start})");
         }
         assert_eq!(d.to_vec(), values);
-        assert!(d.heap_bytes() < values.len() * 4, "compression must pay off on small deltas");
+        let bytes = ColumnList::of(&d).counted_bytes();
+        assert!(bytes < values.len() * 4, "compression must pay off on small deltas");
     }
 
     #[test]
@@ -580,38 +609,30 @@ mod tests {
         let values: Vec<u32> =
             (0..100u32).scan(0u32, |acc, i| { *acc += i % 5; Some(*acc) }).collect();
         let d = DeltaArray::from_sorted(&values).unwrap();
-        let (len, anchors, starts, bytes) = d.cols();
-        let back =
-            DeltaArray::from_cols(len, anchors.to_vec(), starts.to_vec(), bytes.to_vec())
-                .expect("faithful columns reassemble");
+        let back: DeltaArray =
+            MemSource::new(ColumnList::of(&d)).load().expect("faithful columns reassemble");
         assert_eq!(back, d);
         assert_eq!(back.to_vec(), values);
 
-        // Wrong length: block count disagrees with the columns.
-        assert!(DeltaArray::from_cols(
-            len + DeltaArray::BLOCK,
-            anchors.to_vec(),
-            starts.to_vec(),
-            bytes.to_vec()
-        )
-        .is_err());
-        // Truncated stream.
-        assert!(DeltaArray::from_cols(
+        let cols = |len, anchors: &[u32], starts: &[u32], bytes: &[u8]| DeltaArray {
             len,
-            anchors.to_vec(),
-            starts.to_vec(),
-            bytes[..bytes.len() - 1].to_vec()
-        )
-        .is_err());
+            anchors: anchors.to_vec().into(),
+            starts: starts.to_vec().into(),
+            bytes: bytes.to_vec().into(),
+        };
+        let (len, anchors, starts, bytes) = (d.len, &d.anchors[..], &d.starts[..], &d.bytes[..]);
+        assert!(cols(len, anchors, starts, bytes).validate().is_ok());
+        // Wrong length: block count disagrees with the columns.
+        assert!(cols(len + DeltaArray::BLOCK, anchors, starts, bytes).validate().is_err());
+        // Truncated stream.
+        assert!(cols(len, anchors, starts, &bytes[..bytes.len() - 1]).validate().is_err());
         // A decreasing anchor breaks monotonicity.
         let mut bad_anchor = anchors.to_vec();
         bad_anchor[1] = 0;
-        assert!(
-            DeltaArray::from_cols(len, bad_anchor, starts.to_vec(), bytes.to_vec()).is_err()
-        );
+        assert!(cols(len, &bad_anchor, starts, bytes).validate().is_err());
         // Empty arrays must carry no stream bytes.
-        assert!(DeltaArray::from_cols(0, vec![], vec![], vec![1u8]).is_err());
-        assert!(DeltaArray::from_cols(0, vec![], vec![], vec![]).is_ok());
+        assert!(cols(0, &[], &[], &[1u8]).validate().is_err());
+        assert!(cols(0, &[], &[], &[]).validate().is_ok());
     }
 
     #[test]

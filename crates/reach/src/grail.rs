@@ -141,32 +141,6 @@ impl GrailIndex {
         &self.labels
     }
 
-    /// Borrowed decomposition `(graph, labels, k)` for snapshot encoding.
-    /// [`GrailIndex::from_parts`] inverts it.
-    pub fn parts(&self) -> (&DiGraph, &[(u32, u32)], usize) {
-        (&self.g, &self.labels, self.k)
-    }
-
-    /// Reassembles an index from the pieces of [`GrailIndex::parts`].
-    /// Untrusted input: the label matrix must hold exactly `k * n` entries
-    /// with `r <= post` each; violations are `Err(String)`, never panics.
-    pub fn from_parts(g: DiGraph, labels: Vec<(u32, u32)>, k: usize) -> Result<Self, String> {
-        let n = g.num_vertices();
-        if k == 0 {
-            return Err("grail: zero traversals".into());
-        }
-        let expected = k.checked_mul(n).ok_or("grail: label matrix size overflows")?;
-        if labels.len() != expected {
-            return Err(format!(
-                "grail: expected {expected} labels ({k} traversals x {n} vertices), got {}",
-                labels.len()
-            ));
-        }
-        if let Some((r, post)) = labels.iter().find(|(r, post)| r > post) {
-            return Err(format!("grail: inverted label interval [{r}, {post}]"));
-        }
-        Ok(GrailIndex { g, labels, k })
-    }
 }
 
 /// Independent seed for traversal `i` (splitmix64 finalizer over the pair).

@@ -24,13 +24,13 @@
 
 use crate::Reachability;
 use gsr_graph::dfs::{ForestStrategy, SpanningForest};
-use gsr_graph::{Col, DiGraph, VertexId};
+use gsr_graph::{Col, ColumnList, Columns, DiGraph, Source, VertexId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A closed interval `[lo, hi]` of 1-based post-order numbers.
 ///
-/// `#[repr(C)]` is part of the snapshot contract: v3 sections store label
+/// `#[repr(C)]` is part of the snapshot contract: sections store label
 /// columns as raw `lo, hi` u32 pairs and remap them zero-copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(C)]
@@ -43,8 +43,8 @@ pub struct Interval {
 
 // SAFETY: `Interval` is `#[repr(C)] { lo: u32, hi: u32 }` — no padding —
 // and every bit pattern is a pair of valid u32s. The structural invariant
-// `lo <= hi` is not bit validity; `IntervalLabeling::from_parts` checks it
-// on every untrusted load.
+// `lo <= hi` is not bit validity; `IntervalLabeling`'s `Columns::load`
+// checks it on every untrusted load.
 #[allow(unsafe_code)]
 unsafe impl gsr_graph::Pod for Interval {}
 
@@ -235,36 +235,18 @@ impl IntervalLabeling {
         self.intervals(v).iter().map(|iv| iv.len() as usize).sum()
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.post.len() * 4
-            + self.post_to_vertex.len() * 4
-            + self.offsets.len() * 4
-            + self.labels.len() * std::mem::size_of::<Interval>()
+        ColumnList::of(self).counted_bytes()
     }
 
-    /// Borrowed decomposition `(post, post_to_vertex, offsets, labels)` for
-    /// snapshot encoding. [`IntervalLabeling::from_parts`] inverts it.
-    pub fn parts(&self) -> (&[u32], &[VertexId], &[u32], &[Interval]) {
-        (&self.post, &self.post_to_vertex, &self.offsets, &self.labels)
-    }
-
-    /// Reassembles a labeling from the vectors of [`IntervalLabeling::parts`].
-    ///
-    /// The input is untrusted (snapshot loaders feed it bytes from disk), so
-    /// every structural invariant the query path relies on is re-validated:
-    /// `post`/`post_to_vertex` must be mutually inverse 1-based permutations,
-    /// `offsets` a well-formed CSR over `labels`, and every interval ordered
-    /// with endpoints inside `1..=n`. Violations are reported as
-    /// `Err(String)` — never panics.
-    pub fn from_parts(
-        post: impl Into<Col<u32>>,
-        post_to_vertex: impl Into<Col<VertexId>>,
-        offsets: impl Into<Col<u32>>,
-        labels: impl Into<Col<Interval>>,
-    ) -> Result<Self, String> {
-        let (post, post_to_vertex) = (post.into(), post_to_vertex.into());
-        let (offsets, labels) = (offsets.into(), labels.into());
+    /// Checks columns that came from disk, re-validating every structural
+    /// invariant the query path relies on: `post`/`post_to_vertex` must be
+    /// mutually inverse 1-based permutations, `offsets` a well-formed CSR
+    /// over `labels`, and every interval ordered with endpoints inside
+    /// `1..=n`. Violations are reported as `Err(String)` — never panics.
+    fn validate(&self) -> Result<(), String> {
+        let IntervalLabeling { post, post_to_vertex, offsets, labels } = self;
         let n = post.len();
         if post_to_vertex.len() != n {
             return Err(format!(
@@ -315,7 +297,35 @@ impl IntervalLabeling {
                 return Err(format!("interval labeling: vertex {v} labels not sorted+disjoint"));
             }
         }
-        Ok(IntervalLabeling { post, post_to_vertex, offsets, labels })
+        Ok(())
+    }
+}
+
+/// Section tags.
+mod tag {
+    pub const POST: u16 = 0x40;
+    pub const POST_TO_VERTEX: u16 = 0x41;
+    pub const OFFSETS: u16 = 0x42;
+    pub const INTERVALS: u16 = 0x43;
+}
+
+impl Columns for IntervalLabeling {
+    fn store<'a>(&'a self, out: &mut ColumnList<'a>) {
+        out.col(tag::POST, &self.post, true);
+        out.col(tag::POST_TO_VERTEX, &self.post_to_vertex, true);
+        out.col(tag::OFFSETS, &self.offsets, true);
+        out.col(tag::INTERVALS, &self.labels, true);
+    }
+
+    fn load<S: Source>(src: &mut S) -> Result<Self, String> {
+        let labeling = IntervalLabeling {
+            post: src.col(tag::POST, "labeling-post")?,
+            post_to_vertex: src.col(tag::POST_TO_VERTEX, "labeling-inverse")?,
+            offsets: src.col(tag::OFFSETS, "labeling-offsets")?,
+            labels: src.col(tag::INTERVALS, "labeling-intervals")?,
+        };
+        labeling.validate()?;
+        Ok(labeling)
     }
 }
 
@@ -326,6 +336,10 @@ impl Reachability for IntervalLabeling {
 
     fn heap_bytes(&self) -> usize {
         IntervalLabeling::heap_bytes(self)
+    }
+
+    fn columns(&self) -> Option<ColumnList<'_>> {
+        Some(ColumnList::of(self))
     }
 
     fn name(&self) -> &'static str {
@@ -868,46 +882,30 @@ mod tests {
 
     #[test]
     fn parts_round_trip_and_validation() {
+        use gsr_graph::columns::MemSource;
         let g = paper_graph();
         let l = IntervalLabeling::build(&g);
-        let (post, inv, offsets, labels) = l.parts();
-        let back = IntervalLabeling::from_parts(
-            post.to_vec(),
-            inv.to_vec(),
-            offsets.to_vec(),
-            labels.to_vec(),
-        )
-        .expect("valid parts must reassemble");
+        let back: IntervalLabeling =
+            MemSource::new(ColumnList::of(&l)).load().expect("valid columns must reassemble");
         assert_eq!(l, back);
+        assert_eq!(l.heap_bytes(), back.heap_bytes());
 
         // Broken permutation.
-        let mut bad_post = post.to_vec();
-        bad_post[0] = bad_post[1];
-        assert!(IntervalLabeling::from_parts(
-            bad_post,
-            inv.to_vec(),
-            offsets.to_vec(),
-            labels.to_vec()
-        )
-        .is_err());
+        let mut bad = l.clone();
+        let mut post = l.post.to_vec();
+        post[0] = post[1];
+        bad.post = post.into();
+        assert!(bad.validate().is_err());
         // Out-of-range interval endpoint.
-        let mut bad_labels = labels.to_vec();
-        bad_labels[0] = Interval { lo: 1, hi: u32::MAX };
-        assert!(IntervalLabeling::from_parts(
-            post.to_vec(),
-            inv.to_vec(),
-            offsets.to_vec(),
-            bad_labels
-        )
-        .is_err());
+        let mut bad = l.clone();
+        let mut labels = l.labels.to_vec();
+        labels[0] = Interval { lo: 1, hi: u32::MAX };
+        bad.labels = labels.into();
+        assert!(bad.validate().is_err());
         // Truncated offsets.
-        assert!(IntervalLabeling::from_parts(
-            post.to_vec(),
-            inv.to_vec(),
-            offsets[..offsets.len() - 1].to_vec(),
-            labels.to_vec()
-        )
-        .is_err());
+        let mut bad = l.clone();
+        bad.offsets = l.offsets[..l.offsets.len() - 1].to_vec().into();
+        assert!(bad.validate().is_err());
     }
 
     #[test]

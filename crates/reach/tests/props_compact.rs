@@ -4,7 +4,8 @@
 //! varint / delta-array / compact-label encodings must round-trip
 //! losslessly.
 
-use gsr_graph::{graph_from_edges, DiGraph, VertexId};
+use gsr_graph::columns::MemSource;
+use gsr_graph::{graph_from_edges, ColumnList, DiGraph, VertexId};
 use gsr_reach::compact::{read_varint, write_varint, CompactLabels, DeltaArray};
 use gsr_reach::interval::{binary_covers, gallop_covers, Interval, IntervalLabeling};
 use proptest::prelude::*;
@@ -144,9 +145,9 @@ proptest! {
     #[test]
     fn compact_labels_parts_round_trip(g in arb_dag(30, 120)) {
         let compact = CompactLabels::from_labeling(&IntervalLabeling::build(&g));
-        let (max_post, offsets, bytes) = compact.parts();
-        let back = CompactLabels::from_parts(max_post, offsets.to_vec(), bytes.to_vec())
-            .expect("parts of a valid encoding must validate");
+        let back: CompactLabels = MemSource::new(ColumnList::of(&compact))
+            .load()
+            .expect("columns of a valid encoding must validate");
         prop_assert_eq!(back.max_post(), compact.max_post());
         prop_assert_eq!(back.num_labels(), compact.num_labels());
         for v in g.vertices() {

@@ -168,7 +168,7 @@ pub struct ServerConfig {
     /// Write deadline for reply flushes, so one stalled reader cannot
     /// wedge a worker forever; `None` = unlimited.
     pub write_timeout: Option<Duration>,
-    /// Skip the eager CRC pass when `RELOAD` loads a v3 snapshot
+    /// Skip the eager CRC pass when `RELOAD` loads a snapshot
     /// ([`gsr_store::LoadOptions::trust`]). Structural validation always
     /// runs; only enable this for snapshots this deployment wrote itself.
     pub trust_snapshot: bool,
@@ -834,7 +834,7 @@ impl QueryServer {
     /// batches pinned the old pair and finish on the old index; new
     /// batches see the new pair. On any failure the old index keeps
     /// serving. Returns the new index's heap footprint and the wall-clock
-    /// load time (which, with the v3 mmap path, is the restart cost a
+    /// load time (which, with the mmap path, is the restart cost a
     /// replica would pay).
     fn reload(&self, dataset: usize, path: &str) -> Result<(u64, u64), GsrError> {
         let owned = path.to_string();

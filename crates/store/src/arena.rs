@@ -1,6 +1,6 @@
-//! [`ArenaBytes`]: the byte region a v3 snapshot is served from.
+//! [`ArenaBytes`]: the byte region a snapshot is served from.
 //!
-//! A v3 snapshot's sections *are* the index arenas, so the load path needs
+//! A snapshot's sections *are* the index arenas, so the load path needs
 //! an immutable byte region whose address is stable for the lifetime of
 //! the index — that is what `gsr_graph::Col` views borrow from. Two
 //! flavors exist:
@@ -20,7 +20,7 @@
 
 use gsr_graph::StableBytes;
 
-/// Alignment of the owned buffer and of every section payload inside a v3
+/// Alignment of the owned buffer and of every section payload inside a
 /// snapshot. 64 covers every column element type (max 8) with room for
 /// cache-line and SIMD-friendly starts.
 pub const ARENA_ALIGN: usize = 64;
@@ -136,7 +136,7 @@ enum ArenaData {
     Mapped(Mapping),
 }
 
-/// An immutable byte region backing a loaded v3 snapshot: a memory-mapped
+/// An immutable byte region backing a loaded snapshot: a memory-mapped
 /// file on unix, a 64-byte-aligned heap buffer otherwise. Implements
 /// [`StableBytes`], so `Col` views hold it alive for as long as any column
 /// borrows from it.

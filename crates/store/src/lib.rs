@@ -11,22 +11,24 @@
 //!
 //! ## Wire format
 //!
-//! The current format (v3) is **zero-copy**: after the magic and version,
+//! The format is **zero-copy**: after the magic and version,
 //! a directory of tagged, CRC-32-checksummed entries describes sections
 //! laid out at 64-byte-aligned offsets, and each section is a fixed-width
 //! little-endian column image of the corresponding index arena (see
-//! `v3` and the layout tables in `DESIGN.md`). Loading memory-maps the
+//! `frame` and the layout tables in `DESIGN.md`). Which columns an index has
+//! is declared by the index structures themselves (`gsr_graph::Columns`);
+//! this crate frames, checksums and maps them. Loading memory-maps the
 //! file (or copies it once into an aligned buffer) and serves queries
 //! from typed views into the mapped region — no per-element decode.
-//! Version 3 is the only format this crate writes or reads; the retired
-//! versions 1 and 2 are rejected with a typed version error.
+//! [`FORMAT_VERSION`] is the only format this crate writes or reads; every
+//! retired version is rejected with a typed version error.
 //!
 //! ## Trust model
 //!
 //! A snapshot is *untrusted input*: loading revalidates every structural
 //! invariant a query dereferences (CSR monotonicity, permutations,
-//! component-id bounds, R-tree arena reachability) through the owning
-//! crates' validated `from_cols` constructors. Corruption, truncation,
+//! component-id bounds, R-tree arena reachability) in the owning
+//! structure's own `gsr_graph::Columns::load`. Corruption, truncation,
 //! version mismatches and impossible structures all surface as
 //! [`GsrError::Load`] — never a panic, never an unbounded allocation.
 //! [`LoadOptions::trust`] skips only the CRC pass over the section
@@ -52,9 +54,8 @@
 #![warn(missing_docs)]
 
 mod arena;
-mod codec;
+mod frame;
 pub mod shard;
-mod v3;
 mod wire;
 
 pub use arena::ArenaBytes;
@@ -144,8 +145,8 @@ impl RangeReachIndex for SnapshotIndex {
         self.as_index().index_bytes()
     }
 
-    fn shared_buffers(&self) -> Vec<gsr_core::BufferId> {
-        self.as_index().shared_buffers()
+    fn columns(&self) -> Option<gsr_graph::ColumnList<'_>> {
+        self.as_index().columns()
     }
 
     fn name(&self) -> &'static str {
@@ -164,15 +165,15 @@ fn load_err(msg: String) -> GsrError {
 // ---------------------------------------------------------------------------
 // Save.
 
-/// Serializes a built index to `w` in the current (v3, zero-copy)
-/// snapshot format: the section payloads are the index's own arena bytes,
+/// Serializes a built index to `w` in the current (zero-copy) snapshot
+/// format: the section payloads are the index's own arena bytes,
 /// written directly — no per-element encoding.
 ///
 /// I/O failures are [`GsrError::Internal`]; an index configuration that
 /// cannot be persisted (SpaReach with an ablation-only spatial backend or
 /// the streaming candidate mode) is rejected the same way.
 pub fn save(w: &mut impl Write, index: &SnapshotIndex) -> Result<(), GsrError> {
-    v3::save_v3(w, index)
+    frame::FrameImage::new(frame::sections_of(index)?).write(w)
 }
 
 // ---------------------------------------------------------------------------
@@ -246,8 +247,8 @@ pub fn load_with(r: &mut impl Read, opts: LoadOptions) -> Result<SnapshotIndex, 
     full.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     r.read_to_end(&mut full)
         .map_err(|e| load_err(format!("i/o error reading snapshot: {e}")))?;
-    let frame = v3::Frame::parse(Arc::new(ArenaBytes::copy_from_slice(&full)), opts.trust)?;
-    v3::load_index(&frame, None)
+    let frame = frame::Frame::parse(Arc::new(ArenaBytes::copy_from_slice(&full)), opts.trust)?;
+    frame::load_index(&frame, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -314,11 +315,11 @@ pub fn load_from_path_with(
     opts: LoadOptions,
 ) -> Result<(SnapshotIndex, LoadInfo), GsrError> {
     let (frame, info) = open_frame(path.as_ref(), opts)?;
-    Ok((v3::load_index(&frame, None)?, info))
+    Ok((frame::load_index(&frame, None)?, info))
 }
 
-/// Maps the v3 file at `path` and validates its framing.
-fn open_frame(path: &Path, opts: LoadOptions) -> Result<(v3::Frame, LoadInfo), GsrError> {
+/// Maps the snapshot file at `path` and validates its framing.
+fn open_frame(path: &Path, opts: LoadOptions) -> Result<(frame::Frame, LoadInfo), GsrError> {
     let mut file = std::fs::File::open(path)
         .map_err(|e| GsrError::Load(format!("snapshot {}: {e}", path.display())))?;
     let file_bytes =
@@ -329,7 +330,7 @@ fn open_frame(path: &Path, opts: LoadOptions) -> Result<(v3::Frame, LoadInfo), G
     let arena = ArenaBytes::from_file(&file)
         .map_err(|e| load_err(format!("i/o error mapping snapshot: {e}")))?;
     let mapped = arena.is_mapped();
-    let frame = v3::Frame::parse(Arc::new(arena), opts.trust)?;
+    let frame = frame::Frame::parse(Arc::new(arena), opts.trust)?;
     Ok((frame, LoadInfo { format: FORMAT_VERSION, mapped, file_bytes }))
 }
 
@@ -398,6 +399,27 @@ mod tests {
                         index.name()
                     );
                 }
+            }
+        }
+    }
+
+    /// Only the paper's configuration of SpaReach is persistent; the others
+    /// refuse with a typed error and still report a size.
+    #[test]
+    fn ablation_configurations_of_spareach_refuse_to_save() {
+        use gsr_core::methods::{CandidateMode, SpaReach, SpatialBackend};
+        use gsr_reach::bfl::BflIndex;
+        let prep = paper_example::prepared();
+        let p = SccSpatialPolicy::Replicate;
+        let grid = SpatialBackend::UniformGrid;
+        for odd in [
+            SpaReachBfl::build(&prep, p).with_candidate_mode(CandidateMode::Streaming),
+            SpaReach::build_with_backend(&prep, p, grid, "SpaReach-grid", BflIndex::build),
+        ] {
+            assert!(odd.index_bytes() > 0);
+            match save(&mut Vec::new(), &SnapshotIndex::SpaReachBfl(odd)) {
+                Err(GsrError::Internal(msg)) => assert!(msg.contains("cannot be snapshotted")),
+                other => panic!("expected Internal error, got {other:?}"),
             }
         }
     }

@@ -1,5 +1,5 @@
-//! Sharded snapshot sets: a directory holding one shared v3 file, one v3
-//! file per shard and a small checksummed manifest.
+//! Sharded snapshot sets: a directory holding one shared snapshot file, one
+//! snapshot file per shard and a small checksummed manifest.
 //!
 //! ## Directory layout
 //!
@@ -16,7 +16,7 @@
 //! (`gsr_core::tile_network`). A column that is the **same buffer** in every
 //! shard — compared by address and length, never by content — is written
 //! once, into the shared file; each shard file holds the rest of its index
-//! (`META`, the tile's tree, whatever else is its own). All files use the v3
+//! (`META`, the tile's tree, whatever else is its own). All files use the
 //! framing of [`crate::save_to_path`] — header, directory, 64-byte-aligned
 //! sections, per-section CRC, [`LoadOptions::trust`] — and the same
 //! crash-safe staging write. A load maps the shared file once and hands
@@ -50,7 +50,7 @@
 //! ```
 //!
 //! Version 1 (one plain snapshot per shard, no shared file) is rejected
-//! with a typed version error, like snapshot versions 1 and 2.
+//! with a typed version error, like the retired snapshot versions.
 
 use std::io::Write;
 use std::path::Path;
@@ -59,8 +59,11 @@ use std::sync::Arc;
 use gsr_core::{GsrError, RangeReachIndex, ShardMember, ShardedIndex};
 use gsr_geo::Rect;
 
-use crate::v3::{self, FrameImage, Section};
-use crate::wire::{crc32, Dec, Enc};
+use gsr_graph::columns::{Dec, Enc};
+use gsr_graph::Column;
+
+use crate::frame::{self, FrameImage};
+use crate::wire::crc32;
 use crate::{
     io_save, load_err, open_frame, write_atomically, LoadInfo, LoadOptions, SnapshotIndex,
 };
@@ -83,9 +86,9 @@ pub fn is_sharded_path(path: impl AsRef<Path>) -> bool {
 /// for an empty tile).
 pub type Shard = (SnapshotIndex, Option<Rect>);
 
-/// Writes `sections` as the v3 file `<stem>-<fingerprint>.gsr` in `dir` and
+/// Writes `sections` as the file `<stem>-<fingerprint>.gsr` in `dir` and
 /// returns the file name.
-fn save_frame(dir: &Path, stem: &str, sections: Vec<Section<'_>>) -> Result<String, GsrError> {
+fn save_frame(dir: &Path, stem: &str, sections: Vec<Column<'_>>) -> Result<String, GsrError> {
     let image = FrameImage::new(sections);
     let name = format!("{stem}-{:08x}.gsr", image.fingerprint());
     write_atomically(&dir.join(&name), |w| image.write(w))?;
@@ -114,9 +117,9 @@ pub fn save_sharded_to_path(dir: impl AsRef<Path>, shards: &[Shard]) -> Result<(
     let stale: Vec<String> =
         read_manifest(dir).map(|m| m.files().map(String::from).collect()).unwrap_or_default();
 
-    let mut own: Vec<Vec<Section<'_>>> =
-        shards.iter().map(|(index, _)| v3::sections_for(index)).collect::<Result<_, _>>()?;
-    let shared: Vec<Section<'_>> = own[0]
+    let mut own: Vec<Vec<Column<'_>>> =
+        shards.iter().map(|(index, _)| frame::sections_of(index)).collect::<Result<_, _>>()?;
+    let shared: Vec<Column<'_>> = own[0]
         .iter()
         .filter(|s| own.iter().all(|sections| sections.iter().any(|o| o.same_buffer(s))))
         .cloned()
@@ -125,7 +128,7 @@ pub fn save_sharded_to_path(dir: impl AsRef<Path>, shards: &[Shard]) -> Result<(
         sections.retain(|s| !shared.iter().any(|c| c.tag == s.tag));
     }
 
-    let mut e = Enc::new();
+    let mut e = Enc::default();
     e.u32(shards.len() as u32);
     e.u64(num_vertices as u64);
     let mut names = vec![save_frame(dir, "shared", shared)?];
@@ -268,7 +271,7 @@ fn load_set(dir: &Path, opts: LoadOptions) -> Result<(Vec<Shard>, LoadInfo), Gsr
     let mut set = Vec::with_capacity(manifest.shards.len());
     for (i, entry) in manifest.shards.iter().enumerate() {
         let (frame, info) = open_frame(&dir.join(&entry.file), opts)?;
-        let index = v3::load_index(&frame, Some(&shared))?;
+        let index = frame::load_index(&frame, Some(&shared))?;
         if index.num_vertices() as u64 != manifest.num_vertices {
             return Err(load_err(format!(
                 "shard {i}: snapshot has {} vertices, manifest says {}",
@@ -404,8 +407,19 @@ mod tests {
         let scratch = ScratchDir::new("gsr-shard-shared").unwrap();
         let dir = scratch.path();
         let set = build_set(3);
-        let ids = |i: &dyn RangeReachIndex| i.shared_buffers();
-        assert!(set.iter().all(|(s, _)| ids(s) == ids(&set[0].0)), "tiles share by handle");
+        // Address and length of every (non-empty) column `i` counts.
+        let ids = |i: &dyn RangeReachIndex| {
+            let list = i.columns().expect("3DReach declares its columns");
+            let counted = list.cols.iter().filter(|c| c.counted && !c.bytes.is_empty());
+            counted.map(|c| (c.bytes.as_ptr() as usize, c.bytes.len())).collect::<Vec<_>>()
+        };
+        // The columns of `i` that shard 0 of `members` holds too.
+        let common = |i: &dyn RangeReachIndex, first: &dyn RangeReachIndex| {
+            ids(i).into_iter().filter(|id| ids(first).contains(id)).collect::<Vec<_>>()
+        };
+        let shared = common(&set[1].0, &set[0].0);
+        assert_eq!(shared.len(), 3, "comp_of, label offsets, label bytes");
+        assert!(set[1..].iter().all(|(s, _)| common(s, &set[0].0) == shared), "tiles share by handle");
         save_sharded_to_path(dir, &set).unwrap();
 
         let manifest = read_manifest(dir).unwrap();
@@ -425,13 +439,14 @@ mod tests {
             let (loaded, info) = load_sharded_from_path_with(dir, opts).unwrap();
             assert_eq!(info.file_bytes, total);
             let members = loaded.members();
-            assert!(!ids(members[0].index.as_ref()).is_empty());
-            for m in members {
-                assert_eq!(ids(m.index.as_ref()), ids(members[0].index.as_ref()));
+            let first = members[0].index.as_ref();
+            let shared = common(members[1].index.as_ref(), first);
+            assert_eq!(shared.len(), 3, "one mapping, three views");
+            for m in &members[1..] {
+                assert_eq!(common(m.index.as_ref(), first), shared);
             }
             let sum: usize = members.iter().map(|m| m.index.index_bytes()).sum();
-            let repeats: usize =
-                ids(members[0].index.as_ref()).iter().map(|id| id.1).sum::<usize>() * 2;
+            let repeats: usize = shared.iter().map(|id| id.1).sum::<usize>() * 2;
             assert_eq!(loaded.index_bytes(), sum - repeats);
         }
 

@@ -23,6 +23,23 @@ pub fn all_indexes(prep: &PreparedNetwork) -> Vec<(String, Box<dyn RangeReachInd
     out
 }
 
+/// The six methods as snapshots, under both SCC policies where a method has
+/// them, named by method key (`"3dreach (MBR)"`).
+pub fn all_snapshots(prep: &PreparedNetwork) -> Vec<(String, gsr_store::SnapshotIndex)> {
+    use gsr_store::SnapshotIndex;
+    let mut out = Vec::new();
+    for p in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
+        let named = |name: &str, index| (format!("{name}{}", p.suffix()), index);
+        out.push(named("spareach-bfl", SnapshotIndex::SpaReachBfl(SpaReachBfl::build(prep, p))));
+        out.push(named("spareach-int", SnapshotIndex::SpaReachInt(SpaReachInt::build(prep, p))));
+        out.push(named("3dreach", SnapshotIndex::ThreeDReach(ThreeDReach::build(prep, p))));
+        out.push(named("3dreach-rev", SnapshotIndex::ThreeDReachRev(ThreeDReachRev::build(prep, p))));
+    }
+    out.push(("georeach".into(), SnapshotIndex::GeoReach(GeoReach::build(prep))));
+    out.push(("socreach".into(), SnapshotIndex::SocReach(SocReach::build(prep))));
+    out
+}
+
 /// A random geosocial network: arbitrary directed edges (cycles allowed)
 /// with a random subset of spatial vertices.
 pub fn random_network(
@@ -82,28 +99,83 @@ pub fn random_regions(count: usize, seed: u64) -> Vec<gsr_geo::Rect> {
     out
 }
 
-/// Shrinks the MBR of the last leaf of the R-tree stored in a v3 snapshot
-/// (`max` falls below `min` in the last dimension, so the leaf no longer
-/// covers its entries) and recomputes the section's CRC: the file frames and
-/// checksums correctly, only `RTree::from_cols` can tell it is wrong.
-pub fn shrink_last_leaf_mbr(snapshot: &mut [u8]) {
-    const HEADER_LEN: usize = 24;
-    const DIR_ENTRY_LEN: usize = 24;
-    const RT_MBRS: u16 = 0x20;
-    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
-    let sections = u32::from_le_bytes(snapshot[12..16].try_into().unwrap()) as usize;
-    let entry = (0..sections)
-        .map(|i| HEADER_LEN + i * DIR_ENTRY_LEN)
-        .find(|&e| u16::from_le_bytes([snapshot[e], snapshot[e + 1]]) == RT_MBRS)
-        .expect("snapshot holds an R-tree");
-    let dims = snapshot[entry + 2] as usize / 16; // element = min[N] + max[N] f64s
-    let (off, len) = (u64_at(snapshot, entry + 8) as usize, u64_at(snapshot, entry + 16) as usize);
-    let (last_max, last_min) = (off + len - 8, off + len - 8 - dims * 8);
-    let min = f64::from_le_bytes(snapshot[last_min..last_min + 8].try_into().unwrap());
-    snapshot[last_max..last_max + 8].copy_from_slice(&(min - 1.0).to_le_bytes());
-    // CRC-32 (IEEE, reflected), bit at a time.
-    let crc = !snapshot[off..off + len].iter().fold(!0u32, |crc, &b| {
+/// CRC-32 (IEEE, reflected), bit at a time: the checksum of a snapshot's
+/// sections, computed here without the store's code.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0u32, |crc, &b| {
         (0..8).fold(crc ^ b as u32, |c, _| if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 })
-    });
-    snapshot[entry + 4..entry + 8].copy_from_slice(&crc.to_le_bytes());
+    })
+}
+
+/// One section of a snapshot file: tag, element width, payload.
+pub type Section = (u16, u8, Vec<u8>);
+
+const HEADER_LEN: usize = 24;
+const DIR_ENTRY_LEN: usize = 24;
+
+/// The sections of the snapshot `file`, in file order.
+pub fn snapshot_sections(file: &[u8]) -> Vec<Section> {
+    let u64_at = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap()) as usize;
+    let count = u32::from_le_bytes(file[12..16].try_into().unwrap()) as usize;
+    let entries = (0..count).map(|i| HEADER_LEN + i * DIR_ENTRY_LEN);
+    entries
+        .map(|e| {
+            let (off, len) = (u64_at(e + 8), u64_at(e + 16));
+            (u16::from_le_bytes([file[e], file[e + 1]]), file[e + 2], file[off..off + len].to_vec())
+        })
+        .collect()
+}
+
+/// Where [`frame_sections`] puts each payload: at the next 64-byte boundary
+/// after the directory, then after its predecessor.
+pub fn section_offsets(sections: &[Section]) -> Vec<usize> {
+    let mut end = HEADER_LEN + sections.len() * DIR_ENTRY_LEN;
+    let place = |(_, _, payload): &Section| {
+        let off = end.div_ceil(64) * 64;
+        end = off + payload.len();
+        off
+    };
+    sections.iter().map(place).collect()
+}
+
+/// Frames `sections` as a snapshot file of format `version`: header,
+/// directory with every section's true CRC, payloads at 64-byte-aligned
+/// offsets. Whatever is wrong with the result, the framing is not.
+pub fn frame_sections(version: u32, sections: &[Section]) -> Vec<u8> {
+    let offsets = section_offsets(sections);
+    let mut file = b"GSRSNAP\0".to_vec();
+    file.extend_from_slice(&version.to_le_bytes());
+    file.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    let mut ends = offsets.iter().zip(sections).map(|(off, s)| off + s.2.len());
+    let file_len = ends.next_back().unwrap_or(HEADER_LEN);
+    file.extend_from_slice(&(file_len as u64).to_le_bytes());
+    for ((tag, elem, payload), off) in sections.iter().zip(&offsets) {
+        file.extend_from_slice(&tag.to_le_bytes());
+        file.extend_from_slice(&[*elem, 0]);
+        file.extend_from_slice(&crc32(payload).to_le_bytes());
+        file.extend_from_slice(&(*off as u64).to_le_bytes());
+        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    }
+    for ((_, _, payload), off) in sections.iter().zip(&offsets) {
+        file.resize(*off, 0);
+        file.extend_from_slice(payload);
+    }
+    file
+}
+
+/// Shrinks the MBR of the last leaf of the R-tree stored in a snapshot
+/// (`max` falls below `min` in the last dimension, so the leaf no longer
+/// covers its entries) and frames the file anew: it frames and checksums
+/// correctly, only the R-tree's own validation can tell it is wrong.
+pub fn shrink_last_leaf_mbr(snapshot: &mut Vec<u8>) {
+    const RT_MBRS: u16 = 0x20;
+    let mut sections = snapshot_sections(snapshot);
+    let (_, elem, mbrs) =
+        sections.iter_mut().find(|s| s.0 == RT_MBRS).expect("snapshot holds an R-tree");
+    let dims = *elem as usize / 16; // element = min[N] + max[N] f64s
+    let (last_max, last_min) = (mbrs.len() - 8, mbrs.len() - 8 - dims * 8);
+    let min = f64::from_le_bytes(mbrs[last_min..last_min + 8].try_into().unwrap());
+    mbrs[last_max..last_max + 8].copy_from_slice(&(min - 1.0).to_le_bytes());
+    let version = u32::from_le_bytes(snapshot[8..12].try_into().unwrap());
+    *snapshot = frame_sections(version, &sections);
 }

@@ -296,11 +296,11 @@ fn stats_reports_p999_and_reset_zeroes_counters_but_not_the_index() {
         .parse::<u64>()
         .unwrap();
     assert!(index_bytes > 0, "{stats}");
-    // Restart-cost fields: the server was started from a v3 snapshot, so
+    // Restart-cost fields: the server was started from a snapshot, so
     // STATS must carry the load time and wire-format version.
     assert!(stats.contains(" load_ms="), "STATS must report load_ms: {stats}");
     assert!(
-        stats.contains("snapshot_format=3"),
+        stats.contains(&format!("snapshot_format={}", gsr_store::FORMAT_VERSION)),
         "STATS must report the served snapshot's format: {stats}"
     );
 
@@ -322,7 +322,7 @@ fn stats_reports_p999_and_reset_zeroes_counters_but_not_the_index() {
         "RESET must not touch the loaded index: {stats}"
     );
     assert!(
-        stats.contains("snapshot_format=3"),
+        stats.contains(&format!("snapshot_format={}", gsr_store::FORMAT_VERSION)),
         "RESET must not wipe the restart-cost fields: {stats}"
     );
 
@@ -775,7 +775,7 @@ fn reset_keeps_the_cache_where_reload_clears_it() {
     assert_eq!(stat_field(&stats, "reloads"), 1, "{stats}");
     assert_eq!(
         stat_field(&stats, "snapshot_format"),
-        3,
+        gsr_store::FORMAT_VERSION as u64,
         "a successful RELOAD refreshes the restart-cost fields: {stats}"
     );
     let hits_before = stat_field(&stats, "cache_hits");
@@ -904,7 +904,8 @@ fn shutdown_and_join(fx: ServeFixture) {
     assert!(text.contains("server stopped"), "{text}");
     // Startup logging: `serve --load` announces how the snapshot loaded
     // (format, mapping) and its time-to-first-query.
-    assert!(text.contains("loaded ") && text.contains("format v3"), "{text}");
+    let format = format!("format v{}", gsr_store::FORMAT_VERSION);
+    assert!(text.contains("loaded ") && text.contains(&format), "{text}");
     assert!(text.contains("ready to serve in "), "{text}");
     std::fs::remove_dir_all(&fx.dir).ok();
 }

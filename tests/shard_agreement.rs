@@ -9,18 +9,19 @@
 //! rectangle disjoint from every shard MBR answers FALSE with **zero**
 //! probes executed, and the sharing contract: the tiles of one network
 //! hold one `comp_of` and one set of labels, built, saved and loaded, and
-//! the router counts them once.
+//! the router counts every buffer its members count, once.
 
-use gsr_core::methods::ThreeDReach;
+use gsr_core::methods::{GeoReach, SpaReachBfl, SpaReachInt, ThreeDReach};
 use gsr_core::{
-    buffer_id, partition_tiles, prepared_tiles, tile_network, BatchExecutor, BatchQuery,
-    GeosocialNetwork, PreparedNetwork, RangeReachIndex, SccSpatialPolicy, ShardMember,
-    ShardedIndex,
+    partition_tiles, prepared_tiles, tile_network, BatchExecutor, BatchQuery, GeosocialNetwork,
+    PreparedNetwork, RangeReachIndex, SccSpatialPolicy, ShardMember, ShardedIndex,
 };
 use gsr_datagen::faults::ScratchDir;
 use gsr_datagen::NetworkSpec;
 use gsr_geo::Rect;
+use gsr_graph::Column;
 use gsr_store::SnapshotIndex;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -57,20 +58,37 @@ fn build_sharded(
     router_over(build_tiles(prep, shards, policy))
 }
 
-/// The sharing contract on a router: every member reports the same three
-/// buffers (`comp_of`, label offsets, label bytes), and the router's byte
-/// count is those once plus each member's private rest.
-fn assert_members_share(router: &ShardedIndex, context: &str) {
+/// The columns `index` declares.
+fn columns_of(index: &dyn RangeReachIndex) -> Vec<Column<'_>> {
+    index.columns().unwrap_or_else(|| panic!("{} declares its columns", index.name())).cols
+}
+
+/// The sharing contract on a router, read off the members' column lists:
+/// `shared` of the columns a member counts are the same buffer in every
+/// member, the rest are its own, and the router's byte count is each
+/// distinct buffer once.
+fn assert_members_share(router: &ShardedIndex, shared: usize, context: &str) {
+    let counted = |m: &ShardMember| -> Vec<(u16, usize, usize)> {
+        let cols = columns_of(m.index.as_ref());
+        let counted = cols.iter().filter(|c| c.counted && !c.bytes.is_empty());
+        counted.map(|c| (c.tag, c.bytes.as_ptr() as usize, c.bytes.len())).collect()
+    };
     let members = router.members();
-    let shared = members[0].index.shared_buffers();
-    assert_eq!(shared.len(), 3, "{context}");
-    assert!(shared.iter().all(|id| id.1 > 0), "{context}");
-    for m in members {
-        assert_eq!(m.index.shared_buffers(), shared, "{context}: a tile holds its own copy");
+    let first = counted(&members[0]);
+    let mut distinct: HashSet<(u16, usize, usize)> = first.iter().copied().collect();
+    for m in &members[1..] {
+        let held_by_first = counted(m).into_iter().filter(|id| first.contains(id)).count();
+        assert_eq!(held_by_first, shared, "{context}: columns a tile shares with tile 0");
+        distinct.extend(counted(m));
     }
-    let shared_bytes: usize = shared.iter().map(|id| id.1).sum();
-    let private: usize = members.iter().map(|m| m.index.index_bytes() - shared_bytes).sum();
-    assert_eq!(router.index_bytes(), shared_bytes + private, "{context}");
+    // No member has bytes outside a column here but GeoReach, whose
+    // SPA-info term is `index_bytes` less the counted columns.
+    let uncolumned = |m: &ShardMember| {
+        m.index.index_bytes() - counted(m).iter().map(|id| id.2).sum::<usize>()
+    };
+    let once = distinct.iter().map(|id| id.2).sum::<usize>();
+    let extra = members.iter().map(uncolumned).sum::<usize>();
+    assert_eq!(router.index_bytes(), once + extra, "{context}");
 }
 
 /// The query rectangles: per-tile MBRs (fully inside one tile), bands
@@ -142,18 +160,19 @@ fn sharded_answers_match_the_single_index_oracle() {
             let tiles = build_tiles(&prep, shards, policy);
             // Same buffer, not equal contents: the tiles (and the unsharded
             // index over the same network) hold handles to one `comp_of`
-            // and one set of labels.
-            let (comp_of, labels, ..) = oracle.cols();
+            // (section 0x10) and one set of labels (0x50, 0x51).
+            let whole = columns_of(&oracle);
             for (tile, _) in &tiles {
-                let (tile_comp_of, tile_labels, ..) = tile.cols();
-                assert!(std::ptr::eq(tile_comp_of, comp_of), "{policy:?} x{shards}: comp_of");
-                assert!(std::ptr::eq(tile_labels.parts().1, labels.parts().1), "label offsets");
-                assert!(std::ptr::eq(tile_labels.parts().2, labels.parts().2), "label bytes");
-                assert_eq!(tile.shared_buffers()[0], buffer_id(comp_of));
+                for (tile_col, col) in columns_of(tile).iter().zip(&whole) {
+                    let shared = [0x10, 0x50, 0x51].contains(&col.tag);
+                    assert_eq!(tile_col.same_buffer(col), shared, "section 0x{:02x}", col.tag);
+                }
             }
             let sharded = router_over(tiles);
             assert_eq!(sharded.num_shards(), shards);
-            assert_members_share(&sharded, &format!("{policy:?} x{shards}"));
+            if shards > 1 {
+                assert_members_share(&sharded, 3, &format!("{policy:?} x{shards}"));
+            }
             let queries = queries_for(&prep, &boundary_rects(&prep, shards));
             let want = exec.run(&oracle, &queries);
             for (i, (v, r)) in queries.iter().enumerate().step_by(13) {
@@ -208,6 +227,45 @@ fn a_router_over_independent_tiles_reports_the_full_sum() {
     assert!(shared.index_bytes() < sum / 2, "{} vs {sum}", shared.index_bytes());
     for (v, r) in queries_for(&prep, &boundary_rects(&prep, 4)).iter().step_by(17) {
         assert_eq!(shared.query_with_cost(*v, r), independent.query_with_cost(*v, r));
+    }
+}
+
+/// What the tiles of one network share differs by method, and the router's
+/// total is the members' sum less the repeats of exactly the *counted*
+/// shared bytes: the condensation DAG inside every SpaReach-BFL (4 columns),
+/// nothing under SpaReach-INT (each tile labels the DAG itself), `comp_of`
+/// and the DAG in GeoReach (5). `comp_of` is one buffer in all of them, but
+/// SpaReach does not count it — so it is not to be subtracted either.
+#[test]
+fn a_router_counts_what_each_method_shares_once() {
+    let prep = dataset();
+    let dag_bytes = prep.dag().heap_bytes();
+    let comp_of_bytes = 4 * prep.network().num_vertices();
+    type Build = fn(&PreparedNetwork) -> Arc<dyn RangeReachIndex>;
+    let methods: [(&str, Build, usize, usize); 3] = [
+        (
+            "SpaReach-BFL",
+            |p| Arc::new(SpaReachBfl::build(p, SccSpatialPolicy::Replicate)),
+            4,
+            dag_bytes,
+        ),
+        ("SpaReach-INT", |p| Arc::new(SpaReachInt::build(p, SccSpatialPolicy::Replicate)), 0, 0),
+        ("GeoReach", |p| Arc::new(GeoReach::build(p)), 5, dag_bytes + comp_of_bytes),
+    ];
+    for (name, build, shared_columns, shared_bytes) in methods {
+        for shards in [2, 8] {
+            let members: Vec<ShardMember> = prepared_tiles(prep.network(), shards)
+                .map(|(tile_prep, mbr)| ShardMember { index: build(&tile_prep), mbr })
+                .collect();
+            let sum: usize = members.iter().map(|m| m.index.index_bytes()).sum();
+            let router = ShardedIndex::new(members).expect("assemble sharded index");
+            assert_eq!(
+                router.index_bytes(),
+                sum - (shards - 1) * shared_bytes,
+                "{name} x{shards}: {sum} B in the members, {shared_bytes} B of it shared"
+            );
+            assert_members_share(&router, shared_columns, &format!("{name} x{shards}"));
+        }
     }
 }
 
@@ -267,10 +325,12 @@ fn sharded_snapshot_round_trips_through_the_store() {
             let (loaded, info) =
                 gsr_store::shard::load_sharded_from_path_with(&dir, gsr_store::LoadOptions::default())
                     .expect("load sharded");
-            assert_eq!(info.format, 3);
+            assert_eq!(info.format, gsr_store::FORMAT_VERSION);
             assert_eq!(loaded.num_shards(), shards);
             // Shared again after the load: one mapping, N views.
-            assert_members_share(&loaded, &format!("loaded {policy:?} x{shards}"));
+            if shards > 1 {
+                assert_members_share(&loaded, 3, &format!("loaded {policy:?} x{shards}"));
+            }
 
             let built = router_over(
                 built
@@ -301,6 +361,6 @@ fn sharded_snapshot_round_trips_through_the_store() {
     let (served, info) =
         gsr_store::load_served_index(&dir, gsr_store::LoadOptions { trust: false })
             .expect("load sharded");
-    assert_eq!(info.format, 3);
+    assert_eq!(info.format, gsr_store::FORMAT_VERSION);
     assert_eq!(served.shard_stats().expect("a router").shards, 4);
 }

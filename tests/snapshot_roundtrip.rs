@@ -163,7 +163,7 @@ fn io_faults_mid_stream_are_typed_load_errors() {
     }
 }
 
-/// Saving a loaded index must reproduce the exact v3 byte stream: the
+/// Saving a loaded index must reproduce the exact byte stream: the
 /// compact layouts (columnar R-tree arenas, delta-compressed labels) are
 /// canonical and the section directory is deterministic, so
 /// save → load → save is the identity on bytes for every method.
@@ -176,12 +176,42 @@ fn resaving_a_loaded_snapshot_is_byte_identical() {
         let loaded = gsr_store::load(&mut bytes.as_slice()).expect("load");
         let mut again = Vec::new();
         gsr_store::save(&mut again, &loaded).expect("re-save");
-        assert_eq!(bytes, again, "{}: v3 snapshot is not canonical", original.name());
+        assert_eq!(bytes, again, "{}: snapshot is not canonical", original.name());
     }
 }
 
+/// The written bytes are the format: the CRC-32 of every method's whole
+/// snapshot of one fixed network, under both SCC policies, is pinned here.
+/// A change to what is written — a column, a scalar, their order, the
+/// framing — changes a hash, and is a bump of `FORMAT_VERSION`; a change
+/// that only moves code leaves all ten alone.
+#[test]
+fn golden_snapshot_hashes() {
+    const GOLDEN: [(&str, usize, u32); 10] = [
+        ("spareach-bfl", 129632, 0x6A3E99E1),
+        ("spareach-int", 65944, 0x3F9830CD),
+        ("3dreach", 42624, 0x22ECF743),
+        ("3dreach-rev", 73920, 0xAA9502B6),
+        ("spareach-bfl (MBR)", 129632, 0xEE2CE50C),
+        ("spareach-int (MBR)", 65944, 0x1F0FBCD5),
+        ("3dreach (MBR)", 62048, 0xD861FC51),
+        ("3dreach-rev (MBR)", 93344, 0x185DB8C1),
+        ("georeach", 54368, 0xD09ABEA3),
+        ("socreach", 27872, 0x706B0453),
+    ];
+    let hashed = |(name, index): &(String, SnapshotIndex)| {
+        let mut bytes = Vec::new();
+        gsr_store::save(&mut bytes, index).expect("save");
+        (name.clone(), bytes.len(), format!("0x{:08X}", gsr_tests::crc32(&bytes)))
+    };
+    let got: Vec<_> = gsr_tests::all_snapshots(&generated_prep()).iter().map(hashed).collect();
+    let want: Vec<_> =
+        GOLDEN.iter().map(|&(n, len, crc)| (n.to_string(), len, format!("0x{crc:08X}"))).collect();
+    assert_eq!(got, want, "written bytes changed: bump FORMAT_VERSION, then these");
+}
+
 /// The in-memory load path must not care where the caller's bytes live:
-/// a v3 stream read from a misaligned source buffer is realigned into the
+/// a stream read from a misaligned source buffer is realigned into the
 /// owned arena and loads identically.
 #[test]
 fn misaligned_source_buffers_load_identically() {
@@ -284,11 +314,11 @@ fn v1_snapshots_are_rejected_with_a_typed_version_error() {
     for original in snapshots(&prep) {
         let mut bytes = Vec::new();
         gsr_store::save(&mut bytes, &original).expect("save");
-        assert_eq!(&bytes[8..12], &3u32.to_le_bytes(), "header must carry version 3");
+        assert_eq!(&bytes[8..12], &gsr_store::FORMAT_VERSION.to_le_bytes(), "header version");
 
         for retired in [1u32, 2] {
             // Same magic, retired version field. The loader must stop at
-            // the header: the retired payloads are not parseable as v3
+            // the header: the retired payloads are not parseable as
             // sections, so anything past the version check would be
             // garbage-in.
             let mut old = bytes.clone();
