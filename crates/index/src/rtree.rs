@@ -12,13 +12,14 @@
 //! Nodes are numbered breadth-first from the root (id 0): all inner nodes
 //! come before all leaves, parents before children, the children of any
 //! node are consecutive ids and all leaves sit at one depth. Instead of
-//! per-node allocations the tree keeps six flat arrays:
+//! per-node allocations the tree keeps flat arrays:
 //!
 //! * `mbrs[id]` — every node's MBR, contiguous so a traversal that filters
 //!   children scans coordinates cache-linearly;
-//! * `child_start` / `children` — CSR adjacency of the inner nodes; under
-//!   the breadth-first numbering `children[k] == k + 1`, so node `i`'s
-//!   children are the ids `child_start[i] + 1 ..= child_start[i + 1]`;
+//! * `child_start` — CSR offsets of the inner nodes' child lists. The
+//!   lists themselves are not stored: under the breadth-first numbering
+//!   the `k`-th child reference is node `k + 1`, so node `i`'s children
+//!   are the ids `child_start[i] + 1 ..= child_start[i + 1]`;
 //! * `entry_start` — CSR offsets of the leaves into the entry columns;
 //! * entry coordinates in column-major order (one column per dimension and
 //!   bound), with per-dimension *degenerate compression*: when every entry
@@ -186,7 +187,6 @@ pub struct RTree<const N: usize, T> {
     num_inner: usize,
     mbrs: Col<Aabb<N>>,
     child_start: Col<u32>,
-    children: Col<u32>,
     entry_start: Col<u32>,
     entries: EntryStore<N>,
     values: Col<T>,
@@ -214,7 +214,6 @@ impl<const N: usize, T> RTree<N, T> {
             mbrs: vec![Aabb::empty()].into(),
             child_start: vec![0].into(),
             entry_start: vec![0, 0].into(),
-            children: Col::default(),
             entries: EntryStore::from_entries::<T>(&[]),
             values: Col::default(),
         }
@@ -277,7 +276,8 @@ impl<const N: usize, T> RTree<N, T> {
         // Breadth-first numbering, root (the single top group) first: the
         // BFS order of each level is the concatenation of the child runs of
         // the level above in its own BFS order, so node ids, MBRs and the
-        // child CSR (`children[k] == k + 1`) fall out of one top-down pass.
+        // child CSR (child reference `k` is node `k + 1`) fall out of one
+        // top-down pass.
         let num_nodes: usize = level_mbrs.iter().map(Vec::len).sum();
         let num_inner = num_nodes - level_mbrs[0].len();
         let mut mbrs = Vec::with_capacity(num_nodes);
@@ -330,7 +330,6 @@ impl<const N: usize, T> RTree<N, T> {
             num_inner,
             mbrs: mbrs.into(),
             child_start: child_start.into(),
-            children: (1..num_nodes as u32).collect::<Vec<_>>().into(),
             entry_start: entry_start.into(),
             entries: columns,
             values: values.into(),
@@ -368,7 +367,7 @@ impl<const N: usize, T> RTree<N, T> {
         self.num_inner
     }
 
-    /// Child ids of inner node `id` (`children[k] == k + 1`).
+    /// Child ids of inner node `id` (child reference `k` is node `k + 1`).
     #[inline]
     fn child_ids(&self, id: usize) -> Range<usize> {
         self.child_start[id] as usize + 1..self.child_start[id + 1] as usize + 1
@@ -571,7 +570,6 @@ impl<const N: usize, T> RTree<N, T> {
         out.meta.u64(self.params.min_entries as u64);
         out.col(tag::MBRS, &self.mbrs, true);
         out.col(tag::CHILD_START, &self.child_start, true);
-        out.col(tag::CHILDREN, &self.children, true);
         out.col(tag::ENTRY_START, &self.entry_start, true);
         values(out, &self.values);
         for d in 0..N {
@@ -600,8 +598,9 @@ impl<const N: usize, T> RTree<N, T> {
     /// What [`Columns::load`] demands of untrusted columns, on a tree whose
     /// offset arrays are non-empty: the arrays must describe a proper
     /// breadth-first tree — monotone CSR offsets, no childless inner node,
-    /// `children[k] == k + 1` (every non-root node referenced exactly once,
-    /// by a smaller id: no cycles), all leaves at one depth, coordinate
+    /// one child reference per non-root node (so that reference `k` is node
+    /// `k + 1`: each referenced exactly once, by a smaller id — no cycles),
+    /// all leaves at one depth, coordinate
     /// columns parallel to the payloads, proper entry boxes (`lo <= hi`, no
     /// NaN), every inner node's MBR covering its children's and every
     /// leaf's MBR being exactly its entries' — so that no traversal can
@@ -612,7 +611,7 @@ impl<const N: usize, T> RTree<N, T> {
     /// tree of points. Violations are reported as `Err(String)`; the checks
     /// are `O(nodes + entries)`.
     fn validate(&self) -> Result<(), String> {
-        let RTree { num_inner, mbrs, child_start, children, entry_start, entries, .. } = self;
+        let RTree { num_inner, mbrs, child_start, entry_start, entries, .. } = self;
         let (num_inner, num_leaves) = (*num_inner, entry_start.len() - 1);
         let num_nodes = num_inner + num_leaves;
         if mbrs.len() != num_nodes {
@@ -622,7 +621,7 @@ impl<const N: usize, T> RTree<N, T> {
             ));
         }
         for (name, offsets, total) in [
-            ("child", &child_start[..], children.len()),
+            ("child", &child_start[..], num_nodes - 1),
             ("entry", &entry_start[..], self.len),
         ] {
             if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
@@ -637,15 +636,6 @@ impl<const N: usize, T> RTree<N, T> {
         }
         if child_start.windows(2).any(|w| w[0] == w[1]) {
             return Err("rtree: an inner node has no children".into());
-        }
-        if children.len() != num_nodes - 1
-            || children.iter().enumerate().any(|(k, &c)| c as usize != k + 1)
-        {
-            return Err(format!(
-                "rtree: {} child ids for {num_nodes} nodes, or not breadth-first \
-                 (children[k] must be k + 1)",
-                children.len()
-            ));
         }
         // Level by level from the root: a level holding both inner nodes
         // and leaves would put leaves at two depths.
@@ -724,7 +714,6 @@ impl<const N: usize, T> HeapBytes for RTree<N, T> {
 mod tag {
     pub const MBRS: u16 = 0x20;
     pub const CHILD_START: u16 = 0x21;
-    pub const CHILDREN: u16 = 0x22;
     pub const ENTRY_START: u16 = 0x23;
     pub const VALUES: u16 = 0x24;
     pub const ENTRY_LO: u16 = 0x30;
@@ -743,7 +732,6 @@ impl<const N: usize, T: Pod> Columns for RTree<N, T> {
         let params = RTreeParams { max_entries: src.usize()?, min_entries: src.usize()? };
         let mbrs = src.col(tag::MBRS, "rtree-mbrs")?;
         let child_start: Col<u32> = src.col(tag::CHILD_START, "rtree-child-start")?;
-        let children = src.col(tag::CHILDREN, "rtree-children")?;
         let entry_start: Col<u32> = src.col(tag::ENTRY_START, "rtree-entry-start")?;
         let values: Col<T> = src.col(tag::VALUES, "rtree-values")?;
         let mut lo = Vec::with_capacity(N);
@@ -761,7 +749,6 @@ impl<const N: usize, T: Pod> Columns for RTree<N, T> {
             num_inner: child_start.len() - 1,
             mbrs,
             child_start,
-            children,
             entry_start,
             entries: EntryStore {
                 lo: lo.try_into().unwrap_or_else(|_| unreachable!("lo has exactly N columns")),
@@ -1274,18 +1261,11 @@ mod tests {
         let good = || t.clone();
         assert!(good().validate().is_ok());
 
-        // Child id out of range.
+        // Child offsets that reference a node twice, or none at all: not one
+        // reference per non-root node.
         let mut bad = good();
-        bad.children = edited(&bad.children, |c| c[0] = 10_000);
-        assert!(bad.validate().is_err());
-        // Child id not greater than its parent (cycle-shaped).
-        let mut bad = good();
-        bad.children = edited(&bad.children, |c| c[0] = 0);
-        assert!(bad.validate().is_err());
-        // A node referenced twice.
-        let mut bad = good();
-        bad.children = edited(&bad.children, |c| c[1] = c[0]);
-        assert!(bad.validate().is_err());
+        bad.child_start = edited(&bad.child_start, |c| *c.last_mut().unwrap() += 1);
+        assert!(bad.validate().unwrap_err().contains("child offsets claim"));
         // Non-monotone child offsets.
         let mut bad = good();
         bad.child_start = edited(&bad.child_start, |c| c[1] = u32::MAX);
@@ -1305,16 +1285,11 @@ mod tests {
         assert!(bad.validate().is_err());
         // Multiple leaves without an inner root.
         let mut bad = good();
-        (bad.child_start, bad.children, bad.num_inner) = (vec![0].into(), Col::default(), 0);
+        (bad.child_start, bad.num_inner) = (vec![0].into(), 0);
         assert!(bad.validate().is_err());
 
-        // The checks the run derivation of `runs` rests on. A children
-        // column that is a permutation (each node still referenced once, by
-        // a smaller id) but not the breadth-first identity:
-        let mut bad = good();
-        bad.children = edited(&bad.children, |c| c.swap(0, 1));
-        assert!(bad.validate().unwrap_err().contains("breadth-first"));
-        // Leaves at two depths: node 2 is a leaf below the root, nodes 3
+        // The checks the run derivation of `runs` rests on. Leaves at two
+        // depths: node 2 is a leaf below the root, nodes 3
         // and 4 are leaves below inner node 1.
         let coords = || Col::from(vec![2.0, 0.0, 1.0]);
         let two_depths = RTree {
@@ -1330,7 +1305,6 @@ mod tests {
             ]
             .into(),
             child_start: vec![0, 2, 4].into(),
-            children: vec![1, 2, 3, 4].into(),
             entry_start: vec![0, 1, 2, 3].into(),
             entries: EntryStore { lo: [coords(), coords()], hi: [None, None] },
             values: vec![0usize, 1, 2].into(),

@@ -30,7 +30,6 @@ fn linear_scan<const N: usize>(entries: &[(Aabb<N>, usize)], region: &Aabb<N>) -
 mod tag {
     pub const MBRS: u16 = 0x20;
     pub const CHILD_START: u16 = 0x21;
-    pub const CHILDREN: u16 = 0x22;
     pub const ENTRY_START: u16 = 0x23;
     pub const VALUES: u16 = 0x24;
     pub const ENTRY_LO: u16 = 0x30;
@@ -44,7 +43,6 @@ fn per_entry_scan<const N: usize>(tree: &RTree<N, u32>, region: &Aabb<N>) -> Vec
     let mut cols = MemSource::new(ColumnList::of(tree));
     let mbrs: Col<Aabb<N>> = cols.col(tag::MBRS, "mbrs").unwrap();
     let child_start: Col<u32> = cols.col(tag::CHILD_START, "child-start").unwrap();
-    let children: Col<u32> = cols.col(tag::CHILDREN, "children").unwrap();
     let entry_start: Col<u32> = cols.col(tag::ENTRY_START, "entry-start").unwrap();
     let entry_lo: [Col<f64>; N] =
         std::array::from_fn(|d| cols.col(tag::ENTRY_LO + d as u16, "entry-lo").unwrap());
@@ -59,8 +57,8 @@ fn per_entry_scan<const N: usize>(tree: &RTree<N, u32>, region: &Aabb<N>) -> Vec
     while let Some(id) = stack.pop() {
         let id = id as usize;
         if id < num_inner {
-            let list = child_start[id] as usize..child_start[id + 1] as usize;
-            for &child in &children[list] {
+            // Child reference `k` is node `k + 1`.
+            for child in child_start[id] + 1..=child_start[id + 1] {
                 if mbrs[child as usize].intersects(region) {
                     stack.push(child);
                 }
@@ -267,7 +265,6 @@ fn oracle_tree<const N: usize>(
         entry_start.push(entry_start[entry_start.len() - 1] + leaves[g as usize].len() as u32);
     }
     let flat = |d: usize| ordered.iter().all(|(b, _)| b.min[d].to_bits() == b.max[d].to_bits());
-    let children: Vec<u32> = (1..mbrs.len() as u32).collect();
     let values: Vec<u32> = ordered.iter().map(|&&(_, v)| v).collect();
     let lo: [Vec<f64>; N] = std::array::from_fn(|d| ordered.iter().map(|(b, _)| b.min[d]).collect());
     let hi: [Vec<f64>; N] = std::array::from_fn(|d| ordered.iter().map(|(b, _)| b.max[d]).collect());
@@ -276,7 +273,6 @@ fn oracle_tree<const N: usize>(
     list.meta.u64(params.min_entries as u64);
     list.col(tag::MBRS, &mbrs, true);
     list.col(tag::CHILD_START, &child_start, true);
-    list.col(tag::CHILDREN, &children, true);
     list.col(tag::ENTRY_START, &entry_start, true);
     list.col(tag::VALUES, &values, true);
     for d in 0..N {

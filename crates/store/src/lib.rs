@@ -80,8 +80,13 @@ pub const MAGIC: [u8; 8] = *b"GSRSNAP\0";
 ///   version error.
 /// * **3** — zero-copy section layout: a checksummed directory followed by
 ///   the raw arena columns at 64-byte-aligned offsets, loadable by
-///   memory-mapping the file with no deserialization.
-pub const FORMAT_VERSION: u32 = 3;
+///   memory-mapping the file with no deserialization. Retired like 1 and 2.
+/// * **4** — the same framing; the R-tree no longer stores its `children`
+///   column (section `0x22`), the identity `k + 1` under the breadth-first
+///   node numbering. Which columns a file holds is declared by the index
+///   structures (`gsr_graph::Columns`), so this was a change to the R-tree
+///   and to this number.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// A built index of any of the six methods, as saved to / loaded from a
 /// snapshot. Implements [`RangeReachIndex`] by delegation, so a loaded
@@ -436,11 +441,15 @@ mod tests {
             other => panic!("expected Load error, got {other:?}"),
         }
 
-        let mut wrong_version = bytes.clone();
-        wrong_version[8] = 0xFF;
-        match load(&mut wrong_version.as_slice()) {
-            Err(GsrError::Load(msg)) => assert!(msg.contains("version"), "{msg}"),
-            other => panic!("expected Load error, got {other:?}"),
+        // The retired versions and one from the future, by number.
+        for version in [1u32, 2, 3, 99] {
+            let mut wrong_version = bytes.clone();
+            wrong_version[8..12].copy_from_slice(&version.to_le_bytes());
+            let named = format!("unsupported format version {version} ");
+            match load(&mut wrong_version.as_slice()) {
+                Err(GsrError::Load(msg)) => assert!(msg.contains(&named), "{msg}"),
+                other => panic!("expected Load error, got {other:?}"),
+            }
         }
 
         let mut trailing = bytes.clone();

@@ -500,6 +500,12 @@ mod tests {
             std::fs::write(&shared, &flipped).unwrap();
             expect_load_error(dir, opts, if opts.trust { "compact labels" } else { "crc mismatch" });
 
+            // A file of the set written in a retired format.
+            let mut v3 = pristine.clone();
+            v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+            std::fs::write(&shared, &v3).unwrap();
+            expect_load_error(dir, opts, "unsupported format version 3 ");
+
             std::fs::remove_file(&shared).unwrap();
             expect_load_error(dir, opts, &manifest.shared);
             std::fs::write(&shared, &pristine).unwrap();

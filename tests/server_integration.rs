@@ -718,18 +718,22 @@ fn reset_keeps_the_cache_where_reload_clears_it() {
     assert!(read_line(&mut reader).starts_with("ERR 3 "), "missing snapshot is a load error");
     assert_eq!(read_line(&mut reader), first, "old index keeps serving after a failed RELOAD");
 
-    // So is a file in a retired format: a version-2 header is refused at
-    // the prefix, by number.
-    let retired_path = fx.dir.join("retired.v2.snap");
-    let mut retired = std::fs::read(&snap_path).unwrap();
-    retired[8..12].copy_from_slice(&2u32.to_le_bytes());
-    std::fs::write(&retired_path, &retired).unwrap();
-    stream
-        .write_all(format!("RELOAD {}\nREACH 0 0 0 1 1\n", retired_path.display()).as_bytes())
-        .unwrap();
-    let refused = read_line(&mut reader);
-    assert!(refused.starts_with("ERR 3 ") && refused.contains("version 2 "), "{refused}");
-    assert_eq!(read_line(&mut reader), first, "old index keeps serving after a refused RELOAD");
+    // So is a file in a retired format (or one from the future): a header
+    // of any version but the current one is refused at the prefix, by
+    // number.
+    for version in [1u32, 2, 3, 99] {
+        let retired_path = fx.dir.join(format!("retired.v{version}.snap"));
+        let mut retired = std::fs::read(&snap_path).unwrap();
+        retired[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&retired_path, &retired).unwrap();
+        stream
+            .write_all(format!("RELOAD {}\nREACH 0 0 0 1 1\n", retired_path.display()).as_bytes())
+            .unwrap();
+        let refused = read_line(&mut reader);
+        let named = refused.contains(&format!("unsupported format version {version} "));
+        assert!(refused.starts_with("ERR 3 ") && named, "{refused}");
+        assert_eq!(read_line(&mut reader), first, "old index keeps serving after a refused RELOAD");
+    }
 
     // So is a well-framed snapshot (valid CRCs) whose R-tree has a leaf MBR
     // that no longer covers its entries: the arena checks refuse it.

@@ -188,16 +188,16 @@ fn resaving_a_loaded_snapshot_is_byte_identical() {
 #[test]
 fn golden_snapshot_hashes() {
     const GOLDEN: [(&str, usize, u32); 10] = [
-        ("spareach-bfl", 129632, 0x6A3E99E1),
-        ("spareach-int", 65944, 0x3F9830CD),
-        ("3dreach", 42624, 0x22ECF743),
-        ("3dreach-rev", 73920, 0xAA9502B6),
-        ("spareach-bfl (MBR)", 129632, 0xEE2CE50C),
-        ("spareach-int (MBR)", 65944, 0x1F0FBCD5),
-        ("3dreach (MBR)", 62048, 0xD861FC51),
-        ("3dreach-rev (MBR)", 93344, 0x185DB8C1),
-        ("georeach", 54368, 0xD09ABEA3),
-        ("socreach", 27872, 0x706B0453),
+        ("spareach-bfl", 129312, 0x8CE2E2CC),
+        ("spareach-int", 65624, 0xC6F0DF3F),
+        ("3dreach", 42304, 0xB740357E),
+        ("3dreach-rev", 73408, 0x48CDBCDD),
+        ("spareach-bfl (MBR)", 129312, 0xC6941871),
+        ("spareach-int (MBR)", 65624, 0x5BDD1CF5),
+        ("3dreach (MBR)", 61728, 0xF77DA630),
+        ("3dreach-rev (MBR)", 92832, 0xBE0AD6DD),
+        ("georeach", 54368, 0x1C5650A3),
+        ("socreach", 27872, 0x51C159B8),
     ];
     let hashed = |(name, index): &(String, SnapshotIndex)| {
         let mut bytes = Vec::new();
@@ -303,10 +303,11 @@ fn a_shrunk_leaf_mbr_is_a_typed_load_error_even_when_trusted() {
     }
 }
 
-/// The retired formats — v1 (pointer-node R-trees, uncompressed labels)
-/// and v2 (framed streaming sections) — carry their version in the header;
-/// both load entry points must reject them with a typed version error
-/// naming it, not misparse the payload or panic.
+/// The retired formats — v1 (pointer-node R-trees, uncompressed labels),
+/// v2 (framed streaming sections) and v3 (this framing, with the R-tree's
+/// `children` section) — carry their version in the header; both load
+/// entry points must reject them with a typed version error naming it, not
+/// misparse the payload or panic.
 #[test]
 fn v1_snapshots_are_rejected_with_a_typed_version_error() {
     let prep = PreparedNetwork::new(NetworkSpec::yelp(0.02).generate());
@@ -316,7 +317,7 @@ fn v1_snapshots_are_rejected_with_a_typed_version_error() {
         gsr_store::save(&mut bytes, &original).expect("save");
         assert_eq!(&bytes[8..12], &gsr_store::FORMAT_VERSION.to_le_bytes(), "header version");
 
-        for retired in [1u32, 2] {
+        for retired in [1u32, 2, 3] {
             // Same magic, retired version field. The loader must stop at
             // the header: the retired payloads are not parseable as
             // sections, so anything past the version check would be
