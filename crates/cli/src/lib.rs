@@ -740,7 +740,8 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
                 ));
                 datasets.push((name.clone(), index));
             }
-            let load_ms = started.elapsed().as_millis().min(u64::MAX as u128) as u64;
+            let load = started.elapsed();
+            let load_ms = load.as_secs_f64() * 1e3;
             let config = gsr_server::ServerConfig {
                 threads,
                 budget: budget_ms.map(Duration::from_millis),
@@ -755,9 +756,9 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
             };
             let server = gsr_server::QueryServer::bind_many(("127.0.0.1", port), datasets, config)
                 .map_err(|e| Box::new(e) as Box<dyn std::error::Error>)?;
-            server.stats().record_load(load_ms, first_format);
+            server.stats().record_load(load, first_format);
             for line in &load_lines {
-                writeln!(out, "{line} in {load_ms} ms")?;
+                writeln!(out, "{line} in {load_ms:.3} ms")?;
             }
             // Printed (and flushed) before blocking so `--port 0` callers
             // can read the OS-assigned port. Everything above already
@@ -766,8 +767,8 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
             writeln!(out, "listening on {}", server.local_addr())?;
             writeln!(
                 out,
-                "ready to serve in {} ms (snapshot load {load_ms} ms)",
-                started.elapsed().as_millis()
+                "ready to serve in {:.3} ms (snapshot load {load_ms:.3} ms)",
+                started.elapsed().as_secs_f64() * 1e3
             )?;
             out.flush()?;
             server.run()?;

@@ -255,6 +255,10 @@ pub trait Columns: Sized {
     fn load<S: Source>(src: &mut S) -> Result<Self, String>;
 }
 
+/// A claimed section: the region it lies in, its byte offset and its byte
+/// length.
+pub type Section<'a, O> = (&'a Arc<O>, usize, usize);
+
 /// Where [`Columns::load`] reads from: a scalar stream and tagged sections
 /// of some region that [`Col`]s can view.
 pub trait Source {
@@ -264,9 +268,10 @@ pub trait Source {
     /// The next `n` bytes of the scalar stream.
     fn scalars(&mut self, n: usize) -> Result<&[u8], String>;
 
-    /// Claims section `tag`: its region, byte offset and byte length.
-    /// `None` when there is no such section or it was claimed before.
-    fn claim(&mut self, tag: u16) -> Option<(&Arc<Self::Owner>, usize, usize)>;
+    /// Claims section `tag`. `None` when there is no such section or it was
+    /// claimed before; an error when the source can tell that the section's
+    /// bytes are not the ones that were written.
+    fn claim(&mut self, tag: u16) -> Result<Option<Section<'_, Self::Owner>>, String>;
 
     /// Runs `check`, the validation of sections `tags` as they read under
     /// the scalar `key`. A source serving the same sections to several
@@ -304,7 +309,7 @@ pub trait Source {
     /// Claims section `tag` and views it as a typed column borrowing its
     /// region; `None` when the section is absent.
     fn col_opt<T: Pod>(&mut self, tag: u16, what: &str) -> Result<Option<Col<T>>, String> {
-        let Some((owner, start, len)) = self.claim(tag) else { return Ok(None) };
+        let Some((owner, start, len)) = self.claim(tag)? else { return Ok(None) };
         let elem = std::mem::size_of::<T>();
         if len % elem != 0 {
             return Err(format!(
@@ -365,9 +370,11 @@ impl Source for MemSource {
         Ok(bytes)
     }
 
-    fn claim(&mut self, tag: u16) -> Option<(&Arc<Vec<u64>>, usize, usize)> {
-        let (_, region, len, claimed) = self.sections.iter_mut().find(|s| s.0 == tag)?;
-        (!std::mem::replace(claimed, true)).then_some((&*region, 0, *len))
+    fn claim(&mut self, tag: u16) -> Result<Option<Section<'_, Vec<u64>>>, String> {
+        let section = self.sections.iter_mut().find(|s| s.0 == tag);
+        Ok(section.and_then(|(_, region, len, claimed)| {
+            (!std::mem::replace(claimed, true)).then_some((&*region, 0, *len))
+        }))
     }
 }
 

@@ -790,9 +790,10 @@ impl QueryServer {
                     replies.push_str("OK reset\n");
                 }
                 Ok(Request::Reload(path)) => match self.reload(conn.dataset, &path) {
-                    Ok((index_bytes, load_ms)) => {
+                    Ok((index_bytes, load)) => {
                         replies.push_str(&format!(
-                            "OK reload index_bytes={index_bytes} load_ms={load_ms}\n"
+                            "OK reload index_bytes={index_bytes} load_ms={:.3}\n",
+                            load.as_secs_f64() * 1e3
                         ));
                     }
                     Err(e) => {
@@ -836,7 +837,7 @@ impl QueryServer {
     /// serving. Returns the new index's heap footprint and the wall-clock
     /// load time (which, with the mmap path, is the restart cost a
     /// replica would pay).
-    fn reload(&self, dataset: usize, path: &str) -> Result<(u64, u64), GsrError> {
+    fn reload(&self, dataset: usize, path: &str) -> Result<(u64, Duration), GsrError> {
         let owned = path.to_string();
         let trust = self.config.trust_snapshot;
         let started = Instant::now();
@@ -848,7 +849,7 @@ impl QueryServer {
             .map_err(|e| GsrError::Internal(format!("reload: spawn loader: {e}")))?
             .join()
             .map_err(|_| GsrError::Internal("reload: snapshot loader panicked".into()))??;
-        let load_ms = started.elapsed().as_millis().min(u64::MAX as u128) as u64;
+        let load = started.elapsed();
         let index_bytes = fresh.index_bytes() as u64;
         let epoch = self.epoch_alloc.fetch_add(1, Ordering::Relaxed);
         {
@@ -864,8 +865,8 @@ impl QueryServer {
             }
         }
         self.stats.record_reload();
-        self.stats.record_load(load_ms, info.format);
-        Ok((index_bytes, load_ms))
+        self.stats.record_load(load, info.format);
+        Ok((index_bytes, load))
     }
 
     /// Evaluates the accumulated `REACH` batch and appends one reply line

@@ -18,7 +18,7 @@ pub struct ServerStats {
     rejected: AtomicU64,
     accept_errors: AtomicU64,
     reloads: AtomicU64,
-    load_ms: AtomicU64,
+    load_us: AtomicU64,
     snapshot_format: AtomicU64,
     hist: LatencyHistogram,
 }
@@ -68,12 +68,13 @@ impl ServerStats {
     }
 
     /// Records how the served snapshot was (last) loaded: wall-clock load
-    /// time in milliseconds and the snapshot wire-format version (0 when
+    /// time (kept to the microsecond — a mapped load takes a few
+    /// milliseconds) and the snapshot wire-format version (0 when
     /// the index was built in-process rather than loaded). Set at startup
     /// and on every successful `RELOAD`; `RESET` leaves it alone — restart
     /// cost is a property of the serving index, not of the traffic window.
-    pub fn record_load(&self, load_ms: u64, snapshot_format: u32) {
-        self.load_ms.store(load_ms, Ordering::Relaxed);
+    pub fn record_load(&self, load: std::time::Duration, snapshot_format: u32) {
+        self.load_us.store(load.as_micros().min(u64::MAX as u128) as u64, Ordering::Relaxed);
         self.snapshot_format.store(snapshot_format as u64, Ordering::Relaxed);
     }
 
@@ -108,7 +109,7 @@ impl ServerStats {
             accept_errors: self.accept_errors.load(Ordering::Relaxed),
             reloads: self.reloads.load(Ordering::Relaxed),
             live: 0,
-            load_ms: self.load_ms.load(Ordering::Relaxed),
+            load_us: self.load_us.load(Ordering::Relaxed),
             snapshot_format: self.snapshot_format.load(Ordering::Relaxed) as u32,
             shards: 0,
             probes: 0,
@@ -150,10 +151,10 @@ pub struct StatsSnapshot {
     /// gauge, not a counter; `RESET` does not touch it. Filled in by the
     /// server, which owns the admission count.
     pub live: u64,
-    /// Wall-clock milliseconds the serving index took to load (startup or
-    /// last `RELOAD`); 0 when it was built in-process. `RESET` does not
-    /// touch it.
-    pub load_ms: u64,
+    /// Wall-clock microseconds the serving index took to load (startup or
+    /// last `RELOAD`), printed as fractional `load_ms=`; 0 when it was built
+    /// in-process. `RESET` does not touch it.
+    pub load_us: u64,
     /// Snapshot wire-format version the serving index was loaded from
     /// (2 = streaming decode, 3 = zero-copy mmap); 0 when built
     /// in-process. `RESET` does not touch it.
@@ -179,7 +180,7 @@ impl std::fmt::Display for StatsSnapshot {
             "queries={} errors={} p50_us={} p99_us={} p999_us={} index_bytes={} \
              cache_hits={} cache_misses={} cache_evictions={} \
              shed={} rejected={} accept_errors={} reloads={} live={} \
-             load_ms={} snapshot_format={} shards={} probes={} pruned={}",
+             load_ms={:.3} snapshot_format={} shards={} probes={} pruned={}",
             self.queries,
             self.errors,
             self.p50_us,
@@ -194,7 +195,7 @@ impl std::fmt::Display for StatsSnapshot {
             self.accept_errors,
             self.reloads,
             self.live,
-            self.load_ms,
+            self.load_us as f64 / 1e3,
             self.snapshot_format,
             self.shards,
             self.probes,
@@ -237,7 +238,7 @@ mod tests {
         s.record_rejected();
         s.record_accept_error();
         s.record_reload();
-        s.record_load(7, 3);
+        s.record_load(std::time::Duration::from_micros(7_250), 3);
         let snap = s.snapshot();
         assert_eq!(snap.queries, 2);
         assert_eq!(snap.errors, 2);
@@ -246,7 +247,7 @@ mod tests {
             "queries=2 errors=2 p50_us=15 p99_us=15 p999_us=15 index_bytes=0 \
              cache_hits=0 cache_misses=0 cache_evictions=0 \
              shed=2 rejected=1 accept_errors=1 reloads=1 live=0 \
-             load_ms=7 snapshot_format=3 shards=0 probes=0 pruned=0"
+             load_ms=7.250 snapshot_format=3 shards=0 probes=0 pruned=0"
         );
     }
 
@@ -260,7 +261,7 @@ mod tests {
         s.record_rejected();
         s.record_accept_error();
         s.record_reload();
-        s.record_load(12, 3);
+        s.record_load(std::time::Duration::from_micros(12_004), 3);
         s.reset();
         let snap = s.snapshot();
         assert_eq!(snap.queries, 0);
@@ -273,7 +274,7 @@ mod tests {
         assert_eq!(snap.reloads, 0);
         // Restart cost describes the serving index, not the traffic
         // window: RESET must not wipe it.
-        assert_eq!(snap.load_ms, 12);
+        assert_eq!(snap.load_us, 12_004);
         assert_eq!(snap.snapshot_format, 3);
     }
 }

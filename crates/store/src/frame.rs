@@ -24,23 +24,26 @@
 //! then insists that every section was claimed and every scalar read.
 //!
 //! The loader validates the directory structurally (alignment, ordering,
-//! bounds, zeroed padding, exact `file_len`) and verifies every section's
-//! CRC-32 unless the caller opts into trusting the file; the structures
-//! validate what they load — so a corrupt snapshot is a typed
-//! [`GsrError::Load`], never a panic, even with CRC verification skipped.
+//! bounds, zeroed padding, exact `file_len`) and verifies a section's
+//! CRC-32 when a structure claims it — immediately before that structure
+//! validates it, so the payload makes one trip through the cache, and no
+//! section reaches a structure unverified — unless the caller opts into
+//! trusting the file; the structures validate what they load — so a
+//! corrupt snapshot is a typed [`GsrError::Load`], never a panic, even
+//! with CRC verification skipped.
 //!
 //! The framing (header, directory, sections) is a [`Frame`]; an index is
 //! read from one frame, or — in a shard set — from the shard's own frame
 //! plus the set's shared frame, which holds the columns every shard keeps
 //! a handle to (`crate::shard`).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::io::Write;
 use std::sync::Arc;
 
 use gsr_core::methods::{GeoReach, SocReach, SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev};
 use gsr_core::{GsrError, RangeReachIndex};
-use gsr_graph::columns::{Dec, Enc};
+use gsr_graph::columns::{Dec, Enc, Section};
 use gsr_graph::{Column, ColumnList, Columns, Source};
 
 use crate::arena::{ArenaBytes, ARENA_ALIGN};
@@ -153,10 +156,15 @@ struct DirEntry {
     tag: u16,
     start: usize,
     len: usize,
+    crc: u32,
+    /// Whether the payload has been held to `crc` — or never will be, the
+    /// file being trusted.
+    verified: Cell<bool>,
 }
 
-/// A file (or buffer) whose framing has been validated: header, directory
-/// structure and — unless trusted — every section's CRC.
+/// A file (or buffer) whose framing has been validated: header and
+/// directory structure. A section's CRC is verified when the section is
+/// first claimed ([`SectionMap::take`]).
 pub(crate) struct Frame {
     arena: Arc<ArenaBytes>,
     entries: Vec<DirEntry>,
@@ -171,6 +179,11 @@ pub(crate) struct Frame {
 /// section must be claimed by the index's `load` exactly once, so a
 /// snapshot smuggling extra (or missing) sections is rejected even when
 /// its CRCs are intact.
+///
+/// The claim is also where a section's CRC is verified, once per frame
+/// entry: the structure that claimed it validates it next, while its bytes
+/// are still in cache, and a section of a shard set's shared frame, claimed
+/// by every shard, is checksummed for the first.
 struct SectionMap<'a> {
     frames: Vec<(&'a Frame, Vec<bool>)>,
     /// The unread scalars of `META`.
@@ -178,16 +191,23 @@ struct SectionMap<'a> {
 }
 
 impl<'a> SectionMap<'a> {
-    fn take(&mut self, tag: u16) -> Option<(&'a Frame, usize, usize)> {
+    fn take(&mut self, tag: u16) -> Result<Option<(&'a Frame, usize, usize)>, String> {
         for (frame, used) in &mut self.frames {
             if let Some(i) = frame.entries.iter().position(|e| e.tag == tag) {
                 if std::mem::replace(&mut used[i], true) {
-                    return None;
+                    return Ok(None);
                 }
-                return Some((*frame, frame.entries[i].start, frame.entries[i].len));
+                let e = &frame.entries[i];
+                if !e.verified.get() {
+                    if crc32(&frame.arena.bytes()[e.start..e.start + e.len]) != e.crc {
+                        return Err(format!("section 0x{tag:02x}: crc mismatch"));
+                    }
+                    e.verified.set(true);
+                }
+                return Ok(Some((*frame, e.start, e.len)));
             }
         }
-        None
+        Ok(None)
     }
 
     fn finish(&self) -> Result<(), GsrError> {
@@ -211,8 +231,8 @@ impl Source for SectionMap<'_> {
         self.meta.take(n, "meta")
     }
 
-    fn claim(&mut self, tag: u16) -> Option<(&Arc<ArenaBytes>, usize, usize)> {
-        self.take(tag).map(|(frame, start, len)| (&frame.arena, start, len))
+    fn claim(&mut self, tag: u16) -> Result<Option<Section<'_, ArenaBytes>>, String> {
+        Ok(self.take(tag)?.map(|(frame, start, len)| (&frame.arena, start, len)))
     }
 
     /// A frame remembers the checks that passed on sections it holds all
@@ -247,10 +267,10 @@ impl Frame {
     /// Validates the framing of a complete mapped (or aligned in-memory)
     /// file.
     ///
-    /// `trust` skips only the per-section CRC pass — the structural
-    /// directory checks and every structure's own validation still run, so
-    /// even a trusted load of garbage is a typed error, not undefined
-    /// behavior.
+    /// `trust` skips only the per-section CRC verification at claim time —
+    /// the structural directory checks and every structure's own validation
+    /// still run, so even a trusted load of garbage is a typed error, not
+    /// undefined behavior.
     pub(crate) fn parse(arena: Arc<ArenaBytes>, trust: bool) -> Result<Frame, GsrError> {
         let entries = parse_directory(arena.bytes(), trust)?;
         Ok(Frame { arena, entries, checked: RefCell::default() })
@@ -330,10 +350,7 @@ fn parse_directory(bytes: &[u8], trust: bool) -> Result<Vec<DirEntry>, GsrError>
         if entries.iter().any(|p| p.tag == etag) {
             return Err(sect("duplicate tag"));
         }
-        if !trust && crc32(&bytes[off..end]) != crc {
-            return Err(sect("crc mismatch"));
-        }
-        entries.push(DirEntry { tag: etag, start: off, len });
+        entries.push(DirEntry { tag: etag, start: off, len, crc, verified: Cell::new(trust) });
         cur = end;
     }
     if cur != bytes.len() {
@@ -351,8 +368,10 @@ pub(crate) fn load_index(own: &Frame, shared: Option<&Frame>) -> Result<Snapshot
         frames: frames.map(|f| (f, vec![false; f.entries.len()])).collect(),
         meta: Dec::new(&[]),
     };
-    let (frame, start, len) =
-        map.take(META).ok_or_else(|| load_err("missing section meta".into()))?;
+    let (frame, start, len) = map
+        .take(META)
+        .map_err(load_err)?
+        .ok_or_else(|| load_err("missing section meta".into()))?;
     map.meta = Dec::new(&frame.arena.bytes()[start..start + len]);
     let src = &mut map;
     let index = match src.u8().map_err(load_err)? {

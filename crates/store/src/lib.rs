@@ -31,8 +31,9 @@
 //! structure's own `gsr_graph::Columns::load`. Corruption, truncation,
 //! version mismatches and impossible structures all surface as
 //! [`GsrError::Load`] — never a panic, never an unbounded allocation.
-//! [`LoadOptions::trust`] skips only the CRC pass over the section
-//! payloads (for snapshots on trusted local disks); the structural
+//! Each section's CRC-32 ([`wire::crc32`]) is verified when a structure
+//! claims the section, just before it validates it; [`LoadOptions::trust`]
+//! skips only that (for snapshots on trusted local disks); the structural
 //! validation always runs.
 //!
 //! ```
@@ -56,7 +57,7 @@
 mod arena;
 mod frame;
 pub mod shard;
-mod wire;
+pub mod wire;
 
 pub use arena::ArenaBytes;
 
@@ -187,8 +188,8 @@ pub fn save(w: &mut impl Write, index: &SnapshotIndex) -> Result<(), GsrError> {
 /// Options for loading a snapshot.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LoadOptions {
-    /// Skip the CRC-32 verification pass over the section payloads. Only
-    /// for snapshots on trusted local storage; structural validation (and
+    /// Skip the CRC-32 verification of the section payloads. Only for
+    /// snapshots on trusted local storage; structural validation (and
     /// therefore memory safety on garbage input) is unaffected.
     pub trust: bool,
 }

@@ -121,7 +121,8 @@ fn expect_error_or_agreement(
 }
 
 /// The drill. Cases (a)–(c) reframe the file with true CRCs, so only the
-/// structures' own validation can object; case (d) edits the file in place.
+/// structures' own validation can object; cases (d) and (e) edit the file in
+/// place.
 #[test]
 fn every_column_of_every_method_survives_the_corruption_drill() {
     const META: u16 = 0x01;
@@ -164,9 +165,18 @@ fn every_column_of_every_method_survives_the_corruption_drill() {
                 expect_error_or_agreement(&without, &prep, &expected, &context("deleted"));
                 // (c) the section twice, once under a tag nobody claims.
                 let twice = reframed(&|s| s.push((UNUSED, *elem, payload.clone())));
-                match gsr_store::load(&mut twice.as_slice()) {
-                    Err(GsrError::Load(msg)) => assert!(msg.contains("unexpected section"), "{msg}"),
-                    other => panic!("{}: {:?}", context("duplicated"), other.map(|i| i.name())),
+                // Nobody claims the copy, so nobody checksums it: a bit
+                // flipped in it changes nothing — the file is refused for
+                // holding it.
+                let mut twice_flipped = twice.clone();
+                if let (Some(last), false) = (twice_flipped.last_mut(), payload.is_empty()) {
+                    *last ^= 0x01; // the copy is the file's last section
+                }
+                for file in [&twice, &twice_flipped] {
+                    match gsr_store::load(&mut file.as_slice()) {
+                        Err(GsrError::Load(msg)) => assert!(msg.contains("unexpected section"), "{msg}"),
+                        other => panic!("{}: {:?}", context("duplicated"), other.map(|i| i.name())),
+                    }
                 }
                 // (d) one bit flipped, the stored CRC left as it was: the
                 // checked load says so; the trusting load is on its own and
@@ -187,6 +197,22 @@ fn every_column_of_every_method_survives_the_corruption_drill() {
                         Err(other) => panic!("{}: {other:?}", context("trusted bit flip")),
                     }
                 }
+                // (e) the payload as written under a CRC that is not its own:
+                // the checked load names the section when it is claimed; the
+                // trusting load never looks, and serves the built index.
+                let mut stale = file.clone();
+                stale[24 + 24 * at + 4] ^= 0x01;
+                match gsr_store::load(&mut stale.as_slice()) {
+                    Err(GsrError::Load(msg)) => assert!(
+                        msg.contains(&format!("section 0x{tag:02x}: crc mismatch")),
+                        "{}: {msg}",
+                        context("stale crc")
+                    ),
+                    other => panic!("{}: {:?}", context("stale crc"), other.map(|i| i.name())),
+                }
+                let trusted = gsr_store::load_with(&mut stale.as_slice(), LoadOptions { trust: true })
+                    .unwrap_or_else(|e| panic!("{}: {e}", context("stale crc, trusted")));
+                assert_eq!(probe_all(&prep, &trusted), expected, "{}", context("stale crc, trusted"));
             }
         }
     }

@@ -766,6 +766,29 @@ fn reset_keeps_the_cache_where_reload_clears_it() {
     );
     assert_eq!(read_line(&mut reader), first, "old index keeps serving after a refused RELOAD");
 
+    // And a shard set with one bit flipped in its *shared* file. A section
+    // is checksummed when a structure first claims it, so the set is refused
+    // by the section's name — by the loader, and by RELOAD.
+    let flipped_set = fx.dir.join("flipped.shards");
+    let flipped_set_path = flipped_set.to_string_lossy().to_string();
+    let build = ["build", &fx.net_path, "--method", "3dreach", "--shards", "2", "--save", &flipped_set_path];
+    run(parse_args(&args(&build)).unwrap(), &mut Vec::new()).unwrap();
+    let shared = flipped_set.join(gsr_store::shard::read_manifest(&flipped_set).unwrap().shared);
+    let mut bytes = std::fs::read(&shared).unwrap();
+    *bytes.last_mut().unwrap() ^= 0x01; // the last section: the label bytes, 0x51
+    std::fs::write(&shared, &bytes).unwrap();
+    let named = "section 0x51: crc mismatch";
+    match gsr_store::load_served_index(&flipped_set, gsr_store::LoadOptions::default()) {
+        Err(gsr_core::GsrError::Load(msg)) => assert!(msg.contains(named), "{msg}"),
+        other => panic!("a flipped shared file loaded: {:?}", other.map(|(i, _)| i.name())),
+    }
+    stream
+        .write_all(format!("RELOAD {flipped_set_path}\nREACH 0 0 0 1 1\n").as_bytes())
+        .unwrap();
+    let refused = read_line(&mut reader);
+    assert!(refused.starts_with("ERR 3 ") && refused.contains(named), "{refused}");
+    assert_eq!(read_line(&mut reader), first, "old index keeps serving after a refused RELOAD");
+
     // A real RELOAD swaps the index and clears the cache: the reload
     // counter advances, and the same query must re-miss afterwards.
     stream.write_all(format!("RELOAD {snap_path}\nSTATS\n").as_bytes()).unwrap();

@@ -210,6 +210,41 @@ fn golden_snapshot_hashes() {
     assert_eq!(got, want, "written bytes changed: bump FORMAT_VERSION, then these");
 }
 
+/// The store checksums with a carry-less-multiply kernel where the
+/// processor has one and with table lookups elsewhere and for short inputs;
+/// both must be the CRC-32 this crate computes a bit at a time from the
+/// polynomial — for every length around the kernel's 64-byte blocks at every
+/// start offset within a 16-byte lane, for a buffer long enough that the
+/// folding loop does nearly all the work, and for the published vectors.
+#[test]
+fn crc_kernels_agree() {
+    use gsr_store::wire::{crc32, crc32_portable};
+    for (input, want) in [(&b"123456789"[..], 0xCBF4_3926u32), (b"", 0), (b"a", 0xE8B7_BE43)] {
+        assert_eq!(gsr_tests::crc32(input), want);
+        assert_eq!(crc32(input), want);
+        assert_eq!(crc32_portable(input), want);
+    }
+    let mut word = 0x2545_F491_4F6C_DD1Du64;
+    let mut noise = || {
+        word ^= word << 13;
+        word ^= word >> 7;
+        word ^= word << 17;
+        word as u8
+    };
+    let buf: Vec<u8> = (0..(1 << 20) + 16).map(|_| noise()).collect();
+    for start in 0..=16 {
+        for len in 0..=1024 {
+            let data = &buf[start..start + len];
+            let want = gsr_tests::crc32(data);
+            assert_eq!(crc32(data), want, "start {start}, len {len}");
+            assert_eq!(crc32_portable(data), want, "portable path, start {start}, len {len}");
+        }
+    }
+    let mib = &buf[5..5 + (1 << 20)];
+    assert_eq!(crc32(mib), gsr_tests::crc32(mib));
+    assert_eq!(crc32_portable(mib), gsr_tests::crc32(mib));
+}
+
 /// The in-memory load path must not care where the caller's bytes live:
 /// a stream read from a misaligned source buffer is realigned into the
 /// owned arena and loads identically.
