@@ -20,10 +20,9 @@
 //! spatial-policy knob here; the SPA-graph is built on the condensation and
 //! member points are consulted exactly.
 
-use super::{check_comp_ids, check_member_csr, tag};
+use super::{check_comp_ids, check_csr, tag};
 use crate::{PreparedNetwork, QueryCost, RangeReachIndex};
-use gsr_geo::Rect;
-use gsr_graph::columns::{Dec, Enc};
+use gsr_geo::{Aabb, Rect};
 use gsr_graph::scc::CompId;
 use gsr_graph::{topo, Col, ColumnList, Columns, DiGraph, Source, VertexId};
 use gsr_index::grid::{CellId, HierarchicalGrid};
@@ -56,24 +55,35 @@ impl Default for GeoReachParams {
     }
 }
 
-/// Per-component spatial reachability information of the SPA-graph.
-#[derive(Debug, Clone, PartialEq)]
-enum SpaInfo {
-    /// `GeoB(v)`: whether any spatial vertex is reachable.
-    B(bool),
+/// The values of the SPA table's kind column: what the SPA-graph keeps for
+/// a component.
+mod kind {
+    /// `GeoB(v) = FALSE`: no spatial vertex is reachable.
+    pub const B_FALSE: u8 = 0;
+    /// `GeoB(v) = TRUE`, and nothing else.
+    pub const B_TRUE: u8 = 1;
     /// `RMBR(v)`.
-    R(Rect),
+    pub const R: u8 = 2;
     /// `ReachGrid(v)`, merged and deduplicated.
-    G(Vec<CellId>),
+    pub const G: u8 = 3;
 }
 
 /// The GeoReach evaluator: SPA-graph over the condensation DAG.
+///
+/// The SPA table is four flat columns, queried where a snapshot maps them:
+/// a kind per component ([`kind`]), a CSR over `u32` entries — a G-vertex's
+/// entries are its `ReachGrid` cells, an R-vertex has one, the index of its
+/// `RMBR` in the rectangle column, a B-vertex none — and the R-vertices'
+/// rectangles in component order.
 #[derive(Debug, Clone)]
 pub struct GeoReach {
     comp_of: Col<CompId>,
     dag: DiGraph,
     grid: HierarchicalGrid,
-    info: Vec<SpaInfo>,
+    kinds: Col<u8>,
+    cell_offsets: Col<u32>,
+    cells: Col<u32>,
+    rmbrs: Col<Aabb<2>>,
     /// Member points per component (CSR) for the exact checks during the
     /// traversal.
     member_offsets: Col<u32>,
@@ -105,8 +115,10 @@ impl GeoReach {
         #[allow(clippy::expect_used)]
         let order = topo::topological_order(&dag).expect("condensation is a DAG");
         let mut rmbr: Vec<Option<Rect>> = vec![None; ncomp];
-        let mut info: Vec<SpaInfo> = Vec::with_capacity(ncomp);
-        info.resize_with(ncomp, || SpaInfo::B(false));
+        let mut kinds = vec![kind::B_FALSE; ncomp];
+        // The G-vertices' grids, until all are known and can be laid out in
+        // component order.
+        let mut grids: Vec<Vec<CellId>> = vec![Vec::new(); ncomp];
 
         for &c in order.iter().rev() {
             let ci = c as usize;
@@ -123,8 +135,8 @@ impl GeoReach {
                 match (&mut my_rmbr, rmbr[si]) {
                     (_, None) => {
                         // Successor is B(false) (nothing spatial) or B(true)
-                        // (unbounded). Distinguish via its info.
-                        if matches!(info[si], SpaInfo::B(true)) {
+                        // (unbounded). Distinguish via its kind.
+                        if kinds[si] == kind::B_TRUE {
                             my_rmbr = None; // unbounded propagates
                             my_cells = None;
                             break;
@@ -136,9 +148,9 @@ impl GeoReach {
                 }
                 // Grid set: only exact if the successor kept one.
                 if let Some(ref mut mine) = my_cells {
-                    match &info[si] {
-                        SpaInfo::G(sc) => mine.extend_from_slice(sc),
-                        SpaInfo::B(false) => {}
+                    match kinds[si] {
+                        kind::G => mine.extend_from_slice(&grids[si]),
+                        kind::B_FALSE => {}
                         _ => my_cells = None,
                     }
                 }
@@ -146,16 +158,17 @@ impl GeoReach {
 
             // Classify along the G >= R >= B lattice.
             let downgrade = |rm: Option<Rect>| match rm {
-                Some(r) if r.area() <= max_rmbr_area => SpaInfo::R(r),
+                Some(r) if r.area() <= max_rmbr_area => kind::R,
                 // RMBR too large, or unbounded via a B(true) successor.
-                _ => SpaInfo::B(true),
+                _ => kind::B_TRUE,
             };
-            info[ci] = match my_cells.take() {
-                Some(cs) if cs.is_empty() => SpaInfo::B(false),
+            kinds[ci] = match my_cells.take() {
+                Some(cs) if cs.is_empty() => kind::B_FALSE,
                 Some(mut cs) => {
                     grid.merge_cells(&mut cs, params.merge_count);
                     if cs.len() <= params.max_reach_grids {
-                        SpaInfo::G(cs)
+                        grids[ci] = cs;
+                        kind::G
                     } else {
                         downgrade(my_rmbr)
                     }
@@ -166,10 +179,26 @@ impl GeoReach {
             // SPA-graph stores only GeoB(v) for it, so its tight RMBR must
             // not leak upward (it would make our GeoReach stronger than the
             // paper's).
-            rmbr[ci] = match info[ci] {
-                SpaInfo::B(_) => None,
-                _ => my_rmbr,
+            rmbr[ci] = match kinds[ci] {
+                kind::R | kind::G => my_rmbr,
+                _ => None,
             };
+        }
+
+        // The table's columns, in component order.
+        let mut cell_offsets = Vec::with_capacity(ncomp + 1);
+        let (mut cells, mut rmbrs) = (Vec::new(), Vec::new());
+        cell_offsets.push(0);
+        for c in 0..ncomp {
+            match (kinds[c], rmbr[c]) {
+                (kind::G, _) => cells.extend(grids[c].iter().map(CellId::encode)),
+                (kind::R, Some(r)) => {
+                    cells.push(rmbrs.len() as u32);
+                    rmbrs.push(Aabb::from(r));
+                }
+                _ => {}
+            }
+            cell_offsets.push(cells.len() as u32);
         }
 
         // Member points for the exact traversal checks.
@@ -179,10 +208,18 @@ impl GeoReach {
             comp_of: prep.comp_of(),
             dag,
             grid,
-            info,
+            kinds: kinds.into(),
+            cell_offsets: cell_offsets.into(),
+            cells: cells.into(),
+            rmbrs: rmbrs.into(),
             member_offsets: member_offsets.into(),
             member_points: member_points.into(),
         }
+    }
+
+    /// Component `c`'s entries in the cell column.
+    fn entries(&self, c: usize) -> &[u32] {
+        &self.cells[self.cell_offsets[c] as usize..self.cell_offsets[c + 1] as usize]
     }
 
     fn own_member_in(&self, c: CompId, region: &Rect, cost: &mut QueryCost) -> bool {
@@ -198,118 +235,99 @@ impl GeoReach {
     /// construction parameters shape the SPA-graph.
     pub fn class_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
-        for i in &self.info {
-            match i {
-                SpaInfo::B(_) => counts.0 += 1,
-                SpaInfo::R(_) => counts.1 += 1,
-                SpaInfo::G(_) => counts.2 += 1,
+        for k in self.kinds.iter() {
+            match *k {
+                kind::R => counts.1 += 1,
+                kind::G => counts.2 += 1,
+                _ => counts.0 += 1,
             }
         }
         counts
     }
 }
 
-/// Section tag of the encoded SPA-info table.
-const SPA_INFO: u16 = 0x80;
-
-fn enc_rect(e: &mut Enc, r: &Rect) {
-    for x in [r.min_x, r.min_y, r.max_x, r.max_y] {
-        e.f64(x);
-    }
+/// Section tags of the SPA table (`0x80` was its encoding in formats up to
+/// 4, and is not reused).
+mod spa_tag {
+    pub const KINDS: u16 = 0x81;
+    pub const CELL_OFFSETS: u16 = 0x82;
+    pub const CELLS: u16 = 0x83;
+    pub const RMBRS: u16 = 0x84;
 }
 
-/// Decodes a rectangle — through a struct literal, not [`Rect::new`], whose
-/// `debug_assert` would turn adversarial (checksum-forged) coordinates into
-/// a debug-build panic.
-fn dec_rect(mut next: impl FnMut() -> Result<f64, String>) -> Result<Rect, String> {
-    Ok(Rect { min_x: next()?, min_y: next()?, max_x: next()?, max_y: next()? })
-}
-
-/// Encodes the SPA-info table: a count, then one tagged entry per component.
-fn enc_spa_info(info: &[SpaInfo]) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u64(info.len() as u64);
-    for i in info {
-        match i {
-            SpaInfo::B(b) => e.u8(*b as u8),
-            SpaInfo::R(r) => {
-                e.u8(2);
-                enc_rect(&mut e, r);
-            }
-            SpaInfo::G(cells) => {
-                e.u8(3);
-                e.u64(cells.len() as u64);
-                for c in cells {
-                    e.u8(c.level);
-                    e.u32(c.ix);
-                    e.u32(c.iy);
-                }
-            }
-        }
-    }
-    e.into_bytes()
-}
-
-/// Decodes an SPA-info table for `grid`. Untrusted: every count is bounded
-/// by the bytes that remain, and every cell must be one of `grid`'s, so
-/// that [`HierarchicalGrid::cell_rect`] is defined for it.
-fn dec_spa_info(bytes: &[u8], grid: &HierarchicalGrid) -> Result<Vec<SpaInfo>, String> {
-    let what = "spa-info";
-    let mut d = Dec::new(bytes);
-    let n = d.count(1, what)?;
-    let mut info = Vec::with_capacity(n);
-    for _ in 0..n {
-        info.push(match d.u8(what)? {
-            0 => SpaInfo::B(false),
-            1 => SpaInfo::B(true),
-            2 => SpaInfo::R(dec_rect(|| d.f64(what))?),
-            3 => {
-                let c = d.count(9, what)?;
-                let mut cells = Vec::with_capacity(c);
-                for _ in 0..c {
-                    let cell = CellId { level: d.u8(what)?, ix: d.u32(what)?, iy: d.u32(what)? };
-                    let side = grid.finest_exp().checked_sub(cell.level).map(|e| 1u32 << e);
-                    if !side.is_some_and(|side| cell.ix < side && cell.iy < side) {
-                        return Err(format!("{what}: {cell:?} is not a cell of the grid"));
-                    }
-                    cells.push(cell);
-                }
-                SpaInfo::G(cells)
-            }
-            k => return Err(format!("unknown {what} kind {k}")),
-        });
-    }
-    d.finish(what)?;
-    Ok(info)
+/// Whether a rectangle read from a file is one: finite corners, not
+/// inverted.
+fn well_formed(min: [f64; 2], max: [f64; 2]) -> bool {
+    min.iter().chain(&max).all(|x| x.is_finite()) && min[0] <= max[0] && min[1] <= max[1]
 }
 
 impl GeoReach {
-    /// The declaration behind [`Columns::store`], which passes the table's
-    /// encoding as `spa_info`, and `index_bytes`, which has no use for it.
-    /// The SPA-info table is not a flat arena: it travels as one encoded
-    /// section and counts by what it occupies in memory
-    /// ([`ColumnList::extra`]). The member CSR is derived from the network,
-    /// not built by the method, and is left out of its size.
-    fn declare<'a>(&'a self, out: &mut ColumnList<'a>, spa_info: Vec<u8>) {
-        out.meta.u8(self.grid.finest_exp());
-        enc_rect(&mut out.meta, self.grid.space());
-        out.col(tag::COMP_OF, &self.comp_of, true);
-        self.dag.store(out);
-        out.encoded(SPA_INFO, spa_info);
-        let in_memory = |info: &SpaInfo| match info {
-            SpaInfo::B(_) => 1,
-            SpaInfo::R(_) => std::mem::size_of::<Rect>(),
-            SpaInfo::G(cells) => cells.len() * std::mem::size_of::<CellId>(),
-        };
-        out.extra += self.info.iter().map(in_memory).sum::<usize>();
-        out.col(tag::MEMBER_OFFSETS, &self.member_offsets, false);
-        out.col(tag::MEMBER_POINTS, &self.member_points, false);
+    /// Checks an SPA table that came from disk against the DAG and the
+    /// grid: every row a query can ask for is there, every
+    /// cell is one [`HierarchicalGrid::cell_rect`] is defined for, every
+    /// rectangle is one, and no entry is left over.
+    fn check_spa_table(&self) -> Result<(), String> {
+        let ncomp = self.dag.num_vertices();
+        if self.kinds.len() != ncomp {
+            return Err(format!("georeach: {} spa kinds for {ncomp} components", self.kinds.len()));
+        }
+        check_csr("georeach", "spa cell", ncomp, &self.cell_offsets, self.cells.len())?;
+        let mut rmbrs = 0;
+        for (c, &k) in self.kinds.iter().enumerate() {
+            match (k, self.entries(c)) {
+                (kind::B_FALSE | kind::B_TRUE, []) => {}
+                // The rectangles are in component order, each named once.
+                (kind::R, &[named]) if named as usize == rmbrs => rmbrs += 1,
+                (kind::R, &[named]) => {
+                    return Err(format!(
+                        "georeach: component {c} names rmbr {named}, the next is {rmbrs}"
+                    ));
+                }
+                (kind::G, cells @ [_, ..]) => {
+                    for cell in cells.iter().map(|&e| CellId::decode(e)) {
+                        let side =
+                            self.grid.finest_exp().checked_sub(cell.level).map(|e| 1u32 << e);
+                        if !side.is_some_and(|side| cell.ix < side && cell.iy < side) {
+                            return Err(format!("georeach: {cell:?} is not a cell of the grid"));
+                        }
+                    }
+                }
+                (kind::B_FALSE..=kind::G, entries) => {
+                    return Err(format!(
+                        "georeach: component {c} of spa kind {k} has {} cell entries",
+                        entries.len()
+                    ));
+                }
+                _ => return Err(format!("georeach: component {c} has unknown spa kind {k}")),
+            }
+        }
+        if rmbrs != self.rmbrs.len() {
+            return Err(format!("georeach: {} rmbrs for {rmbrs} R-vertices", self.rmbrs.len()));
+        }
+        match self.rmbrs.iter().find(|r| !well_formed(r.min, r.max)) {
+            Some(r) => Err(format!("georeach: malformed rmbr {r:?}")),
+            None => Ok(()),
+        }
     }
 }
 
 impl Columns for GeoReach {
+    /// The member CSR is derived from the network, not built by the method,
+    /// and is left out of its size.
     fn store<'a>(&'a self, out: &mut ColumnList<'a>) {
-        self.declare(out, enc_spa_info(&self.info));
+        out.meta.u8(self.grid.finest_exp());
+        let space = self.grid.space();
+        for corner in [space.min_x, space.min_y, space.max_x, space.max_y] {
+            out.meta.f64(corner);
+        }
+        out.col(tag::COMP_OF, &self.comp_of, true);
+        self.dag.store(out);
+        out.col(spa_tag::KINDS, &self.kinds, true);
+        out.col(spa_tag::CELL_OFFSETS, &self.cell_offsets, true);
+        out.col(spa_tag::CELLS, &self.cells, true);
+        out.col(spa_tag::RMBRS, &self.rmbrs, true);
+        out.col(tag::MEMBER_OFFSETS, &self.member_offsets, false);
+        out.col(tag::MEMBER_POINTS, &self.member_points, false);
     }
 
     /// Every per-component table must match the DAG's vertex count and
@@ -317,27 +335,28 @@ impl Columns for GeoReach {
     /// index out of bounds.
     fn load<S: Source>(src: &mut S) -> Result<Self, String> {
         let finest_exp = src.u8()?;
-        let space = dec_rect(|| src.u64().map(f64::from_bits))?;
-        let corners = [space.min_x, space.min_y, space.max_x, space.max_y];
-        if !corners.iter().all(|x| x.is_finite())
-            || space.min_x > space.max_x
-            || space.min_y > space.max_y
-        {
-            return Err(format!("georeach: malformed space {space:?}"));
+        let mut corner = || src.u64().map(f64::from_bits);
+        let (min, max) = ([corner()?, corner()?], [corner()?, corner()?]);
+        if !well_formed(min, max) {
+            return Err(format!("georeach: malformed space {min:?}..{max:?}"));
         }
-        let grid = HierarchicalGrid::new(space, finest_exp);
-        let comp_of: Col<CompId> = src.col(tag::COMP_OF, "comp-of")?;
-        let dag = DiGraph::load(src)?;
-        let info = dec_spa_info(&src.col::<u8>(SPA_INFO, "spa-info")?, &grid)?;
-        let member_offsets: Col<u32> = src.col(tag::MEMBER_OFFSETS, "member-offsets")?;
-        let member_points = src.col(tag::MEMBER_POINTS, "member-points")?;
-        let ncomp = dag.num_vertices();
-        if info.len() != ncomp {
-            return Err(format!("georeach: {} info entries for {ncomp} components", info.len()));
-        }
-        check_member_csr("georeach", ncomp, &member_offsets, &member_points)?;
-        check_comp_ids("georeach", "comp_of", comp_of.iter().copied(), ncomp)?;
-        Ok(GeoReach { comp_of, dag, grid, info, member_offsets, member_points })
+        let grid = HierarchicalGrid::new(Rect::new(min[0], min[1], max[0], max[1]), finest_exp);
+        let loaded = GeoReach {
+            comp_of: src.col(tag::COMP_OF, "comp-of")?,
+            dag: DiGraph::load(src)?,
+            grid,
+            kinds: src.col(spa_tag::KINDS, "spa-kinds")?,
+            cell_offsets: src.col(spa_tag::CELL_OFFSETS, "spa-cell-offsets")?,
+            cells: src.col(spa_tag::CELLS, "spa-cells")?,
+            rmbrs: src.col(spa_tag::RMBRS, "spa-rmbrs")?,
+            member_offsets: src.col(tag::MEMBER_OFFSETS, "member-offsets")?,
+            member_points: src.col(tag::MEMBER_POINTS, "member-points")?,
+        };
+        let ncomp = loaded.dag.num_vertices();
+        loaded.check_spa_table()?;
+        check_csr("georeach", "member", ncomp, &loaded.member_offsets, loaded.member_points.len())?;
+        check_comp_ids("georeach", "comp_of", loaded.comp_of.iter().copied(), ncomp)?;
+        Ok(loaded)
     }
 }
 
@@ -360,35 +379,29 @@ impl RangeReachIndex for GeoReach {
 
             while let Some(c) = scratch.queue.pop_front() {
                 cost.vertices_visited += 1;
-                let expand = match &self.info[c as usize] {
+                let entries = self.entries(c as usize);
+                // Whether the table leaves it open that a reachable spatial
+                // vertex lies in the region. It was built here or validated
+                // by `load`: the kinds are these four, an R-vertex has its
+                // one entry.
+                let open = match self.kinds[c as usize] {
                     // GeoB(v) = FALSE: nothing spatial downstream — prune.
-                    SpaInfo::B(false) => false,
-                    // GeoB(v) = TRUE: no geometry to prune with — expand, but
-                    // first test the component's own points exactly.
-                    SpaInfo::B(true) => {
-                        if self.own_member_in(c, region, &mut cost) {
-                            return (true, cost);
-                        }
-                        true
-                    }
-                    SpaInfo::R(rmbr) => {
-                        if !rmbr.intersects(region) {
-                            false // no reachable spatial vertex can be in R
-                        } else if region.contains_rect(rmbr) {
+                    kind::B_FALSE => false,
+                    // GeoB(v) = TRUE: no geometry to prune with.
+                    kind::B_TRUE => true,
+                    kind::R => {
+                        let rmbr = Rect::from(self.rmbrs[entries[0] as usize]);
+                        if region.contains_rect(&rmbr) {
                             // All reachable spatial vertices are inside R and at
                             // least one exists.
                             return (true, cost);
-                        } else {
-                            if self.own_member_in(c, region, &mut cost) {
-                                return (true, cost);
-                            }
-                            true
                         }
+                        rmbr.intersects(region)
                     }
-                    SpaInfo::G(cells) => {
+                    _ => {
                         let mut any_overlap = false;
-                        for cell in cells {
-                            let r = self.grid.cell_rect(cell);
+                        for &cell in entries {
+                            let r = self.grid.cell_rect(&CellId::decode(cell));
                             if region.contains_rect(&r) {
                                 // A ReachGrid cell always holds >= 1 reachable
                                 // spatial vertex: terminate with TRUE.
@@ -396,17 +409,14 @@ impl RangeReachIndex for GeoReach {
                             }
                             any_overlap |= r.intersects(region);
                         }
-                        if !any_overlap {
-                            false
-                        } else {
-                            if self.own_member_in(c, region, &mut cost) {
-                                return (true, cost);
-                            }
-                            true
-                        }
+                        any_overlap
                     }
                 };
-                if expand {
+                if open {
+                    // Test the component's own points exactly, then expand.
+                    if self.own_member_in(c, region, &mut cost) {
+                        return (true, cost);
+                    }
                     for &w in self.dag.out_neighbors(c) {
                         if scratch.mark(w) {
                             scratch.queue.push_back(w);
@@ -419,9 +429,7 @@ impl RangeReachIndex for GeoReach {
     }
 
     fn index_bytes(&self) -> usize {
-        let mut list = ColumnList::default();
-        self.declare(&mut list, Vec::new());
-        list.counted_bytes()
+        ColumnList::of(self).counted_bytes()
     }
 
     fn columns(&self) -> Option<ColumnList<'_>> {
@@ -437,6 +445,12 @@ impl RangeReachIndex for GeoReach {
 mod tests {
     use super::*;
     use crate::paper_example;
+    use gsr_graph::columns::MemSource;
+
+    /// Budgets under which the paper's example keeps every kind of vertex:
+    /// five B, five R, two G.
+    const MIXED: GeoReachParams =
+        GeoReachParams { max_reach_grids: 1, max_rmbr_frac: 0.3, merge_count: 1, finest_exp: 3 };
 
     #[test]
     fn paper_example_2_6() {
@@ -472,17 +486,24 @@ mod tests {
                 merge_count: 2,
                 finest_exp: 0,
             },
+            MIXED,
         ];
         for prep in [paper_example::prepared(), paper_example::cyclic_prepared()] {
             for p in params {
                 let idx = GeoReach::build_with(&prep, p);
+                // What a snapshot of it loads as: the same table, mapped.
+                let loaded: GeoReach = MemSource::new(ColumnList::of(&idx)).load().unwrap();
+                assert_eq!(loaded.class_counts(), idx.class_counts(), "params {p:?}");
+                assert_eq!(loaded.index_bytes(), idx.index_bytes(), "params {p:?}");
                 for v in prep.network().graph().vertices() {
                     for r in paper_example::probe_regions() {
+                        let built = idx.query_with_cost(v, &r);
                         assert_eq!(
-                            idx.query(v, &r),
+                            built.0,
                             prep.range_reach_bfs(v, &r),
                             "vertex {v}, region {r}, params {p:?}"
                         );
+                        assert_eq!(loaded.query_with_cost(v, &r), built, "loaded: vertex {v}, region {r}, params {p:?}");
                     }
                 }
             }
@@ -534,24 +555,66 @@ mod tests {
         }
     }
 
+    /// A snapshot round trip of `idx` without the file, after `edit` has had
+    /// its way with the bytes of column `tag`.
+    fn reloaded(idx: &GeoReach, tag: u16, edit: impl FnOnce(&mut Vec<u8>)) -> Result<GeoReach, String> {
+        let mut list = ColumnList::of(idx);
+        let col = list.cols.iter_mut().find(|c| c.tag == tag).expect("declared column");
+        edit(col.bytes.to_mut());
+        MemSource::new(list).load()
+    }
+
+    /// The SPA table's columns are untrusted: whatever `info` or
+    /// `cell_rect` would trip over is refused by name.
     #[test]
-    fn truncated_payload_is_an_error() {
-        let grid = HierarchicalGrid::new(Rect::new(0.0, 0.0, 8.0, 8.0), 3);
-        let info = vec![
-            SpaInfo::B(true),
-            SpaInfo::R(Rect { min_x: 0.0, min_y: 1.0, max_x: 2.0, max_y: 3.0 }),
-            SpaInfo::G(vec![CellId { level: 2, ix: 1, iy: 1 }]),
+    fn malformed_spa_columns_are_typed_errors() {
+        let idx = GeoReach::build_with(&paper_example::prepared(), MIXED);
+        let (b, r, g) = idx.class_counts();
+        assert!(b > 0 && r > 1 && g > 0, "the case needs every kind: {b} B, {r} R, {g} G");
+        let first = |k: u8| idx.kinds.iter().position(|&x| x == k).expect("kind present");
+        let (b_at, r_at, g_at) = (first(kind::B_FALSE), first(kind::R), first(kind::G));
+        let set = |at: usize, v: u32| {
+            move |bytes: &mut Vec<u8>| bytes[4 * at..4 * at + 4].copy_from_slice(&v.to_le_bytes())
+        };
+        let entry = |c: usize| idx.cell_offsets[c] as usize;
+        let last = idx.cell_offsets.len() - 1;
+        let cell = |level, ix, iy| CellId { level, ix, iy }.encode();
+        let coord = |i: usize, v: f64| {
+            move |bytes: &mut Vec<u8>| bytes[8 * i..8 * i + 8].copy_from_slice(&v.to_le_bytes())
+        };
+
+        let refused: Vec<(&str, Result<GeoReach, String>, &str)> = vec![
+            ("kind out of range", reloaded(&idx, spa_tag::KINDS, |b| b[g_at] = 4), "unknown spa kind 4"),
+            ("a kind too few", reloaded(&idx, spa_tag::KINDS, |b| b.truncate(b.len() - 1)), "spa kinds for"),
+            // Per-component lengths: a B-vertex with entries, an R-vertex
+            // and a G-vertex with none.
+            ("B with entries", reloaded(&idx, spa_tag::KINDS, |b| b[g_at] = kind::B_TRUE), "cell entries"),
+            ("R without its entry", reloaded(&idx, spa_tag::KINDS, |b| b[b_at] = kind::R), "cell entries"),
+            ("G without cells", reloaded(&idx, spa_tag::KINDS, |b| b[b_at] = kind::G), "cell entries"),
+            // The CSR: not from 0, not monotone, past the cells, short.
+            ("offsets not from 0", reloaded(&idx, spa_tag::CELL_OFFSETS, set(0, 1)), "not monotone from 0"),
+            ("offsets not monotone", reloaded(&idx, spa_tag::CELL_OFFSETS, set(1, u32::MAX)), "not monotone from 0"),
+            ("offsets past the cells", reloaded(&idx, spa_tag::CELL_OFFSETS, set(last, u32::MAX)), "entries but"),
+            ("an offset too few", reloaded(&idx, spa_tag::CELL_OFFSETS, |b| b.truncate(b.len() - 4)), "offsets for"),
+            ("a cell too few", reloaded(&idx, spa_tag::CELLS, |b| b.truncate(b.len() - 4)), "entries but"),
+            // Cells the grid (finest_exp 3) does not have: a level above the
+            // root, an index past the level's side.
+            ("cell above the root", reloaded(&idx, spa_tag::CELLS, set(entry(g_at), cell(4, 0, 0))), "not a cell"),
+            ("cell past the side", reloaded(&idx, spa_tag::CELLS, set(entry(g_at), cell(2, 2, 0))), "not a cell"),
+            // Rectangles: named out of order, one too many, not rectangles.
+            ("R names another rmbr", reloaded(&idx, spa_tag::CELLS, set(entry(r_at), 1)), "names rmbr 1"),
+            ("an rmbr too many", reloaded(&idx, spa_tag::RMBRS, |b| b.extend_from_slice(&[0; 32])), "rmbrs for"),
+            ("an rmbr too few", reloaded(&idx, spa_tag::RMBRS, |b| b.truncate(b.len() - 32)), "rmbrs for"),
+            ("non-finite rmbr", reloaded(&idx, spa_tag::RMBRS, coord(2, f64::NAN)), "malformed rmbr"),
+            ("infinite rmbr", reloaded(&idx, spa_tag::RMBRS, coord(0, f64::NEG_INFINITY)), "malformed rmbr"),
+            ("inverted rmbr", reloaded(&idx, spa_tag::RMBRS, coord(3, -1e9)), "malformed rmbr"),
         ];
-        let bytes = enc_spa_info(&info);
-        assert_eq!(dec_spa_info(&bytes, &grid).unwrap(), info);
-        for cut in [0, 1, 8, bytes.len() - 1] {
-            assert!(dec_spa_info(&bytes[..cut], &grid).is_err(), "cut at {cut} must fail");
+        for (case, outcome, needle) in refused {
+            match outcome {
+                Err(msg) => assert!(msg.starts_with("georeach: ") && msg.contains(needle), "{case}: {msg}"),
+                Ok(_) => panic!("{case}: loaded"),
+            }
         }
-        // A cell the grid does not have: a level above the root, or an index
-        // past the level's side.
-        for cell in [CellId { level: 4, ix: 0, iy: 0 }, CellId { level: 2, ix: 2, iy: 0 }] {
-            let bytes = enc_spa_info(&[SpaInfo::G(vec![cell])]);
-            assert!(dec_spa_info(&bytes, &grid).unwrap_err().contains("not a cell"));
-        }
+        assert!(reloaded(&idx, spa_tag::CELLS, |_| ()).is_ok(), "untouched, it loads");
     }
 }

@@ -19,7 +19,6 @@ pub use spareach::{
 };
 pub use threed::{ThreeDReach, ThreeDReachRev};
 
-use gsr_geo::Point;
 use gsr_graph::scc::CompId;
 
 /// Section tags of the columns several methods declare.
@@ -29,25 +28,25 @@ mod tag {
     pub const MEMBER_POINTS: u16 = 0x12;
 }
 
-/// Checks a member CSR that came from disk: one range of `points` per
-/// component, in order.
-fn check_member_csr(
+/// Checks a per-component CSR that came from disk: one range of the
+/// `entries` per component, in order. `what` names it in the diagnostics.
+fn check_csr(
     method: &str,
+    what: &str,
     ncomp: usize,
     offsets: &[u32],
-    points: &[Point],
+    entries: usize,
 ) -> Result<(), String> {
     if offsets.len() != ncomp + 1 {
-        return Err(format!("{method}: {} member offsets for {ncomp} components", offsets.len()));
+        return Err(format!("{method}: {} {what} offsets for {ncomp} components", offsets.len()));
     }
     if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(format!("{method}: member offsets not monotone from 0"));
+        return Err(format!("{method}: {what} offsets not monotone from 0"));
     }
-    if offsets[ncomp] as usize != points.len() {
+    if offsets[ncomp] as usize != entries {
         return Err(format!(
-            "{method}: member offsets claim {} points but {} present",
-            offsets[ncomp],
-            points.len()
+            "{method}: {what} offsets claim {} entries but {entries} present",
+            offsets[ncomp]
         ));
     }
     Ok(())

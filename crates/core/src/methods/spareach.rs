@@ -11,7 +11,7 @@
 //! [`SpaReachBfl`] (Bloom-filter labeling, the overall best `GReach` scheme)
 //! and [`SpaReachInt`] (interval-based labeling).
 
-use super::{check_comp_ids, check_member_csr, tag};
+use super::{check_comp_ids, check_csr, tag};
 use crate::{PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy};
 use gsr_geo::{Aabb, Rect};
 use gsr_graph::par;
@@ -330,7 +330,7 @@ impl<R: Reachability + Columns> SpaReach<R> {
         let tree: RTree<2, CompId> = RTree::load(src)?;
         let reach = R::load(src)?;
         let ncomp = covers(&reach);
-        check_member_csr("spareach", ncomp, &member_offsets, &member_points)?;
+        check_csr("spareach", "member", ncomp, &member_offsets, member_points.len())?;
         check_comp_ids("spareach", "comp_of", comp_of.iter().copied(), ncomp)?;
         check_comp_ids("spareach", "filter", tree.values().iter().copied(), ncomp)?;
         Ok(SpaReach {

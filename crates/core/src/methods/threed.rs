@@ -15,7 +15,7 @@
 //! plane at `post_rev(v)`. One range query per query instead of `|L(v)|`,
 //! at the cost of indexing segments instead of points.
 
-use super::{check_comp_ids, check_member_csr, tag};
+use super::{check_comp_ids, check_csr, tag};
 use crate::{PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy};
 use gsr_geo::{cuboid_from_rect, Aabb, Cuboid, Point, Rect};
 use gsr_graph::par;
@@ -146,7 +146,7 @@ impl ThreeDCommon {
             && self.member_offsets.is_empty()
             && self.member_points.is_empty();
         if !unused {
-            check_member_csr("3dreach", ncomp, &self.member_offsets, &self.member_points)?;
+            check_csr("3dreach", "member", ncomp, &self.member_offsets, self.member_points.len())?;
         }
         check_comp_ids("3dreach", "comp_of", self.comp_of.iter().copied(), ncomp)?;
         check_comp_ids("3dreach", "tree", self.tree.values().iter().copied(), ncomp)

@@ -42,20 +42,21 @@ impl CellId {
         ]
     }
 
-    /// A compact `u64` encoding, handy as a set/map key.
+    /// A compact `u32` encoding — level in the top 4 bits, then 14 bits of
+    /// column and 14 of row — that holds every cell of a
+    /// [`HierarchicalGrid`], whose finest level is at most 2^14 cells a
+    /// side: the element of GeoReach's cell column.
     #[inline]
-    pub fn encode(&self) -> u64 {
-        ((self.level as u64) << 56) | ((self.ix as u64) << 28) | self.iy as u64
+    pub fn encode(&self) -> u32 {
+        debug_assert!(self.level <= 14 && self.ix < 1 << 14 && self.iy < 1 << 14);
+        ((self.level as u32) << 28) | (self.ix << 14) | self.iy
     }
 
-    /// Inverse of [`CellId::encode`].
+    /// Inverse of [`CellId::encode`]; total, so that any `u32` read from a
+    /// file is *some* cell, to be checked against the grid.
     #[inline]
-    pub fn decode(code: u64) -> CellId {
-        CellId {
-            level: (code >> 56) as u8,
-            ix: ((code >> 28) & 0x0FFF_FFFF) as u32,
-            iy: (code & 0x0FFF_FFFF) as u32,
-        }
+    pub fn decode(code: u32) -> CellId {
+        CellId { level: (code >> 28) as u8, ix: (code >> 14) & 0x3FFF, iy: code & 0x3FFF }
     }
 }
 
@@ -225,8 +226,14 @@ mod tests {
 
     #[test]
     fn encode_round_trip() {
-        let c = CellId { level: 3, ix: 123456, iy: 654321 };
-        assert_eq!(CellId::decode(c.encode()), c);
+        let corner = (1 << 14) - 1;
+        for c in [
+            CellId { level: 3, ix: 1234, iy: 4321 },
+            CellId { level: 0, ix: corner, iy: corner },
+            CellId { level: 14, ix: 0, iy: 0 },
+        ] {
+            assert_eq!(CellId::decode(c.encode()), c);
+        }
     }
 
     #[test]

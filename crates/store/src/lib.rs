@@ -86,8 +86,13 @@ pub const MAGIC: [u8; 8] = *b"GSRSNAP\0";
 ///   column (section `0x22`), the identity `k + 1` under the breadth-first
 ///   node numbering. Which columns a file holds is declared by the index
 ///   structures (`gsr_graph::Columns`), so this was a change to the R-tree
-///   and to this number.
-pub const FORMAT_VERSION: u32 = 4;
+///   and to this number. Retired.
+/// * **5** — the same framing; GeoReach's SPA table is four columns
+///   (`0x81`–`0x84`: kinds, a cell CSR, rectangles) that a loaded index
+///   queries in place, instead of one encoded section (`0x80`) decoded
+///   into a heap enum per component. A change to `georeach.rs` and to this
+///   number.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// A built index of any of the six methods, as saved to / loaded from a
 /// snapshot. Implements [`RangeReachIndex`] by delegation, so a loaded
@@ -443,7 +448,7 @@ mod tests {
         }
 
         // The retired versions and one from the future, by number.
-        for version in [1u32, 2, 3, 99] {
+        for version in [1u32, 2, 3, 4, 99] {
             let mut wrong_version = bytes.clone();
             wrong_version[8..12].copy_from_slice(&version.to_le_bytes());
             let named = format!("unsupported format version {version} ");

@@ -501,10 +501,10 @@ mod tests {
             expect_load_error(dir, opts, if opts.trust { "compact labels" } else { "crc mismatch" });
 
             // A file of the set written in a retired format.
-            let mut v3 = pristine.clone();
-            v3[8..12].copy_from_slice(&3u32.to_le_bytes());
-            std::fs::write(&shared, &v3).unwrap();
-            expect_load_error(dir, opts, "unsupported format version 3 ");
+            let mut v4 = pristine.clone();
+            v4[8..12].copy_from_slice(&4u32.to_le_bytes());
+            std::fs::write(&shared, &v4).unwrap();
+            expect_load_error(dir, opts, "unsupported format version 4 ");
 
             std::fs::remove_file(&shared).unwrap();
             expect_load_error(dir, opts, &manifest.shared);

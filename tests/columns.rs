@@ -39,18 +39,18 @@ fn accounted(index: &dyn RangeReachIndex) -> (usize, usize, Vec<u16>) {
     let payloads = std::iter::once(meta).chain(list.cols.iter().map(|c| c.bytes.len()));
     let file = payloads.fold(dir_end, |end, len| end.div_ceil(64) * 64 + len);
     let uncounted = list.cols.iter().filter(|c| !c.counted).map(|c| c.tag).collect();
-    (counted + list.extra, file, uncounted)
+    assert_eq!(list.extra, 0, "{}: bytes outside any column", index.name());
+    (counted, file, uncounted)
 }
 
 /// Built, loaded mapped and loaded owned, every method reports the bytes of
-/// its counted columns (GeoReach: plus its SPA-info term, the one declared
-/// non-column) and writes a file of exactly its columns; and the columns
+/// its counted columns — all six, GeoReach's SPA table being columns like
+/// the rest — and writes a file of exactly its columns; and the columns
 /// left out of the count are the five network-derived ones, nothing else.
 #[test]
 fn index_bytes_and_file_length_are_what_the_columns_say() {
     const COMP_OF: u16 = 0x10;
     const MEMBER_CSR: [u16; 2] = [0x11, 0x12];
-    const SPA_INFO: u16 = 0x80; // encoded for the file; counted by the term
     let dir = ScratchDir::new("gsr_columns_accounting").unwrap();
     let prep = PreparedNetwork::new(NetworkSpec::weeplaces(0.05).generate());
     for (name, built) in all_snapshots(&prep) {
@@ -62,15 +62,10 @@ fn index_bytes_and_file_length_are_what_the_columns_say() {
             SnapshotIndex::SpaReachBfl(_) | SnapshotIndex::SpaReachInt(_) => {
                 [&[COMP_OF][..], &MEMBER_CSR].concat()
             }
-            SnapshotIndex::GeoReach(_) => [&[SPA_INFO][..], &MEMBER_CSR].concat(),
+            SnapshotIndex::GeoReach(_) => MEMBER_CSR.to_vec(),
             _ => Vec::new(),
         };
         assert_eq!(uncounted, expected, "{name}: uncounted columns");
-        if let SnapshotIndex::GeoReach(_) = &built {
-            assert!(columns_of(&built).extra > 0, "the SPA-info term");
-        } else {
-            assert_eq!(columns_of(&built).extra, 0, "{name}: bytes outside any column");
-        }
 
         let path = dir.path().join(format!("{name}.snap"));
         std::fs::write(&path, &file).unwrap();

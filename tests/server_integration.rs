@@ -721,7 +721,7 @@ fn reset_keeps_the_cache_where_reload_clears_it() {
     // So is a file in a retired format (or one from the future): a header
     // of any version but the current one is refused at the prefix, by
     // number.
-    for version in [1u32, 2, 3, 99] {
+    for version in [1u32, 2, 3, 4, 99] {
         let retired_path = fx.dir.join(format!("retired.v{version}.snap"));
         let mut retired = std::fs::read(&snap_path).unwrap();
         retired[8..12].copy_from_slice(&version.to_le_bytes());

@@ -81,14 +81,8 @@ fn assert_members_share(router: &ShardedIndex, shared: usize, context: &str) {
         assert_eq!(held_by_first, shared, "{context}: columns a tile shares with tile 0");
         distinct.extend(counted(m));
     }
-    // No member has bytes outside a column here but GeoReach, whose
-    // SPA-info term is `index_bytes` less the counted columns.
-    let uncolumned = |m: &ShardMember| {
-        m.index.index_bytes() - counted(m).iter().map(|id| id.2).sum::<usize>()
-    };
     let once = distinct.iter().map(|id| id.2).sum::<usize>();
-    let extra = members.iter().map(uncolumned).sum::<usize>();
-    assert_eq!(router.index_bytes(), once + extra, "{context}");
+    assert_eq!(router.index_bytes(), once, "{context}");
 }
 
 /// The query rectangles: per-tile MBRs (fully inside one tile), bands
