@@ -5,16 +5,16 @@
 //! [`CountingAllocator`], which delegates to the system allocator and
 //! keeps three relaxed atomics: the number of allocations, the bytes
 //! currently live, and the high-water mark of the live bytes since the last
-//! [`reset_peak_live_bytes`]. The count is what lets the `hotpath`
-//! experiment and the zero-allocation tests assert that the steady-state
-//! query kernels never touch the heap; the peak is what lets
-//! `tests/build_memory.rs` bound an index build's scaffolding by the size of
-//! what it builds.
+//! [`reset_peak_live_bytes`]. The count is what lets the zero-allocation
+//! tests assert that the steady-state query kernels never touch the heap;
+//! the peak is what lets `tests/build_memory.rs` bound an index build's
+//! scaffolding by the size of what it builds.
 //!
 //! The counters are process-global: concurrent threads all feed the same
 //! numbers. Callers that want a per-workload delta must measure on an
-//! otherwise-quiet process (the `repro` driver runs the allocation pass
-//! single-threaded for exactly this reason).
+//! otherwise-quiet process (`tests/zero_alloc.rs` and
+//! `tests/build_memory.rs` run without the libtest harness for exactly this
+//! reason).
 //!
 //! This is the one module in the crate that needs `unsafe`: implementing
 //! [`GlobalAlloc`] is inherently unsafe. Every unsafe block is a direct

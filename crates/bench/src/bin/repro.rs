@@ -1,33 +1,22 @@
 //! The reproduction harness: regenerates every table and figure of the
-//! paper's evaluation.
+//! paper's evaluation, the paper's ablations and extensions, and the chaos
+//! drill.
 //!
 //! ```text
 //! repro [EXPERIMENT..] [--scale S] [--queries N] [--seed K] [--threads T] [--csv]
 //!
-//! EXPERIMENT: table3 table4 table5 table6 fig5 fig6 fig7 all (default: all)
+//! EXPERIMENT one of `EXPERIMENTS` below, or `all` (the default: every one
+//!            but `chaos`, which binds TCP servers)
 //! --scale    dataset scale; 1.0 ~ 1% of the paper's sizes (default 1.0)
 //! --queries  queries per measurement point (default 1000, as in the paper)
 //! --seed     workload RNG seed
-//! --threads  workers for index construction (0 = machine parallelism)
+//! --threads  workers for the chaos drill's index build (0 = machine parallelism)
 //! --csv      additionally print each table as CSV
-//!
-//! The `loadtest` experiment (not part of `all`: it spins up a real TCP
-//! server, sweeps the offered rate, then floods past `--max-conns` to
-//! prove admission control sheds cleanly) adds:
-//!
-//! --rate         offered rate in queries/second (default 1000)
-//! --clients      concurrent pipelined TCP clients (default 4)
-//! --duration-ms  per-rate-step duration (default 1000)
-//! --sweep        sweep the rate geometrically until p99 saturates
-//! --cache-entries  server result-cache capacity (default 4096; 0 = off)
-//! --shards       also sweep a second server holding an N-shard router,
-//!                recorded side by side in BENCH_loadtest.json
-//!
-//! The `shard` experiment (also not part of `all`) partitions the
-//! Yelp-analog dataset into 1/2/4/8 spatial tiles, routes the workload
-//! through the MBR-pruned scatter-gather ShardedIndex, verifies every
-//! answer against a single-index oracle, and writes BENCH_shard.json.
 //! ```
+//!
+//! Latency percentiles, throughput, index bytes, snapshot loads, shard
+//! routing and served load are measured by `benchmark/` (see its README),
+//! not here.
 
 use gsr_bench::experiments;
 use gsr_bench::table::TextTable;
@@ -35,19 +24,43 @@ use gsr_bench::{Config, Dataset};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
+/// Every experiment `repro` accepts, in run order, and whether `all` runs it.
+const EXPERIMENTS: &[(&str, bool)] = &[
+    ("table3", true),
+    ("table4", true),
+    ("table5", true),
+    ("table6", true),
+    ("fig5", true),
+    ("fig6", true),
+    ("fig7", true),
+    ("backends", true),
+    ("ablations", true),
+    ("analysis", true),
+    ("polarity", true),
+    ("spatial", true),
+    ("reduction", true),
+    ("georeach", true),
+    ("forests", true),
+    ("chaos", false),
+];
+
 fn usage() -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+    let outside_all: Vec<&str> = EXPERIMENTS.iter().filter(|e| !e.1).map(|e| e.0).collect();
     eprintln!(
-        "usage: repro [table3|..|fig7|backends|ablations|analysis|latency|throughput|hotpath|memory|parbuild|snapshot|loadtest|chaos|shard|all]... \
-         [--scale S] [--queries N] [--seed K] [--threads T] [--csv] \
-         [--rate QPS] [--clients K] [--duration-ms MS] [--sweep] [--cache-entries N] [--shards N]"
+        "usage: repro [EXPERIMENT|all]... [--scale S] [--queries N] [--seed K] [--threads T] [--csv]\n\
+         EXPERIMENT: {}\n\
+         all (the default) runs every experiment except: {}",
+        names.join(" "),
+        outside_all.join(" "),
     );
     std::process::exit(2);
 }
 
 fn main() {
     let mut cfg = Config::default();
-    let mut lt_opts = gsr_bench::loadtest::LoadtestOptions::default();
-    let mut experiments_wanted: BTreeSet<String> = BTreeSet::new();
+    let mut experiments_wanted: BTreeSet<&str> = BTreeSet::new();
+    let mut all = false;
     let mut csv = false;
 
     let mut args = std::env::args().skip(1);
@@ -65,46 +78,16 @@ fn main() {
             "--threads" => {
                 cfg.threads = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
             }
-            "--rate" => {
-                lt_opts.rate_qps =
-                    args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--clients" => {
-                lt_opts.clients =
-                    args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--duration-ms" => {
-                lt_opts.duration_ms =
-                    args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--cache-entries" => {
-                lt_opts.cache_entries =
-                    args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--shards" => {
-                lt_opts.shards =
-                    args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--sweep" => lt_opts.sweep = true,
             "--csv" => csv = true,
-            "all" | "table3" | "table4" | "table5" | "table6" | "fig5" | "fig6" | "fig7"
-            | "backends" | "ablations" | "analysis" | "latency" | "throughput" | "hotpath"
-            | "memory" | "parbuild" | "forests" | "georeach" | "reduction" | "spatial"
-            | "polarity" | "snapshot" | "loadtest" | "chaos" | "shard" => {
-                experiments_wanted.insert(arg);
+            "all" => all = true,
+            name => {
+                let known = EXPERIMENTS.iter().find(|e| e.0 == name).unwrap_or_else(|| usage());
+                experiments_wanted.insert(known.0);
             }
-            _ => usage(),
         }
     }
-    if experiments_wanted.is_empty() || experiments_wanted.contains("all") {
-        for e in [
-            "table3", "table4", "table5", "table6", "fig5", "fig6", "fig7", "backends",
-            "ablations", "analysis", "latency", "throughput", "hotpath", "memory",
-            "parbuild", "forests", "georeach", "reduction", "spatial", "polarity", "snapshot",
-        ] {
-            experiments_wanted.insert(e.to_string());
-        }
-        experiments_wanted.remove("all");
+    if all || experiments_wanted.is_empty() {
+        experiments_wanted.extend(EXPERIMENTS.iter().filter(|e| e.1).map(|e| e.0));
     }
 
     let wanted = |name: &str| experiments_wanted.contains(name);
@@ -125,11 +108,9 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    // `loadtest`, `chaos` and `shard` generate their own dataset (and the
-    // first two spin up live servers); when only they are wanted, skip the
+    // `chaos` generates its own dataset; when only it is wanted, skip the
     // four-dataset generation.
-    let needs_datasets =
-        experiments_wanted.iter().any(|e| e != "loadtest" && e != "chaos" && e != "shard");
+    let needs_datasets = experiments_wanted.iter().any(|e| *e != "chaos");
     let datasets = if needs_datasets {
         eprintln!("generating datasets (scale {}) ...", cfg.scale);
         let datasets = Dataset::load_all(&cfg);
@@ -222,167 +203,6 @@ fn main() {
             &experiments::forests(&datasets),
         );
     }
-    if wanted("latency") {
-        emit(
-            "Extension: per-query latency percentiles (default workload)",
-            &experiments::latency(&datasets, &cfg),
-        );
-    }
-    if wanted("throughput") {
-        emit(
-            "Extension: multi-threaded throughput over one shared 3DReach index",
-            &experiments::throughput(&datasets, &cfg),
-        );
-    }
-    if wanted("hotpath") {
-        let (table, points) = experiments::hotpath(&datasets, &cfg);
-        emit("Extension: hot-path profile (latency, throughput, allocs/query)", &table);
-        let json = experiments::hotpath_json(&cfg, &points);
-        match std::fs::write("BENCH_hotpath.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_hotpath.json ({} results)", points.len()),
-            Err(e) => eprintln!("cannot write BENCH_hotpath.json: {e}"),
-        }
-    }
-    if wanted("memory") {
-        let (table, points) = experiments::memory(&datasets, &cfg);
-        emit("Extension: memory footprint of the compact index layouts", &table);
-        let json = experiments::memory_json(&cfg, &points);
-        match std::fs::write("BENCH_memory.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_memory.json ({} results)", points.len()),
-            Err(e) => eprintln!("cannot write BENCH_memory.json: {e}"),
-        }
-    }
-    if wanted("snapshot") {
-        let (table, points) = experiments::snapshot(&datasets, &cfg);
-        emit("Extension: cold-start rebuild vs snapshot load (gsr-store)", &table);
-        let json = experiments::snapshot_json(&cfg, &points);
-        match std::fs::write("BENCH_snapshot.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_snapshot.json ({} results)", points.len()),
-            Err(e) => eprintln!("cannot write BENCH_snapshot.json: {e}"),
-        }
-    }
-    if wanted("parbuild") {
-        emit(
-            "Extension: parallel index construction, measured wall-clock at 1/2/4 threads",
-            &experiments::parallel_build(&datasets),
-        );
-    }
-    if wanted("loadtest") {
-        eprintln!(
-            "loadtest: rate={} qps, clients={}, duration={} ms, sweep={}, cache_entries={}, \
-             shards={}",
-            lt_opts.rate_qps, lt_opts.clients, lt_opts.duration_ms, lt_opts.sweep,
-            lt_opts.cache_entries, lt_opts.shards
-        );
-        match gsr_bench::loadtest::run_experiment(&cfg, &lt_opts) {
-            Ok((table, steps, overload, sharded)) => {
-                emit("Extension: open-loop latency-under-throughput sweep", &table);
-                eprintln!(
-                    "overload: {} flooders vs {} holders -> busy={} served={} \
-                     (shed_rate={:.2}, server shed={} rejected={}) served_p99_us={}",
-                    overload.flooders,
-                    overload.holders,
-                    overload.busy,
-                    overload.flooder_served,
-                    overload.shed_rate(),
-                    overload.server_shed,
-                    overload.server_rejected,
-                    overload.served_p99_us,
-                );
-                if let Some(sh) = &sharded {
-                    for (base, shard_step) in steps.iter().zip(&sh.steps) {
-                        eprintln!(
-                            "sharded x{}: {} qps offered -> single {:.0} qps p99={} us, \
-                             sharded {:.0} qps p99={} us",
-                            sh.shards,
-                            base.offered_qps,
-                            base.achieved_qps,
-                            base.p99_us,
-                            shard_step.achieved_qps,
-                            shard_step.p99_us,
-                        );
-                    }
-                }
-                let json = gsr_bench::loadtest::loadtest_json(
-                    &cfg,
-                    &lt_opts,
-                    &steps,
-                    Some(&overload),
-                    sharded.as_ref(),
-                );
-                match std::fs::write("BENCH_loadtest.json", &json) {
-                    Ok(()) => eprintln!("wrote BENCH_loadtest.json ({} steps)", steps.len()),
-                    Err(e) => eprintln!("cannot write BENCH_loadtest.json: {e}"),
-                }
-                let cache_enabled = lt_opts.cache_entries > 0;
-                let mut failed = false;
-                let sharded_steps = sharded.as_ref().map(|s| s.steps.as_slice()).unwrap_or(&[]);
-                for (i, step) in steps.iter().chain(sharded_steps).enumerate() {
-                    if let Err(e) = step.reconcile(cache_enabled) {
-                        eprintln!(
-                            "loadtest: step {} ({} qps) failed reconciliation: {e}",
-                            i + 1,
-                            step.offered_qps
-                        );
-                        failed = true;
-                    }
-                }
-                if let Err(e) = overload.reconcile() {
-                    eprintln!("loadtest: overload step failed reconciliation: {e}");
-                    failed = true;
-                }
-                if failed {
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("loadtest failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if wanted("shard") {
-        match gsr_bench::shard::run_experiment(&cfg) {
-            Ok((table, baseline_qps, points)) => {
-                emit(
-                    "Extension: spatial-tile sharding with MBR-pruned scatter-gather routing",
-                    &table,
-                );
-                eprintln!("shard: single-index baseline {baseline_qps:.0} qps");
-                let json = gsr_bench::shard::shard_json(&cfg, baseline_qps, &points);
-                match std::fs::write("BENCH_shard.json", &json) {
-                    Ok(()) => eprintln!("wrote BENCH_shard.json ({} shard counts)", points.len()),
-                    Err(e) => eprintln!("cannot write BENCH_shard.json: {e}"),
-                }
-                let mut failed = false;
-                for p in &points {
-                    if p.mismatches > 0 {
-                        eprintln!(
-                            "shard: {} shards disagreed with the oracle on {} queries",
-                            p.shards, p.mismatches
-                        );
-                        failed = true;
-                    }
-                    if p.shards > 1 && p.avg_shards_probed >= p.shards as f64 {
-                        eprintln!(
-                            "shard: no pruning at {} shards (avg probed {:.2})",
-                            p.shards, p.avg_shards_probed
-                        );
-                        failed = true;
-                    }
-                }
-                if failed {
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("shard failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
     if wanted("chaos") {
         let ch_opts = gsr_bench::chaos::ChaosOptions::default();
         eprintln!(

@@ -2,11 +2,11 @@
 //! snapshot store the way a hostile network and an unreliable machine
 //! would, then audits the wreckage.
 //!
-//! The load generator ([`crate::loadtest`]) proves the server is *fast*
-//! under well-behaved load; this module proves it is *unkillable* under
-//! badly-behaved load. Each scenario mounts one class of attack against a
-//! real TCP server (its own instance, so limits and counters are
-//! scenario-local) and checks three things afterwards:
+//! `benchmark/` measures how fast the server is under well-behaved load;
+//! this module proves it is *unkillable* under badly-behaved load. Each
+//! scenario mounts one class of attack against a real TCP server (its own
+//! instance, so limits and counters are scenario-local) and checks three
+//! things afterwards:
 //!
 //! 1. **Typed refusals** — every attack ends in the documented protocol
 //!    error (`ERR 2 line too long`, `ERR 7 busy`, `ERR 7 idle timeout`),
@@ -31,12 +31,11 @@
 //! outcome fails the build.
 
 use crate::harness::{Config, Dataset, MethodKind};
-use crate::loadtest::{classify, control_roundtrip, stat_u64, ReplayPlan, ReplyOutcome};
 use crate::table::TextTable;
 use gsr_core::methods::ThreeDReach;
-use gsr_core::{RangeReachIndex, SccSpatialPolicy};
+use gsr_core::{BatchExecutor, RangeReachIndex, SccSpatialPolicy};
 use gsr_datagen::faults::ScratchDir;
-use gsr_datagen::workload::WorkloadGen;
+use gsr_datagen::workload::{Workload, WorkloadGen};
 use gsr_datagen::NetworkSpec;
 use gsr_graph::stats::DegreeBucket;
 use gsr_server::{QueryServer, ServerConfig};
@@ -97,6 +96,80 @@ const CHAOS_MAX_LINE: usize = 256;
 
 /// The idle reaper deadline the idle scenario runs against.
 const CHAOS_IDLE_MS: u64 = 150;
+
+/// How a server reply relates to the oracle's expected answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReplyOutcome {
+    /// `TRUE`/`FALSE`, agreeing with the oracle.
+    Ok,
+    /// An `ERR` (or otherwise unparseable) reply line.
+    Err,
+    /// `TRUE`/`FALSE`, *disagreeing* with the oracle — the worst outcome.
+    Mismatch,
+}
+
+/// A replayable trace: pre-rendered request lines plus the oracle's answer
+/// for each. Because `f64`'s `Display` round-trips through `parse`, every
+/// replay of query `i` is byte-identical, so the server's result cache
+/// sees one key per distinct query.
+#[derive(Debug, Clone)]
+struct ReplayPlan {
+    /// `REACH ...\n` lines, one per workload query.
+    lines: Vec<String>,
+    /// The oracle's answer to each line, same order.
+    expected: Vec<bool>,
+}
+
+impl ReplayPlan {
+    /// Renders a workload and answers every query through `oracle` (a
+    /// fresh, independently built index) with [`BatchExecutor`].
+    fn from_workload(workload: &Workload, oracle: &dyn RangeReachIndex) -> ReplayPlan {
+        let lines = workload
+            .queries
+            .iter()
+            .map(|(v, r)| format!("REACH {v} {} {} {} {}\n", r.min_x, r.min_y, r.max_x, r.max_y))
+            .collect();
+        let expected = BatchExecutor::new(1).run(oracle, &workload.queries);
+        ReplayPlan { lines, expected }
+    }
+
+    /// Number of distinct queries in the trace.
+    fn len(&self) -> usize {
+        self.lines.len()
+    }
+}
+
+fn classify(reply: &str, expected: bool) -> ReplyOutcome {
+    match reply {
+        "TRUE" if expected => ReplyOutcome::Ok,
+        "FALSE" if !expected => ReplyOutcome::Ok,
+        "TRUE" | "FALSE" => ReplyOutcome::Mismatch,
+        _ => ReplyOutcome::Err,
+    }
+}
+
+/// Sends one control command (`RESET\n`, `STATS\n`, `RELOAD …\n`) on its
+/// own short-lived connection and returns the single reply line.
+fn control_roundtrip(addr: SocketAddr, command: &str) -> Result<String, String> {
+    let mut stream =
+        TcpStream::connect(addr).map_err(|e| format!("control connect: {e}"))?;
+    let _ = stream.set_read_timeout(Some(ATTACK_READ_TIMEOUT));
+    stream.write_all(command.as_bytes()).map_err(|e| format!("control write: {e}"))?;
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).map_err(|e| format!("control read: {e}"))?;
+    Ok(reply.trim_end().to_string())
+}
+
+/// Extracts `key=value` from a `STATS` reply line.
+fn stat_u64(reply: &str, key: &str) -> Result<u64, String> {
+    reply
+        .split_whitespace()
+        .find_map(|tok| tok.strip_prefix(key).and_then(|rest| rest.strip_prefix('=')))
+        .ok_or_else(|| format!("STATS reply missing {key}=: {reply:?}"))?
+        .parse()
+        .map_err(|_| format!("STATS {key} is not a number: {reply:?}"))
+}
 
 fn base_config(threads: usize) -> ServerConfig {
     ServerConfig { threads, budget: None, ..ServerConfig::default() }
@@ -771,6 +844,50 @@ mod tests {
         assert!(r.passed());
         r.handled = 7;
         assert!(!r.passed());
+    }
+
+    #[test]
+    fn classify_checks_against_the_oracle() {
+        assert_eq!(classify("TRUE", true), ReplyOutcome::Ok);
+        assert_eq!(classify("FALSE", false), ReplyOutcome::Ok);
+        assert_eq!(classify("TRUE", false), ReplyOutcome::Mismatch);
+        assert_eq!(classify("FALSE", true), ReplyOutcome::Mismatch);
+        assert_eq!(classify("ERR 4 invalid query", true), ReplyOutcome::Err);
+        assert_eq!(classify("", false), ReplyOutcome::Err);
+    }
+
+    #[test]
+    fn stat_parsing_reads_the_stats_line() {
+        let line = "STATS queries=12 errors=3 p50_us=7 p99_us=9 p999_us=11 \
+                    index_bytes=100 cache_hits=4 cache_misses=8 cache_evictions=0";
+        assert_eq!(stat_u64(line, "queries"), Ok(12));
+        assert_eq!(stat_u64(line, "p999_us"), Ok(11));
+        assert_eq!(stat_u64(line, "cache_hits"), Ok(4));
+        assert!(stat_u64(line, "nope").is_err());
+    }
+
+    #[test]
+    fn replay_plan_renders_round_trippable_lines() {
+        use gsr_core::paper_example;
+        let prep = paper_example::prepared();
+        let r = paper_example::query_region();
+        let workload = Workload {
+            label: "t".into(),
+            queries: vec![(paper_example::A, r), (paper_example::C, r)],
+        };
+        let oracle = ThreeDReach::build(&prep, SccSpatialPolicy::Replicate);
+        let plan = ReplayPlan::from_workload(&workload, &oracle);
+        assert_eq!(plan.len(), 2);
+        assert_eq!(plan.expected, vec![true, false]);
+        for (line, (v, rect)) in plan.lines.iter().zip(&workload.queries) {
+            assert!(line.ends_with('\n'));
+            let parsed = gsr_server::proto::parse_line(line.trim_end());
+            assert_eq!(
+                parsed,
+                Ok(Some(gsr_server::proto::Request::Reach(*v, *rect))),
+                "rendered line must parse back to the exact query"
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,6 @@
 //! One driver per table/figure of the paper's evaluation.
 
-use crate::harness::{
-    run_workload, run_workload_latencies, run_workload_parallel, Config, Dataset, MethodKind,
-    ALL_METHODS, FINAL_METHODS,
-};
+use crate::harness::{run_workload, Config, Dataset, MethodKind, ALL_METHODS, FINAL_METHODS};
 use crate::table::{fmt_mb, fmt_micros, fmt_secs, TextTable};
 use gsr_core::methods::{
     CandidateMode, GeoReach, GeoReachParams, ScanMode, SocReach, SpaReach, SpaReachBfl,
@@ -11,7 +8,6 @@ use gsr_core::methods::{
     SpatialBackend,
 };
 use gsr_core::{QueryCost, RangeReachIndex, SccSpatialPolicy};
-use gsr_datagen::faults::ScratchDir;
 use gsr_datagen::workload::{WorkloadGen, PAPER_EXTENTS_PCT, PAPER_SELECTIVITIES_PCT};
 use gsr_graph::dfs::ForestStrategy;
 use gsr_graph::reduction::{equivalence_reduction, transitive_reduction};
@@ -614,513 +610,6 @@ pub fn forests(datasets: &[Dataset]) -> TextTable {
     t
 }
 
-/// **Extension**: tail-latency percentiles per method at the default
-/// workload — the paper reports averages; an online service also needs the
-/// p99.
-pub fn latency(datasets: &[Dataset], cfg: &Config) -> TextTable {
-    let mut t = TextTable::new([
-        "dataset",
-        "method",
-        "avg [us]",
-        "p50 [us]",
-        "p95 [us]",
-        "p99 [us]",
-        "max [us]",
-    ]);
-    let default_bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
-    for ds in datasets {
-        let gen = WorkloadGen::new(&ds.prep);
-        let w = gen.extent_degree(DEFAULT_EXTENT, default_bucket, cfg.queries, cfg.seed);
-        for method in FINAL_METHODS {
-            let idx = method.build(&ds.prep, SccSpatialPolicy::Replicate);
-            let p = run_workload_latencies(idx.as_ref(), &w);
-            t.row([
-                ds.name.to_string(),
-                method.name().to_string(),
-                fmt_micros(p.avg_micros),
-                fmt_micros(p.p50_micros),
-                fmt_micros(p.p95_micros),
-                fmt_micros(p.p99_micros),
-                fmt_micros(p.max_micros),
-            ]);
-        }
-    }
-    t
-}
-
-/// **Extension**: multi-threaded query throughput over one shared 3DReach
-/// index (indexes are immutable, so scaling should be near-linear until
-/// memory bandwidth binds).
-pub fn throughput(datasets: &[Dataset], cfg: &Config) -> TextTable {
-    let mut t = TextTable::new(["dataset", "threads", "queries/s", "speedup"]);
-    let default_bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
-    let threads = [1usize, 2, 4, 8];
-    for ds in datasets {
-        let gen = WorkloadGen::new(&ds.prep);
-        // A larger batch smooths out thread startup costs.
-        let w = gen.extent_degree(DEFAULT_EXTENT, default_bucket, cfg.queries * 8, cfg.seed);
-        let idx = MethodKind::ThreeDReach.build(&ds.prep, SccSpatialPolicy::Replicate);
-        let mut base = 0.0f64;
-        for &n in &threads {
-            let (qps, _) = run_workload_parallel(idx.as_ref(), &w, n);
-            if n == 1 {
-                base = qps;
-            }
-            t.row([
-                ds.name.to_string(),
-                n.to_string(),
-                format!("{:.0}", qps),
-                format!("{:.2}x", qps / base.max(1e-9)),
-            ]);
-        }
-    }
-    t
-}
-
-/// **Extension**: parallel index-construction scaling. Times the
-/// interval-labeling build and the full 3DReach build at 1/2/4 threads
-/// over each dataset's condensation, reporting measured wall-clock — the
-/// reported speedup is whatever the host actually delivers (on a
-/// single-core machine all thread counts cost about the same; the
-/// determinism tests still guarantee the outputs are identical). Pass
-/// `--scale 10` or more to reach the ≥100k-vertex networks where the
-/// level-scheduled build has enough width per level to scale.
-pub fn parallel_build(datasets: &[Dataset]) -> TextTable {
-    let mut t =
-        TextTable::new(["dataset", "vertices", "structure", "threads", "build [ms]", "speedup"]);
-    let thread_counts = [1usize, 2, 4];
-    for ds in datasets {
-        let n = ds.prep.network().num_vertices();
-        // Untimed warm-up builds: the first build pays one-time costs
-        // (lazy PreparedNetwork caches, allocator growth, page faults)
-        // that would otherwise inflate the speedup of whichever thread
-        // count happens to run later.
-        std::hint::black_box(IntervalLabeling::build_with(
-            ds.prep.dag(),
-            BuildOptions::default(),
-        ));
-        std::hint::black_box(MethodKind::ThreeDReach.build_threaded(
-            &ds.prep,
-            SccSpatialPolicy::Replicate,
-            1,
-        ));
-        let mut base_label = 0.0f64;
-        for &threads in &thread_counts {
-            let start = std::time::Instant::now();
-            let labeling = IntervalLabeling::build_with(
-                ds.prep.dag(),
-                BuildOptions { threads, ..BuildOptions::default() },
-            );
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            std::hint::black_box(&labeling);
-            if threads == 1 {
-                base_label = ms;
-            }
-            t.row([
-                ds.name.to_string(),
-                n.to_string(),
-                "interval labels".to_string(),
-                threads.to_string(),
-                format!("{ms:.2}"),
-                format!("{:.2}x", base_label / ms.max(1e-9)),
-            ]);
-        }
-        let mut base_full = 0.0f64;
-        for &threads in &thread_counts {
-            let start = std::time::Instant::now();
-            let idx = MethodKind::ThreeDReach.build_threaded(
-                &ds.prep,
-                SccSpatialPolicy::Replicate,
-                threads,
-            );
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            std::hint::black_box(&idx);
-            if threads == 1 {
-                base_full = ms;
-            }
-            t.row([
-                ds.name.to_string(),
-                n.to_string(),
-                "3DReach (full)".to_string(),
-                threads.to_string(),
-                format!("{ms:.2}"),
-                format!("{:.2}x", base_full / ms.max(1e-9)),
-            ]);
-        }
-    }
-    t
-}
-
-/// Builds one method as a saveable snapshot (replicate policy, the same
-/// configuration the CLI's `build --save` persists).
-fn method_snapshot(
-    kind: MethodKind,
-    prep: &gsr_core::PreparedNetwork,
-) -> gsr_store::SnapshotIndex {
-    use gsr_store::SnapshotIndex as S;
-    let p = SccSpatialPolicy::Replicate;
-    match kind {
-        MethodKind::SpaReachBfl => S::SpaReachBfl(SpaReachBfl::build(prep, p)),
-        MethodKind::SpaReachInt => S::SpaReachInt(SpaReachInt::build(prep, p)),
-        MethodKind::GeoReach => S::GeoReach(GeoReach::build(prep)),
-        MethodKind::SocReach => S::SocReach(SocReach::build(prep)),
-        MethodKind::ThreeDReach => S::ThreeDReach(gsr_core::methods::ThreeDReach::build(prep, p)),
-        MethodKind::ThreeDReachRev => {
-            S::ThreeDReachRev(gsr_core::methods::ThreeDReachRev::build(prep, p))
-        }
-    }
-}
-
-/// One measurement of the snapshot experiment.
-#[derive(Debug, Clone)]
-pub struct SnapshotPoint {
-    /// Dataset display name.
-    pub dataset: String,
-    /// Method key ("3dreach", ...).
-    pub method: String,
-    /// Cold-start index construction, milliseconds.
-    pub build_ms: f64,
-    /// Snapshot serialization, milliseconds.
-    pub save_ms: f64,
-    /// Snapshot size in bytes.
-    pub snapshot_bytes: usize,
-    /// Load from a file (mmap + validation), milliseconds. The JSON
-    /// trajectory carries it as both `load_ms` and `load_ms_v3`.
-    pub load_ms: f64,
-    /// Load throughput, `snapshot_bytes / load_ms`, in MB/s (decimal
-    /// megabytes). On the mmap path this exceeds disk bandwidth because
-    /// pages fault in lazily during queries.
-    pub load_mb_per_s: f64,
-    /// `build_ms / load_ms` — how much faster a replica starts from a
-    /// snapshot than from a rebuild.
-    pub load_speedup: f64,
-    /// Whether the loaded copy answered the probe workload identically
-    /// to the freshly built index.
-    pub agree: bool,
-}
-
-/// **Extension (new subsystem)**: cold-start rebuild vs snapshot load.
-///
-/// For every dataset × method: time the cold index build, persist it as
-/// a snapshot (`gsr_store::save_to_path`, the zero-copy format), time
-/// loading it back **from a file** — the loader memory-maps it — and
-/// replay a probe workload on both copies to confirm bit-identical
-/// answers. The point is the `load [ms]` column: a replica's restart cost
-/// is the mmap + structural validation, not a rebuild.
-pub fn snapshot(datasets: &[Dataset], cfg: &Config) -> (TextTable, Vec<SnapshotPoint>) {
-    use std::time::Instant;
-
-    let mut t = TextTable::new([
-        "dataset",
-        "method",
-        "build [ms]",
-        "save [ms]",
-        "snapshot [MB]",
-        "load [ms]",
-        "load speedup",
-        "load [MB/s]",
-        "answers",
-    ]);
-    let mut points = Vec::new();
-    let default_bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
-    let scratch = match ScratchDir::new("gsr_bench_snapshot") {
-        Ok(dir) => dir,
-        Err(e) => {
-            t.row([format!("cannot create scratch directory: {e}")]);
-            return (t, points);
-        }
-    };
-    let dir = scratch.path();
-
-    for ds in datasets {
-        let gen = WorkloadGen::new(&ds.prep);
-        let w = gen.extent_degree(DEFAULT_EXTENT, default_bucket, cfg.queries, cfg.seed);
-
-        for kind in ALL_METHODS {
-            let start = Instant::now();
-            let built = method_snapshot(kind, &ds.prep);
-            let build_ms = start.elapsed().as_secs_f64() * 1e3;
-
-            let path = dir.join(format!("{}.snap", built.method_key()));
-            let start = Instant::now();
-            let saved = gsr_store::save_to_path(&path, &built).is_ok();
-            let save_ms = start.elapsed().as_secs_f64() * 1e3;
-            if !saved {
-                t.row([
-                    ds.name.to_string(),
-                    built.method_key().to_string(),
-                    format!("{build_ms:.2}"),
-                    "save failed".to_string(),
-                ]);
-                continue;
-            }
-            let snapshot_bytes =
-                std::fs::metadata(&path).map(|m| m.len() as usize).unwrap_or(0);
-
-            let start = Instant::now();
-            let loaded = gsr_store::load_from_path(&path);
-            let load_ms = start.elapsed().as_secs_f64() * 1e3;
-            let Ok(loaded) = loaded else {
-                t.row([
-                    ds.name.to_string(),
-                    built.method_key().to_string(),
-                    format!("{build_ms:.2}"),
-                    format!("{save_ms:.2}"),
-                    fmt_mb(snapshot_bytes),
-                    "load failed".to_string(),
-                ]);
-                continue;
-            };
-
-            let agree = w.queries.iter().all(|(v, r)| loaded.query(*v, r) == built.query(*v, r));
-            let load_speedup = build_ms / load_ms.max(1e-6);
-            let load_mb_per_s = snapshot_bytes as f64 / 1e6 / (load_ms.max(1e-6) / 1e3);
-            t.row([
-                ds.name.to_string(),
-                built.method_key().to_string(),
-                format!("{build_ms:.2}"),
-                format!("{save_ms:.2}"),
-                fmt_mb(snapshot_bytes),
-                format!("{load_ms:.2}"),
-                format!("{load_speedup:.1}x"),
-                format!("{load_mb_per_s:.0}"),
-                if agree { "identical".to_string() } else { "MISMATCH".to_string() },
-            ]);
-            points.push(SnapshotPoint {
-                dataset: ds.name.to_string(),
-                method: built.method_key().to_string(),
-                build_ms,
-                save_ms,
-                snapshot_bytes,
-                load_ms,
-                load_mb_per_s,
-                load_speedup,
-                agree,
-            });
-        }
-    }
-    (t, points)
-}
-
-/// Renders the snapshot experiment as the `BENCH_snapshot.json` trajectory
-/// file (hand-written JSON; the harness is std-only).
-pub fn snapshot_json(cfg: &Config, points: &[SnapshotPoint]) -> String {
-    let mut s = String::from("{\n  \"experiment\": \"snapshot\",\n");
-    s.push_str(&format!(
-        "  \"scale\": {}, \"queries\": {}, \"seed\": {},\n  \"results\": [\n",
-        cfg.scale, cfg.queries, cfg.seed
-    ));
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"method\": \"{}\", \"build_ms\": {:.3}, \
-             \"save_ms\": {:.3}, \"snapshot_bytes\": {}, \"load_ms\": {:.3}, \
-             \"load_ms_v3\": {:.3}, \"load_mb_per_s\": {:.1}, \
-             \"load_speedup\": {:.2}, \"agree\": {}}}{}\n",
-            p.dataset,
-            p.method,
-            p.build_ms,
-            p.save_ms,
-            p.snapshot_bytes,
-            p.load_ms,
-            p.load_ms,
-            p.load_mb_per_s,
-            p.load_speedup,
-            p.agree,
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// One measured point of the [`hotpath`] experiment.
-#[derive(Debug, Clone)]
-pub struct HotpathPoint {
-    /// Dataset name.
-    pub dataset: String,
-    /// Method name.
-    pub method: String,
-    /// Median query latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile query latency, microseconds.
-    pub p99_us: f64,
-    /// Batched query throughput, queries per second.
-    pub qps: f64,
-    /// Heap allocations per steady-state query (after one warm-up pass).
-    pub allocs_per_query: f64,
-}
-
-/// **Extension**: the hot-path profile behind the zero-allocation query
-/// kernels — per-method p50/p99 latency, batched throughput, and heap
-/// allocations per steady-state query, counted by the crate's global
-/// counting allocator ([`crate::alloc_track`]).
-///
-/// A warm-up pass runs first so the one-time thread-local scratch
-/// allocation and index page faults are paid outside the measured window;
-/// after it, every method is expected to report `allocs/query = 0`. The
-/// allocation pass is single-threaded because the counter is
-/// process-global.
-pub fn hotpath(datasets: &[Dataset], cfg: &Config) -> (TextTable, Vec<HotpathPoint>) {
-    let mut t = TextTable::new([
-        "dataset",
-        "method",
-        "p50 [us]",
-        "p99 [us]",
-        "queries/s",
-        "allocs/query",
-    ]);
-    let mut points = Vec::new();
-    let default_bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
-    for ds in datasets {
-        let gen = WorkloadGen::new(&ds.prep);
-        let w = gen.extent_degree(DEFAULT_EXTENT, default_bucket, cfg.queries, cfg.seed);
-        for method in ALL_METHODS {
-            let idx = method.build(&ds.prep, SccSpatialPolicy::Replicate);
-            // Warm-up: pays the per-thread scratch allocation once.
-            std::hint::black_box(run_workload(idx.as_ref(), &w));
-            let p = run_workload_latencies(idx.as_ref(), &w);
-            let (qps, _) = run_workload_parallel(idx.as_ref(), &w, cfg.threads.max(1));
-            let before = crate::alloc_track::allocation_count();
-            for (v, region) in &w.queries {
-                std::hint::black_box(idx.query(*v, region));
-            }
-            let allocs = crate::alloc_track::allocation_count().saturating_sub(before);
-            let allocs_per_query = allocs as f64 / w.queries.len().max(1) as f64;
-            t.row([
-                ds.name.to_string(),
-                method.name().to_string(),
-                fmt_micros(p.p50_micros),
-                fmt_micros(p.p99_micros),
-                format!("{qps:.0}"),
-                format!("{allocs_per_query:.3}"),
-            ]);
-            points.push(HotpathPoint {
-                dataset: ds.name.to_string(),
-                method: method.name().to_string(),
-                p50_us: p.p50_micros,
-                p99_us: p.p99_micros,
-                qps,
-                allocs_per_query,
-            });
-        }
-    }
-    (t, points)
-}
-
-/// Renders the hotpath experiment as the `BENCH_hotpath.json` trajectory
-/// file (hand-written JSON; the harness is std-only).
-pub fn hotpath_json(cfg: &Config, points: &[HotpathPoint]) -> String {
-    let mut s = String::from("{\n  \"experiment\": \"hotpath\",\n");
-    s.push_str(&format!(
-        "  \"scale\": {}, \"queries\": {}, \"seed\": {}, \"threads\": {},\n  \"results\": [\n",
-        cfg.scale, cfg.queries, cfg.seed, cfg.threads
-    ));
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"method\": \"{}\", \"p50_us\": {:.3}, \
-             \"p99_us\": {:.3}, \"qps\": {:.1}, \"allocs_per_query\": {:.4}}}{}\n",
-            p.dataset,
-            p.method,
-            p.p50_us,
-            p.p99_us,
-            p.qps,
-            p.allocs_per_query,
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// One measured point of the [`memory`] experiment.
-#[derive(Debug, Clone)]
-pub struct MemoryPoint {
-    /// Dataset name.
-    pub dataset: String,
-    /// Method name.
-    pub method: String,
-    /// Vertices in the network.
-    pub num_vertices: usize,
-    /// Heap footprint of the index, bytes.
-    pub heap_bytes: usize,
-    /// Median query latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile query latency, microseconds.
-    pub p99_us: f64,
-}
-
-/// **Extension**: the memory-footprint profile of the compact index
-/// layouts — per-method heap bytes (via the `HeapBytes` accounting every
-/// index implements) and bytes/vertex, plus query p50/p99 to show the
-/// footprint is not paid for in latency.
-pub fn memory(datasets: &[Dataset], cfg: &Config) -> (TextTable, Vec<MemoryPoint>) {
-    let mut t = TextTable::new([
-        "dataset",
-        "method",
-        "heap",
-        "bytes/vertex",
-        "p50 [us]",
-        "p99 [us]",
-    ]);
-    let mut points = Vec::new();
-    let default_bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
-    let policy = SccSpatialPolicy::Replicate;
-    for ds in datasets {
-        let gen = WorkloadGen::new(&ds.prep);
-        let w = gen.extent_degree(DEFAULT_EXTENT, default_bucket, cfg.queries, cfg.seed);
-        let nv = ds.prep.network().num_vertices().max(1);
-        for method in ALL_METHODS {
-            let idx = method.build_threaded(&ds.prep, policy, cfg.threads);
-            let heap = idx.index_bytes();
-            let p = run_workload_latencies(idx.as_ref(), &w);
-            t.row([
-                ds.name.to_string(),
-                method.name().to_string(),
-                fmt_mb(heap),
-                format!("{:.1}", heap as f64 / nv as f64),
-                fmt_micros(p.p50_micros),
-                fmt_micros(p.p99_micros),
-            ]);
-            points.push(MemoryPoint {
-                dataset: ds.name.to_string(),
-                method: method.name().to_string(),
-                num_vertices: nv,
-                heap_bytes: heap,
-                p50_us: p.p50_micros,
-                p99_us: p.p99_micros,
-            });
-        }
-    }
-    (t, points)
-}
-
-/// Renders the memory experiment as the `BENCH_memory.json` trajectory
-/// file (hand-written JSON; the harness is std-only).
-pub fn memory_json(cfg: &Config, points: &[MemoryPoint]) -> String {
-    let mut s = String::from("{\n  \"experiment\": \"memory\",\n");
-    s.push_str(&format!(
-        "  \"scale\": {}, \"queries\": {}, \"seed\": {}, \"threads\": {},\n  \"results\": [\n",
-        cfg.scale, cfg.queries, cfg.seed, cfg.threads
-    ));
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"method\": \"{}\", \"num_vertices\": {}, \
-             \"heap_bytes\": {}, \"bytes_per_vertex\": {:.2}, \
-             \"p50_us\": {:.3}, \"p99_us\": {:.3}}}{}\n",
-            p.dataset,
-            p.method,
-            p.num_vertices,
-            p.heap_bytes,
-            p.heap_bytes as f64 / p.num_vertices.max(1) as f64,
-            p.p50_us,
-            p.p99_us,
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1131,28 +620,6 @@ mod tests {
             Dataset::from_spec(&NetworkSpec::weeplaces(0.03)),
             Dataset::from_spec(&NetworkSpec::yelp(0.01)),
         ]
-    }
-
-    #[test]
-    fn memory_reports_shrink_for_label_backed_methods() {
-        let ds = tiny_datasets();
-        let cfg = Config { queries: 50, ..Config::default() };
-        let (t, points) = memory(&ds, &cfg);
-        assert_eq!(t.len(), 2 * 6, "six methods per dataset");
-        assert_eq!(points.len(), 2 * 6);
-        for p in &points {
-            assert!(p.heap_bytes > 0, "{}: zero heap", p.method);
-            assert!(p.p50_us <= p.p99_us, "{}: p50 above p99", p.method);
-        }
-        // The delta-compressed labels keep SocReach below the plain
-        // interval labeling SpaReach-INT carries, on every dataset.
-        for pair in points.chunks(6) {
-            let heap = |m: &str| pair.iter().find(|p| p.method == m).map(|p| p.heap_bytes);
-            assert!(heap("SocReach") < heap("SpaReach-INT"), "{pair:?}");
-        }
-        let json = memory_json(&cfg, &points);
-        assert!(json.contains("\"experiment\": \"memory\""));
-        assert!(json.contains("\"bytes_per_vertex\""));
     }
 
     #[test]
@@ -1175,6 +642,18 @@ mod tests {
         let data = lines[2];
         assert_eq!(data.matches('(').count(), 4, "4 methods have MBR variants: {data}");
         assert_eq!(times.len(), 1);
+    }
+
+    #[test]
+    fn socreach_is_smaller_than_spareach_int_on_every_dataset() {
+        // Table 4's ordering: the delta-compressed labels keep SocReach
+        // below the plain interval labeling SpaReach-INT carries.
+        for ds in tiny_datasets() {
+            let bytes =
+                |m: MethodKind| m.build(&ds.prep, SccSpatialPolicy::Replicate).index_bytes();
+            let (soc, int) = (bytes(MethodKind::SocReach), bytes(MethodKind::SpaReachInt));
+            assert!(soc > 0 && soc < int, "{}: SocReach {soc} B vs SpaReach-INT {int} B", ds.name);
+        }
     }
 
     #[test]
@@ -1234,31 +713,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_reports_every_thread_count() {
-        let ds = tiny_datasets();
-        let t = parallel_build(&ds[..1]);
-        // Two structures x three thread counts.
-        assert_eq!(t.len(), 6);
-        let csv = t.render_csv();
-        for threads in ["1", "2", "4"] {
-            assert!(
-                csv.lines().any(|l| l.split(',').nth(3) == Some(threads)),
-                "missing thread count {threads}:\n{csv}"
-            );
-        }
-    }
-
-    #[test]
-    fn latency_and_throughput_render() {
-        let ds = tiny_datasets();
-        let cfg = Config { scale: 0.03, queries: 10, seed: 2, threads: 1 };
-        let lt = latency(&ds[..1], &cfg);
-        assert_eq!(lt.len(), FINAL_METHODS.len());
-        let tp = throughput(&ds[..1], &cfg);
-        assert_eq!(tp.len(), 4, "one row per thread count");
-    }
-
-    #[test]
     fn analysis_counters_are_plausible() {
         let ds = tiny_datasets();
         let cfg = Config { scale: 0.03, queries: 10, seed: 2, threads: 1 };
@@ -1280,26 +734,6 @@ mod tests {
         assert_eq!(b.len(), 5, "one row per back-end");
         let a = ablations(&ds[..1], &cfg);
         assert_eq!(a.len(), 3, "one row per extent");
-    }
-
-    #[test]
-    fn snapshot_experiment_round_trips_every_method() {
-        let ds = tiny_datasets();
-        let cfg = Config { scale: 0.03, queries: 8, seed: 5, threads: 1 };
-        let (t, points) = snapshot(&ds[..1], &cfg);
-        assert_eq!(t.len(), ALL_METHODS.len(), "one row per method");
-        assert_eq!(points.len(), ALL_METHODS.len(), "every save+load must succeed");
-        for p in &points {
-            assert!(p.agree, "{}/{} answers diverged after load", p.dataset, p.method);
-            assert!(p.snapshot_bytes > 0);
-            assert!(p.load_ms > 0.0 && p.load_mb_per_s > 0.0);
-        }
-        let json = snapshot_json(&cfg, &points);
-        assert!(json.contains("\"experiment\": \"snapshot\""));
-        assert!(json.contains("\"method\": \"3dreach\""), "{json}");
-        assert!(json.contains("\"load_ms_v3\""), "{json}");
-        assert!(json.contains("\"load_mb_per_s\""), "{json}");
-        assert_eq!(json.matches("\"agree\": true").count(), ALL_METHODS.len(), "{json}");
     }
 
     #[test]

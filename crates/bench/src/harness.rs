@@ -3,7 +3,7 @@
 use gsr_core::methods::{
     GeoReach, SocReach, SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev,
 };
-use gsr_core::{BatchExecutor, PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
+use gsr_core::{PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
 use gsr_datagen::workload::Workload;
 use gsr_datagen::NetworkSpec;
 use std::time::{Duration, Instant};
@@ -18,8 +18,9 @@ pub struct Config {
     pub queries: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Worker threads for index construction and batched query execution
-    /// (`0` = machine parallelism, `1` = sequential).
+    /// Worker threads for the chaos drill's serving-index build (`0` =
+    /// machine parallelism, `1` = sequential); the paper's experiments
+    /// build sequentially, as the paper times them.
     pub threads: usize,
 }
 
@@ -127,28 +128,6 @@ impl MethodKind {
         }
     }
 
-    /// Builds the method's index with `threads` construction workers.
-    /// Methods without a parallel build path (GeoReach, SocReach) fall back
-    /// to their sequential constructors; the others produce indexes
-    /// identical to [`MethodKind::build`] at any thread count.
-    pub fn build_threaded(
-        &self,
-        prep: &PreparedNetwork,
-        policy: SccSpatialPolicy,
-        threads: usize,
-    ) -> Box<dyn RangeReachIndex> {
-        match self {
-            MethodKind::SpaReachBfl => Box::new(SpaReachBfl::build_threaded(prep, policy, threads)),
-            MethodKind::SpaReachInt => Box::new(SpaReachInt::build_threaded(prep, policy, threads)),
-            MethodKind::GeoReach => Box::new(GeoReach::build(prep)),
-            MethodKind::SocReach => Box::new(SocReach::build(prep)),
-            MethodKind::ThreeDReach => Box::new(ThreeDReach::build_threaded(prep, policy, threads)),
-            MethodKind::ThreeDReachRev => {
-                Box::new(ThreeDReachRev::build_threaded(prep, policy, threads))
-            }
-        }
-    }
-
     /// Builds and times the construction (the measurement of Table 5).
     pub fn timed_build(
         &self,
@@ -187,66 +166,6 @@ pub fn run_workload(idx: &dyn RangeReachIndex, workload: &Workload) -> RunResult
         positives,
         total: workload.queries.len(),
     }
-}
-
-/// Per-query latency distribution of one workload run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyProfile {
-    /// Average latency in microseconds.
-    pub avg_micros: f64,
-    /// Median latency in microseconds.
-    pub p50_micros: f64,
-    /// 95th-percentile latency in microseconds.
-    pub p95_micros: f64,
-    /// 99th-percentile latency in microseconds.
-    pub p99_micros: f64,
-    /// Maximum observed latency in microseconds.
-    pub max_micros: f64,
-}
-
-/// Runs the workload timing every query individually and reporting
-/// latency percentiles — tail latency is what an online service cares
-/// about, and the paper's averages can hide it.
-pub fn run_workload_latencies(idx: &dyn RangeReachIndex, workload: &Workload) -> LatencyProfile {
-    let mut micros: Vec<f64> = workload
-        .queries
-        .iter()
-        .map(|(v, region)| {
-            let start = Instant::now();
-            std::hint::black_box(idx.query(*v, region));
-            start.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    micros.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let pick = |q: f64| -> f64 {
-        if micros.is_empty() {
-            return 0.0;
-        }
-        let idx = ((micros.len() as f64 - 1.0) * q).round() as usize;
-        micros[idx]
-    };
-    LatencyProfile {
-        avg_micros: micros.iter().sum::<f64>() / micros.len().max(1) as f64,
-        p50_micros: pick(0.50),
-        p95_micros: pick(0.95),
-        p99_micros: pick(0.99),
-        max_micros: micros.last().copied().unwrap_or(0.0),
-    }
-}
-
-/// Runs the workload through a [`BatchExecutor`] with `threads` workers
-/// over one shared index (indexes are immutable, so a shared reference
-/// suffices), and returns the aggregate throughput in queries/second.
-pub fn run_workload_parallel(
-    idx: &dyn RangeReachIndex,
-    workload: &Workload,
-    threads: usize,
-) -> (f64, usize) {
-    let start = Instant::now();
-    let answers = BatchExecutor::new(threads.max(1)).run(idx, &workload.queries);
-    let elapsed = start.elapsed().as_secs_f64();
-    let positives = answers.into_iter().filter(|&hit| hit).count();
-    (workload.queries.len() as f64 / elapsed.max(1e-12), positives)
 }
 
 /// Cross-checks that an index answers exactly like the BFS ground truth on
@@ -291,33 +210,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn parallel_run_matches_sequential() {
-        let ds = Dataset::from_spec(&NetworkSpec::yelp(0.05));
-        let gen = WorkloadGen::new(&ds.prep);
-        let workload = gen.extent_degree(5.0, DegreeBucket::PAPER_BUCKETS[0], 64, 4);
-        let idx = MethodKind::ThreeDReach.build(&ds.prep, SccSpatialPolicy::Replicate);
-        let sequential = run_workload(idx.as_ref(), &workload);
-        for threads in [1, 2, 4] {
-            let (qps, positives) = run_workload_parallel(idx.as_ref(), &workload, threads);
-            assert_eq!(positives, sequential.positives, "threads={threads}");
-            assert!(qps > 0.0);
-        }
-    }
-
-    #[test]
-    fn latency_profile_is_ordered() {
-        let ds = Dataset::from_spec(&NetworkSpec::weeplaces(0.05));
-        let gen = WorkloadGen::new(&ds.prep);
-        let workload = gen.extent_degree(5.0, DegreeBucket::PAPER_BUCKETS[0], 50, 4);
-        let idx = MethodKind::SpaReachBfl.build(&ds.prep, SccSpatialPolicy::Replicate);
-        let p = run_workload_latencies(idx.as_ref(), &workload);
-        assert!(p.p50_micros <= p.p95_micros);
-        assert!(p.p95_micros <= p.p99_micros);
-        assert!(p.p99_micros <= p.max_micros);
-        assert!(p.avg_micros > 0.0);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! ```
 //!
 //! Each experiment prints the same rows/series the paper reports; see
-//! EXPERIMENTS.md for the paper-vs-measured comparison.
+//! EXPERIMENTS.md for the paper-vs-measured comparison. Serving, store,
+//! shard and hot-path numbers are measured by `benchmark/`, not here.
 
 // `deny` rather than `forbid`: the `alloc_track` module implements
 // `GlobalAlloc`, which is unavoidably unsafe, behind a scoped allow.
@@ -20,8 +21,6 @@ pub mod alloc_track;
 pub mod chaos;
 pub mod experiments;
 pub mod harness;
-pub mod loadtest;
-pub mod shard;
 pub mod table;
 
 pub use alloc_track::allocation_count;

@@ -791,6 +791,7 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsr_datagen::faults::ScratchDir;
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
@@ -1018,8 +1019,8 @@ mod tests {
 
     #[test]
     fn build_saves_a_loadable_snapshot() {
-        let dir = std::env::temp_dir().join("gsr_cli_build_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = ScratchDir::new("gsr_cli_build_test").unwrap();
+        let dir = scratch.path();
         let net = dir.join("net.gsr");
         let snap = dir.join("idx.snap");
         let net_path = net.to_string_lossy().to_string();
@@ -1075,15 +1076,12 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(exit_code(e.as_ref()), 3, "{e}");
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn sharded_build_writes_a_directory_the_serve_loader_accepts() {
-        let dir = std::env::temp_dir().join("gsr_cli_shard_build_test");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = ScratchDir::new("gsr_cli_shard_build_test").unwrap();
+        let dir = scratch.path();
         let net = dir.join("net.gsr");
         let shards = dir.join("idx.shards");
         let net_path = net.to_string_lossy().to_string();
@@ -1125,8 +1123,6 @@ mod tests {
         for v in 0..prep.network().num_vertices() as u32 {
             assert_eq!(loaded.query(v, &r), fresh.query(v, &r), "vertex {v}");
         }
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1152,8 +1148,8 @@ mod tests {
 
     #[test]
     fn out_of_range_one_shot_query_is_an_invalid_vertex_error() {
-        let dir = std::env::temp_dir().join("gsr_cli_badvertex_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = ScratchDir::new("gsr_cli_badvertex_test").unwrap();
+        let dir = scratch.path();
         let file = dir.join("net.gsr");
         let path = file.to_string_lossy().to_string();
         let mut out = Vec::new();
@@ -1173,13 +1169,12 @@ mod tests {
         let mut out = Vec::new();
         let e = run(cmd, &mut out).unwrap_err();
         assert_eq!(exit_code(e.as_ref()), 4, "{e}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn budgeted_one_shot_prints_summary() {
-        let dir = std::env::temp_dir().join("gsr_cli_budget_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = ScratchDir::new("gsr_cli_budget_test").unwrap();
+        let dir = scratch.path();
         let file = dir.join("net.gsr");
         let path = file.to_string_lossy().to_string();
         let mut out = Vec::new();
@@ -1203,13 +1198,12 @@ mod tests {
         let text = String::from_utf8_lossy(&out).to_string();
         assert!(text.contains("completed 1/1"), "{text}");
         assert!(!text.contains("budget exceeded"), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn end_to_end_generate_stats_query_report() {
-        let dir = std::env::temp_dir().join("gsr_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = ScratchDir::new("gsr_cli_test").unwrap();
+        let dir = scratch.path();
         let file = dir.join("net.gsr");
         let path = file.to_string_lossy().to_string();
 
@@ -1257,7 +1251,5 @@ mod tests {
         )
         .unwrap();
         assert!(String::from_utf8_lossy(&out).contains("reachable spatial vertices"));
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,9 +10,7 @@
 //! cost are identical to a sequential evaluation at any thread count
 //! (every query is independent; cost counters are sums, which commute).
 //!
-//! This generalizes what used to live in the bench harness as
-//! `run_workload_parallel` into a first-class API any caller (CLI, bench,
-//! tests) can use.
+//! The CLI, the server's pipelined batches and the tests all run on it.
 
 use crate::error::{validate_query, GsrError};
 use crate::{QueryCost, RangeReachIndex};

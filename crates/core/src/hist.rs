@@ -1,10 +1,9 @@
 //! A lock-free, fixed-bucket, power-of-two latency histogram.
 //!
 //! This is the one histogram implementation in the workspace: the query
-//! server's `STATS` counters ([`gsr-server`]'s `ServerStats`) and the bench
-//! crate's open-loop load recorder (`gsr_bench::loadtest`) both record into
-//! it, so a latency number reported by either side is quantized the same
-//! way and the two can be reconciled exactly.
+//! server's `STATS` latencies ([`gsr-server`]'s `ServerStats`) and the shard
+//! router's per-shard probe times ([`crate::partition`]) record into it, so
+//! every latency the workspace reports is quantized the same way.
 //!
 //! Recording is a single relaxed atomic increment — the hot path never
 //! contends on a lock — at the price of quantiles quantized to bucket
@@ -83,8 +82,7 @@ impl LatencyHistogram {
 
     /// Adds every bucket count of `other` into `self`. Merging per-worker
     /// histograms is exactly equivalent to having recorded all samples
-    /// into one histogram — the property the load generator's per-client
-    /// recorders rely on.
+    /// into one histogram, at any thread count.
     pub fn merge_from(&self, other: &LatencyHistogram) {
         for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
             let n = theirs.load(Ordering::Relaxed);
@@ -170,6 +168,48 @@ mod tests {
         h.reset();
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile_us(0.99), 0);
+    }
+
+    /// Recording into per-thread histograms from 1/2/4 threads and merging
+    /// them produces bit-identical bucket counts (and hence quantiles) to
+    /// sequential recording of the same samples — merge is exact, not
+    /// approximate.
+    #[test]
+    fn histogram_is_thread_count_invariant() {
+        // Deterministic LCG sample stream, heavy-tailed like real latencies.
+        let samples: Vec<u64> = {
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            (0..10_000)
+                .map(|_| {
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (state >> 33) % 5_000_000
+                })
+                .collect()
+        };
+        let reference = LatencyHistogram::default();
+        for &s in &samples {
+            reference.record_us(s);
+        }
+        for threads in [1usize, 2, 4] {
+            let hist = LatencyHistogram::default();
+            std::thread::scope(|scope| {
+                for chunk in samples.chunks(samples.len().div_ceil(threads)) {
+                    let hist = &hist;
+                    scope.spawn(move || {
+                        let local = LatencyHistogram::default();
+                        for &s in chunk {
+                            local.record_us(s);
+                        }
+                        hist.merge_from(&local);
+                    });
+                }
+            });
+            assert_eq!(hist.bucket_counts(), reference.bucket_counts(), "threads={threads}");
+            for q in [0.5, 0.99, 0.999] {
+                assert_eq!(hist.quantile_us(q), reference.quantile_us(q), "threads={threads} q={q}");
+            }
+        }
     }
 
     proptest! {

@@ -381,14 +381,12 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("gsr_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("net.gsr");
+        let scratch = crate::faults::ScratchDir::new("gsr_io_test").unwrap();
+        let path = scratch.path().join("net.gsr");
         let net = NetworkSpec::yelp(0.01).generate();
         save_network(&net, &path).unwrap();
         let loaded = load_network(&path).unwrap();
         assert_eq!(loaded.num_vertices(), net.num_vertices());
         assert_eq!(loaded.graph().num_edges(), net.graph().num_edges());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,7 +1,7 @@
 //! Heap-footprint accounting shared by every index in the workspace.
 //!
-//! The paper's Table 4 compares methods by index size; the `repro memory`
-//! experiment and the server `STATS` reply report the same numbers. Each
+//! The paper's Table 4 compares methods by index size; `repro table4`, the
+//! server `STATS` reply and `benchmark/` report the same numbers. Each
 //! index implements [`HeapBytes`] by summing the footprints of its owned
 //! buffers, so the accounting stays honest as layouts change.
 

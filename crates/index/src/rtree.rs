@@ -581,8 +581,7 @@ impl<const N: usize, T> RTree<N, T> {
     }
 
     /// Heap footprint in bytes: MBR, adjacency and entry-column arrays plus
-    /// payload storage. Used for the index-size accounting of Table 4 and
-    /// the `repro memory` experiment.
+    /// payload storage. Used for the index-size accounting of Table 4.
     pub fn heap_bytes(&self) -> usize {
         let mut list = ColumnList::default();
         self.declare(&mut list, |list, values| list.extra += std::mem::size_of_val(values));
@@ -1346,7 +1345,7 @@ mod tests {
     fn soa_arena_is_smaller_than_pointer_nodes() {
         // The reconstruction formula of the old pointer-node layout (node
         // headers + per-entry (Aabb, T) tuples + child id lists) — the
-        // baseline `repro memory` compares against.
+        // baseline the compact layout was measured against.
         let t = RTree::bulk_load(grid_points(10_000));
         let node_header = std::mem::size_of::<Aabb<2>>() + 32;
         let legacy = t.num_nodes() * node_header

@@ -1330,9 +1330,8 @@ mod tests {
 
     #[test]
     fn reload_swaps_the_index_and_clears_the_cache() {
-        let dir = std::env::temp_dir().join("gsr_server_reload_unit");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.gsr");
+        let scratch = gsr_datagen::faults::ScratchDir::new("gsr_server_reload_unit").unwrap();
+        let path = scratch.path().join("snap.gsr");
         let prep = paper_example::prepared();
         let snapshot = gsr_store::SnapshotIndex::ThreeDReach(ThreeDReach::build(
             &prep,
@@ -1361,7 +1360,5 @@ mod tests {
         assert!(stats.contains("cache_hits=0"), "{stats}");
         assert!(stats.contains("cache_misses=2"), "{stats}");
         assert!(stats.contains("reloads=1"), "{stats}");
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

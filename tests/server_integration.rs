@@ -6,6 +6,7 @@
 use gsr_cli::{exit_code, parse_args, run};
 use gsr_core::methods::ThreeDReach;
 use gsr_core::{RangeReachIndex, SccSpatialPolicy};
+use gsr_datagen::faults::ScratchDir;
 use gsr_server::{QueryServer, ServerConfig, StopHandle};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -47,15 +48,14 @@ struct ServeFixture {
     addr: SocketAddr,
     out: SharedBuf,
     thread: std::thread::JoinHandle<()>,
-    dir: std::path::PathBuf,
+    dir: ScratchDir,
     net_path: String,
 }
 
 fn start_serve(tag: &str, extra: &[&str]) -> ServeFixture {
-    let dir = std::env::temp_dir().join(format!("gsr_server_integration_{tag}"));
-    std::fs::create_dir_all(&dir).unwrap();
-    let net = dir.join("net.gsr");
-    let snap = dir.join("idx.snap");
+    let dir = ScratchDir::new(&format!("gsr_server_integration_{tag}")).unwrap();
+    let net = dir.path().join("net.gsr");
+    let snap = dir.path().join("idx.snap");
     let net_path = net.to_string_lossy().to_string();
     let snap_path = snap.to_string_lossy().to_string();
 
@@ -352,9 +352,8 @@ fn zero_budget_times_out_every_query() {
 
 #[test]
 fn serve_with_a_corrupt_snapshot_is_a_load_error_exit() {
-    let dir = std::env::temp_dir().join("gsr_server_integration_corrupt");
-    std::fs::create_dir_all(&dir).unwrap();
-    let snap = dir.join("bad.snap");
+    let dir = ScratchDir::new("gsr_server_integration_corrupt").unwrap();
+    let snap = dir.path().join("bad.snap");
     std::fs::write(&snap, b"GSRSNAP\0garbage").unwrap();
     let snap_path = snap.to_string_lossy().to_string();
 
@@ -364,7 +363,6 @@ fn serve_with_a_corrupt_snapshot_is_a_load_error_exit() {
     )
     .unwrap_err();
     assert_eq!(exit_code(e.as_ref()), 3, "{e}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A [`QueryServer`] over the paper example, run on a thread of this
@@ -696,7 +694,7 @@ fn stat_field(stats: &str, name: &str) -> u64 {
 #[test]
 fn reset_keeps_the_cache_where_reload_clears_it() {
     let fx = start_serve("reload", &["--cache-entries", "64"]);
-    let snap_path = fx.dir.join("idx.snap").to_string_lossy().to_string();
+    let snap_path = fx.dir.path().join("idx.snap").to_string_lossy().to_string();
     let (mut reader, mut stream) = connect(fx.addr);
 
     // Prime the cache, then RESET: the entry must survive.
@@ -722,7 +720,7 @@ fn reset_keeps_the_cache_where_reload_clears_it() {
     // of any version but the current one is refused at the prefix, by
     // number.
     for version in [1u32, 2, 3, 4, 99] {
-        let retired_path = fx.dir.join(format!("retired.v{version}.snap"));
+        let retired_path = fx.dir.path().join(format!("retired.v{version}.snap"));
         let mut retired = std::fs::read(&snap_path).unwrap();
         retired[8..12].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&retired_path, &retired).unwrap();
@@ -737,7 +735,7 @@ fn reset_keeps_the_cache_where_reload_clears_it() {
 
     // So is a well-framed snapshot (valid CRCs) whose R-tree has a leaf MBR
     // that no longer covers its entries: the arena checks refuse it.
-    let shrunk_path = fx.dir.join("shrunk-mbr.snap");
+    let shrunk_path = fx.dir.path().join("shrunk-mbr.snap");
     let mut shrunk = std::fs::read(&snap_path).unwrap();
     gsr_tests::shrink_last_leaf_mbr(&mut shrunk);
     std::fs::write(&shrunk_path, &shrunk).unwrap();
@@ -750,7 +748,7 @@ fn reset_keeps_the_cache_where_reload_clears_it() {
 
     // And a shard-set directory in the retired layout (manifest version 1,
     // no shared file).
-    let retired_set = fx.dir.join("retired.v1.shards");
+    let retired_set = fx.dir.path().join("retired.v1.shards");
     std::fs::create_dir_all(&retired_set).unwrap();
     let mut manifest = gsr_store::shard::SHARD_MAGIC.to_vec();
     manifest.extend_from_slice(&1u32.to_le_bytes());
@@ -769,7 +767,7 @@ fn reset_keeps_the_cache_where_reload_clears_it() {
     // And a shard set with one bit flipped in its *shared* file. A section
     // is checksummed when a structure first claims it, so the set is refused
     // by the section's name — by the loader, and by RELOAD.
-    let flipped_set = fx.dir.join("flipped.shards");
+    let flipped_set = fx.dir.path().join("flipped.shards");
     let flipped_set_path = flipped_set.to_string_lossy().to_string();
     let build = ["build", &fx.net_path, "--method", "3dreach", "--shards", "2", "--save", &flipped_set_path];
     run(parse_args(&args(&build)).unwrap(), &mut Vec::new()).unwrap();
@@ -934,5 +932,4 @@ fn shutdown_and_join(fx: ServeFixture) {
     let format = format!("format v{}", gsr_store::FORMAT_VERSION);
     assert!(text.contains("loaded ") && text.contains(&format), "{text}");
     assert!(text.contains("ready to serve in "), "{text}");
-    std::fs::remove_dir_all(&fx.dir).ok();
 }

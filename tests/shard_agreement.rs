@@ -7,9 +7,12 @@
 //! under both SCC spatial policies, with query rectangles deliberately
 //! chosen to straddle tile boundaries — plus the pruning contract that a
 //! rectangle disjoint from every shard MBR answers FALSE with **zero**
-//! probes executed, and the sharing contract: the tiles of one network
+//! probes executed, the sharing contract: the tiles of one network
 //! hold one `comp_of` and one set of labels, built, saved and loaded, and
-//! the router counts every buffer its members count, once.
+//! the router counts every buffer its members count, once — and the two
+//! gates that follow from it: eight shards cost at most 1.3× the bytes of
+//! one, and MBR pruning keeps the average probes per query below the shard
+//! count.
 
 use gsr_core::methods::{GeoReach, SpaReachBfl, SpaReachInt, ThreeDReach};
 use gsr_core::{
@@ -260,6 +263,37 @@ fn a_router_counts_what_each_method_shares_once() {
             );
             assert_members_share(&router, shared_columns, &format!("{name} x{shards}"));
         }
+    }
+}
+
+/// Tiles are views, not copies: eight shards hold at most 1.3× the bytes of
+/// one (6.7× when every tile carried its own social index).
+#[test]
+fn eight_shards_hold_at_most_1_3x_the_bytes_of_one() {
+    let prep = dataset();
+    let one = build_sharded(&prep, 1, SccSpatialPolicy::Replicate).index_bytes();
+    let eight = build_sharded(&prep, 8, SccSpatialPolicy::Replicate).index_bytes();
+    assert!(eight as f64 <= 1.3 * one as f64, "8 shards hold {eight} B, 1 shard {one} B");
+}
+
+/// MBR pruning fires: over the boundary workload, a multi-shard router
+/// probes fewer tiles per query than it holds.
+#[test]
+fn multi_shard_routers_probe_fewer_tiles_per_query_than_they_hold() {
+    let prep = dataset();
+    let exec = BatchExecutor::new(1);
+    for shards in [2, 4, 8] {
+        let sharded = build_sharded(&prep, shards, SccSpatialPolicy::Replicate);
+        let queries = queries_for(&prep, &boundary_rects(&prep, shards));
+        sharded.reset_shard_stats();
+        sharded.scatter(&exec, &queries);
+        let stats = sharded.shard_stats().expect("a router reports shard stats");
+        let per_query = stats.probes as f64 / queries.len() as f64;
+        assert!(
+            per_query < shards as f64,
+            "{shards} shards: {per_query:.2} probes per query, {} pruned",
+            stats.pruned
+        );
     }
 }
 
