@@ -48,11 +48,6 @@ impl Dataset {
     pub fn load_all(cfg: &Config) -> Vec<Dataset> {
         NetworkSpec::paper_datasets(cfg.scale).iter().map(Dataset::from_spec).collect()
     }
-
-    /// A single small dataset for quick Criterion benches.
-    pub fn small() -> Dataset {
-        Dataset::from_spec(&NetworkSpec::weeplaces(0.5))
-    }
 }
 
 /// The evaluation methods of Section 6, in the paper's presentation order.

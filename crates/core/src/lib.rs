@@ -23,9 +23,9 @@
 //!
 //! Arbitrary (cyclic) graphs are handled by SCC condensation with either of
 //! the two spatial-SCC policies of Section 5 ([`SccSpatialPolicy`]).
-//! Beyond the paper's headline, [`methods::ThreeDReporter`],
-//! [`methods::NearestReach`] and [`methods::DynamicThreeDReach`] answer the
-//! reporting, nearest-reachable and incremental-update variants, and
+//! Beyond the paper's headline, [`methods::ThreeDReporter`] and
+//! [`methods::NearestReach`] answer the reporting and nearest-reachable
+//! variants, and
 //! [`extensions`] generalizes to rectangle geometries and 3-D space
 //! (footnote 1 of the paper).
 //!

@@ -1,6 +1,5 @@
 //! The six `RangeReach` evaluation methods compared in the paper.
 
-mod dynamic3d;
 mod georeach;
 mod nearest;
 mod report;
@@ -8,7 +7,6 @@ mod socreach;
 mod spareach;
 mod threed;
 
-pub use dynamic3d::{CycleError, DynamicThreeDReach};
 pub use georeach::{GeoReach, GeoReachParams};
 pub use nearest::NearestReach;
 pub use report::{report_bfs, ThreeDReporter};

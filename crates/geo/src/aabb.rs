@@ -46,32 +46,6 @@ impl<const N: usize> Aabb<N> {
         (0..N).any(|d| self.min[d] > self.max[d])
     }
 
-    /// Extent along dimension `d`.
-    #[inline]
-    pub fn extent(&self, d: usize) -> f64 {
-        self.max[d] - self.min[d]
-    }
-
-    /// N-dimensional volume (area for `N = 2`). Zero for degenerate boxes,
-    /// and zero for empty boxes.
-    #[inline]
-    pub fn volume(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        (0..N).map(|d| self.extent(d)).product()
-    }
-
-    /// Sum of the extents over all dimensions — the "margin" used as a
-    /// tie-breaker by R-tree split heuristics.
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        (0..N).map(|d| self.extent(d)).sum()
-    }
-
     /// The centre of the box.
     #[inline]
     pub fn center(&self) -> [f64; N] {
@@ -118,13 +92,6 @@ impl<const N: usize> Aabb<N> {
         u
     }
 
-    /// The volume increase that would result from growing `self` to contain
-    /// `other` — the R-tree insertion heuristic ("least enlargement").
-    #[inline]
-    pub fn enlargement(&self, other: &Aabb<N>) -> f64 {
-        self.union(other).volume() - self.volume()
-    }
-
     /// The MBR of a non-empty iterator of boxes, or `None` when empty.
     pub fn mbr_of<I: IntoIterator<Item = Aabb<N>>>(boxes: I) -> Option<Self> {
         let mut iter = boxes.into_iter();
@@ -151,19 +118,9 @@ mod tests {
     fn empty_is_identity_for_expand() {
         let mut e = B3::empty();
         assert!(e.is_empty());
-        assert_eq!(e.volume(), 0.0);
-        assert_eq!(e.margin(), 0.0);
         let x = b([0.0; 3], [1.0; 3]);
         e.expand(&x);
         assert_eq!(e, x);
-    }
-
-    #[test]
-    fn volume_and_margin() {
-        let x = b([0.0, 0.0, 0.0], [2.0, 3.0, 4.0]);
-        assert_eq!(x.volume(), 24.0);
-        assert_eq!(x.margin(), 9.0);
-        assert_eq!(x.center(), [1.0, 1.5, 2.0]);
     }
 
     #[test]
@@ -183,25 +140,17 @@ mod tests {
     }
 
     #[test]
-    fn enlargement_measures_added_volume() {
-        let a = b([0.0; 3], [1.0; 3]);
-        assert_eq!(a.enlargement(&a), 0.0);
-        let shifted = b([1.0, 0.0, 0.0], [2.0, 1.0, 1.0]);
-        assert_eq!(a.enlargement(&shifted), 1.0);
-    }
-
-    #[test]
     fn mbr_of_boxes() {
         let a = b([0.0; 3], [1.0; 3]);
         let c = b([2.0; 3], [3.0; 3]);
         assert_eq!(B3::mbr_of([a, c]), Some(b([0.0; 3], [3.0; 3])));
         assert_eq!(B3::mbr_of(std::iter::empty()), None);
+        assert_eq!(b([0.0; 3], [2.0, 3.0, 4.0]).center(), [1.0, 1.5, 2.0]);
     }
 
     #[test]
     fn degenerate_point_box() {
         let p = B3::from_point([1.0, 2.0, 3.0]);
-        assert_eq!(p.volume(), 0.0);
         assert!(!p.is_empty());
         assert!(p.contains_point(&[1.0, 2.0, 3.0]));
     }

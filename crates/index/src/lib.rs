@@ -6,8 +6,7 @@
 //!   filter) and over 3-D points/segments/boxes (3DReach's transformed
 //!   space) — provided by the const-generic [`RTree`], a static STR
 //!   bulk-loaded tree stored as a flat breadth-first structure-of-arrays
-//!   arena, and by [`DynRTree`], a mutable Guttman tree (quadratic split)
-//!   for incremental workloads;
+//!   arena;
 //! * the **hierarchical grid** that GeoReach's SPA-graph partitions the
 //!   space with — provided by [`grid::HierarchicalGrid`] and [`grid::CellId`];
 //! * a **uniform grid** ([`UniformGrid`]), a static **kd-tree**
@@ -21,14 +20,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod dyn_rtree;
 pub mod grid;
 mod kdtree;
 mod quadtree;
 mod rtree;
 mod uniform;
 
-pub use dyn_rtree::DynRTree;
 pub use kdtree::KdTree;
 pub use quadtree::QuadTree;
 pub use rtree::{RTree, RTreeParams};

@@ -72,8 +72,7 @@
 //! "inside the MBR" to imply "intersects the window"; [`Columns::load`]
 //! checks it on untrusted columns.
 //!
-//! The tree is immutable once built; for incremental workloads (the
-//! dynamic-insertion extension) see [`crate::DynRTree`].
+//! The tree is immutable once built.
 
 use gsr_geo::Aabb;
 use gsr_graph::{Col, ColumnList, Columns, HeapBytes, Pod, Source};
@@ -83,25 +82,20 @@ use std::ops::Range;
 /// Fan-out parameters of an [`RTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RTreeParams {
-    /// Maximum entries per node before a split (Guttman's `M`).
+    /// Maximum entries per node (Guttman's `M`).
     pub max_entries: usize,
-    /// Minimum entries per node after a split (Guttman's `m <= M/2`).
-    pub min_entries: usize,
 }
 
 impl Default for RTreeParams {
     fn default() -> Self {
-        RTreeParams { max_entries: 16, min_entries: 6 }
+        RTreeParams { max_entries: 16 }
     }
 }
 
 impl RTreeParams {
-    /// Creates parameters, clamping `min_entries` into the valid
-    /// `1 ..= max_entries / 2` range.
-    pub fn new(max_entries: usize, min_entries: usize) -> Self {
-        let max_entries = max_entries.max(4);
-        let min_entries = min_entries.clamp(1, max_entries / 2);
-        RTreeParams { max_entries, min_entries }
+    /// Creates parameters, clamping `max_entries` to at least 4.
+    pub fn new(max_entries: usize) -> Self {
+        RTreeParams { max_entries: max_entries.max(4) }
     }
 }
 
@@ -558,7 +552,7 @@ impl<const N: usize, T> RTree<N, T> {
     }
 
     /// The declaration behind [`Columns::store`] and [`RTree::heap_bytes`]:
-    /// the fan-out parameters, then the arena columns in file order.
+    /// the fan-out, then the arena columns in file order.
     /// `values` declares the payloads, which are a column only where `T` has
     /// a byte image.
     fn declare<'a>(
@@ -567,7 +561,6 @@ impl<const N: usize, T> RTree<N, T> {
         values: impl FnOnce(&mut ColumnList<'a>, &'a [T]),
     ) {
         out.meta.u64(self.params.max_entries as u64);
-        out.meta.u64(self.params.min_entries as u64);
         out.col(tag::MBRS, &self.mbrs, true);
         out.col(tag::CHILD_START, &self.child_start, true);
         out.col(tag::ENTRY_START, &self.entry_start, true);
@@ -728,7 +721,7 @@ impl<const N: usize, T: Pod> Columns for RTree<N, T> {
     }
 
     fn load<S: Source>(src: &mut S) -> Result<Self, String> {
-        let params = RTreeParams { max_entries: src.usize()?, min_entries: src.usize()? };
+        let params = RTreeParams { max_entries: src.usize()? };
         let mbrs = src.col(tag::MBRS, "rtree-mbrs")?;
         let child_start: Col<u32> = src.col(tag::CHILD_START, "rtree-child-start")?;
         let entry_start: Col<u32> = src.col(tag::ENTRY_START, "rtree-entry-start")?;
@@ -762,7 +755,7 @@ impl<const N: usize, T: Pod> Columns for RTree<N, T> {
 
 /// Squared distance from `point` to the closest point of `aabb` (zero when
 /// the point lies inside).
-pub(crate) fn min_dist_sq<const N: usize>(aabb: &Aabb<N>, point: &[f64; N]) -> f64 {
+fn min_dist_sq<const N: usize>(aabb: &Aabb<N>, point: &[f64; N]) -> f64 {
     let mut d = 0.0;
     for (i, &p) in point.iter().enumerate() {
         let delta = if p < aabb.min[i] {
@@ -1129,7 +1122,7 @@ mod tests {
 
     #[test]
     fn custom_params_respected() {
-        let params = RTreeParams::new(8, 3);
+        let params = RTreeParams::new(8);
         let t = RTree::bulk_load_with_params(grid_points(200), params);
         t.check_invariants();
         assert_eq!(t.len(), 200);

@@ -5,7 +5,7 @@ use gsr_geo::{Aabb, Point, Rect};
 use gsr_graph::columns::MemSource;
 use gsr_graph::{Col, ColumnList, Source};
 use gsr_index::grid::HierarchicalGrid;
-use gsr_index::{DynRTree, KdTree, QuadTree, RTree, RTreeParams, UniformGrid};
+use gsr_index::{KdTree, QuadTree, RTree, RTreeParams, UniformGrid};
 use proptest::prelude::*;
 
 fn arb_box2() -> impl Strategy<Value = Aabb<2>> {
@@ -88,7 +88,7 @@ fn tree_size(kind: usize, n: usize) -> usize {
 /// Default fan-out, a deep narrow tree, and leaves wider than the 64-entry
 /// chunks the scan tests a straddling leaf in.
 fn fan_out(kind: usize) -> RTreeParams {
-    [RTreeParams::default(), RTreeParams::new(4, 2), RTreeParams::new(100, 40)][kind]
+    [RTreeParams::default(), RTreeParams::new(4), RTreeParams::new(100)][kind]
 }
 
 /// A coordinate on a `grid`-step integer lattice around zero (small grids
@@ -270,7 +270,6 @@ fn oracle_tree<const N: usize>(
     let hi: [Vec<f64>; N] = std::array::from_fn(|d| ordered.iter().map(|(b, _)| b.max[d]).collect());
     let mut list = ColumnList::default();
     list.meta.u64(params.max_entries as u64);
-    list.meta.u64(params.min_entries as u64);
     list.col(tag::MBRS, &mbrs, true);
     list.col(tag::CHILD_START, &child_start, true);
     list.col(tag::ENTRY_START, &entry_start, true);
@@ -295,7 +294,7 @@ fn check_packing<const N: usize>(
     entries: Vec<(Aabb<N>, u32)>,
     max_entries: usize,
 ) -> Result<(), TestCaseError> {
-    let params = RTreeParams::new(max_entries, max_entries * 2 / 5);
+    let params = RTreeParams::new(max_entries);
     let oracle = if entries.is_empty() {
         RTree::with_params(params)
     } else {
@@ -423,23 +422,6 @@ proptest! {
     }
 
     #[test]
-    fn inserted_tree_matches_linear_scan(
-        boxes in prop::collection::vec(arb_box2(), 0..300),
-        region in arb_box2(),
-    ) {
-        let entries: Vec<(Aabb<2>, usize)> =
-            boxes.into_iter().enumerate().map(|(i, b)| (b, i)).collect();
-        let mut tree = DynRTree::new();
-        for (b, i) in entries.iter() {
-            tree.insert(*b, *i);
-        }
-        tree.check_invariants();
-        let mut hits: Vec<usize> = tree.query(&region).map(|(_, &i)| i).collect();
-        hits.sort_unstable();
-        prop_assert_eq!(hits, linear_scan(&entries, &region));
-    }
-
-    #[test]
     fn bulk_tree_matches_linear_scan(
         boxes in prop::collection::vec(arb_box2(), 0..300),
         region in arb_box2(),
@@ -454,7 +436,7 @@ proptest! {
     }
 
     #[test]
-    fn bulk_and_inserted_agree_in_3d(
+    fn bulk_3d_point_tree_matches_linear_scan(
         pts in prop::collection::vec(arb_point3(), 1..200),
         region_lo in (-100.0..100.0f64, -100.0..100.0f64, 0.0..1000.0f64),
         extent in (0.0..100.0f64, 0.0..100.0f64, 0.0..500.0f64),
@@ -465,46 +447,12 @@ proptest! {
             [region_lo.0, region_lo.1, region_lo.2],
             [region_lo.0 + extent.0, region_lo.1 + extent.1, region_lo.2 + extent.2],
         );
-        let bulk = RTree::bulk_load(entries.clone());
-        let mut ins = DynRTree::with_params(RTreeParams::new(8, 3));
-        for (b, i) in entries.iter() {
-            ins.insert(*b, *i);
-        }
-        let mut a: Vec<usize> = bulk.query(&region).map(|(_, &i)| i).collect();
-        let mut b: Vec<usize> = ins.query(&region).map(|(_, &i)| i).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(bulk.query_exists(&region), !a.is_empty());
-    }
-
-    #[test]
-    fn removal_then_query_matches_scan(
-        boxes in prop::collection::vec(arb_box2(), 1..150),
-        removals in prop::collection::vec(0usize..150, 0..60),
-        region in arb_box2(),
-    ) {
-        let entries: Vec<(Aabb<2>, usize)> =
-            boxes.into_iter().enumerate().map(|(i, b)| (b, i)).collect();
-        let mut tree = DynRTree::with_params(RTreeParams::new(8, 3));
-        for (b, i) in entries.iter() {
-            tree.insert(*b, *i);
-        }
-        let mut alive: Vec<bool> = vec![true; entries.len()];
-        for r in removals {
-            let i = r % entries.len();
-            let did = tree.remove(&entries[i].0, &i);
-            prop_assert_eq!(did, alive[i], "removal {} mismatch", i);
-            alive[i] = false;
-        }
+        let tree = RTree::bulk_load(entries.clone());
         tree.check_invariants();
         let mut hits: Vec<usize> = tree.query(&region).map(|(_, &i)| i).collect();
         hits.sort_unstable();
-        let expected: Vec<usize> = entries
-            .iter()
-            .filter(|(b, i)| alive[*i] && b.intersects(&region))
-            .map(|&(_, i)| i)
-            .collect();
+        let expected = linear_scan(&entries, &region);
+        prop_assert_eq!(tree.query_exists(&region), !expected.is_empty());
         prop_assert_eq!(hits, expected);
     }
 

@@ -23,7 +23,6 @@
 pub mod bfl;
 pub mod bfs;
 pub mod compact;
-pub mod dynamic;
 pub mod feline;
 pub mod grail;
 pub mod interval;

@@ -5,7 +5,6 @@
 use gsr_graph::{graph_from_edges, DiGraph, VertexId};
 use gsr_reach::bfl::{BflIndex, BflParams};
 use gsr_reach::bfs::TransitiveClosure;
-use gsr_reach::dynamic::DynamicIntervalLabeling;
 use gsr_reach::feline::FelineIndex;
 use gsr_reach::grail::{GrailIndex, GrailParams};
 use gsr_reach::pll::PllIndex;
@@ -191,18 +190,6 @@ proptest! {
                 prop_assert_eq!(fel.reaches(u, v), expected, "FELINE vs INT at ({}, {})", u, v);
             }
         }
-    }
-
-    #[test]
-    fn dynamic_incremental_matches_closure(g in arb_dag(20, 60)) {
-        let mut dynamic = DynamicIntervalLabeling::new();
-        for _ in 0..g.num_vertices() {
-            dynamic.add_vertex();
-        }
-        for (u, v) in g.edges() {
-            dynamic.add_edge(u, v).expect("DAG edges never cycle");
-        }
-        assert_oracle_matches(&g, &dynamic)?;
     }
 
     #[test]

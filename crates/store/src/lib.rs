@@ -91,8 +91,11 @@ pub const MAGIC: [u8; 8] = *b"GSRSNAP\0";
 ///   (`0x81`–`0x84`: kinds, a cell CSR, rectangles) that a loaded index
 ///   queries in place, instead of one encoded section (`0x80`) decoded
 ///   into a heap enum per component. A change to `georeach.rs` and to this
-///   number.
-pub const FORMAT_VERSION: u32 = 5;
+///   number. Retired.
+/// * **6** — the same framing; an R-tree's `META` holds one scalar, its
+///   fan-out `max_entries`, instead of two (Guttman's minimum fill, which
+///   nothing read, is gone). A change to `rtree.rs` and to this number.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// A built index of any of the six methods, as saved to / loaded from a
 /// snapshot. Implements [`RangeReachIndex`] by delegation, so a loaded
@@ -448,7 +451,7 @@ mod tests {
         }
 
         // The retired versions and one from the future, by number.
-        for version in [1u32, 2, 3, 4, 99] {
+        for version in [1u32, 2, 3, 4, 5, 99] {
             let mut wrong_version = bytes.clone();
             wrong_version[8..12].copy_from_slice(&version.to_le_bytes());
             let named = format!("unsupported format version {version} ");

@@ -501,10 +501,12 @@ mod tests {
             expect_load_error(dir, opts, if opts.trust { "compact labels" } else { "crc mismatch" });
 
             // A file of the set written in a retired format.
-            let mut v4 = pristine.clone();
-            v4[8..12].copy_from_slice(&4u32.to_le_bytes());
-            std::fs::write(&shared, &v4).unwrap();
-            expect_load_error(dir, opts, "unsupported format version 4 ");
+            for version in [4u32, 5] {
+                let mut retired = pristine.clone();
+                retired[8..12].copy_from_slice(&version.to_le_bytes());
+                std::fs::write(&shared, &retired).unwrap();
+                expect_load_error(dir, opts, &format!("unsupported format version {version} "));
+            }
 
             std::fs::remove_file(&shared).unwrap();
             expect_load_error(dir, opts, &manifest.shared);

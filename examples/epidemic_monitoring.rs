@@ -6,9 +6,7 @@
 //! A contact-tracing graph is modeled as a geosocial network: directed
 //! contact edges between people, and check-in edges to geo-referenced
 //! venues. Given a set of index cases, the example asks which quarantine
-//! zones each case's (transitive) contact chain touches — and compares the
-//! incremental-update path: new contact edges arrive and the dynamic
-//! interval labeling absorbs them without a rebuild.
+//! zones each case's (transitive) contact chain touches.
 //!
 //! ```text
 //! cargo run --release -p gsr-examples --bin epidemic_monitoring
@@ -19,8 +17,6 @@ use gsr_core::{PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
 use gsr_datagen::NetworkSpec;
 use gsr_examples::print_network_summary;
 use gsr_geo::Rect;
-use gsr_reach::dynamic::DynamicIntervalLabeling;
-use gsr_reach::Reachability;
 
 fn main() {
     // A sparse directed contact network (Yelp-style analog: many small
@@ -67,22 +63,5 @@ fn main() {
             "  case {case}: {}",
             if exposed.is_empty() { "no zone exposure".to_string() } else { exposed.join(", ") }
         );
-    }
-
-    // Live updates: a new contact event links two previously unrelated
-    // cases. The dynamic labeling (Section 8 "future work" extension)
-    // absorbs the edge incrementally.
-    println!("\nIncremental contact tracing on the condensation DAG:");
-    let mut dynamic = DynamicIntervalLabeling::from_graph(prep.dag());
-    let (a, b) = (prep.comp(index_cases[0]), prep.comp(index_cases[1]));
-    let before = dynamic.reaches(a, b);
-    match dynamic.add_edge(a, b) {
-        Ok(()) => {
-            println!(
-                "  contact {a} -> {b}: reachable before = {before}, after = {}",
-                dynamic.reaches(a, b)
-            );
-        }
-        Err(e) => println!("  contact rejected ({e}); cases already mutually linked"),
     }
 }

@@ -3,7 +3,6 @@
 //! answers, cooperative cancellation, and the degraded-mode fallback.
 
 use gsr_core::extensions::{RegionNetwork, RegionReach, VolumetricReach};
-use gsr_core::methods::DynamicThreeDReach;
 use gsr_core::{
     BatchExecutor, BatchOptions, CancelToken, FallbackIndex, FallbackOptions, GsrError,
     OnlineReach, PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy,
@@ -18,15 +17,14 @@ fn prepared(seed: u64) -> PreparedNetwork {
     PreparedNetwork::new(random_network(120, 400, 0.4, seed))
 }
 
-/// Every method (all six static evaluators under both SCC policies, the
-/// dynamic index, and the online fallback) rejects out-of-range vertices
-/// and malformed rectangles with typed errors instead of panicking.
+/// Every method (all six static evaluators under both SCC policies and the
+/// online fallback) rejects out-of-range vertices and malformed rectangles
+/// with typed errors instead of panicking.
 #[test]
 fn every_method_rejects_bad_input_without_panicking() {
     let prep = prepared(11);
     let n = prep.network().num_vertices();
     let mut indexes = all_indexes(&prep);
-    indexes.push(("3DReach-DYN".to_string(), Box::new(DynamicThreeDReach::build(&prep))));
     indexes.push((
         "OnlineReach".to_string(),
         Box::new(OnlineReach::new(Arc::new(prepared(11)))),

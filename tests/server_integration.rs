@@ -363,6 +363,19 @@ fn serve_with_a_corrupt_snapshot_is_a_load_error_exit() {
     )
     .unwrap_err();
     assert_eq!(exit_code(e.as_ref()), 3, "{e}");
+
+    // A file of a retired format is refused by number, with the same exit.
+    let mut retired = gsr_store::MAGIC.to_vec();
+    retired.extend_from_slice(&5u32.to_le_bytes());
+    retired.resize(4096, 0);
+    std::fs::write(&snap, &retired).unwrap();
+    let e = run(
+        parse_args(&args(&["serve", "--load", &snap_path])).unwrap(),
+        &mut Vec::new(),
+    )
+    .unwrap_err();
+    assert_eq!(exit_code(e.as_ref()), 3, "{e}");
+    assert!(e.to_string().contains("unsupported format version 5 "), "{e}");
 }
 
 /// A [`QueryServer`] over the paper example, run on a thread of this
@@ -719,7 +732,7 @@ fn reset_keeps_the_cache_where_reload_clears_it() {
     // So is a file in a retired format (or one from the future): a header
     // of any version but the current one is refused at the prefix, by
     // number.
-    for version in [1u32, 2, 3, 4, 99] {
+    for version in [1u32, 2, 3, 4, 5, 99] {
         let retired_path = fx.dir.path().join(format!("retired.v{version}.snap"));
         let mut retired = std::fs::read(&snap_path).unwrap();
         retired[8..12].copy_from_slice(&version.to_le_bytes());

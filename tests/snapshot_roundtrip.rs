@@ -188,16 +188,16 @@ fn resaving_a_loaded_snapshot_is_byte_identical() {
 #[test]
 fn golden_snapshot_hashes() {
     const GOLDEN: [(&str, usize, u32); 10] = [
-        ("spareach-bfl", 129312, 0x500C0980),
-        ("spareach-int", 65624, 0x364DAD84),
-        ("3dreach", 42304, 0xDABD38CD),
-        ("3dreach-rev", 73408, 0x22CDDE44),
-        ("spareach-bfl (MBR)", 129312, 0x1A7AF33D),
-        ("spareach-int (MBR)", 65624, 0xAB606E4E),
-        ("3dreach (MBR)", 61728, 0xD1C3C084),
-        ("3dreach-rev (MBR)", 92832, 0xBA5E07D9),
-        ("georeach", 45792, 0xB7C024FC),
-        ("socreach", 27872, 0x93124500),
+        ("spareach-bfl", 129312, 0xE156316D),
+        ("spareach-int", 65624, 0x2F321D80),
+        ("3dreach", 42304, 0x3402CFB7),
+        ("3dreach-rev", 73408, 0xC19AC825),
+        ("spareach-bfl (MBR)", 129312, 0x9631B6FF),
+        ("spareach-int (MBR)", 65624, 0xA50FC515),
+        ("3dreach (MBR)", 61728, 0x8C5BDDCA),
+        ("3dreach-rev (MBR)", 92832, 0xD21161EE),
+        ("georeach", 45792, 0x167D8E79),
+        ("socreach", 27872, 0x0F166689),
     ];
     let hashed = |(name, index): &(String, SnapshotIndex)| {
         let mut bytes = Vec::new();
@@ -340,10 +340,10 @@ fn a_shrunk_leaf_mbr_is_a_typed_load_error_even_when_trusted() {
 
 /// The retired formats — v1 (pointer-node R-trees, uncompressed labels),
 /// v2 (framed streaming sections), v3 (this framing, with the R-tree's
-/// `children` section) and v4 (GeoReach's SPA table as one encoded
-/// section) — carry their version in the header; both load
-/// entry points must reject them with a typed version error naming it, not
-/// misparse the payload or panic.
+/// `children` section), v4 (GeoReach's SPA table as one encoded section)
+/// and v5 (two fan-out scalars per R-tree) — carry their version in the
+/// header; both load entry points must reject them with a typed version
+/// error naming it, not misparse the payload or panic.
 #[test]
 fn v1_snapshots_are_rejected_with_a_typed_version_error() {
     let prep = PreparedNetwork::new(NetworkSpec::yelp(0.02).generate());
@@ -353,7 +353,7 @@ fn v1_snapshots_are_rejected_with_a_typed_version_error() {
         gsr_store::save(&mut bytes, &original).expect("save");
         assert_eq!(&bytes[8..12], &gsr_store::FORMAT_VERSION.to_le_bytes(), "header version");
 
-        for retired in [1u32, 2, 3, 4] {
+        for retired in [1u32, 2, 3, 4, 5] {
             // Same magic, retired version field. The loader must stop at
             // the header: the retired payloads are not parseable as
             // sections, so anything past the version check would be
