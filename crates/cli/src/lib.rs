@@ -286,6 +286,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .map_err(|_| err("--scale must be a number"))?
                 .unwrap_or(1.0);
             let out = flag("out").ok_or_else(|| err("generate needs --out"))?;
+            spec_for(&preset, scale)?;
             Ok(Command::Generate { preset, scale, out: PathBuf::from(out) })
         }
         "stats" => {
@@ -441,14 +442,27 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
+/// The preset at `scale`, if that is a network `gsr build` can read back: a
+/// finite, positive scale with at most [`io::DEFAULT_MAX_VERTICES`] vertices.
 fn spec_for(preset: &str, scale: f64) -> Result<NetworkSpec, CliError> {
-    Ok(match preset.to_ascii_lowercase().as_str() {
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(err(format!("--scale must be a finite number > 0, got {scale}")));
+    }
+    let spec = match preset.to_ascii_lowercase().as_str() {
         "foursquare" => NetworkSpec::foursquare(scale),
         "gowalla" => NetworkSpec::gowalla(scale),
         "weeplaces" => NetworkSpec::weeplaces(scale),
         "yelp" => NetworkSpec::yelp(scale),
         other => return Err(err(format!("unknown preset {other:?}"))),
-    })
+    };
+    let cap = io::DEFAULT_MAX_VERTICES as usize;
+    let vertices = spec.users.saturating_add(spec.venues);
+    if vertices > cap {
+        return Err(err(format!(
+            "--scale {scale} gives {vertices} vertices, over the {cap} a network file may hold"
+        )));
+    }
+    Ok(spec)
 }
 
 fn build_method(
@@ -821,6 +835,26 @@ mod tests {
             cmd,
             Command::Generate { preset: "yelp".into(), scale: 0.5, out: "x.gsr".into() }
         );
+    }
+
+    /// A scale that is not a finite number > 0, or whose network would not
+    /// load back, is a usage error: exit 2, and nothing is generated.
+    #[test]
+    fn generate_rejects_scales_it_cannot_write_back() {
+        for scale in ["inf", "1e9", "nan", "-1"] {
+            let e = parse_args(&args(&[
+                "generate", "--preset", "gowalla", "--scale", scale, "--out", "x.gsr",
+            ]))
+            .unwrap_err();
+            assert_eq!(exit_code(&e), 2, "--scale {scale}: {e}");
+        }
+        let largest = io::DEFAULT_MAX_VERTICES as f64 / 31_300.0;
+        for (scale, ok) in [(largest.floor(), true), (largest.ceil(), false)] {
+            let parsed = parse_args(&args(&[
+                "generate", "--preset", "gowalla", "--scale", &scale.to_string(), "--out", "x.gsr",
+            ]));
+            assert_eq!(parsed.is_ok(), ok, "--scale {scale}");
+        }
     }
 
     #[test]

@@ -18,8 +18,10 @@ use gsr_graph::VertexId;
 use std::sync::Arc;
 
 /// The index-free evaluator: answers `RangeReach` online by BFS over the
-/// condensation DAG, testing member points against the region as
-/// components are popped.
+/// condensation DAG, testing a component's member points against the
+/// region when the traversal first reaches it and answering at the first
+/// hit. Its `QueryCost` counts the components tested (`vertices_visited`)
+/// and the points tested (`containment_tests`).
 ///
 /// Costs O(components + edges + points) per query and zero index bytes —
 /// the extreme point of the space/time trade-off every indexed method

@@ -126,7 +126,8 @@ impl GeoReach {
             let mut my_rmbr = prep.comp_mbr(c);
             let mut my_cells: Option<Vec<CellId>> = Some(
                 prep.spatial_member_points(c)
-                    .map(|p| grid.cell_of(&p))
+                    .iter()
+                    .map(|p| grid.cell_of(p))
                     .collect(),
             );
             // Successors.
@@ -212,8 +213,8 @@ impl GeoReach {
             cell_offsets: cell_offsets.into(),
             cells: cells.into(),
             rmbrs: rmbrs.into(),
-            member_offsets: member_offsets.into(),
-            member_points: member_points.into(),
+            member_offsets,
+            member_points,
         }
     }
 

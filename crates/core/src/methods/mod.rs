@@ -62,3 +62,30 @@ fn check_comp_ids(
         None => Ok(()),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{paper_example, RangeReachIndex, SccSpatialPolicy};
+
+    /// The methods that refine against member points hold the prepared
+    /// network's member table by handle: one buffer for all of them.
+    #[test]
+    fn methods_share_the_member_table() {
+        let prep = paper_example::cyclic_prepared();
+        let (_, points) = prep.member_csr();
+        let mbr = SccSpatialPolicy::Mbr;
+        let indexes: [Box<dyn RangeReachIndex>; 5] = [
+            Box::new(SpaReachBfl::build(&prep, SccSpatialPolicy::Replicate)),
+            Box::new(SpaReachInt::build(&prep, mbr)),
+            Box::new(GeoReach::build(&prep)),
+            Box::new(ThreeDReach::build(&prep, mbr)),
+            Box::new(ThreeDReachRev::build(&prep, mbr)),
+        ];
+        for index in &indexes {
+            let list = index.columns().expect("column-backed");
+            let col = list.cols.iter().find(|c| c.tag == tag::MEMBER_POINTS).expect("declared");
+            assert_eq!(col.bytes.as_ptr(), points.as_ptr().cast::<u8>(), "{}", index.name());
+        }
+    }
+}

@@ -109,7 +109,7 @@ mod tests {
         let mut stack = vec![start];
         visited[start as usize] = true;
         while let Some(c) = stack.pop() {
-            for p in prep.spatial_member_points(c) {
+            for &p in prep.spatial_member_points(c) {
                 let d = p.distance(target);
                 if best.is_none_or(|(_, bd)| d < bd) {
                     best = Some((p, d));

@@ -114,7 +114,7 @@ pub fn report_bfs(prep: &PreparedNetwork, v: VertexId, region: &Rect) -> Vec<Ver
     visited[start as usize] = true;
     let mut out = Vec::new();
     while let Some(c) = stack.pop() {
-        for &u in prep.spatial_members(c) {
+        for &u in prep.members(c) {
             let Some(p) = prep.network().point(u) else { continue };
             if region.contains_point(&p) {
                 out.push(u);

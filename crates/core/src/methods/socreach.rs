@@ -83,7 +83,7 @@ impl SocReach {
         post_offsets.push(0u32);
         for p in 1..=ncomp as u32 {
             let comp = labeling.vertex_of_post(p);
-            points.extend(prep.spatial_member_points(comp));
+            points.extend_from_slice(prep.spatial_member_points(comp));
             post_offsets.push(points.len() as u32);
         }
 

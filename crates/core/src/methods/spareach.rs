@@ -289,8 +289,8 @@ impl<R: Reachability> SpaReach<R> {
             reach: build_reach(prep.dag()),
             name,
             mode: CandidateMode::Materialize,
-            member_offsets: member_offsets.into(),
-            member_points: member_points.into(),
+            member_offsets,
+            member_points,
         }
     }
 

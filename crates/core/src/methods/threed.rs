@@ -65,8 +65,8 @@ impl ThreeDCommon {
             comp_of: prep.comp_of(),
             tree: Arc::new(RTree::bulk_load_parallel(entries, RTreeParams::default(), threads)),
             policy,
-            member_offsets: member_offsets.into(),
-            member_points: member_points.into(),
+            member_offsets,
+            member_points,
         }
     }
 

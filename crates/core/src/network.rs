@@ -191,11 +191,11 @@ pub struct PreparedNetwork {
     net: GeosocialNetwork,
     /// Shared with every other network over the same social side.
     cond: Arc<Condensation>,
-    /// Per component: flattened spatial members (vertex ids), CSR layout.
-    spatial_offsets: Vec<u32>,
-    spatial_members: Vec<VertexId>,
-    /// Per component: MBR of member points (`None` if no spatial member).
-    comp_mbr: Vec<Option<Rect>>,
+    /// The member table: component `c`'s member points, in member order,
+    /// are `member_points[member_offsets[c] .. member_offsets[c + 1]]`.
+    /// Every index that keeps member points holds these two by handle.
+    member_offsets: Col<u32>,
+    member_points: Col<Point>,
     space: Rect,
 }
 
@@ -203,43 +203,28 @@ impl PreparedNetwork {
     /// Condenses `net` and precomputes the spatial side of each component.
     /// The condensation is taken from `net`'s social side when a network
     /// sharing it was prepared before (tile views), so a shard set runs
-    /// Tarjan once; the per-component spatial CSR and MBRs are per network.
+    /// Tarjan once; the member table is per network.
     pub fn new(net: GeosocialNetwork) -> Self {
         let cond = Arc::clone(
             net.social.cond.get_or_init(|| Arc::new(Condensation::of(net.graph()))),
         );
         let ncomp = cond.num_components();
-
-        let mut spatial_offsets = vec![0u32; ncomp + 1];
-        for (v, p) in net.points.iter().enumerate() {
-            if p.is_some() {
-                spatial_offsets[cond.comp(v as VertexId) as usize + 1] += 1;
-            }
-        }
-        for i in 0..ncomp {
-            spatial_offsets[i + 1] += spatial_offsets[i];
-        }
-        let mut cursor = spatial_offsets.clone();
-        let mut spatial_members = vec![0 as VertexId; spatial_offsets[ncomp] as usize];
-        for (v, p) in net.points.iter().enumerate() {
-            if p.is_some() {
-                let c = cond.comp(v as VertexId) as usize;
-                spatial_members[cursor[c] as usize] = v as VertexId;
-                cursor[c] += 1;
-            }
-        }
-
-        let mut comp_mbr: Vec<Option<Rect>> = vec![None; ncomp];
-        for (c, slot) in comp_mbr.iter_mut().enumerate() {
-            let lo = spatial_offsets[c] as usize;
-            let hi = spatial_offsets[c + 1] as usize;
-            *slot = Rect::mbr_of(
-                spatial_members[lo..hi].iter().filter_map(|&v| net.points[v as usize]),
-            );
+        let mut member_offsets = Vec::with_capacity(ncomp + 1);
+        let mut member_points = Vec::with_capacity(net.num_spatial());
+        member_offsets.push(0u32);
+        for c in 0..ncomp as CompId {
+            member_points.extend(cond.members(c).iter().filter_map(|&v| net.point(v)));
+            member_offsets.push(member_points.len() as u32);
         }
 
         let space = net.space().unwrap_or(Rect::new(0.0, 0.0, 1.0, 1.0));
-        PreparedNetwork { net, cond, spatial_offsets, spatial_members, comp_mbr, space }
+        PreparedNetwork {
+            net,
+            cond,
+            member_offsets: member_offsets.into(),
+            member_points: member_points.into(),
+            space,
+        }
     }
 
     /// The original network.
@@ -289,17 +274,10 @@ impl PreparedNetwork {
         })
     }
 
-    /// The member points of every component, flattened in component order:
+    /// Handles to the member table, without copying it:
     /// `points[offsets[c] .. offsets[c + 1]]` are component `c`'s.
-    pub(crate) fn member_csr(&self) -> (Vec<u32>, Vec<Point>) {
-        let mut offsets = Vec::with_capacity(self.num_components() + 1);
-        let mut points = Vec::with_capacity(self.spatial_members.len());
-        offsets.push(0u32);
-        for c in 0..self.num_components() as CompId {
-            points.extend(self.spatial_member_points(c));
-            offsets.push(points.len() as u32);
-        }
-        (offsets, points)
+    pub(crate) fn member_csr(&self) -> (Col<u32>, Col<Point>) {
+        (self.member_offsets.clone(), self.member_points.clone())
     }
 
     /// All original members of component `c`.
@@ -308,36 +286,24 @@ impl PreparedNetwork {
         self.cond.members(c)
     }
 
-    /// The spatial members of component `c` (original vertex ids).
+    /// The points of component `c`'s spatial members, in member order.
     #[inline]
-    pub fn spatial_members(&self, c: CompId) -> &[VertexId] {
-        let lo = self.spatial_offsets[c as usize] as usize;
-        let hi = self.spatial_offsets[c as usize + 1] as usize;
-        &self.spatial_members[lo..hi]
+    pub fn spatial_member_points(&self, c: CompId) -> &[Point] {
+        let lo = self.member_offsets[c as usize] as usize;
+        let hi = self.member_offsets[c as usize + 1] as usize;
+        &self.member_points[lo..hi]
     }
 
-    /// Iterator over the member points of component `c`.
-    pub fn spatial_member_points(&self, c: CompId) -> impl Iterator<Item = Point> + '_ {
-        // Spatial members are collected from vertices with points, so the
-        // filter never actually drops anything; it just avoids unwrap.
-        self.spatial_members(c).iter().filter_map(|&v| self.net.points[v as usize])
-    }
-
-    /// Whether any member point of `c` lies inside `region`.
-    pub fn any_member_in(&self, c: CompId, region: &Rect) -> bool {
-        self.spatial_member_points(c).any(|p| region.contains_point(&p))
-    }
-
-    /// The MBR of component `c`'s member points.
-    #[inline]
+    /// The MBR of component `c`'s member points, computed from the member
+    /// table: every caller asks once per component, while building.
     pub fn comp_mbr(&self, c: CompId) -> Option<Rect> {
-        self.comp_mbr[c as usize]
+        Rect::mbr_of(self.spatial_member_points(c).iter().copied())
     }
 
     /// Whether component `c` contains at least one spatial vertex.
     #[inline]
     pub fn comp_is_spatial(&self, c: CompId) -> bool {
-        self.comp_mbr[c as usize].is_some()
+        self.member_offsets[c as usize] < self.member_offsets[c as usize + 1]
     }
 
     /// The MBR of all points of the network (the paper's `SPACE`).
@@ -366,37 +332,42 @@ impl PreparedNetwork {
         self.range_reach_bfs_with_cost(v, region).0
     }
 
-    /// [`PreparedNetwork::range_reach_bfs`] plus work counters: one
-    /// `vertices_visited` per popped component, one `containment_tests`
-    /// per member point tested. Powers the index-free degraded mode
-    /// ([`crate::OnlineReach`]).
+    /// [`PreparedNetwork::range_reach_bfs`] plus work counters. A component's
+    /// member points are tested when the traversal first reaches it, and the
+    /// first hit answers: `vertices_visited` counts the components tested,
+    /// `containment_tests` the member points tested. Powers the index-free
+    /// degraded mode ([`crate::OnlineReach`]).
     pub fn range_reach_bfs_with_cost(&self, v: VertexId, region: &Rect) -> (bool, QueryCost) {
         let mut cost = QueryCost::default();
+        let mut hit = |c: CompId| {
+            cost.vertices_visited += 1;
+            self.spatial_member_points(c).iter().any(|p| {
+                cost.containment_tests += 1;
+                region.contains_point(p)
+            })
+        };
         let start = self.comp(v);
         // The traversal runs over this thread's reusable scratch buffers
         // (the frontier deque used LIFO), so steady-state evaluation is
-        // allocation-free; the visit order matches the old Vec stack.
-        crate::scratch::with_scratch(|scratch| {
-            scratch.begin_visit(self.num_components());
-            scratch.mark(start);
-            scratch.queue.push_back(start);
-            while let Some(c) = scratch.queue.pop_back() {
-                cost.vertices_visited += 1;
-                let hit = self.spatial_member_points(c).any(|p| {
-                    cost.containment_tests += 1;
-                    region.contains_point(&p)
-                });
-                if hit {
-                    return (true, cost);
-                }
-                for &w in self.dag().out_neighbors(c) {
-                    if scratch.mark(w) {
-                        scratch.queue.push_back(w);
+        // allocation-free.
+        let found = hit(start)
+            || crate::scratch::with_scratch(|scratch| {
+                scratch.begin_visit(self.num_components());
+                scratch.mark(start);
+                scratch.queue.push_back(start);
+                while let Some(c) = scratch.queue.pop_back() {
+                    for &w in self.dag().out_neighbors(c) {
+                        if scratch.mark(w) {
+                            if hit(w) {
+                                return true;
+                            }
+                            scratch.queue.push_back(w);
+                        }
                     }
                 }
-            }
-            (false, cost)
-        })
+                false
+            });
+        (found, cost)
     }
 }
 
@@ -448,12 +419,10 @@ mod tests {
         let c2 = prep.comp(2);
         assert_eq!(prep.comp(1), c01);
         assert_ne!(c01, c2);
-        assert_eq!(prep.spatial_members(c01), &[1]);
-        assert_eq!(prep.spatial_members(c2), &[2]);
+        assert_eq!(prep.spatial_member_points(c01), &[Point::new(1.0, 1.0)]);
+        assert_eq!(prep.spatial_member_points(c2), &[Point::new(5.0, 5.0)]);
         assert_eq!(prep.comp_mbr(c01), Some(Rect::new(1.0, 1.0, 1.0, 1.0)));
         assert!(prep.comp_is_spatial(c2));
-        assert!(prep.any_member_in(c01, &Rect::new(0.0, 0.0, 2.0, 2.0)));
-        assert!(!prep.any_member_in(c01, &Rect::new(4.0, 4.0, 6.0, 6.0)));
     }
 
     #[test]
@@ -511,7 +480,6 @@ mod tests {
         }
         for c in 0..own.num_components() as CompId {
             assert_eq!(view.members(c), own.members(c));
-            assert_eq!(view.spatial_members(c), own.spatial_members(c));
             assert_eq!(view.comp_mbr(c), own.comp_mbr(c));
         }
         assert_eq!(view.member_csr(), own.member_csr());

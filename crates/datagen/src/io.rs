@@ -61,10 +61,39 @@ pub fn write_network<W: Write>(net: &GeosocialNetwork, out: W) -> std::io::Resul
     for (v, p) in net.spatial_vertices() {
         writeln!(w, "P {} {} {}", v, p.x, p.y)?;
     }
-    for (u, v) in net.graph().edges() {
-        writeln!(w, "E {u} {v}")?;
+    // `E` lines are most of the file: their digits go into one line buffer
+    // by hand, the `E <source> ` prefix once per source.
+    let graph = net.graph();
+    let mut line = Vec::with_capacity(24);
+    for u in graph.vertices() {
+        line.clear();
+        line.extend_from_slice(b"E ");
+        push_decimal(&mut line, u);
+        line.push(b' ');
+        let prefix = line.len();
+        for &v in graph.out_neighbors(u) {
+            line.truncate(prefix);
+            push_decimal(&mut line, v);
+            line.push(b'\n');
+            w.write_all(&line)?;
+        }
     }
     w.flush()
+}
+
+/// Appends the decimal digits of `n`, as `{}` formats it.
+fn push_decimal(out: &mut Vec<u8>, mut n: u32) {
+    let mut digits = [0u8; 10];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
 }
 
 /// Saves `net` to a file.
@@ -376,6 +405,32 @@ mod tests {
                 assert!(reason.contains("out of range"), "reason = {reason:?}");
             }
             other => panic!("expected a parse error with reason, got {other:?}"),
+        }
+    }
+
+    /// FNV-1a-64 of the text the benchmark fingerprints at `--smoke` scale.
+    /// A change to the writer or the generator moves these.
+    #[test]
+    fn smoke_scale_text_is_pinned() {
+        struct Fnv(u64);
+        impl Write for Fnv {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                for &b in buf {
+                    self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+                }
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        for (spec, want) in [
+            (NetworkSpec::gowalla(0.5), 0xb4ad_9420_b1cb_1681),
+            (NetworkSpec::foursquare(0.5), 0xf85d_dfc4_3417_eeec),
+        ] {
+            let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+            write_network(&spec.generate(), &mut h).unwrap();
+            assert_eq!(h.0, want, "{}", spec.name);
         }
     }
 

@@ -22,7 +22,7 @@ use gsr_geo::{Point, Rect};
 ///     (Point::new(5.0, 5.0), 'b'),
 ///     (Point::new(9.0, 1.0), 'c'),
 /// ]);
-/// assert_eq!(tree.count_in(&Rect::new(0.0, 0.0, 6.0, 6.0)), 2);
+/// assert_eq!(tree.query(&Rect::new(0.0, 0.0, 6.0, 6.0)).len(), 2);
 /// let (p, &tag) = tree.nearest(&Point::new(8.0, 0.0)).unwrap();
 /// assert_eq!(tag, 'c');
 /// assert_eq!(p.x, 9.0);
@@ -117,11 +117,6 @@ impl<T> KdTree<T> {
             false
         });
         out
-    }
-
-    /// Number of points inside `region`.
-    pub fn count_in(&self, region: &Rect) -> usize {
-        self.query(region).len()
     }
 
     /// Whether any point lies inside `region`.
@@ -233,7 +228,7 @@ mod tests {
         assert!(tree.nearest(&Point::new(0.0, 0.0)).is_none());
 
         let dup = KdTree::bulk_load(vec![(Point::new(1.0, 1.0), 0u32); 20]);
-        assert_eq!(dup.count_in(&Rect::from_point(Point::new(1.0, 1.0))), 20);
+        assert_eq!(dup.query(&Rect::from_point(Point::new(1.0, 1.0))).len(), 20);
     }
 
     #[test]

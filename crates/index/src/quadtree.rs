@@ -133,11 +133,6 @@ impl<T> QuadTree<T> {
         out
     }
 
-    /// Number of points inside `region`.
-    pub fn count_in(&self, region: &Rect) -> usize {
-        self.query(region).len()
-    }
-
     /// Whether any point lies inside `region`.
     pub fn query_exists(&self, region: &Rect) -> bool {
         self.query_until(region, |_, _| true)
@@ -271,7 +266,7 @@ mod tests {
         }
         assert_eq!(tree.len(), 200);
         assert!(tree.depth() <= MAX_DEPTH + 1);
-        assert_eq!(tree.count_in(&Rect::from_point(Point::new(10.0, 10.0))), 200);
+        assert_eq!(tree.query(&Rect::from_point(Point::new(10.0, 10.0))).len(), 200);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use gsr_geo::{Point, Rect};
 /// let entries = vec![(Point::new(10.0, 10.0), "cafe"), (Point::new(90.0, 90.0), "park")];
 /// let grid = UniformGrid::bulk_load(space, entries, 4);
 /// assert!(grid.query_exists(&Rect::new(0.0, 0.0, 20.0, 20.0)));
-/// assert_eq!(grid.count_in(&Rect::new(0.0, 0.0, 100.0, 100.0)), 2);
+/// assert_eq!(grid.query(&Rect::new(0.0, 0.0, 100.0, 100.0)).len(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct UniformGrid<T> {
@@ -128,11 +128,6 @@ impl<T> UniformGrid<T> {
         out
     }
 
-    /// Number of entries inside `region`.
-    pub fn count_in(&self, region: &Rect) -> usize {
-        self.query(region).len()
-    }
-
     /// Whether any entry lies inside `region`.
     pub fn query_exists(&self, region: &Rect) -> bool {
         self.query_until(region, |_, _| true)
@@ -178,7 +173,6 @@ mod tests {
             expected.sort_unstable();
             assert_eq!(got, expected, "region {region}");
             assert_eq!(grid.query_exists(&region), !expected.is_empty());
-            assert_eq!(grid.count_in(&region), expected.len());
         }
     }
 

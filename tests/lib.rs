@@ -1,11 +1,18 @@
 //! Shared helpers for the cross-crate integration tests.
 
-use gsr_core::methods::{GeoReach, SocReach, SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev};
-use gsr_core::{GeosocialNetwork, PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
-use gsr_geo::Point;
+use gsr_core::methods::{
+    report_bfs, GeoReach, SocReach, SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev,
+};
+use gsr_core::{
+    prepared_tiles, GeosocialNetwork, OnlineReach, PreparedNetwork, RangeReachIndex,
+    SccSpatialPolicy,
+};
+use gsr_geo::{Point, Rect};
+use gsr_graph::scc::CompId;
 use gsr_graph::{GraphBuilder, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Builds every evaluation method (both SCC policies where supported) with
 /// a describing label.
@@ -38,6 +45,59 @@ pub fn all_snapshots(prep: &PreparedNetwork) -> Vec<(String, gsr_store::Snapshot
     out.push(("georeach".into(), SnapshotIndex::GeoReach(GeoReach::build(prep))));
     out.push(("socreach".into(), SnapshotIndex::SocReach(SocReach::build(prep))));
     out
+}
+
+/// Cross-checks the BFS oracle on every vertex of `prep` against the
+/// brute-force `RangeReport` and against [`OnlineReach`], over zero-area,
+/// `-0.0`, outside-the-space and whole-space rects plus `regions`.
+///
+/// A FALSE answer has tested every reachable member point, so its
+/// `containment_tests` equals the number of spatial vertices `v` reaches; a
+/// TRUE one has tested at least one and at most that many.
+pub fn check_bfs_oracle(prep: &PreparedNetwork, regions: &[Rect]) {
+    let space = prep.space();
+    let everything = Rect::new(-1e9, -1e9, 1e9, 1e9);
+    let mut rects = regions.to_vec();
+    rects.extend([everything, space, Rect::new(-0.0, -0.0, 0.0, 0.0)]);
+    rects.push(Rect::new(space.max_x + 1.0, space.max_y + 1.0, space.max_x + 9.0, space.max_y + 9.0));
+    rects.push(Rect::new(space.min_x - 9.0, space.min_y - 9.0, space.min_x - 1.0, space.min_y - 1.0));
+    for (_, p) in prep.network().spatial_vertices() {
+        rects.push(Rect::from_point(p));
+        rects.push(Rect::new(-0.0, -0.0, p.x.max(0.0), p.y.max(0.0)));
+    }
+    let online = OnlineReach::new(Arc::new(prep.clone()));
+    for v in prep.network().graph().vertices() {
+        let reachable = report_bfs(prep, v, &everything).len();
+        for r in &rects {
+            let (found, cost) = prep.range_reach_bfs_with_cost(v, r);
+            assert_eq!(found, prep.range_reach_bfs(v, r), "v={v} r={r}");
+            assert_eq!(found, !report_bfs(prep, v, r).is_empty(), "report, v={v} r={r}");
+            assert_eq!(online.query_with_cost(v, r), (found, cost), "online, v={v} r={r}");
+            assert!(cost.vertices_visited <= prep.num_components(), "v={v} r={r}");
+            if found {
+                assert!((1..=reachable).contains(&cost.containment_tests), "v={v} r={r}");
+            } else {
+                assert_eq!(cost.containment_tests, reachable, "v={v} r={r}");
+            }
+        }
+    }
+}
+
+/// Checks the member table of `prep` and of its tile views: each
+/// component's points are those of `members(c)`, in member order, and
+/// `comp_mbr` / `comp_is_spatial` agree with them.
+pub fn check_member_table(prep: &PreparedNetwork) {
+    let tiles = prepared_tiles(prep.network(), 3).map(|(tile, _)| tile);
+    for p in std::iter::once(prep.clone()).chain(tiles) {
+        let net = p.network();
+        assert_eq!(p.num_components(), prep.num_components());
+        for c in 0..p.num_components() as CompId {
+            let points: Vec<Point> = p.members(c).iter().filter_map(|&v| net.point(v)).collect();
+            assert_eq!(p.spatial_member_points(c), &points[..], "component {c}");
+            assert_eq!(p.comp_mbr(c), Rect::mbr_of(points.iter().copied()), "component {c}");
+            assert_eq!(p.comp_is_spatial(c), !points.is_empty(), "component {c}");
+        }
+    }
 }
 
 /// A random geosocial network: arbitrary directed edges (cycles allowed)

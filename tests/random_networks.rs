@@ -1,10 +1,11 @@
 //! Property-based integration tests: every method agrees with BFS ground
 //! truth on arbitrary proptest-generated geosocial networks.
 
+use gsr_core::paper_example;
 use gsr_core::{GeosocialNetwork, PreparedNetwork};
 use gsr_geo::{Point, Rect};
 use gsr_graph::{GraphBuilder, VertexId};
-use gsr_tests::all_indexes;
+use gsr_tests::{all_indexes, check_bfs_oracle, check_member_table};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -117,5 +118,22 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn bfs_oracle_agrees_with_report_and_online(case in arb_case()) {
+        let (prep, regions) = build(&case);
+        check_member_table(&prep);
+        check_bfs_oracle(&prep, &regions);
+    }
+}
+
+/// The oracle cross-check and the member table on the paper's Figure 1
+/// network and on its cyclic variant.
+#[test]
+fn bfs_oracle_agrees_on_the_paper_examples() {
+    for prep in [paper_example::prepared(), paper_example::cyclic_prepared()] {
+        check_member_table(&prep);
+        check_bfs_oracle(&prep, &paper_example::probe_regions());
     }
 }
