@@ -7,7 +7,8 @@
 //!
 //! EXPERIMENT one of `EXPERIMENTS` below, or `all` (the default: every one
 //!            but `chaos`, which binds TCP servers)
-//! --scale    dataset scale; 1.0 ~ 1% of the paper's sizes (default 1.0)
+//! --scale    dataset scale, a finite number >= 0 whose largest network a
+//!            network file can hold; 1.0 ~ 1% of the paper's sizes (default 1.0)
 //! --queries  queries per measurement point (default 1000, as in the paper)
 //! --seed     workload RNG seed
 //! --threads  workers for the chaos drill's index build (0 = machine parallelism)
@@ -21,6 +22,7 @@
 use gsr_bench::experiments;
 use gsr_bench::table::TextTable;
 use gsr_bench::{Config, Dataset};
+use gsr_datagen::NetworkSpec;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -37,7 +39,6 @@ const EXPERIMENTS: &[(&str, bool)] = &[
     ("ablations", true),
     ("analysis", true),
     ("polarity", true),
-    ("spatial", true),
     ("reduction", true),
     ("georeach", true),
     ("forests", true),
@@ -85,6 +86,10 @@ fn main() {
                 experiments_wanted.insert(known.0);
             }
         }
+    }
+    if let Err(e) = gsr_datagen::check_scale(cfg.scale, &NetworkSpec::PRESETS) {
+        eprintln!("repro: {e}");
+        usage();
     }
     if all || experiments_wanted.is_empty() {
         experiments_wanted.extend(EXPERIMENTS.iter().filter(|e| e.1).map(|e| e.0));
@@ -157,7 +162,7 @@ fn main() {
 
     if wanted("backends") {
         emit(
-            "Extension: GReach back-ends behind SpaReach (BFL / INT / PLL / FELINE / GRAIL)",
+            "Extension: GReach back-ends behind SpaReach (BFL / INT)",
             &experiments::backends(&datasets, &cfg),
         );
     }
@@ -177,12 +182,6 @@ fn main() {
         emit(
             "Extension: positive vs negative queries (the paper's motivating hard case)",
             &experiments::polarity(&datasets, &cfg),
-        );
-    }
-    if wanted("spatial") {
-        emit(
-            "Extension: SpaReach spatial-index backends (Section 7.2 alternatives)",
-            &experiments::spatial_backends(&datasets, &cfg),
         );
     }
     if wanted("reduction") {

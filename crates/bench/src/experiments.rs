@@ -3,9 +3,7 @@
 use crate::harness::{run_workload, Config, Dataset, MethodKind, ALL_METHODS, FINAL_METHODS};
 use crate::table::{fmt_mb, fmt_micros, fmt_secs, TextTable};
 use gsr_core::methods::{
-    CandidateMode, GeoReach, GeoReachParams, ScanMode, SocReach, SpaReach, SpaReachBfl,
-    SpaReachFeline, SpaReachGrail, SpaReachInt, SpaReachPll,
-    SpatialBackend,
+    CandidateMode, GeoReach, GeoReachParams, ScanMode, SocReach, SpaReachBfl, SpaReachInt,
 };
 use gsr_core::{QueryCost, RangeReachIndex, SccSpatialPolicy};
 use gsr_datagen::workload::{WorkloadGen, PAPER_EXTENTS_PCT, PAPER_SELECTIVITIES_PCT};
@@ -13,10 +11,7 @@ use gsr_graph::dfs::ForestStrategy;
 use gsr_graph::reduction::{equivalence_reduction, transitive_reduction};
 use gsr_graph::stats::DegreeBucket;
 use gsr_reach::bfl::BflIndex;
-use gsr_reach::feline::FelineIndex;
-use gsr_reach::grail::GrailIndex;
 use gsr_reach::interval::{BuildOptions, Builder, IntervalLabeling};
-use gsr_reach::pll::PllIndex;
 use gsr_reach::Reachability;
 
 /// The default extent used while sweeping the degree (bold 5% in the paper).
@@ -212,11 +207,10 @@ pub fn fig7_selectivity(datasets: &[Dataset], cfg: &Config) -> TextTable {
     t
 }
 
-/// **Extension (beyond the paper's figures)**: the four `GReach` back-ends
-/// behind SpaReach — BFL, interval labeling, PLL and FELINE (the latter two
-/// are the variants the original GeoReach paper evaluated). Reports raw
-/// reachability latency, SpaReach query latency, build time and index size
-/// per dataset.
+/// **Extension (beyond the paper's figures)**: the two `GReach` back-ends
+/// behind SpaReach — BFL and interval labeling. Reports raw reachability
+/// latency (the figures Figure 6's explanation cites), SpaReach query
+/// latency, build time and index size per dataset.
 pub fn backends(datasets: &[Dataset], cfg: &Config) -> TextTable {
     use std::time::Instant;
 
@@ -281,21 +275,6 @@ pub fn backends(datasets: &[Dataset], cfg: &Config) -> TextTable {
             "INT",
             &|| Box::new(IntervalLabeling::build(dag)),
             &|| Box::new(SpaReachInt::build(&ds.prep, SccSpatialPolicy::Replicate)),
-        );
-        run(
-            "PLL",
-            &|| Box::new(PllIndex::build(dag)),
-            &|| Box::new(SpaReachPll::build(&ds.prep, SccSpatialPolicy::Replicate)),
-        );
-        run(
-            "FELINE",
-            &|| Box::new(FelineIndex::build(dag)),
-            &|| Box::new(SpaReachFeline::build(&ds.prep, SccSpatialPolicy::Replicate)),
-        );
-        run(
-            "GRAIL",
-            &|| Box::new(GrailIndex::build(dag)),
-            &|| Box::new(SpaReachGrail::build(&ds.prep, SccSpatialPolicy::Replicate)),
         );
     }
     t
@@ -429,52 +408,6 @@ pub fn polarity(datasets: &[Dataset], cfg: &Config) -> TextTable {
                 "social-negative".to_string(),
                 "n/a (all users reach venues)".to_string(),
             ]),
-        }
-    }
-    t
-}
-
-/// **Extension**: the spatial index behind SpaReach's range query — the
-/// paper picks the R-tree "as it is the most dominant structure"; this
-/// sweep compares it against the space-oriented-partitioning alternatives
-/// of Section 7.2 (uniform grid, kd-tree, quadtree).
-pub fn spatial_backends(datasets: &[Dataset], cfg: &Config) -> TextTable {
-    let mut t = TextTable::new([
-        "dataset",
-        "extent %",
-        "R-tree",
-        "uniform grid",
-        "kd-tree",
-        "quadtree",
-    ]);
-    let backends = [
-        SpatialBackend::RTree,
-        SpatialBackend::UniformGrid,
-        SpatialBackend::KdTree,
-        SpatialBackend::QuadTree,
-    ];
-    let default_bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
-    for ds in datasets {
-        let built: Vec<_> = backends
-            .iter()
-            .map(|&b| {
-                SpaReach::build_with_backend(
-                    &ds.prep,
-                    SccSpatialPolicy::Replicate,
-                    b,
-                    "SpaReach",
-                    BflIndex::build,
-                )
-            })
-            .collect();
-        let gen = WorkloadGen::new(&ds.prep);
-        for extent in [1.0, DEFAULT_EXTENT, 20.0] {
-            let w = gen.extent_degree(extent, default_bucket, cfg.queries, cfg.seed);
-            let mut row = vec![ds.name.to_string(), format!("{extent}")];
-            for idx in &built {
-                row.push(fmt_micros(run_workload(idx, &w).avg_micros));
-            }
-            t.row(row);
         }
     }
     t
@@ -686,14 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn spatial_backend_sweep_renders() {
-        let ds = tiny_datasets();
-        let cfg = Config { scale: 0.03, queries: 6, seed: 1, threads: 1 };
-        let t = spatial_backends(&ds[..1], &cfg);
-        assert_eq!(t.len(), 3, "one row per extent");
-    }
-
-    #[test]
     fn reduction_shrinks_or_keeps_the_graph() {
         let ds = tiny_datasets();
         let t = reduction(&ds[..1]);
@@ -745,7 +670,7 @@ mod tests {
         let ds = tiny_datasets();
         let cfg = Config { scale: 0.03, queries: 8, seed: 5, threads: 1 };
         let b = backends(&ds[..1], &cfg);
-        assert_eq!(b.len(), 5, "one row per back-end");
+        assert_eq!(b.len(), 2, "one row per back-end");
         let a = ablations(&ds[..1], &cfg);
         assert_eq!(a.len(), 3, "one row per extent");
     }

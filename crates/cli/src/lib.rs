@@ -32,7 +32,7 @@ use gsr_core::methods::{
 use gsr_core::{
     BatchExecutor, BatchOptions, GsrError, PreparedNetwork, RangeReachIndex, SccSpatialPolicy,
 };
-use gsr_datagen::{io, NetworkSpec};
+use gsr_datagen::{check_scale, io, NetworkSpec};
 use gsr_geo::Rect;
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -443,26 +443,20 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
 }
 
 /// The preset at `scale`, if that is a network `gsr build` can read back: a
-/// finite, positive scale with at most [`io::DEFAULT_MAX_VERTICES`] vertices.
+/// positive scale that passes [`check_scale`].
 fn spec_for(preset: &str, scale: f64) -> Result<NetworkSpec, CliError> {
-    if !(scale.is_finite() && scale > 0.0) {
-        return Err(err(format!("--scale must be a finite number > 0, got {scale}")));
-    }
-    let spec = match preset.to_ascii_lowercase().as_str() {
-        "foursquare" => NetworkSpec::foursquare(scale),
-        "gowalla" => NetworkSpec::gowalla(scale),
-        "weeplaces" => NetworkSpec::weeplaces(scale),
-        "yelp" => NetworkSpec::yelp(scale),
+    let preset: fn(f64) -> NetworkSpec = match preset.to_ascii_lowercase().as_str() {
+        "foursquare" => NetworkSpec::foursquare,
+        "gowalla" => NetworkSpec::gowalla,
+        "weeplaces" => NetworkSpec::weeplaces,
+        "yelp" => NetworkSpec::yelp,
         other => return Err(err(format!("unknown preset {other:?}"))),
     };
-    let cap = io::DEFAULT_MAX_VERTICES as usize;
-    let vertices = spec.users.saturating_add(spec.venues);
-    if vertices > cap {
-        return Err(err(format!(
-            "--scale {scale} gives {vertices} vertices, over the {cap} a network file may hold"
-        )));
+    if scale == 0.0 {
+        return Err(err("--scale must be > 0, got 0"));
     }
-    Ok(spec)
+    check_scale(scale, &[preset]).map_err(err)?;
+    Ok(preset(scale))
 }
 
 fn build_method(

@@ -69,7 +69,7 @@ pub use batch::{
     BatchExecutor, BatchOptions, BatchOutcome, BatchQuery, BatchSchedule, CancelToken,
 };
 pub use error::GsrError;
-pub use fallback::{DegradedReason, FallbackIndex, FallbackOptions, OnlineReach};
+pub use fallback::OnlineReach;
 pub use network::{GeosocialNetwork, NetworkError, NetworkStats, PreparedNetwork};
 pub use partition::{partition_tiles, prepared_tiles, tile_network, ShardMember, ShardedIndex, Tile};
 pub use traits::{QueryCost, RangeReachIndex, SccSpatialPolicy, ShardStats};

@@ -11,10 +11,7 @@ pub use georeach::{GeoReach, GeoReachParams};
 pub use nearest::NearestReach;
 pub use report::{report_bfs, ThreeDReporter};
 pub use socreach::{ScanMode, SocReach};
-pub use spareach::{
-    CandidateMode, SpaReach, SpaReachBfl, SpaReachFeline, SpaReachGrail, SpaReachInt, SpaReachPll,
-    SpatialBackend,
-};
+pub use spareach::{CandidateMode, SpaReach, SpaReachBfl, SpaReachInt};
 pub use threed::{ThreeDReach, ThreeDReachRev};
 
 use gsr_graph::scc::CompId;

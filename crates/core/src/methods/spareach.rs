@@ -7,23 +7,19 @@
 //! for negative answers *every* candidate must be tested — which is the
 //! weakness the paper's SocReach/3DReach methods address.
 //!
-//! The reachability back-end is pluggable: the paper evaluates
-//! [`SpaReachBfl`] (Bloom-filter labeling, the overall best `GReach` scheme)
-//! and [`SpaReachInt`] (interval-based labeling).
+//! The paper evaluates two reachability back-ends: [`SpaReachBfl`]
+//! (Bloom-filter labeling, the overall best `GReach` scheme) and
+//! [`SpaReachInt`] (interval-based labeling).
 
 use super::{check_comp_ids, check_csr, tag};
 use crate::{PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy};
-use gsr_geo::{Aabb, Rect};
+use gsr_geo::{Aabb, Point, Rect};
 use gsr_graph::par;
 use gsr_graph::scc::CompId;
 use gsr_graph::{Col, ColumnList, Columns, DiGraph, Source, VertexId};
-use gsr_geo::Point;
-use gsr_index::{KdTree, QuadTree, RTree, RTreeParams, UniformGrid};
+use gsr_index::{RTree, RTreeParams};
 use gsr_reach::bfl::{BflIndex, BflParams};
-use gsr_reach::feline::FelineIndex;
-use gsr_reach::grail::{GrailIndex, GrailParams};
 use gsr_reach::interval::{BuildOptions, IntervalLabeling};
-use gsr_reach::pll::PllIndex;
 use gsr_reach::Reachability;
 
 /// How SpaReach consumes the spatial range query's result.
@@ -42,51 +38,28 @@ pub enum CandidateMode {
     Streaming,
 }
 
-/// Which spatial index evaluates the range query of SpaReach's first
-/// phase. The paper uses an R-tree "as it is the most dominant structure
-/// for spatial data" (Section 7.2); the space-oriented-partitioning
-/// alternatives it cites are available for ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpatialBackend {
-    /// Guttman R-tree (the paper's choice; supports both SCC policies).
-    #[default]
-    RTree,
-    /// Single-level uniform grid (replicate policy only).
-    UniformGrid,
-    /// Static kd-tree (replicate policy only).
-    KdTree,
-    /// Point-region quadtree (replicate policy only).
-    QuadTree,
-}
+/// Bits of the filter-kind scalar a snapshot's `META` holds.
+const KIND_MBR: u8 = 1;
+const KIND_STREAMING: u8 = 2;
 
-/// The spatial filter structure, depending on backend and SCC policy.
-#[derive(Debug, Clone)]
-enum SpatialFilter {
-    /// One point entry per spatial vertex, tagged with its component.
-    Points(RTree<2, CompId>),
-    /// One rectangle entry per spatial *component* (its member MBR).
-    CompBoxes(RTree<2, CompId>),
-    /// Uniform-grid over points.
-    Grid(UniformGrid<CompId>),
-    /// kd-tree over points.
-    Kd(KdTree<CompId>),
-    /// Quadtree over points.
-    Quad(QuadTree<CompId>),
-}
-
-/// Generic spatial-first evaluator over any [`Reachability`] back-end.
+/// Generic spatial-first evaluator over a [`Reachability`] back-end.
 #[derive(Debug, Clone)]
 pub struct SpaReach<R> {
     /// Snapshot of per-component spatial membership for MBR refinement.
     comp_of: Col<CompId>,
-    filter: SpatialFilter,
+    /// The spatial filter. Under [`SccSpatialPolicy::Replicate`] it holds
+    /// one point entry per spatial vertex, tagged with its component; under
+    /// [`SccSpatialPolicy::Mbr`] one rectangle entry per spatial component
+    /// (its member MBR).
+    tree: RTree<2, CompId>,
+    policy: SccSpatialPolicy,
     reach: R,
     name: &'static str,
     mode: CandidateMode,
     /// Per-component spatial member points (flattened CSR), used to refine
     /// partially overlapping MBR candidates.
     member_offsets: Col<u32>,
-    member_points: Col<gsr_geo::Point>,
+    member_points: Col<Point>,
 }
 
 /// SpaReach with the BFL reachability index (the paper's best spatial-first
@@ -97,195 +70,76 @@ pub type SpaReachBfl = SpaReach<BflIndex>;
 /// matching the graph-reachability literature).
 pub type SpaReachInt = SpaReach<IntervalLabeling>;
 
-/// SpaReach with pruned landmark labeling — the "SpaReach-PLL" variant of
-/// the original GeoReach paper (Section 2.2.1).
-pub type SpaReachPll = SpaReach<PllIndex>;
-
-/// SpaReach with the FELINE index — the "SpaReach-Feline" variant of the
-/// original GeoReach paper (Section 2.2.1).
-pub type SpaReachFeline = SpaReach<FelineIndex>;
-
-/// SpaReach with the GRAIL index (Section 7.1 of the paper's related work).
-pub type SpaReachGrail = SpaReach<GrailIndex>;
-
 impl SpaReachBfl {
     /// Builds the 2-D R-tree and the BFL index over the condensation.
     pub fn build(prep: &PreparedNetwork, policy: SccSpatialPolicy) -> Self {
-        SpaReach::build_with(prep, policy, "SpaReach-BFL", BflIndex::build)
+        Self::build_threaded(prep, policy, 1)
     }
 
     /// Like [`SpaReachBfl::build`], constructing both the spatial filter
     /// and the BFL filters with `threads` workers (`0` = machine
     /// parallelism). The result is identical to the sequential build.
     pub fn build_threaded(prep: &PreparedNetwork, policy: SccSpatialPolicy, threads: usize) -> Self {
-        SpaReach::build_threaded_with(prep, policy, "SpaReach-BFL", threads, move |g| {
+        SpaReach::build_impl(prep, policy, "SpaReach-BFL", threads, |g| {
             BflIndex::build_with(g, BflParams { threads, ..BflParams::default() })
         })
-    }
-}
-
-impl<R: Reachability> SpaReach<R> {
-    /// Switches the candidate-consumption mode (see [`CandidateMode`]).
-    pub fn with_candidate_mode(mut self, mode: CandidateMode) -> Self {
-        self.mode = mode;
-        self
     }
 }
 
 impl SpaReachInt {
     /// Builds the 2-D R-tree and the interval labeling over the condensation.
     pub fn build(prep: &PreparedNetwork, policy: SccSpatialPolicy) -> Self {
-        SpaReach::build_with(prep, policy, "SpaReach-INT", IntervalLabeling::build)
+        Self::build_threaded(prep, policy, 1)
     }
 
     /// Like [`SpaReachInt::build`], constructing both the spatial filter
     /// and the interval labeling with `threads` workers (`0` = machine
     /// parallelism). The result is identical to the sequential build.
     pub fn build_threaded(prep: &PreparedNetwork, policy: SccSpatialPolicy, threads: usize) -> Self {
-        SpaReach::build_threaded_with(prep, policy, "SpaReach-INT", threads, move |g| {
+        SpaReach::build_impl(prep, policy, "SpaReach-INT", threads, |g| {
             IntervalLabeling::build_with(g, BuildOptions { threads, ..BuildOptions::default() })
         })
     }
 }
 
-impl SpaReachPll {
-    /// Builds the 2-D R-tree and the PLL index over the condensation.
-    pub fn build(prep: &PreparedNetwork, policy: SccSpatialPolicy) -> Self {
-        SpaReach::build_with(prep, policy, "SpaReach-PLL", PllIndex::build)
-    }
-}
-
-impl SpaReachFeline {
-    /// Builds the 2-D R-tree and the FELINE index over the condensation.
-    pub fn build(prep: &PreparedNetwork, policy: SccSpatialPolicy) -> Self {
-        SpaReach::build_with(prep, policy, "SpaReach-Feline", FelineIndex::build)
-    }
-}
-
-impl SpaReachGrail {
-    /// Builds the 2-D R-tree and the GRAIL index over the condensation.
-    pub fn build(prep: &PreparedNetwork, policy: SccSpatialPolicy) -> Self {
-        SpaReach::build_with(prep, policy, "SpaReach-GRAIL", GrailIndex::build)
-    }
-
-    /// Like [`SpaReachGrail::build`], constructing both the spatial filter
-    /// and the GRAIL traversals with `threads` workers (`0` = machine
-    /// parallelism). The result is identical to the sequential build.
-    pub fn build_threaded(prep: &PreparedNetwork, policy: SccSpatialPolicy, threads: usize) -> Self {
-        SpaReach::build_threaded_with(prep, policy, "SpaReach-GRAIL", threads, move |g| {
-            GrailIndex::build_with(g, GrailParams { threads, ..GrailParams::default() })
-        })
-    }
-}
-
-impl<R: Reachability> SpaReach<R> {
-    /// Builds a spatial-first evaluator with a custom reachability back-end.
-    pub fn build_with(
-        prep: &PreparedNetwork,
-        policy: SccSpatialPolicy,
-        name: &'static str,
-        build_reach: impl FnOnce(&DiGraph) -> R,
-    ) -> Self {
-        Self::build_with_backend(prep, policy, SpatialBackend::RTree, name, build_reach)
-    }
-
-    /// Builds a spatial-first evaluator with a custom reachability back-end,
-    /// running the spatial-member replication pass and the R-tree packing
-    /// across `threads` workers (`0` = machine parallelism). Every pass
+impl<R: Reachability + Columns> SpaReach<R> {
+    /// Builds the spatial filter with the spatial-member replication pass
+    /// and the R-tree packing across `threads` workers (`0` = machine
+    /// parallelism), and the back-end with `build_reach`. Every pass
     /// preserves the sequential order of its output, so the built index is
-    /// identical to [`SpaReach::build_with`] at any thread count. The
-    /// reachability back-end is handed the caller's `build_reach`, which may
-    /// itself parallelize (see the `build_threaded` constructors on the
-    /// typed aliases).
-    pub fn build_threaded_with(
-        prep: &PreparedNetwork,
-        policy: SccSpatialPolicy,
-        name: &'static str,
-        threads: usize,
-        build_reach: impl FnOnce(&DiGraph) -> R,
-    ) -> Self {
-        Self::build_impl(prep, policy, SpatialBackend::RTree, name, threads, build_reach)
-    }
-
-    /// Builds a spatial-first evaluator with explicit spatial and
-    /// reachability back-ends.
-    ///
-    /// # Panics
-    /// Panics when a space-oriented-partitioning backend is combined with
-    /// the MBR policy (those structures index points, not rectangles).
-    pub fn build_with_backend(
-        prep: &PreparedNetwork,
-        policy: SccSpatialPolicy,
-        backend: SpatialBackend,
-        name: &'static str,
-        build_reach: impl FnOnce(&DiGraph) -> R,
-    ) -> Self {
-        Self::build_impl(prep, policy, backend, name, 1, build_reach)
-    }
-
+    /// identical at any thread count.
     fn build_impl(
         prep: &PreparedNetwork,
         policy: SccSpatialPolicy,
-        backend: SpatialBackend,
         name: &'static str,
         threads: usize,
         build_reach: impl FnOnce(&DiGraph) -> R,
     ) -> Self {
-        assert!(
-            backend == SpatialBackend::RTree || policy == SccSpatialPolicy::Replicate,
-            "only the R-tree backend supports the MBR policy"
-        );
-        let point_entries = || -> Vec<(Point, CompId)> {
-            prep.network().spatial_vertices().map(|(v, p)| (p, prep.comp(v))).collect()
-        };
-        let filter = match (backend, policy) {
-            (SpatialBackend::RTree, SccSpatialPolicy::Replicate) => {
+        let entries: Vec<(Aabb<2>, CompId)> = match policy {
+            SccSpatialPolicy::Replicate => {
                 // The replication pass: one point entry per spatial vertex,
                 // tagged with its component. Mapping by index keeps the
                 // entry order identical to the sequential scan.
                 let spatial: Vec<(VertexId, Point)> =
                     prep.network().spatial_vertices().collect();
-                let entries: Vec<(Aabb<2>, CompId)> =
-                    par::map_indexed(threads, spatial.len(), |i| {
-                        let (v, p) = spatial[i];
-                        (Aabb::from_point([p.x, p.y]), prep.comp(v))
-                    });
-                SpatialFilter::Points(RTree::bulk_load_parallel(
-                    entries,
-                    RTreeParams::default(),
-                    threads,
-                ))
+                par::map_indexed(threads, spatial.len(), |i| {
+                    let (v, p) = spatial[i];
+                    (Aabb::from_point([p.x, p.y]), prep.comp(v))
+                })
             }
-            (SpatialBackend::RTree, SccSpatialPolicy::Mbr) => {
-                let ncomp = prep.num_components();
-                let entries: Vec<(Aabb<2>, CompId)> =
-                    par::map_indexed(threads, ncomp, |c| {
-                        let c = c as CompId;
-                        prep.comp_mbr(c).map(|m| (m.into(), c))
-                    })
-                    .into_iter()
-                    .flatten()
-                    .collect();
-                SpatialFilter::CompBoxes(RTree::bulk_load_parallel(
-                    entries,
-                    RTreeParams::default(),
-                    threads,
-                ))
-            }
-            (SpatialBackend::UniformGrid, _) => {
-                SpatialFilter::Grid(UniformGrid::bulk_load(prep.space(), point_entries(), 16))
-            }
-            (SpatialBackend::KdTree, _) => SpatialFilter::Kd(KdTree::bulk_load(point_entries())),
-            (SpatialBackend::QuadTree, _) => {
-                SpatialFilter::Quad(QuadTree::bulk_load(prep.space(), point_entries()))
-            }
+            SccSpatialPolicy::Mbr => par::map_indexed(threads, prep.num_components(), |c| {
+                let c = c as CompId;
+                prep.comp_mbr(c).map(|m| (m.into(), c))
+            })
+            .into_iter()
+            .flatten()
+            .collect(),
         };
-
         let (member_offsets, member_points) = prep.member_csr();
-
         SpaReach {
             comp_of: prep.comp_of(),
-            filter,
+            tree: RTree::bulk_load_parallel(entries, RTreeParams::default(), threads),
+            policy,
             reach: build_reach(prep.dag()),
             name,
             mode: CandidateMode::Materialize,
@@ -294,19 +148,45 @@ impl<R: Reachability> SpaReach<R> {
         }
     }
 
+    /// Switches the candidate-consumption mode (see [`CandidateMode`]).
+    pub fn with_candidate_mode(mut self, mode: CandidateMode) -> Self {
+        self.mode = mode;
+        self
+    }
+
     /// Access to the reachability back-end (for tests and stats).
     pub fn reachability(&self) -> &R {
         &self.reach
     }
 
-    fn member_points(&self, c: CompId) -> &[gsr_geo::Point] {
+    fn member_points(&self, c: CompId) -> &[Point] {
         let lo = self.member_offsets[c as usize] as usize;
         let hi = self.member_offsets[c as usize + 1] as usize;
         &self.member_points[lo..hi]
     }
-}
 
-impl<R: Reachability + Columns> SpaReach<R> {
+    /// The persistent columns. The filter kind — its SCC policy and the
+    /// candidate mode — is one scalar. `comp_of` and the member CSR are
+    /// derived from the network, not built by the method, and are left out
+    /// of its size.
+    fn column_list(&self) -> ColumnList<'_> {
+        let mut kind = 0;
+        if self.policy == SccSpatialPolicy::Mbr {
+            kind |= KIND_MBR;
+        }
+        if self.mode == CandidateMode::Streaming {
+            kind |= KIND_STREAMING;
+        }
+        let mut out = ColumnList::default();
+        out.meta.u8(kind);
+        out.col(tag::COMP_OF, &self.comp_of, false);
+        out.col(tag::MEMBER_OFFSETS, &self.member_offsets, false);
+        out.col(tag::MEMBER_POINTS, &self.member_points, false);
+        self.tree.store(&mut out);
+        self.reach.store(&mut out);
+        out
+    }
+
     /// [`Columns::load`] for the back-end `R`, which covers `covers(&R)`
     /// components (the [`Reachability`] trait does not expose a count).
     ///
@@ -319,11 +199,10 @@ impl<R: Reachability + Columns> SpaReach<R> {
         name: &'static str,
         covers: fn(&R) -> usize,
     ) -> Result<Self, String> {
-        let filter: fn(RTree<2, CompId>) -> SpatialFilter = match src.u8()? {
-            0 => SpatialFilter::Points,
-            1 => SpatialFilter::CompBoxes,
-            k => return Err(format!("unknown spatial-filter kind {k}")),
-        };
+        let kind = src.u8()?;
+        if kind & !(KIND_MBR | KIND_STREAMING) != 0 {
+            return Err(format!("unknown spatial-filter kind {kind}"));
+        }
         let comp_of: Col<CompId> = src.col(tag::COMP_OF, "comp-of")?;
         let member_offsets: Col<u32> = src.col(tag::MEMBER_OFFSETS, "member-offsets")?;
         let member_points: Col<Point> = src.col(tag::MEMBER_POINTS, "member-points")?;
@@ -335,22 +214,28 @@ impl<R: Reachability + Columns> SpaReach<R> {
         check_comp_ids("spareach", "filter", tree.values().iter().copied(), ncomp)?;
         Ok(SpaReach {
             comp_of,
-            filter: filter(tree),
+            tree,
+            policy: if kind & KIND_MBR != 0 {
+                SccSpatialPolicy::Mbr
+            } else {
+                SccSpatialPolicy::Replicate
+            },
             reach,
             name,
-            mode: CandidateMode::Materialize,
+            mode: if kind & KIND_STREAMING != 0 {
+                CandidateMode::Streaming
+            } else {
+                CandidateMode::Materialize
+            },
             member_offsets,
             member_points,
         })
     }
 }
 
-/// The declaration itself is [`RangeReachIndex::columns`], which also tells
-/// a saver whether the configuration is persistent at all (one that is not
-/// declares nothing).
 impl Columns for SpaReachBfl {
     fn store<'a>(&'a self, out: &mut ColumnList<'a>) {
-        out.append(self.columns().unwrap_or_default());
+        out.append(self.column_list());
     }
 
     fn load<S: Source>(src: &mut S) -> Result<Self, String> {
@@ -360,7 +245,7 @@ impl Columns for SpaReachBfl {
 
 impl Columns for SpaReachInt {
     fn store<'a>(&'a self, out: &mut ColumnList<'a>) {
-        out.append(self.columns().unwrap_or_default());
+        out.append(self.column_list());
     }
 
     fn load<S: Source>(src: &mut S) -> Result<Self, String> {
@@ -368,7 +253,7 @@ impl Columns for SpaReachInt {
     }
 }
 
-impl<R: Reachability> RangeReachIndex for SpaReach<R> {
+impl<R: Reachability + Columns> RangeReachIndex for SpaReach<R> {
     fn num_vertices(&self) -> usize {
         self.comp_of.len()
     }
@@ -380,39 +265,10 @@ impl<R: Reachability> RangeReachIndex for SpaReach<R> {
     fn query_with_cost_unchecked(&self, v: VertexId, region: &Rect) -> (bool, QueryCost) {
         let from = self.comp_of[v as usize];
         let window: Aabb<2> = (*region).into();
+        let tree = &self.tree;
         let mut cost = QueryCost::default();
-        let answer = match &self.filter {
-            SpatialFilter::Grid(grid) => {
-                let mut candidates: Vec<CompId> = Vec::new();
-                grid.query_until(region, |_, &comp| {
-                    candidates.push(comp);
-                    false
-                });
-                cost.spatial_candidates = candidates.len();
-                candidates.into_iter().any(|comp| {
-                    cost.reach_tests += 1;
-                    self.reach.reaches(from, comp)
-                })
-            }
-            SpatialFilter::Kd(tree) => {
-                let candidates: Vec<CompId> =
-                    tree.query(region).into_iter().map(|(_, &c)| c).collect();
-                cost.spatial_candidates = candidates.len();
-                candidates.into_iter().any(|comp| {
-                    cost.reach_tests += 1;
-                    self.reach.reaches(from, comp)
-                })
-            }
-            SpatialFilter::Quad(tree) => {
-                let candidates: Vec<CompId> =
-                    tree.query(region).into_iter().map(|(_, &c)| c).collect();
-                cost.spatial_candidates = candidates.len();
-                candidates.into_iter().any(|comp| {
-                    cost.reach_tests += 1;
-                    self.reach.reaches(from, comp)
-                })
-            }
-            SpatialFilter::Points(tree) => crate::scratch::with_scratch(|scratch| {
+        let answer = match self.policy {
+            SccSpatialPolicy::Replicate => crate::scratch::with_scratch(|scratch| {
                 let crate::scratch::QueryScratch { stack, comps, .. } = scratch;
                 match self.mode {
                     CandidateMode::Materialize => {
@@ -436,7 +292,7 @@ impl<R: Reachability> RangeReachIndex for SpaReach<R> {
                     }
                 }
             }),
-            SpatialFilter::CompBoxes(tree) => crate::scratch::with_scratch(|scratch| {
+            SccSpatialPolicy::Mbr => crate::scratch::with_scratch(|scratch| {
                 let crate::scratch::QueryScratch { stack, boxes, .. } = scratch;
                 let test = |mbr: &Aabb<2>, comp: CompId, cost: &mut QueryCost| {
                     cost.reach_tests += 1;
@@ -473,40 +329,11 @@ impl<R: Reachability> RangeReachIndex for SpaReach<R> {
     }
 
     fn index_bytes(&self) -> usize {
-        if let Some(list) = self.columns() {
-            return list.counted_bytes();
-        }
-        // An ablation filter or back-end has no persistent columns: a hand
-        // sum.
-        let filter = match &self.filter {
-            SpatialFilter::Points(t) => t.heap_bytes(),
-            SpatialFilter::CompBoxes(t) => t.heap_bytes(),
-            SpatialFilter::Grid(g) => g.heap_bytes(),
-            SpatialFilter::Kd(t) => t.heap_bytes(),
-            SpatialFilter::Quad(t) => t.heap_bytes(),
-        };
-        filter + self.reach.heap_bytes()
+        self.column_list().counted_bytes()
     }
 
-    /// Only the paper's configuration is persistent: an R-tree filter (the
-    /// space-oriented-partitioning backends are ablation-only and rebuilt
-    /// from scratch when needed) in the faithful candidate mode. `comp_of`
-    /// and the member CSR are derived from the network, not built by the
-    /// method, and are left out of its size.
     fn columns(&self) -> Option<ColumnList<'_>> {
-        let (tree, is_mbr) = match (&self.filter, self.mode) {
-            (SpatialFilter::Points(t), CandidateMode::Materialize) => (t, false),
-            (SpatialFilter::CompBoxes(t), CandidateMode::Materialize) => (t, true),
-            _ => return None,
-        };
-        let mut out = ColumnList::default();
-        out.meta.u8(is_mbr as u8);
-        out.col(tag::COMP_OF, &self.comp_of, false);
-        out.col(tag::MEMBER_OFFSETS, &self.member_offsets, false);
-        out.col(tag::MEMBER_POINTS, &self.member_points, false);
-        tree.store(&mut out);
-        out.append(self.reach.columns()?);
-        Some(out)
+        Some(self.column_list())
     }
 
     fn name(&self) -> &'static str {
@@ -552,54 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn all_spatial_backends_agree() {
-        use gsr_reach::bfl::BflIndex;
-        for prep in [paper_example::prepared(), paper_example::cyclic_prepared()] {
-            let backends = [
-                SpatialBackend::RTree,
-                SpatialBackend::UniformGrid,
-                SpatialBackend::KdTree,
-                SpatialBackend::QuadTree,
-            ];
-            let indexes: Vec<_> = backends
-                .iter()
-                .map(|&b| {
-                    SpaReach::build_with_backend(
-                        &prep,
-                        SccSpatialPolicy::Replicate,
-                        b,
-                        "SpaReach-ablate",
-                        BflIndex::build,
-                    )
-                })
-                .collect();
-            for v in prep.network().graph().vertices() {
-                for r in paper_example::probe_regions() {
-                    let expected = prep.range_reach_bfs(v, &r);
-                    for (idx, b) in indexes.iter().zip(backends) {
-                        assert_eq!(idx.query(v, &r), expected, "{b:?} at v={v} r={r}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pll_and_feline_backends_match_bfs() {
-        for prep in [paper_example::prepared(), paper_example::cyclic_prepared()] {
-            let pll = SpaReachPll::build(&prep, SccSpatialPolicy::Replicate);
-            let feline = SpaReachFeline::build(&prep, SccSpatialPolicy::Replicate);
-            for v in prep.network().graph().vertices() {
-                for r in paper_example::probe_regions() {
-                    let expected = prep.range_reach_bfs(v, &r);
-                    assert_eq!(pll.query(v, &r), expected, "PLL v={v} r={r}");
-                    assert_eq!(feline.query(v, &r), expected, "FELINE v={v} r={r}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn candidate_modes_agree() {
         for prep in [paper_example::prepared(), paper_example::cyclic_prepared()] {
             for policy in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
@@ -629,15 +408,8 @@ mod tests {
                     assert_eq!(par.comp_of, seq.comp_of, "{policy:?} t={threads}");
                     assert_eq!(par.member_offsets, seq.member_offsets);
                     assert_eq!(par.member_points, seq.member_points);
-                    match (&par.filter, &seq.filter) {
-                        (SpatialFilter::Points(a), SpatialFilter::Points(b)) => {
-                            assert_eq!(a, b, "{policy:?} t={threads}")
-                        }
-                        (SpatialFilter::CompBoxes(a), SpatialFilter::CompBoxes(b)) => {
-                            assert_eq!(a, b, "{policy:?} t={threads}")
-                        }
-                        _ => panic!("filter kind changed between builds"),
-                    }
+                    assert_eq!(par.policy, seq.policy);
+                    assert_eq!(par.tree, seq.tree, "{policy:?} t={threads}");
                     for v in prep.network().graph().vertices() {
                         for r in paper_example::probe_regions() {
                             assert_eq!(par.query(v, &r), seq.query(v, &r), "v={v} r={r}");

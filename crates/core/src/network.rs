@@ -336,7 +336,7 @@ impl PreparedNetwork {
     /// member points are tested when the traversal first reaches it, and the
     /// first hit answers: `vertices_visited` counts the components tested,
     /// `containment_tests` the member points tested. Powers the index-free
-    /// degraded mode ([`crate::OnlineReach`]).
+    /// evaluator [`crate::OnlineReach`].
     pub fn range_reach_bfs_with_cost(&self, v: VertexId, region: &Rect) -> (bool, QueryCost) {
         let mut cost = QueryCost::default();
         let mut hit = |c: CompId| {

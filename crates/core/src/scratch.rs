@@ -16,11 +16,11 @@
 //! `Cell` for the duration of the closure and restores it afterwards.
 //! Compared to a `RefCell`, the take/put protocol makes *re-entrancy*
 //! safe instead of a panic: if a query kernel somehow calls back into
-//! another kernel (e.g. `FallbackIndex` degrading to `OnlineReach`), the
-//! inner call finds the slot empty and falls back to a fresh scratch —
-//! correct, merely not allocation-free. Kernels therefore acquire the
-//! scratch exactly once, at the outermost `query_*_unchecked` entry
-//! point; wrapper indexes (fallback, caches) never acquire it themselves.
+//! another kernel, the inner call finds the slot empty and falls back to a
+//! fresh scratch — correct, merely not allocation-free. Kernels therefore
+//! acquire the scratch exactly once, at the outermost `query_*_unchecked`
+//! entry point; wrapper indexes (the shard router, caches) never acquire
+//! it themselves.
 //!
 //! The visited set is an epoch-stamped `Vec<u32>` rather than a
 //! `Vec<bool>`: clearing it between queries is a single epoch increment,
@@ -47,7 +47,7 @@ pub struct QueryScratch {
     pub comps: Vec<CompId>,
     /// Spatial candidate boxes (SpaReach MBR filter).
     pub boxes: Vec<(Aabb<2>, CompId)>,
-    /// BFS frontier (GeoReach, online BFS fallback).
+    /// BFS frontier (GeoReach, the online BFS).
     pub queue: VecDeque<VertexId>,
     /// Epoch-stamped visited set; use via [`QueryScratch::begin_visit`],
     /// [`QueryScratch::mark`], [`QueryScratch::is_marked`].

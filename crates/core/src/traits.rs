@@ -161,8 +161,9 @@ pub trait RangeReachIndex: Send + Sync {
     fn index_bytes(&self) -> usize;
 
     /// The index's persistent columns (`gsr_graph::Columns::store`); `None`
-    /// — the default — for an index that has none, or whose configuration
-    /// is not persistent. The list is what a snapshot of the index holds,
+    /// — the default — for an index that has none (the online BFS, a shard
+    /// router). Every built method declares its columns. The list is what a
+    /// snapshot of the index holds,
     /// what [`RangeReachIndex::index_bytes`] of a column-backed index adds
     /// up, and how a [`crate::ShardedIndex`] tells which buffers its
     /// members — tile views of one network — hold in common.

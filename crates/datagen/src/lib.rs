@@ -26,4 +26,4 @@ pub mod io;
 pub mod networks;
 pub mod workload;
 
-pub use networks::{FriendshipStyle, NetworkSpec};
+pub use networks::{check_scale, FriendshipStyle, NetworkSpec};

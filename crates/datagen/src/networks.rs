@@ -1,5 +1,6 @@
 //! Synthetic geosocial network generation.
 
+use crate::io;
 use gsr_core::GeosocialNetwork;
 use gsr_geo::{Point, Rect};
 use gsr_graph::{GraphBuilder, VertexId};
@@ -125,14 +126,13 @@ impl NetworkSpec {
         }
     }
 
+    /// The four dataset analogs, in Table 3 order.
+    pub const PRESETS: [fn(f64) -> NetworkSpec; 4] =
+        [NetworkSpec::foursquare, NetworkSpec::gowalla, NetworkSpec::weeplaces, NetworkSpec::yelp];
+
     /// All four dataset analogs at the given scale, in Table 3 order.
     pub fn paper_datasets(scale: f64) -> Vec<NetworkSpec> {
-        vec![
-            NetworkSpec::foursquare(scale),
-            NetworkSpec::gowalla(scale),
-            NetworkSpec::weeplaces(scale),
-            NetworkSpec::yelp(scale),
-        ]
+        NetworkSpec::PRESETS.iter().map(|preset| preset(scale)).collect()
     }
 
     /// Total number of vertices the generated network will have.
@@ -247,6 +247,27 @@ impl NetworkSpec {
         #[allow(clippy::expect_used)]
         GeosocialNetwork::new(builder.build(), points).expect("generated points are finite")
     }
+}
+
+/// Checks a `--scale` for `presets`: a finite number >= 0 at which each of
+/// them gives at most [`io::DEFAULT_MAX_VERTICES`] vertices, the most a
+/// network file may hold and still load back.
+pub fn check_scale(scale: f64, presets: &[fn(f64) -> NetworkSpec]) -> Result<(), String> {
+    if !(scale.is_finite() && scale >= 0.0) {
+        return Err(format!("--scale must be a finite number >= 0, got {scale}"));
+    }
+    let cap = io::DEFAULT_MAX_VERTICES as usize;
+    for preset in presets {
+        let spec = preset(scale);
+        let vertices = spec.users.saturating_add(spec.venues);
+        if vertices > cap {
+            return Err(format!(
+                "--scale {scale} gives {} {vertices} vertices, over the {cap} a network file may hold",
+                spec.name
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn scaled(base: usize, scale: f64) -> usize {

@@ -2,8 +2,8 @@
 //! construction.
 //!
 //! Index builds in this workspace decompose into batches of *independent*
-//! per-item jobs (one DFS traversal per GRAIL label, one interval union per
-//! DAG vertex within a level, one sort per STR slab). This module runs such
+//! per-item jobs (one interval union or Bloom filter per DAG vertex within
+//! a level, one sort per STR slab). This module runs such
 //! batches across N OS threads with `std::thread::scope` — no runtime
 //! dependencies, no `unsafe` — and places each result by its input index,
 //! so the output is identical to the sequential loop regardless of how the

@@ -5,7 +5,7 @@ use gsr_geo::{Aabb, Point, Rect};
 use gsr_graph::columns::MemSource;
 use gsr_graph::{Col, ColumnList, Source};
 use gsr_index::grid::HierarchicalGrid;
-use gsr_index::{KdTree, QuadTree, RTree, RTreeParams, UniformGrid};
+use gsr_index::{RTree, RTreeParams};
 use proptest::prelude::*;
 
 fn arb_box2() -> impl Strategy<Value = Aabb<2>> {
@@ -454,85 +454,6 @@ proptest! {
         let expected = linear_scan(&entries, &region);
         prop_assert_eq!(tree.query_exists(&region), !expected.is_empty());
         prop_assert_eq!(hits, expected);
-    }
-
-    #[test]
-    fn uniform_grid_matches_rtree(
-        pts in prop::collection::vec((-100.0..100.0f64, -100.0..100.0f64), 0..250),
-        region in arb_box2(),
-        per_cell in 1usize..20,
-    ) {
-        let entries: Vec<(Point, usize)> =
-            pts.iter().enumerate().map(|(i, &(x, y))| (Point::new(x, y), i)).collect();
-        let tree = RTree::bulk_load(
-            entries
-                .iter()
-                .map(|&(p, i)| (Aabb::from_point([p.x, p.y]), i))
-                .collect(),
-        );
-        let grid = UniformGrid::bulk_load(
-            Rect::new(-100.0, -100.0, 100.0, 100.0),
-            entries.clone(),
-            per_cell,
-        );
-        let rect: Rect = region.into();
-        let mut a: Vec<usize> = tree.query(&region).map(|(_, &i)| i).collect();
-        let mut b: Vec<usize> = grid.query(&rect).iter().map(|(_, &i)| i).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(grid.query_exists(&rect), tree.query_exists(&region));
-    }
-
-    #[test]
-    fn kdtree_matches_rtree(
-        pts in prop::collection::vec((-100.0..100.0f64, -100.0..100.0f64), 0..250),
-        region in arb_box2(),
-        probe in (-150.0..150.0f64, -150.0..150.0f64),
-    ) {
-        let entries: Vec<(Point, usize)> =
-            pts.iter().enumerate().map(|(i, &(x, y))| (Point::new(x, y), i)).collect();
-        let rt = RTree::bulk_load(
-            entries.iter().map(|&(p, i)| (Aabb::from_point([p.x, p.y]), i)).collect(),
-        );
-        let kd = KdTree::bulk_load(entries.clone());
-        let rect: Rect = region.into();
-        let mut a: Vec<usize> = rt.query(&region).map(|(_, &i)| i).collect();
-        let mut b: Vec<usize> = kd.query(&rect).iter().map(|(_, &i)| i).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-        // Nearest neighbours agree on distance.
-        let target = Point::new(probe.0, probe.1);
-        match (rt.nearest_neighbor(&[target.x, target.y]), kd.nearest(&target)) {
-            (None, None) => {}
-            (Some((rb, _)), Some((kp, _))) => {
-                let rd = (rb.min[0] - target.x).powi(2) + (rb.min[1] - target.y).powi(2);
-                let kdist = kp.distance_sq(&target);
-                prop_assert!((rd - kdist).abs() < 1e-9);
-            }
-            other => prop_assert!(false, "presence mismatch {:?}", other.0.is_some()),
-        }
-    }
-
-    #[test]
-    fn quadtree_matches_rtree(
-        pts in prop::collection::vec((-100.0..100.0f64, -100.0..100.0f64), 0..250),
-        region in arb_box2(),
-    ) {
-        let entries: Vec<(Point, usize)> =
-            pts.iter().enumerate().map(|(i, &(x, y))| (Point::new(x, y), i)).collect();
-        let rt = RTree::bulk_load(
-            entries.iter().map(|&(p, i)| (Aabb::from_point([p.x, p.y]), i)).collect(),
-        );
-        // A space smaller than the data exercises the clamping path.
-        let qt = QuadTree::bulk_load(Rect::new(-50.0, -50.0, 50.0, 50.0), entries);
-        let rect: Rect = region.into();
-        let mut a: Vec<usize> = rt.query(&region).map(|(_, &i)| i).collect();
-        let mut b: Vec<usize> = qt.query(&rect).iter().map(|(_, &i)| i).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
     }
 
     #[test]

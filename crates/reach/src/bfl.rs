@@ -410,10 +410,6 @@ impl Reachability for BflIndex {
         ColumnList::of(self).counted_bytes()
     }
 
-    fn columns(&self) -> Option<ColumnList<'_>> {
-        Some(ColumnList::of(self))
-    }
-
     fn name(&self) -> &'static str {
         "BFL"
     }

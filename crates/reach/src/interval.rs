@@ -338,10 +338,6 @@ impl Reachability for IntervalLabeling {
         IntervalLabeling::heap_bytes(self)
     }
 
-    fn columns(&self) -> Option<ColumnList<'_>> {
-        Some(ColumnList::of(self))
-    }
-
     fn name(&self) -> &'static str {
         "INT"
     }

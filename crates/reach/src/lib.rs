@@ -23,13 +23,10 @@
 pub mod bfl;
 pub mod bfs;
 pub mod compact;
-pub mod feline;
-pub mod grail;
 pub mod interval;
-pub mod pll;
 pub mod scratch;
 
-use gsr_graph::{ColumnList, VertexId};
+use gsr_graph::VertexId;
 
 /// A graph-reachability oracle: answers `GReach(from, to)` queries
 /// (Definition 2.1 of the paper). Reachability is reflexive: every vertex
@@ -43,13 +40,6 @@ pub trait Reachability: Send + Sync {
 
     /// Approximate heap footprint of the index in bytes (Table 4).
     fn heap_bytes(&self) -> usize;
-
-    /// The index's persistent columns (`gsr_graph::Columns::store`); `None`
-    /// — the default — for an index that has none and cannot be saved to a
-    /// snapshot.
-    fn columns(&self) -> Option<ColumnList<'_>> {
-        None
-    }
 
     /// Short human-readable name, e.g. `"INT"` or `"BFL"`.
     fn name(&self) -> &'static str;

@@ -1,8 +1,7 @@
-//! Reusable per-thread traversal buffers for the guided-DFS fallbacks.
+//! Reusable per-thread traversal buffers for BFL's guided-DFS fallback.
 //!
-//! The labeling indexes answer most `GReach` queries from their labels
-//! alone, but BFL, GRAIL and FELINE fall back to a pruned DFS when the
-//! labels cannot decide. A naive fallback allocates a `visited` vector and
+//! BFL answers most `GReach` queries from its labels alone, but falls back
+//! to a pruned DFS when the labels cannot decide. A naive fallback allocates a `visited` vector and
 //! a stack per query, which dominates the cost of exactly the queries that
 //! are already the slow ones. [`TraversalScratch`] keeps both buffers
 //! alive per thread and replaces the O(n) `visited` clear with an epoch

@@ -5,9 +5,6 @@
 use gsr_graph::{graph_from_edges, DiGraph, VertexId};
 use gsr_reach::bfl::{BflIndex, BflParams};
 use gsr_reach::bfs::TransitiveClosure;
-use gsr_reach::feline::FelineIndex;
-use gsr_reach::grail::{GrailIndex, GrailParams};
-use gsr_reach::pll::PllIndex;
 use gsr_graph::dfs::ForestStrategy;
 use gsr_reach::interval::{BuildOptions, Builder, IntervalLabeling};
 use gsr_reach::Reachability;
@@ -136,58 +133,13 @@ proptest! {
     }
 
     #[test]
-    fn pll_matches_closure(g in arb_dag(30, 120)) {
-        let idx = PllIndex::build(&g);
-        assert_oracle_matches(&g, &idx)?;
-    }
-
-    #[test]
-    fn feline_matches_closure(g in arb_dag(30, 120)) {
-        let idx = FelineIndex::build(&g);
-        assert_oracle_matches(&g, &idx)?;
-    }
-
-    #[test]
-    fn grail_matches_closure(g in arb_dag(30, 120)) {
-        let idx = GrailIndex::build(&g);
-        assert_oracle_matches(&g, &idx)?;
-    }
-
-    #[test]
-    fn grail_one_traversal_matches_closure(g in arb_dag(25, 90)) {
-        let idx = GrailIndex::build_with(&g, GrailParams { num_traversals: 1, seed: 3, ..GrailParams::default() });
-        assert_oracle_matches(&g, &idx)?;
-    }
-
-    #[test]
-    fn feline_dominance_never_refutes_reachable_pairs(g in arb_dag(25, 90)) {
-        // Soundness of the negative cut: the fallback only runs when
-        // dominance holds, so reachable pairs must always dominate.
-        let idx = FelineIndex::build(&g);
-        let tc = TransitiveClosure::of(&g);
-        for u in g.vertices() {
-            for v in g.vertices() {
-                if u != v && tc.reaches(u, v) {
-                    let (xu, yu) = idx.coordinates(u);
-                    let (xv, yv) = idx.coordinates(v);
-                    prop_assert!(xu < xv && yu < yv, "({}, {}) reachable but not dominated", u, v);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn all_reachability_indexes_agree(g in arb_dag(25, 90)) {
         let int = IntervalLabeling::build(&g);
         let bfl = BflIndex::build(&g);
-        let pll = PllIndex::build(&g);
-        let fel = FelineIndex::build(&g);
         for u in g.vertices() {
             for v in g.vertices() {
                 let expected = int.reaches(u, v);
                 prop_assert_eq!(bfl.reaches(u, v), expected, "BFL vs INT at ({}, {})", u, v);
-                prop_assert_eq!(pll.reaches(u, v), expected, "PLL vs INT at ({}, {})", u, v);
-                prop_assert_eq!(fel.reaches(u, v), expected, "FELINE vs INT at ({}, {})", u, v);
             }
         }
     }

@@ -42,7 +42,7 @@ use std::io::Write;
 use std::sync::Arc;
 
 use gsr_core::methods::{GeoReach, SocReach, SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev};
-use gsr_core::{GsrError, RangeReachIndex};
+use gsr_core::GsrError;
 use gsr_graph::columns::{Dec, Enc, Section};
 use gsr_graph::{Column, ColumnList, Columns, Source};
 
@@ -69,13 +69,8 @@ fn align_up(x: usize) -> usize {
 
 /// The sections of `index`'s snapshot: `META`, then its columns as it
 /// declares them.
-pub(crate) fn sections_of(index: &SnapshotIndex) -> Result<Vec<Column<'_>>, GsrError> {
-    let mut list = index.columns().ok_or_else(|| {
-        GsrError::Internal(
-            "this SpaReach configuration (ablation backend or streaming mode) cannot be snapshotted"
-                .into(),
-        )
-    })?;
+pub(crate) fn sections_of(index: &SnapshotIndex) -> Vec<Column<'_>> {
+    let mut list = index.column_list();
     let mut meta = Enc::default();
     meta.u8(match index {
         SnapshotIndex::SpaReachBfl(_) => 1,
@@ -89,7 +84,7 @@ pub(crate) fn sections_of(index: &SnapshotIndex) -> Result<Vec<Column<'_>>, GsrE
     let mut sections = ColumnList::default();
     sections.encoded(META, meta.into_bytes());
     sections.cols.append(&mut list.cols);
-    Ok(sections.cols)
+    sections.cols
 }
 
 /// A frame ready to be written: its sections with the header and the

@@ -64,7 +64,7 @@ pub use arena::ArenaBytes;
 use gsr_core::methods::{GeoReach, SocReach, SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev};
 use gsr_core::{GsrError, QueryCost, RangeReachIndex};
 use gsr_geo::Rect;
-use gsr_graph::VertexId;
+use gsr_graph::{ColumnList, VertexId};
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -130,6 +130,18 @@ impl SnapshotIndex {
         }
     }
 
+    /// The columns the held index declares: what its snapshot holds.
+    pub(crate) fn column_list(&self) -> ColumnList<'_> {
+        match self {
+            SnapshotIndex::SpaReachBfl(i) => ColumnList::of(i),
+            SnapshotIndex::SpaReachInt(i) => ColumnList::of(i),
+            SnapshotIndex::GeoReach(i) => ColumnList::of(i),
+            SnapshotIndex::SocReach(i) => ColumnList::of(i),
+            SnapshotIndex::ThreeDReach(i) => ColumnList::of(i),
+            SnapshotIndex::ThreeDReachRev(i) => ColumnList::of(i),
+        }
+    }
+
     fn as_index(&self) -> &dyn RangeReachIndex {
         match self {
             SnapshotIndex::SpaReachBfl(i) => i,
@@ -159,8 +171,8 @@ impl RangeReachIndex for SnapshotIndex {
         self.as_index().index_bytes()
     }
 
-    fn columns(&self) -> Option<gsr_graph::ColumnList<'_>> {
-        self.as_index().columns()
+    fn columns(&self) -> Option<ColumnList<'_>> {
+        Some(self.column_list())
     }
 
     fn name(&self) -> &'static str {
@@ -183,11 +195,9 @@ fn load_err(msg: String) -> GsrError {
 /// format: the section payloads are the index's own arena bytes,
 /// written directly — no per-element encoding.
 ///
-/// I/O failures are [`GsrError::Internal`]; an index configuration that
-/// cannot be persisted (SpaReach with an ablation-only spatial backend or
-/// the streaming candidate mode) is rejected the same way.
+/// I/O failures are [`GsrError::Internal`].
 pub fn save(w: &mut impl Write, index: &SnapshotIndex) -> Result<(), GsrError> {
-    frame::FrameImage::new(frame::sections_of(index)?).write(w)
+    frame::FrameImage::new(frame::sections_of(index)).write(w)
 }
 
 // ---------------------------------------------------------------------------
@@ -393,10 +403,20 @@ mod tests {
         ]
     }
 
+    /// Every method, and SpaReach in the streaming candidate mode (which
+    /// the filter-kind scalar records) under both SCC policies.
     #[test]
     fn every_method_round_trips_in_memory() {
+        use gsr_core::methods::CandidateMode::Streaming;
         let prep = paper_example::prepared();
-        for index in built_all() {
+        let mut indexes = built_all();
+        for p in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
+            indexes.extend([
+                SnapshotIndex::SpaReachBfl(SpaReachBfl::build(&prep, p).with_candidate_mode(Streaming)),
+                SnapshotIndex::SpaReachInt(SpaReachInt::build(&prep, p).with_candidate_mode(Streaming)),
+            ]);
+        }
+        for index in indexes {
             let mut bytes = Vec::new();
             save(&mut bytes, &index).unwrap();
             let loaded = load(&mut bytes.as_slice()).unwrap();
@@ -413,27 +433,6 @@ mod tests {
                         index.name()
                     );
                 }
-            }
-        }
-    }
-
-    /// Only the paper's configuration of SpaReach is persistent; the others
-    /// refuse with a typed error and still report a size.
-    #[test]
-    fn ablation_configurations_of_spareach_refuse_to_save() {
-        use gsr_core::methods::{CandidateMode, SpaReach, SpatialBackend};
-        use gsr_reach::bfl::BflIndex;
-        let prep = paper_example::prepared();
-        let p = SccSpatialPolicy::Replicate;
-        let grid = SpatialBackend::UniformGrid;
-        for odd in [
-            SpaReachBfl::build(&prep, p).with_candidate_mode(CandidateMode::Streaming),
-            SpaReach::build_with_backend(&prep, p, grid, "SpaReach-grid", BflIndex::build),
-        ] {
-            assert!(odd.index_bytes() > 0);
-            match save(&mut Vec::new(), &SnapshotIndex::SpaReachBfl(odd)) {
-                Err(GsrError::Internal(msg)) => assert!(msg.contains("cannot be snapshotted")),
-                other => panic!("expected Internal error, got {other:?}"),
             }
         }
     }

@@ -118,7 +118,7 @@ pub fn save_sharded_to_path(dir: impl AsRef<Path>, shards: &[Shard]) -> Result<(
         read_manifest(dir).map(|m| m.files().map(String::from).collect()).unwrap_or_default();
 
     let mut own: Vec<Vec<Column<'_>>> =
-        shards.iter().map(|(index, _)| frame::sections_of(index)).collect::<Result<_, _>>()?;
+        shards.iter().map(|(index, _)| frame::sections_of(index)).collect();
     let shared: Vec<Column<'_>> = own[0]
         .iter()
         .filter(|s| own.iter().all(|sections| sections.iter().any(|o| o.same_buffer(s))))

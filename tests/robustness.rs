@@ -1,11 +1,11 @@
 //! Robustness contract of the fallible query layer: typed errors for bad
 //! input on every method, time-budgeted batches with exact partial
-//! answers, cooperative cancellation, and the degraded-mode fallback.
+//! answers and cooperative cancellation.
 
 use gsr_core::extensions::{RegionNetwork, RegionReach, VolumetricReach};
 use gsr_core::{
-    BatchExecutor, BatchOptions, CancelToken, FallbackIndex, FallbackOptions, GsrError,
-    OnlineReach, PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy,
+    BatchExecutor, BatchOptions, CancelToken, GsrError, OnlineReach, PreparedNetwork, QueryCost,
+    RangeReachIndex,
 };
 use gsr_geo::{Aabb, Rect};
 use gsr_tests::{all_indexes, random_network, random_regions};
@@ -18,7 +18,7 @@ fn prepared(seed: u64) -> PreparedNetwork {
 }
 
 /// Every method (all six static evaluators under both SCC policies and the
-/// online fallback) rejects out-of-range vertices and malformed rectangles
+/// online evaluator) rejects out-of-range vertices and malformed rectangles
 /// with typed errors instead of panicking.
 #[test]
 fn every_method_rejects_bad_input_without_panicking() {
@@ -220,60 +220,6 @@ fn cancellation_mid_batch_keeps_partial_answers() {
         }
     }
     assert!(token.is_cancelled());
-}
-
-/// The fallback index degrades to exact online answers on a cyclic random
-/// network, under both degradation triggers.
-#[test]
-fn fallback_degrades_exactly_on_random_networks() {
-    let prep = Arc::new(prepared(67));
-    let regions = random_regions(10, 71);
-
-    // Memory-capped: the 3DReach build is discarded.
-    let capped = FallbackIndex::build(
-        prep.clone(),
-        &FallbackOptions::unlimited().with_memory_cap(8),
-        {
-            let prep = prep.clone();
-            move || gsr_core::methods::ThreeDReach::build(&prep, SccSpatialPolicy::Replicate)
-        },
-    );
-    assert!(capped.is_degraded());
-
-    // Cancelled before the build starts.
-    let token = CancelToken::new();
-    token.cancel();
-    let cancelled = FallbackIndex::build(
-        prep.clone(),
-        &FallbackOptions::unlimited().with_cancel(token),
-        {
-            let prep = prep.clone();
-            move || gsr_core::methods::ThreeDReach::build(&prep, SccSpatialPolicy::Replicate)
-        },
-    );
-    assert!(cancelled.is_degraded());
-
-    // Unconstrained: the primary index serves.
-    let primary = FallbackIndex::build(prep.clone(), &FallbackOptions::unlimited(), {
-        let prep = prep.clone();
-        move || gsr_core::methods::ThreeDReach::build(&prep, SccSpatialPolicy::Replicate)
-    });
-    assert!(!primary.is_degraded());
-
-    for v in (0..prep.network().num_vertices() as u32).step_by(11) {
-        for r in &regions {
-            let truth = prep.range_reach_bfs(v, r);
-            assert_eq!(capped.query(v, r), truth, "capped v={v}");
-            assert_eq!(cancelled.query(v, r), truth, "cancelled v={v}");
-            assert_eq!(primary.query(v, r), truth, "primary v={v}");
-        }
-    }
-
-    // Degraded instances still validate input.
-    assert!(matches!(
-        capped.try_query(u32::MAX, &regions[0]),
-        Err(GsrError::InvalidVertex { .. })
-    ));
 }
 
 /// A batch mixing valid and invalid queries over every method isolates

@@ -403,4 +403,17 @@ fn version_and_method_tag_mismatches_are_diagnosed() {
     // Empty input.
     let err = gsr_store::load(&mut &b""[..]).unwrap_err();
     assert!(matches!(err, GsrError::Load(_)), "{err:?}");
+
+    // A SpaReach filter kind (`META` after the method tag) with a bit no
+    // filter defines, framed with true CRCs.
+    const META: u16 = 0x01;
+    let mut sections = gsr_tests::snapshot_sections(&bytes);
+    sections.iter_mut().find(|s| s.0 == META).expect("META").2[1] |= 0x80;
+    let bad = gsr_tests::frame_sections(gsr_store::FORMAT_VERSION, &sections);
+    for trust in [false, true] {
+        match gsr_store::load_with(&mut bad.as_slice(), gsr_store::LoadOptions { trust }) {
+            Err(GsrError::Load(msg)) => assert!(msg.contains("spatial-filter kind"), "{msg}"),
+            other => panic!("undefined kind bit (trust {trust}) gave {:?}", other.map(|_| ())),
+        }
+    }
 }
