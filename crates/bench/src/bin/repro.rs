@@ -1,17 +1,15 @@
 //! The reproduction harness: regenerates every table and figure of the
-//! paper's evaluation, the paper's ablations and extensions, and the chaos
-//! drill.
+//! paper's evaluation, and the paper's ablations and extensions.
 //!
 //! ```text
-//! repro [EXPERIMENT..] [--scale S] [--queries N] [--seed K] [--threads T] [--csv]
+//! repro [EXPERIMENT..] [--scale S] [--queries N] [--seed K] [--csv]
 //!
-//! EXPERIMENT one of `EXPERIMENTS` below, or `all` (the default: every one
-//!            but `chaos`, which binds TCP servers)
+//! EXPERIMENT one of `EXPERIMENTS` below, or `all` (the default)
 //! --scale    dataset scale, a finite number >= 0 whose largest network a
 //!            network file can hold; 1.0 ~ 1% of the paper's sizes (default 1.0)
-//! --queries  queries per measurement point (default 1000, as in the paper)
+//! --queries  queries per measurement point, at least 1 (default 1000, as in
+//!            the paper)
 //! --seed     workload RNG seed
-//! --threads  workers for the chaos drill's index build (0 = machine parallelism)
 //! --csv      additionally print each table as CSV
 //! ```
 //!
@@ -26,34 +24,30 @@ use gsr_datagen::NetworkSpec;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-/// Every experiment `repro` accepts, in run order, and whether `all` runs it.
-const EXPERIMENTS: &[(&str, bool)] = &[
-    ("table3", true),
-    ("table4", true),
-    ("table5", true),
-    ("table6", true),
-    ("fig5", true),
-    ("fig6", true),
-    ("fig7", true),
-    ("backends", true),
-    ("ablations", true),
-    ("analysis", true),
-    ("polarity", true),
-    ("reduction", true),
-    ("georeach", true),
-    ("forests", true),
-    ("chaos", false),
+/// Every experiment `repro` accepts, in run order.
+const EXPERIMENTS: &[&str] = &[
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "fig5",
+    "fig6",
+    "fig7",
+    "backends",
+    "ablations",
+    "analysis",
+    "polarity",
+    "reduction",
+    "georeach",
+    "forests",
 ];
 
 fn usage() -> ! {
-    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
-    let outside_all: Vec<&str> = EXPERIMENTS.iter().filter(|e| !e.1).map(|e| e.0).collect();
     eprintln!(
-        "usage: repro [EXPERIMENT|all]... [--scale S] [--queries N] [--seed K] [--threads T] [--csv]\n\
+        "usage: repro [EXPERIMENT|all]... [--scale S] [--queries N] [--seed K] [--csv]\n\
          EXPERIMENT: {}\n\
-         all (the default) runs every experiment except: {}",
-        names.join(" "),
-        outside_all.join(" "),
+         all (the default) runs every experiment",
+        EXPERIMENTS.join(" "),
     );
     std::process::exit(2);
 }
@@ -71,19 +65,20 @@ fn main() {
                 cfg.scale = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
             }
             "--queries" => {
-                cfg.queries = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
+                cfg.queries = args
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| usage());
             }
             "--seed" => {
                 cfg.seed = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
             }
-            "--threads" => {
-                cfg.threads = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
             "--csv" => csv = true,
             "all" => all = true,
             name => {
-                let known = EXPERIMENTS.iter().find(|e| e.0 == name).unwrap_or_else(|| usage());
-                experiments_wanted.insert(known.0);
+                let known = EXPERIMENTS.iter().find(|&&e| e == name).unwrap_or_else(|| usage());
+                experiments_wanted.insert(known);
             }
         }
     }
@@ -92,7 +87,7 @@ fn main() {
         usage();
     }
     if all || experiments_wanted.is_empty() {
-        experiments_wanted.extend(EXPERIMENTS.iter().filter(|e| e.1).map(|e| e.0));
+        experiments_wanted.extend(EXPERIMENTS);
     }
 
     let wanted = |name: &str| experiments_wanted.contains(name);
@@ -108,22 +103,14 @@ fn main() {
 
     println!(
         "# Fast Geosocial Reachability Queries — reproduction harness\n\
-         # scale={} queries={} seed={} threads={}\n",
-        cfg.scale, cfg.queries, cfg.seed, cfg.threads
+         # scale={} queries={} seed={}\n",
+        cfg.scale, cfg.queries, cfg.seed
     );
 
     let t0 = Instant::now();
-    // `chaos` generates its own dataset; when only it is wanted, skip the
-    // four-dataset generation.
-    let needs_datasets = experiments_wanted.iter().any(|e| *e != "chaos");
-    let datasets = if needs_datasets {
-        eprintln!("generating datasets (scale {}) ...", cfg.scale);
-        let datasets = Dataset::load_all(&cfg);
-        eprintln!("datasets ready in {:.1?}\n", t0.elapsed());
-        datasets
-    } else {
-        Vec::new()
-    };
+    eprintln!("generating datasets (scale {}) ...", cfg.scale);
+    let datasets = Dataset::load_all(&cfg);
+    eprintln!("datasets ready in {:.1?}\n", t0.elapsed());
 
     if wanted("table3") {
         emit("Table 3: dataset characteristics (synthetic analogs)", &experiments::table3(&datasets));
@@ -202,42 +189,5 @@ fn main() {
             &experiments::forests(&datasets),
         );
     }
-    if wanted("chaos") {
-        let ch_opts = gsr_bench::chaos::ChaosOptions::default();
-        eprintln!(
-            "chaos: attackers={} kill_points={} reloads={} clients={}",
-            ch_opts.attackers, ch_opts.kill_points, ch_opts.reloads, ch_opts.clients
-        );
-        match gsr_bench::chaos::run_experiment(&cfg, &ch_opts) {
-            Ok((table, scenarios)) => {
-                emit("Extension: chaos harness — overload and failure drill", &table);
-                let json = gsr_bench::chaos::chaos_json(&cfg, &ch_opts, &scenarios);
-                match std::fs::write("BENCH_chaos.json", &json) {
-                    Ok(()) => {
-                        eprintln!("wrote BENCH_chaos.json ({} scenarios)", scenarios.len());
-                    }
-                    Err(e) => eprintln!("cannot write BENCH_chaos.json: {e}"),
-                }
-                let mut failed = false;
-                for s in &scenarios {
-                    if !s.passed() {
-                        eprintln!(
-                            "chaos: scenario {} handled only {}/{}: {}",
-                            s.name, s.handled, s.attempts, s.detail
-                        );
-                        failed = true;
-                    }
-                }
-                if failed {
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("chaos failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
     eprintln!("total: {:.1?}", t0.elapsed());
 }

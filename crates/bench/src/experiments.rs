@@ -613,7 +613,7 @@ mod tests {
     #[test]
     fn polarity_table_renders() {
         let ds = tiny_datasets();
-        let cfg = Config { scale: 0.03, queries: 6, seed: 1, threads: 1 };
+        let cfg = Config { scale: 0.03, queries: 6, seed: 1 };
         let t = polarity(&ds, &cfg);
         assert!(t.len() >= 4, "at least standard + one negative row per dataset");
     }
@@ -634,7 +634,7 @@ mod tests {
     #[test]
     fn georeach_sweep_renders() {
         let ds = tiny_datasets();
-        let cfg = Config { scale: 0.03, queries: 6, seed: 1, threads: 1 };
+        let cfg = Config { scale: 0.03, queries: 6, seed: 1 };
         let t = georeach_params(&ds[..1], &cfg);
         assert_eq!(t.len(), 4, "one row per parameterization");
     }
@@ -654,7 +654,7 @@ mod tests {
     #[test]
     fn analysis_counters_are_plausible() {
         let ds = tiny_datasets();
-        let cfg = Config { scale: 0.03, queries: 10, seed: 2, threads: 1 };
+        let cfg = Config { scale: 0.03, queries: 10, seed: 2 };
         let t = analysis(&ds[..1], &cfg);
         // 5 methods x 2 extents.
         assert_eq!(t.len(), 10);
@@ -668,7 +668,7 @@ mod tests {
     #[test]
     fn backends_and_ablations_render() {
         let ds = tiny_datasets();
-        let cfg = Config { scale: 0.03, queries: 8, seed: 5, threads: 1 };
+        let cfg = Config { scale: 0.03, queries: 8, seed: 5 };
         let b = backends(&ds[..1], &cfg);
         assert_eq!(b.len(), 2, "one row per back-end");
         let a = ablations(&ds[..1], &cfg);
@@ -678,7 +678,7 @@ mod tests {
     #[test]
     fn fig_sweeps_have_expected_shape() {
         let ds = tiny_datasets();
-        let cfg = Config { scale: 0.03, queries: 8, seed: 5, threads: 1 };
+        let cfg = Config { scale: 0.03, queries: 8, seed: 5 };
         let (by_extent, by_degree) = fig6(&ds[..1], &cfg);
         assert_eq!(by_extent.len(), PAPER_EXTENTS_PCT.len());
         assert_eq!(by_degree.len(), DegreeBucket::PAPER_BUCKETS.len());

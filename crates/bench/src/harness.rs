@@ -18,15 +18,11 @@ pub struct Config {
     pub queries: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Worker threads for the chaos drill's serving-index build (`0` =
-    /// machine parallelism, `1` = sequential); the paper's experiments
-    /// build sequentially, as the paper times them.
-    pub threads: usize,
 }
 
 impl Default for Config {
     fn default() -> Self {
-        Config { scale: 1.0, queries: 1000, seed: 0xD0_5E_ED, threads: 1 }
+        Config { scale: 1.0, queries: 1000, seed: 0xD0_5E_ED }
     }
 }
 
@@ -185,7 +181,7 @@ mod tests {
 
     #[test]
     fn every_method_matches_bfs_on_a_generated_dataset() {
-        let cfg = Config { scale: 0.05, queries: 40, seed: 11, threads: 1 };
+        let cfg = Config { scale: 0.05, queries: 40, seed: 11 };
         let ds = Dataset::from_spec(&NetworkSpec::yelp(cfg.scale));
         let gen = WorkloadGen::new(&ds.prep);
         let workload =

@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 
 pub mod alloc_track;
-pub mod chaos;
 pub mod experiments;
 pub mod harness;
 pub mod table;

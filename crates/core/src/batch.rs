@@ -170,86 +170,6 @@ where
     }
 }
 
-/// How a batch's queries are distributed over workers.
-///
-/// Scheduling never changes *what* is computed — answers always come back
-/// in input order and the accumulated [`QueryCost`] is the same commutative
-/// sum — only which worker evaluates which query, and in what order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchSchedule {
-    /// Contiguous input-order chunks, one per worker (the default).
-    #[default]
-    InputOrder,
-    /// Locality scheduling: queries are grouped by query vertex, and
-    /// within a vertex ordered by the Z-order (Morton) code of the query
-    /// rectangle's center, before being chunked. Repeated-vertex queries
-    /// share warmed labeling/cache lines and spatially adjacent rectangles
-    /// touch overlapping R-tree subtrees, so a worker's chunk stays hot.
-    /// Answers are scattered back to input order on return.
-    Locality,
-}
-
-/// Spreads the low 16 bits of `x` so a second coordinate can interleave.
-fn spread16(x: u32) -> u64 {
-    let mut x = u64::from(x) & 0xFFFF;
-    x = (x | (x << 8)) & 0x00FF_00FF;
-    x = (x | (x << 4)) & 0x0F0F_0F0F;
-    x = (x | (x << 2)) & 0x3333_3333;
-    x = (x | (x << 1)) & 0x5555_5555;
-    x
-}
-
-/// 32-bit Morton code of a quantized rectangle center.
-fn morton(x: u32, y: u32) -> u64 {
-    spread16(x) | (spread16(y) << 1)
-}
-
-/// The evaluation order of [`BatchSchedule::Locality`]: a permutation of
-/// `0..queries.len()` sorted by `(vertex, morton(center), input index)`.
-/// The trailing input index makes the key total, so the permutation — and
-/// therefore the whole execution — is deterministic.
-fn locality_order(queries: &[BatchQuery]) -> Vec<usize> {
-    let mut min = [f64::INFINITY; 2];
-    let mut max = [f64::NEG_INFINITY; 2];
-    for (_, r) in queries {
-        let c = [(r.min_x + r.max_x) * 0.5, (r.min_y + r.max_y) * 0.5];
-        for d in 0..2 {
-            if c[d] < min[d] {
-                min[d] = c[d];
-            }
-            if c[d] > max[d] {
-                max[d] = c[d];
-            }
-        }
-    }
-    let quantize = |v: f64, d: usize| -> u32 {
-        let span = max[d] - min[d];
-        if span > 0.0 {
-            let t = ((v - min[d]) / span).clamp(0.0, 1.0);
-            // Non-finite centers (the query will fail validation anyway)
-            // sort to cell 0 rather than poisoning the key.
-            if t.is_finite() {
-                (t * 65535.0) as u32
-            } else {
-                0
-            }
-        } else {
-            0
-        }
-    };
-    let mut keyed: Vec<(VertexId, u64, usize)> = queries
-        .iter()
-        .enumerate()
-        .map(|(i, (v, r))| {
-            let cx = quantize((r.min_x + r.max_x) * 0.5, 0);
-            let cy = quantize((r.min_y + r.max_y) * 0.5, 1);
-            (*v, morton(cx, cy), i)
-        })
-        .collect();
-    keyed.sort_unstable();
-    keyed.into_iter().map(|(_, _, i)| i).collect()
-}
-
 /// Evaluates slices of queries against a [`RangeReachIndex`] across N
 /// threads.
 ///
@@ -270,7 +190,6 @@ fn locality_order(queries: &[BatchQuery]) -> Vec<usize> {
 #[derive(Debug, Clone, Copy)]
 pub struct BatchExecutor {
     threads: usize,
-    schedule: BatchSchedule,
 }
 
 impl Default for BatchExecutor {
@@ -284,28 +203,7 @@ impl BatchExecutor {
     /// An executor with the given worker count: `0` means machine
     /// parallelism, `1` evaluates inline on the calling thread.
     pub fn new(threads: usize) -> Self {
-        BatchExecutor { threads, schedule: BatchSchedule::default() }
-    }
-
-    /// Selects how queries are distributed over workers; see
-    /// [`BatchSchedule`]. Applies to [`BatchExecutor::run`] and
-    /// [`BatchExecutor::run_with_cost`]. [`BatchExecutor::run_bounded`]
-    /// always evaluates in input order: its contract is that an early stop
-    /// (budget, cancellation) retains a *prefix-like* completed set, which
-    /// a reordered execution would scramble.
-    pub fn with_schedule(mut self, schedule: BatchSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Shorthand for [`BatchSchedule::Locality`].
-    pub fn with_locality_scheduling(self) -> Self {
-        self.with_schedule(BatchSchedule::Locality)
-    }
-
-    /// The active schedule.
-    pub fn schedule(&self) -> BatchSchedule {
-        self.schedule
+        BatchExecutor { threads }
     }
 
     /// The resolved worker count.
@@ -465,36 +363,11 @@ impl BatchExecutor {
         out.cancelled = limits.cancelled.into_inner();
     }
 
-    /// Shared driver: applies the schedule, chunks the (possibly permuted)
-    /// queries, evaluates each chunk on a worker, and reassembles results
+    /// Shared driver: splits `queries` into contiguous chunks, one per
+    /// worker, evaluates each chunk on its worker, and returns the results
     /// in input order. `merge` observes one accumulated [`QueryCost`] per
     /// chunk (zero for cost-free paths).
-    fn run_chunks<I, T, Q, M>(&self, index: &I, queries: &[BatchQuery], eval: Q, merge: M) -> Vec<T>
-    where
-        I: RangeReachIndex + ?Sized,
-        T: Send + CostCarrier,
-        Q: Fn(&I, VertexId, &Rect) -> T + Sync,
-        M: FnMut(QueryCost),
-    {
-        match self.schedule {
-            BatchSchedule::InputOrder => self.run_chunks_ordered(index, queries, eval, merge),
-            BatchSchedule::Locality => {
-                let order = locality_order(queries);
-                let permuted: Vec<BatchQuery> = order.iter().map(|&i| queries[i]).collect();
-                let results = self.run_chunks_ordered(index, &permuted, eval, merge);
-                // Scatter the permuted results back to input order. Every
-                // query is independent and cost counters are commutative
-                // sums, so answers and merged cost are bit-identical to an
-                // InputOrder run.
-                let mut pairs: Vec<(usize, T)> = order.into_iter().zip(results).collect();
-                pairs.sort_unstable_by_key(|(slot, _)| *slot);
-                pairs.into_iter().map(|(_, r)| r).collect()
-            }
-        }
-    }
-
-    /// Evaluates `queries` as-is in contiguous chunks, one per worker.
-    fn run_chunks_ordered<I, T, Q, M>(
+    fn run_chunks<I, T, Q, M>(
         &self,
         index: &I,
         queries: &[BatchQuery],
@@ -743,59 +616,6 @@ mod tests {
             crate::GsrError::Internal(msg) => assert!(msg.contains("injected fault")),
             other => panic!("expected Internal, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn locality_schedule_is_bit_identical_to_input_order() {
-        let prep = paper_example::prepared();
-        let index = SpaReachBfl::build(&prep, SccSpatialPolicy::Mbr);
-        let queries = workload();
-        let exec = BatchExecutor::new(1);
-        let (expected_answers, expected_cost) = exec.run_with_cost(&index, &queries);
-        for threads in [1, 2, 3, 8] {
-            let sched = BatchExecutor::new(threads).with_locality_scheduling();
-            assert_eq!(sched.schedule(), BatchSchedule::Locality);
-            assert_eq!(sched.run(&index, &queries), expected_answers, "threads = {threads}");
-            let (answers, cost) = sched.run_with_cost(&index, &queries);
-            assert_eq!(answers, expected_answers, "threads = {threads} (cost path)");
-            assert_eq!(cost, expected_cost, "threads = {threads} (cost sum)");
-        }
-    }
-
-    #[test]
-    fn locality_order_groups_vertices_and_is_a_permutation() {
-        let r = |x: f64| Rect::new(x, 0.0, x + 1.0, 1.0);
-        // Interleaved vertices with scattered rectangles.
-        let queries = vec![
-            (3, r(9.0)),
-            (1, r(0.0)),
-            (3, r(0.5)),
-            (1, r(9.0)),
-            (2, r(4.0)),
-            (1, r(0.2)),
-        ];
-        let order = locality_order(&queries);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..queries.len()).collect::<Vec<_>>(), "must be a permutation");
-        let vertices: Vec<VertexId> = order.iter().map(|&i| queries[i].0).collect();
-        assert_eq!(vertices, vec![1, 1, 1, 2, 3, 3], "grouped by query vertex");
-        // Within vertex 1, the two near-origin rectangles are adjacent.
-        let v1: Vec<usize> = order.iter().copied().filter(|&i| queries[i].0 == 1).collect();
-        assert_eq!(v1, vec![1, 5, 3], "Z-order places nearby centers together");
-    }
-
-    #[test]
-    fn locality_schedule_handles_degenerate_batches() {
-        let prep = paper_example::prepared();
-        let index = ThreeDReach::build(&prep, SccSpatialPolicy::Replicate);
-        let exec = BatchExecutor::new(4).with_locality_scheduling();
-        assert!(exec.run(&index, &[]).is_empty());
-        let one = vec![(paper_example::A, paper_example::query_region())];
-        assert_eq!(exec.run(&index, &one), vec![true]);
-        // All-identical queries (zero-span center bounds) still work.
-        let same = vec![one[0]; 7];
-        assert_eq!(exec.run(&index, &same), vec![true; 7]);
     }
 
     #[test]

@@ -65,9 +65,7 @@ pub mod partition;
 pub mod scratch;
 mod traits;
 
-pub use batch::{
-    BatchExecutor, BatchOptions, BatchOutcome, BatchQuery, BatchSchedule, CancelToken,
-};
+pub use batch::{BatchExecutor, BatchOptions, BatchOutcome, BatchQuery, CancelToken};
 pub use error::GsrError;
 pub use fallback::OnlineReach;
 pub use network::{GeosocialNetwork, NetworkError, NetworkStats, PreparedNetwork};

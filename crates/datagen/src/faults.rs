@@ -1,6 +1,6 @@
 //! Fault injection for the loader: a reader that fails mid-stream, a
 //! writer that fails mid-save, a corpus of malformed network files, and
-//! the hermetic [`ScratchDir`] those drills stage their files in.
+//! the hermetic [`ScratchDir`] the tests stage their files in.
 //!
 //! Robust loading is a testable property: every entry in
 //! [`malformed_corpus`] must come back from [`crate::io::read_network`] as a
@@ -10,7 +10,7 @@
 //! [`FailingWriter`] is the mirror image for persistence paths: a snapshot
 //! save interrupted at a byte-exact position must surface a typed error
 //! and leave any previously saved file intact. The corpus is used by the
-//! integration suite and by the CI fault job.
+//! integration suite.
 
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -86,9 +86,9 @@ impl<W: Write> Write for FailingWriter<W> {
 
 /// A scratch directory under the system temp dir that is this caller's
 /// alone: its name carries the process id plus a process-wide counter, so
-/// concurrent users — two tests of one binary, two `cargo test` runs, two
-/// `repro` processes — never share or delete each other's files. Removed
-/// on drop, whichever way the caller ends.
+/// concurrent users — two tests of one binary, two `cargo test` runs —
+/// never share or delete each other's files. Removed on drop, whichever
+/// way the caller ends.
 #[derive(Debug)]
 pub struct ScratchDir(PathBuf);
 

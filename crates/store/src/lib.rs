@@ -585,6 +585,11 @@ mod tests {
         for cut in (0..=new_bytes.len()).step_by(step) {
             // Simulate a kill after `cut` bytes of the staging write.
             std::fs::write(staging_path(&path), &new_bytes[..cut]).unwrap();
+            if cut < new_bytes.len() {
+                // The debris itself never loads as a snapshot.
+                let debris = load_from_path(staging_path(&path));
+                assert!(debris.is_err(), "debris loaded at cut {cut}");
+            }
             let reloaded = load_from_path(&path)
                 .unwrap_or_else(|e| panic!("old snapshot corrupted at cut {cut}: {e}"));
             assert_eq!(reloaded.method_key(), "3dreach", "cut {cut}");

@@ -1,10 +1,10 @@
-//! Scheduling and caching must be invisible to query semantics.
+//! Thread count and caching must be invisible to query semantics.
 //!
-//! Locality-scheduled batches (any thread count) and the server-side
-//! result cache are performance features: the answers — and for batches
-//! the aggregated work counters — must be bit-identical to plain
-//! input-order execution, which itself must agree with the online BFS
-//! oracle, on both SCC spatial policies.
+//! Batches split over any number of workers and the server-side result
+//! cache are performance features: the answers — and for batches the
+//! aggregated work counters — must be bit-identical to a one-worker
+//! batch, which itself must agree with the online BFS oracle, on both SCC
+//! spatial policies.
 
 use gsr_core::methods::{SpaReachBfl, ThreeDReach};
 use gsr_core::{BatchExecutor, PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
@@ -28,7 +28,7 @@ fn indexes(prep: &PreparedNetwork, policy: SccSpatialPolicy) -> Vec<Box<dyn Rang
 }
 
 #[test]
-fn locality_schedule_agrees_with_plain_and_bfs_on_both_policies() {
+fn batches_agree_with_bfs_at_every_thread_count_on_both_policies() {
     for prep in datasets() {
         let bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
         let gen = WorkloadGen::new(&prep);
@@ -38,7 +38,7 @@ fn locality_schedule_agrees_with_plain_and_bfs_on_both_policies() {
                     let w = gen.extent_degree(5.0, bucket, 150, seed);
                     let (plain, plain_cost) =
                         BatchExecutor::new(1).run_with_cost(idx.as_ref(), &w.queries);
-                    // The unscheduled batch must match the online oracle.
+                    // The one-worker batch must match the online oracle.
                     for (i, (v, r)) in w.queries.iter().enumerate() {
                         assert_eq!(
                             plain[i],
@@ -48,21 +48,20 @@ fn locality_schedule_agrees_with_plain_and_bfs_on_both_policies() {
                             policy.suffix()
                         );
                     }
-                    // Locality scheduling must be bit-identical at any
-                    // thread count: same answers, same total cost.
+                    // Any thread count must be bit-identical: same answers,
+                    // same total cost.
                     for threads in THREAD_COUNTS {
-                        let (sched, sched_cost) = BatchExecutor::new(threads)
-                            .with_locality_scheduling()
-                            .run_with_cost(idx.as_ref(), &w.queries);
+                        let (split, split_cost) =
+                            BatchExecutor::new(threads).run_with_cost(idx.as_ref(), &w.queries);
                         assert_eq!(
-                            sched,
+                            split,
                             plain,
                             "{}{} seed={seed} threads={threads}: answers changed",
                             idx.name(),
                             policy.suffix()
                         );
                         assert_eq!(
-                            sched_cost,
+                            split_cost,
                             plain_cost,
                             "{}{} seed={seed} threads={threads}: cost changed",
                             idx.name(),

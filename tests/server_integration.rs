@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -115,46 +116,52 @@ fn read_line(reader: &mut BufReader<TcpStream>) -> String {
     line.trim_end().to_string()
 }
 
-#[test]
-fn concurrent_pipelined_clients_get_correct_ordered_replies() {
-    let fx = start_serve("concurrent", &[]);
-
-    // Oracle: the same method built fresh from the same network.
+/// The fixture's network, prepared, and a 3DReach index built fresh from
+/// it: the oracle a served answer is checked against.
+fn oracle(fx: &ServeFixture) -> (gsr_core::PreparedNetwork, ThreeDReach) {
     let net = gsr_datagen::io::load_network(std::path::Path::new(&fx.net_path)).unwrap();
     let prep = gsr_core::PreparedNetwork::new(net);
     let oracle = ThreeDReach::build(&prep, SccSpatialPolicy::Replicate);
+    (prep, oracle)
+}
+
+/// 25 queries spread over the network's space, from vertex `first` on,
+/// each as its `REACH` line and the oracle's reply.
+fn oracle_lines(
+    prep: &gsr_core::PreparedNetwork,
+    oracle: &ThreeDReach,
+    first: u32,
+) -> Vec<(String, &'static str)> {
     let n = prep.network().num_vertices() as u32;
     let space = prep.space();
+    (0..25)
+        .map(|i| {
+            let v = (first + i * 7) % n;
+            let w = space.width() * (0.05 + 0.2 * ((i % 5) as f64));
+            let x = space.min_x + (i as f64 / 25.0) * space.width();
+            let y = space.min_y + ((i * 13 % 25) as f64 / 25.0) * space.height();
+            let r = gsr_geo::Rect { min_x: x, min_y: y, max_x: x + w, max_y: y + w };
+            let line = format!("REACH {v} {} {} {} {}\n", r.min_x, r.min_y, r.max_x, r.max_y);
+            (line, if oracle.query(v, &r) { "TRUE" } else { "FALSE" })
+        })
+        .collect()
+}
+
+#[test]
+fn concurrent_pipelined_clients_get_correct_ordered_replies() {
+    let fx = start_serve("concurrent", &[]);
+    let (prep, oracle) = oracle(&fx);
 
     std::thread::scope(|scope| {
         for client in 0..4u32 {
-            let oracle = &oracle;
-            let space = &space;
+            let queries = oracle_lines(&prep, &oracle, client * 31);
             scope.spawn(move || {
                 let (mut reader, mut stream) = connect(fx.addr);
                 // Pipeline a full batch before reading anything.
-                let queries: Vec<(u32, gsr_geo::Rect)> = (0..25)
-                    .map(|i| {
-                        let v = (client * 31 + i * 7) % n;
-                        let w = space.width() * (0.05 + 0.2 * ((i % 5) as f64));
-                        let x = space.min_x + (i as f64 / 25.0) * space.width();
-                        let y = space.min_y + ((i * 13 % 25) as f64 / 25.0) * space.height();
-                        (v, gsr_geo::Rect { min_x: x, min_y: y, max_x: x + w, max_y: y + w })
-                    })
-                    .collect();
-                let mut request = String::new();
-                for (v, r) in &queries {
-                    request.push_str(&format!(
-                        "REACH {v} {} {} {} {}\n",
-                        r.min_x, r.min_y, r.max_x, r.max_y
-                    ));
-                }
+                let request: String = queries.iter().map(|(line, _)| line.as_str()).collect();
                 stream.write_all(request.as_bytes()).unwrap();
-
-                for (v, r) in &queries {
-                    let reply = read_line(&mut reader);
-                    let expect = if oracle.query(*v, r) { "TRUE" } else { "FALSE" };
-                    assert_eq!(reply, expect, "client {client}: v={v} r={r}");
+                for (line, expect) in &queries {
+                    assert_eq!(read_line(&mut reader), *expect, "client {client}: {line}");
                 }
             });
         }
@@ -168,43 +175,22 @@ fn concurrent_pipelined_clients_get_correct_ordered_replies() {
 #[test]
 fn cached_server_agrees_with_oracle_under_concurrent_clients() {
     let fx = start_serve("cache", &["--cache-entries", "256"]);
-
-    let net = gsr_datagen::io::load_network(std::path::Path::new(&fx.net_path)).unwrap();
-    let prep = gsr_core::PreparedNetwork::new(net);
-    let oracle = ThreeDReach::build(&prep, SccSpatialPolicy::Replicate);
-    let n = prep.network().num_vertices() as u32;
-    let space = prep.space();
+    let (prep, oracle) = oracle(&fx);
 
     // All clients pipeline the SAME 25 queries twice, so every later probe
     // of a key the sub-batch already answered can be served by the cache.
-    let queries: Vec<(u32, gsr_geo::Rect)> = (0..25)
-        .map(|i| {
-            let v = (i * 7) % n;
-            let w = space.width() * (0.05 + 0.2 * ((i % 5) as f64));
-            let x = space.min_x + (i as f64 / 25.0) * space.width();
-            let y = space.min_y + ((i * 13 % 25) as f64 / 25.0) * space.height();
-            (v, gsr_geo::Rect { min_x: x, min_y: y, max_x: x + w, max_y: y + w })
-        })
-        .collect();
+    let queries = oracle_lines(&prep, &oracle, 0);
 
     std::thread::scope(|scope| {
         for client in 0..4u32 {
-            let oracle = &oracle;
             let queries = &queries;
             scope.spawn(move || {
                 let (mut reader, mut stream) = connect(fx.addr);
-                let mut request = String::new();
-                for (v, r) in queries.iter().chain(queries) {
-                    request.push_str(&format!(
-                        "REACH {v} {} {} {} {}\n",
-                        r.min_x, r.min_y, r.max_x, r.max_y
-                    ));
-                }
+                let request: String =
+                    queries.iter().chain(queries).map(|(line, _)| line.as_str()).collect();
                 stream.write_all(request.as_bytes()).unwrap();
-                for (v, r) in queries.iter().chain(queries) {
-                    let reply = read_line(&mut reader);
-                    let expect = if oracle.query(*v, r) { "TRUE" } else { "FALSE" };
-                    assert_eq!(reply, expect, "client {client}: v={v} r={r}");
+                for (line, expect) in queries.iter().chain(queries) {
+                    assert_eq!(read_line(&mut reader), *expect, "client {client}: {line}");
                 }
             });
         }
@@ -214,14 +200,7 @@ fn cached_server_agrees_with_oracle_under_concurrent_clients() {
     let (mut reader, mut stream) = connect(fx.addr);
     stream.write_all(b"STATS\n").unwrap();
     let stats = read_line(&mut reader);
-    let field = |name: &str| -> u64 {
-        stats
-            .split_whitespace()
-            .find_map(|kv| kv.strip_prefix(&format!("{name}=")))
-            .unwrap_or_else(|| panic!("{name} missing from {stats}"))
-            .parse()
-            .unwrap()
-    };
+    let field = |name: &str| stat_field(&stats, name);
     assert_eq!(field("cache_hits") + field("cache_misses"), 200, "{stats}");
     assert!(field("cache_hits") > 0, "repeated queries must hit: {stats}");
     assert!(field("cache_misses") >= 25, "each distinct key misses once: {stats}");
@@ -503,7 +482,8 @@ fn a_stop_wakes_workers_blocked_on_idle_connections() {
 
 /// The idle deadline is the connection's read timeout: a silent connection
 /// is reaped when it expires, not a poll later, and a slow-loris writer —
-/// never silent for long — still runs into the line cap.
+/// never silent for long — still runs into the line cap. A client that
+/// vanishes mid-line, never reading, leaves the server answering.
 #[test]
 fn idle_timeout_reaps_the_silent_and_max_line_stops_the_dribbler() {
     let server = start_in_process(ServerConfig {
@@ -532,6 +512,13 @@ fn idle_timeout_reaps_the_silent_and_max_line_stops_the_dribbler() {
         std::thread::sleep(Duration::from_millis(2));
     }
     assert_eq!(read_line(&mut reader), "ERR 2 line too long (max 32 bytes)");
+
+    let (_, mut stream) = connect(server.addr);
+    stream.write_all(b"REACH 1 2").unwrap();
+    drop(stream);
+    let (mut reader, mut stream) = connect(server.addr);
+    stream.write_all(QUERY_A).unwrap();
+    assert_eq!(read_line(&mut reader), "TRUE");
 
     server.stop_and_join();
 }
@@ -868,6 +855,122 @@ fn connections_past_max_conns_are_rejected_with_busy() {
     assert_eq!(stat_field(&stats, "queries"), 2, "only the held connections queried: {stats}");
     assert_eq!(stat_field(&stats, "errors"), 0, "busy refusals are not errors: {stats}");
     assert_eq!(stat_field(&stats, "live"), 1, "slots must come back (STATS counts itself)");
+
+    shutdown_and_join(fx);
+}
+
+/// With one worker and a one-deep hand-off queue, a held connection owns
+/// the worker and the next arrival waits in the queue: every arrival after
+/// that is shed at the door with `ERR 7 busy`, counted under `shed=`, not
+/// `rejected=`. The kernel's backlog is FIFO and the accept loop serial, so
+/// the order of `connect`s alone decides which arrival queued.
+#[test]
+fn connections_past_max_pending_are_shed_with_busy() {
+    const KNOCKS: u64 = 4;
+    let server =
+        start_in_process(ServerConfig { threads: 1, max_pending: 1, ..ServerConfig::default() });
+    let (mut holder_reader, mut holder) = connect(server.addr);
+    holder.write_all(QUERY_A).unwrap();
+    assert_eq!(read_line(&mut holder_reader), "TRUE");
+
+    // Sends only FIN, never data, so the shed reply is never reset away.
+    let knock = || {
+        let (reader, stream) = connect(server.addr);
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        reader
+    };
+    let mut queued = knock();
+    for k in 0..KNOCKS {
+        let mut reader = knock();
+        let reply = read_line(&mut reader);
+        assert!(reply.starts_with("ERR 7 busy retry_ms="), "knock {k} must be shed: {reply}");
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "busy closes the connection");
+    }
+
+    // Released, the worker takes the queued arrival, which sees a clean EOF.
+    holder.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut rest = String::new();
+    assert_eq!(holder_reader.read_line(&mut rest).unwrap(), 0, "{rest}");
+    assert_eq!(queued.read_line(&mut rest).unwrap(), 0, "the queued arrival got {rest:?}");
+
+    let (mut reader, mut stream) = connect(server.addr);
+    stream.write_all(b"STATS\n").unwrap();
+    let stats = read_line(&mut reader);
+    assert_eq!(stat_field(&stats, "shed"), KNOCKS, "{stats}");
+    assert_eq!(stat_field(&stats, "rejected"), 0, "{stats}");
+    assert_eq!(stat_field(&stats, "live"), 1, "slots must come back (STATS counts itself)");
+
+    server.stop_and_join();
+}
+
+/// Hot `RELOAD`s under live query load: two clients replay oracle-answered
+/// queries while a third connection reloads the served snapshot, then asks
+/// for a missing one, which fails typed and leaves the old index serving.
+/// Before each reload the reloader waits, on a counter and not a clock,
+/// until every client has been answered again, so every reload lands
+/// among answered queries. `STATS` then reconciles exactly: one query per
+/// answer the clients read, one count per reload, and one error.
+#[test]
+fn reload_storm_under_concurrent_clients_keeps_answers_and_ledger_exact() {
+    const CLIENTS: usize = 2;
+    const RELOADS: u64 = 4;
+    let fx = start_serve("reload_storm", &["--cache-entries", "256", "--threads", "4"]);
+    let (prep, oracle) = oracle(&fx);
+    let snap_path = fx.dir.path().join("idx.snap");
+    // Each client publishes its answer count with `Release`; the reloader
+    // reads it with `Acquire`. `done` pairs the same way the other way.
+    let answered: [AtomicU64; CLIENTS] = Default::default();
+    let wrong = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+
+    std::thread::scope(|scope| {
+        for (client, answered) in answered.iter().enumerate() {
+            let queries = oracle_lines(&prep, &oracle, client as u32 * 31);
+            let (wrong, done) = (&wrong, &done);
+            scope.spawn(move || {
+                let (mut reader, mut stream) = connect(fx.addr);
+                for (line, expect) in queries.iter().cycle() {
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
+                    stream.write_all(line.as_bytes()).unwrap();
+                    if read_line(&mut reader) != *expect {
+                        wrong.fetch_add(1, Ordering::Relaxed);
+                    }
+                    answered.fetch_add(1, Ordering::Release);
+                }
+            });
+        }
+
+        let (mut reader, mut stream) = connect(fx.addr);
+        let mut reload = |path: &std::path::Path| {
+            let seen: Vec<u64> = answered.iter().map(|a| a.load(Ordering::Acquire)).collect();
+            let started = Instant::now();
+            while answered.iter().zip(&seen).any(|(a, &s)| a.load(Ordering::Acquire) <= s) {
+                assert!(started.elapsed() < Duration::from_secs(30), "a client stopped");
+                std::thread::yield_now();
+            }
+            stream.write_all(format!("RELOAD {}\n", path.display()).as_bytes()).unwrap();
+            read_line(&mut reader)
+        };
+        for r in 0..RELOADS {
+            let reply = reload(&snap_path);
+            assert!(reply.starts_with("OK reload index_bytes="), "reload {r}: {reply}");
+        }
+        let refused = reload(std::path::Path::new("/nonexistent/never.snap"));
+        assert!(refused.starts_with("ERR 3 "), "a missing snapshot is a load error: {refused}");
+        done.store(true, Ordering::Release);
+    });
+
+    assert_eq!(wrong.load(Ordering::Relaxed), 0, "answers changed under RELOAD");
+    let (mut reader, mut stream) = connect(fx.addr);
+    stream.write_all(b"STATS\n").unwrap();
+    let stats = read_line(&mut reader);
+    let served: u64 = answered.iter().map(|a| a.load(Ordering::Relaxed)).sum();
+    assert_eq!(stat_field(&stats, "queries"), served, "{stats}");
+    assert_eq!(stat_field(&stats, "reloads"), RELOADS, "{stats}");
+    assert_eq!(stat_field(&stats, "errors"), 1, "only the missing snapshot failed: {stats}");
 
     shutdown_and_join(fx);
 }
