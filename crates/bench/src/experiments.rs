@@ -1,11 +1,11 @@
 //! One driver per table/figure of the paper's evaluation.
 
-use crate::harness::{run_workload, Config, Dataset, MethodKind, ALL_METHODS, FINAL_METHODS};
+use crate::harness::{run_workload, Config, Dataset};
 use crate::table::{fmt_mb, fmt_micros, fmt_secs, TextTable};
 use gsr_core::methods::{
     CandidateMode, GeoReach, GeoReachParams, ScanMode, SocReach, SpaReachBfl, SpaReachInt,
 };
-use gsr_core::{QueryCost, RangeReachIndex, SccSpatialPolicy};
+use gsr_core::{Method, QueryCost, RangeReachIndex, SccSpatialPolicy};
 use gsr_datagen::workload::{WorkloadGen, PAPER_EXTENTS_PCT, PAPER_SELECTIVITIES_PCT};
 use gsr_graph::dfs::ForestStrategy;
 use gsr_graph::reduction::{equivalence_reduction, transitive_reduction};
@@ -13,9 +13,20 @@ use gsr_graph::stats::DegreeBucket;
 use gsr_reach::bfl::BflIndex;
 use gsr_reach::interval::{BuildOptions, Builder, IntervalLabeling};
 use gsr_reach::Reachability;
+use std::time::Instant;
 
 /// The default extent used while sweeping the degree (bold 5% in the paper).
 pub const DEFAULT_EXTENT: f64 = 5.0;
+
+/// The methods of the final comparison (Figure 7): the best spatial-first
+/// method plus GeoReach and the paper's contributions.
+pub const FIG7_METHODS: [Method; 5] = [
+    Method::SpaReachBfl,
+    Method::GeoReach,
+    Method::SocReach,
+    Method::ThreeDReach,
+    Method::ThreeDReachRev,
+];
 
 /// **Table 3**: characteristics of the (synthetic analogs of the) datasets.
 pub fn table3(datasets: &[Dataset]) -> TextTable {
@@ -49,7 +60,7 @@ pub fn table3(datasets: &[Dataset]) -> TextTable {
 /// dataset; the MBR-based SCC variant in parentheses where it exists.
 pub fn tables_4_and_5(datasets: &[Dataset]) -> (TextTable, TextTable) {
     let header: Vec<String> = std::iter::once("dataset".to_string())
-        .chain(ALL_METHODS.iter().map(|m| m.name().to_string()))
+        .chain(Method::ALL.iter().map(|m| m.name().to_string()))
         .collect();
     let mut sizes = TextTable::new(header.clone());
     let mut times = TextTable::new(header);
@@ -57,12 +68,17 @@ pub fn tables_4_and_5(datasets: &[Dataset]) -> (TextTable, TextTable) {
     for ds in datasets {
         let mut size_row = vec![ds.name.to_string()];
         let mut time_row = vec![ds.name.to_string()];
-        for method in ALL_METHODS {
-            let (idx, build) = method.timed_build(&ds.prep, SccSpatialPolicy::Replicate);
+        for method in Method::ALL {
+            let timed_build = |policy| {
+                let start = Instant::now();
+                let idx = method.build(&ds.prep, policy, 1);
+                (idx, start.elapsed())
+            };
+            let (idx, build) = timed_build(SccSpatialPolicy::Replicate);
             let mut size_cell = fmt_mb(idx.index_bytes());
             let mut time_cell = fmt_secs(build);
             if method.supports_mbr() {
-                let (mbr_idx, mbr_build) = method.timed_build(&ds.prep, SccSpatialPolicy::Mbr);
+                let (mbr_idx, mbr_build) = timed_build(SccSpatialPolicy::Mbr);
                 size_cell = format!("{size_cell} ({})", fmt_mb(mbr_idx.index_bytes()));
                 time_cell = format!("{time_cell} ({})", fmt_secs(mbr_build));
             }
@@ -108,32 +124,34 @@ pub fn table6(datasets: &[Dataset]) -> TextTable {
 
 /// Shared sweep driver: average query time (µs) for each method/policy
 /// combination, over the extent sweep (at the default degree bucket) and
-/// the degree sweep (at the default extent).
+/// the degree sweep (at the default extent). A column is labelled with the
+/// method's name and the policy's suffix (`SpaReach-INT (MBR)`).
 fn sweep(
     datasets: &[Dataset],
     cfg: &Config,
-    methods: &[(MethodKind, SccSpatialPolicy, String)],
+    methods: &[(Method, SccSpatialPolicy)],
 ) -> (TextTable, TextTable) {
+    let labels = methods.iter().map(|(m, policy)| format!("{}{}", m.name(), policy.suffix()));
     let mut header = vec!["dataset".to_string(), "extent %".to_string()];
-    header.extend(methods.iter().map(|(_, _, label)| label.clone()));
+    header.extend(labels.clone());
     let mut by_extent = TextTable::new(header);
 
     let mut header = vec!["dataset".to_string(), "degree".to_string()];
-    header.extend(methods.iter().map(|(_, _, label)| label.clone()));
+    header.extend(labels);
     let mut by_degree = TextTable::new(header);
 
     let default_bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
 
     for ds in datasets {
         let built: Vec<_> =
-            methods.iter().map(|(m, policy, _)| m.build(&ds.prep, *policy)).collect();
+            methods.iter().map(|(m, policy)| m.build(&ds.prep, *policy, 1)).collect();
         let gen = WorkloadGen::new(&ds.prep);
 
         for extent in PAPER_EXTENTS_PCT {
             let w = gen.extent_degree(extent, default_bucket, cfg.queries, cfg.seed);
             let mut row = vec![ds.name.to_string(), format!("{extent}")];
             for idx in &built {
-                row.push(fmt_micros(run_workload(idx.as_ref(), &w).avg_micros));
+                row.push(fmt_micros(run_workload(idx, &w).avg_micros));
             }
             by_extent.row(row);
         }
@@ -142,7 +160,7 @@ fn sweep(
             let w = gen.extent_degree(DEFAULT_EXTENT, bucket, cfg.queries, cfg.seed);
             let mut row = vec![ds.name.to_string(), bucket.label()];
             for idx in &built {
-                row.push(fmt_micros(run_workload(idx.as_ref(), &w).avg_micros));
+                row.push(fmt_micros(run_workload(idx, &w).avg_micros));
             }
             by_degree.row(row);
         }
@@ -154,9 +172,9 @@ fn sweep(
 /// SpaReach-INT against the MBR-based variant, varying query extent and
 /// query-vertex degree.
 pub fn fig5(datasets: &[Dataset], cfg: &Config) -> (TextTable, TextTable) {
-    let methods = vec![
-        (MethodKind::SpaReachInt, SccSpatialPolicy::Replicate, "SpaReach-INT".to_string()),
-        (MethodKind::SpaReachInt, SccSpatialPolicy::Mbr, "SpaReach-INT (MBR)".to_string()),
+    let methods = [
+        (Method::SpaReachInt, SccSpatialPolicy::Replicate),
+        (Method::SpaReachInt, SccSpatialPolicy::Mbr),
     ];
     sweep(datasets, cfg, &methods)
 }
@@ -164,9 +182,9 @@ pub fn fig5(datasets: &[Dataset], cfg: &Config) -> (TextTable, TextTable) {
 /// **Figure 6**: determining the best spatial-first method — SpaReach-BFL
 /// vs SpaReach-INT on all four datasets.
 pub fn fig6(datasets: &[Dataset], cfg: &Config) -> (TextTable, TextTable) {
-    let methods = vec![
-        (MethodKind::SpaReachBfl, SccSpatialPolicy::Replicate, "SpaReach-BFL".to_string()),
-        (MethodKind::SpaReachInt, SccSpatialPolicy::Replicate, "SpaReach-INT".to_string()),
+    let methods = [
+        (Method::SpaReachBfl, SccSpatialPolicy::Replicate),
+        (Method::SpaReachInt, SccSpatialPolicy::Replicate),
     ];
     sweep(datasets, cfg, &methods)
 }
@@ -174,10 +192,7 @@ pub fn fig6(datasets: &[Dataset], cfg: &Config) -> (TextTable, TextTable) {
 /// **Figure 7** (extent & degree panels): the final comparison —
 /// SpaReach-BFL, GeoReach, SocReach, 3DReach and 3DReach-REV.
 pub fn fig7_extent_degree(datasets: &[Dataset], cfg: &Config) -> (TextTable, TextTable) {
-    let methods: Vec<_> = FINAL_METHODS
-        .iter()
-        .map(|m| (*m, SccSpatialPolicy::Replicate, m.name().to_string()))
-        .collect();
+    let methods = FIG7_METHODS.map(|m| (m, SccSpatialPolicy::Replicate));
     sweep(datasets, cfg, &methods)
 }
 
@@ -185,21 +200,18 @@ pub fn fig7_extent_degree(datasets: &[Dataset], cfg: &Config) -> (TextTable, Tex
 /// spatial selectivity of the query region.
 pub fn fig7_selectivity(datasets: &[Dataset], cfg: &Config) -> TextTable {
     let mut header = vec!["dataset".to_string(), "selectivity %".to_string()];
-    header.extend(FINAL_METHODS.iter().map(|m| m.name().to_string()));
+    header.extend(FIG7_METHODS.iter().map(|m| m.name().to_string()));
     let mut t = TextTable::new(header);
 
     let default_bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
     for ds in datasets {
-        let built: Vec<_> = FINAL_METHODS
-            .iter()
-            .map(|m| m.build(&ds.prep, SccSpatialPolicy::Replicate))
-            .collect();
+        let built = FIG7_METHODS.map(|m| m.build(&ds.prep, SccSpatialPolicy::Replicate, 1));
         let gen = WorkloadGen::new(&ds.prep);
         for sel in PAPER_SELECTIVITIES_PCT {
             let w = gen.selectivity(sel, default_bucket, cfg.queries, cfg.seed);
             let mut row = vec![ds.name.to_string(), format!("{sel}")];
             for idx in &built {
-                row.push(fmt_micros(run_workload(idx.as_ref(), &w).avg_micros));
+                row.push(fmt_micros(run_workload(idx, &w).avg_micros));
             }
             t.row(row);
         }
@@ -334,10 +346,7 @@ pub fn analysis(datasets: &[Dataset], cfg: &Config) -> TextTable {
     ]);
     let default_bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
     for ds in datasets {
-        let built: Vec<_> = FINAL_METHODS
-            .iter()
-            .map(|m| m.build(&ds.prep, SccSpatialPolicy::Replicate))
-            .collect();
+        let built = FIG7_METHODS.map(|m| m.build(&ds.prep, SccSpatialPolicy::Replicate, 1));
         let gen = WorkloadGen::new(&ds.prep);
         for extent in [1.0, 20.0] {
             let w = gen.extent_degree(extent, default_bucket, cfg.queries, cfg.seed);
@@ -374,15 +383,12 @@ pub fn analysis(datasets: &[Dataset], cfg: &Config) -> TextTable {
 /// only possible on the many-SCC datasets).
 pub fn polarity(datasets: &[Dataset], cfg: &Config) -> TextTable {
     let mut header = vec!["dataset".to_string(), "workload".to_string()];
-    header.extend(FINAL_METHODS.iter().map(|m| m.name().to_string()));
+    header.extend(FIG7_METHODS.iter().map(|m| m.name().to_string()));
     let mut t = TextTable::new(header);
     let default_bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
 
     for ds in datasets {
-        let built: Vec<_> = FINAL_METHODS
-            .iter()
-            .map(|m| m.build(&ds.prep, SccSpatialPolicy::Replicate))
-            .collect();
+        let built = FIG7_METHODS.map(|m| m.build(&ds.prep, SccSpatialPolicy::Replicate, 1));
         let gen = WorkloadGen::new(&ds.prep);
 
         let standard = gen.extent_degree(DEFAULT_EXTENT, default_bucket, cfg.queries, cfg.seed);
@@ -393,7 +399,7 @@ pub fn polarity(datasets: &[Dataset], cfg: &Config) -> TextTable {
         let mut row_for = |label: &str, w: &gsr_datagen::workload::Workload| {
             let mut row = vec![ds.name.to_string(), label.to_string()];
             for idx in &built {
-                row.push(fmt_micros(run_workload(idx.as_ref(), w).avg_micros));
+                row.push(fmt_micros(run_workload(idx, w).avg_micros));
             }
             t.row(row);
         };
@@ -592,8 +598,8 @@ mod tests {
         // below the plain interval labeling SpaReach-INT carries.
         for ds in tiny_datasets() {
             let bytes =
-                |m: MethodKind| m.build(&ds.prep, SccSpatialPolicy::Replicate).index_bytes();
-            let (soc, int) = (bytes(MethodKind::SocReach), bytes(MethodKind::SpaReachInt));
+                |m: Method| m.build(&ds.prep, SccSpatialPolicy::Replicate, 1).index_bytes();
+            let (soc, int) = (bytes(Method::SocReach), bytes(Method::SpaReachInt));
             assert!(soc > 0 && soc < int, "{}: SocReach {soc} B vs SpaReach-INT {int} B", ds.name);
         }
     }

@@ -1,12 +1,9 @@
-//! Shared plumbing: datasets, method construction and timing.
+//! Shared plumbing: datasets and timing.
 
-use gsr_core::methods::{
-    GeoReach, SocReach, SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev,
-};
-use gsr_core::{PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
+use gsr_core::{PreparedNetwork, RangeReachIndex};
 use gsr_datagen::workload::Workload;
 use gsr_datagen::NetworkSpec;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Harness configuration (CLI-settable).
 #[derive(Debug, Clone, Copy)]
@@ -46,91 +43,6 @@ impl Dataset {
     }
 }
 
-/// The evaluation methods of Section 6, in the paper's presentation order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MethodKind {
-    /// Spatial-first with BFL reachability.
-    SpaReachBfl,
-    /// Spatial-first with interval labeling.
-    SpaReachInt,
-    /// The prior state of the art.
-    GeoReach,
-    /// Social-first (Section 4.1).
-    SocReach,
-    /// 3-D transformation, forward labeling (Section 4.2).
-    ThreeDReach,
-    /// 3-D transformation, reversed labeling.
-    ThreeDReachRev,
-}
-
-/// All methods in display order.
-pub const ALL_METHODS: [MethodKind; 6] = [
-    MethodKind::SpaReachBfl,
-    MethodKind::SpaReachInt,
-    MethodKind::GeoReach,
-    MethodKind::SocReach,
-    MethodKind::ThreeDReach,
-    MethodKind::ThreeDReachRev,
-];
-
-/// The subset compared in the final evaluation (Figure 7): the best
-/// spatial-first method plus GeoReach and the paper's contributions.
-pub const FINAL_METHODS: [MethodKind; 5] = [
-    MethodKind::SpaReachBfl,
-    MethodKind::GeoReach,
-    MethodKind::SocReach,
-    MethodKind::ThreeDReach,
-    MethodKind::ThreeDReachRev,
-];
-
-impl MethodKind {
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            MethodKind::SpaReachBfl => "SpaReach-BFL",
-            MethodKind::SpaReachInt => "SpaReach-INT",
-            MethodKind::GeoReach => "GeoReach",
-            MethodKind::SocReach => "SocReach",
-            MethodKind::ThreeDReach => "3DReach",
-            MethodKind::ThreeDReachRev => "3DReach-REV",
-        }
-    }
-
-    /// Whether the method has an MBR-based SCC variant (Section 5 applies
-    /// only to methods with spatial indexing; GeoReach is non-MBR by design
-    /// and SocReach has no spatial index).
-    pub fn supports_mbr(&self) -> bool {
-        !matches!(self, MethodKind::GeoReach | MethodKind::SocReach)
-    }
-
-    /// Builds the method's index over a prepared network.
-    pub fn build(
-        &self,
-        prep: &PreparedNetwork,
-        policy: SccSpatialPolicy,
-    ) -> Box<dyn RangeReachIndex> {
-        match self {
-            MethodKind::SpaReachBfl => Box::new(SpaReachBfl::build(prep, policy)),
-            MethodKind::SpaReachInt => Box::new(SpaReachInt::build(prep, policy)),
-            MethodKind::GeoReach => Box::new(GeoReach::build(prep)),
-            MethodKind::SocReach => Box::new(SocReach::build(prep)),
-            MethodKind::ThreeDReach => Box::new(ThreeDReach::build(prep, policy)),
-            MethodKind::ThreeDReachRev => Box::new(ThreeDReachRev::build(prep, policy)),
-        }
-    }
-
-    /// Builds and times the construction (the measurement of Table 5).
-    pub fn timed_build(
-        &self,
-        prep: &PreparedNetwork,
-        policy: SccSpatialPolicy,
-    ) -> (Box<dyn RangeReachIndex>, Duration) {
-        let start = Instant::now();
-        let idx = self.build(prep, policy);
-        (idx, start.elapsed())
-    }
-}
-
 /// Result of running one workload against one index.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunResult {
@@ -159,23 +71,10 @@ pub fn run_workload(idx: &dyn RangeReachIndex, workload: &Workload) -> RunResult
     }
 }
 
-/// Cross-checks that an index answers exactly like the BFS ground truth on
-/// every query of a workload; returns the first mismatch, if any.
-pub fn validate_against_bfs(
-    prep: &PreparedNetwork,
-    idx: &dyn RangeReachIndex,
-    workload: &Workload,
-) -> Option<(gsr_graph::VertexId, gsr_geo::Rect)> {
-    workload
-        .queries
-        .iter()
-        .find(|(v, r)| idx.query(*v, r) != prep.range_reach_bfs(*v, r))
-        .copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsr_core::{Method, SccSpatialPolicy};
     use gsr_datagen::workload::WorkloadGen;
     use gsr_graph::stats::DegreeBucket;
 
@@ -186,19 +85,12 @@ mod tests {
         let gen = WorkloadGen::new(&ds.prep);
         let workload =
             gen.extent_degree(5.0, DegreeBucket::PAPER_BUCKETS[0], cfg.queries, cfg.seed);
-        for method in ALL_METHODS {
-            for policy in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
-                if policy == SccSpatialPolicy::Mbr && !method.supports_mbr() {
-                    continue;
-                }
-                let idx = method.build(&ds.prep, policy);
-                assert_eq!(
-                    validate_against_bfs(&ds.prep, idx.as_ref(), &workload),
-                    None,
-                    "{} {:?} disagrees with BFS",
-                    method.name(),
-                    policy
-                );
+        for method in Method::ALL {
+            for &policy in method.policies() {
+                let idx = method.build(&ds.prep, policy, 1);
+                let bfs = |&(v, r): &(u32, gsr_geo::Rect)| ds.prep.range_reach_bfs(v, &r);
+                let mismatch = workload.queries.iter().find(|q| idx.query(q.0, &q.1) != bfs(q));
+                assert_eq!(mismatch, None, "{} {policy:?} disagrees with BFS", method.name());
             }
         }
     }
@@ -208,8 +100,8 @@ mod tests {
         let ds = Dataset::from_spec(&NetworkSpec::weeplaces(0.05));
         let gen = WorkloadGen::new(&ds.prep);
         let workload = gen.extent_degree(20.0, DegreeBucket::PAPER_BUCKETS[0], 25, 3);
-        let idx = MethodKind::ThreeDReach.build(&ds.prep, SccSpatialPolicy::Replicate);
-        let result = run_workload(idx.as_ref(), &workload);
+        let idx = Method::ThreeDReach.build(&ds.prep, SccSpatialPolicy::Replicate, 1);
+        let result = run_workload(&idx, &workload);
         assert_eq!(result.total, 25);
         let expected = workload
             .queries

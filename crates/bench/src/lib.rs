@@ -23,4 +23,4 @@ pub mod harness;
 pub mod table;
 
 pub use alloc_track::allocation_count;
-pub use harness::{Config, Dataset, MethodKind, ALL_METHODS};
+pub use harness::{Config, Dataset};

@@ -26,11 +26,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use gsr_core::methods::{
-    GeoReach, SocReach, SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev, ThreeDReporter,
-};
+use gsr_core::methods::{SnapshotIndex, ThreeDReporter};
 use gsr_core::{
-    BatchExecutor, BatchOptions, GsrError, PreparedNetwork, RangeReachIndex, SccSpatialPolicy,
+    BatchExecutor, BatchOptions, GsrError, Method, PreparedNetwork, RangeReachIndex,
+    SccSpatialPolicy,
 };
 use gsr_datagen::{check_scale, io, NetworkSpec};
 use gsr_geo::Rect;
@@ -60,8 +59,8 @@ pub enum Command {
     Query {
         /// Network file.
         file: PathBuf,
-        /// Method name or `all`.
-        method: String,
+        /// The methods to answer with (`--method all`: every one).
+        methods: Vec<Method>,
         /// Worker threads for index construction (`0` = machine
         /// parallelism). The built indexes are identical at any count.
         threads: usize,
@@ -84,8 +83,8 @@ pub enum Command {
     Build {
         /// Network file.
         file: PathBuf,
-        /// Method name (one method per snapshot; `all` is rejected).
-        method: String,
+        /// The method (one per snapshot; `all` is rejected).
+        method: Method,
         /// Worker threads for index construction.
         threads: usize,
         /// Snapshot output path (a directory when `shards > 1`).
@@ -174,12 +173,12 @@ pub const USAGE: &str = "\
 usage:
   gsr generate --preset <foursquare|gowalla|weeplaces|yelp> [--scale S] --out FILE
   gsr stats FILE
-  gsr query FILE [--method <3dreach|3dreach-rev|spareach-bfl|spareach-int|georeach|socreach|all>]
+  gsr query FILE [--method <spareach-bfl|spareach-int|georeach|socreach|3dreach|3dreach-rev|all>]
                  [--threads T]                     (build workers; 0 = all cores)
                  [--budget-ms B]                   (batch time budget; partial answers on expiry)
                  [--vertex V --rect X0,Y0,X1,Y1]   (otherwise queries from stdin)
   gsr report FILE --vertex V --rect X0,Y0,X1,Y1
-  gsr build FILE --method <3dreach|3dreach-rev|spareach-bfl|spareach-int|georeach|socreach>
+  gsr build FILE --method <spareach-bfl|spareach-int|georeach|socreach|3dreach|3dreach-rev>
                  --save PATH [--threads T]          (persist a built index as a snapshot)
                  [--shards N]                       (N > 1: spatially partition into N
                                                      tiles and write PATH as a directory
@@ -250,6 +249,12 @@ pub fn parse_rect(s: &str) -> Result<Rect, CliError> {
         .map_err(|e| err(format!("invalid rect {s:?}: {e}")))
 }
 
+/// The method named by a `--method` key, in any case.
+fn parse_method(key: &str) -> Result<Method, CliError> {
+    Method::from_key(&key.to_ascii_lowercase())
+        .ok_or_else(|| err(format!("unknown method {key:?}")))
+}
+
 /// Parses the argument list (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut it = args.iter();
@@ -295,7 +300,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         }
         "query" => {
             let file = positional.first().ok_or_else(|| err("query needs a FILE"))?;
-            let method = flag("method").unwrap_or_else(|| "3dreach".to_string());
+            let methods = match flag("method") {
+                None => vec![Method::ThreeDReach],
+                Some(key) if key.eq_ignore_ascii_case("all") => Method::ALL.to_vec(),
+                Some(key) => vec![parse_method(&key)?],
+            };
             let threads = flag("threads")
                 .map(|t| t.parse())
                 .transpose()
@@ -313,7 +322,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .map(|b| b.parse())
                 .transpose()
                 .map_err(|_| err("--budget-ms must be a non-negative integer"))?;
-            Ok(Command::Query { file: PathBuf::from(file), method, threads, one, budget_ms })
+            Ok(Command::Query { file: PathBuf::from(file), methods, threads, one, budget_ms })
         }
         "report" => {
             let file = positional.first().ok_or_else(|| err("report needs a FILE"))?;
@@ -326,7 +335,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         }
         "build" => {
             let file = positional.first().ok_or_else(|| err("build needs a FILE"))?;
-            let method = flag("method").ok_or_else(|| err("build needs --method"))?;
+            let key = flag("method").ok_or_else(|| err("build needs --method"))?;
+            let method = parse_method(&key).map_err(|e| {
+                err(format!("{e} (a snapshot holds one method; `all` is not supported)"))
+            })?;
             let threads = flag("threads")
                 .map(|t| t.parse())
                 .transpose()
@@ -459,57 +471,6 @@ fn spec_for(preset: &str, scale: f64) -> Result<NetworkSpec, CliError> {
     Ok(preset(scale))
 }
 
-fn build_method(
-    name: &str,
-    prep: &PreparedNetwork,
-    threads: usize,
-) -> Result<Vec<Box<dyn RangeReachIndex>>, CliError> {
-    // GeoReach and SocReach have no parallel build path; the others
-    // construct identical indexes at any thread count.
-    let policy = SccSpatialPolicy::Replicate;
-    let one = |idx: Box<dyn RangeReachIndex>| Ok(vec![idx]);
-    match name.to_ascii_lowercase().as_str() {
-        "3dreach" => one(Box::new(ThreeDReach::build_threaded(prep, policy, threads))),
-        "3dreach-rev" => one(Box::new(ThreeDReachRev::build_threaded(prep, policy, threads))),
-        "spareach-bfl" => one(Box::new(SpaReachBfl::build_threaded(prep, policy, threads))),
-        "spareach-int" => one(Box::new(SpaReachInt::build_threaded(prep, policy, threads))),
-        "georeach" => one(Box::new(GeoReach::build(prep))),
-        "socreach" => one(Box::new(SocReach::build(prep))),
-        "all" => Ok(vec![
-            Box::new(SpaReachBfl::build_threaded(prep, policy, threads)),
-            Box::new(SpaReachInt::build_threaded(prep, policy, threads)),
-            Box::new(GeoReach::build(prep)),
-            Box::new(SocReach::build(prep)),
-            Box::new(ThreeDReach::build_threaded(prep, policy, threads)),
-            Box::new(ThreeDReachRev::build_threaded(prep, policy, threads)),
-        ]),
-        other => Err(err(format!("unknown method {other:?}"))),
-    }
-}
-
-/// Builds one method as a saveable [`gsr_store::SnapshotIndex`].
-fn build_snapshot(
-    name: &str,
-    prep: &PreparedNetwork,
-    threads: usize,
-) -> Result<gsr_store::SnapshotIndex, CliError> {
-    use gsr_store::SnapshotIndex as S;
-    let policy = SccSpatialPolicy::Replicate;
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "3dreach" => S::ThreeDReach(ThreeDReach::build_threaded(prep, policy, threads)),
-        "3dreach-rev" => S::ThreeDReachRev(ThreeDReachRev::build_threaded(prep, policy, threads)),
-        "spareach-bfl" => S::SpaReachBfl(SpaReachBfl::build_threaded(prep, policy, threads)),
-        "spareach-int" => S::SpaReachInt(SpaReachInt::build_threaded(prep, policy, threads)),
-        "georeach" => S::GeoReach(GeoReach::build(prep)),
-        "socreach" => S::SocReach(SocReach::build(prep)),
-        other => {
-            return Err(err(format!(
-                "unknown method {other:?} (a snapshot holds one method; `all` is not supported)"
-            )))
-        }
-    })
-}
-
 fn load_prepared(file: &Path) -> Result<PreparedNetwork, GsrError> {
     let net = io::load_network(file)
         .map_err(|e| GsrError::Load(format!("cannot load {}: {e}", file.display())))?;
@@ -578,11 +539,13 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
             writeln!(out, "largest SCC:  {}", s.largest_scc)?;
             writeln!(out, "space:        {}", prep.space())?;
         }
-        Command::Query { file, method, threads, one, budget_ms } => {
+        Command::Query { file, methods, threads, one, budget_ms } => {
             let prep = load_prepared(&file)?;
-            let indexes = build_method(&method, &prep, threads)?;
+            let policy = SccSpatialPolicy::Replicate;
+            let indexes: Vec<SnapshotIndex> =
+                methods.iter().map(|m| m.build(&prep, policy, threads)).collect();
             fn run_one(
-                indexes: &[Box<dyn RangeReachIndex>],
+                indexes: &[SnapshotIndex],
                 v: u32,
                 r: &Rect,
                 out: &mut impl std::io::Write,
@@ -635,7 +598,7 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
                         .with_budget(Duration::from_millis(budget_ms));
                     let exec = BatchExecutor::new(threads);
                     for idx in &indexes {
-                        let outcome = exec.run_bounded(idx.as_ref(), &queries, &options);
+                        let outcome = exec.run_bounded(idx, &queries, &options);
                         for (i, answer) in outcome.answers.iter().enumerate() {
                             if let Some(answer) = answer {
                                 let (v, r) = &queries[i];
@@ -666,7 +629,7 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
             let prep = load_prepared(&file)?;
             if shards <= 1 {
                 let start = std::time::Instant::now();
-                let snapshot = build_snapshot(&method, &prep, threads)?;
+                let snapshot = method.build(&prep, SccSpatialPolicy::Replicate, threads);
                 let build_time = start.elapsed();
                 gsr_store::save_to_path(&save, &snapshot)?;
                 let bytes = std::fs::metadata(&save).map(|m| m.len()).unwrap_or(0);
@@ -676,7 +639,7 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
                     out,
                     "built {} in {build_time:?}; index heap {heap} bytes ({:.1} bytes/vertex); \
                      wrote {bytes} byte snapshot to {}{}",
-                    snapshot.method_key(),
+                    method.key(),
                     heap as f64 / nv as f64,
                     save.display(),
                     peak_rss_clause()
@@ -687,13 +650,14 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
                 // spatial structure over the network's one social index —
                 // and persist the set as a directory.
                 let start = std::time::Instant::now();
-                let mut built: Vec<(gsr_store::SnapshotIndex, Option<gsr_geo::Rect>)> =
+                let mut built: Vec<(SnapshotIndex, Option<gsr_geo::Rect>)> =
                     Vec::with_capacity(shards);
                 let mut lines = Vec::with_capacity(shards);
                 for (i, (tile_prep, mbr)) in
                     gsr_core::prepared_tiles(prep.network(), shards).enumerate()
                 {
-                    built.push((build_snapshot(&method, &tile_prep, threads)?, mbr));
+                    let index = method.build(&tile_prep, SccSpatialPolicy::Replicate, threads);
+                    built.push((index, mbr));
                     lines.push(match mbr {
                         Some(m) => format!(
                             "  shard {i}: {} spatial vertices, mbr {m}",
@@ -718,7 +682,7 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
                     out,
                     "built {} x{shards} shards in {build_time:?}; index heap {heap} bytes; \
                      wrote sharded snapshot set to {}{}",
-                    method.to_ascii_lowercase(),
+                    method.key(),
                     save.display(),
                     peak_rss_clause()
                 )?;
@@ -858,7 +822,7 @@ mod tests {
             cmd,
             Command::Query {
                 file: "n.gsr".into(),
-                method: "3dreach".into(),
+                methods: vec![Method::ThreeDReach],
                 threads: 1,
                 one: None,
                 budget_ms: None,
@@ -875,8 +839,8 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Query { method, one: Some((7, r)), .. } => {
-                assert_eq!(method, "all");
+            Command::Query { methods, one: Some((7, r)), .. } => {
+                assert_eq!(methods, Method::ALL);
                 assert_eq!(r, Rect::new(1.0, 2.0, 3.0, 4.0));
             }
             other => panic!("unexpected {other:?}"),
@@ -899,6 +863,25 @@ mod tests {
             parse_args(&args(&["query", "f", "--threads", "-2"])).is_err(),
             "negative thread count"
         );
+        // Method keys are checked before any file is read.
+        for sub in ["query", "build"] {
+            let e = parse_args(&args(&[sub, "f", "--method", "bogus", "--save", "x"])).unwrap_err();
+            assert!(e.0.contains("unknown method \"bogus\""), "{sub}: {e}");
+        }
+        let e = parse_args(&args(&["build", "f", "--method", "all", "--save", "x"])).unwrap_err();
+        assert!(e.0.contains("`all` is not supported"), "{e}");
+    }
+
+    /// The help text lists the method table's keys, in its order.
+    #[test]
+    fn usage_lists_every_method_key() {
+        let keys = Method::ALL.map(Method::key).join("|");
+        let lists: Vec<&str> = USAGE
+            .lines()
+            .filter_map(|l| l.split_once("--method <")?.1.split_once('>'))
+            .map(|(list, _)| list)
+            .collect();
+        assert_eq!(lists, [format!("{keys}|all"), keys]);
     }
 
     #[test]
@@ -926,7 +909,7 @@ mod tests {
             cmd,
             Command::Build {
                 file: "n.gsr".into(),
-                method: "georeach".into(),
+                method: Method::GeoReach,
                 threads: 1,
                 save: "idx.snap".into(),
                 shards: 1,
@@ -1080,22 +1063,19 @@ mod tests {
         // The saved snapshot answers exactly like a fresh build.
         let loaded = gsr_store::load_from_path(&snap).unwrap();
         let prep = load_prepared(&net).unwrap();
-        let fresh = ThreeDReach::build(&prep, SccSpatialPolicy::Replicate);
+        let fresh = Method::ThreeDReach.build(&prep, SccSpatialPolicy::Replicate, 1);
         let r = Rect::new(-1000.0, -1000.0, 2000.0, 2000.0);
         for v in 0..prep.network().num_vertices() as u32 {
             assert_eq!(loaded.query(v, &r), fresh.query(v, &r), "vertex {v}");
         }
 
         // `all` cannot be snapshotted.
-        let e = run(
-            parse_args(&args(&[
-                "build", &net_path, "--method", "all", "--save", &snap_path,
-            ]))
-            .unwrap(),
-            &mut Vec::new(),
-        )
+        let e = parse_args(&args(&[
+            "build", &net_path, "--method", "all", "--save", &snap_path,
+        ]))
         .unwrap_err();
-        assert_eq!(exit_code(e.as_ref()), 2, "{e}");
+        assert!(e.0.contains("`all` is not supported"), "{e}");
+        assert_eq!(exit_code(&e), 2, "{e}");
 
         // A missing snapshot is a load error (exit code 3).
         let e = run(
@@ -1146,7 +1126,7 @@ mod tests {
                 .unwrap();
         assert_eq!(info.format, gsr_store::FORMAT_VERSION);
         let prep = load_prepared(&net).unwrap();
-        let fresh = ThreeDReach::build(&prep, SccSpatialPolicy::Replicate);
+        let fresh = Method::ThreeDReach.build(&prep, SccSpatialPolicy::Replicate, 1);
         let r = Rect::new(-1000.0, -1000.0, 2000.0, 2000.0);
         for v in 0..prep.network().num_vertices() as u32 {
             assert_eq!(loaded.query(v, &r), fresh.query(v, &r), "vertex {v}");

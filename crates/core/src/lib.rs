@@ -10,16 +10,8 @@
 //! lies inside `R` (Problem 1 of the paper).
 //!
 //! The crate provides six evaluation methods behind one trait,
-//! [`RangeReachIndex`]:
-//!
-//! | Method | Strategy | Paper section |
-//! |---|---|---|
-//! | [`methods::SpaReachBfl`] | spatial-first; 2-D R-tree + BFL reachability | 2.2.1 |
-//! | [`methods::SpaReachInt`] | spatial-first; 2-D R-tree + interval labeling | 2.2.1 |
-//! | [`methods::GeoReach`]    | SPA-graph traversal (prior state of the art) | 2.2.2 |
-//! | [`methods::SocReach`]    | social-first; interval labeling + point scan | 4.1 |
-//! | [`methods::ThreeDReach`] | 3-D transformation; one cuboid query per label | 4.2 |
-//! | [`methods::ThreeDReachRev`] | 3-D transformation; reversed labeling, one plane query | 4.2 |
+//! [`RangeReachIndex`]. [`Method`] lists them, with each one's strategy and
+//! paper section, and builds any of them as a [`methods::SnapshotIndex`].
 //!
 //! Arbitrary (cyclic) graphs are handled by SCC condensation with either of
 //! the two spatial-SCC policies of Section 5 ([`SccSpatialPolicy`]).
@@ -68,6 +60,7 @@ mod traits;
 pub use batch::{BatchExecutor, BatchOptions, BatchOutcome, BatchQuery, CancelToken};
 pub use error::GsrError;
 pub use fallback::OnlineReach;
+pub use methods::Method;
 pub use network::{GeosocialNetwork, NetworkError, NetworkStats, PreparedNetwork};
 pub use partition::{partition_tiles, prepared_tiles, tile_network, ShardMember, ShardedIndex, Tile};
 pub use traits::{QueryCost, RangeReachIndex, SccSpatialPolicy, ShardStats};

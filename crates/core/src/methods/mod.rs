@@ -5,6 +5,7 @@ mod nearest;
 mod report;
 mod socreach;
 mod spareach;
+mod table;
 mod threed;
 
 pub use georeach::{GeoReach, GeoReachParams};
@@ -12,6 +13,7 @@ pub use nearest::NearestReach;
 pub use report::{report_bfs, ThreeDReporter};
 pub use socreach::{ScanMode, SocReach};
 pub use spareach::{CandidateMode, SpaReach, SpaReachBfl, SpaReachInt};
+pub use table::{Method, SnapshotIndex};
 pub use threed::{ThreeDReach, ThreeDReachRev};
 
 use gsr_graph::scc::CompId;
@@ -63,26 +65,32 @@ fn check_comp_ids(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{paper_example, RangeReachIndex, SccSpatialPolicy};
+    use crate::paper_example;
 
     /// The methods that refine against member points hold the prepared
-    /// network's member table by handle: one buffer for all of them.
+    /// network's member table by handle: one buffer for all of them. (The
+    /// replicating 3-D trees refine nothing and declare the column empty.)
     #[test]
     fn methods_share_the_member_table() {
         let prep = paper_example::cyclic_prepared();
         let (_, points) = prep.member_csr();
-        let mbr = SccSpatialPolicy::Mbr;
-        let indexes: [Box<dyn RangeReachIndex>; 5] = [
-            Box::new(SpaReachBfl::build(&prep, SccSpatialPolicy::Replicate)),
-            Box::new(SpaReachInt::build(&prep, mbr)),
-            Box::new(GeoReach::build(&prep)),
-            Box::new(ThreeDReach::build(&prep, mbr)),
-            Box::new(ThreeDReachRev::build(&prep, mbr)),
-        ];
-        for index in &indexes {
-            let list = index.columns().expect("column-backed");
-            let col = list.cols.iter().find(|c| c.tag == tag::MEMBER_POINTS).expect("declared");
-            assert_eq!(col.bytes.as_ptr(), points.as_ptr().cast::<u8>(), "{}", index.name());
+        let mut holders = Vec::new();
+        for m in Method::ALL {
+            for &policy in m.policies() {
+                let index = m.build(&prep, policy, 1);
+                let list = index.column_list();
+                let member_points = list.cols.iter().find(|c| c.tag == tag::MEMBER_POINTS);
+                if let Some(col) = member_points.filter(|c| !c.bytes.is_empty()) {
+                    let shared = points.as_ptr().cast::<u8>();
+                    assert_eq!(col.bytes.as_ptr(), shared, "{m:?} {policy:?}");
+                    holders.push(format!("{}{}", m.name(), policy.suffix()));
+                }
+            }
         }
+        let expected = [
+            "SpaReach-BFL", "SpaReach-BFL (MBR)", "SpaReach-INT", "SpaReach-INT (MBR)",
+            "GeoReach", "3DReach (MBR)", "3DReach-REV (MBR)",
+        ];
+        assert_eq!(holders, expected);
     }
 }

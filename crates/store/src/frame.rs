@@ -41,10 +41,9 @@ use std::cell::{Cell, RefCell};
 use std::io::Write;
 use std::sync::Arc;
 
-use gsr_core::methods::{GeoReach, SocReach, SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev};
-use gsr_core::GsrError;
+use gsr_core::{GsrError, Method};
 use gsr_graph::columns::{Dec, Enc, Section};
-use gsr_graph::{Column, ColumnList, Columns, Source};
+use gsr_graph::{Column, ColumnList, Source};
 
 use crate::arena::{ArenaBytes, ARENA_ALIGN};
 use crate::wire::crc32;
@@ -72,14 +71,7 @@ fn align_up(x: usize) -> usize {
 pub(crate) fn sections_of(index: &SnapshotIndex) -> Vec<Column<'_>> {
     let mut list = index.column_list();
     let mut meta = Enc::default();
-    meta.u8(match index {
-        SnapshotIndex::SpaReachBfl(_) => 1,
-        SnapshotIndex::SpaReachInt(_) => 2,
-        SnapshotIndex::GeoReach(_) => 3,
-        SnapshotIndex::SocReach(_) => 4,
-        SnapshotIndex::ThreeDReach(_) => 5,
-        SnapshotIndex::ThreeDReachRev(_) => 6,
-    });
+    meta.u8(index.method().tag());
     meta.append(list.meta);
     let mut sections = ColumnList::default();
     sections.encoded(META, meta.into_bytes());
@@ -369,16 +361,10 @@ pub(crate) fn load_index(own: &Frame, shared: Option<&Frame>) -> Result<Snapshot
         .ok_or_else(|| load_err("missing section meta".into()))?;
     map.meta = Dec::new(&frame.arena.bytes()[start..start + len]);
     let src = &mut map;
-    let index = match src.u8().map_err(load_err)? {
-        1 => SpaReachBfl::load(src).map(SnapshotIndex::SpaReachBfl),
-        2 => SpaReachInt::load(src).map(SnapshotIndex::SpaReachInt),
-        3 => GeoReach::load(src).map(SnapshotIndex::GeoReach),
-        4 => SocReach::load(src).map(SnapshotIndex::SocReach),
-        5 => ThreeDReach::load(src).map(SnapshotIndex::ThreeDReach),
-        6 => ThreeDReachRev::load(src).map(SnapshotIndex::ThreeDReachRev),
-        t => Err(format!("unknown method tag {t}")),
-    };
-    let index = index.map_err(load_err)?;
+    let tag = src.u8().map_err(load_err)?;
+    let method =
+        Method::from_tag(tag).ok_or_else(|| load_err(format!("unknown method tag {tag}")))?;
+    let index = method.load(src).map_err(load_err)?;
     map.finish()?;
     Ok(index)
 }

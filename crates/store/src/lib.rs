@@ -7,7 +7,9 @@
 //! back **bit-identically**: the reloaded index returns the same answers
 //! *and* the same [`gsr_core::QueryCost`] counters as the one that was
 //! saved, because the encoding captures the exact arena layouts rather
-//! than re-deriving them.
+//! than re-deriving them. The index type, [`SnapshotIndex`], is
+//! re-exported from `gsr_core::methods`, where the method table
+//! (`gsr_core::Method`) gives each method its snapshot tag and `load`.
 //!
 //! ## Wire format
 //!
@@ -61,10 +63,9 @@ pub mod wire;
 
 pub use arena::ArenaBytes;
 
-use gsr_core::methods::{GeoReach, SocReach, SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev};
-use gsr_core::{GsrError, QueryCost, RangeReachIndex};
-use gsr_geo::Rect;
-use gsr_graph::{ColumnList, VertexId};
+pub use gsr_core::methods::SnapshotIndex;
+
+use gsr_core::{GsrError, RangeReachIndex};
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -96,89 +97,6 @@ pub const MAGIC: [u8; 8] = *b"GSRSNAP\0";
 ///   fan-out `max_entries`, instead of two (Guttman's minimum fill, which
 ///   nothing read, is gone). A change to `rtree.rs` and to this number.
 pub const FORMAT_VERSION: u32 = 6;
-
-/// A built index of any of the six methods, as saved to / loaded from a
-/// snapshot. Implements [`RangeReachIndex`] by delegation, so a loaded
-/// snapshot drops into every consumer of the trait (the batch executor,
-/// the query server) without knowing which method it holds.
-#[derive(Debug, Clone)]
-pub enum SnapshotIndex {
-    /// SpaReach with the BFL reachability back-end.
-    SpaReachBfl(SpaReachBfl),
-    /// SpaReach with the interval-labeling back-end.
-    SpaReachInt(SpaReachInt),
-    /// The GeoReach SPA-graph.
-    GeoReach(GeoReach),
-    /// The social-first SocReach evaluator.
-    SocReach(SocReach),
-    /// The forward 3-D transformation.
-    ThreeDReach(ThreeDReach),
-    /// The reversed (segment-based) 3-D transformation.
-    ThreeDReachRev(ThreeDReachRev),
-}
-
-impl SnapshotIndex {
-    /// The CLI method key of the held index (e.g. `"3dreach-rev"`).
-    pub fn method_key(&self) -> &'static str {
-        match self {
-            SnapshotIndex::SpaReachBfl(_) => "spareach-bfl",
-            SnapshotIndex::SpaReachInt(_) => "spareach-int",
-            SnapshotIndex::GeoReach(_) => "georeach",
-            SnapshotIndex::SocReach(_) => "socreach",
-            SnapshotIndex::ThreeDReach(_) => "3dreach",
-            SnapshotIndex::ThreeDReachRev(_) => "3dreach-rev",
-        }
-    }
-
-    /// The columns the held index declares: what its snapshot holds.
-    pub(crate) fn column_list(&self) -> ColumnList<'_> {
-        match self {
-            SnapshotIndex::SpaReachBfl(i) => ColumnList::of(i),
-            SnapshotIndex::SpaReachInt(i) => ColumnList::of(i),
-            SnapshotIndex::GeoReach(i) => ColumnList::of(i),
-            SnapshotIndex::SocReach(i) => ColumnList::of(i),
-            SnapshotIndex::ThreeDReach(i) => ColumnList::of(i),
-            SnapshotIndex::ThreeDReachRev(i) => ColumnList::of(i),
-        }
-    }
-
-    fn as_index(&self) -> &dyn RangeReachIndex {
-        match self {
-            SnapshotIndex::SpaReachBfl(i) => i,
-            SnapshotIndex::SpaReachInt(i) => i,
-            SnapshotIndex::GeoReach(i) => i,
-            SnapshotIndex::SocReach(i) => i,
-            SnapshotIndex::ThreeDReach(i) => i,
-            SnapshotIndex::ThreeDReachRev(i) => i,
-        }
-    }
-}
-
-impl RangeReachIndex for SnapshotIndex {
-    fn num_vertices(&self) -> usize {
-        self.as_index().num_vertices()
-    }
-
-    fn query_unchecked(&self, v: VertexId, region: &Rect) -> bool {
-        self.as_index().query_unchecked(v, region)
-    }
-
-    fn query_with_cost_unchecked(&self, v: VertexId, region: &Rect) -> (bool, QueryCost) {
-        self.as_index().query_with_cost_unchecked(v, region)
-    }
-
-    fn index_bytes(&self) -> usize {
-        self.as_index().index_bytes()
-    }
-
-    fn columns(&self) -> Option<ColumnList<'_>> {
-        Some(self.column_list())
-    }
-
-    fn name(&self) -> &'static str {
-        self.as_index().name()
-    }
-}
 
 fn io_save(e: std::io::Error) -> GsrError {
     GsrError::Internal(format!("snapshot save: {e}"))
@@ -301,6 +219,12 @@ pub fn save_to_path(path: impl AsRef<Path>, index: &SnapshotIndex) -> Result<(),
 /// The crash-safe file write behind [`save_to_path`] and every file of a
 /// shard set: `write` fills the staging file, which is synced and renamed
 /// over `path`.
+///
+/// Saves into one directory take turns, across threads and processes: each
+/// holds an exclusive lock on the directory from creating its staging file
+/// until that file is renamed or removed. Two saves to one target would
+/// otherwise share the staging file, and the first rename would hand the
+/// target a file the second save was still writing.
 fn write_atomically(
     path: &Path,
     write: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> Result<(), GsrError>,
@@ -308,6 +232,9 @@ fn write_atomically(
     let tmp = staging_path(path);
     let save_err =
         |stage: &str, e: std::io::Error| GsrError::Internal(format!("snapshot save {}: {stage}: {e}", path.display()));
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    let dir = std::fs::File::open(dir).map_err(|e| save_err("open directory", e))?;
+    dir.lock().map_err(|e| save_err("lock directory", e))?;
     let result = (|| {
         let file = std::fs::File::create(&tmp).map_err(|e| save_err("create staging", e))?;
         let mut w = std::io::BufWriter::new(file);
@@ -319,10 +246,12 @@ fn write_atomically(
         std::fs::rename(&tmp, path).map_err(|e| save_err("rename into place", e))
     })();
     if result.is_err() {
-        // Best-effort cleanup; a leftover staging file is harmless either
-        // way (the next successful save truncates and replaces it).
+        // Best-effort cleanup, still under the lock: the next save's staging
+        // file has the same name. A leftover one is harmless either way (the
+        // next successful save truncates and replaces it).
         let _ = std::fs::remove_file(&tmp);
     }
+    drop(dir);
     result
 }
 
@@ -387,27 +316,19 @@ pub fn load_served_index(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsr_core::{paper_example, SccSpatialPolicy};
+    use gsr_core::{paper_example, Method, PreparedNetwork, SccSpatialPolicy};
     use gsr_datagen::faults::{FailingWriter, ScratchDir};
 
     fn built_all() -> Vec<SnapshotIndex> {
         let prep = paper_example::prepared();
-        let p = SccSpatialPolicy::Replicate;
-        vec![
-            SnapshotIndex::SpaReachBfl(SpaReachBfl::build(&prep, p)),
-            SnapshotIndex::SpaReachInt(SpaReachInt::build(&prep, p)),
-            SnapshotIndex::GeoReach(GeoReach::build(&prep)),
-            SnapshotIndex::SocReach(SocReach::build(&prep)),
-            SnapshotIndex::ThreeDReach(ThreeDReach::build(&prep, p)),
-            SnapshotIndex::ThreeDReachRev(ThreeDReachRev::build(&prep, p)),
-        ]
+        Method::ALL.map(|m| m.build(&prep, SccSpatialPolicy::Replicate, 1)).to_vec()
     }
 
     /// Every method, and SpaReach in the streaming candidate mode (which
     /// the filter-kind scalar records) under both SCC policies.
     #[test]
     fn every_method_round_trips_in_memory() {
-        use gsr_core::methods::CandidateMode::Streaming;
+        use gsr_core::methods::{CandidateMode::Streaming, SpaReachBfl, SpaReachInt};
         let prep = paper_example::prepared();
         let mut indexes = built_all();
         for p in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
@@ -421,7 +342,7 @@ mod tests {
             save(&mut bytes, &index).unwrap();
             let loaded = load(&mut bytes.as_slice()).unwrap();
             assert_eq!(loaded.name(), index.name());
-            assert_eq!(loaded.method_key(), index.method_key());
+            assert_eq!(loaded.method(), index.method());
             assert_eq!(loaded.num_vertices(), index.num_vertices());
             assert_eq!(loaded.index_bytes(), index.index_bytes());
             for v in prep.network().graph().vertices() {
@@ -468,6 +389,27 @@ mod tests {
         }
     }
 
+    /// A `META` whose method tag names no method is a typed error naming the
+    /// tag, also when the CRC pass that would catch the edit is skipped.
+    #[test]
+    fn unknown_method_tags_are_typed_errors() {
+        let mut bytes = Vec::new();
+        save(&mut bytes, &built_all().remove(4)).unwrap();
+        // `META` is the first section; its payload opens with the tag.
+        let meta_at = u64::from_le_bytes(bytes[24 + 8..24 + 16].try_into().unwrap()) as usize;
+        assert_eq!(bytes[meta_at], Method::ThreeDReach.tag());
+        for tag in [0u8, 7] {
+            let mut edited = bytes.clone();
+            edited[meta_at] = tag;
+            match load_with(&mut edited.as_slice(), LoadOptions { trust: true }) {
+                Err(GsrError::Load(msg)) => {
+                    assert!(msg.contains(&format!("unknown method tag {tag}")), "{msg}")
+                }
+                other => panic!("tag {tag}: expected Load error, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn every_truncation_is_a_typed_error() {
         for index in built_all() {
@@ -498,7 +440,7 @@ mod tests {
             assert_eq!(&bytes[8..12], &FORMAT_VERSION.to_le_bytes());
             let a = load_with(&mut bytes.as_slice(), LoadOptions { trust: false }).unwrap();
             let b = load_with(&mut bytes.as_slice(), LoadOptions { trust: true }).unwrap();
-            assert_eq!(a.method_key(), b.method_key());
+            assert_eq!(a.method(), b.method());
             assert_eq!(a.index_bytes(), b.index_bytes());
         }
     }
@@ -511,7 +453,7 @@ mod tests {
         let path = dir.path().join("v3.snap");
         save_to_path(&path, &built_all()[3]).unwrap();
         let (idx, info) = load_from_path_with(&path, LoadOptions::default()).unwrap();
-        assert_eq!(idx.method_key(), "socreach");
+        assert_eq!(idx.method(), Method::SocReach);
         assert_eq!(info.format, FORMAT_VERSION);
         assert_eq!(info.file_bytes, std::fs::metadata(&path).unwrap().len());
         assert_eq!(info.mapped, cfg!(unix));
@@ -554,12 +496,47 @@ mod tests {
 
         super::save_to_path(&path, &indexes[4]).unwrap();
         assert!(!staging_path(&path).exists(), "staging file must be renamed away");
-        assert_eq!(load_from_path(&path).unwrap().method_key(), "3dreach");
+        assert_eq!(load_from_path(&path).unwrap().method(), Method::ThreeDReach);
 
         // Overwriting with a different method swaps the whole file.
         super::save_to_path(&path, &indexes[2]).unwrap();
-        assert_eq!(load_from_path(&path).unwrap().method_key(), "georeach");
+        assert_eq!(load_from_path(&path).unwrap().method(), Method::GeoReach);
         assert!(!staging_path(&path).exists());
+    }
+
+    /// Two saves racing to one target both succeed, one after the other: the
+    /// target ends up byte-equal to one of the two images, and no staging
+    /// file is left behind.
+    #[test]
+    fn concurrent_saves_to_one_target_both_land_whole() {
+        let dir = ScratchDir::new("gsr_store_concurrent_save").unwrap();
+        let path = dir.path().join("idx.snap");
+        let prep = PreparedNetwork::new(gsr_datagen::NetworkSpec::weeplaces(0.1).generate());
+        let pair = [Method::ThreeDReach, Method::SpaReachBfl]
+            .map(|m| m.build(&prep, SccSpatialPolicy::Replicate, 1));
+        let images = pair.each_ref().map(|index| {
+            let mut bytes = Vec::new();
+            save(&mut bytes, index).unwrap();
+            bytes
+        });
+        for round in 0..20 {
+            let barrier = std::sync::Barrier::new(2);
+            let results = std::thread::scope(|s| {
+                let saves = pair.each_ref().map(|index| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        save_to_path(&path, index)
+                    })
+                });
+                saves.map(|save| save.join().unwrap())
+            });
+            for result in results {
+                assert!(result.is_ok(), "round {round}: {result:?}");
+            }
+            let target = std::fs::read(&path).unwrap();
+            assert!(images.contains(&target), "round {round}: the target holds neither image");
+            assert!(!staging_path(&path).exists(), "round {round}: staging file left behind");
+        }
     }
 
     /// The crash-safety contract: a save killed at *any* byte leaves the
@@ -592,7 +569,7 @@ mod tests {
             }
             let reloaded = load_from_path(&path)
                 .unwrap_or_else(|e| panic!("old snapshot corrupted at cut {cut}: {e}"));
-            assert_eq!(reloaded.method_key(), "3dreach", "cut {cut}");
+            assert_eq!(reloaded.method(), Method::ThreeDReach, "cut {cut}");
             for (r, expect) in paper_example::probe_regions().iter().zip(&old_answers) {
                 assert_eq!(reloaded.query(paper_example::A, r), *expect, "cut {cut}");
             }
@@ -600,7 +577,7 @@ mod tests {
         // After any such crash, the next save still succeeds and swaps in
         // the new index, clobbering the stale staging file.
         super::save_to_path(&path, &indexes[5]).unwrap();
-        assert_eq!(load_from_path(&path).unwrap().method_key(), "3dreach-rev");
+        assert_eq!(load_from_path(&path).unwrap().method(), Method::ThreeDReachRev);
         assert!(!staging_path(&path).exists());
     }
 

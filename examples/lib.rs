@@ -1,17 +1,14 @@
 //! Shared helpers for the example binaries: small pretty-printing utilities
 //! so each example can focus on the API it demonstrates.
 
+use gsr_core::methods::SnapshotIndex;
 use gsr_core::{PreparedNetwork, RangeReachIndex};
 use gsr_geo::Rect;
 use gsr_graph::VertexId;
 use std::time::Instant;
 
 /// Runs one query on every supplied method and prints a comparison line.
-pub fn compare_methods(
-    methods: &[Box<dyn RangeReachIndex>],
-    v: VertexId,
-    region: &Rect,
-) {
+pub fn compare_methods(methods: &[SnapshotIndex], v: VertexId, region: &Rect) {
     for idx in methods {
         let start = Instant::now();
         let answer = idx.query(v, region);
@@ -38,8 +35,7 @@ pub fn print_network_summary(title: &str, prep: &PreparedNetwork) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsr_core::methods::ThreeDReach;
-    use gsr_core::{GeosocialNetwork, SccSpatialPolicy};
+    use gsr_core::{GeosocialNetwork, Method, SccSpatialPolicy};
     use gsr_graph::GraphBuilder;
 
     #[test]
@@ -53,8 +49,7 @@ mod tests {
         .unwrap();
         let prep = PreparedNetwork::new(net);
         print_network_summary("toy", &prep);
-        let methods: Vec<Box<dyn RangeReachIndex>> =
-            vec![Box::new(ThreeDReach::build(&prep, SccSpatialPolicy::Replicate))];
+        let methods = [Method::ThreeDReach.build(&prep, SccSpatialPolicy::Replicate, 1)];
         compare_methods(&methods, 0, &Rect::new(0.0, 0.0, 2.0, 2.0));
     }
 }

@@ -5,8 +5,8 @@
 //! cargo run --release -p gsr-examples --bin quickstart
 //! ```
 
-use gsr_core::methods::{GeoReach, SocReach, SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev};
-use gsr_core::{paper_example, RangeReachIndex, SccSpatialPolicy};
+use gsr_core::methods::SocReach;
+use gsr_core::{paper_example, Method, SccSpatialPolicy};
 use gsr_examples::{compare_methods, print_network_summary};
 
 fn main() {
@@ -16,15 +16,7 @@ fn main() {
     let prep = paper_example::prepared();
     print_network_summary("Paper running example", &prep);
 
-    let policy = SccSpatialPolicy::Replicate;
-    let methods: Vec<Box<dyn RangeReachIndex>> = vec![
-        Box::new(SpaReachBfl::build(&prep, policy)),
-        Box::new(SpaReachInt::build(&prep, policy)),
-        Box::new(GeoReach::build(&prep)),
-        Box::new(SocReach::build(&prep)),
-        Box::new(ThreeDReach::build(&prep, policy)),
-        Box::new(ThreeDReachRev::build(&prep, policy)),
-    ];
+    let methods = Method::ALL.map(|m| m.build(&prep, SccSpatialPolicy::Replicate, 1));
 
     let region = paper_example::query_region();
 

@@ -18,8 +18,8 @@
 //!   [`METHOD_FACTOR`] × the index's own `index_bytes()`.
 
 use gsr_bench::alloc_track::{live_bytes, peak_live_bytes, reset_peak_live_bytes};
-use gsr_bench::{Dataset, ALL_METHODS};
-use gsr_core::SccSpatialPolicy;
+use gsr_bench::Dataset;
+use gsr_core::{Method, RangeReachIndex, SccSpatialPolicy};
 use gsr_datagen::NetworkSpec;
 use gsr_geo::Aabb;
 use gsr_index::RTree;
@@ -88,10 +88,10 @@ fn main() {
     // A fresh prepared network per method: the forward labeling a method
     // leaves cached on it belongs to that method's index.
     let spec = NetworkSpec::gowalla(1.0);
-    for method in ALL_METHODS {
+    for method in Method::ALL {
         let ds = Dataset::from_spec(&spec);
         let (idx, peak) =
-            peak_above(live_bytes(), || method.build(&ds.prep, SccSpatialPolicy::Replicate));
+            peak_above(live_bytes(), || method.build(&ds.prep, SccSpatialPolicy::Replicate, 1));
         let index = idx.index_bytes() as u64;
         let line = format!(
             "{} build: peak {peak} B = {:.1} x index ({index} B), limit x{METHOD_FACTOR}",
@@ -101,7 +101,7 @@ fn main() {
         check(&mut failures, peak <= METHOD_FACTOR * index, line);
     }
 
-    println!("{} build-memory checks, {failures} failures", 2 * 3 + ALL_METHODS.len());
+    println!("{} build-memory checks, {failures} failures", 2 * 3 + Method::ALL.len());
     if failures > 0 {
         std::process::exit(1);
     }

@@ -1,10 +1,8 @@
 //! Shared helpers for the cross-crate integration tests.
 
-use gsr_core::methods::{
-    report_bfs, GeoReach, SocReach, SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev,
-};
+use gsr_core::methods::{report_bfs, SnapshotIndex};
 use gsr_core::{
-    prepared_tiles, GeosocialNetwork, OnlineReach, PreparedNetwork, RangeReachIndex,
+    prepared_tiles, GeosocialNetwork, Method, OnlineReach, PreparedNetwork, RangeReachIndex,
     SccSpatialPolicy,
 };
 use gsr_geo::{Point, Rect};
@@ -14,37 +12,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// Builds every evaluation method (both SCC policies where supported) with
-/// a describing label.
-pub fn all_indexes(prep: &PreparedNetwork) -> Vec<(String, Box<dyn RangeReachIndex>)> {
-    let mut out: Vec<(String, Box<dyn RangeReachIndex>)> = Vec::new();
-    for policy in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
-        let tag = policy.suffix();
-        out.push((format!("SpaReach-BFL{tag}"), Box::new(SpaReachBfl::build(prep, policy))));
-        out.push((format!("SpaReach-INT{tag}"), Box::new(SpaReachInt::build(prep, policy))));
-        out.push((format!("3DReach{tag}"), Box::new(ThreeDReach::build(prep, policy))));
-        out.push((format!("3DReach-REV{tag}"), Box::new(ThreeDReachRev::build(prep, policy))));
-    }
-    out.push(("GeoReach".to_string(), Box::new(GeoReach::build(prep))));
-    out.push(("SocReach".to_string(), Box::new(SocReach::build(prep))));
-    out
-}
-
-/// The six methods as snapshots, under both SCC policies where a method has
-/// them, named by method key (`"3dreach (MBR)"`).
-pub fn all_snapshots(prep: &PreparedNetwork) -> Vec<(String, gsr_store::SnapshotIndex)> {
-    use gsr_store::SnapshotIndex;
-    let mut out = Vec::new();
-    for p in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
-        let named = |name: &str, index| (format!("{name}{}", p.suffix()), index);
-        out.push(named("spareach-bfl", SnapshotIndex::SpaReachBfl(SpaReachBfl::build(prep, p))));
-        out.push(named("spareach-int", SnapshotIndex::SpaReachInt(SpaReachInt::build(prep, p))));
-        out.push(named("3dreach", SnapshotIndex::ThreeDReach(ThreeDReach::build(prep, p))));
-        out.push(named("3dreach-rev", SnapshotIndex::ThreeDReachRev(ThreeDReachRev::build(prep, p))));
-    }
-    out.push(("georeach".into(), SnapshotIndex::GeoReach(GeoReach::build(prep))));
-    out.push(("socreach".into(), SnapshotIndex::SocReach(SocReach::build(prep))));
-    out
+/// Every method under every SCC policy it has, named by method key
+/// (`"3dreach (MBR)"`): the methods with both policies, policy by policy,
+/// then those with one.
+pub fn all_snapshots(prep: &PreparedNetwork) -> Vec<(String, SnapshotIndex)> {
+    let (both, one): (Vec<Method>, Vec<Method>) =
+        Method::ALL.into_iter().partition(|m| m.supports_mbr());
+    let rows = [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr]
+        .into_iter()
+        .flat_map(|p| both.iter().map(move |&m| (m, p)))
+        .chain(one.into_iter().map(|m| (m, SccSpatialPolicy::Replicate)));
+    rows.map(|(m, p)| (format!("{}{}", m.key(), p.suffix()), m.build(prep, p, 1))).collect()
 }
 
 /// Cross-checks the BFS oracle on every vertex of `prep` against the

@@ -2,14 +2,14 @@
 //! the BFS ground-truth answer for every query — on DAGs, on cyclic
 //! graphs, and on the generated dataset analogs.
 
-use gsr_core::{BatchExecutor, PreparedNetwork};
+use gsr_core::{BatchExecutor, PreparedNetwork, RangeReachIndex};
 use gsr_datagen::workload::WorkloadGen;
 use gsr_datagen::NetworkSpec;
 use gsr_graph::stats::DegreeBucket;
-use gsr_tests::{all_indexes, random_network, random_regions};
+use gsr_tests::{all_snapshots, random_network, random_regions};
 
 fn check_network(prep: &PreparedNetwork, regions: &[gsr_geo::Rect], label: &str) {
-    let indexes = all_indexes(prep);
+    let indexes = all_snapshots(prep);
     let n = prep.network().num_vertices() as u32;
     // Probe a spread of query vertices, not all (keeps runtime bounded).
     let step = (n / 40).max(1);
@@ -60,7 +60,7 @@ fn dense_single_scc_network() {
 fn network_with_no_spatial_vertices() {
     let net = random_network(60, 200, 0.0, 5);
     let prep = PreparedNetwork::new(net);
-    let indexes = all_indexes(&prep);
+    let indexes = all_snapshots(&prep);
     for (name, idx) in &indexes {
         for region in random_regions(8, 11) {
             assert!(!idx.query(0, &region), "{name}: nothing spatial, must be FALSE");
@@ -73,7 +73,7 @@ fn generated_dataset_analogs_match_bfs() {
     for spec in NetworkSpec::paper_datasets(0.02) {
         let prep = PreparedNetwork::new(spec.generate());
         let gen = WorkloadGen::new(&prep);
-        let indexes = all_indexes(&prep);
+        let indexes = all_snapshots(&prep);
         for bucket in [DegreeBucket::PAPER_BUCKETS[0], DegreeBucket::PAPER_BUCKETS[4]] {
             let workload = gen.extent_degree(5.0, bucket, 30, 77);
             for (v, region) in &workload.queries {
@@ -94,10 +94,10 @@ fn generated_dataset_analogs_match_bfs() {
 #[test]
 fn batch_executor_matches_bfs_for_every_method_and_policy() {
     // The agreement oracle, driven through the BatchExecutor: every method
-    // under every SCC policy (all_indexes builds Replicate and Mbr
+    // under every SCC policy (all_snapshots builds Replicate and Mbr
     // variants) must return the BFS ground truth for the whole batch, in
-    // input order, at every thread count — including through the
-    // `&dyn RangeReachIndex` objects the harness and CLI use.
+    // input order, at every thread count — through the `SnapshotIndex`
+    // the harness and CLI build.
     for seed in 0..3u64 {
         let net = random_network(130, 420, 0.4, 300 + seed);
         let prep = PreparedNetwork::new(net);
@@ -110,15 +110,15 @@ fn batch_executor_matches_bfs_for_every_method_and_policy() {
             .collect();
         let expected: Vec<bool> =
             queries.iter().map(|(v, r)| prep.range_reach_bfs(*v, r)).collect();
-        for (name, idx) in all_indexes(&prep) {
+        for (name, idx) in all_snapshots(&prep) {
             for threads in [1, 2, 4] {
                 let exec = BatchExecutor::new(threads);
                 assert_eq!(
-                    exec.run(idx.as_ref(), &queries),
+                    exec.run(&idx, &queries),
                     expected,
                     "seed {seed}: {name} disagrees with BFS at threads={threads}"
                 );
-                let (answers, _) = exec.run_with_cost(idx.as_ref(), &queries);
+                let (answers, _) = exec.run_with_cost(&idx, &queries);
                 assert_eq!(
                     answers, expected,
                     "seed {seed}: {name} cost path disagrees at threads={threads}"
@@ -148,7 +148,7 @@ fn self_loops_and_isolated_vertices() {
 
     let around0 = Rect::square(Point::new(10.0, 10.0), 2.0);
     let around2 = Rect::square(Point::new(50.0, 50.0), 2.0);
-    for (name, idx) in all_indexes(&prep) {
+    for (name, idx) in all_snapshots(&prep) {
         assert!(idx.query(0, &around0), "{name}: self-loop vertex sees itself");
         assert!(idx.query(1, &around0), "{name}: 1 -> 0");
         assert!(idx.query(2, &around2), "{name}: isolated spatial vertex sees itself");

@@ -7,8 +7,7 @@
 //! structure: the interval labeling, the BFL filters, the STR-packed
 //! R-tree, and the full evaluation methods composed from them.
 
-use gsr_core::methods::{SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev};
-use gsr_core::{PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
+use gsr_core::{Method, PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
 use gsr_datagen::NetworkSpec;
 use gsr_geo::Aabb;
 use gsr_index::{RTree, RTreeParams};
@@ -91,23 +90,16 @@ fn method_builds_are_thread_count_invariant() {
         })
         .collect();
     for policy in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
-        let sequential: Vec<(&str, Box<dyn RangeReachIndex>)> = vec![
-            ("SpaReach-BFL", Box::new(SpaReachBfl::build(&prep, policy))),
-            ("SpaReach-INT", Box::new(SpaReachInt::build(&prep, policy))),
-            ("3DReach", Box::new(ThreeDReach::build(&prep, policy))),
-            ("3DReach-REV", Box::new(ThreeDReachRev::build(&prep, policy))),
-        ];
+        let methods: Vec<Method> =
+            Method::ALL.into_iter().filter(|m| m.policies().contains(&policy)).collect();
+        let sequential: Vec<_> = methods.iter().map(|m| m.build(&prep, policy, 1)).collect();
         for threads in THREAD_COUNTS {
             // A clone starts with nothing derived, so 3DReach labels it
             // again — at this thread count — instead of reusing `prep`'s.
             let prep = PreparedNetwork::new(prep.network().clone());
-            let parallel: Vec<(&str, Box<dyn RangeReachIndex>)> = vec![
-                ("SpaReach-BFL", Box::new(SpaReachBfl::build_threaded(&prep, policy, threads))),
-                ("SpaReach-INT", Box::new(SpaReachInt::build_threaded(&prep, policy, threads))),
-                ("3DReach", Box::new(ThreeDReach::build_threaded(&prep, policy, threads))),
-                ("3DReach-REV", Box::new(ThreeDReachRev::build_threaded(&prep, policy, threads))),
-            ];
-            for ((name, seq), (_, par)) in sequential.iter().zip(&parallel) {
+            for (method, seq) in methods.iter().zip(&sequential) {
+                let par = method.build(&prep, policy, threads);
+                let name = method.name();
                 assert_eq!(
                     par.index_bytes(),
                     seq.index_bytes(),

@@ -2,10 +2,10 @@
 //! truth on arbitrary proptest-generated geosocial networks.
 
 use gsr_core::paper_example;
-use gsr_core::{GeosocialNetwork, PreparedNetwork};
+use gsr_core::{GeosocialNetwork, PreparedNetwork, RangeReachIndex};
 use gsr_geo::{Point, Rect};
 use gsr_graph::{GraphBuilder, VertexId};
-use gsr_tests::{all_indexes, check_bfs_oracle, check_member_table};
+use gsr_tests::{all_snapshots, check_bfs_oracle, check_member_table};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -63,7 +63,7 @@ proptest! {
     #[test]
     fn all_methods_match_bfs(case in arb_case()) {
         let (prep, regions) = build(&case);
-        let indexes = all_indexes(&prep);
+        let indexes = all_snapshots(&prep);
         for &v in &case.query_vertices {
             for region in &regions {
                 let expected = prep.range_reach_bfs(v, region);
@@ -85,7 +85,7 @@ proptest! {
         // vertex" — precisely GeoReach's GeoB bit.
         let (prep, _) = build(&case);
         let everything = Rect::new(-1e6, -1e6, 1e6, 1e6);
-        let indexes = all_indexes(&prep);
+        let indexes = all_snapshots(&prep);
         for v in 0..prep.network().num_vertices() as VertexId {
             let expected = prep.range_reach_bfs(v, &everything);
             for (name, idx) in &indexes {
@@ -98,7 +98,7 @@ proptest! {
     fn answers_are_monotone_in_the_region(case in arb_case()) {
         // If R1 ⊆ R2, a TRUE for R1 forces a TRUE for R2.
         let (prep, regions) = build(&case);
-        let indexes = all_indexes(&prep);
+        let indexes = all_snapshots(&prep);
         for &v in &case.query_vertices {
             for region in &regions {
                 let bigger = Rect::new(

@@ -8,7 +8,7 @@ use gsr_core::{
     RangeReachIndex,
 };
 use gsr_geo::{Aabb, Rect};
-use gsr_tests::{all_indexes, random_network, random_regions};
+use gsr_tests::{all_snapshots, random_network, random_regions};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,7 +24,10 @@ fn prepared(seed: u64) -> PreparedNetwork {
 fn every_method_rejects_bad_input_without_panicking() {
     let prep = prepared(11);
     let n = prep.network().num_vertices();
-    let mut indexes = all_indexes(&prep);
+    let mut indexes: Vec<(String, Box<dyn RangeReachIndex>)> = all_snapshots(&prep)
+        .into_iter()
+        .map(|(label, index)| (label, Box::new(index) as Box<dyn RangeReachIndex>))
+        .collect();
     indexes.push((
         "OnlineReach".to_string(),
         Box::new(OnlineReach::new(Arc::new(prepared(11)))),
@@ -106,11 +109,11 @@ fn bounded_executor_agrees_with_unbounded_on_every_method() {
         .iter()
         .flat_map(|&v| random_regions(4, 23 + v as u64).into_iter().map(move |r| (v, r)))
         .collect();
-    for (label, idx) in all_indexes(&prep) {
-        let expected = BatchExecutor::new(1).run(idx.as_ref(), &queries);
+    for (label, idx) in all_snapshots(&prep) {
+        let expected = BatchExecutor::new(1).run(&idx, &queries);
         for threads in [1, 3] {
             let outcome = BatchExecutor::new(threads).run_bounded(
-                idx.as_ref(),
+                &idx,
                 &queries,
                 &BatchOptions::unlimited(),
             );
@@ -231,9 +234,9 @@ fn mixed_batches_isolate_invalid_queries_on_every_method() {
     let good = Rect::new(0.0, 0.0, 100.0, 100.0);
     let nan = Rect { min_x: f64::NAN, min_y: 0.0, max_x: 1.0, max_y: 1.0 };
     let queries = vec![(0u32, good), (n + 5, good), (1, nan), (2, good)];
-    for (label, idx) in all_indexes(&prep) {
+    for (label, idx) in all_snapshots(&prep) {
         let outcome = BatchExecutor::new(2).run_bounded(
-            idx.as_ref(),
+            &idx,
             &queries,
             &BatchOptions::unlimited(),
         );

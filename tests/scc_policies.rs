@@ -2,8 +2,8 @@
 //! strongly connected components must give identical answers, and the
 //! condensation must behave like the original graph.
 
-use gsr_core::methods::{SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev};
-use gsr_core::{PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
+use gsr_core::methods::{SpaReachBfl, ThreeDReach};
+use gsr_core::{Method, PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
 use gsr_tests::{random_network, random_regions};
 
 /// Replicate vs MBR must agree on every query for every method that has
@@ -20,24 +20,14 @@ fn policies_agree_on_cycle_heavy_networks() {
             "seed {seed}: want a sizable SCC to make the test meaningful"
         );
 
-        let pairs: Vec<(Box<dyn RangeReachIndex>, Box<dyn RangeReachIndex>)> = vec![
-            (
-                Box::new(SpaReachBfl::build(&prep, SccSpatialPolicy::Replicate)),
-                Box::new(SpaReachBfl::build(&prep, SccSpatialPolicy::Mbr)),
-            ),
-            (
-                Box::new(SpaReachInt::build(&prep, SccSpatialPolicy::Replicate)),
-                Box::new(SpaReachInt::build(&prep, SccSpatialPolicy::Mbr)),
-            ),
-            (
-                Box::new(ThreeDReach::build(&prep, SccSpatialPolicy::Replicate)),
-                Box::new(ThreeDReach::build(&prep, SccSpatialPolicy::Mbr)),
-            ),
-            (
-                Box::new(ThreeDReachRev::build(&prep, SccSpatialPolicy::Replicate)),
-                Box::new(ThreeDReachRev::build(&prep, SccSpatialPolicy::Mbr)),
-            ),
-        ];
+        let pairs: Vec<_> = Method::ALL
+            .into_iter()
+            .filter(|m| m.supports_mbr())
+            .map(|m| {
+                let build = |policy| m.build(&prep, policy, 1);
+                (build(SccSpatialPolicy::Replicate), build(SccSpatialPolicy::Mbr))
+            })
+            .collect();
 
         for region in random_regions(20, seed * 3 + 1) {
             for v in (0..120).step_by(7) {

@@ -5,10 +5,7 @@
 //! bit flips, truncation, I/O faults mid-stream — must surface as a typed
 //! [`GsrError::Load`], never a panic or a silently different index.
 
-use gsr_core::methods::{
-    GeoReach, SocReach, SpaReachBfl, SpaReachInt, ThreeDReach, ThreeDReachRev,
-};
-use gsr_core::{GsrError, PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
+use gsr_core::{GsrError, Method, PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
 use gsr_datagen::faults::{FailingReader, ScratchDir};
 use gsr_datagen::NetworkSpec;
 use gsr_store::SnapshotIndex;
@@ -16,15 +13,7 @@ use gsr_tests::random_regions;
 
 /// All six methods as saveable snapshots over one prepared network.
 fn snapshots(prep: &PreparedNetwork) -> Vec<SnapshotIndex> {
-    let p = SccSpatialPolicy::Replicate;
-    vec![
-        SnapshotIndex::SpaReachBfl(SpaReachBfl::build(prep, p)),
-        SnapshotIndex::SpaReachInt(SpaReachInt::build(prep, p)),
-        SnapshotIndex::GeoReach(GeoReach::build(prep)),
-        SnapshotIndex::SocReach(SocReach::build(prep)),
-        SnapshotIndex::ThreeDReach(ThreeDReach::build(prep, p)),
-        SnapshotIndex::ThreeDReachRev(ThreeDReachRev::build(prep, p)),
-    ]
+    Method::ALL.map(|m| m.build(prep, SccSpatialPolicy::Replicate, 1)).to_vec()
 }
 
 fn generated_prep() -> PreparedNetwork {
@@ -69,7 +58,7 @@ fn snapshot_files_round_trip_through_disk() {
     let regions = random_regions(8, 42);
 
     for original in snapshots(&prep) {
-        let path = dir.path().join(format!("{}.snap", original.method_key()));
+        let path = dir.path().join(format!("{}.snap", original.method().key()));
         gsr_store::save_to_path(&path, &original).expect("save_to_path");
         let shared = gsr_store::load_shared(&path).expect("load_shared");
 
@@ -360,7 +349,7 @@ fn v1_snapshots_are_rejected_with_a_typed_version_error() {
             // garbage-in.
             let mut old = bytes.clone();
             old[8..12].copy_from_slice(&retired.to_le_bytes());
-            let path = dir.path().join(format!("{}.v{retired}.snap", original.method_key()));
+            let path = dir.path().join(format!("{}.v{retired}.snap", original.method().key()));
             std::fs::write(&path, &old).unwrap();
             let from_stream = gsr_store::load(&mut old.as_slice()).map(|_| ());
             let from_path =

@@ -9,8 +9,8 @@
 //! workload pays the one-time thread-local scratch allocation, then a
 //! second identical pass must perform exactly zero heap allocations.
 
-use gsr_bench::{allocation_count, Dataset, ALL_METHODS};
-use gsr_core::SccSpatialPolicy;
+use gsr_bench::{allocation_count, Dataset};
+use gsr_core::{Method, RangeReachIndex};
 use gsr_datagen::workload::WorkloadGen;
 use gsr_datagen::NetworkSpec;
 use gsr_geo::Rect;
@@ -42,12 +42,9 @@ fn main() {
     for ds in &datasets {
         let w = WorkloadGen::new(&ds.prep).extent_degree(EXTENT_PCT, bucket, QUERIES, SEED);
 
-        for method in ALL_METHODS {
-            for policy in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
-                if policy == SccSpatialPolicy::Mbr && !method.supports_mbr() {
-                    continue;
-                }
-                let idx = method.build(&ds.prep, policy);
+        for method in Method::ALL {
+            for &policy in method.policies() {
+                let idx = method.build(&ds.prep, policy, 1);
                 // Warm-up: first queries may allocate (thread-local scratch).
                 for (v, region) in &w.queries {
                     std::hint::black_box(idx.query(*v, region));
@@ -94,7 +91,7 @@ fn main() {
     }
 
     println!("{} zero-allocation checks, {} failures", checks, failures);
-    assert!(checks >= 2 * (ALL_METHODS.len() + 1), "suite must cover every method");
+    assert!(checks >= 2 * (Method::ALL.len() + 1), "suite must cover every method");
     if failures > 0 {
         std::process::exit(1);
     }
