@@ -113,7 +113,10 @@ fn main() {
     eprintln!("datasets ready in {:.1?}\n", t0.elapsed());
 
     if wanted("table3") {
-        emit("Table 3: dataset characteristics (synthetic analogs)", &experiments::table3(&datasets));
+        emit(
+            "Table 3: dataset characteristics (synthetic analogs)",
+            &experiments::table3(&datasets),
+        );
     }
     if wanted("table4") || wanted("table5") {
         let t = Instant::now();

@@ -278,16 +278,12 @@ pub fn backends(datasets: &[Dataset], cfg: &Config) -> TextTable {
         };
 
         let dag = ds.prep.dag();
-        run(
-            "BFL",
-            &|| Box::new(BflIndex::build(dag)),
-            &|| Box::new(SpaReachBfl::build(&ds.prep, SccSpatialPolicy::Replicate)),
-        );
-        run(
-            "INT",
-            &|| Box::new(IntervalLabeling::build(dag)),
-            &|| Box::new(SpaReachInt::build(&ds.prep, SccSpatialPolicy::Replicate)),
-        );
+        run("BFL", &|| Box::new(BflIndex::build(dag)), &|| {
+            Box::new(SpaReachBfl::build(&ds.prep, SccSpatialPolicy::Replicate))
+        });
+        run("INT", &|| Box::new(IntervalLabeling::build(dag)), &|| {
+            Box::new(SpaReachInt::build(&ds.prep, SccSpatialPolicy::Replicate))
+        });
     }
     t
 }
@@ -425,14 +421,7 @@ pub fn polarity(datasets: &[Dataset], cfg: &Config) -> TextTable {
 pub fn reduction(datasets: &[Dataset]) -> TextTable {
     use std::time::Instant;
 
-    let mut t = TextTable::new([
-        "dataset",
-        "stage",
-        "|V|",
-        "|E|",
-        "labels",
-        "label build [ms]",
-    ]);
+    let mut t = TextTable::new(["dataset", "stage", "|V|", "|E|", "labels", "label build [ms]"]);
     for ds in datasets {
         let dag = ds.prep.dag().clone();
         let mut stage = |name: &str, g: &gsr_graph::DiGraph| {
@@ -474,9 +463,19 @@ pub fn georeach_params(datasets: &[Dataset], cfg: &Config) -> TextTable {
         "query [us]",
     ]);
     let sweeps = [
-        GeoReachParams { max_reach_grids: 8, merge_count: 1, finest_exp: 5, ..GeoReachParams::default() },
+        GeoReachParams {
+            max_reach_grids: 8,
+            merge_count: 1,
+            finest_exp: 5,
+            ..GeoReachParams::default()
+        },
         GeoReachParams::default(), // 64 / 3 / 7
-        GeoReachParams { max_reach_grids: 256, merge_count: 6, finest_exp: 9, ..GeoReachParams::default() },
+        GeoReachParams {
+            max_reach_grids: 256,
+            merge_count: 6,
+            finest_exp: 9,
+            ..GeoReachParams::default()
+        },
         GeoReachParams { max_reach_grids: 0, merge_count: 1, finest_exp: 5, max_rmbr_frac: 0.8 },
     ];
     let default_bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
@@ -597,8 +596,7 @@ mod tests {
         // Table 4's ordering: the delta-compressed labels keep SocReach
         // below the plain interval labeling SpaReach-INT carries.
         for ds in tiny_datasets() {
-            let bytes =
-                |m: Method| m.build(&ds.prep, SccSpatialPolicy::Replicate, 1).index_bytes();
+            let bytes = |m: Method| m.build(&ds.prep, SccSpatialPolicy::Replicate, 1).index_bytes();
             let (soc, int) = (bytes(Method::SocReach), bytes(Method::SpaReachInt));
             assert!(soc > 0 && soc < int, "{}: SocReach {soc} B vs SpaReach-INT {int} B", ds.name);
         }

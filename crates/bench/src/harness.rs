@@ -103,11 +103,8 @@ mod tests {
         let idx = Method::ThreeDReach.build(&ds.prep, SccSpatialPolicy::Replicate, 1);
         let result = run_workload(&idx, &workload);
         assert_eq!(result.total, 25);
-        let expected = workload
-            .queries
-            .iter()
-            .filter(|(v, r)| ds.prep.range_reach_bfs(*v, r))
-            .count();
+        let expected =
+            workload.queries.iter().filter(|(v, r)| ds.prep.range_reach_bfs(*v, r)).count();
         assert_eq!(result.positives, expected);
         assert!(result.avg_micros >= 0.0);
     }

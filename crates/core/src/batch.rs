@@ -161,7 +161,8 @@ where
     validate_query(num_vertices, v, region)?;
     // Index structures are immutable and queries take &self, so a caught
     // panic cannot leave observable broken state behind.
-    match std::panic::catch_unwind(AssertUnwindSafe(|| index.query_with_cost_unchecked(v, region))) {
+    match std::panic::catch_unwind(AssertUnwindSafe(|| index.query_with_cost_unchecked(v, region)))
+    {
         Ok((hit, query_cost)) => {
             cost.accumulate(&query_cost);
             Ok(hit)
@@ -446,8 +447,7 @@ mod tests {
         let prep = paper_example::prepared();
         let index = ThreeDReach::build(&prep, SccSpatialPolicy::Replicate);
         let queries = workload();
-        let expected: Vec<bool> =
-            queries.iter().map(|(v, r)| index.query(*v, r)).collect();
+        let expected: Vec<bool> = queries.iter().map(|(v, r)| index.query(*v, r)).collect();
         for threads in [1, 2, 3, 8] {
             let exec = BatchExecutor::new(threads);
             assert_eq!(exec.run(&index, &queries), expected, "threads = {threads}");
@@ -559,7 +559,7 @@ mod tests {
         let bad_rect = gsr_geo::Rect { min_x: f64::NAN, min_y: 0.0, max_x: 1.0, max_y: 1.0 };
         let queries = vec![
             (paper_example::A, good),
-            (9999, good),                // out-of-range vertex
+            (9999, good),                 // out-of-range vertex
             (paper_example::C, bad_rect), // non-finite region
             (paper_example::A, good),
         ];
@@ -624,8 +624,7 @@ mod tests {
         let index = ThreeDReach::build(&prep, SccSpatialPolicy::Replicate);
         let dyn_index: &dyn crate::RangeReachIndex = &index;
         let queries = workload();
-        let expected: Vec<bool> =
-            queries.iter().map(|(v, r)| dyn_index.query(*v, r)).collect();
+        let expected: Vec<bool> = queries.iter().map(|(v, r)| dyn_index.query(*v, r)).collect();
         assert_eq!(BatchExecutor::new(2).run(dyn_index, &queries), expected);
     }
 }

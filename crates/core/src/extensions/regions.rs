@@ -75,9 +75,7 @@ impl RegionReach {
             })
             .collect();
         RegionReach {
-            comp_of: (0..net.graph.num_vertices() as VertexId)
-                .map(|v| cond.comp(v))
-                .collect(),
+            comp_of: (0..net.graph.num_vertices() as VertexId).map(|v| cond.comp(v)).collect(),
             labeling,
             tree: RTree::bulk_load(entries),
         }
@@ -93,9 +91,10 @@ impl RegionReach {
     /// Whether `v` reaches a vertex whose region intersects `query`.
     pub fn query(&self, v: VertexId, query: &Rect) -> bool {
         let from = self.comp_of[v as usize];
-        self.labeling.intervals(from).iter().any(|iv| {
-            self.tree.query_exists(&cuboid_from_rect(query, iv.lo as f64, iv.hi as f64))
-        })
+        self.labeling
+            .intervals(from)
+            .iter()
+            .any(|iv| self.tree.query_exists(&cuboid_from_rect(query, iv.lo as f64, iv.hi as f64)))
     }
 
     /// All reachable vertices whose regions intersect `query`, ascending.
@@ -127,8 +126,7 @@ mod tests {
             .graph()
             .vertices()
             .filter(|&u| {
-                net.region(u).is_some_and(|g| g.intersects(query))
-                    && reaches_bfs(net.graph(), v, u)
+                net.region(u).is_some_and(|g| g.intersects(query)) && reaches_bfs(net.graph(), v, u)
             })
             .collect();
         out.sort_unstable();

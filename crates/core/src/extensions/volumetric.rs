@@ -150,9 +150,8 @@ mod tests {
             let g = graph_from_edges(n, &edges);
             let points: Vec<Option<Point3d>> = (0..n)
                 .map(|_| {
-                    (rnd() % 3 != 0).then(|| {
-                        [(rnd() % 100) as f64, (rnd() % 100) as f64, (rnd() % 50) as f64]
-                    })
+                    (rnd() % 3 != 0)
+                        .then(|| [(rnd() % 100) as f64, (rnd() % 100) as f64, (rnd() % 50) as f64])
                 })
                 .collect();
             let idx = VolumetricReach::build(&g, &points);

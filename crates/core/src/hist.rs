@@ -207,7 +207,11 @@ mod tests {
             });
             assert_eq!(hist.bucket_counts(), reference.bucket_counts(), "threads={threads}");
             for q in [0.5, 0.99, 0.999] {
-                assert_eq!(hist.quantile_us(q), reference.quantile_us(q), "threads={threads} q={q}");
+                assert_eq!(
+                    hist.quantile_us(q),
+                    reference.quantile_us(q),
+                    "threads={threads} q={q}"
+                );
             }
         }
     }

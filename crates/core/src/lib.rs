@@ -62,5 +62,7 @@ pub use error::GsrError;
 pub use fallback::OnlineReach;
 pub use methods::Method;
 pub use network::{GeosocialNetwork, NetworkError, NetworkStats, PreparedNetwork};
-pub use partition::{partition_tiles, prepared_tiles, tile_network, ShardMember, ShardedIndex, Tile};
+pub use partition::{
+    partition_tiles, prepared_tiles, tile_network, ShardMember, ShardedIndex, Tile,
+};
 pub use traits::{QueryCost, RangeReachIndex, SccSpatialPolicy, ShardStats};

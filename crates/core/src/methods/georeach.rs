@@ -46,12 +46,7 @@ pub struct GeoReachParams {
 
 impl Default for GeoReachParams {
     fn default() -> Self {
-        GeoReachParams {
-            max_rmbr_frac: 0.8,
-            max_reach_grids: 64,
-            merge_count: 3,
-            finest_exp: 7,
-        }
+        GeoReachParams { max_rmbr_frac: 0.8, max_reach_grids: 64, merge_count: 3, finest_exp: 7 }
     }
 }
 
@@ -124,12 +119,8 @@ impl GeoReach {
             let ci = c as usize;
             // Own spatial members.
             let mut my_rmbr = prep.comp_mbr(c);
-            let mut my_cells: Option<Vec<CellId>> = Some(
-                prep.spatial_member_points(c)
-                    .iter()
-                    .map(|p| grid.cell_of(p))
-                    .collect(),
-            );
+            let mut my_cells: Option<Vec<CellId>> =
+                Some(prep.spatial_member_points(c).iter().map(|p| grid.cell_of(p)).collect());
             // Successors.
             for &s in dag.out_neighbors(c) {
                 let si = s as usize;
@@ -504,7 +495,11 @@ mod tests {
                             prep.range_reach_bfs(v, &r),
                             "vertex {v}, region {r}, params {p:?}"
                         );
-                        assert_eq!(loaded.query_with_cost(v, &r), built, "loaded: vertex {v}, region {r}, params {p:?}");
+                        assert_eq!(
+                            loaded.query_with_cost(v, &r),
+                            built,
+                            "loaded: vertex {v}, region {r}, params {p:?}"
+                        );
                     }
                 }
             }
@@ -558,7 +553,11 @@ mod tests {
 
     /// A snapshot round trip of `idx` without the file, after `edit` has had
     /// its way with the bytes of column `tag`.
-    fn reloaded(idx: &GeoReach, tag: u16, edit: impl FnOnce(&mut Vec<u8>)) -> Result<GeoReach, String> {
+    fn reloaded(
+        idx: &GeoReach,
+        tag: u16,
+        edit: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<GeoReach, String> {
         let mut list = ColumnList::of(idx);
         let col = list.cols.iter_mut().find(|c| c.tag == tag).expect("declared column");
         edit(col.bytes.to_mut());
@@ -585,34 +584,104 @@ mod tests {
         };
 
         let refused: Vec<(&str, Result<GeoReach, String>, &str)> = vec![
-            ("kind out of range", reloaded(&idx, spa_tag::KINDS, |b| b[g_at] = 4), "unknown spa kind 4"),
-            ("a kind too few", reloaded(&idx, spa_tag::KINDS, |b| b.truncate(b.len() - 1)), "spa kinds for"),
+            (
+                "kind out of range",
+                reloaded(&idx, spa_tag::KINDS, |b| b[g_at] = 4),
+                "unknown spa kind 4",
+            ),
+            (
+                "a kind too few",
+                reloaded(&idx, spa_tag::KINDS, |b| b.truncate(b.len() - 1)),
+                "spa kinds for",
+            ),
             // Per-component lengths: a B-vertex with entries, an R-vertex
             // and a G-vertex with none.
-            ("B with entries", reloaded(&idx, spa_tag::KINDS, |b| b[g_at] = kind::B_TRUE), "cell entries"),
-            ("R without its entry", reloaded(&idx, spa_tag::KINDS, |b| b[b_at] = kind::R), "cell entries"),
-            ("G without cells", reloaded(&idx, spa_tag::KINDS, |b| b[b_at] = kind::G), "cell entries"),
+            (
+                "B with entries",
+                reloaded(&idx, spa_tag::KINDS, |b| b[g_at] = kind::B_TRUE),
+                "cell entries",
+            ),
+            (
+                "R without its entry",
+                reloaded(&idx, spa_tag::KINDS, |b| b[b_at] = kind::R),
+                "cell entries",
+            ),
+            (
+                "G without cells",
+                reloaded(&idx, spa_tag::KINDS, |b| b[b_at] = kind::G),
+                "cell entries",
+            ),
             // The CSR: not from 0, not monotone, past the cells, short.
-            ("offsets not from 0", reloaded(&idx, spa_tag::CELL_OFFSETS, set(0, 1)), "not monotone from 0"),
-            ("offsets not monotone", reloaded(&idx, spa_tag::CELL_OFFSETS, set(1, u32::MAX)), "not monotone from 0"),
-            ("offsets past the cells", reloaded(&idx, spa_tag::CELL_OFFSETS, set(last, u32::MAX)), "entries but"),
-            ("an offset too few", reloaded(&idx, spa_tag::CELL_OFFSETS, |b| b.truncate(b.len() - 4)), "offsets for"),
-            ("a cell too few", reloaded(&idx, spa_tag::CELLS, |b| b.truncate(b.len() - 4)), "entries but"),
+            (
+                "offsets not from 0",
+                reloaded(&idx, spa_tag::CELL_OFFSETS, set(0, 1)),
+                "not monotone from 0",
+            ),
+            (
+                "offsets not monotone",
+                reloaded(&idx, spa_tag::CELL_OFFSETS, set(1, u32::MAX)),
+                "not monotone from 0",
+            ),
+            (
+                "offsets past the cells",
+                reloaded(&idx, spa_tag::CELL_OFFSETS, set(last, u32::MAX)),
+                "entries but",
+            ),
+            (
+                "an offset too few",
+                reloaded(&idx, spa_tag::CELL_OFFSETS, |b| b.truncate(b.len() - 4)),
+                "offsets for",
+            ),
+            (
+                "a cell too few",
+                reloaded(&idx, spa_tag::CELLS, |b| b.truncate(b.len() - 4)),
+                "entries but",
+            ),
             // Cells the grid (finest_exp 3) does not have: a level above the
             // root, an index past the level's side.
-            ("cell above the root", reloaded(&idx, spa_tag::CELLS, set(entry(g_at), cell(4, 0, 0))), "not a cell"),
-            ("cell past the side", reloaded(&idx, spa_tag::CELLS, set(entry(g_at), cell(2, 2, 0))), "not a cell"),
+            (
+                "cell above the root",
+                reloaded(&idx, spa_tag::CELLS, set(entry(g_at), cell(4, 0, 0))),
+                "not a cell",
+            ),
+            (
+                "cell past the side",
+                reloaded(&idx, spa_tag::CELLS, set(entry(g_at), cell(2, 2, 0))),
+                "not a cell",
+            ),
             // Rectangles: named out of order, one too many, not rectangles.
-            ("R names another rmbr", reloaded(&idx, spa_tag::CELLS, set(entry(r_at), 1)), "names rmbr 1"),
-            ("an rmbr too many", reloaded(&idx, spa_tag::RMBRS, |b| b.extend_from_slice(&[0; 32])), "rmbrs for"),
-            ("an rmbr too few", reloaded(&idx, spa_tag::RMBRS, |b| b.truncate(b.len() - 32)), "rmbrs for"),
-            ("non-finite rmbr", reloaded(&idx, spa_tag::RMBRS, coord(2, f64::NAN)), "malformed rmbr"),
-            ("infinite rmbr", reloaded(&idx, spa_tag::RMBRS, coord(0, f64::NEG_INFINITY)), "malformed rmbr"),
+            (
+                "R names another rmbr",
+                reloaded(&idx, spa_tag::CELLS, set(entry(r_at), 1)),
+                "names rmbr 1",
+            ),
+            (
+                "an rmbr too many",
+                reloaded(&idx, spa_tag::RMBRS, |b| b.extend_from_slice(&[0; 32])),
+                "rmbrs for",
+            ),
+            (
+                "an rmbr too few",
+                reloaded(&idx, spa_tag::RMBRS, |b| b.truncate(b.len() - 32)),
+                "rmbrs for",
+            ),
+            (
+                "non-finite rmbr",
+                reloaded(&idx, spa_tag::RMBRS, coord(2, f64::NAN)),
+                "malformed rmbr",
+            ),
+            (
+                "infinite rmbr",
+                reloaded(&idx, spa_tag::RMBRS, coord(0, f64::NEG_INFINITY)),
+                "malformed rmbr",
+            ),
             ("inverted rmbr", reloaded(&idx, spa_tag::RMBRS, coord(3, -1e9)), "malformed rmbr"),
         ];
         for (case, outcome, needle) in refused {
             match outcome {
-                Err(msg) => assert!(msg.starts_with("georeach: ") && msg.contains(needle), "{case}: {msg}"),
+                Err(msg) => {
+                    assert!(msg.starts_with("georeach: ") && msg.contains(needle), "{case}: {msg}")
+                }
                 Ok(_) => panic!("{case}: loaded"),
             }
         }

@@ -88,8 +88,13 @@ mod tests {
             }
         }
         let expected = [
-            "SpaReach-BFL", "SpaReach-BFL (MBR)", "SpaReach-INT", "SpaReach-INT (MBR)",
-            "GeoReach", "3DReach (MBR)", "3DReach-REV (MBR)",
+            "SpaReach-BFL",
+            "SpaReach-BFL (MBR)",
+            "SpaReach-INT",
+            "SpaReach-INT (MBR)",
+            "GeoReach",
+            "3DReach (MBR)",
+            "3DReach-REV (MBR)",
         ];
         assert_eq!(holders, expected);
     }

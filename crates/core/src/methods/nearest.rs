@@ -52,9 +52,7 @@ impl NearestReach {
             })
             .collect();
         NearestReach {
-            comp_of: (0..prep.network().num_vertices() as VertexId)
-                .map(|v| prep.comp(v))
-                .collect(),
+            comp_of: (0..prep.network().num_vertices() as VertexId).map(|v| prep.comp(v)).collect(),
             labeling,
             tree: RTree::bulk_load(entries),
         }
@@ -98,11 +96,7 @@ mod tests {
     use crate::paper_example;
 
     /// Brute-force reference.
-    fn nearest_bfs(
-        prep: &PreparedNetwork,
-        v: VertexId,
-        target: &Point,
-    ) -> Option<(Point, f64)> {
+    fn nearest_bfs(prep: &PreparedNetwork, v: VertexId, target: &Point) -> Option<(Point, f64)> {
         let mut best: Option<(Point, f64)> = None;
         let start = prep.comp(v);
         let mut visited = vec![false; prep.num_components()];
@@ -190,9 +184,6 @@ mod tests {
         // From c, the closest venue to (5, 9) would be e (distance 0), but
         // c cannot reach e; the nearest *reachable* one is f or i.
         let (u, _, _) = idx.nearest(paper_example::C, &Point::new(5.0, 9.0)).unwrap();
-        assert!(
-            u == paper_example::F || u == paper_example::I,
-            "c reaches only f and i, got {u}"
-        );
+        assert!(u == paper_example::F || u == paper_example::I, "c reaches only f and i, got {u}");
     }
 }

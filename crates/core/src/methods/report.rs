@@ -58,9 +58,7 @@ impl ThreeDReporter {
             })
             .collect();
         ThreeDReporter {
-            comp_of: (0..prep.network().num_vertices() as VertexId)
-                .map(|v| prep.comp(v))
-                .collect(),
+            comp_of: (0..prep.network().num_vertices() as VertexId).map(|v| prep.comp(v)).collect(),
             labeling,
             tree: RTree::bulk_load(entries),
         }
@@ -85,18 +83,17 @@ impl ThreeDReporter {
         self.labeling
             .intervals(from)
             .iter()
-            .map(|iv| {
-                self.tree.count_in(&cuboid_from_rect(region, iv.lo as f64, iv.hi as f64))
-            })
+            .map(|iv| self.tree.count_in(&cuboid_from_rect(region, iv.lo as f64, iv.hi as f64)))
             .sum()
     }
 
     /// The boolean `RangeReach` answer, for convenience and cross-checks.
     pub fn exists(&self, v: VertexId, region: &Rect) -> bool {
         let from = self.comp_of[v as usize];
-        self.labeling.intervals(from).iter().any(|iv| {
-            self.tree.query_exists(&cuboid_from_rect(region, iv.lo as f64, iv.hi as f64))
-        })
+        self.labeling
+            .intervals(from)
+            .iter()
+            .any(|iv| self.tree.query_exists(&cuboid_from_rect(region, iv.lo as f64, iv.hi as f64)))
     }
 
     /// Approximate heap footprint in bytes.
@@ -142,10 +139,7 @@ mod tests {
         let reporter = ThreeDReporter::build(&prep);
         let r = paper_example::query_region();
         // a reaches e and h inside R; c reaches nothing there.
-        assert_eq!(
-            reporter.report(paper_example::A, &r),
-            vec![paper_example::E, paper_example::H]
-        );
+        assert_eq!(reporter.report(paper_example::A, &r), vec![paper_example::E, paper_example::H]);
         assert_eq!(reporter.count(paper_example::A, &r), 2);
         assert!(reporter.exists(paper_example::A, &r));
         assert!(reporter.report(paper_example::C, &r).is_empty());

@@ -79,7 +79,11 @@ impl SpaReachBfl {
     /// Like [`SpaReachBfl::build`], constructing both the spatial filter
     /// and the BFL filters with `threads` workers (`0` = machine
     /// parallelism). The result is identical to the sequential build.
-    pub fn build_threaded(prep: &PreparedNetwork, policy: SccSpatialPolicy, threads: usize) -> Self {
+    pub fn build_threaded(
+        prep: &PreparedNetwork,
+        policy: SccSpatialPolicy,
+        threads: usize,
+    ) -> Self {
         SpaReach::build_impl(prep, policy, "SpaReach-BFL", threads, |g| {
             BflIndex::build_with(g, BflParams { threads, ..BflParams::default() })
         })
@@ -95,7 +99,11 @@ impl SpaReachInt {
     /// Like [`SpaReachInt::build`], constructing both the spatial filter
     /// and the interval labeling with `threads` workers (`0` = machine
     /// parallelism). The result is identical to the sequential build.
-    pub fn build_threaded(prep: &PreparedNetwork, policy: SccSpatialPolicy, threads: usize) -> Self {
+    pub fn build_threaded(
+        prep: &PreparedNetwork,
+        policy: SccSpatialPolicy,
+        threads: usize,
+    ) -> Self {
         SpaReach::build_impl(prep, policy, "SpaReach-INT", threads, |g| {
             IntervalLabeling::build_with(g, BuildOptions { threads, ..BuildOptions::default() })
         })
@@ -120,8 +128,7 @@ impl<R: Reachability + Columns> SpaReach<R> {
                 // The replication pass: one point entry per spatial vertex,
                 // tagged with its component. Mapping by index keeps the
                 // entry order identical to the sequential scan.
-                let spatial: Vec<(VertexId, Point)> =
-                    prep.network().spatial_vertices().collect();
+                let spatial: Vec<(VertexId, Point)> = prep.network().spatial_vertices().collect();
                 par::map_indexed(threads, spatial.len(), |i| {
                     let (v, p) = spatial[i];
                     (Aabb::from_point([p.x, p.y]), prep.comp(v))
@@ -369,11 +376,7 @@ mod tests {
         let regions = paper_example::probe_regions();
         for v in prep.network().graph().vertices() {
             for r in &regions {
-                assert_eq!(
-                    idx.query(v, r),
-                    prep.range_reach_bfs(v, r),
-                    "vertex {v}, region {r}"
-                );
+                assert_eq!(idx.query(v, r), prep.range_reach_bfs(v, r), "vertex {v}, region {r}");
             }
         }
     }

@@ -101,11 +101,17 @@ impl Method {
     ) -> SnapshotIndex {
         use SnapshotIndex as S;
         match self {
-            Method::SpaReachBfl => S::SpaReachBfl(SpaReachBfl::build_threaded(prep, policy, threads)),
-            Method::SpaReachInt => S::SpaReachInt(SpaReachInt::build_threaded(prep, policy, threads)),
+            Method::SpaReachBfl => {
+                S::SpaReachBfl(SpaReachBfl::build_threaded(prep, policy, threads))
+            }
+            Method::SpaReachInt => {
+                S::SpaReachInt(SpaReachInt::build_threaded(prep, policy, threads))
+            }
             Method::GeoReach => S::GeoReach(GeoReach::build(prep)),
             Method::SocReach => S::SocReach(SocReach::build(prep)),
-            Method::ThreeDReach => S::ThreeDReach(ThreeDReach::build_threaded(prep, policy, threads)),
+            Method::ThreeDReach => {
+                S::ThreeDReach(ThreeDReach::build_threaded(prep, policy, threads))
+            }
             Method::ThreeDReachRev => {
                 S::ThreeDReachRev(ThreeDReachRev::build_threaded(prep, policy, threads))
             }

@@ -89,7 +89,12 @@ impl ThreeDCommon {
         match self.policy {
             SccSpatialPolicy::Replicate => true,
             SccSpatialPolicy::Mbr => {
-                let mbr = Rect::new(entry_box.min[0], entry_box.min[1], entry_box.max[0], entry_box.max[1]);
+                let mbr = Rect::new(
+                    entry_box.min[0],
+                    entry_box.min[1],
+                    entry_box.max[0],
+                    entry_box.max[1],
+                );
                 region.contains_rect(&mbr)
                     || self.member_points(comp).iter().any(|p| {
                         cost.containment_tests += 1;
@@ -173,7 +178,11 @@ impl ThreeDReach {
     /// spatial-entry replication pass and the R-tree packing across
     /// `threads` workers (`0` = machine parallelism). The built index is
     /// identical to the sequential one at any thread count.
-    pub fn build_threaded(prep: &PreparedNetwork, policy: SccSpatialPolicy, threads: usize) -> Self {
+    pub fn build_threaded(
+        prep: &PreparedNetwork,
+        policy: SccSpatialPolicy,
+        threads: usize,
+    ) -> Self {
         // The labeling is a function of the DAG alone: the tiles of a
         // shard set take the one their social side already holds.
         let forward = prep.forward_labels(threads);
@@ -181,8 +190,7 @@ impl ThreeDReach {
 
         let entries: Vec<(Cuboid, Entry)> = match policy {
             SccSpatialPolicy::Replicate => {
-                let spatial: Vec<(VertexId, Point)> =
-                    prep.network().spatial_vertices().collect();
+                let spatial: Vec<(VertexId, Point)> = prep.network().spatial_vertices().collect();
                 par::map_indexed(threads, spatial.len(), |i| {
                     let (v, p) = spatial[i];
                     let comp = prep.comp(v);
@@ -190,18 +198,16 @@ impl ThreeDReach {
                     (gsr_geo::point3(p, z), comp)
                 })
             }
-            SccSpatialPolicy::Mbr => {
-                par::map_indexed(threads, prep.num_components(), |c| {
-                    let c = c as CompId;
-                    prep.comp_mbr(c).map(|m| {
-                        let z = post[c as usize] as f64;
-                        (Aabb::new([m.min_x, m.min_y, z], [m.max_x, m.max_y, z]), c)
-                    })
+            SccSpatialPolicy::Mbr => par::map_indexed(threads, prep.num_components(), |c| {
+                let c = c as CompId;
+                prep.comp_mbr(c).map(|m| {
+                    let z = post[c as usize] as f64;
+                    (Aabb::new([m.min_x, m.min_y, z], [m.max_x, m.max_y, z]), c)
                 })
-                .into_iter()
-                .flatten()
-                .collect()
-            }
+            })
+            .into_iter()
+            .flatten()
+            .collect(),
         };
 
         ThreeDReach {
@@ -300,7 +306,11 @@ impl ThreeDReachRev {
     /// identical to the sequential one at any thread count: contiguous runs
     /// of vertices (or components) produce their segments independently and
     /// the runs are concatenated in the sequential scan order.
-    pub fn build_threaded(prep: &PreparedNetwork, policy: SccSpatialPolicy, threads: usize) -> Self {
+    pub fn build_threaded(
+        prep: &PreparedNetwork,
+        policy: SccSpatialPolicy,
+        threads: usize,
+    ) -> Self {
         let reversed_dag = prep.dag().reversed();
         let labeling = IntervalLabeling::build_with(
             &reversed_dag,
@@ -334,7 +344,9 @@ impl ThreeDReachRev {
             let mut segments: Vec<(Cuboid, Entry)> = Vec::with_capacity(count);
             for (base, c) in bases {
                 let labels = labeling.intervals(*c).iter();
-                segments.extend(labels.map(|iv| (cuboid_from_rect(base, iv.lo as f64, iv.hi as f64), *c)));
+                segments.extend(
+                    labels.map(|iv| (cuboid_from_rect(base, iv.lo as f64, iv.hi as f64), *c)),
+                );
             }
             segments
         });

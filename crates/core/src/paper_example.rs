@@ -39,9 +39,21 @@ pub const L: VertexId = 11;
 /// the non-spanning edges).
 pub fn edges() -> Vec<(VertexId, VertexId)> {
     vec![
-        (A, B), (A, D), (A, J), (B, E), (B, L), (E, F), (J, G), (J, H),
-        (C, I), (C, K),
-        (L, H), (B, D), (G, I), (I, F), (C, D),
+        (A, B),
+        (A, D),
+        (A, J),
+        (B, E),
+        (B, L),
+        (E, F),
+        (J, G),
+        (J, H),
+        (C, I),
+        (C, K),
+        (L, H),
+        (B, D),
+        (G, I),
+        (I, F),
+        (C, D),
     ]
 }
 
@@ -81,8 +93,7 @@ pub fn cyclic_prepared() -> PreparedNetwork {
     e.extend_from_slice(&[(D, A), (K, C), (H, J), (F, I)]);
     // Static data from Figure 1; validation cannot fail.
     #[allow(clippy::expect_used)]
-    let net =
-        GeosocialNetwork::new(graph_from_edges(12, &e), points()).expect("valid example");
+    let net = GeosocialNetwork::new(graph_from_edges(12, &e), points()).expect("valid example");
     PreparedNetwork::new(net)
 }
 
@@ -91,15 +102,15 @@ pub fn cyclic_prepared() -> PreparedNetwork {
 pub fn probe_regions() -> Vec<Rect> {
     vec![
         query_region(),
-        Rect::new(0.0, 0.0, 16.0, 16.0),            // whole space
-        Rect::new(1.0, 1.0, 3.0, 3.0),              // around f only
-        Rect::new(12.0, 2.0, 14.0, 4.0),            // around i only
-        Rect::new(9.0, 13.0, 11.0, 15.0),           // around l only
-        Rect::new(15.0, 15.0, 16.0, 16.0),          // empty corner
-        Rect::from_point(Point::new(5.0, 9.0)),     // exactly e
-        Rect::new(0.0, 8.0, 16.0, 12.0),            // horizontal band: e, h
-        Rect::new(4.9, 0.0, 5.1, 16.0),             // vertical sliver: e
-        Rect::new(-10.0, -10.0, -5.0, -5.0),        // fully outside space
+        Rect::new(0.0, 0.0, 16.0, 16.0),        // whole space
+        Rect::new(1.0, 1.0, 3.0, 3.0),          // around f only
+        Rect::new(12.0, 2.0, 14.0, 4.0),        // around i only
+        Rect::new(9.0, 13.0, 11.0, 15.0),       // around l only
+        Rect::new(15.0, 15.0, 16.0, 16.0),      // empty corner
+        Rect::from_point(Point::new(5.0, 9.0)), // exactly e
+        Rect::new(0.0, 8.0, 16.0, 12.0),        // horizontal band: e, h
+        Rect::new(4.9, 0.0, 5.1, 16.0),         // vertical sliver: e
+        Rect::new(-10.0, -10.0, -5.0, -5.0),    // fully outside space
     ]
 }
 
@@ -116,11 +127,8 @@ mod tests {
         assert!(!prep.range_reach_bfs(C, &r));
         // e and h are the spatial vertices inside R.
         let net = prep.network();
-        let inside: Vec<VertexId> = net
-            .spatial_vertices()
-            .filter(|(_, p)| r.contains_point(p))
-            .map(|(v, _)| v)
-            .collect();
+        let inside: Vec<VertexId> =
+            net.spatial_vertices().filter(|(_, p)| r.contains_point(p)).map(|(v, _)| v).collect();
         assert_eq!(inside, vec![E, H]);
     }
 

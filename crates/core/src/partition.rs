@@ -360,9 +360,7 @@ mod tests {
         for v in 1..n * n {
             g.add_edge((v - 1) as VertexId, v as VertexId);
         }
-        let points = (0..n * n)
-            .map(|v| Some(Point::new((v % n) as f64, (v / n) as f64)))
-            .collect();
+        let points = (0..n * n).map(|v| Some(Point::new((v % n) as f64, (v / n) as f64))).collect();
         GeosocialNetwork::new(g.build(), points).expect("grid network is valid")
     }
 

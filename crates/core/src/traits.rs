@@ -131,7 +131,11 @@ pub trait RangeReachIndex: Send + Sync {
     }
 
     /// Validated evaluation with work counters.
-    fn try_query_with_cost(&self, v: VertexId, region: &Rect) -> Result<(bool, QueryCost), GsrError> {
+    fn try_query_with_cost(
+        &self,
+        v: VertexId,
+        region: &Rect,
+    ) -> Result<(bool, QueryCost), GsrError> {
         validate_query(self.num_vertices(), v, region)?;
         Ok(self.query_with_cost_unchecked(v, region))
     }

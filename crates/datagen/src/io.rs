@@ -183,9 +183,9 @@ pub fn read_network_with<R: Read>(
                 if declared.is_some() {
                     return Err(malformed(lineno, trimmed, "duplicate V line".to_string()));
                 }
-                let s = fields
-                    .next()
-                    .ok_or_else(|| malformed(lineno, trimmed, "missing vertex count".to_string()))?;
+                let s = fields.next().ok_or_else(|| {
+                    malformed(lineno, trimmed, "missing vertex count".to_string())
+                })?;
                 let n: u64 = s.parse().map_err(|_| {
                     malformed(lineno, trimmed, format!("expected a vertex count, got {s:?}"))
                 })?;

@@ -183,8 +183,7 @@ impl NetworkSpec {
         }
 
         // Users: a home city and a Zipf activity weight.
-        let user_city: Vec<usize> =
-            (0..n_users).map(|_| city_sampler.sample(&mut rng)).collect();
+        let user_city: Vec<usize> = (0..n_users).map(|_| city_sampler.sample(&mut rng)).collect();
         let user_sampler = ZipfSampler::new(n_users, self.skew);
         let venue_sampler = ZipfSampler::new(n_venues, self.skew);
 

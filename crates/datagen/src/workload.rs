@@ -66,7 +66,8 @@ impl<'a> WorkloadGen<'a> {
             return pool;
         }
         // Fallback: widen downwards, then to any positive out-degree.
-        let widened = DegreeBucket { lo: bucket.lo.saturating_sub(bucket.lo / 2).max(1), hi: u32::MAX };
+        let widened =
+            DegreeBucket { lo: bucket.lo.saturating_sub(bucket.lo / 2).max(1), hi: u32::MAX };
         let pool = vertices_in_bucket(g, widened);
         if !pool.is_empty() {
             return pool;
@@ -101,10 +102,7 @@ impl<'a> WorkloadGen<'a> {
                 (v, self.random_region(&mut rng, extent_pct))
             })
             .collect();
-        Workload {
-            label: format!("extent={extent_pct}% degree={}", bucket.label()),
-            queries,
-        }
+        Workload { label: format!("extent={extent_pct}% degree={}", bucket.label()), queries }
     }
 
     /// The selectivity sweep: regions sized so that the number of contained
@@ -123,8 +121,7 @@ impl<'a> WorkloadGen<'a> {
     ) -> Workload {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5E1E_C71F);
         let pool = self.vertex_pool(bucket);
-        let venues: Vec<Point> =
-            self.prep.network().spatial_vertices().map(|(_, p)| p).collect();
+        let venues: Vec<Point> = self.prep.network().spatial_vertices().map(|(_, p)| p).collect();
         let space = self.prep.space();
         let target =
             ((self.prep.network().num_vertices() as f64) * selectivity_pct / 100.0).max(1.0);
@@ -216,9 +213,7 @@ impl<'a> WorkloadGen<'a> {
         let g = self.prep.network().graph();
         let pool: Vec<VertexId> = g
             .vertices()
-            .filter(|&v| {
-                g.out_degree(v) >= 1 && !reaches_spatial[self.prep.comp(v) as usize]
-            })
+            .filter(|&v| g.out_degree(v) >= 1 && !reaches_spatial[self.prep.comp(v) as usize])
             .collect();
         if pool.is_empty() {
             return None;
@@ -263,12 +258,12 @@ mod tests {
         }
         let mut points = vec![None; 920];
         for i in 0..900usize {
-            points[20 + i] =
-                Some(Point::new((i % 30) as f64 * 10.0 / 3.0 + 1.0, (i / 30) as f64 * 10.0 / 3.0 + 1.0));
+            points[20 + i] = Some(Point::new(
+                (i % 30) as f64 * 10.0 / 3.0 + 1.0,
+                (i / 30) as f64 * 10.0 / 3.0 + 1.0,
+            ));
         }
-        PreparedNetwork::new(
-            gsr_core::GeosocialNetwork::new(b.build(), points).unwrap(),
-        )
+        PreparedNetwork::new(gsr_core::GeosocialNetwork::new(b.build(), points).unwrap())
     }
 
     #[test]
@@ -337,9 +332,8 @@ mod tests {
                 (i / 30) as f64 * 10.0 / 3.0 + 1.0,
             ));
         }
-        let prep = PreparedNetwork::new(
-            gsr_core::GeosocialNetwork::new(b.build(), points).unwrap(),
-        );
+        let prep =
+            PreparedNetwork::new(gsr_core::GeosocialNetwork::new(b.build(), points).unwrap());
         let gen = WorkloadGen::new(&prep);
         let w = gen.social_negative(5.0, 15, 3).expect("disconnected users exist");
         for (v, r) in &w.queries {

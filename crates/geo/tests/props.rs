@@ -12,10 +12,7 @@ fn arb_rect() -> impl Strategy<Value = Rect> {
 }
 
 fn arb_aabb3() -> impl Strategy<Value = Aabb<3>> {
-    (
-        [-1e3..1e3f64, -1e3..1e3f64, -1e3..1e3f64],
-        [-1e3..1e3f64, -1e3..1e3f64, -1e3..1e3f64],
-    )
+    ([-1e3..1e3f64, -1e3..1e3f64, -1e3..1e3f64], [-1e3..1e3f64, -1e3..1e3f64, -1e3..1e3f64])
         .prop_map(|(a, b)| {
             let mut min = [0.0; 3];
             let mut max = [0.0; 3];

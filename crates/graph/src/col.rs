@@ -156,9 +156,7 @@ impl<T: Pod> Col<T> {
 pub fn bytes_of<T: Pod>(slice: &[T]) -> &[u8] {
     // SAFETY: T: Pod has no padding, so every byte of the slice is
     // initialized; u8 has alignment 1.
-    unsafe {
-        std::slice::from_raw_parts(slice.as_ptr() as *const u8, std::mem::size_of_val(slice))
-    }
+    unsafe { std::slice::from_raw_parts(slice.as_ptr() as *const u8, std::mem::size_of_val(slice)) }
 }
 
 // SAFETY: both variants are immutable shared storage. Owned is Send+Sync

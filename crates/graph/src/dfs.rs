@@ -88,12 +88,12 @@ impl SpanningForest {
         let mut frames: Vec<(VertexId, usize)> = Vec::new();
 
         let run_tree = |root: VertexId,
-                            visited: &mut Vec<bool>,
-                            parent: &mut Vec<VertexId>,
-                            post: &mut Vec<u32>,
-                            post_to_vertex: &mut Vec<VertexId>,
-                            counter: &mut u32,
-                            frames: &mut Vec<(VertexId, usize)>| {
+                        visited: &mut Vec<bool>,
+                        parent: &mut Vec<VertexId>,
+                        post: &mut Vec<u32>,
+                        post_to_vertex: &mut Vec<VertexId>,
+                        counter: &mut u32,
+                        frames: &mut Vec<(VertexId, usize)>| {
             visited[root as usize] = true;
             frames.push((root, 0));
             while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
@@ -118,14 +118,30 @@ impl SpanningForest {
         for &v in &order.roots {
             if !visited[v as usize] {
                 roots.push(v);
-                run_tree(v, &mut visited, &mut parent, &mut post, &mut post_to_vertex, &mut counter, &mut frames);
+                run_tree(
+                    v,
+                    &mut visited,
+                    &mut parent,
+                    &mut post,
+                    &mut post_to_vertex,
+                    &mut counter,
+                    &mut frames,
+                );
             }
         }
         // Safety net for non-DAG inputs: cover any remaining vertices.
         for v in 0..n as VertexId {
             if !visited[v as usize] {
                 roots.push(v);
-                run_tree(v, &mut visited, &mut parent, &mut post, &mut post_to_vertex, &mut counter, &mut frames);
+                run_tree(
+                    v,
+                    &mut visited,
+                    &mut parent,
+                    &mut post,
+                    &mut post_to_vertex,
+                    &mut counter,
+                    &mut frames,
+                );
             }
         }
 
@@ -154,10 +170,8 @@ impl SpanningForest {
     /// post-order number of their *source* vertex (ascending) — the
     /// processing order of Algorithm 1's final phase.
     pub fn non_tree_edges_by_source_post(&self, g: &DiGraph) -> Vec<(VertexId, VertexId)> {
-        let mut edges: Vec<(VertexId, VertexId)> = g
-            .edges()
-            .filter(|&(u, v)| !self.is_tree_edge(u, v))
-            .collect();
+        let mut edges: Vec<(VertexId, VertexId)> =
+            g.edges().filter(|&(u, v)| !self.is_tree_edge(u, v)).collect();
         edges.sort_unstable_by_key(|&(u, _)| self.post[u as usize]);
         edges
     }
@@ -195,8 +209,7 @@ impl VisitOrder<'_> {
 
 fn visit_order(g: &DiGraph, strategy: ForestStrategy) -> VisitOrder<'_> {
     let n = g.num_vertices();
-    let mut roots: Vec<VertexId> =
-        (0..n as VertexId).filter(|&v| g.in_degree(v) == 0).collect();
+    let mut roots: Vec<VertexId> = (0..n as VertexId).filter(|&v| g.in_degree(v) == 0).collect();
 
     let adjacency = match strategy {
         ForestStrategy::VertexOrder => None,
@@ -304,10 +317,8 @@ mod tests {
     fn dag_non_tree_edges_point_to_smaller_post() {
         // Non-tree edges of a DFS forest on a DAG always satisfy
         // post(target) < post(source): the property the labeling relies on.
-        let g = graph_from_edges(
-            7,
-            &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (1, 4), (5, 6), (5, 2)],
-        );
+        let g =
+            graph_from_edges(7, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (1, 4), (5, 6), (5, 2)]);
         let f = SpanningForest::of(&g);
         for (u, v) in f.non_tree_edges_by_source_post(&g) {
             assert!(
@@ -321,10 +332,8 @@ mod tests {
 
     #[test]
     fn non_tree_edges_sorted_by_source_post() {
-        let g = graph_from_edges(
-            7,
-            &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (1, 4), (5, 6), (5, 2)],
-        );
+        let g =
+            graph_from_edges(7, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (1, 4), (5, 6), (5, 2)]);
         let f = SpanningForest::of(&g);
         let e = f.non_tree_edges_by_source_post(&g);
         assert!(e.windows(2).all(|w| f.post[w[0].0 as usize] <= f.post[w[1].0 as usize]));

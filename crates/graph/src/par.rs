@@ -85,10 +85,7 @@ where
         }
     });
 
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index produced exactly once"))
-        .collect()
+    slots.into_iter().map(|slot| slot.expect("every index produced exactly once")).collect()
 }
 
 /// Consuming variant of [`map_indexed`]: moves each item of `items` into
@@ -172,15 +169,10 @@ mod tests {
     fn map_indexed_with_gives_each_worker_private_state() {
         // Each worker's scratch accumulates only its own jobs; results must
         // still come back in index order.
-        let got = map_indexed_with(
-            4,
-            100,
-            Vec::<usize>::new,
-            |scratch, i| {
-                scratch.push(i);
-                (i, scratch.len())
-            },
-        );
+        let got = map_indexed_with(4, 100, Vec::<usize>::new, |scratch, i| {
+            scratch.push(i);
+            (i, scratch.len())
+        });
         for (idx, (i, seen)) in got.iter().enumerate() {
             assert_eq!(idx, *i);
             assert!(*seen >= 1 && *seen <= 100);

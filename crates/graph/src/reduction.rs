@@ -44,10 +44,8 @@ pub fn transitive_reduction(g: &DiGraph) -> DiGraph {
         b.ensure_vertex(v);
     }
     for (u, v) in g.edges() {
-        let implied = g
-            .out_neighbors(u)
-            .iter()
-            .any(|&w| w != v && closure.get(w as usize, v as usize));
+        let implied =
+            g.out_neighbors(u).iter().any(|&w| w != v && closure.get(w as usize, v as usize));
         if !implied {
             b.add_edge(u, v);
         }
@@ -73,10 +71,7 @@ pub fn equivalence_reduction(g: &DiGraph) -> (DiGraph, Vec<VertexId>) {
     // CSR construction, so they hash consistently.
     let mut groups: HashMap<(&[VertexId], &[VertexId]), Vec<VertexId>> = HashMap::new();
     for v in 0..n as VertexId {
-        groups
-            .entry((g.out_neighbors(v), g.in_neighbors(v)))
-            .or_default()
-            .push(v);
+        groups.entry((g.out_neighbors(v), g.in_neighbors(v))).or_default().push(v);
     }
 
     // Representatives keep their relative order for determinism.
@@ -106,8 +101,6 @@ pub fn equivalence_reduction(g: &DiGraph) -> (DiGraph, Vec<VertexId>) {
     }
     (b.build(), new_id)
 }
-
-
 
 #[cfg(test)]
 mod tests {

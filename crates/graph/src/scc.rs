@@ -235,9 +235,16 @@ mod tests {
         let g = graph_from_edges(
             8,
             &[
-                (0, 1), (1, 2), (2, 0), // triangle
-                (2, 3), (3, 4), (4, 3), // 2-cycle
-                (4, 5), (5, 6), (6, 7), (7, 5), // triangle at the end
+                (0, 1),
+                (1, 2),
+                (2, 0), // triangle
+                (2, 3),
+                (3, 4),
+                (4, 3), // 2-cycle
+                (4, 5),
+                (5, 6),
+                (6, 7),
+                (7, 5), // triangle at the end
                 (0, 5),
             ],
         );

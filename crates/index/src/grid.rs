@@ -268,10 +268,7 @@ mod tests {
     #[test]
     fn merge_count_two_keeps_pairs() {
         let g = unit_grid(2);
-        let mut cells = vec![
-            CellId { level: 0, ix: 0, iy: 0 },
-            CellId { level: 0, ix: 1, iy: 0 },
-        ];
+        let mut cells = vec![CellId { level: 0, ix: 0, iy: 0 }, CellId { level: 0, ix: 1, iy: 0 }];
         g.merge_cells(&mut cells, 2);
         assert_eq!(cells.len(), 2);
         g.merge_cells(&mut cells, 1);
@@ -282,9 +279,8 @@ mod tests {
     fn merge_cascades_up_levels() {
         let g = unit_grid(2);
         // All 16 finest cells with merge_count 1: collapse to the top cell.
-        let mut cells: Vec<CellId> = (0..4)
-            .flat_map(|ix| (0..4).map(move |iy| CellId { level: 0, ix, iy }))
-            .collect();
+        let mut cells: Vec<CellId> =
+            (0..4).flat_map(|ix| (0..4).map(move |iy| CellId { level: 0, ix, iy })).collect();
         g.merge_cells(&mut cells, 1);
         assert_eq!(cells, vec![CellId { level: 2, ix: 0, iy: 0 }]);
     }
@@ -303,9 +299,8 @@ mod tests {
     #[test]
     fn merged_cells_cover_originals() {
         let g = unit_grid(3);
-        let originals: Vec<CellId> = (0..5)
-            .map(|i| g.cell_of(&Point::new(0.13 * i as f64, 0.2 * i as f64)))
-            .collect();
+        let originals: Vec<CellId> =
+            (0..5).map(|i| g.cell_of(&Point::new(0.13 * i as f64, 0.2 * i as f64))).collect();
         let mut merged = originals.clone();
         g.merge_cells(&mut merged, 1);
         for c in &originals {

@@ -95,8 +95,7 @@ impl BflIndex {
                 subtree_size[parent as usize] += subtree_size[v as usize];
             }
         }
-        let tree_min: Vec<u32> =
-            (0..n).map(|v| forest.post[v] - subtree_size[v] + 1).collect();
+        let tree_min: Vec<u32> = (0..n).map(|v| forest.post[v] - subtree_size[v] + 1).collect();
 
         // Per-vertex hash bit (a cheap splitmix over the id).
         let bits = words * 64;
@@ -115,9 +114,8 @@ impl BflIndex {
         // final (DAG DFS property: all edges point to smaller posts).
         // L_in: processed in decreasing post order, every in-neighbour of a
         // vertex has a *larger* post and is final.
-        let fwd: Vec<VertexId> = (1..=n as u32)
-            .map(|p| forest.post_to_vertex[(p - 1) as usize])
-            .collect();
+        let fwd: Vec<VertexId> =
+            (1..=n as u32).map(|p| forest.post_to_vertex[(p - 1) as usize]).collect();
         let rev: Vec<VertexId> = fwd.iter().rev().copied().collect();
         let (out_filters, in_filters) = if threads > 1 {
             (
@@ -425,11 +423,7 @@ mod tests {
         let idx = BflIndex::build(g);
         for u in g.vertices() {
             for v in g.vertices() {
-                assert_eq!(
-                    idx.reaches(u, v),
-                    reaches_bfs(g, u, v),
-                    "BFL wrong for ({u}, {v})"
-                );
+                assert_eq!(idx.reaches(u, v), reaches_bfs(g, u, v), "BFL wrong for ({u}, {v})");
             }
         }
     }
@@ -452,10 +446,7 @@ mod tests {
     fn tiny_filters_still_exact() {
         // One word of filter forces collisions; answers must stay exact
         // because the Bloom cut only ever proves *non*-reachability.
-        let g = graph_from_edges(
-            30,
-            &(0..29).map(|i| (i, i + 1)).collect::<Vec<_>>(),
-        );
+        let g = graph_from_edges(30, &(0..29).map(|i| (i, i + 1)).collect::<Vec<_>>());
         let idx = BflIndex::build_with(
             &g,
             BflParams { filter_words: 1, seed: 42, ..BflParams::default() },

@@ -282,7 +282,12 @@ pub struct DeltaArray {
 impl Default for DeltaArray {
     /// An empty array.
     fn default() -> Self {
-        DeltaArray { len: 0, anchors: Col::default(), starts: Col::default(), bytes: Col::default() }
+        DeltaArray {
+            len: 0,
+            anchors: Col::default(),
+            starts: Col::default(),
+            bytes: Col::default(),
+        }
     }
 }
 
@@ -534,8 +539,21 @@ mod tests {
         let g = graph_from_edges(
             12,
             &[
-                (0, 1), (0, 3), (0, 9), (1, 4), (1, 11), (4, 5), (9, 6), (9, 7),
-                (2, 8), (2, 10), (11, 7), (1, 3), (6, 8), (8, 5), (2, 3),
+                (0, 1),
+                (0, 3),
+                (0, 9),
+                (1, 4),
+                (1, 11),
+                (4, 5),
+                (9, 6),
+                (9, 7),
+                (2, 8),
+                (2, 10),
+                (11, 7),
+                (1, 3),
+                (6, 8),
+                (8, 5),
+                (2, 3),
             ],
         );
         IntervalLabeling::build(&g)
@@ -588,8 +606,12 @@ mod tests {
 
     #[test]
     fn delta_array_random_and_sequential_access() {
-        let values: Vec<u32> =
-            (0..1000u32).scan(0u32, |acc, i| { *acc += i % 7; Some(*acc) }).collect();
+        let values: Vec<u32> = (0..1000u32)
+            .scan(0u32, |acc, i| {
+                *acc += i % 7;
+                Some(*acc)
+            })
+            .collect();
         let d = DeltaArray::from_sorted(&values).unwrap();
         assert_eq!(d.len(), values.len());
         for (i, &v) in values.iter().enumerate() {
@@ -606,8 +628,12 @@ mod tests {
 
     #[test]
     fn delta_array_cols_round_trip_and_reject_corruption() {
-        let values: Vec<u32> =
-            (0..100u32).scan(0u32, |acc, i| { *acc += i % 5; Some(*acc) }).collect();
+        let values: Vec<u32> = (0..100u32)
+            .scan(0u32, |acc, i| {
+                *acc += i % 5;
+                Some(*acc)
+            })
+            .collect();
         let d = DeltaArray::from_sorted(&values).unwrap();
         let back: DeltaArray =
             MemSource::new(ColumnList::of(&d)).load().expect("faithful columns reassemble");

@@ -415,7 +415,12 @@ pub fn coalesce(intervals: &mut Vec<Interval>, merge_adjacent: bool) {
 }
 
 /// Merges sorted, disjoint `src` into sorted, disjoint `dst`.
-fn union_into(dst: &mut Vec<Interval>, src: &[Interval], merge_adjacent: bool, scratch: &mut Vec<Interval>) {
+fn union_into(
+    dst: &mut Vec<Interval>,
+    src: &[Interval],
+    merge_adjacent: bool,
+    scratch: &mut Vec<Interval>,
+) {
     if src.is_empty() {
         return;
     }
@@ -578,12 +583,8 @@ fn build_paper(g: &DiGraph, forest: &SpanningForest, compress: bool) -> Interval
 
     // Lines 10-18: traverse the spanning forest, propagating labels upward.
     while let Some(Reverse((_, _, v))) = queue.pop() {
-        let children: Vec<VertexId> = g
-            .out_neighbors(v)
-            .iter()
-            .copied()
-            .filter(|&u| forest.is_tree_edge(v, u))
-            .collect();
+        let children: Vec<VertexId> =
+            g.out_neighbors(v).iter().copied().filter(|&u| forest.is_tree_edge(v, u)).collect();
         for u in children {
             // L(v) ∪= L(u)
             let child_set = std::mem::take(&mut sets[u as usize]);
@@ -677,11 +678,23 @@ mod tests {
             12,
             &[
                 // Spanning tree of Figure 3, rooted at a:
-                (A, B), (A, D), (A, J), (B, E), (B, L), (E, F), (J, G), (J, H),
+                (A, B),
+                (A, D),
+                (A, J),
+                (B, E),
+                (B, L),
+                (E, F),
+                (J, G),
+                (J, H),
                 // Spanning tree rooted at c:
-                (C, I), (C, K),
+                (C, I),
+                (C, K),
                 // Non-spanning edges:
-                (L, H), (B, D), (G, I), (I, F), (C, D),
+                (L, H),
+                (B, D),
+                (G, I),
+                (I, F),
+                (C, D),
             ],
         )
     }
@@ -744,7 +757,11 @@ mod tests {
         let g = paper_graph();
         let l = IntervalLabeling::build_with(
             &g,
-            BuildOptions { builder: Builder::PaperFaithful, compress: true, ..BuildOptions::default() },
+            BuildOptions {
+                builder: Builder::PaperFaithful,
+                compress: true,
+                ..BuildOptions::default()
+            },
         );
         assert_matches_bfs(&g, &l);
     }
@@ -795,7 +812,11 @@ mod tests {
         let bottom = IntervalLabeling::build(&g);
         let paper = IntervalLabeling::build_with(
             &g,
-            BuildOptions { builder: Builder::PaperFaithful, compress: true, ..BuildOptions::default() },
+            BuildOptions {
+                builder: Builder::PaperFaithful,
+                compress: true,
+                ..BuildOptions::default()
+            },
         );
         for v in g.vertices() {
             assert_eq!(bottom.intervals(v), paper.intervals(v), "labels differ at {v}");

@@ -2,10 +2,10 @@
 //! transitive closure on random DAGs, and the two labeling constructions
 //! must agree with each other.
 
+use gsr_graph::dfs::ForestStrategy;
 use gsr_graph::{graph_from_edges, DiGraph, VertexId};
 use gsr_reach::bfl::{BflIndex, BflParams};
 use gsr_reach::bfs::TransitiveClosure;
-use gsr_graph::dfs::ForestStrategy;
 use gsr_reach::interval::{BuildOptions, Builder, IntervalLabeling};
 use gsr_reach::Reachability;
 use proptest::prelude::*;

@@ -391,8 +391,8 @@ impl QueryServer {
                 )));
             }
         }
-        let listener = TcpListener::bind(addr)
-            .map_err(|e| GsrError::Internal(format!("server bind: {e}")))?;
+        let listener =
+            TcpListener::bind(addr).map_err(|e| GsrError::Internal(format!("server bind: {e}")))?;
         let local_addr = listener
             .local_addr()
             .map_err(|e| GsrError::Internal(format!("server local_addr: {e}")))?;
@@ -406,10 +406,7 @@ impl QueryServer {
         let datasets = indexes
             .into_iter()
             .enumerate()
-            .map(|(i, (name, index))| DatasetSlot {
-                name,
-                index: RwLock::new((index, i as u64)),
-            })
+            .map(|(i, (name, index))| DatasetSlot { name, index: RwLock::new((index, i as u64)) })
             .collect();
         let mut wake_addr = local_addr;
         if wake_addr.ip().is_unspecified() {
@@ -740,23 +737,21 @@ impl QueryServer {
             self.flush_batch(conn);
             let replies = &mut conn.replies;
             match request {
-                Ok(Request::Use(name)) => {
-                    match self.datasets.iter().position(|d| d.name == name) {
-                        Some(i) => {
-                            conn.dataset = i;
-                            replies.push_str(&format!("OK use {name}\n"));
-                        }
-                        None => {
-                            self.stats.record_protocol_error();
-                            let known: Vec<&str> =
-                                self.datasets.iter().map(|d| d.name.as_str()).collect();
-                            replies.push_str(&format!(
-                                "ERR {PROTOCOL_ERR} unknown dataset {name:?} (have: {})\n",
-                                known.join(", ")
-                            ));
-                        }
+                Ok(Request::Use(name)) => match self.datasets.iter().position(|d| d.name == name) {
+                    Some(i) => {
+                        conn.dataset = i;
+                        replies.push_str(&format!("OK use {name}\n"));
                     }
-                }
+                    None => {
+                        self.stats.record_protocol_error();
+                        let known: Vec<&str> =
+                            self.datasets.iter().map(|d| d.name.as_str()).collect();
+                        replies.push_str(&format!(
+                            "ERR {PROTOCOL_ERR} unknown dataset {name:?} (have: {})\n",
+                            known.join(", ")
+                        ));
+                    }
+                },
                 Ok(Request::Stats) => {
                     let index = self.current_index(conn.dataset);
                     let mut snap = self.stats.snapshot();
@@ -773,8 +768,7 @@ impl QueryServer {
                         snap.shards = s.shards;
                         snap.probes = s.probes;
                         snap.pruned = s.pruned;
-                        let p99: Vec<String> =
-                            s.probe_p99_us.iter().map(u64::to_string).collect();
+                        let p99: Vec<String> = s.probe_p99_us.iter().map(u64::to_string).collect();
                         extra = format!(" probe_p99_us={}", p99.join(","));
                     }
                     replies.push_str(&format!("STATS {snap}{extra}\n"));
@@ -843,9 +837,7 @@ impl QueryServer {
         let started = Instant::now();
         let (fresh, info) = std::thread::Builder::new()
             .name("gsr-reload".into())
-            .spawn(move || {
-                gsr_store::load_served_index(&owned, gsr_store::LoadOptions { trust })
-            })
+            .spawn(move || gsr_store::load_served_index(&owned, gsr_store::LoadOptions { trust }))
             .map_err(|e| GsrError::Internal(format!("reload: spawn loader: {e}")))?
             .join()
             .map_err(|_| GsrError::Internal("reload: snapshot loader panicked".into()))??;
@@ -992,8 +984,16 @@ mod tests {
         let r = paper_example::query_region();
         let input = format!(
             "REACH {} {} {} {} {}\nREACH {} {} {} {} {}\nSTATS\n",
-            paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
-            paper_example::C, r.min_x, r.min_y, r.max_x, r.max_y,
+            paper_example::A,
+            r.min_x,
+            r.min_y,
+            r.max_x,
+            r.max_y,
+            paper_example::C,
+            r.min_x,
+            r.min_y,
+            r.max_x,
+            r.max_y,
         );
         let (replies, action) = serve_lines(&server, input.as_bytes());
         let lines: Vec<&str> = replies.lines().collect();
@@ -1033,12 +1033,15 @@ mod tests {
 
     #[test]
     fn cache_repeats_answers_and_counts_hits() {
-        let server =
-            test_server(ServerConfig { cache_entries: 64, ..ServerConfig::default() });
+        let server = test_server(ServerConfig { cache_entries: 64, ..ServerConfig::default() });
         let r = paper_example::query_region();
         let line = format!(
             "REACH {} {} {} {} {}\n",
-            paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
+            paper_example::A,
+            r.min_x,
+            r.min_y,
+            r.max_x,
+            r.max_y,
         );
         let (first, _) = serve_lines(&server, line.as_bytes());
         assert_eq!(first, "TRUE\n");
@@ -1052,12 +1055,12 @@ mod tests {
 
     #[test]
     fn cache_preserves_order_and_does_not_cache_errors() {
-        let server =
-            test_server(ServerConfig { cache_entries: 64, ..ServerConfig::default() });
+        let server = test_server(ServerConfig { cache_entries: 64, ..ServerConfig::default() });
         let r = paper_example::query_region();
         let reach = |v: u32| format!("REACH {v} {} {} {} {}\n", r.min_x, r.min_y, r.max_x, r.max_y);
         // A mixed pipelined batch: good, invalid, good.
-        let input = format!("{}REACH 9999 0 0 1 1\n{}", reach(paper_example::A), reach(paper_example::C));
+        let input =
+            format!("{}REACH 9999 0 0 1 1\n{}", reach(paper_example::A), reach(paper_example::C));
         let (replies, _) = serve_lines(&server, input.as_bytes());
         let lines: Vec<&str> = replies.lines().collect();
         assert_eq!(lines[0], "TRUE");
@@ -1074,12 +1077,15 @@ mod tests {
 
     #[test]
     fn reset_zeroes_counters_but_not_the_cache_entries() {
-        let server =
-            test_server(ServerConfig { cache_entries: 64, ..ServerConfig::default() });
+        let server = test_server(ServerConfig { cache_entries: 64, ..ServerConfig::default() });
         let r = paper_example::query_region();
         let line = format!(
             "REACH {} {} {} {} {}\n",
-            paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
+            paper_example::A,
+            r.min_x,
+            r.min_y,
+            r.max_x,
+            r.max_y,
         );
         let (_, _) = serve_lines(&server, line.as_bytes());
         let (reply, action) = serve_lines(&server, b"RESET\n");
@@ -1109,10 +1115,8 @@ mod tests {
     fn oversize_line_answers_err_2_and_closes() {
         let server = test_server(ServerConfig { max_line: 24, ..ServerConfig::default() });
         let r = paper_example::query_region();
-        let good = format!(
-            "REACH {} {} {} {} {}",
-            paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
-        );
+        let good =
+            format!("REACH {} {} {} {} {}", paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,);
         assert!(good.len() <= 24, "test setup: the good line must fit the cap");
         let long = format!("REACH 0 0 0 1 1{}", " ".repeat(64));
         let input = format!("{good}\n{long}\n{good}\n");
@@ -1128,8 +1132,7 @@ mod tests {
     fn batches_split_at_the_cap_with_identical_answers() {
         let server = test_server(ServerConfig { max_batch: 2, ..ServerConfig::default() });
         let r = paper_example::query_region();
-        let reach =
-            |v: u32| format!("REACH {v} {} {} {} {}\n", r.min_x, r.min_y, r.max_x, r.max_y);
+        let reach = |v: u32| format!("REACH {v} {} {} {} {}\n", r.min_x, r.min_y, r.max_x, r.max_y);
         let input = format!(
             "{}{}{}{}{}",
             reach(paper_example::A),
@@ -1187,7 +1190,11 @@ mod tests {
         let r = paper_example::query_region();
         let good = format!(
             "REACH {} {} {} {} {}\n",
-            paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
+            paper_example::A,
+            r.min_x,
+            r.min_y,
+            r.max_x,
+            r.max_y,
         );
         let mut input = good.clone().into_bytes();
         input.extend_from_slice(b"F\xffTCH 1\r\n");
@@ -1206,7 +1213,11 @@ mod tests {
         let r = paper_example::query_region();
         let input = format!(
             "RELOAD /definitely/not/a/snapshot.gsr\nREACH {} {} {} {} {}\nSTATS\n",
-            paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
+            paper_example::A,
+            r.min_x,
+            r.min_y,
+            r.max_x,
+            r.max_y,
         );
         let (replies, action) = serve_lines(&server, input.as_bytes());
         let lines: Vec<&str> = replies.lines().collect();
@@ -1224,11 +1235,9 @@ mod tests {
         let with_points: Arc<dyn RangeReachIndex> =
             Arc::new(ThreeDReach::build(&prep, SccSpatialPolicy::Replicate));
         let net = paper_example::network();
-        let stripped = gsr_core::GeosocialNetwork::new(
-            net.graph().clone(),
-            vec![None; net.num_vertices()],
-        )
-        .unwrap();
+        let stripped =
+            gsr_core::GeosocialNetwork::new(net.graph().clone(), vec![None; net.num_vertices()])
+                .unwrap();
         let void_prep = gsr_core::PreparedNetwork::new(stripped);
         let void: Arc<dyn RangeReachIndex> =
             Arc::new(ThreeDReach::build(&void_prep, SccSpatialPolicy::Replicate));
@@ -1246,7 +1255,11 @@ mod tests {
         let r = paper_example::query_region();
         let reach = format!(
             "REACH {} {} {} {} {}\n",
-            paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
+            paper_example::A,
+            r.min_x,
+            r.min_y,
+            r.max_x,
+            r.max_y,
         );
         let mut conn = ConnState::default();
         let input = format!("{reach}USE void\n{reach}USE default\n{reach}USE nope\n");
@@ -1273,7 +1286,11 @@ mod tests {
         let r = paper_example::query_region();
         let reach = format!(
             "REACH {} {} {} {} {}\n",
-            paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
+            paper_example::A,
+            r.min_x,
+            r.min_y,
+            r.max_x,
+            r.max_y,
         );
         let mut conn = ConnState::default();
         // Miss + insert under dataset "default"'s epoch.
@@ -1308,12 +1325,15 @@ mod tests {
             .collect();
         let sharded: Arc<dyn RangeReachIndex> =
             Arc::new(gsr_core::ShardedIndex::new(members).unwrap());
-        let server =
-            QueryServer::bind(("127.0.0.1", 0), sharded, ServerConfig::default()).unwrap();
+        let server = QueryServer::bind(("127.0.0.1", 0), sharded, ServerConfig::default()).unwrap();
         let r = paper_example::query_region();
         let input = format!(
             "REACH {} {} {} {} {}\nSTATS\n",
-            paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
+            paper_example::A,
+            r.min_x,
+            r.min_y,
+            r.max_x,
+            r.max_y,
         );
         let (replies, _) = serve_lines(&server, input.as_bytes());
         let lines: Vec<&str> = replies.lines().collect();
@@ -1343,12 +1363,17 @@ mod tests {
         let r = paper_example::query_region();
         let line = format!(
             "REACH {} {} {} {} {}\n",
-            paper_example::A, r.min_x, r.min_y, r.max_x, r.max_y,
+            paper_example::A,
+            r.min_x,
+            r.min_y,
+            r.max_x,
+            r.max_y,
         );
         let (first, _) = serve_lines(&server, line.as_bytes());
         assert_eq!(first, "TRUE\n");
 
-        let (reply, action) = serve_lines(&server, format!("RELOAD {}\n", path.display()).as_bytes());
+        let (reply, action) =
+            serve_lines(&server, format!("RELOAD {}\n", path.display()).as_bytes());
         assert!(reply.starts_with("OK reload index_bytes="), "{reply}");
         assert_eq!(action, LineAction::Continue);
 

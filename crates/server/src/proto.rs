@@ -96,15 +96,22 @@ pub fn parse_line(line: &str) -> Result<Option<Request>, String> {
     };
     if cmd.eq_ignore_ascii_case("REACH") {
         let mut field = |name: &str| {
-            tokens.next().ok_or_else(|| format!("REACH: missing <{name}> (usage: REACH <v> <min_x> <min_y> <max_x> <max_y>)"))
+            tokens.next().ok_or_else(|| {
+                format!(
+                    "REACH: missing <{name}> (usage: REACH <v> <min_x> <min_y> <max_x> <max_y>)"
+                )
+            })
         };
         let v = field("v")?;
-        let v: VertexId =
-            v.parse().map_err(|_| format!("REACH: vertex id {v:?} is not a non-negative integer"))?;
+        let v: VertexId = v
+            .parse()
+            .map_err(|_| format!("REACH: vertex id {v:?} is not a non-negative integer"))?;
         let mut coord = |name: &str| -> Result<f64, String> {
-            let raw = tokens
-                .next()
-                .ok_or_else(|| format!("REACH: missing <{name}> (usage: REACH <v> <min_x> <min_y> <max_x> <max_y>)"))?;
+            let raw = tokens.next().ok_or_else(|| {
+                format!(
+                    "REACH: missing <{name}> (usage: REACH <v> <min_x> <min_y> <max_x> <max_y>)"
+                )
+            })?;
             raw.parse().map_err(|_| format!("REACH: coordinate {raw:?} is not a number"))
         };
         let min_x = coord("min_x")?;
@@ -176,7 +183,10 @@ mod tests {
             Ok(Some(Request::Reload("my snapshots/with spaces.gsr".into())))
         );
         assert_eq!(parse_line("USE gowalla"), Ok(Some(Request::Use("gowalla".into()))));
-        assert_eq!(parse_line("  use yelp scale 3 \r"), Ok(Some(Request::Use("yelp scale 3".into()))));
+        assert_eq!(
+            parse_line("  use yelp scale 3 \r"),
+            Ok(Some(Request::Use("yelp scale 3".into())))
+        );
         assert_eq!(parse_line("SHUTDOWN\r"), Ok(Some(Request::Shutdown)));
         assert_eq!(parse_line(""), Ok(None));
         assert_eq!(parse_line("   "), Ok(None));

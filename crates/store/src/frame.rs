@@ -47,9 +47,7 @@ use gsr_graph::{Column, ColumnList, Source};
 
 use crate::arena::{ArenaBytes, ARENA_ALIGN};
 use crate::wire::crc32;
-use crate::{
-    io_save, load_err, unsupported_version, SnapshotIndex, FORMAT_VERSION, MAGIC,
-};
+use crate::{io_save, load_err, unsupported_version, SnapshotIndex, FORMAT_VERSION, MAGIC};
 
 /// Header length: magic + version + section count + file length.
 pub const HEADER_LEN: usize = 24;
@@ -325,9 +323,10 @@ fn parse_directory(bytes: &[u8], trust: bool) -> Result<Vec<DirEntry>, GsrError>
         if off < cur {
             return Err(sect("overlaps the previous section or the directory"));
         }
-        let end = off.checked_add(len).filter(|&e| e <= bytes.len()).ok_or_else(|| {
-            sect(&format!("range {off}+{len} runs past the end of the file"))
-        })?;
+        let end = off
+            .checked_add(len)
+            .filter(|&e| e <= bytes.len())
+            .ok_or_else(|| sect(&format!("range {off}+{len} runs past the end of the file")))?;
         if len % elem != 0 {
             return Err(sect(&format!("{len} bytes is not a multiple of element size {elem}")));
         }
@@ -355,10 +354,8 @@ pub(crate) fn load_index(own: &Frame, shared: Option<&Frame>) -> Result<Snapshot
         frames: frames.map(|f| (f, vec![false; f.entries.len()])).collect(),
         meta: Dec::new(&[]),
     };
-    let (frame, start, len) = map
-        .take(META)
-        .map_err(load_err)?
-        .ok_or_else(|| load_err("missing section meta".into()))?;
+    let (frame, start, len) =
+        map.take(META).map_err(load_err)?.ok_or_else(|| load_err("missing section meta".into()))?;
     map.meta = Dec::new(&frame.arena.bytes()[start..start + len]);
     let src = &mut map;
     let tag = src.u8().map_err(load_err)?;

@@ -148,14 +148,12 @@ pub struct LoadInfo {
 /// magic followed by [`FORMAT_VERSION`] is a typed error.
 fn read_prefix(r: &mut impl Read) -> Result<(), GsrError> {
     let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)
-        .map_err(|e| load_err(format!("missing magic ({e})")))?;
+    r.read_exact(&mut magic).map_err(|e| load_err(format!("missing magic ({e})")))?;
     if magic != MAGIC {
         return Err(load_err(format!("bad magic {magic:02x?}: not a gsr snapshot")));
     }
     let mut version = [0u8; 4];
-    r.read_exact(&mut version)
-        .map_err(|e| load_err(format!("missing format version ({e})")))?;
+    r.read_exact(&mut version).map_err(|e| load_err(format!("missing format version ({e})")))?;
     match u32::from_le_bytes(version) {
         FORMAT_VERSION => Ok(()),
         v => Err(unsupported_version(v)),
@@ -187,8 +185,7 @@ pub fn load_with(r: &mut impl Read, opts: LoadOptions) -> Result<SnapshotIndex, 
     let mut full = Vec::new();
     full.extend_from_slice(&MAGIC);
     full.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    r.read_to_end(&mut full)
-        .map_err(|e| load_err(format!("i/o error reading snapshot: {e}")))?;
+    r.read_to_end(&mut full).map_err(|e| load_err(format!("i/o error reading snapshot: {e}")))?;
     let frame = frame::Frame::parse(Arc::new(ArenaBytes::copy_from_slice(&full)), opts.trust)?;
     frame::load_index(&frame, None)
 }
@@ -230,8 +227,9 @@ fn write_atomically(
     write: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> Result<(), GsrError>,
 ) -> Result<(), GsrError> {
     let tmp = staging_path(path);
-    let save_err =
-        |stage: &str, e: std::io::Error| GsrError::Internal(format!("snapshot save {}: {stage}: {e}", path.display()));
+    let save_err = |stage: &str, e: std::io::Error| {
+        GsrError::Internal(format!("snapshot save {}: {stage}: {e}", path.display()))
+    };
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
     let dir = std::fs::File::open(dir).map_err(|e| save_err("open directory", e))?;
     dir.lock().map_err(|e| save_err("lock directory", e))?;
@@ -239,9 +237,7 @@ fn write_atomically(
         let file = std::fs::File::create(&tmp).map_err(|e| save_err("create staging", e))?;
         let mut w = std::io::BufWriter::new(file);
         write(&mut w)?;
-        let file = w
-            .into_inner()
-            .map_err(|e| save_err("flush staging", e.into_error()))?;
+        let file = w.into_inner().map_err(|e| save_err("flush staging", e.into_error()))?;
         file.sync_all().map_err(|e| save_err("sync staging", e))?;
         std::fs::rename(&tmp, path).map_err(|e| save_err("rename into place", e))
     })();
@@ -275,10 +271,10 @@ pub fn load_from_path_with(
 fn open_frame(path: &Path, opts: LoadOptions) -> Result<(frame::Frame, LoadInfo), GsrError> {
     let mut file = std::fs::File::open(path)
         .map_err(|e| GsrError::Load(format!("snapshot {}: {e}", path.display())))?;
-    let file_bytes =
-        file.metadata().map(|m| m.len()).map_err(|e| {
-            GsrError::Load(format!("snapshot {}: {e}", path.display()))
-        })?;
+    let file_bytes = file
+        .metadata()
+        .map(|m| m.len())
+        .map_err(|e| GsrError::Load(format!("snapshot {}: {e}", path.display())))?;
     read_prefix(&mut file)?;
     let arena = ArenaBytes::from_file(&file)
         .map_err(|e| load_err(format!("i/o error mapping snapshot: {e}")))?;
@@ -333,8 +329,12 @@ mod tests {
         let mut indexes = built_all();
         for p in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
             indexes.extend([
-                SnapshotIndex::SpaReachBfl(SpaReachBfl::build(&prep, p).with_candidate_mode(Streaming)),
-                SnapshotIndex::SpaReachInt(SpaReachInt::build(&prep, p).with_candidate_mode(Streaming)),
+                SnapshotIndex::SpaReachBfl(
+                    SpaReachBfl::build(&prep, p).with_candidate_mode(Streaming),
+                ),
+                SnapshotIndex::SpaReachInt(
+                    SpaReachInt::build(&prep, p).with_candidate_mode(Streaming),
+                ),
             ]);
         }
         for index in indexes {
@@ -551,10 +551,8 @@ mod tests {
         let indexes = built_all();
         let old = &indexes[4];
         super::save_to_path(&path, old).unwrap();
-        let old_answers: Vec<bool> = paper_example::probe_regions()
-            .iter()
-            .map(|r| old.query(paper_example::A, r))
-            .collect();
+        let old_answers: Vec<bool> =
+            paper_example::probe_regions().iter().map(|r| old.query(paper_example::A, r)).collect();
 
         let mut new_bytes = Vec::new();
         save(&mut new_bytes, &indexes[5]).unwrap();

@@ -234,7 +234,10 @@ pub fn read_manifest(dir: impl AsRef<Path>) -> Result<ShardManifest, GsrError> {
         let mbr = match has_mbr {
             0 => None,
             1 => {
-                if !(min_x.is_finite() && min_y.is_finite() && max_x.is_finite() && max_y.is_finite())
+                if !(min_x.is_finite()
+                    && min_y.is_finite()
+                    && max_x.is_finite()
+                    && max_y.is_finite())
                     || min_x > max_x
                     || min_y > max_y
                 {
@@ -291,7 +294,9 @@ mod tests {
     use super::*;
     use crate::FORMAT_VERSION;
     use gsr_core::methods::ThreeDReach;
-    use gsr_core::{paper_example, prepared_tiles, PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
+    use gsr_core::{
+        paper_example, prepared_tiles, PreparedNetwork, RangeReachIndex, SccSpatialPolicy,
+    };
     use gsr_datagen::faults::ScratchDir;
 
     const BOTH_TRUST_MODES: [LoadOptions; 2] =
@@ -387,8 +392,11 @@ mod tests {
         };
         let scratch = ScratchDir::new("gsr-shard-mismatch").unwrap();
         let (dir, other) = (scratch.path().join("set"), scratch.path().join("other"));
-        save_sharded_to_path(&dir, &[whole(paper_example::network()), whole(paper_example::network())])
-            .unwrap();
+        save_sharded_to_path(
+            &dir,
+            &[whole(paper_example::network()), whole(paper_example::network())],
+        )
+        .unwrap();
         save_sharded_to_path(&other, &[whole(tiny()), whole(tiny())]).unwrap();
         let (manifest, foreign) = (read_manifest(&dir).unwrap(), read_manifest(&other).unwrap());
         assert_eq!(std::fs::metadata(dir.join(&manifest.shared)).unwrap().len(), 24, "header only");
@@ -419,7 +427,10 @@ mod tests {
         };
         let shared = common(&set[1].0, &set[0].0);
         assert_eq!(shared.len(), 3, "comp_of, label offsets, label bytes");
-        assert!(set[1..].iter().all(|(s, _)| common(s, &set[0].0) == shared), "tiles share by handle");
+        assert!(
+            set[1..].iter().all(|(s, _)| common(s, &set[0].0) == shared),
+            "tiles share by handle"
+        );
         save_sharded_to_path(dir, &set).unwrap();
 
         let manifest = read_manifest(dir).unwrap();
@@ -498,7 +509,11 @@ mod tests {
             let last = flipped.len() - 1;
             flipped[last] = 0xFF; // last label byte: an unterminated varint
             std::fs::write(&shared, &flipped).unwrap();
-            expect_load_error(dir, opts, if opts.trust { "compact labels" } else { "crc mismatch" });
+            expect_load_error(
+                dir,
+                opts,
+                if opts.trust { "compact labels" } else { "crc mismatch" },
+            );
 
             // A file of the set written in a retired format.
             for version in [4u32, 5] {
@@ -546,8 +561,11 @@ mod tests {
                 std::fs::copy(donor.path().join(name), dir.join(name)).unwrap();
             }
             let partial = std::fs::read(donor.path().join(written[k])).unwrap();
-            std::fs::write(crate::staging_path(&dir.join(written[k])), &partial[..partial.len() / 2])
-                .unwrap();
+            std::fs::write(
+                crate::staging_path(&dir.join(written[k])),
+                &partial[..partial.len() / 2],
+            )
+            .unwrap();
             assert_eq!(std::fs::read(dir.join(SHARD_MANIFEST)).unwrap(), old_manifest);
             let (survivor, _) = load_sharded_from_path_with(dir, LoadOptions::default())
                 .unwrap_or_else(|e| panic!("previous set lost after {k} files: {e}"));

@@ -77,9 +77,18 @@ fn update_portable(state: u32, data: &[u8]) -> u32 {
 fn fold_by_4(state: u32, data: &[u8]) -> (u32, &[u8]) {
     use std::arch::x86_64::*;
     let lane = |b: &[u8]| {
-        let word = |at: usize| i64::from_le_bytes([
-            b[at], b[at + 1], b[at + 2], b[at + 3], b[at + 4], b[at + 5], b[at + 6], b[at + 7],
-        ]);
+        let word = |at: usize| {
+            i64::from_le_bytes([
+                b[at],
+                b[at + 1],
+                b[at + 2],
+                b[at + 3],
+                b[at + 4],
+                b[at + 5],
+                b[at + 6],
+                b[at + 7],
+            ])
+        };
         _mm_set_epi64x(word(8), word(0))
     };
     // `x` moved down by `k`'s distance: low half times the low constant,
@@ -92,7 +101,8 @@ fn fold_by_4(state: u32, data: &[u8]) -> (u32, &[u8]) {
 
     let mut blocks = data.chunks_exact(64);
     let Some(first) = blocks.next() else { return (state, data) };
-    let mut x = [lane(&first[0..16]), lane(&first[16..32]), lane(&first[32..48]), lane(&first[48..64])];
+    let mut x =
+        [lane(&first[0..16]), lane(&first[16..32]), lane(&first[32..48]), lane(&first[48..64])];
     x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(state as i32));
     for block in &mut blocks {
         for (i, x) in x.iter_mut().enumerate() {
@@ -155,7 +165,10 @@ mod tests {
     /// two table- and multiply-driven paths are held to.
     fn crc32_bitwise(bytes: &[u8]) -> u32 {
         !bytes.iter().fold(!0u32, |crc, &b| {
-            (0..8).fold(crc ^ b as u32, |c, _| if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 })
+            (0..8).fold(
+                crc ^ b as u32,
+                |c, _| if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 },
+            )
         })
     }
 

@@ -66,14 +66,10 @@ fn main() {
 
     // Can each dispatcher serve an order placed at the first restaurant's
     // address?
-    let address = net
-        .region(dispatchers + couriers)
-        .expect("restaurant 0 has a zone")
-        .center();
+    let address = net.region(dispatchers + couriers).expect("restaurant 0 has a zone").center();
     let order = Rect::square(address, 6.0);
-    let geometric: usize = (0..n as u32)
-        .filter(|&v| net.region(v).is_some_and(|z| z.intersects(&order)))
-        .count();
+    let geometric: usize =
+        (0..n as u32).filter(|&v| net.region(v).is_some_and(|z| z.intersects(&order))).count();
     let serving: Vec<u32> = (0..dispatchers).filter(|&d| index.query(d, &order)).collect();
     println!(
         "order at {address}: {geometric} zones overlap it; servable by {}/{} dispatchers",

@@ -49,8 +49,7 @@ fn main() {
                     space.min_x + (col + 1) as f64 * cw,
                     space.min_y + (row + 1) as f64 * ch,
                 );
-                let audience =
-                    influencers.iter().filter(|&&u| index.query(u, &cell)).count();
+                let audience = influencers.iter().filter(|&&u| index.query(u, &cell)).count();
                 if audience > best.0 {
                     best = (audience, col, row);
                 }

@@ -42,11 +42,8 @@ mod tests {
     fn helpers_do_not_panic() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 1);
-        let net = GeosocialNetwork::new(
-            b.build(),
-            vec![None, Some(gsr_geo::Point::new(1.0, 1.0))],
-        )
-        .unwrap();
+        let net = GeosocialNetwork::new(b.build(), vec![None, Some(gsr_geo::Point::new(1.0, 1.0))])
+            .unwrap();
         let prep = PreparedNetwork::new(net);
         print_network_summary("toy", &prep);
         let methods = [Method::ThreeDReach.build(&prep, SccSpatialPolicy::Replicate, 1)];

@@ -78,16 +78,18 @@ fn main() {
     let nearest = NearestReach::build(&prep);
     let center = space.center();
     let downtown = Rect::square(center, space.width() / 10.0);
-    println!("
-Concrete recommendations for user {}:", picks[0]);
+    println!(
+        "
+Concrete recommendations for user {}:",
+        picks[0]
+    );
     let venues = reporter.report(picks[0], &downtown);
     println!("  {} venues with circle activity downtown ({downtown})", venues.len());
     for &v in venues.iter().take(5) {
         let p = prep.network().point(v).expect("venues are spatial");
         println!("    venue {v} at {p}");
     }
-    if let Some((venue, point, dist)) = nearest.nearest(picks[0], &Point::new(center.x, center.y))
-    {
+    if let Some((venue, point, dist)) = nearest.nearest(picks[0], &Point::new(center.x, center.y)) {
         println!(
             "  nearest reachable venue to the centre: {venue} at {point} (distance {dist:.1})"
         );

@@ -368,9 +368,8 @@ mod string {
                 }
                 '\\' => {
                     i += 1;
-                    let c = *chars
-                        .get(i)
-                        .unwrap_or_else(|| panic!("dangling escape in {pattern:?}"));
+                    let c =
+                        *chars.get(i).unwrap_or_else(|| panic!("dangling escape in {pattern:?}"));
                     i += 1;
                     Atom::Literal(c)
                 }
@@ -422,8 +421,7 @@ mod string {
                     Atom::Class(ranges) => {
                         let (lo, hi) = ranges[rng.gen_range(0..ranges.len())];
                         out.push(
-                            char::from_u32(rng.gen_range(lo as u32..=hi as u32))
-                                .unwrap_or(lo),
+                            char::from_u32(rng.gen_range(lo as u32..=hi as u32)).unwrap_or(lo),
                         );
                     }
                     Atom::Alternation(branches) => {
@@ -665,10 +663,7 @@ mod tests {
     fn vec_strategy_respects_size() {
         let mut rng = crate::TestRng::seed_from_u64(9);
         for _ in 0..100 {
-            let v = crate::Strategy::generate(
-                &prop::collection::vec(0u32..5, 2..7),
-                &mut rng,
-            );
+            let v = crate::Strategy::generate(&prop::collection::vec(0u32..5, 2..7), &mut rng);
             assert!((2..7).contains(&v.len()));
             assert!(v.iter().all(|&x| x < 5));
         }

@@ -201,10 +201,7 @@ pub mod rngs {
     impl RngCore for StdRng {
         #[inline]
         fn next_u64(&mut self) -> u64 {
-            let result = self.s[0]
-                .wrapping_add(self.s[3])
-                .rotate_left(23)
-                .wrapping_add(self.s[0]);
+            let result = self.s[0].wrapping_add(self.s[3]).rotate_left(23).wrapping_add(self.s[0]);
             let t = self.s[1] << 17;
             self.s[2] ^= self.s[0];
             self.s[3] ^= self.s[1];
@@ -262,9 +259,8 @@ mod tests {
             assert_eq!(a.gen_range(0..1000usize), b.gen_range(0..1000usize));
         }
         let mut c = StdRng::seed_from_u64(8);
-        let differs = (0..100).any(|_| {
-            a.gen_range(0..1_000_000usize) != c.gen_range(0..1_000_000usize)
-        });
+        let differs =
+            (0..100).any(|_| a.gen_range(0..1_000_000usize) != c.gen_range(0..1_000_000usize));
         assert!(differs, "different seeds must give different streams");
     }
 

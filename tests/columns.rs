@@ -86,7 +86,8 @@ type Probed = Result<(bool, QueryCost), GsrError>;
 
 fn probe_all(prep: &PreparedNetwork, index: &dyn RangeReachIndex) -> Vec<Probed> {
     let vertices = prep.network().graph().vertices();
-    let probes = vertices.flat_map(|v| paper_example::probe_regions().into_iter().map(move |r| (v, r)));
+    let probes =
+        vertices.flat_map(|v| paper_example::probe_regions().into_iter().map(move |r| (v, r)));
     probes.map(|(v, r)| index.try_query_with_cost(v, &r)).collect()
 }
 
@@ -153,7 +154,12 @@ fn every_column_of_every_method_survives_the_corruption_drill() {
                         let keep = s[at].2.len() - *elem as usize;
                         s[at].2.truncate(keep);
                     });
-                    expect_error_or_agreement(&short, &prep, &expected, &context("last element dropped"));
+                    expect_error_or_agreement(
+                        &short,
+                        &prep,
+                        &expected,
+                        &context("last element dropped"),
+                    );
                 }
                 // (b) the section gone.
                 let without = reframed(&|s| drop(s.remove(at)));
@@ -169,7 +175,9 @@ fn every_column_of_every_method_survives_the_corruption_drill() {
                 }
                 for file in [&twice, &twice_flipped] {
                     match gsr_store::load(&mut file.as_slice()) {
-                        Err(GsrError::Load(msg)) => assert!(msg.contains("unexpected section"), "{msg}"),
+                        Err(GsrError::Load(msg)) => {
+                            assert!(msg.contains("unexpected section"), "{msg}")
+                        }
                         other => panic!("{}: {:?}", context("duplicated"), other.map(|i| i.name())),
                     }
                 }
@@ -186,7 +194,8 @@ fn every_column_of_every_method_survives_the_corruption_drill() {
                         }
                         other => panic!("{}: {:?}", context("bit flip"), other.map(|i| i.name())),
                     }
-                    match gsr_store::load_with(&mut flipped.as_slice(), LoadOptions { trust: true }) {
+                    match gsr_store::load_with(&mut flipped.as_slice(), LoadOptions { trust: true })
+                    {
                         Ok(loaded) => drop(probe_all(&prep, &loaded)),
                         Err(GsrError::Load(_)) => {}
                         Err(other) => panic!("{}: {other:?}", context("trusted bit flip")),
@@ -205,9 +214,15 @@ fn every_column_of_every_method_survives_the_corruption_drill() {
                     ),
                     other => panic!("{}: {:?}", context("stale crc"), other.map(|i| i.name())),
                 }
-                let trusted = gsr_store::load_with(&mut stale.as_slice(), LoadOptions { trust: true })
-                    .unwrap_or_else(|e| panic!("{}: {e}", context("stale crc, trusted")));
-                assert_eq!(probe_all(&prep, &trusted), expected, "{}", context("stale crc, trusted"));
+                let trusted =
+                    gsr_store::load_with(&mut stale.as_slice(), LoadOptions { trust: true })
+                        .unwrap_or_else(|e| panic!("{}: {e}", context("stale crc, trusted")));
+                assert_eq!(
+                    probe_all(&prep, &trusted),
+                    expected,
+                    "{}",
+                    context("stale crc, trusted")
+                );
             }
         }
     }

@@ -109,11 +109,9 @@ fn malformed_corpus_is_rejected_with_declared_variants() {
                 assert!(line >= 1, "case {:?}", case.name);
             }
             (Err(LoadError::Network(_)), ExpectedFailure::Network) => {}
-            (outcome, expected) => panic!(
-                "case {:?}: expected {expected:?}, got ok={}",
-                case.name,
-                outcome.is_ok()
-            ),
+            (outcome, expected) => {
+                panic!("case {:?}: expected {expected:?}, got ok={}", case.name, outcome.is_ok())
+            }
         }
     }
 }

@@ -37,8 +37,18 @@ pub fn check_bfs_oracle(prep: &PreparedNetwork, regions: &[Rect]) {
     let everything = Rect::new(-1e9, -1e9, 1e9, 1e9);
     let mut rects = regions.to_vec();
     rects.extend([everything, space, Rect::new(-0.0, -0.0, 0.0, 0.0)]);
-    rects.push(Rect::new(space.max_x + 1.0, space.max_y + 1.0, space.max_x + 9.0, space.max_y + 9.0));
-    rects.push(Rect::new(space.min_x - 9.0, space.min_y - 9.0, space.min_x - 1.0, space.min_y - 1.0));
+    rects.push(Rect::new(
+        space.max_x + 1.0,
+        space.max_y + 1.0,
+        space.max_x + 9.0,
+        space.max_y + 9.0,
+    ));
+    rects.push(Rect::new(
+        space.min_x - 9.0,
+        space.min_y - 9.0,
+        space.min_x - 1.0,
+        space.min_y - 1.0,
+    ));
     for (_, p) in prep.network().spatial_vertices() {
         rects.push(Rect::from_point(p));
         rects.push(Rect::new(-0.0, -0.0, p.x.max(0.0), p.y.max(0.0)));

@@ -138,12 +138,7 @@ fn self_loops_and_isolated_vertices() {
     b.add_edge(0, 0); // self loop on a spatial vertex
     b.add_edge(1, 0);
     // Vertex 2: isolated spatial; vertex 3: isolated social.
-    let points = vec![
-        Some(Point::new(10.0, 10.0)),
-        None,
-        Some(Point::new(50.0, 50.0)),
-        None,
-    ];
+    let points = vec![Some(Point::new(10.0, 10.0)), None, Some(Point::new(50.0, 50.0)), None];
     let prep = PreparedNetwork::new(GeosocialNetwork::new(b.build(), points).unwrap());
 
     let around0 = Rect::square(Point::new(10.0, 10.0), 2.0);

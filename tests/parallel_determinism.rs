@@ -63,8 +63,7 @@ fn rtree_str_packing_is_thread_count_invariant() {
             .map(|(v, p)| (Aabb::from_point([p.x, p.y]), v))
             .collect();
         assert!(entries.len() > 100, "dataset too small to exercise slab tiling");
-        let sequential =
-            RTree::bulk_load_with_params(entries.clone(), RTreeParams::default());
+        let sequential = RTree::bulk_load_with_params(entries.clone(), RTreeParams::default());
         for threads in THREAD_COUNTS {
             let parallel =
                 RTree::bulk_load_parallel(entries.clone(), RTreeParams::default(), threads);

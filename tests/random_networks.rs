@@ -49,11 +49,7 @@ fn build(case: &NetCase) -> (PreparedNetwork, Vec<Rect>) {
     let points: Vec<Option<Point>> =
         case.spatial.iter().map(|p| p.map(|(x, y)| Point::new(x, y))).collect();
     let prep = PreparedNetwork::new(GeosocialNetwork::new(b.build(), points).unwrap());
-    let regions = case
-        .regions
-        .iter()
-        .map(|&(x, y, w, h)| Rect::new(x, y, x + w, y + h))
-        .collect();
+    let regions = case.regions.iter().map(|&(x, y, w, h)| Rect::new(x, y, x + w, y + h)).collect();
     (prep, regions)
 }
 

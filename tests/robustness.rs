@@ -28,10 +28,7 @@ fn every_method_rejects_bad_input_without_panicking() {
         .into_iter()
         .map(|(label, index)| (label, Box::new(index) as Box<dyn RangeReachIndex>))
         .collect();
-    indexes.push((
-        "OnlineReach".to_string(),
-        Box::new(OnlineReach::new(Arc::new(prepared(11)))),
-    ));
+    indexes.push(("OnlineReach".to_string(), Box::new(OnlineReach::new(Arc::new(prepared(11))))));
 
     let good = Rect::new(10.0, 10.0, 60.0, 60.0);
     let bad_rects = [
@@ -112,11 +109,8 @@ fn bounded_executor_agrees_with_unbounded_on_every_method() {
     for (label, idx) in all_snapshots(&prep) {
         let expected = BatchExecutor::new(1).run(&idx, &queries);
         for threads in [1, 3] {
-            let outcome = BatchExecutor::new(threads).run_bounded(
-                &idx,
-                &queries,
-                &BatchOptions::unlimited(),
-            );
+            let outcome =
+                BatchExecutor::new(threads).run_bounded(&idx, &queries, &BatchOptions::unlimited());
             assert!(outcome.is_complete(), "{label} threads={threads}");
             assert_eq!(outcome.completed, queries.len(), "{label}");
             let answers: Vec<bool> = outcome.answers.iter().map(|a| a.unwrap()).collect();
@@ -133,9 +127,8 @@ fn tiny_budget_yields_exact_partial_prefix() {
     let prep = Arc::new(PreparedNetwork::new(random_network(2000, 8000, 0.3, 37)));
     let online = OnlineReach::new(prep.clone());
     let regions = random_regions(8, 41);
-    let queries: Vec<(u32, Rect)> = (0..2000u32)
-        .flat_map(|v| regions.iter().map(move |r| (v, *r)))
-        .collect();
+    let queries: Vec<(u32, Rect)> =
+        (0..2000u32).flat_map(|v| regions.iter().map(move |r| (v, *r))).collect();
     assert_eq!(queries.len(), 16_000);
 
     // One worker: the completed set is exactly a prefix of the input.
@@ -204,9 +197,8 @@ fn cancellation_mid_batch_keeps_partial_answers() {
         token: token.clone(),
         countdown: AtomicUsize::new(STOP_AFTER),
     };
-    let queries: Vec<(u32, Rect)> = (0..100u32)
-        .map(|v| (v, Rect::new(0.0, 0.0, 100.0, 100.0)))
-        .collect();
+    let queries: Vec<(u32, Rect)> =
+        (0..100u32).map(|v| (v, Rect::new(0.0, 0.0, 100.0, 100.0))).collect();
     let outcome = BatchExecutor::new(1).run_bounded(
         &index,
         &queries,
@@ -235,11 +227,7 @@ fn mixed_batches_isolate_invalid_queries_on_every_method() {
     let nan = Rect { min_x: f64::NAN, min_y: 0.0, max_x: 1.0, max_y: 1.0 };
     let queries = vec![(0u32, good), (n + 5, good), (1, nan), (2, good)];
     for (label, idx) in all_snapshots(&prep) {
-        let outcome = BatchExecutor::new(2).run_bounded(
-            &idx,
-            &queries,
-            &BatchOptions::unlimited(),
-        );
+        let outcome = BatchExecutor::new(2).run_bounded(&idx, &queries, &BatchOptions::unlimited());
         assert_eq!(outcome.completed, 4, "{label}");
         assert_eq!(outcome.errors.len(), 2, "{label}");
         assert!(

@@ -61,11 +61,7 @@ fn mbr_partial_overlap_is_refined() {
     b.add_edge(0, 1);
     b.add_edge(1, 0);
     b.add_edge(2, 0);
-    let points = vec![
-        Some(Point::new(0.0, 0.0)),
-        Some(Point::new(10.0, 10.0)),
-        None,
-    ];
+    let points = vec![Some(Point::new(0.0, 0.0)), Some(Point::new(10.0, 10.0)), None];
     let prep = PreparedNetwork::new(GeosocialNetwork::new(b.build(), points).unwrap());
 
     let hole = Rect::new(2.0, 4.0, 4.0, 6.0); // inside MBR, contains no point

@@ -61,24 +61,19 @@ fn start_serve(tag: &str, extra: &[&str]) -> ServeFixture {
     let snap_path = snap.to_string_lossy().to_string();
 
     run(
-        parse_args(&args(&[
-            "generate", "--preset", "yelp", "--scale", "0.02", "--out", &net_path,
-        ]))
-        .unwrap(),
+        parse_args(&args(&["generate", "--preset", "yelp", "--scale", "0.02", "--out", &net_path]))
+            .unwrap(),
         &mut Vec::new(),
     )
     .unwrap();
     run(
-        parse_args(&args(&[
-            "build", &net_path, "--method", "3dreach", "--save", &snap_path,
-        ]))
-        .unwrap(),
+        parse_args(&args(&["build", &net_path, "--method", "3dreach", "--save", &snap_path]))
+            .unwrap(),
         &mut Vec::new(),
     )
     .unwrap();
 
-    let mut serve_args =
-        vec!["serve", "--load", &snap_path, "--port", "0", "--threads", "2"];
+    let mut serve_args = vec!["serve", "--load", &snap_path, "--port", "0", "--threads", "2"];
     serve_args.extend_from_slice(extra);
     let cmd = parse_args(&args(&serve_args)).unwrap();
     let out = SharedBuf::default();
@@ -336,11 +331,8 @@ fn serve_with_a_corrupt_snapshot_is_a_load_error_exit() {
     std::fs::write(&snap, b"GSRSNAP\0garbage").unwrap();
     let snap_path = snap.to_string_lossy().to_string();
 
-    let e = run(
-        parse_args(&args(&["serve", "--load", &snap_path])).unwrap(),
-        &mut Vec::new(),
-    )
-    .unwrap_err();
+    let e = run(parse_args(&args(&["serve", "--load", &snap_path])).unwrap(), &mut Vec::new())
+        .unwrap_err();
     assert_eq!(exit_code(e.as_ref()), 3, "{e}");
 
     // A file of a retired format is refused by number, with the same exit.
@@ -348,11 +340,8 @@ fn serve_with_a_corrupt_snapshot_is_a_load_error_exit() {
     retired.extend_from_slice(&5u32.to_le_bytes());
     retired.resize(4096, 0);
     std::fs::write(&snap, &retired).unwrap();
-    let e = run(
-        parse_args(&args(&["serve", "--load", &snap_path])).unwrap(),
-        &mut Vec::new(),
-    )
-    .unwrap_err();
+    let e = run(parse_args(&args(&["serve", "--load", &snap_path])).unwrap(), &mut Vec::new())
+        .unwrap_err();
     assert_eq!(exit_code(e.as_ref()), 3, "{e}");
     assert!(e.to_string().contains("unsupported format version 5 "), "{e}");
 }
@@ -589,7 +578,11 @@ fn replies_to_fragments(addr: SocketAddr, lines: &[Vec<u8>], cuts: &[usize]) -> 
         sent = cut;
         while read < answered_ends.len() && answered_ends[read] <= sent {
             let n = reader.read_until(b'\n', &mut replies).unwrap();
-            assert!(n > 0, "connection closed with {} replies still owed", answered_ends.len() - read);
+            assert!(
+                n > 0,
+                "connection closed with {} replies still owed",
+                answered_ends.len() - read
+            );
             read += 1;
         }
     }
@@ -769,7 +762,16 @@ fn reset_keeps_the_cache_where_reload_clears_it() {
     // by the section's name — by the loader, and by RELOAD.
     let flipped_set = fx.dir.path().join("flipped.shards");
     let flipped_set_path = flipped_set.to_string_lossy().to_string();
-    let build = ["build", &fx.net_path, "--method", "3dreach", "--shards", "2", "--save", &flipped_set_path];
+    let build = [
+        "build",
+        &fx.net_path,
+        "--method",
+        "3dreach",
+        "--shards",
+        "2",
+        "--save",
+        &flipped_set_path,
+    ];
     run(parse_args(&args(&build)).unwrap(), &mut Vec::new()).unwrap();
     let shared = flipped_set.join(gsr_store::shard::read_manifest(&flipped_set).unwrap().shared);
     let mut bytes = std::fs::read(&shared).unwrap();
@@ -780,9 +782,7 @@ fn reset_keeps_the_cache_where_reload_clears_it() {
         Err(gsr_core::GsrError::Load(msg)) => assert!(msg.contains(named), "{msg}"),
         other => panic!("a flipped shared file loaded: {:?}", other.map(|(i, _)| i.name())),
     }
-    stream
-        .write_all(format!("RELOAD {flipped_set_path}\nREACH 0 0 0 1 1\n").as_bytes())
-        .unwrap();
+    stream.write_all(format!("RELOAD {flipped_set_path}\nREACH 0 0 0 1 1\n").as_bytes()).unwrap();
     let refused = read_line(&mut reader);
     assert!(refused.starts_with("ERR 3 ") && refused.contains(named), "{refused}");
     assert_eq!(read_line(&mut reader), first, "old index keeps serving after a refused RELOAD");
@@ -792,10 +792,7 @@ fn reset_keeps_the_cache_where_reload_clears_it() {
     stream.write_all(format!("RELOAD {snap_path}\nSTATS\n").as_bytes()).unwrap();
     let reload = read_line(&mut reader);
     assert!(reload.starts_with("OK reload index_bytes="), "{reload}");
-    assert!(
-        reload.contains(" load_ms="),
-        "RELOAD must report its time-to-first-query: {reload}"
-    );
+    assert!(reload.contains(" load_ms="), "RELOAD must report its time-to-first-query: {reload}");
     let stats = read_line(&mut reader);
     assert_eq!(stat_field(&stats, "reloads"), 1, "{stats}");
     assert_eq!(

@@ -53,11 +53,7 @@ fn router_over(tiles: Vec<(ThreeDReach, Option<Rect>)>) -> ShardedIndex {
 
 /// Partitions `prep`'s network into `shards` tiles and assembles the
 /// scatter-gather router, one 3DReach per tile under `policy`.
-fn build_sharded(
-    prep: &PreparedNetwork,
-    shards: usize,
-    policy: SccSpatialPolicy,
-) -> ShardedIndex {
+fn build_sharded(prep: &PreparedNetwork, shards: usize, policy: SccSpatialPolicy) -> ShardedIndex {
     router_over(build_tiles(prep, shards, policy))
 }
 
@@ -94,8 +90,7 @@ fn assert_members_share(router: &ShardedIndex, shared: usize, context: &str) {
 /// corners.
 fn boundary_rects(prep: &PreparedNetwork, shards: usize) -> Vec<Rect> {
     let net = prep.network();
-    let mbrs: Vec<Rect> =
-        partition_tiles(net, shards).iter().filter_map(|t| t.mbr).collect();
+    let mbrs: Vec<Rect> = partition_tiles(net, shards).iter().filter_map(|t| t.mbr).collect();
     let mut rects = Vec::new();
     for m in &mbrs {
         rects.push(*m);
@@ -114,12 +109,7 @@ fn boundary_rects(prep: &PreparedNetwork, shards: usize) -> Vec<Rect> {
         // between the two tiles by construction.
         let (acx, acy) = ((a.min_x + a.max_x) / 2.0, (a.min_y + a.max_y) / 2.0);
         let (bcx, bcy) = ((b.min_x + b.max_x) / 2.0, (b.min_y + b.max_y) / 2.0);
-        rects.push(Rect::new(
-            acx.min(bcx),
-            acy.min(bcy),
-            acx.max(bcx),
-            acy.max(bcy),
-        ));
+        rects.push(Rect::new(acx.min(bcx), acy.min(bcy), acx.max(bcx), acy.max(bcy)));
     }
     if let Some(first) = mbrs.first() {
         let global = mbrs.iter().fold(*first, |g, m| {
@@ -177,10 +167,7 @@ fn sharded_answers_match_the_single_index_oracle() {
             }
             // Scatter path (the server's batch route) ...
             let got = sharded.scatter(&exec, &queries);
-            assert_eq!(
-                got, want,
-                "{policy:?} x{shards}: scatter disagrees with the oracle"
-            );
+            assert_eq!(got, want, "{policy:?} x{shards}: scatter disagrees with the oracle");
             // ... and the per-query route path must agree too.
             for (i, (v, r)) in queries.iter().enumerate().step_by(11) {
                 assert_eq!(
@@ -350,9 +337,11 @@ fn sharded_snapshot_round_trips_through_the_store() {
                 .collect();
             let dir = scratch.path().join(format!("{policy:?}-{shards}"));
             gsr_store::shard::save_sharded_to_path(&dir, &built).expect("save sharded");
-            let (loaded, info) =
-                gsr_store::shard::load_sharded_from_path_with(&dir, gsr_store::LoadOptions::default())
-                    .expect("load sharded");
+            let (loaded, info) = gsr_store::shard::load_sharded_from_path_with(
+                &dir,
+                gsr_store::LoadOptions::default(),
+            )
+            .expect("load sharded");
             assert_eq!(info.format, gsr_store::FORMAT_VERSION);
             assert_eq!(loaded.num_shards(), shards);
             // Shared again after the load: one mapping, N views.

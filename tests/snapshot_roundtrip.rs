@@ -250,8 +250,8 @@ fn misaligned_source_buffers_load_identically() {
         // every section payload the reader sees is misaligned.
         let mut staged = vec![0u8; shift];
         staged.extend_from_slice(&bytes);
-        let loaded = gsr_store::load(&mut &staged[shift..])
-            .unwrap_or_else(|e| panic!("shift {shift}: {e}"));
+        let loaded =
+            gsr_store::load(&mut &staged[shift..]).unwrap_or_else(|e| panic!("shift {shift}: {e}"));
         for v in (0..original.num_vertices() as u32).step_by(13) {
             for r in &regions {
                 assert_eq!(loaded.query(v, r), original.query(v, r), "shift {shift}");

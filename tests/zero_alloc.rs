@@ -49,10 +49,9 @@ fn main() {
                 for (v, region) in &w.queries {
                     std::hint::black_box(idx.query(*v, region));
                 }
-                let allocs =
-                    allocations_during(&w.queries, |v, r| {
-                        std::hint::black_box(idx.query(v, r));
-                    });
+                let allocs = allocations_during(&w.queries, |v, r| {
+                    std::hint::black_box(idx.query(v, r));
+                });
                 checks += 1;
                 if allocs == 0 {
                     println!("ok   {} / {} / {:?}: 0 allocations", ds.name, idx.name(), policy);
