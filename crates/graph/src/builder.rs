@@ -1,5 +1,6 @@
 //! Incremental construction of [`DiGraph`]s.
 
+use crate::csr::bucket;
 use crate::{DiGraph, VertexId};
 
 /// Collects edges and produces a deduplicated CSR [`DiGraph`].
@@ -67,11 +68,30 @@ impl GraphBuilder {
         }
     }
 
-    /// Finalizes into a CSR graph: sorts the edge list and drops duplicates.
-    pub fn build(mut self) -> DiGraph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        DiGraph::from_sorted_edges(self.num_vertices, &self.edges)
+    /// Finalizes into a CSR graph: buckets the edges by source (a counting
+    /// sort), then sorts each row and drops its duplicates in place.
+    pub fn build(self) -> DiGraph {
+        let GraphBuilder { num_vertices: n, edges } = self;
+        let (mut offsets, mut targets) = bucket(n, edges.len(), edges.iter().copied());
+        drop(edges);
+        let (mut start, mut kept) = (0, 0);
+        for u in 0..n {
+            let end = offsets[u + 1] as usize;
+            targets[start..end].sort_unstable();
+            let row = kept;
+            for k in start..end {
+                let v = targets[k];
+                if kept == row || targets[kept - 1] != v {
+                    targets[kept] = v;
+                    kept += 1;
+                }
+            }
+            offsets[u + 1] = kept as u32;
+            start = end;
+        }
+        targets.truncate(kept);
+        targets.shrink_to_fit();
+        DiGraph::from_forward_csr(offsets, targets)
     }
 }
 
