@@ -37,7 +37,6 @@ const EXPERIMENTS: &[&str] = &[
     "ablations",
     "analysis",
     "polarity",
-    "reduction",
     "georeach",
     "forests",
 ];
@@ -172,12 +171,6 @@ fn main() {
         emit(
             "Extension: positive vs negative queries (the paper's motivating hard case)",
             &experiments::polarity(&datasets, &cfg),
-        );
-    }
-    if wanted("reduction") {
-        emit(
-            "Extension: DAG reduction vs labeling size (related work, Section 7.1)",
-            &experiments::reduction(&datasets),
         );
     }
     if wanted("georeach") {

@@ -8,7 +8,6 @@ use gsr_core::methods::{
 use gsr_core::{Method, QueryCost, RangeReachIndex, SccSpatialPolicy};
 use gsr_datagen::workload::{WorkloadGen, PAPER_EXTENTS_PCT, PAPER_SELECTIVITIES_PCT};
 use gsr_graph::dfs::ForestStrategy;
-use gsr_graph::reduction::{equivalence_reduction, transitive_reduction};
 use gsr_graph::stats::DegreeBucket;
 use gsr_reach::bfl::BflIndex;
 use gsr_reach::interval::{BuildOptions, Builder, IntervalLabeling};
@@ -415,36 +414,6 @@ pub fn polarity(datasets: &[Dataset], cfg: &Config) -> TextTable {
     t
 }
 
-/// **Extension**: DAG reduction (the related work's transitive reduction
-/// followed by equivalence reduction, Section 7.1) applied to the
-/// condensations of the datasets, and its effect on the interval labeling.
-pub fn reduction(datasets: &[Dataset]) -> TextTable {
-    use std::time::Instant;
-
-    let mut t = TextTable::new(["dataset", "stage", "|V|", "|E|", "labels", "label build [ms]"]);
-    for ds in datasets {
-        let dag = ds.prep.dag().clone();
-        let mut stage = |name: &str, g: &gsr_graph::DiGraph| {
-            let start = Instant::now();
-            let labeling = IntervalLabeling::build(g);
-            t.row([
-                ds.name.to_string(),
-                name.to_string(),
-                g.num_vertices().to_string(),
-                g.num_edges().to_string(),
-                labeling.num_labels().to_string(),
-                format!("{:.1}", start.elapsed().as_secs_f64() * 1e3),
-            ]);
-        };
-        stage("condensation", &dag);
-        let tr = transitive_reduction(&dag);
-        stage("+ transitive reduction", &tr);
-        let (eq, _) = equivalence_reduction(&tr);
-        stage("+ equivalence reduction", &eq);
-    }
-    t
-}
-
 /// **Extension**: sensitivity of the GeoReach baseline to its three
 /// construction parameters (Section 2.2.2: `MAX_REACH_GRIDS`,
 /// `MERGE_COUNT`, plus the grid resolution). The paper sets them "as
@@ -620,19 +589,6 @@ mod tests {
         let cfg = Config { scale: 0.03, queries: 6, seed: 1 };
         let t = polarity(&ds, &cfg);
         assert!(t.len() >= 4, "at least standard + one negative row per dataset");
-    }
-
-    #[test]
-    fn reduction_shrinks_or_keeps_the_graph() {
-        let ds = tiny_datasets();
-        let t = reduction(&ds[..1]);
-        assert_eq!(t.len(), 3);
-        let csv = t.render_csv();
-        let rows: Vec<Vec<&str>> = csv.lines().skip(1).map(|l| l.split(',').collect()).collect();
-        let edges: Vec<usize> = rows.iter().map(|r| r[3].parse().unwrap()).collect();
-        assert!(edges[1] <= edges[0], "transitive reduction never adds edges");
-        let vertices: Vec<usize> = rows.iter().map(|r| r[2].parse().unwrap()).collect();
-        assert!(vertices[2] <= vertices[1], "equivalence reduction never adds vertices");
     }
 
     #[test]

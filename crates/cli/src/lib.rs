@@ -5,7 +5,6 @@
 //! gsr stats network.gsr
 //! gsr query network.gsr --method 3dreach --vertex 12 --rect 10,10,50,50
 //! gsr query network.gsr --method all < queries.txt
-//! gsr report network.gsr --vertex 12 --rect 10,10,50,50
 //! gsr build network.gsr --method 3dreach --save index.snap
 //! gsr build network.gsr --method 3dreach --shards 4 --save index.shards
 //! gsr serve --load index.snap --port 7070 --threads 4 --budget-ms 100
@@ -26,7 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use gsr_core::methods::{SnapshotIndex, ThreeDReporter};
+use gsr_core::methods::SnapshotIndex;
 use gsr_core::{
     BatchExecutor, BatchOptions, GsrError, Method, PreparedNetwork, RangeReachIndex,
     SccSpatialPolicy,
@@ -69,15 +68,6 @@ pub enum Command {
         /// Wall-clock budget for the whole batch in milliseconds; partial
         /// answers are printed when it expires.
         budget_ms: Option<u64>,
-    },
-    /// `gsr report FILE --vertex V --rect X0,Y0,X1,Y1`
-    Report {
-        /// Network file.
-        file: PathBuf,
-        /// Query vertex.
-        vertex: u32,
-        /// Query region.
-        rect: Rect,
     },
     /// `gsr build FILE --method M --save PATH [--threads T] [--shards N]`
     Build {
@@ -177,7 +167,6 @@ usage:
                  [--threads T]                     (build workers; 0 = all cores)
                  [--budget-ms B]                   (batch time budget; partial answers on expiry)
                  [--vertex V --rect X0,Y0,X1,Y1]   (otherwise queries from stdin)
-  gsr report FILE --vertex V --rect X0,Y0,X1,Y1
   gsr build FILE --method <spareach-bfl|spareach-int|georeach|socreach|3dreach|3dreach-rev>
                  --save PATH [--threads T]          (persist a built index as a snapshot)
                  [--shards N]                       (N > 1: spatially partition into N
@@ -323,15 +312,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .transpose()
                 .map_err(|_| err("--budget-ms must be a non-negative integer"))?;
             Ok(Command::Query { file: PathBuf::from(file), methods, threads, one, budget_ms })
-        }
-        "report" => {
-            let file = positional.first().ok_or_else(|| err("report needs a FILE"))?;
-            let vertex = flag("vertex")
-                .ok_or_else(|| err("report needs --vertex"))?
-                .parse()
-                .map_err(|_| err("--vertex must be an id"))?;
-            let rect = parse_rect(&flag("rect").ok_or_else(|| err("report needs --rect"))?)?;
-            Ok(Command::Report { file: PathBuf::from(file), vertex, rect })
         }
         "build" => {
             let file = positional.first().ok_or_else(|| err("build needs a FILE"))?;
@@ -787,16 +767,6 @@ fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
             server.run()?;
             writeln!(out, "server stopped")?;
         }
-        Command::Report { file, vertex, rect } => {
-            let prep = load_prepared(&file)?;
-            let reporter = ThreeDReporter::build(&prep);
-            let hits = reporter.report(vertex, &rect);
-            writeln!(out, "{} reachable spatial vertices inside {rect}:", hits.len())?;
-            for v in hits {
-                let Some(p) = prep.network().point(v) else { continue };
-                writeln!(out, "  vertex {v} at {p}")?;
-            }
-        }
     }
     Ok(())
 }
@@ -916,6 +886,9 @@ mod tests {
         }
         let e = parse_args(&args(&["build", "f", "--method", "all", "--save", "x"])).unwrap_err();
         assert!(e.0.contains("`all` is not supported"), "{e}");
+        // Retired subcommands are unknown names, answered with the usage text.
+        let e = parse_args(&args(&["report", "f", "--vertex", "1", "--rect", "0,0,1,1"]));
+        assert!(e.unwrap_err().0.contains("unknown subcommand \"report\"\nusage:"));
     }
 
     /// The help text lists the method table's keys, in its order.
@@ -1330,7 +1303,7 @@ mod tests {
     }
 
     #[test]
-    fn end_to_end_generate_stats_query_report() {
+    fn end_to_end_generate_stats_query() {
         let scratch = ScratchDir::new("gsr_cli_test").unwrap();
         let dir = scratch.path();
         let file = dir.join("net.gsr");
@@ -1383,21 +1356,5 @@ mod tests {
         let trues = text.matches("= true").count();
         let falses = text.matches("= false").count();
         assert!(trues == 6 || falses == 6, "methods disagree:\n{text}");
-
-        let mut out = Vec::new();
-        run(
-            parse_args(&args(&[
-                "report",
-                &path,
-                "--vertex",
-                "0",
-                "--rect",
-                "-1000,-1000,2000,2000",
-            ]))
-            .unwrap(),
-            &mut out,
-        )
-        .unwrap();
-        assert!(String::from_utf8_lossy(&out).contains("reachable spatial vertices"));
     }
 }

@@ -15,11 +15,9 @@
 //!
 //! Arbitrary (cyclic) graphs are handled by SCC condensation with either of
 //! the two spatial-SCC policies of Section 5 ([`SccSpatialPolicy`]).
-//! Beyond the paper's headline, [`methods::ThreeDReporter`] and
-//! [`methods::NearestReach`] answer the reporting and nearest-reachable
-//! variants, and
-//! [`extensions`] generalizes to rectangle geometries and 3-D space
-//! (footnote 1 of the paper).
+//! `RangeReach` is the only query family: the brute-force
+//! [`PreparedNetwork::range_reach_bfs`] is the reference every method is
+//! tested against.
 //!
 //! ## Quick start
 //!
@@ -47,7 +45,6 @@
 
 mod batch;
 mod error;
-pub mod extensions;
 mod fallback;
 pub mod hist;
 pub mod methods;

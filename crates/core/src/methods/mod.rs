@@ -1,16 +1,12 @@
 //! The six `RangeReach` evaluation methods compared in the paper.
 
 mod georeach;
-mod nearest;
-mod report;
 mod socreach;
 mod spareach;
 mod table;
 mod threed;
 
 pub use georeach::{GeoReach, GeoReachParams};
-pub use nearest::NearestReach;
-pub use report::{report_bfs, ThreeDReporter};
 pub use socreach::{ScanMode, SocReach};
 pub use spareach::{CandidateMode, SpaReach, SpaReachBfl, SpaReachInt};
 pub use table::{Method, SnapshotIndex};

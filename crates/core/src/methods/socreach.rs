@@ -101,15 +101,6 @@ impl SocReach {
         }
     }
 
-    /// The points of the component with post-order number `p` — the unit of
-    /// the per-label scans performed by [`RangeReachIndex::query`].
-    #[inline]
-    pub fn points_of_post(&self, p: u32) -> &[Point] {
-        let lo = self.post_offsets.get((p - 1) as usize) as usize;
-        let hi = self.post_offsets.get(p as usize) as usize;
-        &self.points[lo..hi]
-    }
-
     /// The compacted interval labels (exposed for stats and tests).
     pub fn labels(&self) -> &CompactLabels {
         &self.labels
@@ -307,8 +298,12 @@ mod tests {
         let prep = paper_example::prepared();
         let idx = SocReach::build(&prep);
         // Every post's slice holds exactly the points of that component.
-        let total: usize =
-            (1..=prep.num_components() as u32).map(|p| idx.points_of_post(p).len()).sum();
-        assert_eq!(total, prep.network().num_spatial());
+        for (c, &p) in prep.forward_labels(1).post.iter().enumerate() {
+            let p = p as usize;
+            let (lo, hi) = (idx.post_offsets.get(p - 1), idx.post_offsets.get(p));
+            let slice = &idx.points[lo as usize..hi as usize];
+            assert_eq!(slice, prep.spatial_member_points(c as CompId), "component {c}");
+        }
+        assert_eq!(idx.points.len(), prep.network().num_spatial());
     }
 }

@@ -25,33 +25,6 @@ impl Point {
         Point { x, y }
     }
 
-    /// Euclidean distance to another point.
-    #[inline]
-    pub fn distance(&self, other: &Point) -> f64 {
-        self.distance_sq(other).sqrt()
-    }
-
-    /// Squared Euclidean distance (cheaper than [`Point::distance`] when only
-    /// comparisons are needed).
-    #[inline]
-    pub fn distance_sq(&self, other: &Point) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        dx * dx + dy * dy
-    }
-
-    /// Component-wise minimum of two points.
-    #[inline]
-    pub fn min_components(&self, other: &Point) -> Point {
-        Point::new(self.x.min(other.x), self.y.min(other.y))
-    }
-
-    /// Component-wise maximum of two points.
-    #[inline]
-    pub fn max_components(&self, other: &Point) -> Point {
-        Point::new(self.x.max(other.x), self.y.max(other.y))
-    }
-
     /// Returns `true` when both coordinates are finite (not NaN/Inf).
     #[inline]
     pub fn is_finite(&self) -> bool {
@@ -86,22 +59,6 @@ impl From<[f64; 2]> for Point {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn distance_matches_pythagoras() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(3.0, 4.0);
-        assert_eq!(a.distance(&b), 5.0);
-        assert_eq!(a.distance_sq(&b), 25.0);
-    }
-
-    #[test]
-    fn component_extrema() {
-        let a = Point::new(1.0, 5.0);
-        let b = Point::new(2.0, 3.0);
-        assert_eq!(a.min_components(&b), Point::new(1.0, 3.0));
-        assert_eq!(a.max_components(&b), Point::new(2.0, 5.0));
-    }
 
     #[test]
     fn finiteness() {

@@ -30,7 +30,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitset;
 mod builder;
 pub mod col;
 pub mod columns;
@@ -38,7 +37,6 @@ mod csr;
 pub mod dfs;
 pub mod mem;
 pub mod par;
-pub mod reduction;
 pub mod scc;
 pub mod stats;
 pub mod topo;

@@ -114,32 +114,6 @@ where
     })
 }
 
-/// Splits `data` into at most `threads` contiguous chunks and runs
-/// `f(chunk_start, chunk)` on each concurrently. Chunks are disjoint
-/// `&mut` views, so workers may mutate freely; `chunk_start` is the offset
-/// of the chunk's first element in `data`.
-///
-/// Used where results are written in place (batch query answers, flattened
-/// label rows) instead of collected.
-pub fn for_each_chunk_mut<T, F>(threads: usize, data: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let threads = effective_threads(threads).min(data.len().max(1));
-    if threads <= 1 || data.len() <= 1 {
-        f(0, data);
-        return;
-    }
-    let chunk_len = data.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            let f = &f;
-            scope.spawn(move || f(ci * chunk_len, chunk));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,22 +176,6 @@ mod tests {
             let got = map_consume(threads, items.clone(), |v| v.into_iter().sum::<u32>());
             let expected: Vec<u32> = (0..40).map(|i| i * 3).collect();
             assert_eq!(got, expected, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn chunks_cover_slice_exactly_once() {
-        let mut data = vec![0u32; 1000];
-        for threads in [1, 2, 4, 8] {
-            data.fill(0);
-            for_each_chunk_mut(threads, &mut data, |start, chunk| {
-                for (k, x) in chunk.iter_mut().enumerate() {
-                    *x += (start + k) as u32;
-                }
-            });
-            for (i, &x) in data.iter().enumerate() {
-                assert_eq!(x, i as u32, "threads = {threads}");
-            }
         }
     }
 }

@@ -43,44 +43,6 @@ impl DegreeBucket {
     }
 }
 
-/// Summary degree statistics of a graph.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegreeStats {
-    /// Maximum out-degree.
-    pub max_out: u32,
-    /// Maximum in-degree.
-    pub max_in: u32,
-    /// Mean out-degree (equals mean in-degree).
-    pub mean_out: f64,
-    /// Number of vertices with out-degree zero (sinks).
-    pub sinks: usize,
-    /// Number of vertices with in-degree zero (sources).
-    pub sources: usize,
-}
-
-/// Computes [`DegreeStats`] for `g`.
-pub fn degree_stats(g: &DiGraph) -> DegreeStats {
-    let n = g.num_vertices();
-    let mut max_out = 0u32;
-    let mut max_in = 0u32;
-    let mut sinks = 0usize;
-    let mut sources = 0usize;
-    for v in g.vertices() {
-        let od = g.out_degree(v) as u32;
-        let id = g.in_degree(v) as u32;
-        max_out = max_out.max(od);
-        max_in = max_in.max(id);
-        if od == 0 {
-            sinks += 1;
-        }
-        if id == 0 {
-            sources += 1;
-        }
-    }
-    let mean_out = if n == 0 { 0.0 } else { g.num_edges() as f64 / n as f64 };
-    DegreeStats { max_out, max_in, mean_out, sinks, sources }
-}
-
 /// All vertices whose out-degree falls inside `bucket`. The paper samples
 /// query vertices uniformly from such pools.
 pub fn vertices_in_bucket(g: &DiGraph, bucket: DegreeBucket) -> Vec<VertexId> {
@@ -109,18 +71,6 @@ mod tests {
             let hits = DegreeBucket::PAPER_BUCKETS.iter().filter(|b| b.contains(d)).count();
             assert_eq!(hits, 1, "degree {d} must fall in exactly one bucket");
         }
-    }
-
-    #[test]
-    fn stats_on_star() {
-        // 0 -> 1..=4
-        let g = graph_from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let s = degree_stats(&g);
-        assert_eq!(s.max_out, 4);
-        assert_eq!(s.max_in, 1);
-        assert_eq!(s.sinks, 4);
-        assert_eq!(s.sources, 1);
-        assert!((s.mean_out - 0.8).abs() < 1e-12);
     }
 
     #[test]

@@ -31,18 +31,6 @@ pub fn is_dag(g: &DiGraph) -> bool {
     topological_order(g).is_some()
 }
 
-/// `rank[v]` = position of `v` in a fixed topological order. Processing
-/// vertices by *decreasing* rank visits every vertex after all of its
-/// out-neighbours — the order used by the bottom-up label builders.
-pub fn topological_rank(g: &DiGraph) -> Option<Vec<u32>> {
-    let order = topological_order(g)?;
-    let mut rank = vec![0u32; g.num_vertices()];
-    for (i, &v) in order.iter().enumerate() {
-        rank[v as usize] = i as u32;
-    }
-    Some(rank)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,14 +64,5 @@ mod tests {
         assert_eq!(topological_order(&graph_from_edges(0, &[])), Some(vec![]));
         let g = graph_from_edges(3, &[]);
         assert_eq!(topological_order(&g).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn rank_respects_edges() {
-        let g = graph_from_edges(5, &[(0, 2), (1, 2), (2, 3), (2, 4)]);
-        let rank = topological_rank(&g).unwrap();
-        for (u, v) in g.edges() {
-            assert!(rank[u as usize] < rank[v as usize]);
-        }
     }
 }

@@ -2,7 +2,6 @@
 //! reference implementations.
 
 use gsr_graph::dfs::SpanningForest;
-use gsr_graph::reduction::{equivalence_reduction, transitive_reduction};
 use gsr_graph::scc::Condensation;
 use gsr_graph::{graph_from_edges, topo, DiGraph, VertexId};
 use proptest::prelude::*;
@@ -144,42 +143,6 @@ proptest! {
         }
         for (u, v) in g.edges() {
             prop_assert!(pos[u as usize] < pos[v as usize]);
-        }
-    }
-
-    #[test]
-    fn transitive_reduction_preserves_reachability(g in arb_dag(25, 120)) {
-        let reduced = transitive_reduction(&g);
-        prop_assert!(reduced.num_edges() <= g.num_edges());
-        for u in g.vertices() {
-            for v in g.vertices() {
-                prop_assert_eq!(
-                    naive_reaches(&g, u, v),
-                    naive_reaches(&reduced, u, v),
-                    "({}, {})", u, v
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn transitive_reduction_is_idempotent(g in arb_dag(20, 80)) {
-        let once = transitive_reduction(&g);
-        let twice = transitive_reduction(&once);
-        prop_assert_eq!(once.num_edges(), twice.num_edges());
-    }
-
-    #[test]
-    fn equivalence_reduction_projects_correctly(g in arb_dag(20, 80)) {
-        let (reduced, rep) = equivalence_reduction(&g);
-        prop_assert!(reduced.num_vertices() <= g.num_vertices());
-        for u in g.vertices() {
-            for v in g.vertices() {
-                let projected = u == v
-                    || (rep[u as usize] != rep[v as usize]
-                        && naive_reaches(&reduced, rep[u as usize], rep[v as usize]));
-                prop_assert_eq!(naive_reaches(&g, u, v), projected, "({}, {})", u, v);
-            }
         }
     }
 

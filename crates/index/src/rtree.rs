@@ -372,71 +372,6 @@ impl<const N: usize, T> RTree<N, T> {
         first - self.num_inner..end - self.num_inner
     }
 
-    /// The entry nearest to `point` (minimum Euclidean distance from the
-    /// point to the entry's box), or `None` for an empty tree. Best-first
-    /// branch-and-bound over node MBRs.
-    pub fn nearest_neighbor(&self, point: &[f64; N]) -> Option<(Aabb<N>, &T)> {
-        self.nearest_where(point, |_, _| true)
-    }
-
-    /// The nearest entry whose `(box, value)` satisfies `accept` — e.g. the
-    /// nearest *reachable* spatial vertex. Entries failing the predicate
-    /// are skipped without terminating the search.
-    pub fn nearest_where(
-        &self,
-        point: &[f64; N],
-        accept: impl FnMut(&Aabb<N>, &T) -> bool,
-    ) -> Option<(Aabb<N>, &T)> {
-        self.nearest_k_where(point, 1, accept).into_iter().next()
-    }
-
-    /// The `k` nearest accepted entries, ordered by ascending distance.
-    /// Best-first search that stops once every remaining node is farther
-    /// than the current k-th best.
-    pub fn nearest_k_where(
-        &self,
-        point: &[f64; N],
-        k: usize,
-        mut accept: impl FnMut(&Aabb<N>, &T) -> bool,
-    ) -> Vec<(Aabb<N>, &T)> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        if self.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        // Heap over (distance, node id); OrderedF64 wraps the comparison.
-        let mut heap: BinaryHeap<(Reverse<OrderedF64>, u32)> = BinaryHeap::new();
-        heap.push((Reverse(OrderedF64(min_dist_sq(&self.mbrs[0], point))), 0));
-        // The k best accepted entries so far, sorted ascending by distance.
-        let mut best: Vec<(f64, (Aabb<N>, &T))> = Vec::with_capacity(k + 1);
-
-        while let Some((Reverse(OrderedF64(dist)), id)) = heap.pop() {
-            if best.len() == k && dist > best[k - 1].0 {
-                break; // every remaining node is farther than the k-th best
-            }
-            let id = id as usize;
-            if id < self.num_inner {
-                for c in self.child_ids(id) {
-                    heap.push((Reverse(OrderedF64(min_dist_sq(&self.mbrs[c], point))), c as u32));
-                }
-            } else {
-                for i in self.leaf_entries(id - self.num_inner) {
-                    let b = self.entries.get(i);
-                    let t = &self.values[i];
-                    let d = min_dist_sq(&b, point);
-                    let qualifies = best.len() < k || d < best[k - 1].0;
-                    if qualifies && accept(&b, t) {
-                        let pos = best.iter().position(|(bd, _)| d < *bd).unwrap_or(best.len());
-                        best.insert(pos, (d, (b, t)));
-                        best.truncate(k);
-                    }
-                }
-            }
-        }
-        best.into_iter().map(|(_, entry)| entry).collect()
-    }
-
     /// The range scan every other query is built on: the entries whose box
     /// intersects `region`, as **runs** of entry indices (into
     /// [`RTree::values`] / [`RTree::entry_box`]) in traversal order. A
@@ -735,41 +670,6 @@ impl<const N: usize, T: Pod> Columns for RTree<N, T> {
         };
         tree.validate()?;
         Ok(tree)
-    }
-}
-
-/// Squared distance from `point` to the closest point of `aabb` (zero when
-/// the point lies inside).
-fn min_dist_sq<const N: usize>(aabb: &Aabb<N>, point: &[f64; N]) -> f64 {
-    let mut d = 0.0;
-    for (i, &p) in point.iter().enumerate() {
-        let delta = if p < aabb.min[i] {
-            aabb.min[i] - p
-        } else if p > aabb.max[i] {
-            p - aabb.max[i]
-        } else {
-            0.0
-        };
-        d += delta * delta;
-    }
-    d
-}
-
-/// A total order over finite f64 distances for the best-first heap.
-#[derive(PartialEq)]
-struct OrderedF64(f64);
-
-impl Eq for OrderedF64 {}
-
-impl PartialOrd for OrderedF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrderedF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).unwrap_or(std::cmp::Ordering::Equal)
     }
 }
 
@@ -1183,58 +1083,6 @@ mod tests {
         t.check_invariants();
         assert_eq!(t.len(), 200);
         assert_eq!(t.params(), params);
-    }
-
-    #[test]
-    fn nearest_neighbor_matches_linear_scan() {
-        let entries = grid_points(777);
-        let t = RTree::bulk_load(entries.clone());
-        for probe in [[0.0, 0.0], [15.5, 10.2], [100.0, 100.0], [-5.0, 3.0]] {
-            let (_, &got) = t.nearest_neighbor(&probe).unwrap();
-            let best = entries
-                .iter()
-                .min_by(|(a, _), (b, _)| {
-                    min_dist_sq(a, &probe).partial_cmp(&min_dist_sq(b, &probe)).unwrap()
-                })
-                .unwrap();
-            let got_d = min_dist_sq(&entries[got].0, &probe);
-            let best_d = min_dist_sq(&best.0, &probe);
-            assert_eq!(got_d, best_d, "probe {probe:?}");
-        }
-        let empty: RTree<2, u32> = RTree::new();
-        assert!(empty.nearest_neighbor(&[0.0, 0.0]).is_none());
-    }
-
-    #[test]
-    fn k_nearest_matches_sorted_scan() {
-        let entries = grid_points(500);
-        let t = RTree::bulk_load(entries.clone());
-        for probe in [[0.0, 0.0], [16.0, 8.0], [40.0, 40.0]] {
-            for k in [1usize, 3, 10, 600] {
-                let got: Vec<usize> =
-                    t.nearest_k_where(&probe, k, |_, _| true).iter().map(|(_, &i)| i).collect();
-                let mut expected: Vec<(f64, usize)> =
-                    entries.iter().map(|&(b, i)| (min_dist_sq(&b, &probe), i)).collect();
-                expected.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-                assert_eq!(got.len(), k.min(entries.len()), "probe {probe:?} k {k}");
-                // Compare by distance (ties may reorder ids).
-                for (j, &i) in got.iter().enumerate() {
-                    let d = min_dist_sq(&entries[i].0, &probe);
-                    assert_eq!(d, expected[j].0, "probe {probe:?} k {k} rank {j}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn k_nearest_with_predicate_skips_rejected() {
-        let entries = grid_points(200);
-        let t = RTree::bulk_load(entries.clone());
-        // Accept only even payloads.
-        let got: Vec<usize> =
-            t.nearest_k_where(&[0.0, 0.0], 5, |_, &i| i % 2 == 0).iter().map(|(_, &i)| i).collect();
-        assert_eq!(got.len(), 5);
-        assert!(got.iter().all(|i| i % 2 == 0));
     }
 
     #[test]

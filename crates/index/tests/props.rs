@@ -485,30 +485,6 @@ proptest! {
     }
 
     #[test]
-    fn nearest_neighbor_is_globally_nearest(
-        pts in prop::collection::vec((-100.0..100.0f64, -100.0..100.0f64), 1..200),
-        probe in (-150.0..150.0f64, -150.0..150.0f64),
-    ) {
-        let entries: Vec<(Aabb<2>, usize)> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| (Aabb::from_point([x, y]), i))
-            .collect();
-        let tree = RTree::bulk_load(entries.clone());
-        let probe_pt = [probe.0, probe.1];
-        let (got_box, _) = tree.nearest_neighbor(&probe_pt).unwrap();
-        let d = |b: &Aabb<2>| {
-            let dx = b.min[0] - probe_pt[0];
-            let dy = b.min[1] - probe_pt[1];
-            dx * dx + dy * dy
-        };
-        let got_d = d(&got_box);
-        for (b, _) in &entries {
-            prop_assert!(got_d <= d(b) + 1e-9, "a closer point exists");
-        }
-    }
-
-    #[test]
     fn grid_cells_tile_the_space(
         xs in prop::collection::vec((0.0..1.0f64, 0.0..1.0f64), 1..100),
         exp in 1u8..6,

@@ -77,11 +77,6 @@ pub const SHARD_MANIFEST_VERSION: u32 = 2;
 /// File name of the manifest inside a shard-set directory.
 pub const SHARD_MANIFEST: &str = "MANIFEST.gsrshard";
 
-/// `true` when `path` is a shard-set directory (contains a manifest).
-pub fn is_sharded_path(path: impl AsRef<Path>) -> bool {
-    path.as_ref().join(SHARD_MANIFEST).is_file()
-}
-
 /// One shard of a set: its index and the MBR of its tile's points (`None`
 /// for an empty tile).
 pub type Shard = (SnapshotIndex, Option<Rect>);
@@ -333,7 +328,7 @@ mod tests {
         let scratch = ScratchDir::new("gsr-shard-rt").unwrap();
         let dir = scratch.path();
         save_sharded_to_path(dir, &build_set(3)).unwrap();
-        assert!(is_sharded_path(dir));
+        assert!(dir.join(SHARD_MANIFEST).is_file());
 
         let (sharded, info) = load_sharded_from_path_with(dir, LoadOptions::default()).unwrap();
         assert_eq!(info.format, FORMAT_VERSION);
@@ -371,7 +366,6 @@ mod tests {
 
         // A missing manifest must be a typed error too, not a panic.
         std::fs::remove_file(&path).unwrap();
-        assert!(!is_sharded_path(dir));
         expect_load_error(dir, LoadOptions::default(), "shard manifest");
     }
 

@@ -12,11 +12,11 @@
 //! cargo run --release -p gsr-examples --bin poi_recommendation
 //! ```
 
-use gsr_core::methods::{NearestReach, ThreeDReach, ThreeDReporter};
+use gsr_core::methods::ThreeDReach;
 use gsr_core::{PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
 use gsr_datagen::NetworkSpec;
 use gsr_examples::print_network_summary;
-use gsr_geo::{Point, Rect};
+use gsr_geo::Rect;
 use std::time::Instant;
 
 fn main() {
@@ -70,28 +70,5 @@ fn main() {
         if reachable.len() < 16 {
             println!("  reachable: {}", reachable.join(", "));
         }
-    }
-
-    // Concrete recommendations: the venues themselves, via the reporting
-    // variant, plus the nearest reachable venue to the city centre.
-    let reporter = ThreeDReporter::build(&prep);
-    let nearest = NearestReach::build(&prep);
-    let center = space.center();
-    let downtown = Rect::square(center, space.width() / 10.0);
-    println!(
-        "
-Concrete recommendations for user {}:",
-        picks[0]
-    );
-    let venues = reporter.report(picks[0], &downtown);
-    println!("  {} venues with circle activity downtown ({downtown})", venues.len());
-    for &v in venues.iter().take(5) {
-        let p = prep.network().point(v).expect("venues are spatial");
-        println!("    venue {v} at {p}");
-    }
-    if let Some((venue, point, dist)) = nearest.nearest(picks[0], &Point::new(center.x, center.y)) {
-        println!(
-            "  nearest reachable venue to the centre: {venue} at {point} (distance {dist:.1})"
-        );
     }
 }

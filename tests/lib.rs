@@ -1,6 +1,6 @@
 //! Shared helpers for the cross-crate integration tests.
 
-use gsr_core::methods::{report_bfs, SnapshotIndex};
+use gsr_core::methods::SnapshotIndex;
 use gsr_core::{
     prepared_tiles, GeosocialNetwork, Method, OnlineReach, PreparedNetwork, RangeReachIndex,
     SccSpatialPolicy,
@@ -55,11 +55,11 @@ pub fn check_bfs_oracle(prep: &PreparedNetwork, regions: &[Rect]) {
     }
     let online = OnlineReach::new(Arc::new(prep.clone()));
     for v in prep.network().graph().vertices() {
-        let reachable = report_bfs(prep, v, &everything).len();
+        let reachable = prep.report_bfs(v, &everything).len();
         for r in &rects {
             let (found, cost) = prep.range_reach_bfs_with_cost(v, r);
             assert_eq!(found, prep.range_reach_bfs(v, r), "v={v} r={r}");
-            assert_eq!(found, !report_bfs(prep, v, r).is_empty(), "report, v={v} r={r}");
+            assert_eq!(found, !prep.report_bfs(v, r).is_empty(), "report, v={v} r={r}");
             assert_eq!(online.query_with_cost(v, r), (found, cost), "online, v={v} r={r}");
             assert!(cost.vertices_visited <= prep.num_components(), "v={v} r={r}");
             if found {

@@ -2,12 +2,11 @@
 //! input on every method, time-budgeted batches with exact partial
 //! answers and cooperative cancellation.
 
-use gsr_core::extensions::{RegionNetwork, RegionReach, VolumetricReach};
 use gsr_core::{
     BatchExecutor, BatchOptions, CancelToken, GsrError, OnlineReach, PreparedNetwork, QueryCost,
     RangeReachIndex,
 };
-use gsr_geo::{Aabb, Rect};
+use gsr_geo::Rect;
 use gsr_tests::{all_snapshots, random_network, random_regions};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -67,33 +66,6 @@ fn every_method_rejects_bad_input_without_panicking() {
             assert_eq!(idx.try_query(v, &good).unwrap(), idx.query(v, &good), "{label}");
         }
     }
-}
-
-/// The extension evaluators (rectangle geometries, 3-D space) share the
-/// same validation boundary.
-#[test]
-fn extensions_validate_inputs() {
-    let g = gsr_graph::graph_from_edges(3, &[(0, 1), (1, 2)]);
-    let regions = vec![None, Some(Rect::new(0.0, 0.0, 5.0, 5.0)), None];
-    let region_idx = RegionReach::build(&RegionNetwork::new(g.clone(), regions));
-    let probe = Rect::new(0.0, 0.0, 10.0, 10.0);
-    assert!(region_idx.try_query(0, &probe).unwrap());
-    assert!(matches!(
-        region_idx.try_query(99, &probe),
-        Err(GsrError::InvalidVertex { vertex: 99, num_vertices: 3 })
-    ));
-    let inverted = Rect { min_x: 9.0, min_y: 0.0, max_x: 1.0, max_y: 1.0 };
-    assert!(matches!(region_idx.try_query(0, &inverted), Err(GsrError::InvalidRect { .. })));
-
-    let points = vec![None, Some([1.0, 1.0, 1.0]), None];
-    let vol_idx = VolumetricReach::build(&g, &points);
-    let cube = Aabb::new([0.0, 0.0, 0.0], [5.0, 5.0, 5.0]);
-    assert!(vol_idx.try_query(0, &cube).unwrap());
-    assert!(matches!(vol_idx.try_query(99, &cube), Err(GsrError::InvalidVertex { .. })));
-    let nan_box = Aabb { min: [0.0, f64::NAN, 0.0], max: [5.0, 5.0, 5.0] };
-    assert!(matches!(vol_idx.try_query(0, &nan_box), Err(GsrError::InvalidRect { .. })));
-    let inverted_box = Aabb { min: [0.0, 0.0, 9.0], max: [5.0, 5.0, 1.0] };
-    assert!(matches!(vol_idx.try_query(0, &inverted_box), Err(GsrError::InvalidRect { .. })));
 }
 
 /// Unbounded `run_bounded` agrees with `run` for every method at several
