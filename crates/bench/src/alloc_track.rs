@@ -2,7 +2,7 @@
 //!
 //! Every binary that links `gsr-bench` (the `repro` driver and the
 //! integration suites that depend on it) routes heap traffic through
-//! [`CountingAllocator`], which delegates to the system allocator and
+//! `CountingAllocator`, which delegates to the system allocator and
 //! keeps three relaxed atomics: the number of allocations, the bytes
 //! currently live, and the high-water mark of the live bytes since the last
 //! [`reset_peak_live_bytes`]. The count is what lets the zero-allocation
@@ -45,7 +45,7 @@ fn grew(ptr: *mut u8, size: usize) {
 }
 
 /// The system allocator plus relaxed allocation and live-byte counters.
-pub struct CountingAllocator;
+struct CountingAllocator;
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;

@@ -15,11 +15,11 @@ use gsr_reach::Reachability;
 use std::time::Instant;
 
 /// The default extent used while sweeping the degree (bold 5% in the paper).
-pub const DEFAULT_EXTENT: f64 = 5.0;
+const DEFAULT_EXTENT: f64 = 5.0;
 
 /// The methods of the final comparison (Figure 7): the best spatial-first
 /// method plus GeoReach and the paper's contributions.
-pub const FIG7_METHODS: [Method; 5] = [
+const FIG7_METHODS: [Method; 5] = [
     Method::SpaReachBfl,
     Method::GeoReach,
     Method::SocReach,

@@ -159,12 +159,12 @@ fn err(msg: impl Into<String>) -> CliError {
 }
 
 /// Usage text.
-pub const USAGE: &str = "\
+const USAGE: &str = "\
 usage:
   gsr generate --preset <foursquare|gowalla|weeplaces|yelp> [--scale S] --out FILE
   gsr stats FILE
   gsr query FILE [--method <spareach-bfl|spareach-int|georeach|socreach|3dreach|3dreach-rev|all>]
-                 [--threads T]                     (build workers; 0 = all cores)
+                 [--threads T]                     (build workers; 0 = all cores, max 1024)
                  [--budget-ms B]                   (batch time budget; partial answers on expiry)
                  [--vertex V --rect X0,Y0,X1,Y1]   (otherwise queries from stdin)
   gsr build FILE --method <spareach-bfl|spareach-int|georeach|socreach|3dreach|3dreach-rev>
@@ -224,7 +224,7 @@ fn parse_query_line(line: &str) -> Result<Option<(u32, Rect)>, CliError> {
 
 /// Parses a `x0,y0,x1,y1` rectangle, rejecting non-finite or inverted
 /// extrema.
-pub fn parse_rect(s: &str) -> Result<Rect, CliError> {
+fn parse_rect(s: &str) -> Result<Rect, CliError> {
     let parts: Vec<f64> = s
         .split(',')
         .map(|p| p.trim().parse::<f64>())
@@ -241,6 +241,26 @@ pub fn parse_rect(s: &str) -> Result<Rect, CliError> {
 fn parse_method(key: &str) -> Result<Method, CliError> {
     Method::from_key(&key.to_ascii_lowercase())
         .ok_or_else(|| err(format!("unknown method {key:?}")))
+}
+
+/// The most workers `--threads` may ask for. `serve` starts one OS thread
+/// per worker, and `build` and `query` up to one per work item, so a typo
+/// such as `--threads 1000000` must be a usage error rather than a process
+/// table exhausted mid-command.
+const MAX_THREADS: usize = 1024;
+
+/// A `--threads` value: `default` when absent, `0` for machine parallelism,
+/// at most [`MAX_THREADS`].
+fn parse_threads(value: Option<String>, default: usize) -> Result<usize, CliError> {
+    let Some(value) = value else {
+        return Ok(default);
+    };
+    let threads: usize =
+        value.parse().map_err(|_| err("--threads must be a non-negative integer"))?;
+    if threads > MAX_THREADS {
+        return Err(err(format!("--threads {threads} is above the limit of {MAX_THREADS}")));
+    }
+    Ok(threads)
 }
 
 /// Parses the argument list (without the program name).
@@ -295,11 +315,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 Some(key) if key.eq_ignore_ascii_case("all") => Method::ALL.to_vec(),
                 Some(key) => vec![parse_method(&key)?],
             };
-            let threads = flag("threads")
-                .map(|t| t.parse())
-                .transpose()
-                .map_err(|_| err("--threads must be a non-negative integer"))?
-                .unwrap_or(1);
+            let threads = parse_threads(flag("threads"), 1)?;
             let one = match (flag("vertex"), flag("rect")) {
                 (Some(v), Some(r)) => {
                     Some((v.parse().map_err(|_| err("--vertex must be an id"))?, parse_rect(&r)?))
@@ -319,11 +335,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let method = parse_method(&key).map_err(|e| {
                 err(format!("{e} (a snapshot holds one method; `all` is not supported)"))
             })?;
-            let threads = flag("threads")
-                .map(|t| t.parse())
-                .transpose()
-                .map_err(|_| err("--threads must be a non-negative integer"))?
-                .unwrap_or(1);
+            let threads = parse_threads(flag("threads"), 1)?;
             let save = flag("save").ok_or_else(|| err("build needs --save"))?;
             let shards = flag("shards")
                 .map(|s| s.parse::<usize>())
@@ -372,11 +384,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .transpose()
                 .map_err(|_| err("--port must be a port number"))?
                 .unwrap_or(7070);
-            let threads = flag("threads")
-                .map(|t| t.parse())
-                .transpose()
-                .map_err(|_| err("--threads must be a non-negative integer"))?
-                .unwrap_or(0);
+            let threads = parse_threads(flag("threads"), 0)?;
             let budget_ms = flag("budget-ms")
                 .map(|b| b.parse())
                 .transpose()
@@ -829,6 +837,33 @@ mod tests {
                 "x.gsr",
             ]));
             assert_eq!(parsed.is_ok(), ok, "--scale {scale}");
+        }
+    }
+
+    /// `--threads` above the cap is a usage error for every subcommand that
+    /// takes it, found while parsing: no thread is started and no file read.
+    #[test]
+    fn threads_above_the_cap_are_a_usage_error() {
+        let cap = MAX_THREADS.to_string();
+        let over = (MAX_THREADS + 1).to_string();
+        for sub in [
+            &["query", "n.gsr"][..],
+            &["build", "n.gsr", "--method", "3dreach", "--save", "i.snap"],
+            &["serve", "--load", "i.snap"],
+        ] {
+            let cases = [("0", true), (&cap, true), (&over, false), ("1000000", false)];
+            for (threads, ok) in cases {
+                let mut argv = args(sub);
+                argv.extend(args(&["--threads", threads]));
+                match parse_args(&argv) {
+                    Ok(_) => assert!(ok, "{argv:?} parsed"),
+                    Err(e) => {
+                        assert!(!ok, "{argv:?}: {e}");
+                        assert_eq!(exit_code(&e), 2, "{argv:?}");
+                        assert!(e.to_string().contains("--threads"), "{e}");
+                    }
+                }
+            }
         }
     }
 

@@ -3,14 +3,20 @@
 //! Index structures are immutable after construction and
 //! [`RangeReachIndex`] requires `Send + Sync`, so a shared reference can
 //! serve queries from many threads at once. [`BatchExecutor`] packages
-//! that pattern: a slice of `(vertex, region)` queries is split into
-//! contiguous chunks, each chunk is evaluated by one worker accumulating
-//! its own [`QueryCost`], and the per-worker costs are merged at the end.
-//! Answers come back in input order, and both answers and accumulated
-//! cost are identical to a sequential evaluation at any thread count
-//! (every query is independent; cost counters are sums, which commute).
+//! that pattern with one evaluation loop,
+//! [`BatchExecutor::run_bounded_into`]: a slice of `(vertex, region)`
+//! queries is split into contiguous chunks, each chunk is evaluated by one
+//! worker accumulating its own [`QueryCost`], and the per-worker costs are
+//! merged at the end. Every
+//! query is validated and runs behind a panic fence, and the workers stop
+//! at a budget or a cancellation between queries. Answers come back in
+//! input order, and both answers and accumulated cost are identical to a
+//! sequential evaluation at any thread count (every query is independent;
+//! cost counters are sums, which commute).
 //!
-//! The CLI, the server's pipelined batches and the tests all run on it.
+//! [`BatchExecutor::run`] and [`BatchExecutor::run_bounded`] are thin
+//! wrappers over that loop. The CLI, the server's pipelined batches, the
+//! shard router and the tests all run on it.
 
 use crate::error::{validate_query, GsrError};
 use crate::{QueryCost, RangeReachIndex};
@@ -63,8 +69,7 @@ pub struct BatchOptions {
 }
 
 impl BatchOptions {
-    /// No budget, no cancellation — equivalent to [`BatchExecutor::run`]
-    /// semantics but with per-query fault isolation.
+    /// No budget, no cancellation: every query runs.
     pub fn unlimited() -> Self {
         BatchOptions::default()
     }
@@ -72,12 +77,6 @@ impl BatchOptions {
     /// Sets the wall-clock budget.
     pub fn with_budget(mut self, budget: Duration) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Attaches a cancellation token.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
         self
     }
 }
@@ -213,30 +212,23 @@ impl BatchExecutor {
     }
 
     /// Evaluates every query, returning answers in input order.
+    ///
+    /// # Panics
+    ///
+    /// On the first query that fails — an out-of-range vertex, an invalid
+    /// region or a panic inside the index — with that error's message, as
+    /// [`RangeReachIndex::query`] does. [`BatchExecutor::run_bounded`]
+    /// reports such failures per query instead.
     pub fn run<I>(&self, index: &I, queries: &[BatchQuery]) -> Vec<bool>
     where
         I: RangeReachIndex + ?Sized,
     {
-        self.run_chunks(index, queries, |idx, v, region| idx.query(v, region), |_| {})
-    }
-
-    /// Evaluates every query, returning answers in input order plus the
-    /// accumulated work counters of the whole batch. Each worker
-    /// accumulates locally; the per-worker totals are merged afterwards,
-    /// so the result equals the sum of per-query
-    /// [`RangeReachIndex::query_with_cost`] counters.
-    pub fn run_with_cost<I>(&self, index: &I, queries: &[BatchQuery]) -> (Vec<bool>, QueryCost)
-    where
-        I: RangeReachIndex + ?Sized,
-    {
-        let mut total = QueryCost::default();
-        let answers = self.run_chunks(
-            index,
-            queries,
-            |idx, v, region| idx.query_with_cost(v, region),
-            |chunk_cost| total.accumulate(&chunk_cost),
-        );
-        (answers.into_iter().map(|(hit, _)| hit).collect(), total)
+        let outcome = self.run_bounded(index, queries, &BatchOptions::unlimited());
+        if let Some((_, e)) = outcome.errors.first() {
+            panic!("{}: {e}", index.name());
+        }
+        // Unlimited and error-free, so every slot holds an answer.
+        outcome.answers.into_iter().flatten().collect()
     }
 
     /// Evaluates queries under a wall-clock budget and/or a cancellation
@@ -363,66 +355,6 @@ impl BatchExecutor {
         out.timed_out = limits.timed_out.into_inner();
         out.cancelled = limits.cancelled.into_inner();
     }
-
-    /// Shared driver: splits `queries` into contiguous chunks, one per
-    /// worker, evaluates each chunk on its worker, and returns the results
-    /// in input order. `merge` observes one accumulated [`QueryCost`] per
-    /// chunk (zero for cost-free paths).
-    fn run_chunks<I, T, Q, M>(
-        &self,
-        index: &I,
-        queries: &[BatchQuery],
-        eval: Q,
-        mut merge: M,
-    ) -> Vec<T>
-    where
-        I: RangeReachIndex + ?Sized,
-        T: Send + CostCarrier,
-        Q: Fn(&I, VertexId, &Rect) -> T + Sync,
-        M: FnMut(QueryCost),
-    {
-        let threads = self.threads().min(queries.len().max(1));
-        let chunk_len = queries.len().div_ceil(threads.max(1)).max(1);
-        let chunks: Vec<&[BatchQuery]> = queries.chunks(chunk_len).collect();
-        let per_chunk = gsr_graph::par::map_indexed(threads, chunks.len(), |ci| {
-            let mut local_cost = QueryCost::default();
-            let answers: Vec<T> = chunks[ci]
-                .iter()
-                .map(|(v, region)| {
-                    let out = eval(index, *v, region);
-                    if let Some(cost) = out.cost() {
-                        local_cost.accumulate(cost);
-                    }
-                    out
-                })
-                .collect();
-            (answers, local_cost)
-        });
-        let mut out = Vec::with_capacity(queries.len());
-        for (answers, cost) in per_chunk {
-            out.extend(answers);
-            merge(cost);
-        }
-        out
-    }
-}
-
-/// Internal: lets [`BatchExecutor::run_chunks`] accumulate costs when the
-/// evaluation result carries them.
-trait CostCarrier {
-    fn cost(&self) -> Option<&QueryCost>;
-}
-
-impl CostCarrier for bool {
-    fn cost(&self) -> Option<&QueryCost> {
-        None
-    }
-}
-
-impl CostCarrier for (bool, QueryCost) {
-    fn cost(&self) -> Option<&QueryCost> {
-        Some(&self.1)
-    }
 }
 
 #[cfg(test)]
@@ -451,8 +383,6 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             let exec = BatchExecutor::new(threads);
             assert_eq!(exec.run(&index, &queries), expected, "threads = {threads}");
-            let (answers, _) = exec.run_with_cost(&index, &queries);
-            assert_eq!(answers, expected, "threads = {threads} (cost path)");
         }
     }
 
@@ -466,8 +396,12 @@ mod tests {
             expected.accumulate(&index.query_with_cost(*v, r).1);
         }
         for threads in [1, 2, 4] {
-            let (_, got) = BatchExecutor::new(threads).run_with_cost(&index, &queries);
-            assert_eq!(got, expected, "threads = {threads}");
+            let got = BatchExecutor::new(threads).run_bounded(
+                &index,
+                &queries,
+                &BatchOptions::unlimited(),
+            );
+            assert_eq!(got.cost, expected, "threads = {threads}");
         }
     }
 
@@ -477,9 +411,9 @@ mod tests {
         let index = ThreeDReach::build(&prep, SccSpatialPolicy::Replicate);
         let exec = BatchExecutor::new(4);
         assert!(exec.run(&index, &[]).is_empty());
-        let (answers, cost) = exec.run_with_cost(&index, &[]);
-        assert!(answers.is_empty());
-        assert_eq!(cost, QueryCost::default());
+        let outcome = exec.run_bounded(&index, &[], &BatchOptions::unlimited());
+        assert!(outcome.answers.is_empty() && outcome.is_complete());
+        assert_eq!(outcome.cost, QueryCost::default());
     }
 
     #[test]
@@ -487,7 +421,7 @@ mod tests {
         let prep = paper_example::prepared();
         let index = ThreeDReach::build(&prep, SccSpatialPolicy::Replicate);
         let queries = workload();
-        let expected = BatchExecutor::new(1).run(&index, &queries);
+        let expected: Vec<bool> = queries.iter().map(|(v, r)| index.query(*v, r)).collect();
         for threads in [1, 2, 4] {
             let outcome = BatchExecutor::new(threads).run_bounded(
                 &index,
@@ -543,7 +477,7 @@ mod tests {
         let queries = workload();
         let token = CancelToken::new();
         token.cancel();
-        let options = BatchOptions::unlimited().with_cancel(token.clone());
+        let options = BatchOptions { cancel: Some(token.clone()), ..BatchOptions::unlimited() };
         let outcome = BatchExecutor::new(2).run_bounded(&index, &queries, &options);
         assert!(outcome.cancelled);
         assert!(!outcome.timed_out);
@@ -575,6 +509,22 @@ mod tests {
         assert!(matches!(outcome.errors[0].1, crate::GsrError::InvalidVertex { .. }));
         assert_eq!(outcome.errors[1].0, 2);
         assert!(matches!(outcome.errors[1].1, crate::GsrError::InvalidRect { .. }));
+    }
+
+    #[test]
+    fn run_panics_with_the_first_failed_query() {
+        let prep = paper_example::prepared();
+        let index = ThreeDReach::build(&prep, SccSpatialPolicy::Replicate);
+        let good = paper_example::query_region();
+        let queries = vec![(paper_example::A, good), (9999, good), (9998, good)];
+        for threads in [1, 2] {
+            let exec = BatchExecutor::new(threads);
+            let run = AssertUnwindSafe(|| exec.run(&index, &queries));
+            let payload = std::panic::catch_unwind(run).unwrap_err();
+            let msg = panic_message(payload);
+            assert!(msg.starts_with(index.name()), "threads = {threads}: {msg}");
+            assert!(msg.contains("9999"), "threads = {threads}: {msg}");
+        }
     }
 
     /// An index whose queries panic — exercises the catch_unwind fence.

@@ -68,7 +68,7 @@ impl std::fmt::Display for GsrError {
 impl std::error::Error for GsrError {}
 
 /// Validates a query vertex id against the indexed vertex count.
-pub fn validate_vertex(num_vertices: usize, v: VertexId) -> Result<(), GsrError> {
+fn validate_vertex(num_vertices: usize, v: VertexId) -> Result<(), GsrError> {
     if (v as usize) < num_vertices {
         Ok(())
     } else {
@@ -80,7 +80,7 @@ pub fn validate_vertex(num_vertices: usize, v: VertexId) -> Result<(), GsrError>
 /// minima must not exceed the maxima. `Rect::new` only `debug_assert`s the
 /// ordering, so release builds can be handed an inverted rectangle — this
 /// is the checked boundary.
-pub fn validate_rect(region: &Rect) -> Result<(), GsrError> {
+fn validate_rect(region: &Rect) -> Result<(), GsrError> {
     let coords = [region.min_x, region.min_y, region.max_x, region.max_y];
     if coords.iter().any(|c| !c.is_finite()) {
         return Err(GsrError::InvalidRect {
@@ -102,7 +102,11 @@ pub fn validate_rect(region: &Rect) -> Result<(), GsrError> {
 }
 
 /// Validates a full `RangeReach` query (vertex + region).
-pub fn validate_query(num_vertices: usize, v: VertexId, region: &Rect) -> Result<(), GsrError> {
+pub(crate) fn validate_query(
+    num_vertices: usize,
+    v: VertexId,
+    region: &Rect,
+) -> Result<(), GsrError> {
     validate_vertex(num_vertices, v)?;
     validate_rect(region)
 }

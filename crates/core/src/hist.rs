@@ -13,15 +13,15 @@
 //! The bucket layout is a stable contract: bucket `i` counts samples in
 //! `[2^i, 2^(i+1))` microseconds, bucket `0` also absorbs sub-microsecond
 //! samples, and the last bucket absorbs everything at or past `2^39` µs
-//! (~6.4 days). [`LatencyHistogram::bucket_index`] and
-//! [`LatencyHistogram::bucket_bounds`] expose the mapping in both
-//! directions so tests can pin that the boundaries round-trip.
+//! (~6.4 days). The private `bucket_index` and `bucket_bounds` are that
+//! mapping in both directions, and the unit tests pin that the boundaries
+//! round-trip.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of power-of-two latency buckets. 40 buckets cover up to ~12.7
 /// days of recorded latency, far past any realistic request.
-pub const BUCKETS: usize = 40;
+const BUCKETS: usize = 40;
 
 /// A fixed-bucket, power-of-two latency histogram; see the module docs
 /// for the bucket contract.
@@ -38,7 +38,7 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     /// The bucket a sample of `us` microseconds lands in.
-    pub const fn bucket_index(us: u64) -> usize {
+    const fn bucket_index(us: u64) -> usize {
         let us = if us == 0 { 1 } else { us };
         let idx = (63 - us.leading_zeros()) as usize;
         if idx < BUCKETS - 1 {
@@ -52,7 +52,7 @@ impl LatencyHistogram {
     /// (clamped to the last bucket). Bucket 0 reports `[0, 1]` because it
     /// also absorbs sub-microsecond samples; the last bucket's `hi` is its
     /// nominal upper bound, although it absorbs every larger sample too.
-    pub const fn bucket_bounds(index: usize) -> (u64, u64) {
+    const fn bucket_bounds(index: usize) -> (u64, u64) {
         let index = if index < BUCKETS { index } else { BUCKETS - 1 };
         let lo = if index == 0 { 0 } else { 1u64 << index };
         (lo, (2u64 << index) - 1)
@@ -76,20 +76,8 @@ impl LatencyHistogram {
     }
 
     /// A point-in-time copy of the bucket counts.
-    pub fn bucket_counts(&self) -> [u64; BUCKETS] {
+    fn bucket_counts(&self) -> [u64; BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
-    }
-
-    /// Adds every bucket count of `other` into `self`. Merging per-worker
-    /// histograms is exactly equivalent to having recorded all samples
-    /// into one histogram, at any thread count.
-    pub fn merge_from(&self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Zeroes every bucket. Not a transaction: samples recorded
@@ -170,10 +158,10 @@ mod tests {
         assert_eq!(h.quantile_us(0.99), 0);
     }
 
-    /// Recording into per-thread histograms from 1/2/4 threads and merging
-    /// them produces bit-identical bucket counts (and hence quantiles) to
-    /// sequential recording of the same samples — merge is exact, not
-    /// approximate.
+    /// Recording into one shared histogram from 1/2/4 threads at once
+    /// produces bit-identical bucket counts (and hence quantiles) to
+    /// sequential recording of the same samples — a relaxed increment
+    /// loses nothing.
     #[test]
     fn histogram_is_thread_count_invariant() {
         // Deterministic LCG sample stream, heavy-tailed like real latencies.
@@ -197,11 +185,9 @@ mod tests {
                 for chunk in samples.chunks(samples.len().div_ceil(threads)) {
                     let hist = &hist;
                     scope.spawn(move || {
-                        let local = LatencyHistogram::default();
                         for &s in chunk {
-                            local.record_us(s);
+                            hist.record_us(s);
                         }
-                        hist.merge_from(&local);
                     });
                 }
             });
@@ -232,37 +218,6 @@ mod tests {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             prop_assert!(h.quantile_us(lo) <= h.quantile_us(hi));
             prop_assert!(h.quantile_us(0.0) <= h.quantile_us(1.0));
-        }
-
-        /// Merging per-recorder histograms is exactly the histogram of the
-        /// pooled samples: identical bucket counts, hence identical
-        /// quantiles at every q.
-        #[test]
-        fn merge_equals_pooled_recording(
-            xs in prop::collection::vec(0u64..10_000_000, 0..150),
-            ys in prop::collection::vec(0u64..10_000_000, 0..150),
-        ) {
-            let (hx, hy, pooled) = (
-                LatencyHistogram::default(),
-                LatencyHistogram::default(),
-                LatencyHistogram::default(),
-            );
-            for &s in &xs {
-                hx.record_us(s);
-                pooled.record_us(s);
-            }
-            for &s in &ys {
-                hy.record_us(s);
-                pooled.record_us(s);
-            }
-            let merged = LatencyHistogram::default();
-            merged.merge_from(&hx);
-            merged.merge_from(&hy);
-            prop_assert_eq!(merged.bucket_counts(), pooled.bucket_counts());
-            prop_assert_eq!(merged.count(), (xs.len() + ys.len()) as u64);
-            for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
-                prop_assert_eq!(merged.quantile_us(q), pooled.quantile_us(q));
-            }
         }
 
         /// Bucket boundaries round-trip: both bounds of every bucket map

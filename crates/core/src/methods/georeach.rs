@@ -54,13 +54,13 @@ impl Default for GeoReachParams {
 /// a component.
 mod kind {
     /// `GeoB(v) = FALSE`: no spatial vertex is reachable.
-    pub const B_FALSE: u8 = 0;
+    pub(super) const B_FALSE: u8 = 0;
     /// `GeoB(v) = TRUE`, and nothing else.
-    pub const B_TRUE: u8 = 1;
+    pub(super) const B_TRUE: u8 = 1;
     /// `RMBR(v)`.
-    pub const R: u8 = 2;
+    pub(super) const R: u8 = 2;
     /// `ReachGrid(v)`, merged and deduplicated.
-    pub const G: u8 = 3;
+    pub(super) const G: u8 = 3;
 }
 
 /// The GeoReach evaluator: SPA-graph over the condensation DAG.
@@ -241,10 +241,10 @@ impl GeoReach {
 /// Section tags of the SPA table (`0x80` was its encoding in formats up to
 /// 4, and is not reused).
 mod spa_tag {
-    pub const KINDS: u16 = 0x81;
-    pub const CELL_OFFSETS: u16 = 0x82;
-    pub const CELLS: u16 = 0x83;
-    pub const RMBRS: u16 = 0x84;
+    pub(super) const KINDS: u16 = 0x81;
+    pub(super) const CELL_OFFSETS: u16 = 0x82;
+    pub(super) const CELLS: u16 = 0x83;
+    pub(super) const RMBRS: u16 = 0x84;
 }
 
 /// Whether a rectangle read from a file is one: finite corners, not

@@ -16,9 +16,9 @@ use gsr_graph::scc::CompId;
 
 /// Section tags of the columns several methods declare.
 mod tag {
-    pub const COMP_OF: u16 = 0x10;
-    pub const MEMBER_OFFSETS: u16 = 0x11;
-    pub const MEMBER_POINTS: u16 = 0x12;
+    pub(super) const COMP_OF: u16 = 0x10;
+    pub(super) const MEMBER_OFFSETS: u16 = 0x11;
+    pub(super) const MEMBER_POINTS: u16 = 0x12;
 }
 
 /// Checks a per-component CSR that came from disk: one range of the

@@ -22,9 +22,6 @@ use rand::{Rng, SeedableRng};
 /// default is 5%.
 pub const PAPER_EXTENTS_PCT: [f64; 5] = [1.0, 2.0, 5.0, 10.0, 20.0];
 
-/// Index of the default extent (5%) in [`PAPER_EXTENTS_PCT`].
-pub const DEFAULT_EXTENT_INDEX: usize = 2;
-
 /// The selectivity sweep of the paper, in percent of `|V|`.
 pub const PAPER_SELECTIVITIES_PCT: [f64; 4] = [0.001, 0.01, 0.1, 1.0];
 

@@ -31,7 +31,7 @@ impl<const N: usize> Aabb<N> {
         Aabb { min: p, max: p }
     }
 
-    /// An "empty" box that acts as the identity for [`Aabb::expand`]: every
+    /// An "empty" box that acts as the identity for growing by union: every
     /// dimension spans `[+inf, -inf]`, so the first expansion snaps to the
     /// expanded geometry.
     #[inline]
@@ -77,7 +77,7 @@ impl<const N: usize> Aabb<N> {
 
     /// Grows the box in place to contain `other`.
     #[inline]
-    pub fn expand(&mut self, other: &Aabb<N>) {
+    fn expand(&mut self, other: &Aabb<N>) {
         for d in 0..N {
             self.min[d] = self.min[d].min(other.min[d]);
             self.max[d] = self.max[d].max(other.max[d]);

@@ -138,7 +138,7 @@ impl Rect {
 
     /// Grows the rectangle in place so that it contains `p`.
     #[inline]
-    pub fn expand_to_point(&mut self, p: Point) {
+    fn expand_to_point(&mut self, p: Point) {
         self.min_x = self.min_x.min(p.x);
         self.min_y = self.min_y.min(p.y);
         self.max_x = self.max_x.max(p.x);

@@ -247,10 +247,10 @@ pub(crate) fn bucket(
 
 /// Section tags of the four CSR columns.
 mod tag {
-    pub const OUT_OFFSETS: u16 = 0x60;
-    pub const OUT_TARGETS: u16 = 0x61;
-    pub const IN_OFFSETS: u16 = 0x62;
-    pub const IN_SOURCES: u16 = 0x63;
+    pub(super) const OUT_OFFSETS: u16 = 0x60;
+    pub(super) const OUT_TARGETS: u16 = 0x61;
+    pub(super) const IN_OFFSETS: u16 = 0x62;
+    pub(super) const IN_SOURCES: u16 = 0x63;
 }
 
 /// The reverse CSR is derivable from the forward one, but is a column all

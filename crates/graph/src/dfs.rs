@@ -162,7 +162,7 @@ impl SpanningForest {
 
     /// Iterator over the tree ancestors of `v` (excluding `v` itself),
     /// closest first.
-    pub fn ancestors(&self, v: VertexId) -> Ancestors<'_> {
+    pub fn ancestors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
         Ancestors { parent: &self.parent, current: self.parent[v as usize] }
     }
 
@@ -267,7 +267,7 @@ fn visit_order(g: &DiGraph, strategy: ForestStrategy) -> VisitOrder<'_> {
 }
 
 /// Iterator over tree ancestors; see [`SpanningForest::ancestors`].
-pub struct Ancestors<'a> {
+struct Ancestors<'a> {
     parent: &'a [VertexId],
     current: VertexId,
 }

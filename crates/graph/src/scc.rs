@@ -16,17 +16,17 @@ pub type CompId = u32;
 /// discovery* (Tarjan emits a component only after all components reachable
 /// from it); we renumber so that ids are arbitrary but dense.
 #[derive(Debug, Clone)]
-pub struct SccResult {
+struct SccResult {
     /// `comp_of[v]` is the component containing vertex `v`.
-    pub comp_of: Vec<CompId>,
+    comp_of: Vec<CompId>,
     /// Total number of components.
-    pub num_components: usize,
+    num_components: usize,
 }
 
 /// Computes the strongly connected components of `g` using an iterative
 /// Tarjan's algorithm (explicit stack; no recursion, so million-vertex
 /// inputs cannot overflow the call stack).
-pub fn tarjan_scc(g: &DiGraph) -> SccResult {
+fn tarjan_scc(g: &DiGraph) -> SccResult {
     let n = g.num_vertices();
     const UNVISITED: u32 = u32::MAX;
 

@@ -100,7 +100,7 @@ impl HierarchicalGrid {
 
     /// Cells per side at `level`.
     #[inline]
-    pub fn side_cells(&self, level: u8) -> u32 {
+    fn side_cells(&self, level: u8) -> u32 {
         debug_assert!(level <= self.finest_exp);
         1u32 << (self.finest_exp - level)
     }

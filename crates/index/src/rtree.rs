@@ -341,13 +341,6 @@ impl<const N: usize, T> RTree<N, T> {
         self.mbrs.len()
     }
 
-    /// Number of inner (non-leaf) nodes; node ids `0..num_inner_nodes()`
-    /// are inner, the rest are leaves.
-    #[inline]
-    pub fn num_inner_nodes(&self) -> usize {
-        self.num_inner
-    }
-
     /// Child ids of inner node `id` (child reference `k` is node `k + 1`).
     #[inline]
     fn child_ids(&self, id: usize) -> Range<usize> {
@@ -624,12 +617,12 @@ impl<const N: usize, T> HeapBytes for RTree<N, T> {
 /// Section tags. The per-dimension entry bounds add the dimension index to
 /// the base tag; an absent `ENTRY_HI + d` marks dimension `d` degenerate.
 mod tag {
-    pub const MBRS: u16 = 0x20;
-    pub const CHILD_START: u16 = 0x21;
-    pub const ENTRY_START: u16 = 0x23;
-    pub const VALUES: u16 = 0x24;
-    pub const ENTRY_LO: u16 = 0x30;
-    pub const ENTRY_HI: u16 = 0x38;
+    pub(super) const MBRS: u16 = 0x20;
+    pub(super) const CHILD_START: u16 = 0x21;
+    pub(super) const ENTRY_START: u16 = 0x23;
+    pub(super) const VALUES: u16 = 0x24;
+    pub(super) const ENTRY_LO: u16 = 0x30;
+    pub(super) const ENTRY_HI: u16 = 0x38;
 }
 
 /// A saved tree reloads bit-identical: same arena layout, same traversal
@@ -933,12 +926,12 @@ mod tests {
         assert!(t.height() >= 2);
         // Root is node 0; every child id exceeds its parent's; leaves
         // occupy the id range after the inner nodes.
-        for id in 0..t.num_inner_nodes() {
+        for id in 0..t.num_inner {
             for c in t.child_ids(id) {
                 assert!(c > id);
             }
         }
-        assert_eq!(t.num_nodes() - t.num_inner_nodes(), t.entry_start.len() - 1);
+        assert_eq!(t.num_nodes() - t.num_inner, t.entry_start.len() - 1);
     }
 
     #[test]

@@ -27,12 +27,12 @@ fn linear_scan<const N: usize>(entries: &[(Aabb<N>, usize)], region: &Aabb<N>) -
 
 /// The R-tree's section tags (DESIGN.md, "Snapshot layout").
 mod tag {
-    pub const MBRS: u16 = 0x20;
-    pub const CHILD_START: u16 = 0x21;
-    pub const ENTRY_START: u16 = 0x23;
-    pub const VALUES: u16 = 0x24;
-    pub const ENTRY_LO: u16 = 0x30;
-    pub const ENTRY_HI: u16 = 0x38;
+    pub(super) const MBRS: u16 = 0x20;
+    pub(super) const CHILD_START: u16 = 0x21;
+    pub(super) const ENTRY_START: u16 = 0x23;
+    pub(super) const VALUES: u16 = 0x24;
+    pub(super) const ENTRY_LO: u16 = 0x30;
+    pub(super) const ENTRY_HI: u16 = 0x38;
 }
 
 /// The per-entry stack traversal that [`RTree::runs`] replaced, kept here as

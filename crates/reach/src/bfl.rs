@@ -218,10 +218,10 @@ impl BflIndex {
 
 /// Section tags of the index's own columns; the DAG's are the graph's.
 mod tag {
-    pub const POST: u16 = 0x70;
-    pub const TREE_MIN: u16 = 0x71;
-    pub const OUT_FILTERS: u16 = 0x72;
-    pub const IN_FILTERS: u16 = 0x73;
+    pub(super) const POST: u16 = 0x70;
+    pub(super) const TREE_MIN: u16 = 0x71;
+    pub(super) const OUT_FILTERS: u16 = 0x72;
+    pub(super) const IN_FILTERS: u16 = 0x73;
 }
 
 impl Columns for BflIndex {

@@ -32,7 +32,7 @@ pub fn reaches_bfs(g: &DiGraph, from: VertexId, to: VertexId) -> bool {
 }
 
 /// The descendant set of `from` (including `from`) as a boolean vector.
-pub fn descendants_bfs(g: &DiGraph, from: VertexId) -> Vec<bool> {
+fn descendants_bfs(g: &DiGraph, from: VertexId) -> Vec<bool> {
     let mut visited = vec![false; g.num_vertices()];
     let mut queue = VecDeque::new();
     visited[from as usize] = true;
@@ -46,33 +46,6 @@ pub fn descendants_bfs(g: &DiGraph, from: VertexId) -> Vec<bool> {
         }
     }
     visited
-}
-
-/// An index-free [`Reachability`] oracle that traverses the graph per query.
-#[derive(Debug, Clone)]
-pub struct OnlineBfs<'a> {
-    g: &'a DiGraph,
-}
-
-impl<'a> OnlineBfs<'a> {
-    /// Wraps a graph; no preprocessing is performed.
-    pub fn new(g: &'a DiGraph) -> Self {
-        OnlineBfs { g }
-    }
-}
-
-impl Reachability for OnlineBfs<'_> {
-    fn reaches(&self, from: VertexId, to: VertexId) -> bool {
-        reaches_bfs(self.g, from, to)
-    }
-
-    fn heap_bytes(&self) -> usize {
-        0
-    }
-
-    fn name(&self) -> &'static str {
-        "BFS"
-    }
 }
 
 /// The full transitive closure as a dense bit matrix. Quadratic memory —
@@ -106,11 +79,6 @@ impl TransitiveClosure {
     pub fn num_vertices(&self) -> usize {
         self.n
     }
-
-    /// Number of reachable pairs (including the `n` reflexive pairs).
-    pub fn num_pairs(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
 }
 
 impl Reachability for TransitiveClosure {
@@ -132,6 +100,11 @@ impl Reachability for TransitiveClosure {
 mod tests {
     use super::*;
     use gsr_graph::graph_from_edges;
+
+    /// Number of reachable pairs (including the `n` reflexive pairs).
+    fn reachable_pairs(tc: &TransitiveClosure, g: &DiGraph) -> usize {
+        g.vertices().map(|u| g.vertices().filter(|&v| tc.reaches(u, v)).count()).sum()
+    }
 
     #[test]
     fn bfs_reaches_along_paths() {
@@ -159,16 +132,7 @@ mod tests {
             }
         }
         // Pairs: reflexive 6 + (0,1),(0,2),(1,2),(3,1),(3,2),(4,5),(5,4).
-        assert_eq!(tc.num_pairs(), 13);
-    }
-
-    #[test]
-    fn online_oracle_has_no_index() {
-        let g = graph_from_edges(3, &[(0, 1)]);
-        let o = OnlineBfs::new(&g);
-        assert!(o.reaches(0, 1));
-        assert_eq!(o.heap_bytes(), 0);
-        assert_eq!(o.name(), "BFS");
+        assert_eq!(reachable_pairs(&tc, &g), 13);
     }
 
     #[test]
@@ -179,6 +143,6 @@ mod tests {
         let tc = TransitiveClosure::of(&g);
         assert!(tc.reaches(0, 69));
         assert!(!tc.reaches(69, 0));
-        assert_eq!(tc.num_pairs(), 70 * 71 / 2);
+        assert_eq!(reachable_pairs(&tc, &g), 70 * 71 / 2);
     }
 }

@@ -12,7 +12,7 @@
 //!   no loss of information; decoding is a forward pass that allocates
 //!   nothing.
 //! * [`DeltaArray`] — a monotone `u32` array stored as anchored varint
-//!   deltas (one absolute anchor every [`DeltaArray::BLOCK`] entries), with
+//!   deltas (one absolute anchor every `BLOCK` = 32 entries), with
 //!   `O(BLOCK)` random access and an amortized-`O(1)` sequential cursor.
 //!
 //! Both validate untrusted input — loaded columns, and the values handed to
@@ -119,7 +119,7 @@ impl CompactLabels {
     /// The label set `L(v)` as a forward, allocation-free iterator of
     /// sorted, pairwise-disjoint intervals.
     #[inline]
-    pub fn intervals(&self, v: VertexId) -> LabelIter<'_> {
+    pub fn intervals(&self, v: VertexId) -> impl Iterator<Item = Interval> + '_ {
         let lo = self.offsets[v as usize] as usize;
         let hi = self.offsets[v as usize + 1] as usize;
         LabelIter { bytes: &self.bytes[..hi], pos: lo, prev_hi: 0, first: true }
@@ -204,8 +204,8 @@ impl CompactLabels {
 
 /// Section tags of [`CompactLabels`].
 mod labels_tag {
-    pub const OFFSETS: u16 = 0x50;
-    pub const BYTES: u16 = 0x51;
+    pub(super) const OFFSETS: u16 = 0x50;
+    pub(super) const BYTES: u16 = 0x51;
 }
 
 impl Columns for CompactLabels {
@@ -238,7 +238,7 @@ impl HeapBytes for CompactLabels {
 
 /// Forward iterator over one vertex's compressed label stream.
 #[derive(Debug, Clone)]
-pub struct LabelIter<'a> {
+struct LabelIter<'a> {
     bytes: &'a [u8],
     pos: usize,
     prev_hi: u32,
@@ -266,7 +266,7 @@ impl Iterator for LabelIter<'_> {
 }
 
 /// A monotone (non-decreasing) `u32` array stored as anchored varint
-/// deltas: every [`DeltaArray::BLOCK`]-th value is stored verbatim in
+/// deltas: every `BLOCK`-th value is stored verbatim in
 /// `anchors`, the rest as varint gaps from their predecessor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaArray {
@@ -294,7 +294,7 @@ impl Default for DeltaArray {
 impl DeltaArray {
     /// Entries per absolute anchor: random access decodes at most
     /// `BLOCK - 1` deltas.
-    pub const BLOCK: usize = 32;
+    const BLOCK: usize = 32;
 
     /// Compresses a monotone array. Returns a typed error (never panics)
     /// when the input decreases anywhere — `from_sorted` doubles as the
@@ -420,7 +420,7 @@ impl DeltaArray {
     /// and allocation-free — the shape the per-post scan of SocReach needs.
     /// A mid-block start pays one `O(BLOCK)` seek here; every subsequent
     /// step decodes a single delta.
-    pub fn iter_from(&self, start: usize) -> DeltaIter<'_> {
+    pub fn iter_from(&self, start: usize) -> impl Iterator<Item = u32> + '_ {
         let mut value = 0u32;
         let mut pos = 0usize;
         if start < self.len && !start.is_multiple_of(Self::BLOCK) {
@@ -444,9 +444,9 @@ impl DeltaArray {
 
 /// Section tags of [`DeltaArray`].
 mod delta_tag {
-    pub const ANCHORS: u16 = 0x90;
-    pub const STARTS: u16 = 0x91;
-    pub const BYTES: u16 = 0x92;
+    pub(super) const ANCHORS: u16 = 0x90;
+    pub(super) const STARTS: u16 = 0x91;
+    pub(super) const BYTES: u16 = 0x92;
 }
 
 /// `len` is a scalar of its own: it is not derivable from the columns (the
@@ -477,7 +477,7 @@ impl Columns for DeltaArray {
 /// delta for `index` whenever `index` is not an anchor position (anchors
 /// reset both).
 #[derive(Debug, Clone)]
-pub struct DeltaIter<'a> {
+struct DeltaIter<'a> {
     array: &'a DeltaArray,
     index: usize,
     value: u32,

@@ -213,14 +213,6 @@ impl IntervalLabeling {
         gallop_covers(self.intervals(v), p)
     }
 
-    /// [`IntervalLabeling::covers_post`] via plain binary search. Kept as
-    /// the reference implementation the galloping search is property-tested
-    /// against.
-    #[inline]
-    pub fn covers_post_binary(&self, v: VertexId, p: u32) -> bool {
-        binary_covers(self.intervals(v), p)
-    }
-
     /// Iterator over the descendants of `v` (including `v` itself), i.e.
     /// the set `D(v)` of Section 4.1, produced by expanding each label
     /// interval through the post-order permutation.
@@ -303,10 +295,10 @@ impl IntervalLabeling {
 
 /// Section tags.
 mod tag {
-    pub const POST: u16 = 0x40;
-    pub const POST_TO_VERTEX: u16 = 0x41;
-    pub const OFFSETS: u16 = 0x42;
-    pub const INTERVALS: u16 = 0x43;
+    pub(super) const POST: u16 = 0x40;
+    pub(super) const POST_TO_VERTEX: u16 = 0x41;
+    pub(super) const OFFSETS: u16 = 0x42;
+    pub(super) const INTERVALS: u16 = 0x43;
 }
 
 impl Columns for IntervalLabeling {
@@ -392,7 +384,7 @@ pub fn binary_covers(labels: &[Interval], p: u32) -> bool {
 /// Coalesces a sorted interval list in place: overlapping intervals always
 /// merge; adjacent intervals (`hi + 1 == lo`) merge only when
 /// `merge_adjacent` is set. The input must be sorted by `lo`.
-pub fn coalesce(intervals: &mut Vec<Interval>, merge_adjacent: bool) {
+fn coalesce(intervals: &mut Vec<Interval>, merge_adjacent: bool) {
     debug_assert!(intervals.windows(2).all(|w| w[0].lo <= w[1].lo));
     let mut out = 0usize;
     for i in 0..intervals.len() {
@@ -871,8 +863,8 @@ mod tests {
 
     #[test]
     fn gallop_agrees_with_binary_on_edges() {
-        // Hand-picked adversarial shapes; the exhaustive comparison lives in
-        // the proptest suite (tests/props_memory.rs).
+        // Hand-picked adversarial shapes; the randomised comparison lives in
+        // the proptest suite (tests/props_compact.rs).
         let sets: &[&[Interval]] = &[
             &[],
             &[Interval::new(5, 5)],

@@ -24,7 +24,7 @@ pub mod bfl;
 pub mod bfs;
 pub mod compact;
 pub mod interval;
-pub mod scratch;
+mod scratch;
 
 use gsr_graph::VertexId;
 

@@ -18,26 +18,21 @@ use std::cell::Cell;
 
 /// Reusable DFS state: an epoch-stamped visited array and a vertex stack.
 #[derive(Debug, Default)]
-pub struct TraversalScratch {
+pub(crate) struct TraversalScratch {
     /// `visited[v] == epoch` means `v` was visited by the *current*
     /// traversal; stale stamps from earlier traversals are ignored.
     visited: Vec<u32>,
     epoch: u32,
     /// The DFS stack, cleared (but not shrunk) by [`TraversalScratch::begin`].
-    pub stack: Vec<VertexId>,
+    pub(crate) stack: Vec<VertexId>,
 }
 
 impl TraversalScratch {
-    /// A fresh scratch with empty buffers.
-    pub fn new() -> Self {
-        TraversalScratch::default()
-    }
-
     /// Starts a new traversal over a graph of `n` vertices: grows the
     /// visited array if needed, advances the epoch (recycling all previous
     /// marks in O(1)) and clears the stack. On the rare epoch wrap-around
     /// the stamps are re-zeroed once.
-    pub fn begin(&mut self, n: usize) {
+    pub(crate) fn begin(&mut self, n: usize) {
         if self.visited.len() < n {
             self.visited.resize(n, 0);
         }
@@ -52,7 +47,7 @@ impl TraversalScratch {
     /// Marks `v` visited; returns `true` when `v` was not yet visited by
     /// the current traversal.
     #[inline]
-    pub fn mark(&mut self, v: VertexId) -> bool {
+    pub(crate) fn mark(&mut self, v: VertexId) -> bool {
         let slot = &mut self.visited[v as usize];
         if *slot == self.epoch {
             false
@@ -64,7 +59,7 @@ impl TraversalScratch {
 
     /// Whether `v` was visited by the current traversal.
     #[inline]
-    pub fn is_marked(&self, v: VertexId) -> bool {
+    pub(crate) fn is_marked(&self, v: VertexId) -> bool {
         self.visited[v as usize] == self.epoch
     }
 }
@@ -76,7 +71,7 @@ thread_local! {
 /// Runs `f` with this thread's [`TraversalScratch`]. The scratch is taken
 /// out of the thread-local slot for the duration of the call, so a nested
 /// call falls back to a fresh (heap-allocated) scratch instead of aliasing.
-pub fn with_traversal_scratch<R>(f: impl FnOnce(&mut TraversalScratch) -> R) -> R {
+pub(crate) fn with_traversal_scratch<R>(f: impl FnOnce(&mut TraversalScratch) -> R) -> R {
     SCRATCH.with(|slot| {
         let mut scratch = slot.take().unwrap_or_default();
         let out = f(&mut scratch);
@@ -91,7 +86,7 @@ mod tests {
 
     #[test]
     fn epochs_recycle_marks_without_clearing() {
-        let mut s = TraversalScratch::new();
+        let mut s = TraversalScratch::default();
         s.begin(4);
         assert!(s.mark(2));
         assert!(!s.mark(2));
@@ -103,7 +98,7 @@ mod tests {
 
     #[test]
     fn begin_grows_for_larger_graphs() {
-        let mut s = TraversalScratch::new();
+        let mut s = TraversalScratch::default();
         s.begin(2);
         s.mark(1);
         s.begin(100);
@@ -113,7 +108,7 @@ mod tests {
 
     #[test]
     fn epoch_wraparound_rezeroes() {
-        let mut s = TraversalScratch::new();
+        let mut s = TraversalScratch::default();
         s.begin(3);
         s.mark(0);
         s.epoch = u32::MAX; // force the next begin to wrap

@@ -8,7 +8,7 @@
 //!
 //! ## Sharding
 //!
-//! The cache is split into [`NUM_SHARDS`] independent segments, each its
+//! The cache is split into `NUM_SHARDS` independent segments, each its
 //! own mutex-protected LRU. A query locks exactly one shard, chosen by a
 //! hash of the canonical key, so concurrent connection handlers rarely
 //! contend. Hit/miss/eviction counters are relaxed atomics outside the
@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Number of independently locked cache segments.
-pub const NUM_SHARDS: usize = 8;
+const NUM_SHARDS: usize = 8;
 
 /// Sentinel slot index for the intrusive LRU list.
 const NIL: u32 = u32::MAX;
@@ -208,7 +208,7 @@ pub struct ResultCache {
 
 impl ResultCache {
     /// A cache holding at most `entries` answers in total, spread over
-    /// [`NUM_SHARDS`] segments (each gets `ceil(entries / NUM_SHARDS)`,
+    /// `NUM_SHARDS` segments (each gets `ceil(entries / NUM_SHARDS)`,
     /// but at least one, so tiny capacities still cache something).
     pub fn new(entries: usize) -> Self {
         ResultCache {

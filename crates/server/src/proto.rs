@@ -55,7 +55,7 @@ pub enum Request {
 }
 
 /// The `ERR` code of a [`GsrError`], aligned with the CLI exit codes.
-pub fn error_code(e: &GsrError) -> u8 {
+fn error_code(e: &GsrError) -> u8 {
     match e {
         GsrError::Internal(_) => 1,
         GsrError::Load(_) => 3,

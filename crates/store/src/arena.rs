@@ -23,7 +23,7 @@ use gsr_graph::StableBytes;
 /// Alignment of the owned buffer and of every section payload inside a
 /// snapshot. 64 covers every column element type (max 8) with room for
 /// cache-line and SIMD-friendly starts.
-pub const ARENA_ALIGN: usize = 64;
+pub(crate) const ARENA_ALIGN: usize = 64;
 
 #[repr(C, align(64))]
 #[derive(Clone, Copy)]
@@ -62,11 +62,11 @@ mod mmap_sys {
     //! part of every unix libc ABI this workspace targets).
     use std::os::raw::{c_int, c_void};
 
-    pub const PROT_READ: c_int = 1;
-    pub const MAP_PRIVATE: c_int = 2;
+    pub(super) const PROT_READ: c_int = 1;
+    pub(super) const MAP_PRIVATE: c_int = 2;
 
     extern "C" {
-        pub fn mmap(
+        pub(super) fn mmap(
             addr: *mut c_void,
             len: usize,
             prot: c_int,
@@ -74,10 +74,10 @@ mod mmap_sys {
             fd: c_int,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub(super) fn munmap(addr: *mut c_void, len: usize) -> c_int;
     }
 
-    pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
+    pub(super) const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
 }
 
 /// A read-only private mapping of a whole file. Unmapped on drop.

@@ -50,9 +50,9 @@ use crate::wire::crc32;
 use crate::{io_save, load_err, unsupported_version, SnapshotIndex, FORMAT_VERSION, MAGIC};
 
 /// Header length: magic + version + section count + file length.
-pub const HEADER_LEN: usize = 24;
+const HEADER_LEN: usize = 24;
 /// Directory entry length.
-pub const DIR_ENTRY_LEN: usize = 24;
+const DIR_ENTRY_LEN: usize = 24;
 
 /// Tag of the `META` section: the method tag, then the index's scalars.
 const META: u16 = 0x01;

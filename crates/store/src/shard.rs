@@ -72,7 +72,7 @@ use crate::{
 pub const SHARD_MAGIC: [u8; 8] = *b"GSRSHRD\0";
 
 /// Current manifest format version.
-pub const SHARD_MANIFEST_VERSION: u32 = 2;
+const SHARD_MANIFEST_VERSION: u32 = 2;
 
 /// File name of the manifest inside a shard-set directory.
 pub const SHARD_MANIFEST: &str = "MANIFEST.gsrshard";
@@ -152,11 +152,11 @@ pub fn save_sharded_to_path(dir: impl AsRef<Path>, shards: &[Shard]) -> Result<(
 
 /// One routing entry decoded from a shard-set manifest.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShardEntry {
+pub(crate) struct ShardEntry {
     /// The shard's file name relative to the manifest's directory.
-    pub file: String,
+    pub(crate) file: String,
     /// Tile MBR recorded at save time; `None` for an empty tile.
-    pub mbr: Option<Rect>,
+    pub(crate) mbr: Option<Rect>,
 }
 
 /// A decoded shard-set manifest.
@@ -167,7 +167,7 @@ pub struct ShardManifest {
     /// Name of the file holding the columns all shards share.
     pub shared: String,
     /// Per-shard routing entries in shard order.
-    pub shards: Vec<ShardEntry>,
+    pub(crate) shards: Vec<ShardEntry>,
 }
 
 impl ShardManifest {

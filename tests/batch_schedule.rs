@@ -7,7 +7,10 @@
 //! spatial policies.
 
 use gsr_core::methods::{SpaReachBfl, ThreeDReach};
-use gsr_core::{BatchExecutor, PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
+use gsr_core::{
+    BatchExecutor, BatchOptions, BatchOutcome, BatchQuery, PreparedNetwork, RangeReachIndex,
+    SccSpatialPolicy,
+};
 use gsr_datagen::workload::WorkloadGen;
 use gsr_datagen::NetworkSpec;
 use gsr_graph::stats::DegreeBucket;
@@ -23,6 +26,13 @@ fn datasets() -> Vec<PreparedNetwork> {
     ]
 }
 
+/// One unlimited batch on `threads` workers; every query must complete.
+fn run(threads: usize, idx: &dyn RangeReachIndex, queries: &[BatchQuery]) -> BatchOutcome {
+    let outcome = BatchExecutor::new(threads).run_bounded(idx, queries, &BatchOptions::unlimited());
+    assert!(outcome.is_complete(), "{} threads={threads}", idx.name());
+    outcome
+}
+
 fn indexes(prep: &PreparedNetwork, policy: SccSpatialPolicy) -> Vec<Box<dyn RangeReachIndex>> {
     vec![Box::new(SpaReachBfl::build(prep, policy)), Box::new(ThreeDReach::build(prep, policy))]
 }
@@ -36,13 +46,12 @@ fn batches_agree_with_bfs_at_every_thread_count_on_both_policies() {
             for idx in indexes(&prep, policy) {
                 for seed in SEEDS {
                     let w = gen.extent_degree(5.0, bucket, 150, seed);
-                    let (plain, plain_cost) =
-                        BatchExecutor::new(1).run_with_cost(idx.as_ref(), &w.queries);
+                    let plain = run(1, idx.as_ref(), &w.queries);
                     // The one-worker batch must match the online oracle.
                     for (i, (v, r)) in w.queries.iter().enumerate() {
                         assert_eq!(
-                            plain[i],
-                            prep.range_reach_bfs(*v, r),
+                            plain.answers[i],
+                            Some(prep.range_reach_bfs(*v, r)),
                             "{}{} seed={seed} query {i} disagrees with BFS",
                             idx.name(),
                             policy.suffix()
@@ -51,18 +60,17 @@ fn batches_agree_with_bfs_at_every_thread_count_on_both_policies() {
                     // Any thread count must be bit-identical: same answers,
                     // same total cost.
                     for threads in THREAD_COUNTS {
-                        let (split, split_cost) =
-                            BatchExecutor::new(threads).run_with_cost(idx.as_ref(), &w.queries);
+                        let split = run(threads, idx.as_ref(), &w.queries);
                         assert_eq!(
-                            split,
-                            plain,
+                            split.answers,
+                            plain.answers,
                             "{}{} seed={seed} threads={threads}: answers changed",
                             idx.name(),
                             policy.suffix()
                         );
                         assert_eq!(
-                            split_cost,
-                            plain_cost,
+                            split.cost,
+                            plain.cost,
                             "{}{} seed={seed} threads={threads}: cost changed",
                             idx.name(),
                             policy.suffix()

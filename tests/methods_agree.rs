@@ -118,11 +118,6 @@ fn batch_executor_matches_bfs_for_every_method_and_policy() {
                     expected,
                     "seed {seed}: {name} disagrees with BFS at threads={threads}"
                 );
-                let (answers, _) = exec.run_with_cost(&idx, &queries);
-                assert_eq!(
-                    answers, expected,
-                    "seed {seed}: {name} cost path disagrees at threads={threads}"
-                );
             }
         }
     }

@@ -2,7 +2,9 @@
 //! independent structures report about the same query.
 
 use gsr_core::methods::{GeoReach, ScanMode, SocReach, SpaReachBfl, ThreeDReach};
-use gsr_core::{BatchExecutor, PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy};
+use gsr_core::{
+    BatchExecutor, BatchOptions, PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy,
+};
 use gsr_datagen::workload::WorkloadGen;
 use gsr_datagen::NetworkSpec;
 use gsr_graph::stats::DegreeBucket;
@@ -120,10 +122,15 @@ fn batch_cost_accumulates_exactly_the_per_query_costs() {
             })
             .collect();
         for threads in [1, 2, 4, 8] {
-            let (answers, total) =
-                BatchExecutor::new(threads).run_with_cost(idx.as_ref(), &w.queries);
+            let outcome = BatchExecutor::new(threads).run_bounded(
+                idx.as_ref(),
+                &w.queries,
+                &BatchOptions::unlimited(),
+            );
+            let answers: Vec<bool> = outcome.answers.iter().flatten().copied().collect();
+            assert!(outcome.is_complete(), "{} threads={threads}", idx.name());
             assert_eq!(answers, expected_answers, "{} threads={threads}", idx.name());
-            assert_eq!(total, expected, "{} threads={threads}", idx.name());
+            assert_eq!(outcome.cost, expected, "{} threads={threads}", idx.name());
         }
     }
 }

@@ -68,8 +68,8 @@ fn every_method_rejects_bad_input_without_panicking() {
     }
 }
 
-/// Unbounded `run_bounded` agrees with `run` for every method at several
-/// thread counts — the bounded executor is a strict superset, not a fork.
+/// Unbounded `run_bounded` agrees with one `try_query` per query for every
+/// method at several thread counts.
 #[test]
 fn bounded_executor_agrees_with_unbounded_on_every_method() {
     let prep = prepared(23);
@@ -79,7 +79,8 @@ fn bounded_executor_agrees_with_unbounded_on_every_method() {
         .flat_map(|&v| random_regions(4, 23 + v as u64).into_iter().map(move |r| (v, r)))
         .collect();
     for (label, idx) in all_snapshots(&prep) {
-        let expected = BatchExecutor::new(1).run(&idx, &queries);
+        let expected: Vec<bool> =
+            queries.iter().map(|(v, r)| idx.try_query(*v, r).unwrap()).collect();
         for threads in [1, 3] {
             let outcome =
                 BatchExecutor::new(threads).run_bounded(&idx, &queries, &BatchOptions::unlimited());
@@ -174,7 +175,7 @@ fn cancellation_mid_batch_keeps_partial_answers() {
     let outcome = BatchExecutor::new(1).run_bounded(
         &index,
         &queries,
-        &BatchOptions::unlimited().with_cancel(token.clone()),
+        &BatchOptions { cancel: Some(token.clone()), ..BatchOptions::unlimited() },
     );
     assert!(outcome.cancelled);
     assert!(!outcome.timed_out);
