@@ -1,5 +1,5 @@
 //! The reproduction harness: regenerates every table and figure of the
-//! paper's evaluation, and the paper's ablations and extensions.
+//! paper's evaluation, and the extensions that explain its trends.
 //!
 //! ```text
 //! repro [EXPERIMENT..] [--scale S] [--queries N] [--seed K] [--csv]
@@ -26,19 +26,8 @@ use std::time::Instant;
 
 /// Every experiment `repro` accepts, in run order.
 const EXPERIMENTS: &[&str] = &[
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "fig5",
-    "fig6",
-    "fig7",
-    "backends",
-    "ablations",
-    "analysis",
-    "polarity",
-    "georeach",
-    "forests",
+    "table3", "table4", "table5", "table6", "fig5", "fig6", "fig7", "backends", "analysis",
+    "polarity", "georeach",
 ];
 
 fn usage() -> ! {
@@ -155,12 +144,6 @@ fn main() {
             &experiments::backends(&datasets, &cfg),
         );
     }
-    if wanted("ablations") {
-        emit(
-            "Extension: fidelity ablations (candidate materialization, descendant scan)",
-            &experiments::ablations(&datasets, &cfg),
-        );
-    }
     if wanted("analysis") {
         emit(
             "Extension: average per-query work counters (the drivers of Figure 7)",
@@ -177,12 +160,6 @@ fn main() {
         emit(
             "Extension: GeoReach construction-parameter sensitivity",
             &experiments::georeach_params(&datasets, &cfg),
-        );
-    }
-    if wanted("forests") {
-        emit(
-            "Extension: spanning-forest strategies vs labeling size (Section 8 future work)",
-            &experiments::forests(&datasets),
         );
     }
     eprintln!("total: {:.1?}", t0.elapsed());

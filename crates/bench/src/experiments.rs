@@ -2,12 +2,9 @@
 
 use crate::harness::{run_workload, Config, Dataset};
 use crate::table::{fmt_mb, fmt_micros, fmt_secs, TextTable};
-use gsr_core::methods::{
-    CandidateMode, GeoReach, GeoReachParams, ScanMode, SocReach, SpaReachBfl, SpaReachInt,
-};
+use gsr_core::methods::{GeoReach, GeoReachParams, SpaReachBfl, SpaReachInt};
 use gsr_core::{Method, QueryCost, RangeReachIndex, SccSpatialPolicy};
 use gsr_datagen::workload::{WorkloadGen, PAPER_EXTENTS_PCT, PAPER_SELECTIVITIES_PCT};
-use gsr_graph::dfs::ForestStrategy;
 use gsr_graph::stats::DegreeBucket;
 use gsr_reach::bfl::BflIndex;
 use gsr_reach::interval::{BuildOptions, Builder, IntervalLabeling};
@@ -55,7 +52,7 @@ pub fn table3(datasets: &[Dataset]) -> TextTable {
     t
 }
 
-/// **Tables 4 and 5**: index size [MB] and indexing time [s] per method and
+/// **Tables 4 and 5**: index size (MB) and indexing time (s) per method and
 /// dataset; the MBR-based SCC variant in parentheses where it exists.
 pub fn tables_4_and_5(datasets: &[Dataset]) -> (TextTable, TextTable) {
     let header: Vec<String> = std::iter::once("dataset".to_string())
@@ -287,41 +284,6 @@ pub fn backends(datasets: &[Dataset], cfg: &Config) -> TextTable {
     t
 }
 
-/// **Extension**: ablations of the fidelity knobs — the paper-faithful
-/// two-phase SpaReach vs our streaming variant, and the paper-faithful
-/// per-post SocReach scan vs our compacted point table.
-pub fn ablations(datasets: &[Dataset], cfg: &Config) -> TextTable {
-    let mut t = TextTable::new([
-        "dataset",
-        "extent %",
-        "SpaReach materialize",
-        "SpaReach streaming",
-        "SocReach per-post",
-        "SocReach compacted",
-    ]);
-    let default_bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
-    for ds in datasets {
-        let spa_mat = SpaReachBfl::build(&ds.prep, SccSpatialPolicy::Replicate);
-        let spa_str = SpaReachBfl::build(&ds.prep, SccSpatialPolicy::Replicate)
-            .with_candidate_mode(CandidateMode::Streaming);
-        let soc_post = SocReach::build_with(&ds.prep, ScanMode::PerPost);
-        let soc_comp = SocReach::build_with(&ds.prep, ScanMode::Compacted);
-        let gen = WorkloadGen::new(&ds.prep);
-        for extent in [1.0, DEFAULT_EXTENT, 20.0] {
-            let w = gen.extent_degree(extent, default_bucket, cfg.queries, cfg.seed);
-            t.row([
-                ds.name.to_string(),
-                format!("{extent}"),
-                fmt_micros(run_workload(&spa_mat, &w).avg_micros),
-                fmt_micros(run_workload(&spa_str, &w).avg_micros),
-                fmt_micros(run_workload(&soc_post, &w).avg_micros),
-                fmt_micros(run_workload(&soc_comp, &w).avg_micros),
-            ]);
-        }
-    }
-    t
-}
-
 /// **Extension**: the work counters behind Figure 7's trends — average
 /// per-query candidates, reachability tests, vertices traversed,
 /// containment tests and 3-D range queries for every method, at small and
@@ -472,60 +434,6 @@ pub fn georeach_params(datasets: &[Dataset], cfg: &Config) -> TextTable {
     t
 }
 
-/// **Extension**: the paper's Section 8 future work — how the spanning
-/// forest's shape affects the interval labeling. Each strategy changes
-/// which edges become tree edges; fewer/flatter trees mean more labels
-/// from non-tree propagation. The vertex-order forest is labeled twice, by
-/// the bottom-up builder and by the paper's literal Algorithm 1: their
-/// compressed labels are identical, so the build column compares the two
-/// builders. Algorithm 1 has no uncompressed count here: it starts every
-/// vertex from its own post-order number rather than its subtree's interval,
-/// so without adjacency merging it keeps about one interval per descendant
-/// (13.9 M on Foursquare at scale 1, quadratic in the network).
-pub fn forests(datasets: &[Dataset]) -> TextTable {
-    use std::time::Instant;
-
-    let mut t = TextTable::new([
-        "dataset",
-        "forest strategy",
-        "labels (compressed)",
-        "labels (uncompressed)",
-        "build [ms]",
-    ]);
-    let strategies: [(&str, Builder, ForestStrategy); 5] = [
-        ("vertex-order", Builder::BottomUp, ForestStrategy::VertexOrder),
-        ("vertex-order (Algorithm 1)", Builder::PaperFaithful, ForestStrategy::VertexOrder),
-        ("high-degree-first", Builder::BottomUp, ForestStrategy::HighDegreeFirst),
-        ("low-degree-first", Builder::BottomUp, ForestStrategy::LowDegreeFirst),
-        ("random", Builder::BottomUp, ForestStrategy::Random(7)),
-    ];
-    for ds in datasets {
-        let dag = ds.prep.dag();
-        for (name, builder, forest) in strategies {
-            let start = Instant::now();
-            let compressed = IntervalLabeling::build_with(
-                dag,
-                BuildOptions { builder, compress: true, forest, ..BuildOptions::default() },
-            );
-            let elapsed = start.elapsed();
-            let raw = (builder == Builder::BottomUp).then(|| {
-                IntervalLabeling::build_with(
-                    dag,
-                    BuildOptions { builder, compress: false, forest, ..BuildOptions::default() },
-                )
-            });
-            t.row([
-                ds.name.to_string(),
-                name.to_string(),
-                compressed.num_labels().to_string(),
-                raw.map_or("-".into(), |raw| raw.num_labels().to_string()),
-                format!("{:.1}", elapsed.as_secs_f64() * 1e3),
-            ]);
-        }
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,18 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn forests_table_has_four_strategies_per_dataset() {
-        let ds = tiny_datasets();
-        let t = forests(&ds[..1]);
-        assert_eq!(t.len(), 5, "four strategies, vertex order built by both builders");
-        let csv = t.render_csv();
-        let rows: Vec<Vec<&str>> = csv.lines().skip(1).map(|l| l.split(',').collect()).collect();
-        assert_eq!(rows[1][1], "vertex-order (Algorithm 1)");
-        assert_eq!(rows[1][2], rows[0][2], "Algorithm 1 labels like the bottom-up builder");
-        assert_eq!(rows[1][3], "-");
-    }
-
-    #[test]
     fn analysis_counters_are_plausible() {
         let ds = tiny_datasets();
         let cfg = Config { scale: 0.03, queries: 10, seed: 2 };
@@ -626,13 +522,11 @@ mod tests {
     }
 
     #[test]
-    fn backends_and_ablations_render() {
+    fn backends_render() {
         let ds = tiny_datasets();
         let cfg = Config { scale: 0.03, queries: 8, seed: 5 };
         let b = backends(&ds[..1], &cfg);
         assert_eq!(b.len(), 2, "one row per back-end");
-        let a = ablations(&ds[..1], &cfg);
-        assert_eq!(a.len(), 3, "one row per extent");
     }
 
     #[test]

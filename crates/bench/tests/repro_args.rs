@@ -58,3 +58,11 @@ fn zero_scale_runs() {
 fn retired_reduction_is_a_usage_error() {
     assert_usage_error(&["reduction"]);
 }
+
+/// The fidelity ablations and the spanning-forest strategies went with the
+/// options they compared: each paper method has one way to run.
+#[test]
+fn retired_ablations_and_forests_are_usage_errors() {
+    assert_usage_error(&["ablations"]);
+    assert_usage_error(&["forests"]);
+}

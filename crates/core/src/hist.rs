@@ -1,7 +1,7 @@
 //! A lock-free, fixed-bucket, power-of-two latency histogram.
 //!
 //! This is the one histogram implementation in the workspace: the query
-//! server's `STATS` latencies ([`gsr-server`]'s `ServerStats`) and the shard
+//! server's `STATS` latencies (`gsr-server`'s `ServerStats`) and the shard
 //! router's per-shard probe times ([`crate::partition`]) record into it, so
 //! every latency the workspace reports is quantized the same way.
 //!

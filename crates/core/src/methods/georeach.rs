@@ -66,7 +66,7 @@ mod kind {
 /// The GeoReach evaluator: SPA-graph over the condensation DAG.
 ///
 /// The SPA table is four flat columns, queried where a snapshot maps them:
-/// a kind per component ([`kind`]), a CSR over `u32` entries — a G-vertex's
+/// a kind per component (the `kind` constants), a CSR over `u32` entries — a G-vertex's
 /// entries are its `ReachGrid` cells, an R-vertex has one, the index of its
 /// `RMBR` in the rectangle column, a B-vertex none — and the R-vertices'
 /// rectangles in component order.
@@ -366,7 +366,7 @@ impl RangeReachIndex for GeoReach {
         let start = self.comp_of[v as usize];
         crate::scratch::with_scratch(|scratch| {
             scratch.begin_visit(self.dag.num_vertices());
-            scratch.mark(start);
+            scratch.visited.mark(start);
             scratch.queue.push_back(start);
 
             while let Some(c) = scratch.queue.pop_front() {
@@ -410,7 +410,7 @@ impl RangeReachIndex for GeoReach {
                         return (true, cost);
                     }
                     for &w in self.dag.out_neighbors(c) {
-                        if scratch.mark(w) {
+                        if scratch.visited.mark(w) {
                             scratch.queue.push_back(w);
                         }
                     }

@@ -7,8 +7,8 @@ mod table;
 mod threed;
 
 pub use georeach::{GeoReach, GeoReachParams};
-pub use socreach::{ScanMode, SocReach};
-pub use spareach::{CandidateMode, SpaReach, SpaReachBfl, SpaReachInt};
+pub use socreach::SocReach;
+pub use spareach::{SpaReach, SpaReachBfl, SpaReachInt};
 pub use table::{Method, SnapshotIndex};
 pub use threed::{ThreeDReach, ThreeDReachRev};
 

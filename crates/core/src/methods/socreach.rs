@@ -19,22 +19,6 @@ use gsr_graph::scc::CompId;
 use gsr_graph::{Col, ColumnList, Columns, Source, VertexId};
 use gsr_reach::compact::{CompactLabels, DeltaArray};
 
-/// How SocReach enumerates the descendant set `D(v)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanMode {
-    /// Faithful to the paper (Section 4.1): each label `[l, h]` is "a
-    /// simple for loop on the array storing the network vertices" — every
-    /// post-order number in the range is visited, spatial or not. This is
-    /// what makes SocReach uncompetitive on networks whose vertices are
-    /// mostly social (users).
-    #[default]
-    PerPost,
-    /// An engineering improvement over the paper: the point table is
-    /// compacted so each label scans only the *spatial* descendants,
-    /// skipping user vertices entirely. Benched as an ablation.
-    Compacted,
-}
-
 /// The social-first evaluator.
 ///
 /// ```
@@ -60,7 +44,6 @@ pub struct SocReach {
     /// delta-compressed — the per-post scan decodes them as a cursor.
     post_offsets: DeltaArray,
     points: Col<Point>,
-    mode: ScanMode,
 }
 
 impl SocReach {
@@ -70,11 +53,6 @@ impl SocReach {
     /// SocReach has no MBR variant: it "does not involve any spatial
     /// indexing" (Section 6.2), so the SCC policy does not apply.
     pub fn build(prep: &PreparedNetwork) -> Self {
-        Self::build_with(prep, ScanMode::PerPost)
-    }
-
-    /// Builds the evaluator with an explicit descendant-scan mode.
-    pub fn build_with(prep: &PreparedNetwork, mode: ScanMode) -> Self {
         let forward = prep.forward_labels(1);
         let ncomp = prep.num_components();
         let mut comp_of_post = vec![0 as CompId; ncomp];
@@ -97,7 +75,6 @@ impl SocReach {
             // fallback is unreachable; it keeps the build panic-free.
             post_offsets: DeltaArray::from_sorted(&post_offsets).unwrap_or_default(),
             points: points.into(),
-            mode,
         }
     }
 
@@ -116,12 +93,14 @@ impl SocReach {
 /// Section tag of the post-order-aligned point table.
 const POINTS: u16 = 0xB0;
 
+/// The scan-mode scalar a snapshot's `META` holds. Only the paper's
+/// per-post scan exists; the value 1 once selected a retired compacted
+/// scan, and a snapshot that carries it is refused.
+const MODE_PER_POST: u8 = 0;
+
 impl Columns for SocReach {
     fn store<'a>(&'a self, out: &mut ColumnList<'a>) {
-        out.meta.u8(match self.mode {
-            ScanMode::PerPost => 0,
-            ScanMode::Compacted => 1,
-        });
+        out.meta.u8(MODE_PER_POST);
         out.col(tag::COMP_OF, &self.comp_of, true);
         self.labels.store(out);
         self.post_offsets.store(out);
@@ -133,11 +112,10 @@ impl Columns for SocReach {
     /// number and `comp_of` must reference labeled components, so that no
     /// per-label scan can index out of bounds.
     fn load<S: Source>(src: &mut S) -> Result<Self, String> {
-        let mode = match src.u8()? {
-            0 => ScanMode::PerPost,
-            1 => ScanMode::Compacted,
-            k => return Err(format!("unknown scan mode {k}")),
-        };
+        let mode = src.u8()?;
+        if mode != MODE_PER_POST {
+            return Err(format!("unknown scan mode {mode}"));
+        }
         let comp_of: Col<CompId> = src.col(tag::COMP_OF, "comp-of")?;
         let labels = CompactLabels::load(src)?;
         let post_offsets = DeltaArray::load(src)?;
@@ -166,7 +144,7 @@ impl Columns for SocReach {
             ));
         }
         check_comp_ids("socreach", "comp_of", comp_of.iter().copied(), ncomp)?;
-        Ok(SocReach { comp_of, labels, post_offsets, points, mode })
+        Ok(SocReach { comp_of, labels, post_offsets, points })
     }
 }
 
@@ -183,52 +161,30 @@ impl RangeReachIndex for SocReach {
         let from = self.comp_of[v as usize];
         let mut cost = QueryCost::default();
         // Every label [l, h] of L(v) is a range query over the post-order
-        // numbers (Equation of Section 4.1).
-        let answer = match self.mode {
-            ScanMode::PerPost => {
-                // Faithful: walk every descendant post, spatial or not, and
-                // test the points of the spatial ones until one hits. The
-                // posts of a label are consecutive, so the delta-compressed
-                // CSR is decoded with a forward cursor — one varint per
-                // visited post, never a random-access block decode.
-                'outer: {
-                    for iv in self.labels.intervals(from) {
-                        let mut offs = self.post_offsets.iter_from((iv.lo - 1) as usize);
-                        let mut prev = offs.next().unwrap_or(0) as usize;
-                        for _p in iv.lo..=iv.hi {
-                            cost.vertices_visited += 1;
-                            let cur = offs.next().unwrap_or(prev as u32) as usize;
-                            let hit = self.points[prev..cur].iter().any(|pt| {
-                                cost.containment_tests += 1;
-                                region.contains_point(pt)
-                            });
-                            prev = cur;
-                            if hit {
-                                break 'outer true;
-                            }
-                        }
+        // numbers (Equation of Section 4.1): "a simple for loop on the
+        // array storing the network vertices". Every descendant post is
+        // walked, spatial or not, and the points of the spatial ones are
+        // tested until one hits. The posts of a label are consecutive, so
+        // the delta-compressed CSR is decoded with a forward cursor — one
+        // varint per visited post, never a random-access block decode.
+        let answer = 'outer: {
+            for iv in self.labels.intervals(from) {
+                let mut offs = self.post_offsets.iter_from((iv.lo - 1) as usize);
+                let mut prev = offs.next().unwrap_or(0) as usize;
+                for _p in iv.lo..=iv.hi {
+                    cost.vertices_visited += 1;
+                    let cur = offs.next().unwrap_or(prev as u32) as usize;
+                    let hit = self.points[prev..cur].iter().any(|pt| {
+                        cost.containment_tests += 1;
+                        region.contains_point(pt)
+                    });
+                    prev = cur;
+                    if hit {
+                        break 'outer true;
                     }
-                    false
                 }
             }
-            ScanMode::Compacted => {
-                // Optimized: the point table is post-order-aligned, so each
-                // label is one contiguous scan over spatial descendants.
-                'outer: {
-                    for iv in self.labels.intervals(from) {
-                        let lo = self.post_offsets.get((iv.lo - 1) as usize) as usize;
-                        let hi = self.post_offsets.get(iv.hi as usize) as usize;
-                        let hit = self.points[lo..hi].iter().any(|p| {
-                            cost.containment_tests += 1;
-                            region.contains_point(p)
-                        });
-                        if hit {
-                            break 'outer true;
-                        }
-                    }
-                    false
-                }
-            }
+            false
         };
         (answer, cost)
     }
@@ -275,19 +231,6 @@ mod tests {
                         prep.range_reach_bfs(v, &r),
                         "vertex {v}, region {r}"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scan_modes_agree() {
-        for prep in [paper_example::prepared(), paper_example::cyclic_prepared()] {
-            let faithful = SocReach::build_with(&prep, ScanMode::PerPost);
-            let compacted = SocReach::build_with(&prep, ScanMode::Compacted);
-            for v in prep.network().graph().vertices() {
-                for r in paper_example::probe_regions() {
-                    assert_eq!(faithful.query(v, &r), compacted.query(v, &r), "v={v} r={r}");
                 }
             }
         }

@@ -22,25 +22,10 @@ use gsr_reach::bfl::{BflIndex, BflParams};
 use gsr_reach::interval::{BuildOptions, IntervalLabeling};
 use gsr_reach::Reachability;
 
-/// How SpaReach consumes the spatial range query's result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CandidateMode {
-    /// Faithful to the paper (Section 2.2.1): the spatial range query is
-    /// evaluated *first*, materializing every spatial vertex inside `R`;
-    /// only then are `GReach` queries issued one by one until a positive.
-    /// This is what makes SpaReach sensitive to the spatial selectivity.
-    #[default]
-    Materialize,
-    /// An engineering improvement over the paper: candidates stream out of
-    /// the R-tree and the reachability test runs per candidate, so a
-    /// positive answer can stop the range query early. Benched as an
-    /// ablation.
-    Streaming,
-}
-
-/// Bits of the filter-kind scalar a snapshot's `META` holds.
+/// The filter-kind scalar a snapshot's `META` holds: bit 0 is the SCC
+/// policy. Every other bit is clear; bit 1 once selected a retired
+/// candidate mode, and a snapshot that sets it is refused.
 const KIND_MBR: u8 = 1;
-const KIND_STREAMING: u8 = 2;
 
 /// Generic spatial-first evaluator over a [`Reachability`] back-end.
 #[derive(Debug, Clone)]
@@ -55,7 +40,6 @@ pub struct SpaReach<R> {
     policy: SccSpatialPolicy,
     reach: R,
     name: &'static str,
-    mode: CandidateMode,
     /// Per-component spatial member points (flattened CSR), used to refine
     /// partially overlapping MBR candidates.
     member_offsets: Col<u32>,
@@ -149,16 +133,9 @@ impl<R: Reachability + Columns> SpaReach<R> {
             policy,
             reach: build_reach(prep.dag()),
             name,
-            mode: CandidateMode::Materialize,
             member_offsets,
             member_points,
         }
-    }
-
-    /// Switches the candidate-consumption mode (see [`CandidateMode`]).
-    pub fn with_candidate_mode(mut self, mode: CandidateMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Access to the reachability back-end (for tests and stats).
@@ -172,18 +149,11 @@ impl<R: Reachability + Columns> SpaReach<R> {
         &self.member_points[lo..hi]
     }
 
-    /// The persistent columns. The filter kind — its SCC policy and the
-    /// candidate mode — is one scalar. `comp_of` and the member CSR are
-    /// derived from the network, not built by the method, and are left out
-    /// of its size.
+    /// The persistent columns. The filter kind — its SCC policy — is one
+    /// scalar. `comp_of` and the member CSR are derived from the network,
+    /// not built by the method, and are left out of its size.
     fn column_list(&self) -> ColumnList<'_> {
-        let mut kind = 0;
-        if self.policy == SccSpatialPolicy::Mbr {
-            kind |= KIND_MBR;
-        }
-        if self.mode == CandidateMode::Streaming {
-            kind |= KIND_STREAMING;
-        }
+        let kind = if self.policy == SccSpatialPolicy::Mbr { KIND_MBR } else { 0 };
         let mut out = ColumnList::default();
         out.meta.u8(kind);
         out.col(tag::COMP_OF, &self.comp_of, false);
@@ -207,7 +177,7 @@ impl<R: Reachability + Columns> SpaReach<R> {
         covers: fn(&R) -> usize,
     ) -> Result<Self, String> {
         let kind = src.u8()?;
-        if kind & !(KIND_MBR | KIND_STREAMING) != 0 {
+        if kind & !KIND_MBR != 0 {
             return Err(format!("unknown spatial-filter kind {kind}"));
         }
         let comp_of: Col<CompId> = src.col(tag::COMP_OF, "comp-of")?;
@@ -229,11 +199,6 @@ impl<R: Reachability + Columns> SpaReach<R> {
             },
             reach,
             name,
-            mode: if kind & KIND_STREAMING != 0 {
-                CandidateMode::Streaming
-            } else {
-                CandidateMode::Materialize
-            },
             member_offsets,
             member_points,
         })
@@ -277,27 +242,16 @@ impl<R: Reachability + Columns> RangeReachIndex for SpaReach<R> {
         let answer = match self.policy {
             SccSpatialPolicy::Replicate => crate::scratch::with_scratch(|scratch| {
                 let crate::scratch::QueryScratch { stack, comps, .. } = scratch;
-                match self.mode {
-                    CandidateMode::Materialize => {
-                        // Step 1 (Example 2.4): evaluate SRange(P, R) in full,
-                        // materializing into the reusable candidate buffer.
-                        comps.clear();
-                        tree.collect_values(&window, stack, comps);
-                        cost.spatial_candidates = comps.len();
-                        // Step 2: one GReach per candidate until a positive.
-                        comps.iter().any(|&comp| {
-                            cost.reach_tests += 1;
-                            self.reach.reaches(from, comp)
-                        })
-                    }
-                    CandidateMode::Streaming => {
-                        tree.query_with(&window, stack).any(|(_, &comp)| {
-                            cost.spatial_candidates += 1;
-                            cost.reach_tests += 1;
-                            self.reach.reaches(from, comp)
-                        })
-                    }
-                }
+                // Step 1 (Example 2.4): evaluate SRange(P, R) in full,
+                // materializing into the reusable candidate buffer.
+                comps.clear();
+                tree.collect_values(&window, stack, comps);
+                cost.spatial_candidates = comps.len();
+                // Step 2: one GReach per candidate until a positive.
+                comps.iter().any(|&comp| {
+                    cost.reach_tests += 1;
+                    self.reach.reaches(from, comp)
+                })
             }),
             SccSpatialPolicy::Mbr => crate::scratch::with_scratch(|scratch| {
                 let crate::scratch::QueryScratch { stack, boxes, .. } = scratch;
@@ -316,20 +270,12 @@ impl<R: Reachability + Columns> RangeReachIndex for SpaReach<R> {
                         })
                     }
                 };
-                match self.mode {
-                    CandidateMode::Materialize => {
-                        boxes.clear();
-                        for run in tree.runs(&window, stack) {
-                            boxes.extend(run.map(|i| (tree.entry_box(i), tree.values()[i])));
-                        }
-                        cost.spatial_candidates = boxes.len();
-                        boxes.iter().any(|&(b, c)| test(&b, c, &mut cost))
-                    }
-                    CandidateMode::Streaming => tree.query_with(&window, stack).any(|(b, &c)| {
-                        cost.spatial_candidates += 1;
-                        test(&b, c, &mut cost)
-                    }),
+                boxes.clear();
+                for run in tree.runs(&window, stack) {
+                    boxes.extend(run.map(|i| (tree.entry_box(i), tree.values()[i])));
                 }
+                cost.spatial_candidates = boxes.len();
+                boxes.iter().any(|&(b, c)| test(&b, c, &mut cost))
             }),
         };
         (answer, cost)
@@ -377,26 +323,6 @@ mod tests {
         for v in prep.network().graph().vertices() {
             for r in &regions {
                 assert_eq!(idx.query(v, r), prep.range_reach_bfs(v, r), "vertex {v}, region {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn candidate_modes_agree() {
-        for prep in [paper_example::prepared(), paper_example::cyclic_prepared()] {
-            for policy in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
-                let faithful = SpaReachBfl::build(&prep, policy);
-                let streaming =
-                    SpaReachBfl::build(&prep, policy).with_candidate_mode(CandidateMode::Streaming);
-                for v in prep.network().graph().vertices() {
-                    for r in paper_example::probe_regions() {
-                        assert_eq!(
-                            faithful.query(v, &r),
-                            streaming.query(v, &r),
-                            "v={v} r={r} {policy:?}"
-                        );
-                    }
-                }
             }
         }
     }

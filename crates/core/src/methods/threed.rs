@@ -104,6 +104,21 @@ impl ThreeDCommon {
         }
     }
 
+    /// Whether an entry of the tree inside `window` certifies the answer
+    /// ([`ThreeDCommon::candidate_hits`]); stops at the first that does.
+    fn any_hit(
+        &self,
+        window: &Cuboid,
+        stack: &mut Vec<u32>,
+        region: &Rect,
+        cost: &mut QueryCost,
+    ) -> bool {
+        let tree = &self.tree;
+        tree.runs(window, stack).any(|mut run| {
+            run.any(|i| self.candidate_hits(&tree.entry_box(i), tree.values()[i], region, cost))
+        })
+    }
+
     /// Declares the policy scalar and `comp_of`: the head of both methods'
     /// files.
     fn store_head<'a>(&'a self, out: &mut ColumnList<'a>) {
@@ -259,8 +274,7 @@ impl RangeReachIndex for ThreeDReach {
             for iv in self.labels.intervals(from) {
                 cost.range_queries += 1;
                 let cuboid = cuboid_from_rect(region, iv.lo as f64, iv.hi as f64);
-                let mut hits = self.common.tree.query_with(&cuboid, &mut scratch.stack);
-                if hits.any(|(b, &comp)| self.common.candidate_hits(&b, comp, region, &mut cost)) {
+                if self.common.any_hit(&cuboid, &mut scratch.stack, region, &mut cost) {
                     return (true, cost);
                 }
             }
@@ -398,8 +412,7 @@ impl RangeReachIndex for ThreeDReachRev {
         let z = self.rev_post[from as usize] as f64;
         let plane = cuboid_from_rect(region, z, z);
         let answer = crate::scratch::with_scratch(|scratch| {
-            let mut hits = self.common.tree.query_with(&plane, &mut scratch.stack);
-            hits.any(|(b, &comp)| self.common.candidate_hits(&b, comp, region, &mut cost))
+            self.common.any_hit(&plane, &mut scratch.stack, region, &mut cost)
         });
         (answer, cost)
     }

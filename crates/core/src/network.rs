@@ -350,11 +350,11 @@ impl PreparedNetwork {
         let found = hit(start)
             || crate::scratch::with_scratch(|scratch| {
                 scratch.begin_visit(self.num_components());
-                scratch.mark(start);
+                scratch.visited.mark(start);
                 scratch.queue.push_back(start);
                 while let Some(c) = scratch.queue.pop_back() {
                     for &w in self.dag().out_neighbors(c) {
-                        if scratch.mark(w) {
+                        if scratch.visited.mark(w) {
                             if hit(w) {
                                 return true;
                             }

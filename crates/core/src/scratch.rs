@@ -22,14 +22,12 @@
 //! entry point; wrapper indexes (the shard router, caches) never acquire
 //! it themselves.
 //!
-//! The visited set is an epoch-stamped `Vec<u32>` rather than a
-//! `Vec<bool>`: clearing it between queries is a single epoch increment,
-//! not an `O(n)` memset. On epoch wrap-around (once per `u32::MAX`
-//! queries) the array is re-zeroed.
+//! The visited set is a [`VisitedSet`]: clearing it between queries is a
+//! single epoch increment, not an `O(n)` memset.
 
 use gsr_geo::Aabb;
 use gsr_graph::scc::CompId;
-use gsr_graph::VertexId;
+use gsr_graph::{VertexId, VisitedSet};
 use std::cell::Cell;
 use std::collections::VecDeque;
 
@@ -40,8 +38,8 @@ use std::collections::VecDeque;
 /// comps, .. } = scratch;`).
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    /// R-tree traversal stack (node ids), lent to
-    /// `RTree::query_with`/`query_exists_with`.
+    /// R-tree traversal stack (node ids), lent to `RTree::runs` and
+    /// `RTree::collect_values`.
     pub stack: Vec<u32>,
     /// Spatial candidate components (SpaReach point filter).
     pub comps: Vec<CompId>,
@@ -49,45 +47,18 @@ pub struct QueryScratch {
     pub boxes: Vec<(Aabb<2>, CompId)>,
     /// BFS frontier (GeoReach, the online BFS).
     pub queue: VecDeque<VertexId>,
-    /// Epoch-stamped visited set; use via [`QueryScratch::begin_visit`],
-    /// [`QueryScratch::mark`], [`QueryScratch::is_marked`].
-    visited: Vec<u32>,
-    epoch: u32,
+    /// Visited set of the traversal; started by
+    /// [`QueryScratch::begin_visit`].
+    pub visited: VisitedSet,
 }
 
 impl QueryScratch {
-    /// Prepares the visited set for a traversal over `n` vertices and
-    /// clears the frontier buffers. Candidate buffers (`comps`, `boxes`)
-    /// are left to the kernel to clear, since not every kernel uses them.
+    /// Starts the visited set on a traversal over `n` vertices and clears
+    /// the frontier. Candidate buffers (`comps`, `boxes`) are left to the
+    /// kernel to clear, since not every kernel uses them.
     pub fn begin_visit(&mut self, n: usize) {
-        if self.visited.len() < n {
-            self.visited.resize(n, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.visited.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
+        self.visited.begin(n);
         self.queue.clear();
-    }
-
-    /// Marks `v` visited; returns `true` if it was not already marked
-    /// this traversal.
-    #[inline]
-    pub fn mark(&mut self, v: VertexId) -> bool {
-        let slot = &mut self.visited[v as usize];
-        if *slot == self.epoch {
-            false
-        } else {
-            *slot = self.epoch;
-            true
-        }
-    }
-
-    /// Whether `v` has been marked during the current traversal.
-    #[inline]
-    pub fn is_marked(&self, v: VertexId) -> bool {
-        self.visited[v as usize] == self.epoch
     }
 }
 
@@ -112,42 +83,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn epoch_visit_cycle() {
-        let mut s = QueryScratch::default();
-        s.begin_visit(4);
-        assert!(s.mark(2));
-        assert!(!s.mark(2));
-        assert!(s.is_marked(2));
-        assert!(!s.is_marked(3));
-        // A new traversal forgets everything without touching memory.
-        s.begin_visit(4);
-        assert!(!s.is_marked(2));
-        assert!(s.mark(2));
-    }
-
-    #[test]
-    fn visited_grows_to_largest_request() {
-        let mut s = QueryScratch::default();
-        s.begin_visit(2);
-        s.mark(1);
-        s.begin_visit(10);
-        assert!(!s.is_marked(1));
-        assert!(s.mark(9));
-    }
-
-    #[test]
-    fn epoch_wraparound_rezeros() {
-        let mut s = QueryScratch::default();
-        s.begin_visit(3);
-        s.mark(0);
-        s.epoch = u32::MAX; // pretend u32::MAX - 1 traversals happened
-        s.begin_visit(3);
-        assert_eq!(s.epoch, 1);
-        assert!(!s.is_marked(0));
-        assert!(s.mark(0));
-    }
-
-    #[test]
     fn thread_local_reuses_one_allocation() {
         let first = with_scratch(|s| {
             s.stack.reserve(64);
@@ -161,13 +96,13 @@ mod tests {
     fn reentrant_use_is_safe() {
         with_scratch(|outer| {
             outer.begin_visit(8);
-            outer.mark(1);
+            outer.visited.mark(1);
             // A nested acquisition gets an independent scratch.
             with_scratch(|inner| {
                 inner.begin_visit(8);
-                assert!(!inner.is_marked(1));
+                assert!(!inner.visited.is_marked(1));
             });
-            assert!(outer.is_marked(1));
+            assert!(outer.visited.is_marked(1));
         });
     }
 }

@@ -14,6 +14,8 @@
 //!   backbone of the interval-based labeling scheme (Section 3);
 //! * [`stats`] — degree statistics used by the workload generators
 //!   (query vertices are bucketed by out-degree in Section 6.1);
+//! * [`VisitedSet`] — the epoch-stamped visited set that the query
+//!   kernels reuse, so that no traversal allocates or clears one;
 //! * [`par`] — a scoped-thread work pool used by the parallel (but
 //!   deterministic) index constructions across the workspace;
 //! * [`col`] — the zero-copy [`Col`] column type every flat index arena is
@@ -38,6 +40,7 @@ pub mod dfs;
 pub mod mem;
 pub mod par;
 pub mod scc;
+mod scratch;
 pub mod stats;
 pub mod topo;
 
@@ -46,6 +49,7 @@ pub use col::{bytes_of, Col, Pod, StableBytes};
 pub use columns::{Column, ColumnList, Columns, Source};
 pub use csr::DiGraph;
 pub use mem::HeapBytes;
+pub use scratch::VisitedSet;
 
 /// Identifier of a vertex: a dense index in `0..graph.num_vertices()`.
 pub type VertexId = u32;

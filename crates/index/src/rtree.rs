@@ -181,7 +181,9 @@ impl<const N: usize> EntryStore<N> {
 /// let t = RTree::bulk_load(entries);
 /// let region = Aabb::new([0.0, 0.0], [10.0, 100.0]);
 /// assert!(t.query_exists(&region));
-/// assert_eq!(t.query(&region).count(), 11);
+/// let mut hits: Vec<u32> = t.runs(&region, Vec::new()).flatten().map(|i| t.values()[i]).collect();
+/// hits.sort_unstable();
+/// assert_eq!(hits, (0..=10).collect::<Vec<_>>());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RTree<const N: usize, T> {
@@ -386,21 +388,6 @@ impl<const N: usize, T> RTree<N, T> {
             stack.borrow_mut().push(0);
         }
         Runs { tree: self, region: *region, stack, span: 0..0, leaf: (0, 0..0), base: 0, hits: 0 }
-    }
-
-    /// Iterator over all entries whose box intersects `region`.
-    pub fn query(&self, region: &Aabb<N>) -> Query<'_, N, T> {
-        self.query_with(region, Vec::new())
-    }
-
-    /// [`RTree::query`] with the traversal stack of [`RTree::runs`]
-    /// (usually a borrowed, reused `&mut Vec<u32>`); same results.
-    pub fn query_with<S: BorrowMut<Vec<u32>>>(
-        &self,
-        region: &Aabb<N>,
-        stack: S,
-    ) -> Query<'_, N, T, S> {
-        Query { runs: self.runs(region, stack), run: 0..0 }
     }
 
     /// Whether any entry intersects `region` (early-exit traversal). This is
@@ -864,34 +851,17 @@ impl<const N: usize, T, S: BorrowMut<Vec<u32>>> Runs<'_, N, T, S> {
     }
 }
 
-/// Range-query iterator over an [`RTree`] — [`Runs`] flattened into
-/// `(box, payload)` pairs; see [`RTree::query`] and [`RTree::query_with`].
-pub struct Query<'t, const N: usize, T, S = Vec<u32>> {
-    runs: Runs<'t, N, T, S>,
-    run: Range<usize>,
-}
-
-impl<'t, const N: usize, T, S: BorrowMut<Vec<u32>>> Iterator for Query<'t, N, T, S> {
-    type Item = (Aabb<N>, &'t T);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(i) = self.run.next() {
-                let tree = self.runs.tree;
-                return Some((tree.entries.get(i), &tree.values[i]));
-            }
-            self.run = self.runs.next()?;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn pt(x: f64, y: f64) -> Aabb<2> {
         Aabb::from_point([x, y])
+    }
+
+    /// The payloads of the entries intersecting `region`, in run order.
+    fn hits<const N: usize, T: Copy>(t: &RTree<N, T>, region: &Aabb<N>) -> Vec<T> {
+        t.runs(region, Vec::new()).flatten().map(|i| t.values()[i]).collect()
     }
 
     fn grid_points(n: usize) -> Vec<(Aabb<2>, usize)> {
@@ -903,7 +873,7 @@ mod tests {
         let t: RTree<2, u32> = RTree::new();
         assert!(t.is_empty());
         let all = Aabb::new([-1e9, -1e9], [1e9, 1e9]);
-        assert_eq!(t.query(&all).count(), 0);
+        assert_eq!(t.runs(&all, Vec::new()).count(), 0);
         assert!(!t.query_exists(&all));
         t.check_invariants();
     }
@@ -914,10 +884,10 @@ mod tests {
         assert_eq!(t.len(), 1000);
         t.check_invariants();
         let region = Aabb::new([10.0, 10.0], [12.0, 11.0]);
-        let mut hits: Vec<usize> = t.query(&region).map(|(_, &i)| i).collect();
-        hits.sort_unstable();
+        let mut found = hits(&t, &region);
+        found.sort_unstable();
         // Points with x in 10..=12, y in 10..=11: i = y*32 + x.
-        assert_eq!(hits, vec![330, 331, 332, 362, 363, 364]);
+        assert_eq!(found, vec![330, 331, 332, 362, 363, 364]);
     }
 
     #[test]
@@ -1002,7 +972,7 @@ mod tests {
     }
 
     #[test]
-    fn query_with_matches_query_and_reuses_buffer() {
+    fn lent_stack_matches_owned_and_is_reused() {
         let t = RTree::bulk_load(grid_points(500));
         let mut stack = Vec::new();
         for (lo, hi) in [
@@ -1012,16 +982,16 @@ mod tests {
             ([-10.0, -10.0], [100.0, 100.0]),
         ] {
             let r = Aabb::new(lo, hi);
-            let plain: Vec<usize> = t.query(&r).map(|(_, &v)| v).collect();
-            let with: Vec<usize> = t.query_with(&r, &mut stack).map(|(_, &v)| v).collect();
-            assert_eq!(plain, with, "query_with diverged on {r:?}");
+            let owned: Vec<_> = t.runs(&r, Vec::new()).collect();
+            let lent: Vec<_> = t.runs(&r, &mut stack).collect();
+            assert_eq!(owned, lent, "a lent stack diverged on {r:?}");
             assert_eq!(t.query_exists(&r), t.query_exists_with(&r, &mut stack));
         }
         // The buffer is reusable: a second pass over the same windows must
         // not need to grow it.
         let cap = stack.capacity();
         let r = Aabb::new([-10.0, -10.0], [100.0, 100.0]);
-        let _ = t.query_with(&r, &mut stack).count();
+        let _ = t.runs(&r, &mut stack).count();
         assert_eq!(stack.capacity(), cap);
     }
 
@@ -1032,8 +1002,7 @@ mod tests {
             (Aabb::new([20.0, 20.0], [21.0, 21.0]), "small"),
         ]);
         let probe = Aabb::new([5.0, 5.0], [6.0, 6.0]);
-        let hits: Vec<&str> = t.query(&probe).map(|(_, &s)| s).collect();
-        assert_eq!(hits, vec!["big"]);
+        assert_eq!(hits(&t, &probe), vec!["big"]);
     }
 
     #[test]

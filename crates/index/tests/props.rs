@@ -35,6 +35,11 @@ mod tag {
     pub(super) const ENTRY_HI: u16 = 0x38;
 }
 
+/// The payloads of the entries intersecting `region`, read from the runs.
+fn hits_in<const N: usize>(tree: &RTree<N, usize>, region: &Aabb<N>) -> Vec<usize> {
+    tree.runs(region, Vec::new()).flatten().map(|i| tree.values()[i]).collect()
+}
+
 /// The per-entry stack traversal that [`RTree::runs`] replaced, kept here as
 /// the oracle: children pushed in list order, every leaf entry tested with
 /// the closed-interval rule. Returns entry indices in visiting order.
@@ -143,7 +148,7 @@ fn windows<const N: usize>(entries: &[(Aabb<N>, u32)], random: &[Corners<N>]) ->
 }
 
 /// Runs ≡ per-entry scan, element for element, on every window; and the
-/// entry iterators, `collect_values`, `count_in` and `query_exists*` agree
+/// lent-stack runs, `collect_values`, `count_in` and `query_exists*` agree
 /// with the runs.
 fn check_runs<const N: usize>(
     entries: Vec<(Aabb<N>, u32)>,
@@ -160,16 +165,11 @@ fn check_runs<const N: usize>(
         prop_assert!(runs.iter().all(|r| !r.is_empty()), "empty run on {:?}", w);
         let got: Vec<usize> = runs.into_iter().flatten().collect();
         prop_assert_eq!(&got, &expected, "window {:?}", w);
-        let pairs: Vec<(Aabb<N>, u32)> = tree.query(w).map(|(b, &v)| (b, v)).collect();
-        let from_runs: Vec<(Aabb<N>, u32)> =
-            expected.iter().map(|&i| (tree.entry_box(i), tree.values()[i])).collect();
-        prop_assert_eq!(&pairs, &from_runs, "query on {:?}", w);
-        let lent: Vec<(Aabb<N>, u32)> =
-            tree.query_with(w, &mut stack).map(|(b, &v)| (b, v)).collect();
-        prop_assert_eq!(&lent, &from_runs, "query_with on {:?}", w);
+        let lent: Vec<usize> = tree.runs(w, &mut stack).flatten().collect();
+        prop_assert_eq!(&lent, &expected, "runs with a lent stack on {:?}", w);
         let mut values = Vec::new();
         tree.collect_values(w, &mut stack, &mut values);
-        let payloads: Vec<u32> = from_runs.iter().map(|&(_, v)| v).collect();
+        let payloads: Vec<u32> = expected.iter().map(|&i| tree.values()[i]).collect();
         prop_assert_eq!(&values, &payloads, "collect_values on {:?}", w);
         prop_assert_eq!(tree.count_in(w), expected.len(), "count_in on {:?}", w);
         prop_assert_eq!(tree.query_exists(w), !expected.is_empty(), "query_exists on {:?}", w);
@@ -432,7 +432,7 @@ proptest! {
             boxes.into_iter().enumerate().map(|(i, b)| (b, i)).collect();
         let tree = RTree::bulk_load(entries.clone());
         tree.check_invariants();
-        let mut hits: Vec<usize> = tree.query(&region).map(|(_, &i)| i).collect();
+        let mut hits: Vec<usize> = hits_in(&tree, &region);
         hits.sort_unstable();
         prop_assert_eq!(hits, linear_scan(&entries, &region));
     }
@@ -457,7 +457,7 @@ proptest! {
         tree.check_invariants();
         let everything = Aabb::new([-inf; 2], [inf; 2]);
         for w in [region, everything] {
-            let mut hits: Vec<usize> = tree.query(&w).map(|(_, &i)| i).collect();
+            let mut hits: Vec<usize> = hits_in(&tree, &w);
             hits.sort_unstable();
             prop_assert_eq!(hits, linear_scan(&entries, &w));
         }
@@ -477,7 +477,7 @@ proptest! {
         );
         let tree = RTree::bulk_load(entries.clone());
         tree.check_invariants();
-        let mut hits: Vec<usize> = tree.query(&region).map(|(_, &i)| i).collect();
+        let mut hits: Vec<usize> = hits_in(&tree, &region);
         hits.sort_unstable();
         let expected = linear_scan(&entries, &region);
         prop_assert_eq!(tree.query_exists(&region), !expected.is_empty());

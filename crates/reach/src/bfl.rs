@@ -381,20 +381,20 @@ impl Reachability for BflIndex {
         crate::scratch::with_traversal_scratch(|s| {
             s.begin(self.g.num_vertices());
             s.stack.push(from);
-            s.mark(from);
+            s.visited.mark(from);
             while let Some(v) = s.stack.pop() {
                 for &w in self.g.out_neighbors(v) {
                     let wi = w as usize;
                     if w == to {
                         return true;
                     }
-                    if s.is_marked(w) || self.post[wi] < to_post {
+                    if s.visited.is_marked(w) || self.post[wi] < to_post {
                         continue;
                     }
                     if self.tree_contains(wi, to_post) {
                         return true;
                     }
-                    s.mark(w);
+                    s.visited.mark(w);
                     if self.filters_admit(wi, t) {
                         s.stack.push(w);
                     }

@@ -23,7 +23,7 @@
 //! property tests); the bottom-up form is what the benchmarks build.
 
 use crate::Reachability;
-use gsr_graph::dfs::{ForestStrategy, SpanningForest};
+use gsr_graph::dfs::SpanningForest;
 use gsr_graph::{Col, ColumnList, Columns, DiGraph, Source, VertexId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -103,27 +103,19 @@ pub struct BuildOptions {
     /// disjoint and sorted; disabling this reproduces the "uncompressed"
     /// rows of Table 6.
     pub compress: bool,
-    /// The spanning-forest visit strategy. Different forests change which
-    /// edges are tree edges and hence how many labels the non-tree edges
-    /// generate — the paper's Section 8 future-work question.
-    pub forest: ForestStrategy,
     /// Worker threads for the bottom-up construction: `1` (default) runs
     /// the classic sequential loop, `0` uses the machine's available
     /// parallelism, `n > 1` uses exactly `n` threads. The parallel build is
     /// level-scheduled and produces labels **identical** to the sequential
-    /// build at any thread count (see [`build_bottom_up_parallel`]'s notes).
+    /// build at any thread count: a vertex's labels depend only on those of
+    /// its out-neighbours, which all sit on lower levels.
     /// [`Builder::PaperFaithful`] is inherently sequential and ignores this.
     pub threads: usize,
 }
 
 impl Default for BuildOptions {
     fn default() -> Self {
-        BuildOptions {
-            builder: Builder::BottomUp,
-            compress: true,
-            forest: ForestStrategy::VertexOrder,
-            threads: 1,
-        }
+        BuildOptions { builder: Builder::BottomUp, compress: true, threads: 1 }
     }
 }
 
@@ -163,7 +155,7 @@ impl IntervalLabeling {
     /// Builds the labeling with explicit options. `g` must be a DAG;
     /// cyclic inputs produce an unspecified (but memory-safe) labeling.
     pub fn build_with(g: &DiGraph, options: BuildOptions) -> Self {
-        let forest = SpanningForest::of_with(g, options.forest);
+        let forest = SpanningForest::of(g);
         let threads = gsr_graph::par::effective_threads(options.threads);
         match options.builder {
             Builder::BottomUp if threads > 1 => {

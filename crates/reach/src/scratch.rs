@@ -1,11 +1,16 @@
 //! Reusable per-thread traversal buffers for BFL's guided-DFS fallback.
 //!
 //! BFL answers most `GReach` queries from its labels alone, but falls back
-//! to a pruned DFS when the labels cannot decide. A naive fallback allocates a `visited` vector and
-//! a stack per query, which dominates the cost of exactly the queries that
-//! are already the slow ones. [`TraversalScratch`] keeps both buffers
-//! alive per thread and replaces the O(n) `visited` clear with an epoch
-//! stamp, so steady-state queries perform zero heap allocations.
+//! to a pruned DFS when the labels cannot decide. A naive fallback
+//! allocates a visited set and a stack per query, which dominates the cost
+//! of exactly the queries that are already the slow ones.
+//! [`TraversalScratch`] keeps both alive per thread, and its
+//! [`VisitedSet`] forgets a traversal's marks by an epoch stamp instead of
+//! an `O(n)` clear, so steady-state queries perform zero heap allocations.
+//!
+//! This slot is separate from `gsr_core`'s query scratch on purpose: the
+//! fallback runs inside a SpaReach query that already holds that one, so a
+//! shared slot would make every nested fallback allocate.
 //!
 //! Access goes through [`with_traversal_scratch`], a take/put thread-local:
 //! the scratch is moved out of the slot for the duration of the closure and
@@ -13,54 +18,25 @@
 //! (allocating, but correct), so nesting can never observe aliased buffers
 //! or panic on a borrow check.
 
-use gsr_graph::VertexId;
+use gsr_graph::{VertexId, VisitedSet};
 use std::cell::Cell;
 
-/// Reusable DFS state: an epoch-stamped visited array and a vertex stack.
+/// Reusable DFS state: a visited set and a vertex stack.
 #[derive(Debug, Default)]
 pub(crate) struct TraversalScratch {
-    /// `visited[v] == epoch` means `v` was visited by the *current*
-    /// traversal; stale stamps from earlier traversals are ignored.
-    visited: Vec<u32>,
-    epoch: u32,
+    /// Vertices visited by the current traversal.
+    pub(crate) visited: VisitedSet,
     /// The DFS stack, cleared (but not shrunk) by [`TraversalScratch::begin`].
     pub(crate) stack: Vec<VertexId>,
 }
 
 impl TraversalScratch {
-    /// Starts a new traversal over a graph of `n` vertices: grows the
-    /// visited array if needed, advances the epoch (recycling all previous
-    /// marks in O(1)) and clears the stack. On the rare epoch wrap-around
-    /// the stamps are re-zeroed once.
+    /// Starts a new traversal over a graph of `n` vertices: starts the
+    /// visited set (recycling all previous marks in `O(1)`) and clears the
+    /// stack.
     pub(crate) fn begin(&mut self, n: usize) {
-        if self.visited.len() < n {
-            self.visited.resize(n, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.visited.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
+        self.visited.begin(n);
         self.stack.clear();
-    }
-
-    /// Marks `v` visited; returns `true` when `v` was not yet visited by
-    /// the current traversal.
-    #[inline]
-    pub(crate) fn mark(&mut self, v: VertexId) -> bool {
-        let slot = &mut self.visited[v as usize];
-        if *slot == self.epoch {
-            false
-        } else {
-            *slot = self.epoch;
-            true
-        }
-    }
-
-    /// Whether `v` was visited by the current traversal.
-    #[inline]
-    pub(crate) fn is_marked(&self, v: VertexId) -> bool {
-        self.visited[v as usize] == self.epoch
     }
 }
 
@@ -88,41 +64,30 @@ mod tests {
     fn epochs_recycle_marks_without_clearing() {
         let mut s = TraversalScratch::default();
         s.begin(4);
-        assert!(s.mark(2));
-        assert!(!s.mark(2));
-        assert!(s.is_marked(2));
+        s.stack.push(2);
+        assert!(s.visited.mark(2));
+        assert!(!s.visited.mark(2));
         s.begin(4);
-        assert!(!s.is_marked(2), "previous traversal's marks are stale");
-        assert!(s.mark(2));
+        assert!(s.stack.is_empty(), "begin clears the stack");
+        assert!(!s.visited.is_marked(2), "previous traversal's marks are stale");
+        assert!(s.visited.mark(2));
     }
 
     #[test]
     fn begin_grows_for_larger_graphs() {
         let mut s = TraversalScratch::default();
         s.begin(2);
-        s.mark(1);
+        s.visited.mark(1);
         s.begin(100);
-        assert!(!s.is_marked(99));
-        assert!(s.mark(99));
-    }
-
-    #[test]
-    fn epoch_wraparound_rezeroes() {
-        let mut s = TraversalScratch::default();
-        s.begin(3);
-        s.mark(0);
-        s.epoch = u32::MAX; // force the next begin to wrap
-        s.begin(3);
-        assert_eq!(s.epoch, 1);
-        assert!(!s.is_marked(0));
-        assert!(s.mark(0));
+        assert!(!s.visited.is_marked(99));
+        assert!(s.visited.mark(99));
     }
 
     #[test]
     fn thread_local_scratch_is_reused() {
         let first = with_traversal_scratch(|s| {
             s.begin(8);
-            s.mark(3);
+            s.visited.mark(3);
             s as *const TraversalScratch as usize
         });
         let second = with_traversal_scratch(|s| s as *const TraversalScratch as usize);
@@ -133,12 +98,12 @@ mod tests {
     fn nested_use_falls_back_to_a_fresh_scratch() {
         with_traversal_scratch(|outer| {
             outer.begin(4);
-            outer.mark(1);
+            outer.visited.mark(1);
             with_traversal_scratch(|inner| {
                 inner.begin(4);
-                assert!(!inner.is_marked(1), "nested scratch is independent");
+                assert!(!inner.visited.is_marked(1), "nested scratch is independent");
             });
-            assert!(outer.is_marked(1));
+            assert!(outer.visited.is_marked(1));
         });
     }
 }

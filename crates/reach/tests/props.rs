@@ -2,7 +2,6 @@
 //! transitive closure on random DAGs, and the two labeling constructions
 //! must agree with each other.
 
-use gsr_graph::dfs::ForestStrategy;
 use gsr_graph::{graph_from_edges, DiGraph, VertexId};
 use gsr_reach::bfl::{BflIndex, BflParams};
 use gsr_reach::bfs::TransitiveClosure;
@@ -67,22 +66,6 @@ proptest! {
             BuildOptions { builder: Builder::BottomUp, compress: false, ..BuildOptions::default() },
         );
         assert_oracle_matches(&g, &l)?;
-    }
-
-    #[test]
-    fn all_forest_strategies_yield_correct_labelings(g in arb_dag(25, 90)) {
-        for forest in [
-            ForestStrategy::VertexOrder,
-            ForestStrategy::HighDegreeFirst,
-            ForestStrategy::LowDegreeFirst,
-            ForestStrategy::Random(3),
-        ] {
-            let l = IntervalLabeling::build_with(
-                &g,
-                BuildOptions { builder: Builder::BottomUp, compress: true, forest, ..BuildOptions::default() },
-            );
-            assert_oracle_matches(&g, &l)?;
-        }
     }
 
     #[test]

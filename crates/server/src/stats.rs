@@ -155,9 +155,10 @@ pub struct StatsSnapshot {
     /// last `RELOAD`), printed as fractional `load_ms=`; 0 when it was built
     /// in-process. `RESET` does not touch it.
     pub load_us: u64,
-    /// Snapshot wire-format version the serving index was loaded from
-    /// (2 = streaming decode, 3 = zero-copy mmap); 0 when built
-    /// in-process. `RESET` does not touch it.
+    /// Snapshot wire-format version the serving index was loaded from:
+    /// always [`gsr_store::FORMAT_VERSION`], the only version a loader reads
+    /// (formats 1–5 are retired); 0 when built in-process. `RESET` does not
+    /// touch it.
     pub snapshot_format: u32,
     /// Shard count of the served index when it is a sharded
     /// scatter-gather router ([`gsr_core::ShardedIndex`]); 0 for a plain

@@ -320,23 +320,17 @@ mod tests {
         Method::ALL.map(|m| m.build(&prep, SccSpatialPolicy::Replicate, 1)).to_vec()
     }
 
-    /// Every method, and SpaReach in the streaming candidate mode (which
-    /// the filter-kind scalar records) under both SCC policies.
+    /// Every method under every SCC policy it supports.
     #[test]
     fn every_method_round_trips_in_memory() {
-        use gsr_core::methods::{CandidateMode::Streaming, SpaReachBfl, SpaReachInt};
         let prep = paper_example::prepared();
         let mut indexes = built_all();
-        for p in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
-            indexes.extend([
-                SnapshotIndex::SpaReachBfl(
-                    SpaReachBfl::build(&prep, p).with_candidate_mode(Streaming),
-                ),
-                SnapshotIndex::SpaReachInt(
-                    SpaReachInt::build(&prep, p).with_candidate_mode(Streaming),
-                ),
-            ]);
-        }
+        indexes.extend(
+            Method::ALL
+                .into_iter()
+                .filter(|m| m.supports_mbr())
+                .map(|m| m.build(&prep, SccSpatialPolicy::Mbr, 1)),
+        );
         for index in indexes {
             let mut bytes = Vec::new();
             save(&mut bytes, &index).unwrap();
@@ -406,6 +400,40 @@ mod tests {
                     assert!(msg.contains(&format!("unknown method tag {tag}")), "{msg}")
                 }
                 other => panic!("tag {tag}: expected Load error, got {other:?}"),
+            }
+        }
+    }
+
+    /// The scalars that once selected a retired second path are refused:
+    /// SpaReach's filter kind with bit 1 set (a streaming candidate mode)
+    /// and SocReach's scan mode 1 (a compacted scan). `META`'s CRC is
+    /// re-sealed after the edit, so the method's own check is what refuses
+    /// the file, with the CRC pass and without it.
+    #[test]
+    fn retired_mode_values_are_typed_errors() {
+        let prep = paper_example::prepared();
+        let cases = [
+            (Method::SpaReachBfl, SccSpatialPolicy::Replicate, 0u8, 2u8, "spatial-filter kind 2"),
+            (Method::SpaReachBfl, SccSpatialPolicy::Mbr, 1, 3, "spatial-filter kind 3"),
+            (Method::SpaReachInt, SccSpatialPolicy::Replicate, 0, 2, "spatial-filter kind 2"),
+            (Method::SpaReachInt, SccSpatialPolicy::Mbr, 1, 3, "spatial-filter kind 3"),
+            (Method::SocReach, SccSpatialPolicy::Replicate, 0, 1, "scan mode 1"),
+        ];
+        for (method, policy, written, retired, named) in cases {
+            let mut bytes = Vec::new();
+            save(&mut bytes, &method.build(&prep, policy, 1)).unwrap();
+            // `META` is the first section: the method tag, then the scalar.
+            let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            let (meta_at, meta_len) = (field(24 + 8) as usize, field(24 + 16) as usize);
+            assert_eq!(bytes[meta_at + 1], written, "{method:?} {policy:?} writes {written}");
+            bytes[meta_at + 1] = retired;
+            let crc = crate::wire::crc32(&bytes[meta_at..meta_at + meta_len]);
+            bytes[24 + 4..24 + 8].copy_from_slice(&crc.to_le_bytes());
+            for trust in [false, true] {
+                match load_with(&mut bytes.as_slice(), LoadOptions { trust }) {
+                    Err(GsrError::Load(msg)) => assert!(msg.contains(named), "{msg}"),
+                    other => panic!("{method:?} {policy:?} trust={trust}: got {other:?}"),
+                }
             }
         }
     }

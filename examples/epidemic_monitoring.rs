@@ -1,6 +1,6 @@
 //! Infectious-disease monitoring (third motivating application of the
 //! paper's introduction): "RangeReach can assist on monitoring and
-//! understanding how [diseases] spread in specific areas through human
+//! understanding how \[diseases\] spread in specific areas through human
 //! interaction".
 //!
 //! A contact-tracing graph is modeled as a geosocial network: directed

@@ -1,7 +1,7 @@
 //! Consistency of the per-query work counters: they must agree with what
 //! independent structures report about the same query.
 
-use gsr_core::methods::{GeoReach, ScanMode, SocReach, SpaReachBfl, ThreeDReach};
+use gsr_core::methods::{GeoReach, SocReach, SpaReachBfl, ThreeDReach};
 use gsr_core::{
     BatchExecutor, BatchOptions, PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy,
 };
@@ -47,7 +47,7 @@ fn spareach_candidates_equal_range_query_count() {
 #[test]
 fn socreach_visits_exactly_its_descendants_on_negatives() {
     let prep = setup();
-    let idx = SocReach::build_with(&prep, ScanMode::PerPost);
+    let idx = SocReach::build(&prep);
     let gen = WorkloadGen::new(&prep);
     let w = gen.extent_degree(5.0, DegreeBucket::PAPER_BUCKETS[0], 60, 3);
     for (v, region) in &w.queries {
