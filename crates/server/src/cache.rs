@@ -30,14 +30,14 @@
 //!
 //! ## Epochs and `clear`
 //!
-//! A hot `RELOAD` replaces the served index, which invalidates every
-//! cached answer. [`ResultCache::clear`] drops the entries *and* bumps an
-//! epoch counter that is part of every cache key: a batch that started on
-//! the old index captures the old epoch ([`ResultCache::epoch`]) and
-//! inserts through [`ResultCache::insert_at`], so even if it races the
-//! clear and lands an entry afterwards, that entry carries the stale epoch
-//! and can never be returned for a post-reload lookup. No lock is held
-//! across the swap; staleness is structural, not timing-dependent.
+//! Every key carries the epoch of the index that answered it, which the
+//! caller passes to [`ResultCache::get_at`] and [`ResultCache::insert_at`].
+//! The server gives every `(dataset, index version)` pair its own epoch,
+//! so a hot `RELOAD` invalidates the old answers by changing the epoch it
+//! probes with, not by emptying the cache: a batch still running on the
+//! old index inserts under the old epoch, where no lookup for the new one
+//! can match. [`ResultCache::clear`] only frees that memory. No lock is
+//! held across the swap; staleness is structural, not timing-dependent.
 
 use gsr_geo::Rect;
 use gsr_graph::VertexId;
@@ -200,7 +200,6 @@ pub struct CacheStats {
 pub struct ResultCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_cap: usize,
-    epoch: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -214,32 +213,18 @@ impl ResultCache {
         ResultCache {
             shards: (0..NUM_SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
             per_shard_cap: entries.div_ceil(NUM_SHARDS).max(1),
-            epoch: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    /// The current index epoch. A batch captures this alongside its index
-    /// handle and passes it to [`ResultCache::get_at`] /
-    /// [`ResultCache::insert_at`], so its cache traffic is pinned to the
-    /// index it is actually querying.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
     fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
         &self.shards[(key.shard_hash() % NUM_SHARDS as u64) as usize]
     }
 
-    /// Looks up a cached answer at the current epoch, refreshing its
-    /// recency on a hit.
-    pub fn get(&self, vertex: VertexId, rect: &Rect) -> Option<bool> {
-        self.get_at(self.epoch(), vertex, rect)
-    }
-
-    /// Looks up a cached answer under an explicitly captured epoch.
+    /// Looks up the answer cached under `epoch`, refreshing its recency on
+    /// a hit.
     pub fn get_at(&self, epoch: u64, vertex: VertexId, rect: &Rect) -> Option<bool> {
         let key = CacheKey::new(epoch, vertex, rect);
         // A poisoned shard (a panic while locked) degrades to a miss.
@@ -263,16 +248,9 @@ impl ResultCache {
         }
     }
 
-    /// Stores an answer at the current epoch, evicting the shard's
+    /// Stores an answer under `epoch`, evicting the shard's
     /// least-recently-used entry when the shard is full. Re-inserting an
     /// existing key refreshes its value and recency.
-    pub fn insert(&self, vertex: VertexId, rect: &Rect, value: bool) {
-        self.insert_at(self.epoch(), vertex, rect, value);
-    }
-
-    /// Stores an answer under an explicitly captured epoch. An insert that
-    /// races a [`ResultCache::clear`] lands with its stale epoch baked
-    /// into the key, where no post-clear lookup can ever match it.
     pub fn insert_at(&self, epoch: u64, vertex: VertexId, rect: &Rect, value: bool) {
         let key = CacheKey::new(epoch, vertex, rect);
         let Ok(mut shard) = self.shard(&key).lock() else { return };
@@ -314,15 +292,11 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// Drops every cached entry and advances the epoch, for a `RELOAD`.
-    /// Counters are kept — a reload is not a measurement boundary. Entries
-    /// inserted concurrently by batches still running on the old index are
-    /// keyed under the old epoch and are unreachable afterwards; they age
-    /// out through normal LRU pressure.
+    /// Drops every cached entry, for a `RELOAD`. Counters are kept — a
+    /// reload is not a measurement boundary. Entries inserted concurrently
+    /// by batches still running on the old index carry the old epoch and
+    /// age out through normal LRU pressure.
     pub fn clear(&self) {
-        // Bump the epoch first: once the clear is observable, no reader
-        // can hit an old-epoch entry even if a shard drain is in progress.
-        self.epoch.fetch_add(1, Ordering::AcqRel);
         for shard in &self.shards {
             if let Ok(mut s) = shard.lock() {
                 *s = Shard::new();
@@ -361,12 +335,12 @@ mod tests {
     #[test]
     fn hit_after_insert_miss_before() {
         let cache = ResultCache::new(64);
-        assert_eq!(cache.get(1, &rect(0.0)), None);
-        cache.insert(1, &rect(0.0), true);
-        cache.insert(2, &rect(0.0), false);
-        assert_eq!(cache.get(1, &rect(0.0)), Some(true));
-        assert_eq!(cache.get(2, &rect(0.0)), Some(false));
-        assert_eq!(cache.get(1, &rect(5.0)), None, "different rect, same vertex");
+        assert_eq!(cache.get_at(0, 1, &rect(0.0)), None);
+        cache.insert_at(0, 1, &rect(0.0), true);
+        cache.insert_at(0, 2, &rect(0.0), false);
+        assert_eq!(cache.get_at(0, 1, &rect(0.0)), Some(true));
+        assert_eq!(cache.get_at(0, 2, &rect(0.0)), Some(false));
+        assert_eq!(cache.get_at(0, 1, &rect(5.0)), None, "different rect, same vertex");
         let stats = cache.stats();
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 2);
@@ -377,8 +351,8 @@ mod tests {
     #[test]
     fn negative_zero_folds_onto_positive_zero() {
         let cache = ResultCache::new(8);
-        cache.insert(7, &Rect::new(-0.0, 0.0, 1.0, 1.0), true);
-        assert_eq!(cache.get(7, &Rect::new(0.0, -0.0, 1.0, 1.0)), Some(true));
+        cache.insert_at(0, 7, &Rect::new(-0.0, 0.0, 1.0, 1.0), true);
+        assert_eq!(cache.get_at(0, 7, &Rect::new(0.0, -0.0, 1.0, 1.0)), Some(true));
         assert_eq!(cache.len(), 1, "both spellings share one entry");
     }
 
@@ -388,7 +362,7 @@ mod tests {
         // into any shard must evict the first.
         let cache = ResultCache::new(8);
         for i in 0..64u32 {
-            cache.insert(i, &rect(0.0), true);
+            cache.insert_at(0, i, &rect(0.0), true);
         }
         assert!(cache.len() <= 8, "per-shard caps hold: {}", cache.len());
         // Each shard keeps one entry; every other insert into it evicted.
@@ -412,39 +386,37 @@ mod tests {
         let [a, b, c] = same_shard[..] else {
             panic!("expected 3 colliding keys");
         };
-        cache.insert(a, &rect(0.0), true);
-        cache.insert(b, &rect(0.0), true);
+        cache.insert_at(0, a, &rect(0.0), true);
+        cache.insert_at(0, b, &rect(0.0), true);
         // Touch `a`, then overflow the shard: `b` (now LRU) must go.
-        assert_eq!(cache.get(a, &rect(0.0)), Some(true));
-        cache.insert(c, &rect(0.0), true);
-        assert_eq!(cache.get(a, &rect(0.0)), Some(true), "recently used survives");
-        assert_eq!(cache.get(b, &rect(0.0)), None, "LRU entry was evicted");
-        assert_eq!(cache.get(c, &rect(0.0)), Some(true));
+        assert_eq!(cache.get_at(0, a, &rect(0.0)), Some(true));
+        cache.insert_at(0, c, &rect(0.0), true);
+        assert_eq!(cache.get_at(0, a, &rect(0.0)), Some(true), "recently used survives");
+        assert_eq!(cache.get_at(0, b, &rect(0.0)), None, "LRU entry was evicted");
+        assert_eq!(cache.get_at(0, c, &rect(0.0)), Some(true));
     }
 
     #[test]
     fn reset_stats_keeps_entries() {
         let cache = ResultCache::new(64);
-        cache.insert(1, &rect(0.0), true);
-        assert_eq!(cache.get(1, &rect(0.0)), Some(true));
-        assert_eq!(cache.get(2, &rect(0.0)), None);
+        cache.insert_at(0, 1, &rect(0.0), true);
+        assert_eq!(cache.get_at(0, 1, &rect(0.0)), Some(true));
+        assert_eq!(cache.get_at(0, 2, &rect(0.0)), None);
         cache.reset_stats();
         assert_eq!(cache.stats(), CacheStats::default());
         assert_eq!(cache.len(), 1, "entries survive a counter reset");
-        assert_eq!(cache.get(1, &rect(0.0)), Some(true));
+        assert_eq!(cache.get_at(0, 1, &rect(0.0)), Some(true));
         assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
-    fn clear_empties_the_cache_and_advances_the_epoch() {
+    fn clear_empties_the_cache_and_keeps_the_counters() {
         let cache = ResultCache::new(64);
-        cache.insert(1, &rect(0.0), true);
-        cache.insert(2, &rect(0.0), false);
-        let before = cache.epoch();
+        cache.insert_at(0, 1, &rect(0.0), true);
+        cache.insert_at(0, 2, &rect(0.0), false);
         cache.clear();
-        assert_eq!(cache.epoch(), before + 1);
         assert!(cache.is_empty(), "clear drops every entry");
-        assert_eq!(cache.get(1, &rect(0.0)), None);
+        assert_eq!(cache.get_at(0, 1, &rect(0.0)), None);
         // Counters survive: the miss above is counted on top of the two
         // insert-time probes the test never made (inserts don't probe).
         assert_eq!(cache.stats().misses, 1);
@@ -453,21 +425,21 @@ mod tests {
     #[test]
     fn stale_epoch_inserts_are_unreachable_after_clear() {
         let cache = ResultCache::new(64);
-        let old_epoch = cache.epoch();
+        let (old_epoch, new_epoch) = (3, 4);
         cache.clear();
-        // A batch that started before the clear races its insert in
-        // afterwards, stamped with the epoch it captured at batch start.
+        // A batch that started before a reload races its insert in
+        // afterwards, stamped with the epoch it pinned at batch start.
         cache.insert_at(old_epoch, 1, &rect(0.0), true);
-        assert_eq!(cache.get(1, &rect(0.0)), None, "stale answer never served");
+        assert_eq!(cache.get_at(new_epoch, 1, &rect(0.0)), None, "stale answer never served");
         assert_eq!(cache.get_at(old_epoch, 1, &rect(0.0)), Some(true), "but it did land");
     }
 
     #[test]
     fn reinsert_updates_value_and_recency() {
         let cache = ResultCache::new(64);
-        cache.insert(1, &rect(0.0), true);
-        cache.insert(1, &rect(0.0), false);
-        assert_eq!(cache.get(1, &rect(0.0)), Some(false));
+        cache.insert_at(0, 1, &rect(0.0), true);
+        cache.insert_at(0, 1, &rect(0.0), false);
+        assert_eq!(cache.get_at(0, 1, &rect(0.0)), Some(false));
         assert_eq!(cache.len(), 1);
     }
 
@@ -480,8 +452,8 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..500u32 {
                         let v = (t * 37 + i) % 64;
-                        cache.insert(v, &rect(0.0), v % 2 == 0);
-                        if let Some(ans) = cache.get(v, &rect(0.0)) {
+                        cache.insert_at(0, v, &rect(0.0), v % 2 == 0);
+                        if let Some(ans) = cache.get_at(0, v, &rect(0.0)) {
                             assert_eq!(ans, v % 2 == 0, "value integrity under contention");
                         }
                     }

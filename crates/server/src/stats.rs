@@ -1,13 +1,11 @@
 //! Lock-free service counters over the workspace-shared latency histogram.
 //!
-//! The histogram implementation lives in [`gsr_core::hist`] so the bench
-//! crate's open-loop load recorder and this server quantize latency
-//! identically; this module re-exports it and layers the `STATS` counters
-//! on top.
+//! The histogram is [`gsr_core::hist::LatencyHistogram`], the one
+//! latency histogram of the workspace; this module layers the `STATS`
+//! counters on top of it.
 
+use gsr_core::hist::LatencyHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-pub use gsr_core::hist::LatencyHistogram;
 
 /// Counters shared by all worker threads of a query server.
 #[derive(Debug, Default)]
@@ -18,6 +16,9 @@ pub struct ServerStats {
     rejected: AtomicU64,
     accept_errors: AtomicU64,
     reloads: AtomicU64,
+    /// Admitted connections currently open, which `max_conns` bounds: the
+    /// socket layer counts them in and out; `RESET` leaves them.
+    pub(crate) live: AtomicU64,
     load_us: AtomicU64,
     snapshot_format: AtomicU64,
     hist: LatencyHistogram,
@@ -108,7 +109,7 @@ impl ServerStats {
             rejected: self.rejected.load(Ordering::Relaxed),
             accept_errors: self.accept_errors.load(Ordering::Relaxed),
             reloads: self.reloads.load(Ordering::Relaxed),
-            live: 0,
+            live: self.live.load(Ordering::Relaxed),
             load_us: self.load_us.load(Ordering::Relaxed),
             snapshot_format: self.snapshot_format.load(Ordering::Relaxed) as u32,
             shards: 0,
@@ -130,7 +131,7 @@ pub struct StatsSnapshot {
     /// 99th-percentile request latency, microseconds (bucket upper bound).
     pub p99_us: u64,
     /// 99.9th-percentile request latency, microseconds (bucket upper
-    /// bound). The open-loop load sweep keys off this tail.
+    /// bound): the tail that a median and a p99 both hide.
     pub p999_us: u64,
     /// Heap footprint of the served index in bytes
     /// ([`gsr_core::RangeReachIndex::index_bytes`]). Filled in by the
@@ -148,8 +149,8 @@ pub struct StatsSnapshot {
     /// Successful `RELOAD` index swaps.
     pub reloads: u64,
     /// Admitted connections currently open (queued or being served) — a
-    /// gauge, not a counter; `RESET` does not touch it. Filled in by the
-    /// server, which owns the admission count.
+    /// gauge, not a counter; `RESET` does not touch it. Always 0 for an
+    /// [`Engine`](crate::Engine) served without a socket.
     pub live: u64,
     /// Wall-clock microseconds the serving index took to load (startup or
     /// last `RELOAD`), printed as fractional `load_ms=`; 0 when it was built

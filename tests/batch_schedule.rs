@@ -97,11 +97,11 @@ fn result_cache_agrees_with_plain_execution_on_both_policies() {
                 let cache = ResultCache::new(32);
                 for (i, (v, r)) in repeated.iter().enumerate() {
                     let expect = idx.query(*v, r);
-                    let got = match cache.get(*v, r) {
+                    let got = match cache.get_at(0, *v, r) {
                         Some(hit) => hit,
                         None => {
                             let answer = idx.query(*v, r);
-                            cache.insert(*v, r, answer);
+                            cache.insert_at(0, *v, r, answer);
                             answer
                         }
                     };

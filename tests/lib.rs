@@ -227,3 +227,152 @@ pub fn shrink_last_leaf_mbr(snapshot: &mut Vec<u8>) {
     let version = u32::from_le_bytes(snapshot[8..12].try_into().unwrap());
     *snapshot = frame_sections(version, &sections);
 }
+
+/// The paper example as dataset `default`, and the same graph with every
+/// point stripped (all queries FALSE) as `void`: the datasets the server
+/// tests serve.
+pub fn paper_datasets() -> Vec<(String, Arc<dyn RangeReachIndex>)> {
+    let prep = gsr_core::paper_example::prepared();
+    let net = gsr_core::paper_example::network();
+    let stripped = GeosocialNetwork::new(net.graph().clone(), vec![None; net.num_vertices()]);
+    let void_prep = PreparedNetwork::new(stripped.unwrap());
+    let build = |p: &PreparedNetwork| -> Arc<dyn RangeReachIndex> {
+        Arc::new(gsr_core::methods::ThreeDReach::build(p, SccSpatialPolicy::Replicate))
+    };
+    vec![("default".into(), build(&prep)), ("void".into(), build(&void_prep))]
+}
+
+/// A Yelp-analog network written by `gsr generate` and its 3DReach snapshot
+/// written by `gsr build`, in a scratch directory.
+pub struct ServedFiles {
+    /// The scratch directory, removed on drop.
+    pub dir: gsr_datagen::faults::ScratchDir,
+    /// The network file.
+    pub net_path: String,
+    /// The snapshot file.
+    pub snap_path: String,
+}
+
+/// Writes [`ServedFiles`] under a scratch directory named after `tag`.
+pub fn served_files(tag: &str) -> ServedFiles {
+    let dir = gsr_datagen::faults::ScratchDir::new(&format!("gsr_served_{tag}")).unwrap();
+    let net_path = dir.path().join("net.gsr").to_string_lossy().to_string();
+    let snap_path = dir.path().join("idx.snap").to_string_lossy().to_string();
+    let generate = ["generate", "--preset", "yelp", "--scale", "0.02", "--out", &net_path];
+    let build = ["build", &net_path, "--method", "3dreach", "--save", &snap_path];
+    for argv in [&generate[..], &build[..]] {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        gsr_cli::run(gsr_cli::parse_args(&argv).unwrap(), &mut Vec::new()).unwrap();
+    }
+    ServedFiles { dir, net_path, snap_path }
+}
+
+/// 25 queries spread over the network's space, from vertex `first` on,
+/// each as its `REACH` line and the BFS oracle's reply.
+pub fn oracle_lines(prep: &PreparedNetwork, first: u32) -> Vec<(String, &'static str)> {
+    let n = prep.network().num_vertices() as u32;
+    let space = prep.space();
+    (0..25)
+        .map(|i| {
+            let v = (first + i * 7) % n;
+            let w = space.width() * (0.05 + 0.2 * ((i % 5) as f64));
+            let x = space.min_x + (i as f64 / 25.0) * space.width();
+            let y = space.min_y + ((i * 13 % 25) as f64 / 25.0) * space.height();
+            let r = Rect { min_x: x, min_y: y, max_x: x + w, max_y: y + w };
+            let line = format!("REACH {v} {} {} {} {}\n", r.min_x, r.min_y, r.max_x, r.max_y);
+            (line, if prep.range_reach_bfs(v, &r) { "TRUE" } else { "FALSE" })
+        })
+        .collect()
+}
+
+/// One request line of a protocol corpus, rendered from its kind and its
+/// position in the pipeline.
+fn corpus_line(kind: u8, i: usize) -> Vec<u8> {
+    let v = i % 12;
+    let (x, y) = ((i % 13) as f64 * 0.75, (i % 11) as f64 * 1.25);
+    let reach = format!("REACH {v} {x} {y} {} {}", x + 4.5, y + 4.25);
+    match kind {
+        // Most lines are queries, so feeds are mostly batches.
+        0..=7 => format!("{reach}\n").into_bytes(),
+        8 => format!("{reach}\r\n").into_bytes(),
+        9 => format!("  reach {v} 0 0 16 16  \n").into_bytes(),
+        10 => b"REACH 9999 0 0 1 1\n".to_vec(),
+        11 => b"REACH 0 5 5 1 1\n".to_vec(),
+        12 => b"REACH 0 NaN 0 1 1\r\n".to_vec(),
+        13 => b"REACH nope\n".to_vec(),
+        14 => b"REACH 1 2\n".to_vec(),
+        15 => b"FETCH 1\n".to_vec(),
+        16 => b"F\xffTCH \xc3\x28\n".to_vec(),
+        17 => b"REACH 0 0 0 \xf0\x9f 1\r\n".to_vec(),
+        18 => b"USE void\n".to_vec(),
+        19 => b"USE default\r\n".to_vec(),
+        20 => b"USE nope\n".to_vec(),
+        21 => b"STATS\n".to_vec(),
+        22 => b"STATS now\n".to_vec(),
+        23 => b"\n".to_vec(),
+        _ => b"  \r\n".to_vec(),
+    }
+}
+
+/// A pipeline over [`paper_datasets`]: `RESET` (so the counters `STATS`
+/// lines report start from zero), then request lines of random kinds —
+/// queries, malformed and non-UTF-8 lines, `USE`, `STATS`, blanks — until
+/// it is past `len` bytes.
+pub fn corpus(seed: u64, len: usize) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pipeline = b"RESET\n".to_vec();
+    for i in 1.. {
+        if pipeline.len() > len {
+            break;
+        }
+        pipeline.extend(corpus_line(rng.gen_range(0..25), i));
+    }
+    pipeline
+}
+
+/// Feeds `pipeline` to a fresh session cut at `cuts` (byte offsets, in
+/// any order), ends it, and returns every reply byte.
+pub fn session_replies(engine: &gsr_server::Engine, pipeline: &[u8], cuts: &[usize]) -> Vec<u8> {
+    let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(pipeline.len())).collect();
+    cuts.push(pipeline.len());
+    cuts.sort_unstable();
+    let (mut session, mut out, mut sent) = (engine.session(), Vec::new(), 0);
+    for cut in cuts {
+        if session.feed(&pipeline[sent..cut], &mut out) != gsr_server::LineAction::Continue {
+            return out;
+        }
+        sent = cut;
+    }
+    session.finish(&mut out);
+    out
+}
+
+/// Blanks the `STATS` fields that are timings, and `live=`, which counts
+/// sockets; everything else in a reply stream is a function of the
+/// request lines alone.
+pub fn without_latencies(replies: &[u8]) -> String {
+    String::from_utf8_lossy(replies)
+        .split_inclusive('\n')
+        .map(|line| {
+            if !line.starts_with("STATS ") {
+                return line.to_string();
+            }
+            let blanked = ["p50_us=", "p99_us=", "p999_us=", "live="];
+            let kept: Vec<&str> = line
+                .split_whitespace()
+                .filter(|kv| !blanked.iter().any(|p| kv.starts_with(p)))
+                .collect();
+            kept.join(" ") + "\n"
+        })
+        .collect()
+}
+
+/// The value of field `name` in a `STATS` reply.
+pub fn stat_field(stats: &str, name: &str) -> u64 {
+    stats
+        .split_whitespace()
+        .find_map(|kv| kv.strip_prefix(&format!("{name}=")))
+        .unwrap_or_else(|| panic!("{name} missing from {stats}"))
+        .parse()
+        .unwrap()
+}
