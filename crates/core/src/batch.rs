@@ -207,7 +207,7 @@ impl BatchExecutor {
     }
 
     /// The resolved worker count.
-    pub fn threads(&self) -> usize {
+    fn threads(&self) -> usize {
         gsr_graph::par::effective_threads(self.threads)
     }
 

@@ -34,11 +34,6 @@ impl OnlineReach {
     pub fn new(prep: Arc<PreparedNetwork>) -> Self {
         OnlineReach { prep }
     }
-
-    /// The underlying prepared network.
-    pub fn prepared(&self) -> &PreparedNetwork {
-        &self.prep
-    }
 }
 
 impl RangeReachIndex for OnlineReach {

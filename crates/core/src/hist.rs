@@ -71,7 +71,8 @@ impl LatencyHistogram {
     }
 
     /// Total number of recorded samples.
-    pub fn count(&self) -> u64 {
+    #[cfg(test)]
+    fn count(&self) -> u64 {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 

@@ -138,8 +138,9 @@ impl<R: Reachability + Columns> SpaReach<R> {
         }
     }
 
-    /// Access to the reachability back-end (for tests and stats).
-    pub fn reachability(&self) -> &R {
+    /// Access to the reachability back-end.
+    #[cfg(test)]
+    fn reachability(&self) -> &R {
         &self.reach
     }
 

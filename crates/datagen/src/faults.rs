@@ -63,7 +63,8 @@ impl<W: Write> FailingWriter<W> {
     }
 
     /// The wrapped writer (to inspect what made it through).
-    pub fn into_inner(self) -> W {
+    #[cfg(test)]
+    fn into_inner(self) -> W {
         self.inner
     }
 }

@@ -135,11 +135,6 @@ impl NetworkSpec {
         NetworkSpec::PRESETS.iter().map(|preset| preset(scale)).collect()
     }
 
-    /// Total number of vertices the generated network will have.
-    pub fn num_vertices(&self) -> usize {
-        self.users + self.venues
-    }
-
     /// Generates the network. Deterministic in the spec (including seed).
     pub fn generate(&self) -> GeosocialNetwork {
         let mut rng = StdRng::seed_from_u64(self.seed);

@@ -41,8 +41,8 @@ impl<const N: usize> Aabb<N> {
 
     /// Whether this is the identity box produced by [`Aabb::empty`] (or any
     /// box that has been inverted by construction).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         (0..N).any(|d| self.min[d] > self.max[d])
     }
 

@@ -36,11 +36,6 @@ impl GraphBuilder {
         self.num_vertices
     }
 
-    /// Number of edges added so far (before deduplication).
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Grows the vertex set so it includes id `v`.
     pub fn ensure_vertex(&mut self, v: VertexId) {
         self.num_vertices = self.num_vertices.max(v as usize + 1);

@@ -88,7 +88,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -131,7 +131,7 @@ impl<'a> Dec<'a> {
     /// each, rejecting counts the remaining payload cannot possibly hold —
     /// the guard that keeps a corrupt length from driving a huge
     /// allocation.
-    pub fn count(&mut self, elem_bytes: usize, what: &str) -> Result<usize, String> {
+    fn count(&mut self, elem_bytes: usize, what: &str) -> Result<usize, String> {
         let raw = self.u64(what)?;
         let n = usize::try_from(raw).map_err(|_| format!("{what}: count {raw} overflows"))?;
         let need = n.checked_mul(elem_bytes.max(1));

@@ -92,12 +92,6 @@ impl SpanningForest {
         SpanningForest { post, post_to_vertex, parent, roots }
     }
 
-    /// Number of vertices spanned.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.post.len()
-    }
-
     /// Whether edge `(u, v)` is a tree edge of this forest.
     #[inline]
     pub fn is_tree_edge(&self, u: VertexId, v: VertexId) -> bool {
@@ -118,14 +112,6 @@ impl SpanningForest {
             g.edges().filter(|&(u, v)| !self.is_tree_edge(u, v)).collect();
         edges.sort_unstable_by_key(|&(u, _)| self.post[u as usize]);
         edges
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn heap_bytes(&self) -> usize {
-        self.post.len() * 4
-            + self.post_to_vertex.len() * 4
-            + self.parent.len() * 4
-            + self.roots.len() * 4
     }
 }
 

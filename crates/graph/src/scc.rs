@@ -177,14 +177,6 @@ impl Condensation {
     pub fn largest_component_size(&self) -> usize {
         (0..self.num_components()).map(|c| self.members(c as CompId).len()).max().unwrap_or(0)
     }
-
-    /// Approximate heap footprint in bytes.
-    pub fn heap_bytes(&self) -> usize {
-        self.dag.heap_bytes()
-            + self.comp_of.len() * 4
-            + self.member_offsets.len() * 4
-            + self.member_data.len() * 4
-    }
 }
 
 #[cfg(test)]

@@ -31,7 +31,8 @@ impl CellId {
     }
 
     /// The four children one level down (only meaningful for `level > 0`).
-    pub fn children(&self) -> [CellId; 4] {
+    #[cfg(test)]
+    fn children(&self) -> [CellId; 4] {
         debug_assert!(self.level > 0);
         let (level, ix, iy) = (self.level - 1, self.ix * 2, self.iy * 2);
         [

@@ -14,20 +14,31 @@
 //! node are consecutive ids and all leaves sit at one depth. Instead of
 //! per-node allocations the tree keeps flat arrays:
 //!
-//! * `mbrs[id]` — every node's MBR, contiguous so a traversal that filters
-//!   children scans coordinates cache-linearly;
+//! * the node boxes and the entry boxes, each as one column per dimension
+//!   and bound (`Boxes`), so a scan that tests a node's children or a
+//!   leaf's entries reads one short run of each column it needs;
 //! * `child_start` — CSR offsets of the inner nodes' child lists. The
 //!   lists themselves are not stored: under the breadth-first numbering
 //!   the `k`-th child reference is node `k + 1`, so node `i`'s children
 //!   are the ids `child_start[i] + 1 ..= child_start[i + 1]`;
 //! * `entry_start` — CSR offsets of the leaves into the entry columns;
-//! * entry coordinates in column-major order (one column per dimension and
-//!   bound), with per-dimension *degenerate compression*: when every entry
-//!   is flat in some dimension (points in any dimension, the x/y columns of
-//!   3DReach-REV's vertical segments) the `hi` column is dropped and reads
-//!   fall back to `lo` — bit-exact, since equality is tested on the raw
-//!   `f64` bits;
 //! * `values` — the payloads, parallel to the entry columns.
+//!
+//! Every bound column picks its own storage at build time, with no option:
+//!
+//! * *degenerate compression* — when every box is flat in dimension `d`
+//!   (points in any dimension, the x/y columns of 3DReach-REV's vertical
+//!   segments) the `hi` column is dropped and reads fall back to `lo`,
+//!   bit-exact, since flatness is tested on the raw `f64` bits;
+//! * *narrowing* — a column is `u32` when every value in it converts to
+//!   `u32` and back to the same `f64` bits, and `f64` otherwise. 3DReach's
+//!   third coordinate, a post-order number, is always such a column, so
+//!   its trees store z in 4 bytes instead of 8: 4 B per 3DReach entry, 8 B
+//!   per 3DReach-REV segment and 8 B per node of either. A read converts
+//!   back losslessly, and a scan compares a `u32` column with the window's
+//!   bound rounded to an integer (`x <= b` exactly when `x <= floor(b)`),
+//!   so every comparison — and with it every answer, candidate and
+//!   `QueryCost` — is the one the `f64` column gave.
 //!
 //! A consequence of the numbering: **the entries below any node are one
 //! contiguous index range** of the entry columns — the leaves of a subtree
@@ -68,17 +79,20 @@
 //!
 //! A range scan ([`RTree::runs`]) pops nodes off a stack, pushes the
 //! intersecting children of an inner node in list order and reports a
-//! leaf's hits in forward order — unless the popped inner node's MBR lies
+//! leaf's hits in forward order — unless the popped inner node's box lies
 //! *inside* the window: then every entry below it qualifies, and the scan
 //! emits the subtree's leaves from the last to the first, each as one run
 //! of entry indices, without reading a coordinate. That is the order a
 //! per-entry traversal visits them in, so candidates arrive exactly as
 //! they did before the scan went run-at-a-time and `QueryCost` accounting
-//! is unchanged. A popped leaf is tested a coordinate column at a time, and
-//! only against the window bounds its MBR sticks out of (none, for a leaf
-//! inside the window). Entry boxes must be proper (`lo <= hi`, no NaN) for
-//! "inside the MBR" to imply "intersects the window"; [`Columns::load`]
-//! checks it on untrusted columns.
+//! is unchanged. An inner node's children and a leaf's entries are tested
+//! the same way (`Boxes::hits`): a bound column at a time, as a bit mask
+//! over the run, only against the window bounds the popped node's box
+//! sticks out of (none, for a node inside the window), and no further once
+//! the mask is empty. Boxes must be
+//! proper (`lo <= hi`, no NaN; a leaf may be empty) for "inside the
+//! node's box" to imply "intersects the window"; [`Columns::load`] checks
+//! it on untrusted columns.
 //!
 //! The tree is immutable once built.
 
@@ -107,65 +121,244 @@ impl RTreeParams {
     }
 }
 
-/// Column-major entry coordinates with per-dimension degenerate
-/// compression: dimension `d` keeps no `hi` column when every entry
-/// satisfies `lo[d] == hi[d]` bit-exactly.
+/// One bound of every box of a [`Boxes`], in the narrowest storage that
+/// holds each value exactly.
 #[derive(Debug, Clone, PartialEq)]
-struct EntryStore<const N: usize> {
-    lo: [Col<f64>; N],
-    hi: [Option<Col<f64>>; N],
+enum Bound {
+    F64(Col<f64>),
+    /// Every value is a `u32` (see [`narrows`]); reads convert back
+    /// losslessly.
+    U32(Col<u32>),
 }
 
-impl<const N: usize> EntryStore<N> {
-    /// The columns of `entries[order[0]], entries[order[1]], …`.
-    fn gather<T>(entries: &[(Aabb<N>, T)], order: &[u32]) -> Self {
-        let boxes = || order.iter().map(|&i| &entries[i as usize].0);
-        let lo: [Col<f64>; N] =
-            std::array::from_fn(|d| boxes().map(|b| b.min[d]).collect::<Vec<_>>().into());
-        let hi: [Option<Col<f64>>; N] = std::array::from_fn(|d| {
-            if boxes().all(|b| b.min[d].to_bits() == b.max[d].to_bits()) {
-                None
-            } else {
-                Some(boxes().map(|b| b.max[d]).collect::<Vec<_>>().into())
-            }
-        });
-        EntryStore { lo, hi }
+/// `test` of each of `xs` (at most 64), as a bit per value.
+#[inline]
+fn mask<X: Copy>(xs: &[X], test: impl Fn(X) -> bool) -> u64 {
+    xs.iter().enumerate().fold(0, |m, (k, &x)| m | (test(x) as u64) << k)
+}
+
+/// Whether `x` converts to a `u32` and back to the same bits — so not
+/// `-0.0`, a fraction, a negative, `2^32` and up, an infinity or NaN.
+#[inline]
+fn narrows(x: f64) -> bool {
+    f64::from(x as u32).to_bits() == x.to_bits()
+}
+
+impl Bound {
+    /// `values`, in order: as `u32`s when `narrow` (every one [`narrows`]).
+    fn collect<I: Iterator<Item = f64>>(narrow: bool, values: I) -> Self {
+        if narrow {
+            Bound::U32(values.map(|x| x as u32).collect::<Vec<_>>().into())
+        } else {
+            Bound::F64(values.collect::<Vec<_>>().into())
+        }
     }
 
-    /// Reconstructs entry `i`'s box, bit-identical to the one stored.
+    #[inline]
+    fn len(&self) -> usize {
+        match self {
+            Bound::F64(col) => col.len(),
+            Bound::U32(col) => col.len(),
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> f64 {
+        match self {
+            Bound::F64(col) => col[i],
+            Bound::U32(col) => f64::from(col[i]),
+        }
+    }
+
+    /// Over the boxes `range` whose bounds `lo` and `hi` hold: the least
+    /// lower bound, the greatest upper bound, and whether every box is
+    /// proper (`lo <= hi`, no NaN).
+    fn extent(lo: &Bound, hi: &Bound, range: Range<usize>) -> (f64, f64, bool) {
+        fn fold<L: Copy + Into<f64>, H: Copy + Into<f64>>(lo: &[L], hi: &[H]) -> (f64, f64, bool) {
+            let start = (f64::INFINITY, f64::NEG_INFINITY, true);
+            lo.iter().zip(hi).fold(start, |(min, max, ok), (&lo, &hi)| {
+                let (lo, hi) = (lo.into(), hi.into());
+                (min.min(lo), max.max(hi), ok & (lo <= hi))
+            })
+        }
+        let r = range.clone();
+        match (lo, hi) {
+            (Bound::F64(lo), Bound::F64(hi)) => fold(&lo[range], &hi[r]),
+            (Bound::F64(lo), Bound::U32(hi)) => fold(&lo[range], &hi[r]),
+            (Bound::U32(lo), Bound::F64(hi)) => fold(&lo[range], &hi[r]),
+            (Bound::U32(lo), Bound::U32(hi)) => fold(&lo[range], &hi[r]),
+        }
+    }
+
+    /// Which values of `range` (at most 64) are at most `b`, as a bit per
+    /// value. A `u32` column compares integers: `x <= b` is `x <= floor(b)`
+    /// for an integer `x` (and `as` saturates above `u32::MAX`).
+    #[inline]
+    fn at_most(&self, range: Range<usize>, b: f64) -> u64 {
+        match self {
+            Bound::F64(col) => mask(&col[range], |x| x <= b),
+            Bound::U32(col) => match b.floor() {
+                b if b >= 0.0 => {
+                    let b = b as u32;
+                    mask(&col[range], |x| x <= b)
+                }
+                _ => 0, // below 0, or NaN
+            },
+        }
+    }
+
+    /// Which values of `range` (at most 64) are at least `b`, as a bit per
+    /// value. A `u32` column compares integers: `b <= x` is `ceil(b) <= x`
+    /// for an integer `x` (and `as` saturates below 0).
+    #[inline]
+    fn at_least(&self, range: Range<usize>, b: f64) -> u64 {
+        match self {
+            Bound::F64(col) => mask(&col[range], |x| b <= x),
+            Bound::U32(col) => match b.ceil() {
+                b if b <= u32::MAX as f64 => {
+                    let b = b as u32;
+                    mask(&col[range], |x| b <= x)
+                }
+                _ => 0, // above u32::MAX, or NaN
+            },
+        }
+    }
+
+    /// Declares the column as section `tag`, or `tag + U32` when narrowed.
+    fn declare<'a>(&'a self, out: &mut ColumnList<'a>, tag: u16) {
+        match self {
+            Bound::F64(col) => out.col(tag, col, true),
+            Bound::U32(col) => out.col(tag + tag::U32, col, true),
+        }
+    }
+
+    /// Claims section `tag` in whichever storage it was written.
+    fn load<S: Source>(src: &mut S, tag: u16) -> Result<Option<Self>, String> {
+        let wide = src.col_opt(tag, "rtree-bound")?;
+        let narrow = src.col_opt(tag + tag::U32, "rtree-bound-u32")?;
+        match (wide, narrow) {
+            (None, None) => Ok(None),
+            (Some(col), None) => Ok(Some(Bound::F64(col))),
+            (None, Some(col)) => Ok(Some(Bound::U32(col))),
+            (Some(_), Some(_)) => Err(format!("rtree: bound 0x{tag:02x} is stored twice")),
+        }
+    }
+}
+
+/// Column-major boxes — the node boxes or the entry boxes of a tree — with
+/// the per-bound storage of *Memory layout*: dimension `d` keeps no `hi`
+/// column when every box satisfies `lo[d] == hi[d]` bit-exactly, and a
+/// column is `u32` when all its values round-trip through `u32`.
+#[derive(Debug, Clone, PartialEq)]
+struct Boxes<const N: usize> {
+    lo: [Bound; N],
+    hi: [Option<Bound>; N],
+}
+
+impl<const N: usize> Boxes<N> {
+    /// The columns of the boxes `stored()` yields, in that order.
+    /// `any_order()` yields the same boxes in an order that is cheaper to
+    /// scan: the per-bound storage is decided on it.
+    fn gather<'b, I, J>(any_order: impl Fn() -> I, stored: impl Fn() -> J) -> Self
+    where
+        I: Iterator<Item = &'b Aabb<N>>,
+        J: Iterator<Item = &'b Aabb<N>>,
+    {
+        let lo = std::array::from_fn(|d| {
+            let narrow = any_order().all(|b| narrows(b.min[d]));
+            Bound::collect(narrow, stored().map(|b| b.min[d]))
+        });
+        let hi = std::array::from_fn(|d| {
+            if any_order().all(|b| b.min[d].to_bits() == b.max[d].to_bits()) {
+                return None;
+            }
+            let narrow = any_order().all(|b| narrows(b.max[d]));
+            Some(Bound::collect(narrow, stored().map(|b| b.max[d])))
+        });
+        Boxes { lo, hi }
+    }
+
+    /// The columns of `boxes`, in order.
+    fn of(boxes: &[Aabb<N>]) -> Self {
+        Self::gather(|| boxes.iter(), || boxes.iter())
+    }
+
+    /// The column of dimension `d`'s upper bounds: `lo` where it is flat.
+    #[inline]
+    fn hi(&self, d: usize) -> &Bound {
+        self.hi[d].as_ref().unwrap_or(&self.lo[d])
+    }
+
+    /// Box `i`, bit-identical to the one stored.
     #[inline]
     fn get(&self, i: usize) -> Aabb<N> {
-        let min: [f64; N] = std::array::from_fn(|d| self.lo[d][i]);
-        let max: [f64; N] = std::array::from_fn(|d| match &self.hi[d] {
-            Some(col) => col[i],
-            None => self.lo[d][i],
-        });
-        Aabb { min, max }
+        let mut b = Aabb { min: [0.0; N], max: [0.0; N] };
+        for d in 0..N {
+            b.min[d] = self.lo[d].get(i);
+            b.max[d] = self.hi[d].as_ref().map_or(b.min[d], |hi| hi.get(i));
+        }
+        b
     }
 
-    /// Which of `entries` (at most 64, all inside `mbr`) intersect `region`,
-    /// as a bit per entry — the closed-interval test of
+    /// Which of the boxes `range` (at most 64, all inside `outer`)
+    /// intersect `region`, as a bit per box — the closed-interval test of
     /// [`Aabb::intersects`], evaluated a column at a time and only against
-    /// the bounds of `region` that `mbr` sticks out of: a proper box inside
-    /// `mbr` cannot fail the others. (`region` has no NaN bound here: a scan
-    /// over such a window does not get past the root's `intersects`.)
+    /// the bounds of `region` that `outer` sticks out of: a proper box
+    /// inside `outer` cannot fail the others, and an empty one (`+inf` to
+    /// `-inf`) fails any bound tested. It stops at the first bound that
+    /// leaves no box. (`region` has no NaN bound here: a scan over such a
+    /// window does not get past the root's `intersects`.)
     #[inline]
-    fn hits(&self, entries: Range<usize>, region: &Aabb<N>, mbr: &Aabb<N>) -> u64 {
-        fn mask(col: &[f64], test: impl Fn(f64) -> bool) -> u64 {
-            col.iter().rev().fold(0, |m, &x| m << 1 | test(x) as u64)
-        }
-        let mut hits = u64::MAX >> (64 - entries.len());
+    fn hits(&self, range: Range<usize>, region: &Aabb<N>, outer: &Aabb<N>) -> u64 {
+        let mut hits = u64::MAX >> (64 - range.len());
         for d in 0..N {
-            let lo = &self.lo[d][entries.clone()];
-            if mbr.max[d] > region.max[d] {
-                hits &= mask(lo, |x| x <= region.max[d]);
+            if outer.max[d] > region.max[d] {
+                hits &= self.lo[d].at_most(range.clone(), region.max[d]);
+                if hits == 0 {
+                    break;
+                }
             }
-            if mbr.min[d] < region.min[d] {
-                let hi = self.hi[d].as_ref().map_or(lo, |col| &col[entries.clone()]);
-                hits &= mask(hi, |x| region.min[d] <= x);
+            if outer.min[d] < region.min[d] {
+                hits &= self.hi(d).at_least(range.clone(), region.min[d]);
+                if hits == 0 {
+                    break;
+                }
             }
         }
         hits
+    }
+
+    /// The length of every column.
+    fn column_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lo.iter().chain(self.hi.iter().flatten()).map(Bound::len)
+    }
+
+    /// Declares the columns, dimension by dimension, at tags `base + d` and
+    /// `base + HI + d`.
+    fn declare<'a>(&'a self, out: &mut ColumnList<'a>, base: u16) {
+        const { assert!(N <= 8, "a box column's tag holds dimensions 0 to 7") };
+        for d in 0..N {
+            self.lo[d].declare(out, base + d as u16);
+            if let Some(hi) = &self.hi[d] {
+                hi.declare(out, base + tag::HI + d as u16);
+            }
+        }
+    }
+
+    /// Reads back what [`Boxes::declare`] wrote at `base`.
+    fn load<S: Source>(src: &mut S, base: u16) -> Result<Self, String> {
+        const { assert!(N <= 8, "a box column's tag holds dimensions 0 to 7") };
+        let mut lo = Vec::with_capacity(N);
+        let mut hi = Vec::with_capacity(N);
+        for d in 0..N as u16 {
+            let tag = base + d;
+            lo.push(Bound::load(src, tag)?.ok_or(format!("missing section 0x{tag:02x}"))?);
+            hi.push(Bound::load(src, base + tag::HI + d)?);
+        }
+        Ok(Boxes {
+            lo: lo.try_into().unwrap_or_else(|_| unreachable!("lo has exactly N columns")),
+            hi: hi.try_into().unwrap_or_else(|_| unreachable!("hi has exactly N columns")),
+        })
     }
 }
 
@@ -190,10 +383,10 @@ pub struct RTree<const N: usize, T> {
     params: RTreeParams,
     len: usize,
     num_inner: usize,
-    mbrs: Col<Aabb<N>>,
+    nodes: Boxes<N>,
     child_start: Col<u32>,
     entry_start: Col<u32>,
-    entries: EntryStore<N>,
+    entries: Boxes<N>,
     values: Col<T>,
 }
 
@@ -216,10 +409,10 @@ impl<const N: usize, T> RTree<N, T> {
             params,
             len: 0,
             num_inner: 0,
-            mbrs: vec![Aabb::empty()].into(),
+            nodes: Boxes::of(&[Aabb::empty()]),
             child_start: vec![0].into(),
             entry_start: vec![0, 0].into(),
-            entries: EntryStore::gather::<T>(&[], &[]),
+            entries: Boxes::of(&[]),
             values: Col::default(),
         }
     }
@@ -273,9 +466,9 @@ impl<const N: usize, T> RTree<N, T> {
 
         // Breadth-first numbering, root (the single top group) first: the
         // BFS order of each level is the concatenation of the child runs of
-        // the level above in its own BFS order, so node ids, MBRs and the
-        // child CSR (child reference `k` is node `k + 1`) fall out of one
-        // top-down pass.
+        // the level above in its own BFS order, so node ids, node boxes and
+        // the child CSR (child reference `k` is node `k + 1`) fall out of
+        // one top-down pass.
         let num_nodes: usize = levels.iter().map(|l| l.mbrs.len()).sum();
         let num_inner = num_nodes - levels[0].mbrs.len();
         let mut mbrs = Vec::with_capacity(num_nodes);
@@ -305,16 +498,22 @@ impl<const N: usize, T> RTree<N, T> {
             entry_start.push(leaf_order.len() as u32);
         }
         drop(levels);
+        let nodes = Boxes::of(&mbrs);
+        drop(mbrs);
         let values: Vec<T> = leaf_order.iter().map(|&i| entries[i as usize].1).collect();
+        let entries = Boxes::gather(
+            || entries.iter().map(|e| &e.0),
+            || leaf_order.iter().map(|&i| &entries[i as usize].0),
+        );
 
         RTree {
             params,
             len: values.len(),
             num_inner,
-            mbrs: mbrs.into(),
+            nodes,
             child_start: child_start.into(),
             entry_start: entry_start.into(),
-            entries: EntryStore::gather(&entries, &leaf_order),
+            entries,
             values: values.into(),
         }
     }
@@ -333,14 +532,14 @@ impl<const N: usize, T> RTree<N, T> {
 
     /// The MBR of all entries ([`Aabb::empty`] when the tree is empty).
     #[inline]
-    pub fn mbr(&self) -> Aabb<N> {
-        self.mbrs[0]
+    fn mbr(&self) -> Aabb<N> {
+        self.nodes.get(0)
     }
 
     /// Number of nodes in the arena.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.mbrs.len()
+        self.num_inner + self.entry_start.len() - 1
     }
 
     /// Child ids of inner node `id` (child reference `k` is node `k + 1`).
@@ -384,7 +583,7 @@ impl<const N: usize, T> RTree<N, T> {
         mut stack: S,
     ) -> Runs<'_, N, T, S> {
         stack.borrow_mut().clear();
-        if self.mbrs[0].intersects(region) {
+        if self.mbr().intersects(region) {
             stack.borrow_mut().push(0);
         }
         Runs { tree: self, region: *region, stack, span: 0..0, leaf: (0, 0..0), base: 0, hits: 0 }
@@ -435,14 +634,16 @@ impl<const N: usize, T> RTree<N, T> {
     }
 
     /// Iterator over all entries in storage (breadth-first leaf) order.
-    pub fn iter(&self) -> impl Iterator<Item = (Aabb<N>, &T)> {
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = (Aabb<N>, &T)> {
         (0..self.len).map(|i| (self.entries.get(i), &self.values[i]))
     }
 
     /// Height of the tree (1 for a single leaf root). Derived by walking
     /// the first-child chain — children always have larger ids, so the
     /// walk terminates.
-    pub fn height(&self) -> usize {
+    #[cfg(test)]
+    fn height(&self) -> usize {
         let mut h = 1;
         let mut id = 0usize;
         while id < self.num_inner {
@@ -462,20 +663,15 @@ impl<const N: usize, T> RTree<N, T> {
         values: impl FnOnce(&mut ColumnList<'a>, &'a [T]),
     ) {
         out.meta.u64(self.params.max_entries as u64);
-        out.col(tag::MBRS, &self.mbrs, true);
+        self.nodes.declare(out, tag::NODE);
         out.col(tag::CHILD_START, &self.child_start, true);
         out.col(tag::ENTRY_START, &self.entry_start, true);
         values(out, &self.values);
-        for d in 0..N {
-            out.col(tag::ENTRY_LO + d as u16, &self.entries.lo[d], true);
-            if let Some(hi) = &self.entries.hi[d] {
-                out.col(tag::ENTRY_HI + d as u16, hi, true);
-            }
-        }
+        self.entries.declare(out, tag::ENTRY);
     }
 
-    /// Heap footprint in bytes: MBR, adjacency and entry-column arrays plus
-    /// payload storage. Used for the index-size accounting of Table 4.
+    /// Heap footprint in bytes: node-box, adjacency and entry-box columns
+    /// plus payload storage. Used for the index-size accounting of Table 4.
     pub fn heap_bytes(&self) -> usize {
         let mut list = ColumnList::default();
         self.declare(&mut list, |list, values| list.extra += std::mem::size_of_val(values));
@@ -483,8 +679,8 @@ impl<const N: usize, T> RTree<N, T> {
     }
 
     /// The fan-out parameters the tree was built with.
-    #[inline]
-    pub fn params(&self) -> RTreeParams {
+    #[cfg(test)]
+    fn params(&self) -> RTreeParams {
         self.params
     }
 
@@ -493,25 +689,26 @@ impl<const N: usize, T> RTree<N, T> {
     /// breadth-first tree — monotone CSR offsets, no childless inner node,
     /// one child reference per non-root node (so that reference `k` is node
     /// `k + 1`: each referenced exactly once, by a smaller id — no cycles),
-    /// all leaves at one depth, coordinate
-    /// columns parallel to the payloads, proper entry boxes (`lo <= hi`, no
-    /// NaN), every inner node's MBR covering its children's and every
-    /// leaf's MBR being exactly its entries' — so that no traversal can
-    /// panic or loop, no MBR prunes an entry it should reach, every run the
-    /// scan derives for a subtree inside the window is in bounds and holds
-    /// only intersecting entries, and a file that lost an upper-bound
+    /// all leaves at one depth, box columns parallel to the nodes and to the
+    /// payloads, proper boxes (`lo <= hi`, no NaN) for the entries and the
+    /// inner nodes, every inner node's box covering its children's and every
+    /// leaf's box being exactly its entries' — so that no traversal can
+    /// panic or loop, no node box prunes an entry it should reach, every run
+    /// the scan derives for a subtree inside the window is in bounds and
+    /// holds only intersecting entries, and a file that lost an upper-bound
     /// column (which reads as "degenerate dimension") does not pass for a
     /// tree of points. Violations are reported as `Err(String)`; the checks
     /// are `O(nodes + entries)`.
     fn validate(&self) -> Result<(), String> {
-        let RTree { num_inner, mbrs, child_start, entry_start, entries, .. } = self;
+        let RTree { num_inner, nodes, child_start, entry_start, entries, .. } = self;
         let (num_inner, num_leaves) = (*num_inner, entry_start.len() - 1);
         let num_nodes = num_inner + num_leaves;
-        if mbrs.len() != num_nodes {
-            return Err(format!(
-                "rtree: {} mbrs for {num_inner} inner + {num_leaves} leaf nodes",
-                mbrs.len()
-            ));
+        for (name, boxes, count) in [("node", nodes, num_nodes), ("entry", entries, self.len)] {
+            if let Some(len) = boxes.column_lens().find(|&len| len != count) {
+                return Err(format!(
+                    "rtree: a {name} coordinate column has {len} values for {count}"
+                ));
+            }
         }
         for (name, offsets, total) in
             [("child", &child_start[..], num_nodes - 1), ("entry", &entry_start[..], self.len)]
@@ -539,28 +736,18 @@ impl<const N: usize, T> RTree<N, T> {
             (first, end) = (child_start[first] as usize + 1, child_start[end] as usize + 1);
         }
         for id in 0..num_inner {
-            if let Some(c) = self.child_ids(id).find(|&c| !mbrs[id].contains(&mbrs[c])) {
+            let mbr = nodes.get(id);
+            if !(0..N).all(|d| mbr.min[d] <= mbr.max[d]) {
+                return Err(format!("rtree: inner node {id} has an inverted or NaN mbr"));
+            }
+            if let Some(c) = self.child_ids(id).find(|&c| !mbr.contains(&nodes.get(c))) {
                 return Err(format!("rtree: node {id} mbr does not cover child {c}"));
             }
         }
-        let mut columns = entries.lo.iter().chain(entries.hi.iter().flatten());
-        if let Some(col) = columns.find(|col| col.len() != self.len) {
-            return Err(format!(
-                "rtree: a coordinate column has {} coords for {} entries",
-                col.len(),
-                self.len
-            ));
-        }
-        let lo: [&[f64]; N] = std::array::from_fn(|d| &entries.lo[d][..]);
-        let hi: [&[f64]; N] = std::array::from_fn(|d| entries.hi[d].as_deref().unwrap_or(lo[d]));
-        for (l, mbr) in mbrs[num_inner..].iter().enumerate() {
-            let run = self.leaf_entries(l);
+        for l in 0..num_leaves {
+            let (run, mbr) = (self.leaf_entries(l), nodes.get(num_inner + l));
             let proper_and_tight = (0..N).all(|d| {
-                let bounds = lo[d][run.clone()].iter().zip(&hi[d][run.clone()]);
-                let (ok, min, max) = bounds
-                    .fold((true, f64::INFINITY, f64::NEG_INFINITY), |(ok, min, max), (lo, hi)| {
-                        (ok & (lo <= hi), min.min(*lo), max.max(*hi))
-                    });
+                let (min, max, ok) = Bound::extent(&entries.lo[d], entries.hi(d), run.clone());
                 ok & (min == mbr.min[d]) & (max == mbr.max[d])
             });
             if !proper_and_tight {
@@ -580,10 +767,10 @@ impl<const N: usize, T> RTree<N, T> {
         if let Err(violation) = self.validate() {
             panic!("{violation}");
         }
-        for id in 0..self.mbrs.len() {
+        for id in 0..self.num_nodes() {
             let count = if id < self.num_inner {
-                let tight = Aabb::mbr_of(self.child_ids(id).map(|c| self.mbrs[c]));
-                assert_eq!(tight, Some(self.mbrs[id]), "node {id} mbr is not tight");
+                let tight = Aabb::mbr_of(self.child_ids(id).map(|c| self.nodes.get(c)));
+                assert_eq!(tight, Some(self.nodes.get(id)), "node {id} mbr is not tight");
                 self.child_ids(id).len()
             } else {
                 self.leaf_entries(id - self.num_inner).len()
@@ -601,15 +788,17 @@ impl<const N: usize, T> HeapBytes for RTree<N, T> {
     }
 }
 
-/// Section tags. The per-dimension entry bounds add the dimension index to
-/// the base tag; an absent `ENTRY_HI + d` marks dimension `d` degenerate.
+/// Section tags. A box column's tag is `NODE` or `ENTRY`, plus `HI` for an
+/// upper bound, plus `U32` for a narrowed column, plus the dimension
+/// (`N <= 8`); an absent upper bound marks dimension `d` degenerate.
 mod tag {
-    pub(super) const MBRS: u16 = 0x20;
     pub(super) const CHILD_START: u16 = 0x21;
     pub(super) const ENTRY_START: u16 = 0x23;
     pub(super) const VALUES: u16 = 0x24;
-    pub(super) const ENTRY_LO: u16 = 0x30;
-    pub(super) const ENTRY_HI: u16 = 0x38;
+    pub(super) const NODE: u16 = 0xC0;
+    pub(super) const ENTRY: u16 = 0xD0;
+    pub(super) const HI: u16 = 0x08;
+    pub(super) const U32: u16 = 0x20;
 }
 
 /// A saved tree reloads bit-identical: same arena layout, same traversal
@@ -622,16 +811,11 @@ impl<const N: usize, T: Pod> Columns for RTree<N, T> {
 
     fn load<S: Source>(src: &mut S) -> Result<Self, String> {
         let params = RTreeParams { max_entries: src.usize()? };
-        let mbrs = src.col(tag::MBRS, "rtree-mbrs")?;
+        let nodes = Boxes::load(src, tag::NODE)?;
         let child_start: Col<u32> = src.col(tag::CHILD_START, "rtree-child-start")?;
         let entry_start: Col<u32> = src.col(tag::ENTRY_START, "rtree-entry-start")?;
         let values: Col<T> = src.col(tag::VALUES, "rtree-values")?;
-        let mut lo = Vec::with_capacity(N);
-        let mut hi = Vec::with_capacity(N);
-        for d in 0..N as u16 {
-            lo.push(src.col(tag::ENTRY_LO + d, "rtree-entry-lo")?);
-            hi.push(src.col_opt(tag::ENTRY_HI + d, "rtree-entry-hi")?);
-        }
+        let entries = Boxes::load(src, tag::ENTRY)?;
         if child_start.is_empty() || entry_start.len() < 2 {
             return Err("rtree: empty CSR offset array, or no leaf nodes".into());
         }
@@ -639,13 +823,10 @@ impl<const N: usize, T: Pod> Columns for RTree<N, T> {
             params,
             len: values.len(),
             num_inner: child_start.len() - 1,
-            mbrs,
+            nodes,
             child_start,
             entry_start,
-            entries: EntryStore {
-                lo: lo.try_into().unwrap_or_else(|_| unreachable!("lo has exactly N columns")),
-                hi: hi.try_into().unwrap_or_else(|_| unreachable!("hi has exactly N columns")),
-            },
+            entries,
             values,
         };
         tree.validate()?;
@@ -808,7 +989,7 @@ impl<const N: usize, T, S: BorrowMut<Vec<u32>>> Iterator for Runs<'_, N, T, S> {
                 let chunk = rest.start..rest.end.min(rest.start + 64);
                 rest.start = chunk.end;
                 self.base = chunk.start;
-                self.hits = tree.entries.hits(chunk, &self.region, &tree.mbrs[*node]);
+                self.hits = tree.entries.hits(chunk, &self.region, &tree.nodes.get(*node));
                 continue;
             }
             if let Some(l) = self.span.next_back() {
@@ -821,14 +1002,21 @@ impl<const N: usize, T, S: BorrowMut<Vec<u32>>> Iterator for Runs<'_, N, T, S> {
             let id = self.stack.borrow_mut().pop()? as usize;
             if id >= tree.num_inner {
                 self.leaf = (id, tree.leaf_entries(id - tree.num_inner));
-            } else if self.region.contains(&tree.mbrs[id]) {
+                continue;
+            }
+            let mbr = tree.nodes.get(id);
+            if self.region.contains(&mbr) {
                 self.span = tree.leaf_span(id);
             } else {
+                // The intersecting children, pushed in list order.
                 let stack = self.stack.borrow_mut();
                 let kids = tree.child_ids(id);
-                for (c, mbr) in kids.clone().zip(&tree.mbrs[kids]) {
-                    if mbr.intersects(&self.region) {
-                        stack.push(c as u32);
+                for first in kids.clone().step_by(64) {
+                    let chunk = first..kids.end.min(first + 64);
+                    let mut hits = tree.nodes.hits(chunk, &self.region, &mbr);
+                    while hits != 0 {
+                        stack.push((first + hits.trailing_zeros() as usize) as u32);
+                        hits &= hits - 1;
                     }
                 }
             }
@@ -925,6 +1113,38 @@ mod tests {
         let mut boxes: Vec<(Aabb<3>, u32)> = t3.iter().map(|(b, &v)| (b, v)).collect();
         boxes.sort_by_key(|&(_, v)| v);
         assert_eq!(boxes, segs);
+    }
+
+    #[test]
+    fn integer_comparisons_are_the_f64_ones() {
+        let xs = [0u32, 1, 2, 7, u32::MAX - 1, u32::MAX];
+        let narrow = Bound::U32(xs.to_vec().into());
+        let wide = Bound::F64(xs.iter().map(|&x| f64::from(x)).collect::<Vec<_>>().into());
+        let max = u32::MAX as f64;
+        for b in [
+            f64::NEG_INFINITY,
+            -1.0,
+            -0.5,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+            6.999,
+            7.0,
+            7.001,
+            max - 1.5,
+            max - 0.5,
+            max,
+            max + 0.5,
+            4_294_967_296.0,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            for range in [0..xs.len(), 2..4] {
+                assert_eq!(narrow.at_most(range.clone(), b), wide.at_most(range.clone(), b));
+                assert_eq!(narrow.at_least(range.clone(), b), wide.at_least(range, b), "{b}");
+            }
+        }
     }
 
     #[test]
@@ -1083,6 +1303,23 @@ mod tests {
         elements.into()
     }
 
+    /// `bound` with `edit` applied to a copy of its values, as `f64`s.
+    fn edited_bound(bound: &Bound, edit: impl FnOnce(&mut Vec<f64>)) -> Bound {
+        let mut values: Vec<f64> = (0..bound.len()).map(|i| bound.get(i)).collect();
+        edit(&mut values);
+        Bound::F64(values.into())
+    }
+
+    /// The node boxes of `t` with `edit` applied to a copy of them.
+    fn edited_nodes<const N: usize, T>(
+        t: &RTree<N, T>,
+        edit: impl FnOnce(&mut Vec<Aabb<N>>),
+    ) -> Boxes<N> {
+        let mut boxes: Vec<Aabb<N>> = (0..t.num_nodes()).map(|id| t.nodes.get(id)).collect();
+        edit(&mut boxes);
+        Boxes::of(&boxes)
+    }
+
     #[test]
     fn snapshot_round_trip_exactly() {
         use gsr_graph::columns::MemSource;
@@ -1127,12 +1364,12 @@ mod tests {
         assert!(bad.validate().is_err());
         // A coordinate column of the wrong length.
         let mut bad = good();
-        bad.entries.lo[0] = edited(&bad.entries.lo[0], |c| c.truncate(c.len() - 1));
+        bad.entries.lo[0] = edited_bound(&bad.entries.lo[0], |c| c.truncate(c.len() - 1));
         assert!(bad.validate().is_err());
         // Wrong mbr count.
         let mut bad = good();
-        bad.mbrs = edited(&bad.mbrs, |m| m.truncate(m.len() - 1));
-        assert!(bad.validate().is_err());
+        bad.nodes = edited_nodes(&bad, |m| m.truncate(m.len() - 1));
+        assert!(bad.validate().unwrap_err().contains("node coordinate column"));
         // Multiple leaves without an inner root.
         let mut bad = good();
         (bad.child_start, bad.num_inner) = (vec![0].into(), 0);
@@ -1141,42 +1378,45 @@ mod tests {
         // The checks the run derivation of `runs` rests on. Leaves at two
         // depths: node 2 is a leaf below the root, nodes 3
         // and 4 are leaves below inner node 1.
-        let coords = || Col::from(vec![2.0, 0.0, 1.0]);
         let two_depths = RTree {
             params: RTreeParams::default(),
             len: 3,
             num_inner: 2,
-            mbrs: vec![
+            nodes: Boxes::of(&[
                 Aabb::new([0.0, 0.0], [2.0, 2.0]),
                 Aabb::new([0.0, 0.0], [1.0, 1.0]),
                 pt(2.0, 2.0),
                 pt(0.0, 0.0),
                 pt(1.0, 1.0),
-            ]
-            .into(),
+            ]),
             child_start: vec![0, 2, 4].into(),
             entry_start: vec![0, 1, 2, 3].into(),
-            entries: EntryStore { lo: [coords(), coords()], hi: [None, None] },
+            entries: Boxes::of(&[pt(2.0, 2.0), pt(0.0, 0.0), pt(1.0, 1.0)]),
             values: vec![0usize, 1, 2].into(),
         };
         assert!(two_depths.validate().unwrap_err().contains("different depths"));
         // An inner MBR that does not cover a child's.
         let mut bad = good();
-        bad.mbrs = edited(&bad.mbrs, |m| m[0].max[0] -= 1.0);
+        bad.nodes = edited_nodes(&bad, |m| m[0].max[0] -= 1.0);
         assert!(bad.validate().unwrap_err().contains("does not cover child"));
+        // An inner box that is inverted: it would cover only empty leaves,
+        // and the scan's masked child test assumes proper boxes.
+        let mut bad = good();
+        bad.nodes = edited_nodes(&bad, |m| m[0].min[1] = m[0].max[1] + 1.0);
+        assert!(bad.validate().unwrap_err().contains("inverted or NaN mbr"));
         // A leaf MBR that does not cover one of its entries (it would prune,
         // or wave through, an entry it should have tested).
         let mut bad = good();
-        bad.mbrs = edited(&bad.mbrs, |m| m.last_mut().unwrap().min[1] += 0.5);
+        bad.nodes = edited_nodes(&bad, |m| m.last_mut().unwrap().min[1] += 0.5);
         assert!(bad.validate().unwrap_err().contains("outside its mbr"));
         // An entry that is no proper box: NaN, or inverted in a live `hi`
         // column.
         let mut bad = good();
-        bad.entries.lo[0] = edited(&bad.entries.lo[0], |c| c[0] = f64::NAN);
+        bad.entries.lo[0] = edited_bound(&bad.entries.lo[0], |c| c[0] = f64::NAN);
         assert!(bad.validate().unwrap_err().contains("NaN"));
         let mut bad = RTree::bulk_load(vec![(Aabb::new([0.0, 0.0], [2.0, 2.0]), 0usize)]);
-        bad.entries.lo[0] = vec![1.5].into();
-        bad.entries.hi[0] = Some(vec![0.5].into());
+        bad.entries.lo[0] = Bound::F64(vec![1.5].into());
+        bad.entries.hi[0] = Some(Bound::F64(vec![0.5].into()));
         assert!(bad.validate().unwrap_err().contains("inverted"));
         // A live `hi` column gone missing: the box would read as its lower
         // corner, a point its leaf's MBR is too large for.

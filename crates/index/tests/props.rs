@@ -25,14 +25,46 @@ fn linear_scan<const N: usize>(entries: &[(Aabb<N>, usize)], region: &Aabb<N>) -
     hits
 }
 
-/// The R-tree's section tags (DESIGN.md, "Snapshot layout").
+/// The R-tree's section tags (DESIGN.md, "Snapshot layout"): a box column
+/// is `NODE` or `ENTRY`, plus `HI` for an upper bound, plus `U32` when its
+/// values are stored as `u32`s, plus the dimension.
 mod tag {
-    pub(super) const MBRS: u16 = 0x20;
     pub(super) const CHILD_START: u16 = 0x21;
     pub(super) const ENTRY_START: u16 = 0x23;
     pub(super) const VALUES: u16 = 0x24;
-    pub(super) const ENTRY_LO: u16 = 0x30;
-    pub(super) const ENTRY_HI: u16 = 0x38;
+    pub(super) const NODE: u16 = 0xC0;
+    pub(super) const ENTRY: u16 = 0xD0;
+    pub(super) const HI: u16 = 0x08;
+    pub(super) const U32: u16 = 0x20;
+}
+
+/// Whether `x` is stored as a `u32`: it converts to one and back to the
+/// same bits.
+fn round_trips(x: f64) -> bool {
+    x >= 0.0 && x <= u32::MAX as f64 && x.fract() == 0.0 && x.to_bits() != (-0.0f64).to_bits()
+}
+
+/// Box column `tag` of a declared tree, read back as `f64`s from whichever
+/// storage it was written in; `None` when the tree has no such column.
+fn bound_column(cols: &mut MemSource, tag: u16) -> Option<Vec<f64>> {
+    let wide: Option<Col<f64>> = cols.col_opt(tag, "bound").unwrap();
+    let narrow: Option<Col<u32>> = cols.col_opt(tag + tag::U32, "bound-u32").unwrap();
+    match (wide, narrow) {
+        (Some(col), None) => Some(col.to_vec()),
+        (None, Some(col)) => Some(col.iter().map(|&x| f64::from(x)).collect()),
+        (None, None) => None,
+        (Some(_), Some(_)) => panic!("bound 0x{tag:02x} stored twice"),
+    }
+}
+
+/// The boxes declared at `base`, read back as `(lo, hi)` per dimension; a
+/// missing upper bound reads as the lower one.
+fn box_columns<const N: usize>(cols: &mut MemSource, base: u16) -> [(Vec<f64>, Vec<f64>); N] {
+    std::array::from_fn(|d| {
+        let lo = bound_column(cols, base + d as u16).expect("a lower-bound column");
+        let hi = bound_column(cols, base + tag::HI + d as u16).unwrap_or_else(|| lo.clone());
+        (lo, hi)
+    })
 }
 
 /// The payloads of the entries intersecting `region`, read from the runs.
@@ -45,17 +77,18 @@ fn hits_in<const N: usize>(tree: &RTree<N, usize>, region: &Aabb<N>) -> Vec<usiz
 /// the closed-interval rule. Returns entry indices in visiting order.
 fn per_entry_scan<const N: usize>(tree: &RTree<N, u32>, region: &Aabb<N>) -> Vec<usize> {
     let mut cols = MemSource::new(ColumnList::of(tree));
-    let mbrs: Col<Aabb<N>> = cols.col(tag::MBRS, "mbrs").unwrap();
+    let nodes: [(Vec<f64>, Vec<f64>); N] = box_columns(&mut cols, tag::NODE);
+    let entries: [(Vec<f64>, Vec<f64>); N] = box_columns(&mut cols, tag::ENTRY);
     let child_start: Col<u32> = cols.col(tag::CHILD_START, "child-start").unwrap();
     let entry_start: Col<u32> = cols.col(tag::ENTRY_START, "entry-start").unwrap();
-    let entry_lo: [Col<f64>; N] =
-        std::array::from_fn(|d| cols.col(tag::ENTRY_LO + d as u16, "entry-lo").unwrap());
-    let entry_hi: [Option<Col<f64>>; N] =
-        std::array::from_fn(|d| cols.col_opt(tag::ENTRY_HI + d as u16, "entry-hi").unwrap());
+    let mbr = |id: usize| Aabb {
+        min: std::array::from_fn(|d| nodes[d].0[id]),
+        max: std::array::from_fn(|d| nodes[d].1[id]),
+    };
     let num_inner = child_start.len() - 1;
     let mut out = Vec::new();
     let mut stack = Vec::new();
-    if mbrs[0].intersects(region) {
+    if mbr(0).intersects(region) {
         stack.push(0u32);
     }
     while let Some(id) = stack.pop() {
@@ -63,7 +96,7 @@ fn per_entry_scan<const N: usize>(tree: &RTree<N, u32>, region: &Aabb<N>) -> Vec
         if id < num_inner {
             // Child reference `k` is node `k + 1`.
             for child in child_start[id] + 1..=child_start[id + 1] {
-                if mbrs[child as usize].intersects(region) {
+                if mbr(child as usize).intersects(region) {
                     stack.push(child);
                 }
             }
@@ -71,8 +104,7 @@ fn per_entry_scan<const N: usize>(tree: &RTree<N, u32>, region: &Aabb<N>) -> Vec
             let l = id - num_inner;
             for i in entry_start[l] as usize..entry_start[l + 1] as usize {
                 let hit = (0..N).all(|d| {
-                    let lo = entry_lo[d][i];
-                    let hi = entry_hi[d].as_ref().map_or(lo, |col| col[i]);
+                    let (lo, hi) = (entries[d].0[i], entries[d].1[i]);
                     lo <= region.max[d] && region.min[d] <= hi
                 });
                 if hit {
@@ -260,25 +292,52 @@ fn oracle_tree<const N: usize>(entries: Vec<(Aabb<N>, u32)>, params: RTreeParams
         mbrs.push(leaf_mbrs[g as usize]);
         entry_start.push(entry_start[entry_start.len() - 1] + leaves[g as usize].len() as u32);
     }
-    let flat = |d: usize| ordered.iter().all(|(b, _)| b.min[d].to_bits() == b.max[d].to_bits());
     let values: Vec<u32> = ordered.iter().map(|&&(_, v)| v).collect();
-    let lo: [Vec<f64>; N] =
-        std::array::from_fn(|d| ordered.iter().map(|(b, _)| b.min[d]).collect());
-    let hi: [Vec<f64>; N] =
-        std::array::from_fn(|d| ordered.iter().map(|(b, _)| b.max[d]).collect());
+    let entry_boxes: Vec<Aabb<N>> = ordered.iter().map(|(b, _)| *b).collect();
+    let (node_cols, entry_cols) = (BoxImage::of(&mbrs), BoxImage::of(&entry_boxes));
     let mut list = ColumnList::default();
     list.meta.u64(params.max_entries as u64);
-    list.col(tag::MBRS, &mbrs, true);
+    node_cols.declare(&mut list, tag::NODE);
     list.col(tag::CHILD_START, &child_start, true);
     list.col(tag::ENTRY_START, &entry_start, true);
     list.col(tag::VALUES, &values, true);
-    for d in 0..N {
-        list.col(tag::ENTRY_LO + d as u16, &lo[d], true);
-        if !flat(d) {
-            list.col(tag::ENTRY_HI + d as u16, &hi[d], true);
+    entry_cols.declare(&mut list, tag::ENTRY);
+    MemSource::new(list).load().expect("the oracle's arena is a valid tree")
+}
+
+/// The columns a tree writes for a list of boxes: per dimension the lower
+/// bounds and, unless every box is flat there bit for bit, the upper
+/// bounds; each as `u32`s when all its values round-trip, else as `f64`s.
+struct BoxImage {
+    /// `(tag offset, f64 column, u32 column)`: exactly one column is used.
+    cols: Vec<(u16, Vec<f64>, Option<Vec<u32>>)>,
+}
+
+impl BoxImage {
+    fn of<const N: usize>(boxes: &[Aabb<N>]) -> Self {
+        let mut cols = Vec::new();
+        let mut push = |offset: u16, values: Vec<f64>| {
+            let narrow = values.iter().all(|&x| round_trips(x));
+            let image = narrow.then(|| values.iter().map(|&x| x as u32).collect());
+            cols.push((offset, values, image));
+        };
+        for d in 0..N {
+            push(d as u16, boxes.iter().map(|b| b.min[d]).collect());
+            if !boxes.iter().all(|b| b.min[d].to_bits() == b.max[d].to_bits()) {
+                push(tag::HI + d as u16, boxes.iter().map(|b| b.max[d]).collect());
+            }
+        }
+        BoxImage { cols }
+    }
+
+    fn declare<'a>(&'a self, list: &mut ColumnList<'a>, base: u16) {
+        for (offset, wide, narrow) in &self.cols {
+            match narrow {
+                Some(narrow) => list.col(base + tag::U32 + offset, narrow, true),
+                None => list.col(base + offset, wide, true),
+            }
         }
     }
-    MemSource::new(list).load().expect("the oracle's arena is a valid tree")
 }
 
 /// Tree sizes around one leaf, one slab and one level, then multi-level.
@@ -318,8 +377,150 @@ fn check_packing<const N: usize>(
     Ok(())
 }
 
+/// Values at the edge of `f64 -> u32 -> f64`: the first three round-trip,
+/// the rest do not.
+const EDGES: [f64; 9] = [
+    0.0,
+    1.0,
+    4_294_967_295.0, // u32::MAX
+    -0.0,
+    0.5,
+    -1.0,
+    4_294_967_296.0, // 2^32
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// One entry's raw coordinates: a lattice corner and an extent per
+/// dimension.
+type Raw<const N: usize> = ([u32; N], [u32; N]);
+
+/// Entry boxes on a lattice: dimension `d` is flat when `flat[d]`, and in
+/// quarter steps (mostly not integers) when `quarters[d]`, else in whole
+/// non-negative steps (all round-trip). Each plant `(entry, dim, edge, hi)`
+/// then sets one bound to an edge value, moving the other bound where the
+/// box would invert.
+fn planted<const N: usize>(
+    raw: &[Raw<N>],
+    flat: [bool; N],
+    quarters: [bool; N],
+    plants: &[(usize, usize, usize, bool)],
+) -> Vec<(Aabb<N>, u32)> {
+    let step = |d: usize, x: u32| if quarters[d] { x as f64 * 0.25 } else { x as f64 };
+    let mut entries: Vec<(Aabb<N>, u32)> = (0..raw.len() as u32)
+        .map(|i| {
+            let (corner, extent) = raw[i as usize];
+            let min = std::array::from_fn(|d| step(d, corner[d]));
+            let max =
+                std::array::from_fn(
+                    |d| if flat[d] { min[d] } else { step(d, corner[d] + extent[d]) },
+                );
+            (Aabb::new(min, max), i)
+        })
+        .collect();
+    for &(at, d, edge, hi) in plants {
+        if entries.is_empty() {
+            break;
+        }
+        let b = &mut entries[at % raw.len()].0;
+        let (d, e) = (d % N, EDGES[edge % EDGES.len()]);
+        if hi {
+            (b.min[d], b.max[d]) = (b.min[d].min(e), e);
+        } else {
+            (b.min[d], b.max[d]) = (e, b.max[d].max(e));
+        }
+    }
+    entries
+}
+
+/// Narrowing is exact: every entry box reads back bit for bit, every scan
+/// answers as a brute-force scan of the input does, a snapshot round trip
+/// gives the same tree, and each bound column — of the entries and of the
+/// nodes — is stored as `u32`s exactly when all of its values round-trip.
+fn check_narrowing<const N: usize>(
+    entries: Vec<(Aabb<N>, u32)>,
+    params: RTreeParams,
+    random: &[Corners<N>],
+) -> Result<(), TestCaseError> {
+    let tree = RTree::bulk_load_with_params(entries.clone(), params);
+    tree.check_invariants();
+    for i in 0..tree.len() {
+        let (got, want) = (tree.entry_box(i), entries[tree.values()[i] as usize].0);
+        let bits = |b: Aabb<N>| (b.min.map(f64::to_bits), b.max.map(f64::to_bits));
+        prop_assert_eq!(bits(got), bits(want), "entry {}", i);
+    }
+    let mut stack = Vec::new();
+    for w in &windows(&entries, random) {
+        let mut got: Vec<u32> =
+            tree.runs(w, &mut stack).flatten().map(|i| tree.values()[i]).collect();
+        got.sort_unstable();
+        let want: Vec<u32> =
+            entries.iter().filter(|(b, _)| b.intersects(w)).map(|&(_, v)| v).collect();
+        prop_assert_eq!(&got, &want, "window {:?}", w);
+        prop_assert_eq!(tree.query_exists(w), !want.is_empty(), "query_exists on {:?}", w);
+    }
+    let back: RTree<N, u32> = MemSource::new(ColumnList::of(&tree)).load().unwrap();
+    prop_assert!(back == tree, "snapshot round trip");
+
+    let list = ColumnList::of(&tree);
+    let boxes = list.cols.iter().filter(|c| c.tag >= tag::NODE && c.tag < tag::NODE + 0x40);
+    for col in boxes {
+        let values: Vec<f64> = match col.elem {
+            4 => col
+                .bytes
+                .chunks(4)
+                .map(|b| u32::from_ne_bytes(b.try_into().unwrap()) as f64)
+                .collect(),
+            _ => col.bytes.chunks(8).map(|b| f64::from_ne_bytes(b.try_into().unwrap())).collect(),
+        };
+        let narrowed = col.tag & tag::U32 != 0;
+        prop_assert_eq!(col.elem, if narrowed { 4 } else { 8 });
+        prop_assert_eq!(narrowed, values.iter().all(|&x| round_trips(x)), "tag 0x{:02x}", col.tag);
+    }
+    // The entry columns narrow on what was loaded, not on what happens to
+    // be stored: checked against the input too.
+    let has = |tag: u16| list.cols.iter().any(|c| c.tag == tag);
+    for d in 0..N {
+        let lo = tag::ENTRY + d as u16;
+        let narrow = entries.iter().all(|(b, _)| round_trips(b.min[d]));
+        prop_assert!(has(if narrow { lo + tag::U32 } else { lo }), "entry lo {}", d);
+        let hi = lo + tag::HI;
+        if entries.iter().all(|(b, _)| b.min[d].to_bits() == b.max[d].to_bits()) {
+            prop_assert!(!has(hi) && !has(hi + tag::U32), "flat dimension {} has a hi column", d);
+        } else {
+            let narrow = entries.iter().all(|(b, _)| round_trips(b.max[d]));
+            prop_assert!(has(if narrow { hi + tag::U32 } else { hi }), "entry hi {}", d);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn narrowed_columns_are_exact_in_3d(
+        raw in prop::collection::vec(([(); 3].map(|_| 0u32..40), [(); 3].map(|_| 0u32..3)), 0..300),
+        dims in ([(); 3].map(|_| any::<bool>()), [(); 3].map(|_| any::<bool>())),
+        plants in prop::collection::vec((0usize..300, 0usize..3, 0usize..9, any::<bool>()), 0..4),
+        fan in 0usize..3,
+        random in arb_corners::<3>(),
+    ) {
+        let entries = planted(&raw, dims.0, dims.1, &plants);
+        check_narrowing(entries, fan_out(fan), &random)?;
+    }
+
+    #[test]
+    fn narrowed_columns_are_exact_in_2d(
+        raw in prop::collection::vec(([(); 2].map(|_| 0u32..40), [(); 2].map(|_| 0u32..3)), 0..300),
+        dims in ([(); 2].map(|_| any::<bool>()), [(); 2].map(|_| any::<bool>())),
+        plants in prop::collection::vec((0usize..300, 0usize..2, 0usize..9, any::<bool>()), 0..4),
+        fan in 0usize..3,
+        random in arb_corners::<2>(),
+    ) {
+        let entries = planted(&raw, dims.0, dims.1, &plants);
+        check_narrowing(entries, fan_out(fan), &random)?;
+    }
 
     #[test]
     fn runs_match_per_entry_scan_on_point_trees(

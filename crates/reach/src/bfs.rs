@@ -52,7 +52,6 @@ fn descendants_bfs(g: &DiGraph, from: VertexId) -> Vec<bool> {
 /// only for tests and tiny graphs.
 #[derive(Debug, Clone)]
 pub struct TransitiveClosure {
-    n: usize,
     words_per_row: usize,
     bits: Vec<u64>,
 }
@@ -72,12 +71,7 @@ impl TransitiveClosure {
                 }
             }
         }
-        TransitiveClosure { n, words_per_row, bits }
-    }
-
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
-        self.n
+        TransitiveClosure { words_per_row, bits }
     }
 }
 

@@ -58,13 +58,13 @@ impl Interval {
 
     /// The singleton interval `[p, p]`.
     #[inline]
-    pub fn point(p: u32) -> Self {
+    fn point(p: u32) -> Self {
         Interval { lo: p, hi: p }
     }
 
     /// Whether `p` lies inside the interval.
     #[inline]
-    pub fn contains(&self, p: u32) -> bool {
+    fn contains(&self, p: u32) -> bool {
         self.lo <= p && p <= self.hi
     }
 

@@ -283,12 +283,14 @@ impl ResultCache {
     }
 
     /// Number of entries currently cached, over all shards.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().map_or(0, |g| g.map.len())).sum()
     }
 
     /// Whether the cache currently holds no entries.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 

@@ -158,7 +158,7 @@ pub struct StatsSnapshot {
     pub load_us: u64,
     /// Snapshot wire-format version the serving index was loaded from:
     /// always [`gsr_store::FORMAT_VERSION`], the only version a loader reads
-    /// (formats 1–5 are retired); 0 when built in-process. `RESET` does not
+    /// (formats 1–6 are retired); 0 when built in-process. `RESET` does not
     /// touch it.
     pub snapshot_format: u32,
     /// Shard count of the served index when it is a sharded

@@ -96,7 +96,14 @@ pub const MAGIC: [u8; 8] = *b"GSRSNAP\0";
 /// * **6** — the same framing; an R-tree's `META` holds one scalar, its
 ///   fan-out `max_entries`, instead of two (Guttman's minimum fill, which
 ///   nothing read, is gone). A change to `rtree.rs` and to this number.
-pub const FORMAT_VERSION: u32 = 6;
+///   Retired.
+/// * **7** — the same framing; an R-tree's node boxes are one column per
+///   dimension and bound (sections `0xC0`–`0xCF`) instead of one `Aabb<N>`
+///   column (`0x20`), like its entry boxes (now `0xD0`–`0xDF`), and each
+///   such column is `u32` (tag `+ 0x20`) when every value in it converts to
+///   `u32` and back exactly — 3DReach's post-order z always does. A change
+///   to `rtree.rs` and to this number.
+pub const FORMAT_VERSION: u32 = 7;
 
 fn io_save(e: std::io::Error) -> GsrError {
     GsrError::Internal(format!("snapshot save: {e}"))
@@ -365,7 +372,7 @@ mod tests {
         }
 
         // The retired versions and one from the future, by number.
-        for version in [1u32, 2, 3, 4, 5, 99] {
+        for version in [1u32, 2, 3, 4, 5, 6, 99] {
             let mut wrong_version = bytes.clone();
             wrong_version[8..12].copy_from_slice(&version.to_le_bytes());
             let named = format!("unsupported format version {version} ");

@@ -510,7 +510,7 @@ mod tests {
             );
 
             // A file of the set written in a retired format.
-            for version in [4u32, 5] {
+            for version in [4u32, 5, 6] {
                 let mut retired = pristine.clone();
                 retired[8..12].copy_from_slice(&version.to_le_bytes());
                 std::fs::write(&shared, &retired).unwrap();

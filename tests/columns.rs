@@ -9,9 +9,12 @@
 //! a typed error or the right answer — never a panic, never a different
 //! boolean.
 
-use gsr_core::{paper_example, GsrError, PreparedNetwork, QueryCost, RangeReachIndex};
+use gsr_core::{
+    paper_example, GeosocialNetwork, GsrError, PreparedNetwork, QueryCost, RangeReachIndex,
+};
 use gsr_datagen::faults::ScratchDir;
 use gsr_datagen::NetworkSpec;
+use gsr_geo::Point;
 use gsr_graph::{Column, ColumnList};
 use gsr_store::{LoadOptions, SnapshotIndex};
 use gsr_tests::{all_snapshots, frame_sections, section_offsets, snapshot_sections, Section};
@@ -80,6 +83,42 @@ fn index_bytes_and_file_length_are_what_the_columns_say() {
     }
 }
 
+/// The byte count of narrowing (ROADMAP item 9), from column lengths. The
+/// R-tree's box columns are tags `0xC0`–`0xFF` (DESIGN.md, "Snapshot
+/// layout"): `+ 0x10` marks an entry column (else a node column), `+ 0x08`
+/// an upper bound, `+ 0x20` a `u32` column. Format v6 stored every node box
+/// as one `Aabb<N>` of `f64`s and every entry column as `f64`s; against
+/// that layout, 3DReach saves 4 B per entry (its z column) and 3DReach-REV
+/// 8 B per segment (both z bounds), each 8 B per node (the node z bounds),
+/// and every other method keeps its size to the byte.
+#[test]
+fn narrowed_trees_save_exactly_their_u32_columns() {
+    const VALUES: u16 = 0x24;
+    let prep = PreparedNetwork::new(NetworkSpec::weeplaces(0.3).generate());
+    for (name, built) in all_snapshots(&prep) {
+        let list = columns_of(&built);
+        let len = |c: &Column<'_>| c.bytes.len() / c.elem as usize;
+        let boxes: Vec<&Column<'_>> = list.cols.iter().filter(|c| c.tag >= 0xC0).collect();
+        let node_lo: Vec<&&Column<'_>> = boxes.iter().filter(|c| c.tag & 0x18 == 0).collect();
+        let (dims, nodes) = (node_lo.len(), node_lo.first().map_or(0, |c| len(c)));
+        let entries = list.cols.iter().find(|c| c.tag == VALUES).map_or(0, len);
+        let entry_cols = boxes.iter().filter(|c| c.tag & 0x10 != 0);
+        let box_bytes: usize = boxes.iter().map(|c| c.bytes.len()).sum();
+        let v6 = list.counted_bytes() - box_bytes
+            + nodes * 16 * dims
+            + entry_cols.map(|c| len(c) * 8).sum::<usize>();
+        let saved = match &built {
+            SnapshotIndex::ThreeDReach(_) => 4 * entries + 8 * nodes,
+            SnapshotIndex::ThreeDReachRev(_) => 8 * entries + 8 * nodes,
+            _ => 0,
+        };
+        assert_eq!(built.index_bytes(), v6 - saved, "{name}: {entries} entries, {nodes} nodes");
+        if matches!(built, SnapshotIndex::ThreeDReach(_) | SnapshotIndex::ThreeDReachRev(_)) {
+            assert!(entries > 1000 && nodes > 50, "{name}: {entries} entries, {nodes} nodes");
+        }
+    }
+}
+
 /// A typed error, or what the built index says: the only outcomes a probe
 /// of a loaded index may have.
 type Probed = Result<(bool, QueryCost), GsrError>;
@@ -116,6 +155,16 @@ fn expect_error_or_agreement(
     }
 }
 
+/// The running example with every point moved by a quarter: its R-trees
+/// keep `f64` node boxes, where the example's own integer-bounded ones all
+/// narrow to `u32`s.
+fn shifted_example() -> PreparedNetwork {
+    let shift = |p: Point| Point::new(p.x + 0.25, p.y + 0.25);
+    let points = paper_example::points().into_iter().map(|p| p.map(shift)).collect();
+    let graph = paper_example::network().graph().clone();
+    PreparedNetwork::new(GeosocialNetwork::new(graph, points).expect("valid example"))
+}
+
 /// The drill. Cases (a)–(c) reframe the file with true CRCs, so only the
 /// structures' own validation can object; cases (d) and (e) edit the file in
 /// place.
@@ -123,7 +172,8 @@ fn expect_error_or_agreement(
 fn every_column_of_every_method_survives_the_corruption_drill() {
     const META: u16 = 0x01;
     const UNUSED: u16 = 0x7FFF;
-    for prep in [paper_example::prepared(), paper_example::cyclic_prepared()] {
+    let mut drilled = std::collections::BTreeSet::new();
+    for prep in [paper_example::prepared(), paper_example::cyclic_prepared(), shifted_example()] {
         for (name, built) in all_snapshots(&prep) {
             let file = saved(&built);
             let version = u32::from_le_bytes(file[8..12].try_into().unwrap());
@@ -142,6 +192,7 @@ fn every_column_of_every_method_survives_the_corruption_drill() {
 
             // META is drilled with the columns: it is a section like them.
             for (at, (tag, elem, payload)) in sections.iter().enumerate() {
+                drilled.insert(*tag);
                 let context = |case: &str| format!("{name}, section 0x{tag:02x}: {case}");
                 let reframed = |edit: &dyn Fn(&mut Vec<Section>)| {
                     let mut edited = sections.clone();
@@ -225,5 +276,12 @@ fn every_column_of_every_method_survives_the_corruption_drill() {
                 );
             }
         }
+    }
+    // The R-tree's box columns in both storages, node and entry, were among
+    // them: `0xC0`–`0xDF` as `f64`s, `0xE0`–`0xFF` as `u32`s.
+    for (first, what) in
+        [(0xC0, "f64 node"), (0xD0, "f64 entry"), (0xE0, "u32 node"), (0xF0, "u32 entry")]
+    {
+        assert!(drilled.range(first..first + 0x10).next().is_some(), "no {what} column drilled");
     }
 }

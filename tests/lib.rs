@@ -211,19 +211,30 @@ pub fn frame_sections(version: u32, sections: &[Section]) -> Vec<u8> {
     file
 }
 
-/// Shrinks the MBR of the last leaf of the R-tree stored in a snapshot
-/// (`max` falls below `min` in the last dimension, so the leaf no longer
-/// covers its entries) and frames the file anew: it frames and checksums
-/// correctly, only the R-tree's own validation can tell it is wrong.
+/// Shrinks the box of the last leaf of the R-tree stored in a snapshot (its
+/// upper bound in the last dimension falls by one, so the leaf no longer
+/// covers the entry that set it) and frames the file anew: it frames and
+/// checksums correctly, only the R-tree's own validation can tell it is
+/// wrong.
 pub fn shrink_last_leaf_mbr(snapshot: &mut Vec<u8>) {
-    const RT_MBRS: u16 = 0x20;
+    // The node upper-bound columns: `0xC8 + d` as `f64`s, `0xE8 + d` as
+    // `u32`s (DESIGN.md, "Snapshot layout").
+    let node_hi = |tag: u16| (0xC8..0xD0).contains(&tag) || (0xE8..0xF0).contains(&tag);
     let mut sections = snapshot_sections(snapshot);
-    let (_, elem, mbrs) =
-        sections.iter_mut().find(|s| s.0 == RT_MBRS).expect("snapshot holds an R-tree");
-    let dims = *elem as usize / 16; // element = min[N] + max[N] f64s
-    let (last_max, last_min) = (mbrs.len() - 8, mbrs.len() - 8 - dims * 8);
-    let min = f64::from_le_bytes(mbrs[last_min..last_min + 8].try_into().unwrap());
-    mbrs[last_max..last_max + 8].copy_from_slice(&(min - 1.0).to_le_bytes());
+    let (_, elem, column) = sections
+        .iter_mut()
+        .filter(|s| node_hi(s.0))
+        .max_by_key(|s| s.0 & 0x07)
+        .expect("snapshot holds an R-tree");
+    let last = column.len() - *elem as usize;
+    if *elem == 4 {
+        let max = u32::from_le_bytes(column[last..].try_into().unwrap());
+        let shrunk = max.checked_sub(1).expect("the last leaf reaches above 0");
+        column[last..].copy_from_slice(&shrunk.to_le_bytes());
+    } else {
+        let max = f64::from_le_bytes(column[last..].try_into().unwrap());
+        column[last..].copy_from_slice(&(max - 1.0).to_le_bytes());
+    }
     let version = u32::from_le_bytes(snapshot[8..12].try_into().unwrap());
     *snapshot = frame_sections(version, &sections);
 }

@@ -105,14 +105,16 @@ fn serve_with_a_corrupt_snapshot_is_a_load_error_exit() {
     assert_eq!(exit_code(e.as_ref()), 3, "{e}");
 
     // A file of a retired format is refused by number, with the same exit.
-    let mut retired = gsr_store::MAGIC.to_vec();
-    retired.extend_from_slice(&5u32.to_le_bytes());
-    retired.resize(4096, 0);
-    std::fs::write(&snap, &retired).unwrap();
-    let e = run(parse_args(&args(&["serve", "--load", &snap_path])).unwrap(), &mut Vec::new())
-        .unwrap_err();
-    assert_eq!(exit_code(e.as_ref()), 3, "{e}");
-    assert!(e.to_string().contains("unsupported format version 5 "), "{e}");
+    for version in [5u32, 6] {
+        let mut retired = gsr_store::MAGIC.to_vec();
+        retired.extend_from_slice(&version.to_le_bytes());
+        retired.resize(4096, 0);
+        std::fs::write(&snap, &retired).unwrap();
+        let e = run(parse_args(&args(&["serve", "--load", &snap_path])).unwrap(), &mut Vec::new())
+            .unwrap_err();
+        assert_eq!(exit_code(e.as_ref()), 3, "{e}");
+        assert!(e.to_string().contains(&format!("unsupported format version {version} ")), "{e}");
+    }
 }
 
 /// A [`QueryServer`] over [`paper_datasets`], run on a thread of this

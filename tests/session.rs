@@ -170,7 +170,7 @@ fn reset_keeps_the_cache_where_reload_clears_it() {
         assert!(replies[0].starts_with("ERR 3 ") && replies[0].contains(named), "{replies:?}");
         assert_eq!(replies[1], first, "old index keeps serving after a refused RELOAD");
     };
-    for version in [1u32, 2, 3, 4, 5, 99] {
+    for version in [1u32, 2, 3, 4, 5, 6, 99] {
         let retired_path = files.dir.path().join(format!("retired.v{version}.snap"));
         let mut retired = std::fs::read(&files.snap_path).unwrap();
         retired[8..12].copy_from_slice(&version.to_le_bytes());

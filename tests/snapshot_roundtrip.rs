@@ -177,16 +177,16 @@ fn resaving_a_loaded_snapshot_is_byte_identical() {
 #[test]
 fn golden_snapshot_hashes() {
     const GOLDEN: [(&str, usize, u32); 10] = [
-        ("spareach-bfl", 129312, 0xE156316D),
-        ("spareach-int", 65624, 0x2F321D80),
-        ("3dreach", 42304, 0x3402CFB7),
-        ("3dreach-rev", 73408, 0xC19AC825),
-        ("spareach-bfl (MBR)", 129312, 0x9631B6FF),
-        ("spareach-int (MBR)", 65624, 0xA50FC515),
-        ("3dreach (MBR)", 61728, 0x8C5BDDCA),
-        ("3dreach-rev (MBR)", 92832, 0xD21161EE),
-        ("georeach", 45792, 0x167D8E79),
-        ("socreach", 27872, 0x0F166689),
+        ("spareach-bfl", 129440, 0x1BCEA70C),
+        ("spareach-int", 65752, 0xAF9A0CF6),
+        ("3dreach", 38144, 0x68422B24),
+        ("3dreach-rev", 59904, 0xBC0981F2),
+        ("spareach-bfl (MBR)", 129440, 0x4BC010DC),
+        ("spareach-int (MBR)", 65752, 0xBFD62451),
+        ("3dreach (MBR)", 57568, 0xDC058C5A),
+        ("3dreach-rev (MBR)", 79328, 0x24CFBFDA),
+        ("georeach", 45792, 0x76E917FA),
+        ("socreach", 27872, 0xCDC57A31),
     ];
     let hashed = |(name, index): &(String, SnapshotIndex)| {
         let mut bytes = Vec::new();
@@ -329,8 +329,9 @@ fn a_shrunk_leaf_mbr_is_a_typed_load_error_even_when_trusted() {
 
 /// The retired formats — v1 (pointer-node R-trees, uncompressed labels),
 /// v2 (framed streaming sections), v3 (this framing, with the R-tree's
-/// `children` section), v4 (GeoReach's SPA table as one encoded section)
-/// and v5 (two fan-out scalars per R-tree) — carry their version in the
+/// `children` section), v4 (GeoReach's SPA table as one encoded section),
+/// v5 (two fan-out scalars per R-tree) and v6 (node boxes as one `Aabb`
+/// column, every coordinate an `f64`) — carry their version in the
 /// header; both load entry points must reject them with a typed version
 /// error naming it, not misparse the payload or panic.
 #[test]
@@ -342,7 +343,7 @@ fn v1_snapshots_are_rejected_with_a_typed_version_error() {
         gsr_store::save(&mut bytes, &original).expect("save");
         assert_eq!(&bytes[8..12], &gsr_store::FORMAT_VERSION.to_le_bytes(), "header version");
 
-        for retired in [1u32, 2, 3, 4, 5] {
+        for retired in [1u32, 2, 3, 4, 5, 6] {
             // Same magic, retired version field. The loader must stop at
             // the header: the retired payloads are not parseable as
             // sections, so anything past the version check would be
