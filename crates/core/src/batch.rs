@@ -105,7 +105,8 @@ pub struct BatchOutcome {
 
 impl BatchOutcome {
     /// Whether every query produced an answer with no error.
-    pub fn is_complete(&self) -> bool {
+    #[cfg(test)]
+    fn is_complete(&self) -> bool {
         !self.timed_out && !self.cancelled && self.errors.is_empty()
     }
 }
@@ -261,7 +262,7 @@ impl BatchExecutor {
     ///     &queries,
     ///     &BatchOptions::unlimited().with_budget(Duration::from_secs(60)),
     /// );
-    /// assert!(outcome.is_complete());
+    /// assert!(!outcome.timed_out && outcome.errors.is_empty());
     /// assert_eq!(outcome.answers, vec![Some(true)]);
     /// ```
     pub fn run_bounded<I>(
@@ -534,11 +535,11 @@ mod tests {
         fn num_vertices(&self) -> usize {
             4
         }
-        fn query_unchecked(&self, v: VertexId, _region: &Rect) -> bool {
+        fn query_with_cost_unchecked(&self, v: VertexId, _region: &Rect) -> (bool, QueryCost) {
             if v == 2 {
                 panic!("injected fault at vertex {v}");
             }
-            true
+            (true, QueryCost::default())
         }
         fn index_bytes(&self) -> usize {
             0

@@ -41,10 +41,6 @@ impl RangeReachIndex for OnlineReach {
         self.prep.network().num_vertices()
     }
 
-    fn query_unchecked(&self, v: VertexId, region: &Rect) -> bool {
-        self.prep.range_reach_bfs(v, region)
-    }
-
     fn query_with_cost_unchecked(&self, v: VertexId, region: &Rect) -> (bool, QueryCost) {
         self.prep.range_reach_bfs_with_cost(v, region)
     }

@@ -357,10 +357,6 @@ impl RangeReachIndex for GeoReach {
         self.comp_of.len()
     }
 
-    fn query_unchecked(&self, v: VertexId, region: &Rect) -> bool {
-        self.query_with_cost_unchecked(v, region).0
-    }
-
     fn query_with_cost_unchecked(&self, v: VertexId, region: &Rect) -> (bool, QueryCost) {
         let mut cost = QueryCost::default();
         let start = self.comp_of[v as usize];

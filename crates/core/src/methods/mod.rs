@@ -12,7 +12,9 @@ pub use spareach::{SpaReach, SpaReachBfl, SpaReachInt};
 pub use table::{Method, SnapshotIndex};
 pub use threed::{ThreeDReach, ThreeDReachRev};
 
+use gsr_geo::{Aabb, Point, Rect};
 use gsr_graph::scc::CompId;
+use gsr_index::RTree;
 
 /// Section tags of the columns several methods declare.
 mod tag {
@@ -56,6 +58,33 @@ fn check_comp_ids(
         Some(c) => Err(format!("{method}: {holder} references component {c} >= {ncomp}")),
         None => Ok(()),
     }
+}
+
+/// Checks that every entry of an MBR-policy tree spans, in its two spatial
+/// dimensions, exactly the MBR of its component's member points, as the
+/// build made it. A box read from disk can lose its upper-bound column and
+/// read as its lower corner; the leaf boxes only notice when that entry set
+/// the leaf's bound, and a window the true box meets would miss it. The
+/// member CSR and the entries' component ids must have been checked.
+fn check_entry_mbrs<const N: usize>(
+    method: &str,
+    tree: &RTree<N, CompId>,
+    offsets: &[u32],
+    points: &[Point],
+) -> Result<(), String> {
+    let mbrs: Vec<Option<Rect>> = offsets
+        .windows(2)
+        .map(|w| Rect::mbr_of(points[w[0] as usize..w[1] as usize].iter().copied()))
+        .collect();
+    let spans = |b: &Aabb<N>, m: &Rect| {
+        [b.min[0], b.min[1], b.max[0], b.max[1]] == [m.min_x, m.min_y, m.max_x, m.max_y]
+    };
+    for (i, &c) in tree.values().iter().enumerate() {
+        if !mbrs[c as usize].is_some_and(|m| spans(&tree.entry_box(i), &m)) {
+            return Err(format!("{method}: tree entry {i} is not component {c}'s member mbr"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

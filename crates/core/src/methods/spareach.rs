@@ -11,7 +11,7 @@
 //! (Bloom-filter labeling, the overall best `GReach` scheme) and
 //! [`SpaReachInt`] (interval-based labeling).
 
-use super::{check_comp_ids, check_csr, tag};
+use super::{check_comp_ids, check_csr, check_entry_mbrs, tag};
 use crate::{PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy};
 use gsr_geo::{Aabb, Point, Rect};
 use gsr_graph::par;
@@ -190,19 +190,13 @@ impl<R: Reachability + Columns> SpaReach<R> {
         check_csr("spareach", "member", ncomp, &member_offsets, member_points.len())?;
         check_comp_ids("spareach", "comp_of", comp_of.iter().copied(), ncomp)?;
         check_comp_ids("spareach", "filter", tree.values().iter().copied(), ncomp)?;
-        Ok(SpaReach {
-            comp_of,
-            tree,
-            policy: if kind & KIND_MBR != 0 {
-                SccSpatialPolicy::Mbr
-            } else {
-                SccSpatialPolicy::Replicate
-            },
-            reach,
-            name,
-            member_offsets,
-            member_points,
-        })
+        let policy = if kind & KIND_MBR != 0 {
+            check_entry_mbrs("spareach", &tree, &member_offsets, &member_points)?;
+            SccSpatialPolicy::Mbr
+        } else {
+            SccSpatialPolicy::Replicate
+        };
+        Ok(SpaReach { comp_of, tree, policy, reach, name, member_offsets, member_points })
     }
 }
 
@@ -229,10 +223,6 @@ impl Columns for SpaReachInt {
 impl<R: Reachability + Columns> RangeReachIndex for SpaReach<R> {
     fn num_vertices(&self) -> usize {
         self.comp_of.len()
-    }
-
-    fn query_unchecked(&self, v: VertexId, region: &Rect) -> bool {
-        self.query_with_cost_unchecked(v, region).0
     }
 
     fn query_with_cost_unchecked(&self, v: VertexId, region: &Rect) -> (bool, QueryCost) {

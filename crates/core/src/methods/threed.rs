@@ -15,7 +15,7 @@
 //! plane at `post_rev(v)`. One range query per query instead of `|L(v)|`,
 //! at the cost of indexing segments instead of points.
 
-use super::{check_comp_ids, check_csr, tag};
+use super::{check_comp_ids, check_csr, check_entry_mbrs, tag};
 use crate::{PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy};
 use gsr_geo::{cuboid_from_rect, Aabb, Cuboid, Point, Rect};
 use gsr_graph::par;
@@ -160,7 +160,8 @@ impl ThreeDCommon {
     /// bounds-checked against `ncomp` (the component count of the
     /// accompanying label structure) so queries cannot panic. `Replicate`
     /// never reads the member CSR, so there it may also be empty (what a
-    /// build keeps); `Mbr` requires it.
+    /// build keeps); `Mbr` requires it, and every entry to span its
+    /// component's member MBR.
     fn validate(&self, ncomp: usize) -> Result<(), String> {
         let unused = self.policy == SccSpatialPolicy::Replicate
             && self.member_offsets.is_empty()
@@ -169,7 +170,11 @@ impl ThreeDCommon {
             check_csr("3dreach", "member", ncomp, &self.member_offsets, self.member_points.len())?;
         }
         check_comp_ids("3dreach", "comp_of", self.comp_of.iter().copied(), ncomp)?;
-        check_comp_ids("3dreach", "tree", self.tree.values().iter().copied(), ncomp)
+        check_comp_ids("3dreach", "tree", self.tree.values().iter().copied(), ncomp)?;
+        if self.policy == SccSpatialPolicy::Mbr {
+            check_entry_mbrs("3dreach", &self.tree, &self.member_offsets, &self.member_points)?;
+        }
+        Ok(())
     }
 }
 
@@ -259,10 +264,6 @@ impl Columns for ThreeDReach {
 impl RangeReachIndex for ThreeDReach {
     fn num_vertices(&self) -> usize {
         self.common.comp_of.len()
-    }
-
-    fn query_unchecked(&self, v: VertexId, region: &Rect) -> bool {
-        self.query_with_cost_unchecked(v, region).0
     }
 
     fn query_with_cost_unchecked(&self, v: VertexId, region: &Rect) -> (bool, QueryCost) {
@@ -397,10 +398,6 @@ impl Columns for ThreeDReachRev {
 impl RangeReachIndex for ThreeDReachRev {
     fn num_vertices(&self) -> usize {
         self.common.comp_of.len()
-    }
-
-    fn query_unchecked(&self, v: VertexId, region: &Rect) -> bool {
-        self.query_with_cost_unchecked(v, region).0
     }
 
     fn query_with_cost_unchecked(&self, v: VertexId, region: &Rect) -> (bool, QueryCost) {

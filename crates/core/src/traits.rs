@@ -95,9 +95,11 @@ pub struct ShardStats {
 /// ## Checked and unchecked entry points
 ///
 /// Implementors provide the *raw* evaluation,
-/// [`RangeReachIndex::query_unchecked`], whose contract assumes validated
-/// input (`v < num_vertices`, finite non-inverted `region`) and may panic
-/// or index out of bounds otherwise. Callers holding untrusted input use
+/// [`RangeReachIndex::query_with_cost_unchecked`], which answers and counts
+/// the work of one query. Its contract assumes validated input
+/// (`v < num_vertices`, finite non-inverted `region`) and it may panic or
+/// index out of bounds otherwise; [`RangeReachIndex::query_unchecked`] is
+/// its answer alone. Callers holding untrusted input use
 /// the provided [`RangeReachIndex::try_query`] /
 /// [`RangeReachIndex::try_query_with_cost`], which validate first and
 /// surface [`GsrError::InvalidVertex`] / [`GsrError::InvalidRect`] instead
@@ -109,18 +111,20 @@ pub trait RangeReachIndex: Send + Sync {
     /// `0..num_vertices`.
     fn num_vertices(&self) -> usize;
 
-    /// Evaluates `RangeReach(G, v, region)` without validating the input:
-    /// can `v` reach a vertex whose point lies inside `region`?
+    /// Evaluates `RangeReach(G, v, region)` without validating the input —
+    /// can `v` reach a vertex whose point lies inside `region`? — and
+    /// returns the work counters of this query with the answer.
     ///
     /// The caller must guarantee `v < self.num_vertices()` and a finite,
     /// non-inverted `region`; violations may panic.
-    fn query_unchecked(&self, v: VertexId, region: &Rect) -> bool;
+    fn query_with_cost_unchecked(&self, v: VertexId, region: &Rect) -> (bool, QueryCost);
 
-    /// Like [`RangeReachIndex::query_unchecked`], additionally returning
-    /// the work counters of this query. The default implementation reports
-    /// empty counters.
-    fn query_with_cost_unchecked(&self, v: VertexId, region: &Rect) -> (bool, QueryCost) {
-        (self.query_unchecked(v, region), QueryCost::default())
+    /// The answer of [`RangeReachIndex::query_with_cost_unchecked`] alone,
+    /// under the same contract. An index that forwards to others (a method
+    /// enum, a shard router) overrides it, so that a call through it does
+    /// not count work nobody reads.
+    fn query_unchecked(&self, v: VertexId, region: &Rect) -> bool {
+        self.query_with_cost_unchecked(v, region).0
     }
 
     /// Validated evaluation: rejects out-of-range vertices and non-finite

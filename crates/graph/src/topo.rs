@@ -31,6 +31,31 @@ pub fn is_dag(g: &DiGraph) -> bool {
     topological_order(g).is_some()
 }
 
+/// The vertices of a DAG in levels of mutually independent ones:
+/// `depth(v) = 1 + max(depth(neighbours))` over `neighbors(v)` (a self-loop
+/// ignored), and `levels[d]` lists the vertices of depth `d` in `order`.
+/// `order` must list all `n` vertices, each after all of its neighbours, so
+/// a level only reads levels below it: the schedule of the level-parallel
+/// label and filter builds.
+pub fn levels<'a>(
+    n: usize,
+    order: &[VertexId],
+    neighbors: impl Fn(VertexId) -> &'a [VertexId],
+) -> Vec<Vec<VertexId>> {
+    let mut depth = vec![0u32; n];
+    let mut max_depth = 0u32;
+    for &v in order {
+        let d = neighbors(v).iter().filter(|&&u| u != v).map(|&u| depth[u as usize] + 1).max();
+        depth[v as usize] = d.unwrap_or(0);
+        max_depth = max_depth.max(depth[v as usize]);
+    }
+    let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); max_depth as usize + 1];
+    for &v in order {
+        levels[depth[v as usize] as usize].push(v);
+    }
+    levels
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,6 +82,14 @@ mod tests {
     fn self_loop_is_a_cycle() {
         let g = graph_from_edges(1, &[(0, 0)]);
         assert!(!is_dag(&g));
+    }
+
+    #[test]
+    fn levels_follow_the_longest_path_below() {
+        // 3 -> 1 -> 0, 3 -> 2 -> 0, 2 -> 2 and 4 alone.
+        let g = graph_from_edges(5, &[(3, 1), (1, 0), (3, 2), (2, 0), (2, 2)]);
+        let order = [0, 4, 1, 2, 3];
+        assert_eq!(levels(5, &order, |v| g.out_neighbors(v)), [vec![0, 4], vec![1, 2], vec![3]]);
     }
 
     #[test]

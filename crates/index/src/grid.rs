@@ -106,28 +106,31 @@ impl HierarchicalGrid {
         1u32 << (self.finest_exp - level)
     }
 
-    /// The finest-level (`L0`) cell containing `p`. Points on the max edge
-    /// of the space are clamped into the last cell.
+    /// The finest-level (`L0`) cell containing `p`: the cell between the
+    /// grid lines [`HierarchicalGrid::cell_rect`] draws around it. Points on
+    /// the max edge of the space are clamped into the last cell.
     pub fn cell_of(&self, p: &Point) -> CellId {
-        let side = self.side_cells(0);
-        let fx = (p.x - self.space.min_x) / self.space.width().max(f64::MIN_POSITIVE);
-        let fy = (p.y - self.space.min_y) / self.space.height().max(f64::MIN_POSITIVE);
-        let ix = ((fx * side as f64) as i64).clamp(0, side as i64 - 1) as u32;
-        let iy = ((fy * side as f64) as i64).clamp(0, side as i64 - 1) as u32;
-        CellId { level: 0, ix, iy }
+        let (x, y) = self.axes();
+        CellId { level: 0, ix: x.slot(p.x), iy: y.slot(p.y) }
     }
 
-    /// The rectangle covered by `cell`.
+    /// The rectangle covered by `cell`: bounded by `L0` grid lines, so it
+    /// holds every point [`HierarchicalGrid::cell_of`] puts in it or in a
+    /// cell below it, the space's max edge included.
     pub fn cell_rect(&self, cell: &CellId) -> Rect {
-        let side = self.side_cells(cell.level) as f64;
-        let w = self.space.width() / side;
-        let h = self.space.height() / side;
+        let ((x, y), shift) = (self.axes(), cell.level);
         Rect::new(
-            self.space.min_x + cell.ix as f64 * w,
-            self.space.min_y + cell.iy as f64 * h,
-            self.space.min_x + (cell.ix + 1) as f64 * w,
-            self.space.min_y + (cell.iy + 1) as f64 * h,
+            x.line(cell.ix << shift),
+            y.line(cell.iy << shift),
+            x.line((cell.ix + 1) << shift),
+            y.line((cell.iy + 1) << shift),
         )
+    }
+
+    /// The two axes of the space, each cut into the `L0` cells per side.
+    fn axes(&self) -> (Axis, Axis) {
+        let (s, side) = (&self.space, self.side_cells(0));
+        (Axis::new(s.min_x, s.max_x, side), Axis::new(s.min_y, s.max_y, side))
     }
 
     /// Applies GeoReach's merge rule to a set of cells: starting from `L0`,
@@ -188,6 +191,46 @@ impl HierarchicalGrid {
     }
 }
 
+/// One axis `[lo, hi]` of the space, cut into `side` cells of `step`.
+struct Axis {
+    lo: f64,
+    hi: f64,
+    step: f64,
+    side: u32,
+}
+
+impl Axis {
+    fn new(lo: f64, hi: f64, side: u32) -> Axis {
+        Axis { lo, hi, step: (hi - lo) / side as f64, side }
+    }
+
+    /// Grid line `i`: `lo + i * step`, and `hi` itself at `i = side`, where
+    /// the rounded sum can fall short of it.
+    fn line(&self, i: u32) -> f64 {
+        if i >= self.side {
+            self.hi
+        } else {
+            self.lo + i as f64 * self.step
+        }
+    }
+
+    /// The cell of coordinate `v`: the `i` with `line(i) <= v < line(i + 1)`,
+    /// clamped into `0..side`. The quotient estimates it; rounding can leave
+    /// the estimate one cell off the lines, and the comparisons with them
+    /// put it right.
+    fn slot(&self, v: f64) -> u32 {
+        let f = (v - self.lo) / (self.hi - self.lo).max(f64::MIN_POSITIVE);
+        let i = ((f * self.side as f64) as i64).clamp(0, self.side as i64 - 1) as u32;
+        if i > 0 && v < self.line(i) {
+            i - 1
+        } else if i + 1 < self.side && v >= self.line(i + 1) {
+            i + 1
+        } else {
+            i
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,6 +248,31 @@ mod tests {
         assert_eq!(g.cell_of(&Point::new(1.0, 1.0)), CellId { level: 0, ix: 3, iy: 3 });
         // Out-of-space points clamp too (defensive).
         assert_eq!(g.cell_of(&Point::new(-5.0, 2.0)), CellId { level: 0, ix: 0, iy: 3 });
+    }
+
+    /// On a space whose width is no power of two, the rounded grid lines
+    /// fall short of the max edge and miss neighbouring points by an ulp;
+    /// every point, those on the edges included, still lies in its cell.
+    #[test]
+    fn every_point_lies_in_its_cell() {
+        let space =
+            Rect::new(2.788988649539803, 23.750581286192364, 78.84631437009112, 92.63085220757749);
+        let g = HierarchicalGrid::new(space, 7);
+        let (x, _) = g.axes();
+        let lines = (0..=g.side_cells(0)).map(|i| x.line(i));
+        let near = lines.flat_map(|x| [x.next_down(), x, x.next_up()]);
+        let xs: Vec<f64> = near.filter(|x| (space.min_x..=space.max_x).contains(x)).collect();
+        for &x in &xs {
+            for y in [space.min_y, 57.6525896303116, space.max_y] {
+                let p = Point::new(x, y);
+                let mut cell = g.cell_of(&p);
+                assert!(g.cell_rect(&cell).contains_point(&p), "{p:?} outside {cell:?}");
+                while cell.level < g.finest_exp() {
+                    cell = cell.parent();
+                    assert!(g.cell_rect(&cell).contains_point(&p), "{p:?} outside {cell:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -298,23 +298,7 @@ fn fill_filters_parallel<'a, N>(
 where
     N: Fn(VertexId) -> &'a [VertexId] + Sync,
 {
-    let mut depth = vec![0u32; n];
-    let mut max_depth = 0u32;
-    for &v in order {
-        let mut d = 0u32;
-        for &u in neighbors(v) {
-            if u != v {
-                d = d.max(depth[u as usize] + 1);
-            }
-        }
-        depth[v as usize] = d;
-        max_depth = max_depth.max(d);
-    }
-    let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); max_depth as usize + 1];
-    for &v in order {
-        levels[depth[v as usize] as usize].push(v);
-    }
-
+    let levels = gsr_graph::topo::levels(n, order, &neighbors);
     let mut filters = vec![0u64; n * words];
     for level in &levels {
         let rows = gsr_graph::par::map_indexed(threads, level.len(), |i| {

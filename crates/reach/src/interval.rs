@@ -499,26 +499,8 @@ fn build_bottom_up_parallel(
     let n = g.num_vertices();
     let subtree_size = subtree_sizes(forest);
 
-    // depth[v] over non-self out-edges; computed in increasing post order,
-    // which visits every out-neighbour before its sources.
-    let mut depth = vec![0u32; n];
-    let mut max_depth = 0u32;
-    for p in 1..=n as u32 {
-        let v = forest.post_to_vertex[(p - 1) as usize];
-        let mut d = 0u32;
-        for &u in g.out_neighbors(v) {
-            if u != v {
-                d = d.max(depth[u as usize] + 1);
-            }
-        }
-        depth[v as usize] = d;
-        max_depth = max_depth.max(d);
-    }
-    let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); max_depth as usize + 1];
-    for p in 1..=n as u32 {
-        let v = forest.post_to_vertex[(p - 1) as usize];
-        levels[depth[v as usize] as usize].push(v);
-    }
+    // Increasing post order visits every out-neighbour before its sources.
+    let levels = gsr_graph::topo::levels(n, &forest.post_to_vertex, |v| g.out_neighbors(v));
 
     let mut sets: Vec<Vec<Interval>> = vec![Vec::new(); n];
     for level in &levels {

@@ -1,36 +1,21 @@
 //! Thread count and caching must be invisible to query semantics.
 //!
 //! Batches split over any number of workers and the server-side result
-//! cache are performance features: the answers — and for batches the
-//! aggregated work counters — must be bit-identical to a one-worker
-//! batch, which itself must agree with the online BFS oracle, on both SCC
-//! spatial policies.
+//! cache are performance features: a batch must answer as BFS does, with
+//! the work counters of the one-thread build summed, and a cached answer
+//! must be the one the index gives, on both SCC spatial policies.
 
 use gsr_core::methods::{SpaReachBfl, ThreeDReach};
-use gsr_core::{
-    BatchExecutor, BatchOptions, BatchOutcome, BatchQuery, PreparedNetwork, RangeReachIndex,
-    SccSpatialPolicy,
-};
+use gsr_core::{Method, PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
 use gsr_datagen::workload::WorkloadGen;
 use gsr_datagen::NetworkSpec;
 use gsr_graph::stats::DegreeBucket;
 use gsr_server::ResultCache;
+use gsr_tests::{assert_oracle, workload_case};
 
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const SEEDS: [u64; 3] = [1, 42, 0xD0_5E_ED];
-
-fn datasets() -> Vec<PreparedNetwork> {
-    vec![
-        PreparedNetwork::new(NetworkSpec::weeplaces(0.06).generate()),
-        PreparedNetwork::new(NetworkSpec::gowalla(0.03).generate()),
-    ]
-}
-
-/// One unlimited batch on `threads` workers; every query must complete.
-fn run(threads: usize, idx: &dyn RangeReachIndex, queries: &[BatchQuery]) -> BatchOutcome {
-    let outcome = BatchExecutor::new(threads).run_bounded(idx, queries, &BatchOptions::unlimited());
-    assert!(outcome.is_complete(), "{} threads={threads}", idx.name());
-    outcome
+/// The networks both tests ask.
+fn specs() -> [NetworkSpec; 2] {
+    [NetworkSpec::weeplaces(0.06), NetworkSpec::gowalla(0.03)]
 }
 
 fn indexes(prep: &PreparedNetwork, policy: SccSpatialPolicy) -> Vec<Box<dyn RangeReachIndex>> {
@@ -39,52 +24,15 @@ fn indexes(prep: &PreparedNetwork, policy: SccSpatialPolicy) -> Vec<Box<dyn Rang
 
 #[test]
 fn batches_agree_with_bfs_at_every_thread_count_on_both_policies() {
-    for prep in datasets() {
-        let bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
-        let gen = WorkloadGen::new(&prep);
-        for policy in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
-            for idx in indexes(&prep, policy) {
-                for seed in SEEDS {
-                    let w = gen.extent_degree(5.0, bucket, 150, seed);
-                    let plain = run(1, idx.as_ref(), &w.queries);
-                    // The one-worker batch must match the online oracle.
-                    for (i, (v, r)) in w.queries.iter().enumerate() {
-                        assert_eq!(
-                            plain.answers[i],
-                            Some(prep.range_reach_bfs(*v, r)),
-                            "{}{} seed={seed} query {i} disagrees with BFS",
-                            idx.name(),
-                            policy.suffix()
-                        );
-                    }
-                    // Any thread count must be bit-identical: same answers,
-                    // same total cost.
-                    for threads in THREAD_COUNTS {
-                        let split = run(threads, idx.as_ref(), &w.queries);
-                        assert_eq!(
-                            split.answers,
-                            plain.answers,
-                            "{}{} seed={seed} threads={threads}: answers changed",
-                            idx.name(),
-                            policy.suffix()
-                        );
-                        assert_eq!(
-                            split.cost,
-                            plain.cost,
-                            "{}{} seed={seed} threads={threads}: cost changed",
-                            idx.name(),
-                            policy.suffix()
-                        );
-                    }
-                }
-            }
-        }
-    }
+    let workloads = [1, 42, 0xD0_5E_ED].map(|seed| (DegreeBucket::DEFAULT_INDEX, 150, seed));
+    let cases = specs().map(|spec| workload_case(spec, &workloads));
+    let methods = [Method::SpaReachBfl, Method::ThreeDReach];
+    assert_oracle(&cases, &methods, &["batch-1", "batch-2", "batch-4", "batch-8"]);
 }
 
 #[test]
 fn result_cache_agrees_with_plain_execution_on_both_policies() {
-    for prep in datasets() {
+    for prep in specs().map(|spec| PreparedNetwork::new(spec.generate())) {
         let bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
         let gen = WorkloadGen::new(&prep);
         for policy in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {

@@ -9,15 +9,16 @@
 //! a typed error or the right answer — never a panic, never a different
 //! boolean.
 
-use gsr_core::{
-    paper_example, GeosocialNetwork, GsrError, PreparedNetwork, QueryCost, RangeReachIndex,
-};
+use gsr_core::{paper_example, GeosocialNetwork, PreparedNetwork, RangeReachIndex};
 use gsr_datagen::faults::ScratchDir;
 use gsr_datagen::NetworkSpec;
-use gsr_geo::Point;
+use gsr_geo::{Point, Rect};
 use gsr_graph::{Column, ColumnList};
 use gsr_store::{LoadOptions, SnapshotIndex};
-use gsr_tests::{all_snapshots, frame_sections, section_offsets, snapshot_sections, Section};
+use gsr_tests::{
+    all_snapshots, assert_load_error, disagreements, frame_sections, judge_load, observe,
+    section_offsets, snapshot_sections, Case, Section,
+};
 
 fn columns_of(index: &dyn RangeReachIndex) -> ColumnList<'_> {
     index.columns().unwrap_or_else(|| panic!("{} declares its columns", index.name()))
@@ -119,42 +120,6 @@ fn narrowed_trees_save_exactly_their_u32_columns() {
     }
 }
 
-/// A typed error, or what the built index says: the only outcomes a probe
-/// of a loaded index may have.
-type Probed = Result<(bool, QueryCost), GsrError>;
-
-fn probe_all(prep: &PreparedNetwork, index: &dyn RangeReachIndex) -> Vec<Probed> {
-    let vertices = prep.network().graph().vertices();
-    let probes =
-        vertices.flat_map(|v| paper_example::probe_regions().into_iter().map(move |r| (v, r)));
-    probes.map(|(v, r)| index.try_query_with_cost(v, &r)).collect()
-}
-
-/// Loads `file` with and without the CRC pass. Both must be a typed load
-/// error or an index that, on every probe, answers as `expected` (answer
-/// and `QueryCost`) or with a typed error.
-fn expect_error_or_agreement(
-    file: &[u8],
-    prep: &PreparedNetwork,
-    expected: &[Probed],
-    context: &str,
-) {
-    for trust in [false, true] {
-        match gsr_store::load_with(&mut &file[..], LoadOptions { trust }) {
-            Err(GsrError::Load(msg)) => assert!(!msg.is_empty(), "{context}"),
-            Err(other) => panic!("{context} (trust {trust}): non-load error {other:?}"),
-            Ok(loaded) => {
-                for (got, want) in probe_all(prep, &loaded).iter().zip(expected) {
-                    assert!(
-                        got.is_err() || got == want,
-                        "{context} (trust {trust}): loaded and answers {got:?}, built {want:?}"
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// The running example with every point moved by a quarter: its R-trees
 /// keep `f64` node boxes, where the example's own integer-bounded ones all
 /// narrow to `u32`s.
@@ -173,8 +138,17 @@ fn every_column_of_every_method_survives_the_corruption_drill() {
     const META: u16 = 0x01;
     const UNUSED: u16 = 0x7FFF;
     let mut drilled = std::collections::BTreeSet::new();
-    for prep in [paper_example::prepared(), paper_example::cyclic_prepared(), shifted_example()] {
-        for (name, built) in all_snapshots(&prep) {
+    let preps = [paper_example::prepared(), paper_example::cyclic_prepared(), shifted_example()];
+    let mut failures = Vec::new();
+    for (at, prep) in preps.into_iter().enumerate() {
+        // Every vertex asks every window; every point is a zero-area window:
+        // a box that lost a bound misses the points on that side.
+        let mut windows = paper_example::probe_regions();
+        windows.extend(prep.network().spatial_vertices().map(|(_, p)| Rect::from_point(p)));
+        let every_vertex = 0..prep.network().num_vertices() as u32;
+        let probes = every_vertex.flat_map(|v| windows.iter().map(move |&r| (v, r))).collect();
+        let case = Case::of(format!("example-{at}"), prep, probes);
+        for (name, built) in all_snapshots(&case.prep) {
             let file = saved(&built);
             let version = u32::from_le_bytes(file[8..12].try_into().unwrap());
             let sections = snapshot_sections(&file);
@@ -187,13 +161,14 @@ fn every_column_of_every_method_survives_the_corruption_drill() {
                 "{name}: the file holds META and the declared columns, in order"
             );
             assert!(sections.iter().all(|s| s.0 != UNUSED));
-            let expected = probe_all(&prep, &built);
-            assert!(expected.iter().all(Result::is_ok));
+            let reference = observe(&built, &case.probes);
+            failures.extend(disagreements(&name, &case, &reference, &reference));
+            let held_to = Some(&reference);
 
             // META is drilled with the columns: it is a section like them.
             for (at, (tag, elem, payload)) in sections.iter().enumerate() {
                 drilled.insert(*tag);
-                let context = |case: &str| format!("{name}, section 0x{tag:02x}: {case}");
+                let context = |what: &str| format!("{name}, section 0x{tag:02x}: {what}");
                 let reframed = |edit: &dyn Fn(&mut Vec<Section>)| {
                     let mut edited = sections.clone();
                     edit(&mut edited);
@@ -205,16 +180,17 @@ fn every_column_of_every_method_survives_the_corruption_drill() {
                         let keep = s[at].2.len() - *elem as usize;
                         s[at].2.truncate(keep);
                     });
-                    expect_error_or_agreement(
-                        &short,
-                        &prep,
-                        &expected,
-                        &context("last element dropped"),
-                    );
+                    for trust in [false, true] {
+                        let context = context("last element dropped");
+                        failures.extend(judge_load(&short, trust, &case, held_to, &context));
+                    }
                 }
                 // (b) the section gone.
                 let without = reframed(&|s| drop(s.remove(at)));
-                expect_error_or_agreement(&without, &prep, &expected, &context("deleted"));
+                for trust in [false, true] {
+                    let context = context("deleted");
+                    failures.extend(judge_load(&without, trust, &case, held_to, &context));
+                }
                 // (c) the section twice, once under a tag nobody claims.
                 let twice = reframed(&|s| s.push((UNUSED, *elem, payload.clone())));
                 // Nobody claims the copy, so nobody checksums it: a bit
@@ -225,12 +201,7 @@ fn every_column_of_every_method_survives_the_corruption_drill() {
                     *last ^= 0x01; // the copy is the file's last section
                 }
                 for file in [&twice, &twice_flipped] {
-                    match gsr_store::load(&mut file.as_slice()) {
-                        Err(GsrError::Load(msg)) => {
-                            assert!(msg.contains("unexpected section"), "{msg}")
-                        }
-                        other => panic!("{}: {:?}", context("duplicated"), other.map(|i| i.name())),
-                    }
+                    assert_load_error(file, false, "unexpected section", &context("duplicated"));
                 }
                 // (d) one bit flipped, the stored CRC left as it was: the
                 // checked load says so; the trusting load is on its own and
@@ -239,44 +210,26 @@ fn every_column_of_every_method_survives_the_corruption_drill() {
                     let at_byte = section_offsets(&sections)[at];
                     let mut flipped = file.clone();
                     flipped[at_byte + payload.len() / 2] ^= 0x10;
-                    match gsr_store::load(&mut flipped.as_slice()) {
-                        Err(GsrError::Load(msg)) => {
-                            assert!(msg.contains("crc mismatch"), "{}: {msg}", context("bit flip"))
-                        }
-                        other => panic!("{}: {:?}", context("bit flip"), other.map(|i| i.name())),
-                    }
-                    match gsr_store::load_with(&mut flipped.as_slice(), LoadOptions { trust: true })
-                    {
-                        Ok(loaded) => drop(probe_all(&prep, &loaded)),
-                        Err(GsrError::Load(_)) => {}
-                        Err(other) => panic!("{}: {other:?}", context("trusted bit flip")),
-                    }
+                    assert_load_error(&flipped, false, "crc mismatch", &context("bit flip"));
+                    failures.extend(judge_load(&flipped, true, &case, None, &context("bit flip")));
                 }
                 // (e) the payload as written under a CRC that is not its own:
                 // the checked load names the section when it is claimed; the
                 // trusting load never looks, and serves the built index.
                 let mut stale = file.clone();
                 stale[24 + 24 * at + 4] ^= 0x01;
-                match gsr_store::load(&mut stale.as_slice()) {
-                    Err(GsrError::Load(msg)) => assert!(
-                        msg.contains(&format!("section 0x{tag:02x}: crc mismatch")),
-                        "{}: {msg}",
-                        context("stale crc")
-                    ),
-                    other => panic!("{}: {:?}", context("stale crc"), other.map(|i| i.name())),
-                }
+                let crc_mismatch = format!("section 0x{tag:02x}: crc mismatch");
+                assert_load_error(&stale, false, &crc_mismatch, &context("stale crc"));
                 let trusted =
                     gsr_store::load_with(&mut stale.as_slice(), LoadOptions { trust: true })
                         .unwrap_or_else(|e| panic!("{}: {e}", context("stale crc, trusted")));
-                assert_eq!(
-                    probe_all(&prep, &trusted),
-                    expected,
-                    "{}",
-                    context("stale crc, trusted")
-                );
+                let seen = observe(&trusted, &case.probes);
+                let context = context("stale crc, trusted");
+                failures.extend(disagreements(&context, &case, &reference, &seen));
             }
         }
     }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
     // The R-tree's box columns in both storages, node and entry, were among
     // them: `0xC0`–`0xDF` as `f64`s, `0xE0`–`0xFF` as `u32`s.
     for (first, what) in

@@ -1,11 +1,14 @@
-//! Property-based integration tests: every method agrees with BFS ground
-//! truth on arbitrary proptest-generated geosocial networks.
+//! Property-based integration tests on arbitrary proptest-generated
+//! geosocial networks: every method answers as BFS does (through
+//! `gsr_tests::assert_oracle`), its answers are monotone in the region, and
+//! the BFS oracle agrees with the brute-force report and the online
+//! evaluator.
 
 use gsr_core::paper_example;
-use gsr_core::{GeosocialNetwork, PreparedNetwork, RangeReachIndex};
+use gsr_core::{GeosocialNetwork, Method, PreparedNetwork, RangeReachIndex};
 use gsr_geo::{Point, Rect};
 use gsr_graph::{GraphBuilder, VertexId};
-use gsr_tests::{all_snapshots, check_bfs_oracle, check_member_table};
+use gsr_tests::{all_snapshots, assert_oracle, check_bfs_oracle, check_member_table, Case};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -59,20 +62,9 @@ proptest! {
     #[test]
     fn all_methods_match_bfs(case in arb_case()) {
         let (prep, regions) = build(&case);
-        let indexes = all_snapshots(&prep);
-        for &v in &case.query_vertices {
-            for region in &regions {
-                let expected = prep.range_reach_bfs(v, region);
-                for (name, idx) in &indexes {
-                    prop_assert_eq!(
-                        idx.query(v, region),
-                        expected,
-                        "{} at v={}, region={}",
-                        name, v, region
-                    );
-                }
-            }
-        }
+        let probe = |&v: &VertexId| regions.iter().map(move |&r| (v, r));
+        let probes = case.query_vertices.iter().flat_map(probe).collect();
+        assert_oracle(&[Case::of("random", prep, probes)], &Method::ALL, &["built-1"]);
     }
 
     #[test]
@@ -81,13 +73,8 @@ proptest! {
         // vertex" — precisely GeoReach's GeoB bit.
         let (prep, _) = build(&case);
         let everything = Rect::new(-1e6, -1e6, 1e6, 1e6);
-        let indexes = all_snapshots(&prep);
-        for v in 0..prep.network().num_vertices() as VertexId {
-            let expected = prep.range_reach_bfs(v, &everything);
-            for (name, idx) in &indexes {
-                prop_assert_eq!(idx.query(v, &everything), expected, "{} at v={}", name, v);
-            }
-        }
+        let probes = (0..case.n as VertexId).map(|v| (v, everything)).collect();
+        assert_oracle(&[Case::of("whole-plane", prep, probes)], &Method::ALL, &["built-1"]);
     }
 
     #[test]

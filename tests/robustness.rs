@@ -7,7 +7,7 @@ use gsr_core::{
     RangeReachIndex,
 };
 use gsr_geo::Rect;
-use gsr_tests::{all_snapshots, random_network, random_regions};
+use gsr_tests::{all_snapshots, assert_oracle, random_cases, random_network, random_regions};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -68,28 +68,12 @@ fn every_method_rejects_bad_input_without_panicking() {
     }
 }
 
-/// Unbounded `run_bounded` agrees with one `try_query` per query for every
-/// method at several thread counts.
+/// Unbounded `run_bounded` batches at 1, 2 and 4 threads answer each query
+/// as BFS does, in input order, for every method.
 #[test]
 fn bounded_executor_agrees_with_unbounded_on_every_method() {
-    let prep = prepared(23);
-    let vertices: Vec<u32> = (0..prep.network().num_vertices() as u32).step_by(7).collect();
-    let queries: Vec<(u32, Rect)> = vertices
-        .iter()
-        .flat_map(|&v| random_regions(4, 23 + v as u64).into_iter().map(move |r| (v, r)))
-        .collect();
-    for (label, idx) in all_snapshots(&prep) {
-        let expected: Vec<bool> =
-            queries.iter().map(|(v, r)| idx.try_query(*v, r).unwrap()).collect();
-        for threads in [1, 3] {
-            let outcome =
-                BatchExecutor::new(threads).run_bounded(&idx, &queries, &BatchOptions::unlimited());
-            assert!(outcome.is_complete(), "{label} threads={threads}");
-            assert_eq!(outcome.completed, queries.len(), "{label}");
-            let answers: Vec<bool> = outcome.answers.iter().map(|a| a.unwrap()).collect();
-            assert_eq!(answers, expected, "{label} threads={threads}");
-        }
-    }
+    let cases = random_cases("bounded", (120, 400, 0.4), 23..24, 17, |s| random_regions(4, s));
+    assert_oracle(&cases, &gsr_core::Method::ALL, &["batch-1", "batch-2", "batch-4"]);
 }
 
 /// Acceptance criterion: a tiny budget on a large online workload returns
@@ -144,11 +128,11 @@ impl<I: RangeReachIndex> RangeReachIndex for CancelAfter<I> {
     fn num_vertices(&self) -> usize {
         self.inner.num_vertices()
     }
-    fn query_unchecked(&self, v: u32, region: &Rect) -> bool {
+    fn query_with_cost_unchecked(&self, v: u32, region: &Rect) -> (bool, QueryCost) {
         if self.countdown.fetch_sub(1, Ordering::SeqCst) == 1 {
             self.token.cancel();
         }
-        self.inner.query_unchecked(v, region)
+        self.inner.query_with_cost_unchecked(v, region)
     }
     fn index_bytes(&self) -> usize {
         self.inner.index_bytes()

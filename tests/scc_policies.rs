@@ -1,80 +1,47 @@
-//! Section 5 of the paper: the two ways to model the spatial extent of
-//! strongly connected components must give identical answers, and the
+//! Section 5 of the paper: the MBR way to model the spatial extent of a
+//! strongly connected component must refine its candidates, and the
 //! condensation must behave like the original graph.
 
-use gsr_core::methods::{SpaReachBfl, ThreeDReach};
-use gsr_core::{Method, PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
-use gsr_tests::{random_network, random_regions};
+use gsr_core::methods::ThreeDReach;
+use gsr_core::{GeosocialNetwork, Method, PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
+use gsr_geo::{Point, Rect};
+use gsr_graph::GraphBuilder;
+use gsr_tests::{assert_family, random_cases, random_network, random_regions, Case};
 
-/// Replicate vs MBR must agree on every query for every method that has
-/// both variants.
+/// Replicate and MBR answer as BFS does, so as each other, for every method
+/// that has both, the first network through every path. Dense graphs have large,
+/// multi-member spatial SCCs, which is exactly where the two policies differ
+/// structurally.
 #[test]
 fn policies_agree_on_cycle_heavy_networks() {
-    for seed in 0..5 {
-        // Dense graphs produce large, multi-member spatial SCCs, which is
-        // exactly where the two policies differ structurally.
-        let net = random_network(120, 1400, 0.6, 900 + seed);
-        let prep = PreparedNetwork::new(net);
-        assert!(
-            prep.stats().largest_scc >= 10,
-            "seed {seed}: want a sizable SCC to make the test meaningful"
-        );
-
-        let pairs: Vec<_> = Method::ALL
-            .into_iter()
-            .filter(|m| m.supports_mbr())
-            .map(|m| {
-                let build = |policy| m.build(&prep, policy, 1);
-                (build(SccSpatialPolicy::Replicate), build(SccSpatialPolicy::Mbr))
-            })
-            .collect();
-
-        for region in random_regions(20, seed * 3 + 1) {
-            for v in (0..120).step_by(7) {
-                for (a, b) in &pairs {
-                    assert_eq!(
-                        a.query(v, &region),
-                        b.query(v, &region),
-                        "{} policies disagree at v={v}, region={region}",
-                        a.name()
-                    );
-                }
-            }
-        }
-    }
+    let regions = |s| random_regions(20, (s - 900) * 3 + 1);
+    let cases = random_cases("cycle-heavy", (120, 1400, 0.6), 900..905, 17, regions);
+    assert!(cases.iter().all(|c| c.prep.stats().largest_scc >= 10), "want sizable SCCs");
+    let both: Vec<Method> = Method::ALL.into_iter().filter(|m| m.supports_mbr()).collect();
+    assert_family(&cases, &both);
 }
 
 /// The MBR policy indexes one box per spatial component; with partial
 /// overlap the candidate must be refined, never assumed. This crafts the
 /// adversarial case: an SCC whose MBR intersects the region while none of
-/// its member points do.
+/// its member points do. Every method, under both policies, is asked it
+/// through every path, with the oracle's answers pinned by hand.
 #[test]
 fn mbr_partial_overlap_is_refined() {
-    use gsr_core::GeosocialNetwork;
-    use gsr_geo::{Point, Rect};
-    use gsr_graph::GraphBuilder;
-
-    // SCC {0, 1} with members at opposite corners: MBR = [0,10]^2.
-    // Query region sits in the middle-left, inside the MBR but away from
-    // both points.
+    // SCC {0, 1} with members at opposite corners: MBR = [0,10]^2. The first
+    // window sits inside the MBR but away from both points; the second holds
+    // the member (0,0).
     let mut b = GraphBuilder::new(3);
     b.add_edge(0, 1);
     b.add_edge(1, 0);
     b.add_edge(2, 0);
     let points = vec![Some(Point::new(0.0, 0.0)), Some(Point::new(10.0, 10.0)), None];
     let prep = PreparedNetwork::new(GeosocialNetwork::new(b.build(), points).unwrap());
-
-    let hole = Rect::new(2.0, 4.0, 4.0, 6.0); // inside MBR, contains no point
-    let corner = Rect::new(-1.0, -1.0, 1.0, 1.0); // contains member (0,0)
-
-    for policy in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
-        let idx = ThreeDReach::build(&prep, policy);
-        assert!(!idx.query(2, &hole), "{policy:?}: MBR hit must be refined to FALSE");
-        assert!(idx.query(2, &corner), "{policy:?}: member point inside region");
-        let spa = SpaReachBfl::build(&prep, policy);
-        assert!(!spa.query(2, &hole), "{policy:?}: SpaReach refinement");
-        assert!(spa.query(2, &corner));
-    }
+    let (hole, corner) = (Rect::new(2.0, 4.0, 4.0, 6.0), Rect::new(-1.0, -1.0, 1.0, 1.0));
+    let case = Case::new("scc-mbr-hole", prep, 3, &[hole, corner]);
+    let from_2 = case.probes.iter().zip(&case.expected).filter(|(q, _)| q.0 == 2);
+    assert_eq!(from_2.take(2).map(|(_, &a)| a).collect::<Vec<_>>(), [Some(false), Some(true)]);
+    assert_family(&[case], &Method::ALL);
 }
 
 /// Condensation invariants on arbitrary graphs: intra-SCC queries behave

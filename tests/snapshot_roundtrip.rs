@@ -1,137 +1,82 @@
 //! Snapshot round-trip and corruption tests for `gsr-store`.
 //!
-//! Every method must come back from a snapshot answering bit-identically
-//! (answers AND work counters) on a generated network; every corruption —
-//! bit flips, truncation, I/O faults mid-stream — must surface as a typed
-//! [`GsrError::Load`], never a panic or a silently different index.
+//! Every method's snapshot under every SCC policy, loaded owned, trusted,
+//! mapped or from a misaligned buffer, must answer as BFS does at its built
+//! index's cost and size (`gsr_tests::assert_oracle`). Every corruption —
+//! bit flips, truncation, a shrunk leaf MBR, a retired version, I/O faults
+//! mid-stream — must surface as a typed [`GsrError::Load`] or an index that
+//! answers as the oracle does (`gsr_tests::judge_load`), never a panic.
 
-use gsr_core::{GsrError, Method, PreparedNetwork, RangeReachIndex, SccSpatialPolicy};
+use gsr_core::{GsrError, Method, PreparedNetwork};
 use gsr_datagen::faults::{FailingReader, ScratchDir};
 use gsr_datagen::NetworkSpec;
 use gsr_store::SnapshotIndex;
-use gsr_tests::random_regions;
-
-/// All six methods as saveable snapshots over one prepared network.
-fn snapshots(prep: &PreparedNetwork) -> Vec<SnapshotIndex> {
-    Method::ALL.map(|m| m.build(prep, SccSpatialPolicy::Replicate, 1)).to_vec()
-}
+use gsr_tests::{all_snapshots, assert_load_error, assert_oracle, judge_load};
+use gsr_tests::{observe, random_regions, Case, Observed};
 
 fn generated_prep() -> PreparedNetwork {
     PreparedNetwork::new(NetworkSpec::weeplaces(0.05).generate())
 }
 
-#[test]
-fn every_method_replays_a_workload_bit_identically() {
-    let prep = generated_prep();
-    let n = prep.network().num_vertices() as u32;
-    let regions = random_regions(20, 0xC0FFEE);
-
-    for original in snapshots(&prep) {
-        let mut bytes = Vec::new();
-        gsr_store::save(&mut bytes, &original).expect("save");
-        let loaded = gsr_store::load(&mut bytes.as_slice()).expect("load");
-        assert_eq!(loaded.name(), original.name());
-        assert_eq!(loaded.num_vertices(), original.num_vertices());
-        assert_eq!(
-            loaded.index_bytes(),
-            original.index_bytes(),
-            "{}: loaded index has a different memory footprint",
-            original.name()
-        );
-
-        // Replay: every vertex x every region, answers AND QueryCost.
-        for v in (0..n).step_by(7) {
-            for r in &regions {
-                let (a0, c0) = original.query_with_cost(v, r);
-                let (a1, c1) = loaded.query_with_cost(v, r);
-                assert_eq!(a0, a1, "{}: answer diverged at v={v} r={r}", original.name());
-                assert_eq!(c0, c1, "{}: QueryCost diverged at v={v} r={r}", original.name());
+/// Flips each of `bits` of every 97th part of every snapshot of a Yelp
+/// analog, one flip per file, and asserts that `judge` finds nothing wrong
+/// with any, given the probes and what the intact index answered.
+fn flip_sweep(bits: &[u8], judge: impl Fn(&[u8], &Case, &Observed, &str) -> Vec<String>) {
+    let case =
+        Case::new("yelp-0.02", PreparedNetwork::new(NetworkSpec::yelp(0.02).generate()), 3, &[]);
+    let mut failures = Vec::new();
+    for (name, original) in all_snapshots(&case.prep) {
+        let (bytes, reference) = (saved(&original), observe(&original, &case.probes));
+        for pos in (0..bytes.len()).step_by((bytes.len() / 97).max(1)) {
+            for bit in bits {
+                let mut corrupt = bytes.clone();
+                corrupt[pos] ^= 1 << bit;
+                let context = format!("{name}: flip at byte {pos} bit {bit}");
+                failures.extend(judge(&corrupt, &case, &reference, &context));
             }
         }
     }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+fn saved(index: &SnapshotIndex) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    gsr_store::save(&mut bytes, index).expect("save");
+    bytes
 }
 
 #[test]
+fn every_method_replays_a_workload_bit_identically() {
+    let case = Case::new("weeplaces", generated_prep(), 20, &random_regions(20, 0xC0FFEE));
+    assert_oracle(&[case], &Method::ALL, &["owned", "trusted"]);
+}
+
+/// A mapped snapshot file serves three concurrent readers.
+#[test]
 fn snapshot_files_round_trip_through_disk() {
-    let dir = ScratchDir::new("gsr_snapshot_roundtrip_test").unwrap();
-    let prep = generated_prep();
-    let regions = random_regions(8, 42);
-
-    for original in snapshots(&prep) {
-        let path = dir.path().join(format!("{}.snap", original.method().key()));
-        gsr_store::save_to_path(&path, &original).expect("save_to_path");
-        let shared = gsr_store::load_shared(&path).expect("load_shared");
-
-        // The Arc-shared index serves concurrent readers.
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                let shared = std::sync::Arc::clone(&shared);
-                let original = &original;
-                let regions = &regions;
-                scope.spawn(move || {
-                    for v in 0..original.num_vertices() as u32 {
-                        for r in regions {
-                            assert_eq!(shared.query(v, r), original.query(v, r));
-                        }
-                    }
-                });
-            }
-        });
-    }
+    let case = Case::new("weeplaces", generated_prep(), 20, &random_regions(8, 42));
+    assert_oracle(&[case], &Method::ALL, &["mapped"]);
 }
 
 /// Every single-bit flip anywhere in the snapshot must be caught — by the
 /// magic/version check, a section CRC, or a structural validator — and
-/// reported as `GsrError::Load`. A flip that still loads must at minimum
-/// keep the method identity (CRCs make this vanishingly unlikely; the
-/// assert documents the contract).
+/// reported as `GsrError::Load`. A flip that still loads (the CRCs make it
+/// vanishingly unlikely) must answer as the oracle does.
 #[test]
 fn bit_flips_are_typed_load_errors() {
-    let prep = PreparedNetwork::new(NetworkSpec::yelp(0.02).generate());
-    for original in snapshots(&prep) {
-        let mut bytes = Vec::new();
-        gsr_store::save(&mut bytes, &original).expect("save");
-
-        let stride = (bytes.len() / 97).max(1);
-        for pos in (0..bytes.len()).step_by(stride) {
-            for bit in [0u8, 3, 7] {
-                let mut corrupt = bytes.clone();
-                corrupt[pos] ^= 1 << bit;
-                match gsr_store::load(&mut corrupt.as_slice()) {
-                    Err(GsrError::Load(msg)) => {
-                        assert!(!msg.is_empty(), "empty diagnostic at byte {pos}");
-                    }
-                    Err(other) => panic!(
-                        "{}: flip at byte {pos} bit {bit} gave non-Load error {other:?}",
-                        original.name()
-                    ),
-                    Ok(loaded) => {
-                        // A flip in section padding-free payload that still
-                        // passes CRC is practically impossible; if it ever
-                        // happens the index must still be self-consistent.
-                        assert_eq!(loaded.name(), original.name());
-                    }
-                }
-            }
-        }
-    }
+    flip_sweep(&[0, 3, 7], |file, case, reference, context| {
+        judge_load(file, false, case, Some(reference), context)
+    });
 }
 
 #[test]
 fn truncations_are_typed_load_errors() {
     let prep = PreparedNetwork::new(NetworkSpec::yelp(0.02).generate());
-    for original in snapshots(&prep) {
-        let mut bytes = Vec::new();
-        gsr_store::save(&mut bytes, &original).expect("save");
+    for (name, original) in all_snapshots(&prep) {
+        let bytes = saved(&original);
         let stride = (bytes.len() / 61).max(1);
         for cut in (0..bytes.len()).step_by(stride) {
-            let err = gsr_store::load(&mut &bytes[..cut])
-                .expect_err("a truncated snapshot must not load");
-            assert!(
-                matches!(err, GsrError::Load(_)),
-                "{}: cut at {cut} gave {err:?}",
-                original.name()
-            );
+            assert_load_error(&bytes[..cut], false, "", &format!("{name}: cut at {cut}"));
         }
     }
 }
@@ -141,10 +86,7 @@ fn truncations_are_typed_load_errors() {
 #[test]
 fn io_faults_mid_stream_are_typed_load_errors() {
     let prep = PreparedNetwork::new(NetworkSpec::yelp(0.02).generate());
-    let original = snapshots(&prep).remove(0);
-    let mut bytes = Vec::new();
-    gsr_store::save(&mut bytes, &original).expect("save");
-
+    let bytes = saved(&all_snapshots(&prep).remove(0).1);
     for budget in [0, 1, 8, 11, bytes.len() / 2, bytes.len() - 1] {
         let mut reader = FailingReader::new(bytes.as_slice(), budget);
         let err = gsr_store::load(&mut reader).expect_err("faulted read must not load");
@@ -159,13 +101,12 @@ fn io_faults_mid_stream_are_typed_load_errors() {
 #[test]
 fn resaving_a_loaded_snapshot_is_byte_identical() {
     let prep = PreparedNetwork::new(NetworkSpec::yelp(0.02).generate());
-    for original in snapshots(&prep) {
-        let mut bytes = Vec::new();
-        gsr_store::save(&mut bytes, &original).expect("save");
+    for (name, original) in all_snapshots(&prep) {
+        let bytes = saved(&original);
         let loaded = gsr_store::load(&mut bytes.as_slice()).expect("load");
         let mut again = Vec::new();
         gsr_store::save(&mut again, &loaded).expect("re-save");
-        assert_eq!(bytes, again, "{}: snapshot is not canonical", original.name());
+        assert_eq!(bytes, again, "{name}: snapshot is not canonical");
     }
 }
 
@@ -222,77 +163,40 @@ fn crc_kernels_agree() {
     };
     let buf: Vec<u8> = (0..(1 << 20) + 16).map(|_| noise()).collect();
     for start in 0..=16 {
+        // The reference register of `buf[start..start + len]`, extended a
+        // byte per length.
+        let mut register = !0u32;
         for len in 0..=1024 {
             let data = &buf[start..start + len];
-            let want = gsr_tests::crc32(data);
+            let want = !register;
             assert_eq!(crc32(data), want, "start {start}, len {len}");
             assert_eq!(crc32_portable(data), want, "portable path, start {start}, len {len}");
+            register = gsr_tests::crc32_step(register, buf[start + len]);
         }
     }
     let mib = &buf[5..5 + (1 << 20)];
-    assert_eq!(crc32(mib), gsr_tests::crc32(mib));
-    assert_eq!(crc32_portable(mib), gsr_tests::crc32(mib));
+    let want = gsr_tests::crc32(mib);
+    assert_eq!(crc32(mib), want);
+    assert_eq!(crc32_portable(mib), want);
 }
 
-/// The in-memory load path must not care where the caller's bytes live:
-/// a stream read from a misaligned source buffer is realigned into the
-/// owned arena and loads identically.
+/// A stream staged at an odd offset inside a larger buffer, so every
+/// section payload the reader sees is misaligned, loads the same index.
 #[test]
 fn misaligned_source_buffers_load_identically() {
     let prep = PreparedNetwork::new(NetworkSpec::yelp(0.02).generate());
-    let original = snapshots(&prep).remove(0);
-    let mut bytes = Vec::new();
-    gsr_store::save(&mut bytes, &original).expect("save");
-
-    let regions = random_regions(4, 7);
-    for shift in [1usize, 3, 7, 33] {
-        // Stage the stream at an odd offset inside a larger buffer, so
-        // every section payload the reader sees is misaligned.
-        let mut staged = vec![0u8; shift];
-        staged.extend_from_slice(&bytes);
-        let loaded =
-            gsr_store::load(&mut &staged[shift..]).unwrap_or_else(|e| panic!("shift {shift}: {e}"));
-        for v in (0..original.num_vertices() as u32).step_by(13) {
-            for r in &regions {
-                assert_eq!(loaded.query(v, r), original.query(v, r), "shift {shift}");
-            }
-        }
-    }
+    let case = Case::new("yelp", prep, 30, &random_regions(4, 7));
+    assert_oracle(&[case], &Method::ALL, &["misaligned"]);
 }
 
 /// `--trust-snapshot` skips only the CRC pass; the structural validators
 /// still run. A bit-flip sweep under trusted loading must therefore never
 /// panic: every flip either fails structurally with a typed
-/// [`GsrError::Load`] or loads into a self-consistent (if wrong-valued)
-/// index.
+/// [`GsrError::Load`] or loads into an index that answers every probe
+/// (values may differ — that is the documented trade of skipping CRCs).
 #[test]
 fn trusted_loads_of_corrupt_bytes_never_panic() {
-    let prep = PreparedNetwork::new(NetworkSpec::yelp(0.02).generate());
-    let original = snapshots(&prep).remove(0);
-    let mut bytes = Vec::new();
-    gsr_store::save(&mut bytes, &original).expect("save");
-
-    let trust = gsr_store::LoadOptions { trust: true };
-    let stride = (bytes.len() / 97).max(1);
-    for pos in (0..bytes.len()).step_by(stride) {
-        for bit in [0u8, 5] {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= 1 << bit;
-            match gsr_store::load_with(&mut corrupt.as_slice(), trust) {
-                Ok(loaded) => {
-                    // Structure survived; the index must still answer
-                    // without panicking (values may differ — that is the
-                    // documented trade of skipping CRCs).
-                    let r = random_regions(1, 1)[0];
-                    let _ = loaded.query(0, &r);
-                }
-                Err(GsrError::Load(msg)) => {
-                    assert!(!msg.is_empty(), "empty diagnostic at byte {pos}");
-                }
-                Err(other) => panic!("flip at {pos} bit {bit}: non-Load error {other:?}"),
-            }
-        }
-    }
+    flip_sweep(&[0, 5], |file, case, _, context| judge_load(file, true, case, None, context));
 }
 
 /// A snapshot that frames and checksums correctly but whose R-tree has a
@@ -303,26 +207,15 @@ fn trusted_loads_of_corrupt_bytes_never_panic() {
 #[test]
 fn a_shrunk_leaf_mbr_is_a_typed_load_error_even_when_trusted() {
     let prep = PreparedNetwork::new(NetworkSpec::yelp(0.02).generate());
-    for original in snapshots(&prep) {
+    for (name, original) in all_snapshots(&prep) {
         if matches!(original, SnapshotIndex::GeoReach(_) | SnapshotIndex::SocReach(_)) {
             continue; // no R-tree in these two
         }
-        let mut bytes = Vec::new();
-        gsr_store::save(&mut bytes, &original).expect("save");
+        let mut bytes = saved(&original);
         gsr_tests::shrink_last_leaf_mbr(&mut bytes);
         for trust in [false, true] {
-            match gsr_store::load_with(&mut bytes.as_slice(), gsr_store::LoadOptions { trust }) {
-                Err(GsrError::Load(msg)) => assert!(
-                    msg.contains("outside its mbr"),
-                    "{} (trust {trust}): {msg}",
-                    original.name()
-                ),
-                other => panic!(
-                    "{} (trust {trust}): shrunk leaf mbr gave {:?}",
-                    original.name(),
-                    other.map(|_| "a loaded index")
-                ),
-            }
+            let context = format!("{name} (trust {trust}): shrunk leaf mbr");
+            assert_load_error(&bytes, trust, "outside its mbr", &context);
         }
     }
 }
@@ -338,9 +231,8 @@ fn a_shrunk_leaf_mbr_is_a_typed_load_error_even_when_trusted() {
 fn v1_snapshots_are_rejected_with_a_typed_version_error() {
     let prep = PreparedNetwork::new(NetworkSpec::yelp(0.02).generate());
     let dir = ScratchDir::new("gsr_snapshot_retired_versions").unwrap();
-    for original in snapshots(&prep) {
-        let mut bytes = Vec::new();
-        gsr_store::save(&mut bytes, &original).expect("save");
+    for (name, original) in all_snapshots(&prep) {
+        let bytes = saved(&original);
         assert_eq!(&bytes[8..12], &gsr_store::FORMAT_VERSION.to_le_bytes(), "header version");
 
         for retired in [1u32, 2, 3, 4, 5, 6] {
@@ -350,7 +242,7 @@ fn v1_snapshots_are_rejected_with_a_typed_version_error() {
             // garbage-in.
             let mut old = bytes.clone();
             old[8..12].copy_from_slice(&retired.to_le_bytes());
-            let path = dir.path().join(format!("{}.v{retired}.snap", original.method().key()));
+            let path = dir.path().join(format!("{name}.v{retired}.snap"));
             std::fs::write(&path, &old).unwrap();
             let from_stream = gsr_store::load(&mut old.as_slice()).map(|_| ());
             let from_path =
@@ -360,10 +252,9 @@ fn v1_snapshots_are_rejected_with_a_typed_version_error() {
                 match outcome {
                     Err(GsrError::Load(msg)) => assert!(
                         msg.contains(&format!("unsupported format version {retired} ")),
-                        "{}: diagnostic must name the unsupported version: {msg}",
-                        original.name()
+                        "{name}: diagnostic must name the unsupported version: {msg}"
                     ),
-                    other => panic!("{}: v{retired} snapshot gave {other:?}", original.name()),
+                    other => panic!("{name}: v{retired} snapshot gave {other:?}"),
                 }
             }
         }
@@ -373,26 +264,15 @@ fn v1_snapshots_are_rejected_with_a_typed_version_error() {
 #[test]
 fn version_and_method_tag_mismatches_are_diagnosed() {
     let prep = PreparedNetwork::new(NetworkSpec::yelp(0.02).generate());
-    let original = snapshots(&prep).remove(0);
-    let mut bytes = Vec::new();
-    gsr_store::save(&mut bytes, &original).expect("save");
+    let bytes = saved(&all_snapshots(&prep).remove(0).1);
 
     // Future format version.
     let mut wrong = bytes.clone();
     wrong[8..12].copy_from_slice(&99u32.to_le_bytes());
-    let err = gsr_store::load(&mut wrong.as_slice()).unwrap_err();
-    match err {
-        GsrError::Load(msg) => assert!(msg.contains("version"), "{msg}"),
-        other => panic!("{other:?}"),
-    }
-
-    // Not a snapshot at all.
-    let err = gsr_store::load(&mut &b"GSRSNAPx........"[..]).unwrap_err();
-    assert!(matches!(err, GsrError::Load(_)), "{err:?}");
-
-    // Empty input.
-    let err = gsr_store::load(&mut &b""[..]).unwrap_err();
-    assert!(matches!(err, GsrError::Load(_)), "{err:?}");
+    assert_load_error(&wrong, false, "version", "future version");
+    // Not a snapshot at all; empty input.
+    assert_load_error(b"GSRSNAPx........", false, "", "not a snapshot");
+    assert_load_error(b"", false, "", "empty input");
 
     // A SpaReach filter kind (`META` after the method tag) with a bit no
     // filter defines, framed with true CRCs.
@@ -401,9 +281,7 @@ fn version_and_method_tag_mismatches_are_diagnosed() {
     sections.iter_mut().find(|s| s.0 == META).expect("META").2[1] |= 0x80;
     let bad = gsr_tests::frame_sections(gsr_store::FORMAT_VERSION, &sections);
     for trust in [false, true] {
-        match gsr_store::load_with(&mut bad.as_slice(), gsr_store::LoadOptions { trust }) {
-            Err(GsrError::Load(msg)) => assert!(msg.contains("spatial-filter kind"), "{msg}"),
-            other => panic!("undefined kind bit (trust {trust}) gave {:?}", other.map(|_| ())),
-        }
+        let context = format!("undefined kind bit (trust {trust})");
+        assert_load_error(&bad, trust, "spatial-filter kind", &context);
     }
 }
