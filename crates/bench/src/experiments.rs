@@ -67,7 +67,7 @@ pub fn tables_4_and_5(datasets: &[Dataset]) -> (TextTable, TextTable) {
         for method in Method::ALL {
             let timed_build = |policy| {
                 let start = Instant::now();
-                let idx = method.build(&ds.prep, policy, 1);
+                let idx = method.build(&ds.prep, policy);
                 (idx, start.elapsed())
             };
             let (idx, build) = timed_build(SccSpatialPolicy::Replicate);
@@ -101,11 +101,8 @@ pub fn table6(datasets: &[Dataset]) -> TextTable {
         let dag = ds.prep.dag();
         let rev = dag.reversed();
         let count = |g: &gsr_graph::DiGraph, compress: bool| {
-            IntervalLabeling::build_with(
-                g,
-                BuildOptions { builder: Builder::BottomUp, compress, ..BuildOptions::default() },
-            )
-            .num_labels()
+            IntervalLabeling::build_with(g, BuildOptions { builder: Builder::BottomUp, compress })
+                .num_labels()
         };
         t.row([
             ds.name.to_string(),
@@ -139,8 +136,7 @@ fn sweep(
     let default_bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
 
     for ds in datasets {
-        let built: Vec<_> =
-            methods.iter().map(|(m, policy)| m.build(&ds.prep, *policy, 1)).collect();
+        let built: Vec<_> = methods.iter().map(|(m, policy)| m.build(&ds.prep, *policy)).collect();
         let gen = WorkloadGen::new(&ds.prep);
 
         for extent in PAPER_EXTENTS_PCT {
@@ -201,7 +197,7 @@ pub fn fig7_selectivity(datasets: &[Dataset], cfg: &Config) -> TextTable {
 
     let default_bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
     for ds in datasets {
-        let built = FIG7_METHODS.map(|m| m.build(&ds.prep, SccSpatialPolicy::Replicate, 1));
+        let built = FIG7_METHODS.map(|m| m.build(&ds.prep, SccSpatialPolicy::Replicate));
         let gen = WorkloadGen::new(&ds.prep);
         for sel in PAPER_SELECTIVITIES_PCT {
             let w = gen.selectivity(sel, default_bucket, cfg.queries, cfg.seed);
@@ -303,7 +299,7 @@ pub fn analysis(datasets: &[Dataset], cfg: &Config) -> TextTable {
     ]);
     let default_bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
     for ds in datasets {
-        let built = FIG7_METHODS.map(|m| m.build(&ds.prep, SccSpatialPolicy::Replicate, 1));
+        let built = FIG7_METHODS.map(|m| m.build(&ds.prep, SccSpatialPolicy::Replicate));
         let gen = WorkloadGen::new(&ds.prep);
         for extent in [1.0, 20.0] {
             let w = gen.extent_degree(extent, default_bucket, cfg.queries, cfg.seed);
@@ -345,7 +341,7 @@ pub fn polarity(datasets: &[Dataset], cfg: &Config) -> TextTable {
     let default_bucket = DegreeBucket::PAPER_BUCKETS[DegreeBucket::DEFAULT_INDEX];
 
     for ds in datasets {
-        let built = FIG7_METHODS.map(|m| m.build(&ds.prep, SccSpatialPolicy::Replicate, 1));
+        let built = FIG7_METHODS.map(|m| m.build(&ds.prep, SccSpatialPolicy::Replicate));
         let gen = WorkloadGen::new(&ds.prep);
 
         let standard = gen.extent_degree(DEFAULT_EXTENT, default_bucket, cfg.queries, cfg.seed);
@@ -473,7 +469,7 @@ mod tests {
         // Table 4's ordering: the delta-compressed labels keep SocReach
         // below the plain interval labeling SpaReach-INT carries.
         for ds in tiny_datasets() {
-            let bytes = |m: Method| m.build(&ds.prep, SccSpatialPolicy::Replicate, 1).index_bytes();
+            let bytes = |m: Method| m.build(&ds.prep, SccSpatialPolicy::Replicate).index_bytes();
             let (soc, int) = (bytes(Method::SocReach), bytes(Method::SpaReachInt));
             assert!(soc > 0 && soc < int, "{}: SocReach {soc} B vs SpaReach-INT {int} B", ds.name);
         }

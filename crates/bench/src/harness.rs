@@ -87,7 +87,7 @@ mod tests {
             gen.extent_degree(5.0, DegreeBucket::PAPER_BUCKETS[0], cfg.queries, cfg.seed);
         for method in Method::ALL {
             for &policy in method.policies() {
-                let idx = method.build(&ds.prep, policy, 1);
+                let idx = method.build(&ds.prep, policy);
                 let bfs = |&(v, r): &(u32, gsr_geo::Rect)| ds.prep.range_reach_bfs(v, &r);
                 let mismatch = workload.queries.iter().find(|q| idx.query(q.0, &q.1) != bfs(q));
                 assert_eq!(mismatch, None, "{} {policy:?} disagrees with BFS", method.name());
@@ -100,7 +100,7 @@ mod tests {
         let ds = Dataset::from_spec(&NetworkSpec::weeplaces(0.05));
         let gen = WorkloadGen::new(&ds.prep);
         let workload = gen.extent_degree(20.0, DegreeBucket::PAPER_BUCKETS[0], 25, 3);
-        let idx = Method::ThreeDReach.build(&ds.prep, SccSpatialPolicy::Replicate, 1);
+        let idx = Method::ThreeDReach.build(&ds.prep, SccSpatialPolicy::Replicate);
         let result = run_workload(&idx, &workload);
         assert_eq!(result.total, 25);
         let expected =

@@ -53,30 +53,24 @@ pub enum Command {
         /// Network file.
         file: PathBuf,
     },
-    /// `gsr query FILE [--method M] [--threads T] [--budget-ms B]
-    /// [--vertex V --rect X0,Y0,X1,Y1]`
+    /// `gsr query FILE [--method M] [--budget-ms B] [--vertex V --rect X0,Y0,X1,Y1]`
     Query {
         /// Network file.
         file: PathBuf,
         /// The methods to answer with (`--method all`: every one).
         methods: Vec<Method>,
-        /// Worker threads for index construction (`0` = machine
-        /// parallelism). The built indexes are identical at any count.
-        threads: usize,
         /// One-shot query (otherwise stdin).
         one: Option<(u32, Rect)>,
         /// Wall-clock budget for the whole batch in milliseconds; partial
         /// answers are printed when it expires.
         budget_ms: Option<u64>,
     },
-    /// `gsr build FILE --method M --save PATH [--threads T] [--shards N]`
+    /// `gsr build FILE --method M --save PATH [--shards N]`
     Build {
         /// Network file.
         file: PathBuf,
         /// The method (one per snapshot; `all` is rejected).
         method: Method,
-        /// Worker threads for index construction.
-        threads: usize,
         /// Snapshot output path (a directory when `shards > 1`).
         save: PathBuf,
         /// Spatial tiles to partition into (`1` = single unsharded
@@ -164,15 +158,15 @@ usage:
   gsr generate --preset <foursquare|gowalla|weeplaces|yelp> [--scale S] --out FILE
   gsr stats FILE
   gsr query FILE [--method <spareach-bfl|spareach-int|georeach|socreach|3dreach|3dreach-rev|all>]
-                 [--threads T]                     (build workers; 0 = all cores, max 1024)
                  [--budget-ms B]                   (batch time budget; partial answers on expiry)
                  [--vertex V --rect X0,Y0,X1,Y1]   (otherwise queries from stdin)
   gsr build FILE --method <spareach-bfl|spareach-int|georeach|socreach|3dreach|3dreach-rev>
-                 --save PATH [--threads T]          (persist a built index as a snapshot)
+                 --save PATH                        (persist a built index as a snapshot)
                  [--shards N]                       (N > 1: spatially partition into N
                                                      tiles and write PATH as a directory
                                                      of per-tile snapshots + manifest)
   gsr serve --load [name=]PATH [--port P] [--threads T] [--budget-ms B] [--cache-entries N]
+                 (--threads: connection workers; 0 = all cores, max 1024)
                  (--load repeats: each registers one dataset — snapshot file
                   or sharded directory — switched per connection with USE <name>;
                   a lone unnamed --load is the dataset \"default\")
@@ -243,17 +237,16 @@ fn parse_method(key: &str) -> Result<Method, CliError> {
         .ok_or_else(|| err(format!("unknown method {key:?}")))
 }
 
-/// The most workers `--threads` may ask for. `serve` starts one OS thread
-/// per worker, and `build` and `query` up to one per work item, so a typo
-/// such as `--threads 1000000` must be a usage error rather than a process
-/// table exhausted mid-command.
+/// The most workers `serve --threads` may ask for. `serve` starts one OS
+/// thread per worker, so a typo such as `--threads 1000000` must be a usage
+/// error rather than a process table exhausted mid-command.
 const MAX_THREADS: usize = 1024;
 
-/// A `--threads` value: `default` when absent, `0` for machine parallelism,
-/// at most [`MAX_THREADS`].
-fn parse_threads(value: Option<String>, default: usize) -> Result<usize, CliError> {
+/// A `--threads` value: `0` (machine parallelism) when absent, at most
+/// [`MAX_THREADS`].
+fn parse_threads(value: Option<String>) -> Result<usize, CliError> {
     let Some(value) = value else {
-        return Ok(default);
+        return Ok(0);
     };
     let threads: usize =
         value.parse().map_err(|_| err("--threads must be a non-negative integer"))?;
@@ -263,10 +256,37 @@ fn parse_threads(value: Option<String>, default: usize) -> Result<usize, CliErro
     Ok(threads)
 }
 
+/// The `--flags` each subcommand takes. Any other flag is a usage error, so
+/// a typo or a flag another subcommand takes is refused, not ignored.
+const FLAGS: [(&str, &[&str]); 5] = [
+    ("generate", &["preset", "scale", "out"]),
+    ("stats", &[]),
+    ("query", &["method", "budget-ms", "vertex", "rect"]),
+    ("build", &["method", "save", "shards"]),
+    (
+        "serve",
+        &[
+            "load",
+            "port",
+            "threads",
+            "budget-ms",
+            "cache-entries",
+            "trust-snapshot",
+            "max-pending",
+            "max-conns",
+            "max-line",
+            "max-batch",
+            "idle-timeout-ms",
+            "write-timeout-ms",
+        ],
+    ),
+];
+
 /// Parses the argument list (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut it = args.iter();
     let sub = it.next().ok_or_else(|| err(USAGE))?;
+    let known = FLAGS.iter().find(|(name, _)| name == sub).map(|&(_, flags)| flags);
 
     // Collect positionals and --flags. `--load` is repeatable (one dataset
     // per occurrence) so it accumulates in order instead of overwriting.
@@ -275,6 +295,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut load_specs: Vec<String> = Vec::new();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
+            if known.is_some_and(|known| !known.contains(&name)) {
+                return Err(err(format!("gsr {sub} takes no --{name}\n{USAGE}")));
+            }
             // Boolean flags take no value; everything else consumes one.
             if name == "trust-snapshot" {
                 flags.insert(name.to_string(), "true".to_string());
@@ -315,7 +338,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 Some(key) if key.eq_ignore_ascii_case("all") => Method::ALL.to_vec(),
                 Some(key) => vec![parse_method(&key)?],
             };
-            let threads = parse_threads(flag("threads"), 1)?;
             let one = match (flag("vertex"), flag("rect")) {
                 (Some(v), Some(r)) => {
                     Some((v.parse().map_err(|_| err("--vertex must be an id"))?, parse_rect(&r)?))
@@ -327,7 +349,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .map(|b| b.parse())
                 .transpose()
                 .map_err(|_| err("--budget-ms must be a non-negative integer"))?;
-            Ok(Command::Query { file: PathBuf::from(file), methods, threads, one, budget_ms })
+            Ok(Command::Query { file: PathBuf::from(file), methods, one, budget_ms })
         }
         "build" => {
             let file = positional.first().ok_or_else(|| err("build needs a FILE"))?;
@@ -335,7 +357,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let method = parse_method(&key).map_err(|e| {
                 err(format!("{e} (a snapshot holds one method; `all` is not supported)"))
             })?;
-            let threads = parse_threads(flag("threads"), 1)?;
             let save = flag("save").ok_or_else(|| err("build needs --save"))?;
             let shards = flag("shards")
                 .map(|s| s.parse::<usize>())
@@ -348,7 +369,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             Ok(Command::Build {
                 file: PathBuf::from(file),
                 method,
-                threads,
                 save: PathBuf::from(save),
                 shards,
             })
@@ -384,7 +404,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .transpose()
                 .map_err(|_| err("--port must be a port number"))?
                 .unwrap_or(7070);
-            let threads = parse_threads(flag("threads"), 0)?;
+            let threads = parse_threads(flag("threads"))?;
             let budget_ms = flag("budget-ms")
                 .map(|b| b.parse())
                 .transpose()
@@ -568,11 +588,11 @@ fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
             writeln!(out, "largest SCC:  {}", s.largest_scc)?;
             writeln!(out, "space:        {}", prep.space())?;
         }
-        Command::Query { file, methods, threads, one, budget_ms } => {
+        Command::Query { file, methods, one, budget_ms } => {
             let prep = load_prepared(&file)?;
             let policy = SccSpatialPolicy::Replicate;
             let indexes: Vec<SnapshotIndex> =
-                methods.iter().map(|m| m.build(&prep, policy, threads)).collect();
+                methods.iter().map(|m| m.build(&prep, policy)).collect();
             fn run_one(
                 indexes: &[SnapshotIndex],
                 v: u32,
@@ -625,7 +645,7 @@ fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
                 Some(budget_ms) => {
                     let options =
                         BatchOptions::unlimited().with_budget(Duration::from_millis(budget_ms));
-                    let exec = BatchExecutor::new(threads);
+                    let exec = BatchExecutor::new(1);
                     for idx in &indexes {
                         let outcome = exec.run_bounded(idx, &queries, &options);
                         for (i, answer) in outcome.answers.iter().enumerate() {
@@ -654,11 +674,11 @@ fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
                 }
             }
         }
-        Command::Build { file, method, threads, save, shards } => {
+        Command::Build { file, method, save, shards } => {
             let prep = load_prepared(&file)?;
             if shards <= 1 {
                 let start = std::time::Instant::now();
-                let snapshot = method.build(&prep, SccSpatialPolicy::Replicate, threads);
+                let snapshot = method.build(&prep, SccSpatialPolicy::Replicate);
                 let build_time = start.elapsed();
                 gsr_store::save_to_path(&save, &snapshot)?;
                 let bytes = std::fs::metadata(&save).map(|m| m.len()).unwrap_or(0);
@@ -685,7 +705,7 @@ fn execute(cmd: Command, out: &mut impl std::io::Write) -> Result<(), Box<dyn st
                 for (i, (tile_prep, mbr)) in
                     gsr_core::prepared_tiles(prep.network(), shards).enumerate()
                 {
-                    let index = method.build(&tile_prep, SccSpatialPolicy::Replicate, threads);
+                    let index = method.build(&tile_prep, SccSpatialPolicy::Replicate);
                     built.push((index, mbr));
                     lines.push(match mbr {
                         Some(m) => format!(
@@ -840,29 +860,96 @@ mod tests {
         }
     }
 
-    /// `--threads` above the cap is a usage error for every subcommand that
-    /// takes it, found while parsing: no thread is started and no file read.
+    /// `serve --threads` above the cap is a usage error, found while
+    /// parsing: no thread is started and no file read.
     #[test]
     fn threads_above_the_cap_are_a_usage_error() {
         let cap = MAX_THREADS.to_string();
         let over = (MAX_THREADS + 1).to_string();
-        for sub in [
-            &["query", "n.gsr"][..],
-            &["build", "n.gsr", "--method", "3dreach", "--save", "i.snap"],
-            &["serve", "--load", "i.snap"],
-        ] {
-            let cases = [("0", true), (&cap, true), (&over, false), ("1000000", false)];
-            for (threads, ok) in cases {
-                let mut argv = args(sub);
-                argv.extend(args(&["--threads", threads]));
-                match parse_args(&argv) {
-                    Ok(_) => assert!(ok, "{argv:?} parsed"),
-                    Err(e) => {
-                        assert!(!ok, "{argv:?}: {e}");
-                        assert_eq!(exit_code(&e), 2, "{argv:?}");
-                        assert!(e.to_string().contains("--threads"), "{e}");
-                    }
+        let cases = [("0", true), (&cap, true), (&over, false), ("1000000", false)];
+        for (threads, ok) in cases {
+            let argv = args(&["serve", "--load", "i.snap", "--threads", threads]);
+            match parse_args(&argv) {
+                Ok(_) => assert!(ok, "{argv:?} parsed"),
+                Err(e) => {
+                    assert!(!ok, "{argv:?}: {e}");
+                    assert_eq!(exit_code(&e), 2, "{argv:?}");
+                    assert!(e.to_string().contains("--threads"), "{e}");
                 }
+            }
+        }
+    }
+
+    /// A flag its subcommand does not take — a typo, another subcommand's
+    /// flag, or the `--threads` that `build` and `query` no longer take — is
+    /// a usage error naming it; every flag the tests, the README and the
+    /// benchmark client pass still parses.
+    #[test]
+    fn flags_a_subcommand_does_not_take_are_usage_errors() {
+        let refused: [(&[&str], &str); 7] = [
+            (&["generate", "--preset", "yelp", "--out", "x.gsr", "--scael", "1"], "--scael"),
+            (&["stats", "f", "--treads", "4"], "--treads"),
+            (
+                &["query", "f", "--methods", "all", "--vertex", "0", "--rect", "0,0,1,1"],
+                "--methods",
+            ),
+            (&["query", "f", "--threads", "2"], "--threads"),
+            (&["build", "f", "--method", "3dreach", "--save", "x", "--bogus", "3"], "--bogus"),
+            (&["build", "f", "--method", "3dreach", "--save", "x", "--threads", "2"], "--threads"),
+            (&["serve", "--load", "x", "--shards", "2"], "--shards"),
+        ];
+        for (argv, flag) in refused {
+            let e = parse_args(&args(argv)).unwrap_err();
+            assert_eq!(exit_code(&e), 2, "{argv:?}");
+            let named = format!("gsr {} takes no {flag}\nusage:", argv[0]);
+            assert!(e.0.starts_with(&named), "{argv:?}: {e}");
+        }
+        let accepted: [&[&str]; 5] = [
+            &["generate", "--preset", "yelp", "--scale", "0.02", "--out", "x.gsr"],
+            &["stats", "f"],
+            &[
+                "query",
+                "f",
+                "--method",
+                "all",
+                "--budget-ms",
+                "9",
+                "--vertex",
+                "0",
+                "--rect",
+                "0,0,1,1",
+            ],
+            &["build", "f", "--method", "3dreach", "--shards", "2", "--save", "x"],
+            &[
+                "serve",
+                "--load",
+                "x",
+                "--port",
+                "0",
+                "--threads",
+                "2",
+                "--budget-ms",
+                "100",
+                "--cache-entries",
+                "256",
+                "--trust-snapshot",
+                "--max-pending",
+                "8",
+                "--max-conns",
+                "2",
+                "--max-line",
+                "256",
+                "--max-batch",
+                "16",
+                "--idle-timeout-ms",
+                "500",
+                "--write-timeout-ms",
+                "0",
+            ],
+        ];
+        for argv in accepted {
+            if let Err(e) = parse_args(&args(argv)) {
+                panic!("{argv:?}: {e}");
             }
         }
     }
@@ -875,13 +962,10 @@ mod tests {
             Command::Query {
                 file: "n.gsr".into(),
                 methods: vec![Method::ThreeDReach],
-                threads: 1,
                 one: None,
                 budget_ms: None,
             }
         );
-        let cmd = parse_args(&args(&["query", "n.gsr", "--threads", "4"])).unwrap();
-        assert!(matches!(cmd, Command::Query { threads: 4, .. }));
         let cmd = parse_args(&args(&["query", "n.gsr", "--budget-ms", "250"])).unwrap();
         assert!(matches!(cmd, Command::Query { budget_ms: Some(250), .. }));
         assert!(parse_args(&args(&["query", "n.gsr", "--budget-ms", "soon"])).is_err());
@@ -911,13 +995,14 @@ mod tests {
         assert!(parse_rect("0,0,inf,1").is_err(), "non-finite");
         assert!(parse_rect("0,0,1,1").is_ok());
         assert!(
-            parse_args(&args(&["query", "f", "--threads", "-2"])).is_err(),
+            parse_args(&args(&["serve", "--load", "x", "--threads", "-2"])).is_err(),
             "negative thread count"
         );
         // Method keys are checked before any file is read.
-        for sub in ["query", "build"] {
-            let e = parse_args(&args(&[sub, "f", "--method", "bogus", "--save", "x"])).unwrap_err();
-            assert!(e.0.contains("unknown method \"bogus\""), "{sub}: {e}");
+        for argv in [&["query", "f", "--method", "bogus"][..], &["build", "f", "--method", "bogus"]]
+        {
+            let e = parse_args(&args(argv)).unwrap_err();
+            assert!(e.0.contains("unknown method \"bogus\""), "{argv:?}: {e}");
         }
         let e = parse_args(&args(&["build", "f", "--method", "all", "--save", "x"])).unwrap_err();
         assert!(e.0.contains("`all` is not supported"), "{e}");
@@ -963,7 +1048,6 @@ mod tests {
             Command::Build {
                 file: "n.gsr".into(),
                 method: Method::GeoReach,
-                threads: 1,
                 save: "idx.snap".into(),
                 shards: 1,
             }
@@ -1146,7 +1230,7 @@ mod tests {
         // The saved snapshot answers exactly like a fresh build.
         let loaded = gsr_store::load_from_path(&snap).unwrap();
         let prep = load_prepared(&net).unwrap();
-        let fresh = Method::ThreeDReach.build(&prep, SccSpatialPolicy::Replicate, 1);
+        let fresh = Method::ThreeDReach.build(&prep, SccSpatialPolicy::Replicate);
         let r = Rect::new(-1000.0, -1000.0, 2000.0, 2000.0);
         for v in 0..prep.network().num_vertices() as u32 {
             assert_eq!(loaded.query(v, &r), fresh.query(v, &r), "vertex {v}");
@@ -1212,7 +1296,7 @@ mod tests {
             gsr_store::load_served_index(&shards, gsr_store::LoadOptions { trust: false }).unwrap();
         assert_eq!(info.format, gsr_store::FORMAT_VERSION);
         let prep = load_prepared(&net).unwrap();
-        let fresh = Method::ThreeDReach.build(&prep, SccSpatialPolicy::Replicate, 1);
+        let fresh = Method::ThreeDReach.build(&prep, SccSpatialPolicy::Replicate);
         let r = Rect::new(-1000.0, -1000.0, 2000.0, 2000.0);
         for v in 0..prep.network().num_vertices() as u32 {
             assert_eq!(loaded.query(v, &r), fresh.query(v, &r), "vertex {v}");
@@ -1374,8 +1458,6 @@ mod tests {
                 &path,
                 "--method",
                 "all",
-                "--threads",
-                "2",
                 "--vertex",
                 "0",
                 "--rect",

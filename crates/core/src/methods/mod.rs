@@ -102,7 +102,7 @@ mod tests {
         let mut holders = Vec::new();
         for m in Method::ALL {
             for &policy in m.policies() {
-                let index = m.build(&prep, policy, 1);
+                let index = m.build(&prep, policy);
                 let list = index.column_list();
                 let member_points = list.cols.iter().find(|c| c.tag == tag::MEMBER_POINTS);
                 if let Some(col) = member_points.filter(|c| !c.bytes.is_empty()) {

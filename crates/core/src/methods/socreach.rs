@@ -53,7 +53,7 @@ impl SocReach {
     /// SocReach has no MBR variant: it "does not involve any spatial
     /// indexing" (Section 6.2), so the SCC policy does not apply.
     pub fn build(prep: &PreparedNetwork) -> Self {
-        let forward = prep.forward_labels(1);
+        let forward = prep.forward_labels();
         let ncomp = prep.num_components();
         let mut comp_of_post = vec![0 as CompId; ncomp];
         for (c, &p) in forward.post.iter().enumerate() {
@@ -237,7 +237,7 @@ mod tests {
         let prep = paper_example::prepared();
         let idx = SocReach::build(&prep);
         // Every post's slice holds exactly the points of that component.
-        for (c, &p) in prep.forward_labels(1).post.iter().enumerate() {
+        for (c, &p) in prep.forward_labels().post.iter().enumerate() {
             let p = p as usize;
             let (lo, hi) = (idx.post_offsets.get(p - 1), idx.post_offsets.get(p));
             let slice = &idx.points[lo as usize..hi as usize];

@@ -14,12 +14,11 @@
 use super::{check_comp_ids, check_csr, check_entry_mbrs, tag};
 use crate::{PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy};
 use gsr_geo::{Aabb, Point, Rect};
-use gsr_graph::par;
 use gsr_graph::scc::CompId;
 use gsr_graph::{Col, ColumnList, Columns, DiGraph, Source, VertexId};
-use gsr_index::{RTree, RTreeParams};
-use gsr_reach::bfl::{BflIndex, BflParams};
-use gsr_reach::interval::{BuildOptions, IntervalLabeling};
+use gsr_index::RTree;
+use gsr_reach::bfl::BflIndex;
+use gsr_reach::interval::IntervalLabeling;
 use gsr_reach::Reachability;
 
 /// The filter-kind scalar a snapshot's `META` holds: bit 0 is the SCC
@@ -57,79 +56,41 @@ pub type SpaReachInt = SpaReach<IntervalLabeling>;
 impl SpaReachBfl {
     /// Builds the 2-D R-tree and the BFL index over the condensation.
     pub fn build(prep: &PreparedNetwork, policy: SccSpatialPolicy) -> Self {
-        Self::build_threaded(prep, policy, 1)
-    }
-
-    /// Like [`SpaReachBfl::build`], constructing both the spatial filter
-    /// and the BFL filters with `threads` workers (`0` = machine
-    /// parallelism). The result is identical to the sequential build.
-    pub fn build_threaded(
-        prep: &PreparedNetwork,
-        policy: SccSpatialPolicy,
-        threads: usize,
-    ) -> Self {
-        SpaReach::build_impl(prep, policy, "SpaReach-BFL", threads, |g| {
-            BflIndex::build_with(g, BflParams { threads, ..BflParams::default() })
-        })
+        SpaReach::build_impl(prep, policy, "SpaReach-BFL", BflIndex::build)
     }
 }
 
 impl SpaReachInt {
     /// Builds the 2-D R-tree and the interval labeling over the condensation.
     pub fn build(prep: &PreparedNetwork, policy: SccSpatialPolicy) -> Self {
-        Self::build_threaded(prep, policy, 1)
-    }
-
-    /// Like [`SpaReachInt::build`], constructing both the spatial filter
-    /// and the interval labeling with `threads` workers (`0` = machine
-    /// parallelism). The result is identical to the sequential build.
-    pub fn build_threaded(
-        prep: &PreparedNetwork,
-        policy: SccSpatialPolicy,
-        threads: usize,
-    ) -> Self {
-        SpaReach::build_impl(prep, policy, "SpaReach-INT", threads, |g| {
-            IntervalLabeling::build_with(g, BuildOptions { threads, ..BuildOptions::default() })
-        })
+        SpaReach::build_impl(prep, policy, "SpaReach-INT", IntervalLabeling::build)
     }
 }
 
 impl<R: Reachability + Columns> SpaReach<R> {
     /// Builds the spatial filter with the spatial-member replication pass
-    /// and the R-tree packing across `threads` workers (`0` = machine
-    /// parallelism), and the back-end with `build_reach`. Every pass
-    /// preserves the sequential order of its output, so the built index is
-    /// identical at any thread count.
+    /// and the R-tree packing, and the back-end with `build_reach`.
     fn build_impl(
         prep: &PreparedNetwork,
         policy: SccSpatialPolicy,
         name: &'static str,
-        threads: usize,
         build_reach: impl FnOnce(&DiGraph) -> R,
     ) -> Self {
         let entries: Vec<(Aabb<2>, CompId)> = match policy {
             SccSpatialPolicy::Replicate => {
                 // The replication pass: one point entry per spatial vertex,
-                // tagged with its component. Mapping by index keeps the
-                // entry order identical to the sequential scan.
+                // tagged with its component, in vertex order.
                 let spatial: Vec<(VertexId, Point)> = prep.network().spatial_vertices().collect();
-                par::map_indexed(threads, spatial.len(), |i| {
-                    let (v, p) = spatial[i];
-                    (Aabb::from_point([p.x, p.y]), prep.comp(v))
-                })
+                spatial.iter().map(|&(v, p)| (Aabb::from_point([p.x, p.y]), prep.comp(v))).collect()
             }
-            SccSpatialPolicy::Mbr => par::map_indexed(threads, prep.num_components(), |c| {
-                let c = c as CompId;
-                prep.comp_mbr(c).map(|m| (m.into(), c))
-            })
-            .into_iter()
-            .flatten()
-            .collect(),
+            SccSpatialPolicy::Mbr => (0..prep.num_components() as CompId)
+                .filter_map(|c| Some((prep.comp_mbr(c)?.into(), c)))
+                .collect(),
         };
         let (member_offsets, member_points) = prep.member_csr();
         SpaReach {
             comp_of: prep.comp_of(),
-            tree: RTree::bulk_load_parallel(entries, RTreeParams::default(), threads),
+            tree: RTree::bulk_load(entries),
             policy,
             reach: build_reach(prep.dag()),
             name,
@@ -314,28 +275,6 @@ mod tests {
         for v in prep.network().graph().vertices() {
             for r in &regions {
                 assert_eq!(idx.query(v, r), prep.range_reach_bfs(v, r), "vertex {v}, region {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_build_is_identical_to_sequential() {
-        for prep in [paper_example::prepared(), paper_example::cyclic_prepared()] {
-            for policy in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
-                let seq = SpaReachBfl::build(&prep, policy);
-                for threads in [2, 4, 8] {
-                    let par = SpaReachBfl::build_threaded(&prep, policy, threads);
-                    assert_eq!(par.comp_of, seq.comp_of, "{policy:?} t={threads}");
-                    assert_eq!(par.member_offsets, seq.member_offsets);
-                    assert_eq!(par.member_points, seq.member_points);
-                    assert_eq!(par.policy, seq.policy);
-                    assert_eq!(par.tree, seq.tree, "{policy:?} t={threads}");
-                    for v in prep.network().graph().vertices() {
-                        for r in paper_example::probe_regions() {
-                            assert_eq!(par.query(v, &r), seq.query(v, &r), "v={v} r={r}");
-                        }
-                    }
-                }
             }
         }
     }

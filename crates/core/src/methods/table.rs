@@ -89,32 +89,17 @@ impl Method {
         &BOTH[..if self.supports_mbr() { 2 } else { 1 }]
     }
 
-    /// Builds the method's index over `prep` with `threads` workers (`0` =
-    /// machine parallelism). The built index is identical at any thread
-    /// count. GeoReach and SocReach have no threaded build, and ignore
-    /// `policy` as well.
-    pub fn build(
-        self,
-        prep: &PreparedNetwork,
-        policy: SccSpatialPolicy,
-        threads: usize,
-    ) -> SnapshotIndex {
+    /// Builds the method's index over `prep`. GeoReach and SocReach ignore
+    /// `policy`.
+    pub fn build(self, prep: &PreparedNetwork, policy: SccSpatialPolicy) -> SnapshotIndex {
         use SnapshotIndex as S;
         match self {
-            Method::SpaReachBfl => {
-                S::SpaReachBfl(SpaReachBfl::build_threaded(prep, policy, threads))
-            }
-            Method::SpaReachInt => {
-                S::SpaReachInt(SpaReachInt::build_threaded(prep, policy, threads))
-            }
+            Method::SpaReachBfl => S::SpaReachBfl(SpaReachBfl::build(prep, policy)),
+            Method::SpaReachInt => S::SpaReachInt(SpaReachInt::build(prep, policy)),
             Method::GeoReach => S::GeoReach(GeoReach::build(prep)),
             Method::SocReach => S::SocReach(SocReach::build(prep)),
-            Method::ThreeDReach => {
-                S::ThreeDReach(ThreeDReach::build_threaded(prep, policy, threads))
-            }
-            Method::ThreeDReachRev => {
-                S::ThreeDReachRev(ThreeDReachRev::build_threaded(prep, policy, threads))
-            }
+            Method::ThreeDReach => S::ThreeDReach(ThreeDReach::build(prep, policy)),
+            Method::ThreeDReachRev => S::ThreeDReachRev(ThreeDReachRev::build(prep, policy)),
         }
     }
 
@@ -235,7 +220,7 @@ mod tests {
             assert_eq!(Method::from_key(m.key()), Some(m));
             assert_eq!(Method::from_tag(m.tag()), Some(m));
             for &policy in m.policies() {
-                let built = m.build(&prep, policy, 1);
+                let built = m.build(&prep, policy);
                 assert_eq!(built.name(), m.name());
                 assert_eq!(built.method(), m);
             }

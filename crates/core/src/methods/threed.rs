@@ -18,12 +18,11 @@
 use super::{check_comp_ids, check_csr, check_entry_mbrs, tag};
 use crate::{PreparedNetwork, QueryCost, RangeReachIndex, SccSpatialPolicy};
 use gsr_geo::{cuboid_from_rect, Aabb, Cuboid, Point, Rect};
-use gsr_graph::par;
 use gsr_graph::scc::CompId;
 use gsr_graph::{Col, ColumnList, Columns, Source, VertexId};
-use gsr_index::{RTree, RTreeParams};
+use gsr_index::RTree;
 use gsr_reach::compact::CompactLabels;
-use gsr_reach::interval::{BuildOptions, IntervalLabeling};
+use gsr_reach::interval::IntervalLabeling;
 use std::sync::Arc;
 
 /// Payload of a 3-D entry: which component it certifies, so MBR-policy
@@ -55,7 +54,6 @@ impl ThreeDCommon {
         prep: &PreparedNetwork,
         policy: SccSpatialPolicy,
         entries: Vec<(Cuboid, Entry)>,
-        threads: usize,
     ) -> Self {
         let (member_offsets, member_points) = match policy {
             SccSpatialPolicy::Replicate => Default::default(),
@@ -63,7 +61,7 @@ impl ThreeDCommon {
         };
         ThreeDCommon {
             comp_of: prep.comp_of(),
-            tree: Arc::new(RTree::bulk_load_parallel(entries, RTreeParams::default(), threads)),
+            tree: Arc::new(RTree::bulk_load(entries)),
             policy,
             member_offsets,
             member_points,
@@ -191,47 +189,34 @@ pub struct ThreeDReach {
 impl ThreeDReach {
     /// Builds the forward labeling and the 3-D R-tree of spatial entries.
     pub fn build(prep: &PreparedNetwork, policy: SccSpatialPolicy) -> Self {
-        Self::build_threaded(prep, policy, 1)
-    }
-
-    /// Like [`ThreeDReach::build`], running the interval labeling, the
-    /// spatial-entry replication pass and the R-tree packing across
-    /// `threads` workers (`0` = machine parallelism). The built index is
-    /// identical to the sequential one at any thread count.
-    pub fn build_threaded(
-        prep: &PreparedNetwork,
-        policy: SccSpatialPolicy,
-        threads: usize,
-    ) -> Self {
         // The labeling is a function of the DAG alone: the tiles of a
         // shard set take the one their social side already holds.
-        let forward = prep.forward_labels(threads);
+        let forward = prep.forward_labels();
         let post = &forward.post;
 
         let entries: Vec<(Cuboid, Entry)> = match policy {
             SccSpatialPolicy::Replicate => {
                 let spatial: Vec<(VertexId, Point)> = prep.network().spatial_vertices().collect();
-                par::map_indexed(threads, spatial.len(), |i| {
-                    let (v, p) = spatial[i];
-                    let comp = prep.comp(v);
-                    let z = post[comp as usize] as f64;
-                    (gsr_geo::point3(p, z), comp)
-                })
+                spatial
+                    .iter()
+                    .map(|&(v, p)| {
+                        let comp = prep.comp(v);
+                        let z = post[comp as usize] as f64;
+                        (gsr_geo::point3(p, z), comp)
+                    })
+                    .collect()
             }
-            SccSpatialPolicy::Mbr => par::map_indexed(threads, prep.num_components(), |c| {
-                let c = c as CompId;
-                prep.comp_mbr(c).map(|m| {
+            SccSpatialPolicy::Mbr => (0..prep.num_components() as CompId)
+                .filter_map(|c| {
+                    let m = prep.comp_mbr(c)?;
                     let z = post[c as usize] as f64;
-                    (Aabb::new([m.min_x, m.min_y, z], [m.max_x, m.max_y, z]), c)
+                    Some((Aabb::new([m.min_x, m.min_y, z], [m.max_x, m.max_y, z]), c))
                 })
-            })
-            .into_iter()
-            .flatten()
-            .collect(),
+                .collect(),
         };
 
         ThreeDReach {
-            common: ThreeDCommon::build(prep, policy, entries, threads),
+            common: ThreeDCommon::build(prep, policy, entries),
             labels: Arc::clone(&forward.labels),
         }
     }
@@ -312,25 +297,8 @@ pub struct ThreeDReachRev {
 impl ThreeDReachRev {
     /// Builds the reversed labeling and the 3-D segment R-tree.
     pub fn build(prep: &PreparedNetwork, policy: SccSpatialPolicy) -> Self {
-        Self::build_threaded(prep, policy, 1)
-    }
-
-    /// Like [`ThreeDReachRev::build`], running the reversed labeling, the
-    /// per-vertex segment replication pass and the R-tree packing across
-    /// `threads` workers (`0` = machine parallelism). The built index is
-    /// identical to the sequential one at any thread count: contiguous runs
-    /// of vertices (or components) produce their segments independently and
-    /// the runs are concatenated in the sequential scan order.
-    pub fn build_threaded(
-        prep: &PreparedNetwork,
-        policy: SccSpatialPolicy,
-        threads: usize,
-    ) -> Self {
         let reversed_dag = prep.dag().reversed();
-        let labeling = IntervalLabeling::build_with(
-            &reversed_dag,
-            BuildOptions { threads, ..BuildOptions::default() },
-        );
+        let labeling = IntervalLabeling::build(&reversed_dag);
         let rev_post: Vec<u32> =
             (0..prep.num_components() as CompId).map(|c| labeling.post(c)).collect();
 
@@ -348,27 +316,18 @@ impl ThreeDReachRev {
                 .filter_map(|c| Some((prep.comp_mbr(c)?, c)))
                 .collect(),
         };
-        // One pre-sized buffer per contiguous run of bases (almost every
-        // base has a single label: no `Vec` per vertex), concatenated in
-        // scan order.
-        let per_run = bases.len().div_ceil(par::effective_threads(threads)).max(1);
-        let runs: Vec<&[(Rect, CompId)]> = bases.chunks(per_run).collect();
-        let mut parts = par::map_indexed(threads, runs.len(), |k| {
-            let bases = runs[k];
-            let count = bases.iter().map(|&(_, c)| labeling.intervals(c).len()).sum();
-            let mut segments: Vec<(Cuboid, Entry)> = Vec::with_capacity(count);
-            for (base, c) in bases {
-                let labels = labeling.intervals(*c).iter();
-                segments.extend(
-                    labels.map(|iv| (cuboid_from_rect(base, iv.lo as f64, iv.hi as f64), *c)),
-                );
-            }
-            segments
-        });
-        let entries = if parts.len() == 1 { parts.swap_remove(0) } else { parts.concat() };
+        // One pre-sized buffer for every segment (almost every base has a
+        // single label: no `Vec` per vertex), in scan order.
+        let count = bases.iter().map(|&(_, c)| labeling.intervals(c).len()).sum();
+        let mut entries: Vec<(Cuboid, Entry)> = Vec::with_capacity(count);
+        for (base, c) in &bases {
+            let labels = labeling.intervals(*c).iter();
+            entries
+                .extend(labels.map(|iv| (cuboid_from_rect(base, iv.lo as f64, iv.hi as f64), *c)));
+        }
 
         ThreeDReachRev {
-            common: ThreeDCommon::build(prep, policy, entries, threads),
+            common: ThreeDCommon::build(prep, policy, entries),
             rev_post: rev_post.into(),
         }
     }
@@ -472,29 +431,6 @@ mod tests {
                             "3DReach-REV v={v} r={r} {policy:?}"
                         );
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_builds_are_identical_to_sequential() {
-        for prep in [paper_example::prepared(), paper_example::cyclic_prepared()] {
-            for policy in [SccSpatialPolicy::Replicate, SccSpatialPolicy::Mbr] {
-                let fwd_seq = ThreeDReach::build(&prep, policy);
-                let rev_seq = ThreeDReachRev::build(&prep, policy);
-                for threads in [2, 4, 8] {
-                    // A clone has its own social side: labeled again, here.
-                    let prep = PreparedNetwork::new(prep.network().clone());
-                    let fwd = ThreeDReach::build_threaded(&prep, policy, threads);
-                    let rev = ThreeDReachRev::build_threaded(&prep, policy, threads);
-                    assert_eq!(fwd.labels, fwd_seq.labels);
-                    assert_eq!(fwd.common.tree, fwd_seq.common.tree, "{policy:?} t={threads}");
-                    assert_eq!(fwd.common.comp_of, fwd_seq.common.comp_of);
-                    assert_eq!(fwd.common.member_offsets, fwd_seq.common.member_offsets);
-                    assert_eq!(fwd.common.member_points, fwd_seq.common.member_points);
-                    assert_eq!(rev.common.tree, rev_seq.common.tree, "{policy:?} t={threads}");
-                    assert_eq!(rev.rev_post, rev_seq.rev_post);
                 }
             }
         }

@@ -5,7 +5,7 @@ use gsr_geo::{Point, Rect};
 use gsr_graph::scc::{CompId, Condensation};
 use gsr_graph::{Col, DiGraph, VertexId};
 use gsr_reach::compact::CompactLabels;
-use gsr_reach::interval::{BuildOptions, IntervalLabeling};
+use gsr_reach::interval::IntervalLabeling;
 use std::sync::{Arc, OnceLock};
 
 /// Errors raised when constructing a [`GeosocialNetwork`].
@@ -255,15 +255,10 @@ impl PreparedNetwork {
     }
 
     /// The forward interval labeling of the DAG, built on first use by
-    /// whichever network over this social side asks first. `threads` only
-    /// speeds that first build up: the labeling is bit-identical at any
-    /// thread count.
-    pub(crate) fn forward_labels(&self, threads: usize) -> &ForwardLabels {
+    /// whichever network over this social side asks first.
+    pub(crate) fn forward_labels(&self) -> &ForwardLabels {
         self.net.social.forward.get_or_init(|| {
-            let labeling = IntervalLabeling::build_with(
-                self.dag(),
-                BuildOptions { threads, ..BuildOptions::default() },
-            );
+            let labeling = IntervalLabeling::build(self.dag());
             ForwardLabels {
                 post: self.dag().vertices().map(|c| labeling.post(c)).collect(),
                 labels: Arc::new(CompactLabels::from_labeling(&labeling)),
@@ -527,7 +522,7 @@ mod tests {
         }
         assert_eq!(view.member_csr(), own.member_csr());
         // The labels too are the parent's, whichever of the two asks first.
-        assert!(std::ptr::eq(view.forward_labels(1), parent.forward_labels(1)));
+        assert!(std::ptr::eq(view.forward_labels(), parent.forward_labels()));
     }
 
     /// `clone()` is an independent network: a rebuild from a clone pays for

@@ -16,8 +16,8 @@
 //!   (query vertices are bucketed by out-degree in Section 6.1);
 //! * [`VisitedSet`] — the epoch-stamped visited set that the query
 //!   kernels reuse, so that no traversal allocates or clears one;
-//! * [`par`] — a scoped-thread work pool used by the parallel (but
-//!   deterministic) index constructions across the workspace;
+//! * [`par`] — a scoped-thread work pool for the batch executor's and the
+//!   server's workers;
 //! * [`col`] — the zero-copy [`Col`] column type every flat index arena is
 //!   stored in, so snapshots can be memory-mapped and served without
 //!   deserialization;

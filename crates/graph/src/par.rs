@@ -1,15 +1,13 @@
-//! A minimal scoped-thread work pool for deterministic parallel
-//! construction.
+//! A minimal scoped-thread work pool for the query side: the chunks of a
+//! `gsr_core` `BatchExecutor` and the server's connection workers.
 //!
-//! Index builds in this workspace decompose into batches of *independent*
-//! per-item jobs (one interval union or Bloom filter per DAG vertex within
-//! a level, one sort per STR slab). This module runs such
-//! batches across N OS threads with `std::thread::scope` — no runtime
-//! dependencies, no `unsafe` — and places each result by its input index,
-//! so the output is identical to the sequential loop regardless of how the
-//! scheduler interleaves workers. That placement discipline is what lets
-//! `tests/parallel_determinism.rs` assert byte-identical indexes at every
-//! thread count.
+//! [`map_indexed`] runs a batch of *independent* per-item jobs across N OS
+//! threads with `std::thread::scope` — no runtime dependencies, no
+//! `unsafe` — and places each result by its input index, so the output is
+//! identical to the sequential loop regardless of how the scheduler
+//! interleaves workers. That placement discipline is what lets the batch
+//! tests assert identical answers at every thread count. Index builds are
+//! sequential and do not use it.
 //!
 //! Work is distributed by an atomic cursor (work stealing in its simplest
 //! form) rather than pre-chunking, so a few expensive items cannot strand
@@ -38,22 +36,9 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    map_indexed_with(threads, n, || (), move |(), i| f(i))
-}
-
-/// Like [`map_indexed`], but each worker first builds private scratch state
-/// with `init` and threads it through its jobs — the pattern for reusable
-/// buffers that must not be shared across workers.
-pub fn map_indexed_with<S, T, I, F>(threads: usize, n: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
     let threads = effective_threads(threads).min(n.max(1));
     if threads <= 1 || n <= 1 {
-        let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
+        return (0..n).map(f).collect();
     }
 
     let cursor = AtomicUsize::new(0);
@@ -64,20 +49,19 @@ where
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
             handles.push(scope.spawn(|| {
-                let mut state = init();
                 let mut produced: Vec<(usize, T)> = Vec::new();
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
                         break;
                     }
-                    produced.push((i, f(&mut state, i)));
+                    produced.push((i, f(i)));
                 }
                 produced
             }));
         }
         for handle in handles {
-            // A worker panic propagates here, failing the whole build just
+            // A worker panic propagates here, failing the whole call just
             // like the sequential loop would.
             for (i, value) in handle.join().expect("worker thread panicked") {
                 slots[i] = Some(value);
@@ -86,32 +70,6 @@ where
     });
 
     slots.into_iter().map(|slot| slot.expect("every index produced exactly once")).collect()
-}
-
-/// Consuming variant of [`map_indexed`]: moves each item of `items` into
-/// exactly one `f` call and returns the results in input order. For jobs
-/// that take ownership of their input (e.g. recursive partitioning of
-/// owned buffers).
-pub fn map_consume<I, T, F>(threads: usize, items: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> T + Sync,
-{
-    let threads = effective_threads(threads).min(items.len().max(1));
-    if threads <= 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let slots: Vec<std::sync::Mutex<Option<I>>> =
-        items.into_iter().map(|item| std::sync::Mutex::new(Some(item))).collect();
-    map_indexed(threads, slots.len(), |i| {
-        let item = slots[i]
-            .lock()
-            .expect("no worker panics while holding an item lock")
-            .take()
-            .expect("each item consumed exactly once");
-        f(item)
-    })
 }
 
 #[cfg(test)]
@@ -140,20 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn map_indexed_with_gives_each_worker_private_state() {
-        // Each worker's scratch accumulates only its own jobs; results must
-        // still come back in index order.
-        let got = map_indexed_with(4, 100, Vec::<usize>::new, |scratch, i| {
-            scratch.push(i);
-            (i, scratch.len())
-        });
-        for (idx, (i, seen)) in got.iter().enumerate() {
-            assert_eq!(idx, *i);
-            assert!(*seen >= 1 && *seen <= 100);
-        }
-    }
-
-    #[test]
     fn map_indexed_uneven_workloads_balance() {
         // Heavily skewed job costs must still produce ordered output.
         let got = map_indexed(4, 64, |i| {
@@ -167,15 +111,5 @@ mod tests {
             })
             .collect();
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn map_consume_moves_each_item_once() {
-        let items: Vec<Vec<u32>> = (0..40).map(|i| vec![i; 3]).collect();
-        for threads in [1, 2, 4] {
-            let got = map_consume(threads, items.clone(), |v| v.into_iter().sum::<u32>());
-            let expected: Vec<u32> = (0..40).map(|i| i * 3).collect();
-            assert_eq!(got, expected, "threads = {threads}");
-        }
     }
 }

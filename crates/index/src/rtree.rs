@@ -61,13 +61,11 @@
 //! centre (`-0.0` and `0.0` are one key; a NaN centre, from a box infinite
 //! both ways in that dimension, sorts after every number), and `position`
 //! — the item's place in the sub-slice — breaks ties, so the order is the
-//! one a stable sort of the entries by centre gives. Because the slabs are
-//! disjoint, the top-level slabs can go to scoped threads, each with its
-//! own scratch, and the cuts come out the same at any thread count. One
-//! top-down pass over the levels then numbers the nodes breadth-first, and
-//! the columns are gathered from the input in breadth-first leaf order:
-//! no entry is moved before that. Peak memory is the input, 20 bytes per
-//! item of permutation and scratch, and the result.
+//! one a stable sort of the entries by centre gives. One top-down pass over
+//! the levels then numbers the nodes breadth-first, and the columns are
+//! gathered from the input in breadth-first leaf order: no entry is moved
+//! before that. Peak memory is the input, 20 bytes per item of permutation
+//! and scratch, and the result.
 //!
 //! Slabs must be borrowed sub-slices, not owned `Vec`s split off a buffer:
 //! splitting copies the whole remaining tail at every cut, and each
@@ -423,45 +421,28 @@ impl<const N: usize, T> RTree<N, T> {
     /// boxes must be proper (`min <= max`, no NaN): range scans rely on it.
     pub fn bulk_load(entries: Vec<(Aabb<N>, T)>) -> Self
     where
-        T: Copy + Sync,
+        T: Copy,
     {
         Self::bulk_load_with_params(entries, RTreeParams::default())
     }
 
-    /// [`RTree::bulk_load`] with explicit parameters.
+    /// [`RTree::bulk_load`] with explicit parameters; see *Packing* in the
+    /// module docs.
     pub fn bulk_load_with_params(entries: Vec<(Aabb<N>, T)>, params: RTreeParams) -> Self
     where
-        T: Copy + Sync,
-    {
-        Self::bulk_load_parallel(entries, params, 1)
-    }
-
-    /// [`RTree::bulk_load`] with explicit parameters and a thread count:
-    /// the top-level STR slabs — disjoint sub-slices of one item
-    /// permutation — are tiled concurrently and their group cuts
-    /// concatenated in slab order, so the resulting tree is **identical** to
-    /// the sequential bulk load at any thread count (`0` = machine
-    /// parallelism, `1` = sequential). See *Packing* in the module docs.
-    pub fn bulk_load_parallel(
-        entries: Vec<(Aabb<N>, T)>,
-        params: RTreeParams,
-        threads: usize,
-    ) -> Self
-    where
-        T: Copy + Sync,
+        T: Copy,
     {
         if entries.is_empty() {
             return Self::with_params(params);
         }
-        let threads = gsr_graph::par::effective_threads(threads);
         let cap = params.max_entries;
 
         // Tile upward until one root group remains: the entries for the
         // leaves, the groups of the level below above them.
-        let mut levels = vec![Level::tile(&entries, |e| &e.0, cap, threads)];
+        let mut levels = vec![Level::tile(&entries, |e| &e.0, cap)];
         while levels[levels.len() - 1].mbrs.len() > 1 {
             let below = &levels[levels.len() - 1].mbrs;
-            levels.push(Level::tile(&below[..], |b| b, cap, threads));
+            levels.push(Level::tile(&below[..], |b| b, cap));
         }
 
         // Breadth-first numbering, root (the single top group) first: the
@@ -846,19 +827,13 @@ struct Level<const N: usize> {
 
 impl<const N: usize> Level<N> {
     /// Sort-Tile-Recursive partitioning of `boxes` (see *Packing* in the
-    /// module docs). `threads > 1` tiles the top-level slabs concurrently;
-    /// the level is the same at any count.
-    fn tile<E: Sync>(
-        boxes: &[E],
-        bbox: impl Fn(&E) -> &Aabb<N> + Sync,
-        cap: usize,
-        threads: usize,
-    ) -> Self {
+    /// module docs).
+    fn tile<E>(boxes: &[E], bbox: impl Fn(&E) -> &Aabb<N>, cap: usize) -> Self {
         let mut items: Vec<u32> = (0..boxes.len() as u32).collect();
         let mut cuts = Vec::with_capacity(boxes.len() / cap + 2);
         cuts.push(0);
         let tiler = Tiler { boxes, bbox: &bbox, cap };
-        tiler.tile(&mut items, &mut Vec::new(), 0, 0, threads, &mut cuts);
+        tiler.tile(&mut items, &mut Vec::new(), 0, 0, &mut cuts);
         let mbr = |w: &[u32]| {
             let group = items[w[0] as usize..w[1] as usize].iter();
             Aabb::mbr_of(group.map(|&i| *bbox(&boxes[i as usize]))).expect("non-empty group")
@@ -881,7 +856,7 @@ struct Tiler<'a, E, F> {
     cap: usize,
 }
 
-impl<const N: usize, E: Sync, F: Fn(&E) -> &Aabb<N> + Sync> Tiler<'_, E, F> {
+impl<const N: usize, E, F: Fn(&E) -> &Aabb<N>> Tiler<'_, E, F> {
     /// One level of the recursion over the sub-slice of the permutation
     /// that starts at offset `base`: sorts it by the centre of dimension
     /// `dim` (ties keep their order), cuts it into slabs and recurses on
@@ -894,7 +869,6 @@ impl<const N: usize, E: Sync, F: Fn(&E) -> &Aabb<N> + Sync> Tiler<'_, E, F> {
         keys: &mut Vec<(u64, u32, u32)>,
         dim: usize,
         base: usize,
-        threads: usize,
         cuts: &mut Vec<u32>,
     ) {
         let cap = self.cap;
@@ -921,18 +895,8 @@ impl<const N: usize, E: Sync, F: Fn(&E) -> &Aabb<N> + Sync> Tiler<'_, E, F> {
             let slabs = (pages as f64).powf(1.0 / (N - dim) as f64).ceil() as usize;
             items.len().div_ceil(slabs.max(1))
         };
-        let slabs = items.chunks_mut(per_slab).enumerate();
-        if threads <= 1 || dim + 1 == N {
-            for (k, slab) in slabs {
-                self.tile(slab, keys, dim + 1, base + k * per_slab, 1, cuts);
-            }
-        } else {
-            let tiled = gsr_graph::par::map_consume(threads, slabs.collect(), |(k, slab)| {
-                let mut cuts = Vec::new();
-                self.tile(slab, &mut Vec::new(), dim + 1, base + k * per_slab, 1, &mut cuts);
-                cuts
-            });
-            cuts.extend(tiled.into_iter().flatten());
+        for (k, slab) in items.chunks_mut(per_slab).enumerate() {
+            self.tile(slab, keys, dim + 1, base + k * per_slab, cuts);
         }
     }
 }
@@ -1265,35 +1229,6 @@ mod tests {
         t.check_invariants();
         assert_eq!(t.len(), 200);
         assert_eq!(t.params(), params);
-    }
-
-    #[test]
-    fn parallel_bulk_load_matches_sequential_exactly() {
-        for n in [0usize, 5, 100, 3000] {
-            let entries = grid_points(n);
-            let seq = RTree::bulk_load(entries.clone());
-            for threads in [2, 4, 8] {
-                let par =
-                    RTree::bulk_load_parallel(entries.clone(), RTreeParams::default(), threads);
-                assert_eq!(seq, par, "n = {n}, threads = {threads}");
-                par.check_invariants();
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_bulk_load_matches_sequential_in_3d() {
-        let entries: Vec<(Aabb<3>, u32)> = (0..2000u32)
-            .map(|i| {
-                let x = (i % 13) as f64;
-                let y = (i % 57) as f64;
-                let z = (i % 101) as f64;
-                (Aabb::new([x, y, 0.0], [x, y, z]), i)
-            })
-            .collect();
-        let seq = RTree::bulk_load(entries.clone());
-        let par = RTree::bulk_load_parallel(entries, RTreeParams::default(), 4);
-        assert_eq!(seq, par);
     }
 
     /// `col` with `edit` applied to a copy of its elements.

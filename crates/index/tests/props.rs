@@ -346,7 +346,7 @@ fn packed_size(kind: usize, n: usize) -> usize {
 }
 
 /// In-place packer ≡ split-off packer: the same groups in the same order at
-/// every level — so the same arena, byte for byte — at every thread count.
+/// every level — so the same arena, byte for byte.
 fn check_packing<const N: usize>(
     entries: Vec<(Aabb<N>, u32)>,
     max_entries: usize,
@@ -358,22 +358,19 @@ fn check_packing<const N: usize>(
         oracle_tree(entries.clone(), params)
     };
     let expected = arena_words(&oracle);
-    for threads in [1, 2, 4, 8] {
-        let tree = RTree::bulk_load_parallel(entries.clone(), params, threads);
-        tree.check_invariants();
-        let words = arena_words(&tree);
-        let differs = words.iter().zip(&expected).position(|(a, b)| a != b);
-        prop_assert!(
-            words.len() == expected.len() && differs.is_none(),
-            "M = {}, threads = {}: {} arena words for {}, first difference at {:?}",
-            max_entries,
-            threads,
-            words.len(),
-            expected.len(),
-            differs
-        );
-        prop_assert!(tree == oracle, "threads = {}", threads);
-    }
+    let tree = RTree::bulk_load_with_params(entries, params);
+    tree.check_invariants();
+    let words = arena_words(&tree);
+    let differs = words.iter().zip(&expected).position(|(a, b)| a != b);
+    prop_assert!(
+        words.len() == expected.len() && differs.is_none(),
+        "M = {}: {} arena words for {}, first difference at {:?}",
+        max_entries,
+        words.len(),
+        expected.len(),
+        differs
+    );
+    prop_assert!(tree == oracle);
     Ok(())
 }
 

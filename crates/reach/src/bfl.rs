@@ -32,17 +32,11 @@ pub struct BflParams {
     pub filter_words: usize,
     /// Seed for the per-vertex hash assignment.
     pub seed: u64,
-    /// Worker threads: `1` (default) runs the sequential filter passes,
-    /// `0` uses machine parallelism, `n > 1` exactly `n` threads. Filters
-    /// are identical at any thread count: each vertex's filter is a pure
-    /// bitwise-OR of its neighbours' final filters, computed level by
-    /// level.
-    pub threads: usize,
 }
 
 impl Default for BflParams {
     fn default() -> Self {
-        BflParams { filter_words: 4, seed: 0x9E3779B97F4A7C15, threads: 1 }
+        BflParams { filter_words: 4, seed: 0x9E3779B97F4A7C15 }
     }
 }
 
@@ -108,8 +102,6 @@ impl BflIndex {
             (bit / 64, 1u64 << (bit % 64))
         };
 
-        let threads = gsr_graph::par::effective_threads(params.threads);
-
         // L_out: processed in increasing post order, every out-neighbour is
         // final (DAG DFS property: all edges point to smaller posts).
         // L_in: processed in decreasing post order, every in-neighbour of a
@@ -117,17 +109,8 @@ impl BflIndex {
         let fwd: Vec<VertexId> =
             (1..=n as u32).map(|p| forest.post_to_vertex[(p - 1) as usize]).collect();
         let rev: Vec<VertexId> = fwd.iter().rev().copied().collect();
-        let (out_filters, in_filters) = if threads > 1 {
-            (
-                fill_filters_parallel(n, words, &fwd, |v| g.out_neighbors(v), &hash_bit, threads),
-                fill_filters_parallel(n, words, &rev, |v| g.in_neighbors(v), &hash_bit, threads),
-            )
-        } else {
-            (
-                fill_filters(n, words, &fwd, |v| g.out_neighbors(v), &hash_bit),
-                fill_filters(n, words, &rev, |v| g.in_neighbors(v), &hash_bit),
-            )
-        };
+        let out_filters = fill_filters(n, words, &fwd, |v| g.out_neighbors(v), &hash_bit);
+        let in_filters = fill_filters(n, words, &rev, |v| g.in_neighbors(v), &hash_bit);
 
         BflIndex {
             g: g.clone(),
@@ -159,12 +142,6 @@ impl BflIndex {
     #[inline]
     fn filters_admit(&self, from: usize, to: usize) -> bool {
         subset(self.out_row(to), self.out_row(from)) && subset(self.in_row(from), self.in_row(to))
-    }
-
-    /// The raw `(out, in)` filter tables, `n * filter_words` words each —
-    /// exposed so determinism tests can compare builds structurally.
-    pub fn filters(&self) -> (&[u64], &[u64]) {
-        (&self.out_filters, &self.in_filters)
     }
 
     /// Number of vertices of the indexed DAG.
@@ -248,9 +225,8 @@ impl Columns for BflIndex {
     }
 }
 
-/// Sequential filter pass: visits `order` front to back, OR-ing each
-/// vertex's own hash bit with the (already final) filters of its
-/// `neighbors`.
+/// Filter pass: visits `order` front to back, OR-ing each vertex's own
+/// hash bit with the (already final) filters of its `neighbors`.
 fn fill_filters<'a, N>(
     n: usize,
     words: usize,
@@ -274,51 +250,6 @@ where
             for (d, s) in dst.iter_mut().zip(src) {
                 *d |= *s;
             }
-        }
-    }
-    filters
-}
-
-/// Level-scheduled parallel form of [`fill_filters`].
-///
-/// `order` visits every neighbour before its dependents, so
-/// `depth(v) = 1 + max(depth(neighbours))` partitions the vertices into
-/// levels of mutually independent rows. Each level computes its rows
-/// concurrently, reading only rows finalized by earlier levels. A row is a
-/// bitwise OR of its inputs — associative and commutative — so the result
-/// is bit-identical to the sequential pass at any thread count.
-fn fill_filters_parallel<'a, N>(
-    n: usize,
-    words: usize,
-    order: &[VertexId],
-    neighbors: N,
-    hash_bit: &(impl Fn(VertexId) -> (usize, u64) + Sync),
-    threads: usize,
-) -> Vec<u64>
-where
-    N: Fn(VertexId) -> &'a [VertexId] + Sync,
-{
-    let levels = gsr_graph::topo::levels(n, order, &neighbors);
-    let mut filters = vec![0u64; n * words];
-    for level in &levels {
-        let rows = gsr_graph::par::map_indexed(threads, level.len(), |i| {
-            let v = level[i];
-            let mut row = vec![0u64; words];
-            let (w, m) = hash_bit(v);
-            row[w] |= m;
-            for &u in neighbors(v) {
-                if u != v {
-                    let u = u as usize;
-                    for (d, s) in row.iter_mut().zip(&filters[u * words..(u + 1) * words]) {
-                        *d |= *s;
-                    }
-                }
-            }
-            row
-        });
-        for (i, row) in rows.into_iter().enumerate() {
-            let v = level[i] as usize;
-            filters[v * words..(v + 1) * words].copy_from_slice(&row);
         }
     }
     filters
@@ -431,10 +362,7 @@ mod tests {
         // One word of filter forces collisions; answers must stay exact
         // because the Bloom cut only ever proves *non*-reachability.
         let g = graph_from_edges(30, &(0..29).map(|i| (i, i + 1)).collect::<Vec<_>>());
-        let idx = BflIndex::build_with(
-            &g,
-            BflParams { filter_words: 1, seed: 42, ..BflParams::default() },
-        );
+        let idx = BflIndex::build_with(&g, BflParams { filter_words: 1, seed: 42 });
         for u in g.vertices() {
             for v in g.vertices() {
                 assert_eq!(idx.reaches(u, v), u <= v);
@@ -457,22 +385,6 @@ mod tests {
             for v in g.vertices() {
                 assert_eq!(idx.reaches(u, v), u == v);
             }
-        }
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential_exactly() {
-        let g = graph_from_edges(
-            9,
-            &[(0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (5, 6), (4, 6), (6, 1), (7, 8)],
-        );
-        let seq = BflIndex::build(&g);
-        for threads in [2, 4, 8] {
-            let par = BflIndex::build_with(&g, BflParams { threads, ..BflParams::default() });
-            assert_eq!(seq.out_filters, par.out_filters, "threads = {threads}");
-            assert_eq!(seq.in_filters, par.in_filters, "threads = {threads}");
-            assert_eq!(seq.post, par.post, "threads = {threads}");
-            assert_eq!(seq.tree_min, par.tree_min, "threads = {threads}");
         }
     }
 

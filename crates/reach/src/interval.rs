@@ -103,19 +103,11 @@ pub struct BuildOptions {
     /// disjoint and sorted; disabling this reproduces the "uncompressed"
     /// rows of Table 6.
     pub compress: bool,
-    /// Worker threads for the bottom-up construction: `1` (default) runs
-    /// the classic sequential loop, `0` uses the machine's available
-    /// parallelism, `n > 1` uses exactly `n` threads. The parallel build is
-    /// level-scheduled and produces labels **identical** to the sequential
-    /// build at any thread count: a vertex's labels depend only on those of
-    /// its out-neighbours, which all sit on lower levels.
-    /// [`Builder::PaperFaithful`] is inherently sequential and ignores this.
-    pub threads: usize,
 }
 
 impl Default for BuildOptions {
     fn default() -> Self {
-        BuildOptions { builder: Builder::BottomUp, compress: true, threads: 1 }
+        BuildOptions { builder: Builder::BottomUp, compress: true }
     }
 }
 
@@ -156,11 +148,7 @@ impl IntervalLabeling {
     /// cyclic inputs produce an unspecified (but memory-safe) labeling.
     pub fn build_with(g: &DiGraph, options: BuildOptions) -> Self {
         let forest = SpanningForest::of(g);
-        let threads = gsr_graph::par::effective_threads(options.threads);
         match options.builder {
-            Builder::BottomUp if threads > 1 => {
-                build_bottom_up_parallel(g, &forest, options.compress, threads)
-            }
             Builder::BottomUp => build_bottom_up(g, &forest, options.compress),
             Builder::PaperFaithful => build_paper(g, &forest, options.compress),
         }
@@ -477,60 +465,6 @@ fn subtree_sizes(forest: &SpanningForest) -> Vec<u32> {
     subtree_size
 }
 
-/// Level-scheduled parallel form of [`build_bottom_up`].
-///
-/// On a DAG DFS forest every out-neighbour of `v` has a smaller post-order
-/// number, so `L(v)` is a **pure function** of the final label sets of its
-/// out-neighbours — the sequential loop exploits this by processing posts
-/// in increasing order. Here the same dependency structure is made
-/// explicit: `depth(v) = 1 + max(depth(out-neighbours))` partitions the
-/// vertices into levels whose members are mutually independent, each level
-/// is computed by [`gsr_graph::par::map_indexed_with`] with results placed
-/// by index, and levels run in increasing depth so all inputs are final.
-/// Because each per-vertex computation is bit-identical to the sequential
-/// one and no result depends on worker scheduling, the output labeling is
-/// **identical** to the sequential build at any thread count.
-fn build_bottom_up_parallel(
-    g: &DiGraph,
-    forest: &SpanningForest,
-    compress: bool,
-    threads: usize,
-) -> IntervalLabeling {
-    let n = g.num_vertices();
-    let subtree_size = subtree_sizes(forest);
-
-    // Increasing post order visits every out-neighbour before its sources.
-    let levels = gsr_graph::topo::levels(n, &forest.post_to_vertex, |v| g.out_neighbors(v));
-
-    let mut sets: Vec<Vec<Interval>> = vec![Vec::new(); n];
-    for level in &levels {
-        let results = gsr_graph::par::map_indexed_with(
-            threads,
-            level.len(),
-            Vec::new,
-            |scratch: &mut Vec<Interval>, i| {
-                let v = level[i];
-                let p = forest.post[v as usize];
-                let index_v = p - subtree_size[v as usize] + 1;
-                let mut own = vec![Interval::new(index_v, p)];
-                for &u in g.out_neighbors(v) {
-                    if u != v {
-                        // Strictly smaller depth => finalized in an earlier
-                        // level sweep.
-                        union_into(&mut own, &sets[u as usize], compress, scratch);
-                    }
-                }
-                own
-            },
-        );
-        for (i, set) in results.into_iter().enumerate() {
-            sets[level[i] as usize] = set;
-        }
-    }
-
-    finish(forest, sets)
-}
-
 /// The literal Algorithm 1 of the paper.
 fn build_paper(g: &DiGraph, forest: &SpanningForest, compress: bool) -> IntervalLabeling {
     let n = g.num_vertices();
@@ -723,11 +657,7 @@ mod tests {
         let g = paper_graph();
         let l = IntervalLabeling::build_with(
             &g,
-            BuildOptions {
-                builder: Builder::PaperFaithful,
-                compress: true,
-                ..BuildOptions::default()
-            },
+            BuildOptions { builder: Builder::PaperFaithful, compress: true },
         );
         assert_matches_bfs(&g, &l);
     }
@@ -753,36 +683,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_sequential_exactly() {
-        let g = paper_graph();
-        for compress in [true, false] {
-            let seq = IntervalLabeling::build_with(
-                &g,
-                BuildOptions { compress, ..BuildOptions::default() },
-            );
-            for threads in [2, 3, 4, 8] {
-                let par = IntervalLabeling::build_with(
-                    &g,
-                    BuildOptions { compress, threads, ..BuildOptions::default() },
-                );
-                assert_eq!(seq.offsets, par.offsets, "threads = {threads}");
-                assert_eq!(seq.labels, par.labels, "threads = {threads}");
-                assert_eq!(seq.post, par.post, "threads = {threads}");
-            }
-        }
-    }
-
-    #[test]
     fn builders_agree_on_compressed_labels() {
         let g = paper_graph();
         let bottom = IntervalLabeling::build(&g);
         let paper = IntervalLabeling::build_with(
             &g,
-            BuildOptions {
-                builder: Builder::PaperFaithful,
-                compress: true,
-                ..BuildOptions::default()
-            },
+            BuildOptions { builder: Builder::PaperFaithful, compress: true },
         );
         for v in g.vertices() {
             assert_eq!(bottom.intervals(v), paper.intervals(v), "labels differ at {v}");
@@ -795,7 +701,7 @@ mod tests {
         let compressed = IntervalLabeling::build(&g);
         let raw = IntervalLabeling::build_with(
             &g,
-            BuildOptions { builder: Builder::BottomUp, compress: false, ..BuildOptions::default() },
+            BuildOptions { builder: Builder::BottomUp, compress: false },
         );
         assert!(raw.num_labels() >= compressed.num_labels());
         // Reachability answers are identical either way.

@@ -54,7 +54,7 @@ proptest! {
     fn interval_paper_matches_closure(g in arb_dag(22, 70)) {
         let l = IntervalLabeling::build_with(
             &g,
-            BuildOptions { builder: Builder::PaperFaithful, compress: true, ..BuildOptions::default() },
+            BuildOptions { builder: Builder::PaperFaithful, compress: true },
         );
         assert_oracle_matches(&g, &l)?;
     }
@@ -63,7 +63,7 @@ proptest! {
     fn interval_uncompressed_matches_closure(g in arb_dag(25, 90)) {
         let l = IntervalLabeling::build_with(
             &g,
-            BuildOptions { builder: Builder::BottomUp, compress: false, ..BuildOptions::default() },
+            BuildOptions { builder: Builder::BottomUp, compress: false },
         );
         assert_oracle_matches(&g, &l)?;
     }
@@ -73,7 +73,7 @@ proptest! {
         let bottom = IntervalLabeling::build(&g);
         let paper = IntervalLabeling::build_with(
             &g,
-            BuildOptions { builder: Builder::PaperFaithful, compress: true, ..BuildOptions::default() },
+            BuildOptions { builder: Builder::PaperFaithful, compress: true },
         );
         for v in g.vertices() {
             prop_assert_eq!(bottom.intervals(v), paper.intervals(v), "vertex {}", v);
@@ -86,7 +86,7 @@ proptest! {
         let compressed = IntervalLabeling::build(&g);
         let raw = IntervalLabeling::build_with(
             &g,
-            BuildOptions { builder: Builder::BottomUp, compress: false, ..BuildOptions::default() },
+            BuildOptions { builder: Builder::BottomUp, compress: false },
         );
         prop_assert!(compressed.num_labels() <= raw.num_labels());
     }
@@ -111,7 +111,7 @@ proptest! {
     #[test]
     fn bfl_with_tiny_filters_matches_closure(g in arb_dag(25, 90)) {
         // Heavy Bloom collisions must only cost time, never correctness.
-        let idx = BflIndex::build_with(&g, BflParams { filter_words: 1, seed: 7, ..BflParams::default() });
+        let idx = BflIndex::build_with(&g, BflParams { filter_words: 1, seed: 7 });
         assert_oracle_matches(&g, &idx)?;
     }
 

@@ -324,7 +324,7 @@ mod tests {
 
     fn built_all() -> Vec<SnapshotIndex> {
         let prep = paper_example::prepared();
-        Method::ALL.map(|m| m.build(&prep, SccSpatialPolicy::Replicate, 1)).to_vec()
+        Method::ALL.map(|m| m.build(&prep, SccSpatialPolicy::Replicate)).to_vec()
     }
 
     /// Every method under every SCC policy it supports.
@@ -336,7 +336,7 @@ mod tests {
             Method::ALL
                 .into_iter()
                 .filter(|m| m.supports_mbr())
-                .map(|m| m.build(&prep, SccSpatialPolicy::Mbr, 1)),
+                .map(|m| m.build(&prep, SccSpatialPolicy::Mbr)),
         );
         for index in indexes {
             let mut bytes = Vec::new();
@@ -428,7 +428,7 @@ mod tests {
         ];
         for (method, policy, written, retired, named) in cases {
             let mut bytes = Vec::new();
-            save(&mut bytes, &method.build(&prep, policy, 1)).unwrap();
+            save(&mut bytes, &method.build(&prep, policy)).unwrap();
             // `META` is the first section: the method tag, then the scalar.
             let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
             let (meta_at, meta_len) = (field(24 + 8) as usize, field(24 + 16) as usize);
@@ -548,7 +548,7 @@ mod tests {
         let path = dir.path().join("idx.snap");
         let prep = PreparedNetwork::new(gsr_datagen::NetworkSpec::weeplaces(0.1).generate());
         let pair = [Method::ThreeDReach, Method::SpaReachBfl]
-            .map(|m| m.build(&prep, SccSpatialPolicy::Replicate, 1));
+            .map(|m| m.build(&prep, SccSpatialPolicy::Replicate));
         let images = pair.each_ref().map(|index| {
             let mut bytes = Vec::new();
             save(&mut bytes, index).unwrap();

@@ -46,7 +46,7 @@ mod tests {
             .unwrap();
         let prep = PreparedNetwork::new(net);
         print_network_summary("toy", &prep);
-        let methods = [Method::ThreeDReach.build(&prep, SccSpatialPolicy::Replicate, 1)];
+        let methods = [Method::ThreeDReach.build(&prep, SccSpatialPolicy::Replicate)];
         compare_methods(&methods, 0, &Rect::new(0.0, 0.0, 2.0, 2.0));
     }
 }

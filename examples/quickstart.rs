@@ -16,7 +16,7 @@ fn main() {
     let prep = paper_example::prepared();
     print_network_summary("Paper running example", &prep);
 
-    let methods = Method::ALL.map(|m| m.build(&prep, SccSpatialPolicy::Replicate, 1));
+    let methods = Method::ALL.map(|m| m.build(&prep, SccSpatialPolicy::Replicate));
 
     let region = paper_example::query_region();
 

@@ -132,7 +132,7 @@ fn main() {
     for method in Method::ALL {
         let ds = Dataset::from_spec(&spec);
         let (idx, peak) =
-            peak_above(live_bytes(), || method.build(&ds.prep, SccSpatialPolicy::Replicate, 1));
+            peak_above(live_bytes(), || method.build(&ds.prep, SccSpatialPolicy::Replicate));
         let index = idx.index_bytes() as u64;
         let line = format!(
             "{} build: peak {peak} B = {:.1} x index ({index} B), limit x{METHOD_FACTOR}",

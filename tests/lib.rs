@@ -137,7 +137,7 @@ pub fn random_regions(count: usize, seed: u64) -> Vec<Rect> {
 // ---------------------------------------------------------------------------
 // The differential oracle. Every cell — a case, a `(method, policy)` row and
 // a path — answers the case's probes, and [`disagreements`] holds it to BFS
-// and to the row's reference, the index built at one thread. Each case is
+// and to the row's reference, the index as built. Each case is
 // asked by one test: `tests/oracle.rs` or the suite that builds it.
 
 /// A network, the probes every cell of the oracle asks of it, and the
@@ -153,8 +153,6 @@ pub struct Case {
     /// has an infinite side, which every path must refuse with a typed
     /// [`GsrError::InvalidRect`].
     pub expected: Vec<Option<bool>>,
-    /// The network prepared anew per build thread count ([`Case::fresh`]).
-    fresh: std::sync::Mutex<std::collections::BTreeMap<usize, Arc<PreparedNetwork>>>,
 }
 
 impl Case {
@@ -183,17 +181,7 @@ impl Case {
         let finite = |r: &Rect| [r.min_x, r.min_y, r.max_x, r.max_y].iter().all(|c| c.is_finite());
         let oracle = |(v, r): &BatchQuery| finite(r).then(|| prep.range_reach_bfs(*v, r));
         let expected = probes.iter().map(oracle).collect();
-        Case { name: name.into(), prep, probes, expected, fresh: Default::default() }
-    }
-
-    /// The case's network prepared anew for builds with `threads` workers:
-    /// nothing derived is shared with [`Case::prep`], so the forward
-    /// labeling is built at that thread count, once for all the rows that
-    /// read it.
-    fn fresh(&self, threads: usize) -> Arc<PreparedNetwork> {
-        let mut fresh = self.fresh.lock().expect("no row panics holding the lock");
-        let anew = || Arc::new(PreparedNetwork::new(self.prep.network().clone()));
-        Arc::clone(fresh.entry(threads).or_insert_with(anew))
+        Case { name: name.into(), prep, probes, expected }
     }
 }
 
@@ -301,11 +289,11 @@ pub fn rows() -> Vec<(Method, SccSpatialPolicy)> {
     rows
 }
 
-/// Every method under every SCC policy it has, built at one thread and
-/// named by method key (`"3dreach (MBR)"`), in [`rows`] order.
+/// Every method under every SCC policy it has, built and named by method
+/// key (`"3dreach (MBR)"`), in [`rows`] order.
 pub fn all_snapshots(prep: &PreparedNetwork) -> Vec<(String, SnapshotIndex)> {
     let build = |(m, p): (Method, SccSpatialPolicy)| {
-        (format!("{}{}", m.key(), p.suffix()), m.build(prep, p, 1))
+        (format!("{}{}", m.key(), p.suffix()), m.build(prep, p))
     };
     rows().into_iter().map(build).collect()
 }
@@ -339,7 +327,7 @@ pub fn observe(index: &dyn RangeReachIndex, probes: &[BatchQuery]) -> Observed {
 }
 
 /// One `(method, policy)` row of the oracle on one case: its reference
-/// index — built at one thread over the case's network, the built-1 cell —
+/// index — built over the case's network, the `built` cell —
 /// its snapshot `file` (saved on first read), and what it answered (`seen`,
 /// what every cell is held to). Every path answers for the row from these.
 struct Row<'a> {
@@ -354,7 +342,7 @@ struct Row<'a> {
 impl<'a> Row<'a> {
     /// Builds and asks the row's reference.
     fn new(case: &'a Case, (method, policy): (Method, SccSpatialPolicy)) -> Self {
-        let reference = method.build(&case.prep, policy, 1);
+        let reference = method.build(&case.prep, policy);
         let seen = observe(&reference, &case.probes);
         Row { case, method, policy, reference, file: Default::default(), seen }
     }
@@ -370,13 +358,6 @@ impl<'a> Row<'a> {
     /// `method (policy)`, as a report names the row.
     fn name(&self) -> String {
         format!("{} ({:?})", self.method.key(), self.policy)
-    }
-
-    /// The row's index built again, with `threads` workers, over the case's
-    /// network prepared anew for that thread count.
-    fn built(&self, threads: usize) -> Observed {
-        let fresh = self.case.fresh(threads);
-        observe(&self.method.build(&fresh, self.policy, threads), &self.case.probes)
     }
 
     /// The reference snapshot read back from `bytes` with `trust`.
@@ -435,10 +416,8 @@ type PathRow = (&'static str, fn(&Row<'_>) -> Result<Observed, GsrError>);
 
 /// Every in-process way to obtain an index and ask it. The first is the
 /// reference every other path's counters and size are held to.
-const PATHS: [PathRow; 11] = [
-    ("built-1", |row| Ok(row.seen.clone())),
-    ("built-2", |row| Ok(row.built(2))),
-    ("built-8", |row| Ok(row.built(8))),
+const PATHS: [PathRow; 9] = [
+    ("built", |row| Ok(row.seen.clone())),
     ("owned", |row| row.loaded(row.file(), false)),
     ("misaligned", |row| row.misaligned()),
     ("mapped", |row| row.mapped()),
@@ -488,19 +467,19 @@ pub fn assert_oracle(cases: &[Case], methods: &[Method], names: &[&str]) {
     assert!(failures.is_empty(), "{count} disagreements in {cells} cells:\n{lines}");
 }
 
-/// Every path's name, in the path table's order (`built-1` first).
-pub fn every_path() -> [&'static str; 11] {
+/// Every path's name, in the path table's order (`built` first).
+pub fn every_path() -> [&'static str; 9] {
     PATHS.map(|p| p.0)
 }
 
 /// A family of cases through [`assert_oracle`]: its first case through
-/// every path, the rest on the index built at one thread, the reference
+/// every path, the rest on the index as built, the reference
 /// every path is held to. Each network is built once, and the family
 /// crosses every path.
 pub fn assert_family(cases: &[Case], methods: &[Method]) {
     assert_oracle(&cases[..1], methods, &every_path());
     if cases.len() > 1 {
-        assert_oracle(&cases[1..], methods, &["built-1"]);
+        assert_oracle(&cases[1..], methods, &["built"]);
     }
 }
 
@@ -530,7 +509,7 @@ pub fn disagreements(cell: &str, case: &Case, reference: &Observed, got: &Observ
             out.push(format!("{}: try_query_with_cost gave {answer:?}, BFS {bfs:?}", at(i)));
         } else if let (Ok((_, cost)), Ok((_, want))) = (counted, want) {
             if cost != want {
-                out.push(format!("{}: cost {cost:?}, built-1 {want:?}", at(i)));
+                out.push(format!("{}: cost {cost:?}, built {want:?}", at(i)));
             }
         }
     }
@@ -539,10 +518,10 @@ pub fn disagreements(cell: &str, case: &Case, reference: &Observed, got: &Observ
         out.push(format!("{whole}: {answers} and {counted} answers for {n} probes"));
     }
     if got.total != reference.total {
-        out.push(format!("{whole}: summed cost {:?}, built-1 {:?}", got.total, reference.total));
+        out.push(format!("{whole}: summed cost {:?}, built {:?}", got.total, reference.total));
     }
     if got.bytes != reference.bytes {
-        out.push(format!("{whole}: index_bytes {}, built-1 {}", got.bytes, reference.bytes));
+        out.push(format!("{whole}: index_bytes {}, built {}", got.bytes, reference.bytes));
     }
     out
 }

@@ -50,7 +50,7 @@ fn main() {
 
         for method in Method::ALL {
             for &policy in method.policies() {
-                let idx = method.build(&ds.prep, policy, 1);
+                let idx = method.build(&ds.prep, policy);
                 // Warm-up: first queries may allocate (thread-local scratch).
                 for (v, region) in &w.queries {
                     std::hint::black_box(idx.query(*v, region));
@@ -101,7 +101,7 @@ fn main() {
             .collect();
         for cache_entries in [0, 2 * BATCH_LINES] {
             let index: Arc<dyn RangeReachIndex> =
-                Arc::new(Method::ThreeDReach.build(&ds.prep, SccSpatialPolicy::Replicate, 1));
+                Arc::new(Method::ThreeDReach.build(&ds.prep, SccSpatialPolicy::Replicate));
             let datasets = vec![("default".to_string(), index)];
             let config = ServerConfig { cache_entries, ..ServerConfig::default() };
             let engine = Engine::new(datasets, config).unwrap();
